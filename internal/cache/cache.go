@@ -46,17 +46,33 @@ func (s State) String() string {
 	}
 }
 
-// way is one cache way: a line address, its state, and an LRU stamp.
+// way is one cache way: a line address and a packed word holding the
+// line's state in the high byte and its LRU stamp (higher = more recently
+// used) in the low 56 bits. Stamps come from the cache's access clock,
+// which advances once per touch or insert and cannot reach 2^56 in any
+// simulation, so packing never truncates a stamp.
 type way struct {
-	line  uint64
-	state State
-	lru   uint64 // higher = more recently used
+	line uint64
+	meta uint64
 }
+
+const (
+	stateShift = 56
+	lruMask    = 1<<stateShift - 1
+)
+
+func (w *way) state() State { return State(w.meta >> stateShift) }
+
+func (w *way) lru() uint64 { return w.meta & lruMask }
+
+func (w *way) setState(st State) { w.meta = uint64(st)<<stateShift | w.meta&lruMask }
+
+func (w *way) touch(clock uint64) { w.meta = w.meta&^lruMask | clock }
 
 // Cache is a set-associative LRU cache. The zero value is unusable; create
 // with New.
 type Cache struct {
-	sets     [][]way
+	ways     []way // set-major: set s is ways[s*assoc : (s+1)*assoc]
 	assoc    int
 	lineSize uint64
 	setMask  uint64
@@ -77,13 +93,8 @@ func New(size, assoc, lineSize int) *Cache {
 	if nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", nsets))
 	}
-	sets := make([][]way, nsets)
-	backing := make([]way, nsets*assoc)
-	for i := range sets {
-		sets[i] = backing[i*assoc : (i+1)*assoc : (i+1)*assoc]
-	}
 	return &Cache{
-		sets:     sets,
+		ways:     make([]way, nsets*assoc),
 		assoc:    assoc,
 		lineSize: uint64(lineSize),
 		setMask:  uint64(nsets - 1),
@@ -91,19 +102,20 @@ func New(size, assoc, lineSize int) *Cache {
 }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return len(c.ways) / c.assoc }
 
 // Assoc returns the associativity.
 func (c *Cache) Assoc() int { return c.assoc }
 
 func (c *Cache) setFor(line uint64) []way {
-	return c.sets[(line/c.lineSize)&c.setMask]
+	i := int((line/c.lineSize)&c.setMask) * c.assoc
+	return c.ways[i : i+c.assoc : i+c.assoc]
 }
 
 func (c *Cache) find(line uint64) *way {
 	set := c.setFor(line)
 	for i := range set {
-		if set[i].state != Invalid && set[i].line == line {
+		if set[i].line == line && set[i].state() != Invalid {
 			return &set[i]
 		}
 	}
@@ -114,7 +126,7 @@ func (c *Cache) find(line uint64) *way {
 // snoops, which should not perturb replacement).
 func (c *Cache) Lookup(line uint64) State {
 	if w := c.find(line); w != nil {
-		return w.state
+		return w.state()
 	}
 	return Invalid
 }
@@ -123,8 +135,8 @@ func (c *Cache) Lookup(line uint64) State {
 func (c *Cache) Touch(line uint64) State {
 	if w := c.find(line); w != nil {
 		c.clock++
-		w.lru = c.clock
-		return w.state
+		w.touch(c.clock)
+		return w.state()
 	}
 	return Invalid
 }
@@ -137,18 +149,14 @@ func (c *Cache) SetState(line uint64, st State) {
 	if w == nil {
 		panic(fmt.Sprintf("cache: SetState on absent line %#x", line))
 	}
-	if st == Invalid {
-		w.state = Invalid
-		return
-	}
-	w.state = st
+	w.setState(st)
 }
 
 // Invalidate removes line if present and returns its prior state.
 func (c *Cache) Invalidate(line uint64) State {
 	if w := c.find(line); w != nil {
-		st := w.state
-		w.state = Invalid
+		st := w.state()
+		w.setState(Invalid)
 		return st
 	}
 	return Invalid
@@ -164,37 +172,34 @@ func (c *Cache) Insert(line uint64, st State) (victim uint64, victimState State)
 	}
 	c.clock++
 	if w := c.find(line); w != nil {
-		w.state = st
-		w.lru = c.clock
+		w.meta = uint64(st)<<stateShift | c.clock
 		return 0, Invalid
 	}
 	set := c.setFor(line)
 	// Prefer an invalid way; otherwise evict the least recently used.
 	victimIdx := 0
 	for i := range set {
-		if set[i].state == Invalid {
+		if set[i].state() == Invalid {
 			victimIdx = i
 			goto place
 		}
-		if set[i].lru < set[victimIdx].lru {
+		if set[i].lru() < set[victimIdx].lru() {
 			victimIdx = i
 		}
 	}
-	victim, victimState = set[victimIdx].line, set[victimIdx].state
+	victim, victimState = set[victimIdx].line, set[victimIdx].state()
 place:
-	set[victimIdx] = way{line: line, state: st, lru: c.clock}
+	set[victimIdx] = way{line: line, meta: uint64(st)<<stateShift | c.clock}
 	return victim, victimState
 }
 
 // Lines calls fn for every valid line in the cache. Iteration order is
 // set-major and deterministic. If fn returns false iteration stops.
 func (c *Cache) Lines(fn func(line uint64, st State) bool) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].state != Invalid {
-				if !fn(set[i].line, set[i].state) {
-					return
-				}
+	for i := range c.ways {
+		if st := c.ways[i].state(); st != Invalid {
+			if !fn(c.ways[i].line, st) {
+				return
 			}
 		}
 	}

@@ -1,11 +1,11 @@
 // Package cpu implements the execution-driven compute-processor model.
-// Each simulated processor runs its workload program on a dedicated
-// goroutine; the program's shared-memory loads and stores are issued to the
-// timing model (L1 -> L2 -> SMP bus -> coherence controller) and the
-// goroutine blocks until the simulated access completes, exactly like the
-// Augmint task-switch-per-reference model the paper used. Control is handed
-// off synchronously, so only one goroutine (the engine's or one program's)
-// ever runs at a time and simulations stay deterministic.
+// Each simulated processor runs its workload program as a coroutine of the
+// engine (prog.Coroutine); the program's shared-memory loads and stores are
+// issued to the timing model (L1 -> L2 -> SMP bus -> coherence controller)
+// and the program stays parked until the simulated access completes,
+// exactly like the Augmint task-switch-per-reference model the paper used.
+// Control switches directly between the engine and one program, so only one
+// of them ever runs at a time and simulations stay deterministic.
 package cpu
 
 import (
@@ -75,8 +75,15 @@ type Proc struct {
 	lastRead  uint64
 	lastWrite uint64
 
-	start chan struct{}
-	ops   chan op
+	// co is the program coroutine (nil until Run). curOp is the one
+	// operation in flight while its compute cycles elapse: the program stays
+	// parked until that operation completes, so there is never a second.
+	co    *prog.Coroutine[op]
+	curOp op
+	// resumeFn and execFn are resumeProgram and the curOp executor, bound
+	// once so that scheduling them on every reference allocates nothing.
+	resumeFn func()
+	execFn   func()
 
 	// syncCb, when set, receives the completion of an access issued by the
 	// synchronization layer instead of resuming the program.
@@ -126,9 +133,9 @@ func New(eng *sim.Engine, cfg *config.Config, id, node int, bus *smpbus.Bus,
 		l1:    cache.New(cfg.L1Size, cfg.L1Assoc, cfg.LineSize),
 		l2:    cache.New(cfg.L2Size, cfg.L2Assoc, cfg.LineSize),
 		vals:  make(map[uint64]uint64),
-		start: make(chan struct{}),
-		ops:   make(chan op),
 	}
+	p.resumeFn = p.resumeProgram
+	p.execFn = func() { p.execOp(p.curOp) }
 	p.src = bus.AttachSnooper(p)
 	return p
 }
@@ -208,16 +215,22 @@ func (p *Proc) Counters() map[string]uint64 {
 	}
 }
 
-// Run launches the program goroutine and schedules its first time slice.
+// Run prepares the program coroutine and schedules its first time slice.
 // The program must use only the provided Env for shared-memory access.
 func (p *Proc) Run(program func(prog.Env)) {
 	env := &Env{p: p}
-	go func() {
-		<-p.start
-		program(env)
-		p.ops <- op{kind: opDone}
-	}()
-	p.eng.At(p.eng.Now(), p.resumeProgram)
+	p.co = prog.Start(func() { program(env) }, op{kind: opDone})
+	p.eng.At(p.eng.Now(), p.resumeFn)
+}
+
+// Stop releases the program coroutine: a program parked mid-operation
+// unwinds without issuing anything further. A finished processor has
+// already released its program, and one never Run has none, so Stop is
+// always safe; the machine calls it on every exit path of a run.
+func (p *Proc) Stop() {
+	if p.co != nil {
+		p.co.Stop()
+	}
 }
 
 // Resume lets the synchronization handler continue a parked processor.
@@ -242,19 +255,18 @@ func (p *Proc) SyncAccess(addr uint64, write bool, done func()) {
 	p.access(addr, write)
 }
 
-// resumeProgram transfers control to the program goroutine, receives its
-// next operation, and models it. The engine goroutine blocks while the
-// program computes, which serializes all program execution deterministically.
+// resumeProgram switches to the program coroutine, receives its next
+// operation, and models it. The engine is suspended while the program
+// computes, which serializes all program execution deterministically.
 func (p *Proc) resumeProgram() {
-	p.start <- struct{}{}
-	o := <-p.ops
-	p.handleOp(o)
+	p.handleOp(p.co.Next())
 }
 
 func (p *Proc) handleOp(o op) {
 	if o.comp > 0 {
 		p.instructions += uint64(o.comp)
-		p.eng.After(sim.Time(o.comp), func() { p.execOp(o) })
+		p.curOp = o
+		p.eng.After(sim.Time(o.comp), p.execFn)
 		return
 	}
 	p.execOp(o)
@@ -279,6 +291,7 @@ func (p *Proc) execOp(o op) {
 	case opDone:
 		p.finished = true
 		p.finishedAt = p.eng.Now()
+		p.co.Stop()
 	default:
 		panic(fmt.Sprintf("cpu: unknown op %d", o.kind))
 	}
@@ -566,7 +579,7 @@ func (p *Proc) finishAccess(extra sim.Time) {
 		p.eng.After(extra, cb)
 		return
 	}
-	p.eng.After(extra, p.resumeProgram)
+	p.eng.After(extra, p.resumeFn)
 }
 
 // Snoop implements the bus snooping agent for this processor's caches.
@@ -625,9 +638,9 @@ func (p *Proc) LineData(line uint64) uint64 { return p.vals[line] }
 // ---- program-facing API -----------------------------------------------------
 
 // Env is the shared-memory interface handed to workload programs (the
-// detailed implementation of prog.Env). All methods block the program
-// goroutine until the simulated operation completes. Env is owned by a
-// single program goroutine.
+// detailed implementation of prog.Env). All methods park the program
+// coroutine until the simulated operation completes. Env is owned by a
+// single program.
 type Env struct {
 	p *Proc
 }
@@ -651,8 +664,7 @@ func (e *Env) Compute(n int) {
 func (e *Env) issue(o op) {
 	o.comp = e.p.pendingComp
 	e.p.pendingComp = 0
-	e.p.ops <- o
-	<-e.p.start
+	e.p.co.Yield(o)
 }
 
 // Read performs a shared-memory load from addr.

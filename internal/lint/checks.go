@@ -94,17 +94,15 @@ var configSchemaPackages = map[string]bool{
 
 // goroutineAllowed lists the only packages that may contain a go
 // statement: the worker pool itself (the single sanctioned home of
-// concurrency), the workload-handoff shims, where each compute
-// processor runs its program body on a goroutine that yields control back
-// to the engine synchronously, and the shard scheduler, whose barrier
-// protocol carries its own determinism proof (serial (time, seq) order is
-// reproduced exactly; see DESIGN.md §16). Everywhere else — model code,
-// experiment drivers, tools — a go statement breaks the determinism
-// argument: results must be committed on one goroutine in a fixed order.
+// concurrency), the host-side daemon, and the shard scheduler, whose
+// barrier protocol carries its own determinism proof (serial (time, seq)
+// order is reproduced exactly; see DESIGN.md §16). The workload handoff
+// needs none: programs run as prog.Coroutine coroutines that switch
+// directly with the engine. Everywhere else — model code, experiment
+// drivers, tools — a go statement breaks the determinism argument: results
+// must be committed on one goroutine in a fixed order.
 var goroutineAllowed = map[string]bool{
 	"ccnuma/internal/runner": true,
-	"ccnuma/internal/cpu":    true, // workload handoff: Proc runs program bodies
-	"ccnuma/internal/pram":   true, // workload handoff: PRAM reference driver
 	"ccnuma/internal/serve":  true, // host-side daemon: HTTP serving + sweep resume
 	"ccnuma/internal/sim":    true, // shard scheduler: barrier-synchronized workers
 }
@@ -659,7 +657,7 @@ func stageConstName(pkg *Package, e ast.Expr) (string, bool) {
 }
 
 // checkNoGoroutines flags go statements outside the sanctioned concurrency
-// homes (internal/runner and the workload handoff). A goroutine anywhere
+// homes (see goroutineAllowed). A goroutine anywhere
 // else undermines the parallel runner's determinism argument: simulations
 // stay embarrassingly parallel only while every model component runs
 // exclusively on its engine's goroutine and every result is committed in
@@ -673,7 +671,7 @@ func checkNoGoroutines(pkg *Package) []Finding {
 		ast.Inspect(file, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				out = append(out, pkg.finding(g.Pos(), "no-goroutine",
-					"go statement outside internal/runner and the workload handoff; fan work out through the runner pool instead"))
+					"go statement outside internal/runner and the other sanctioned concurrency homes; fan work out through the runner pool instead"))
 			}
 			return true
 		})

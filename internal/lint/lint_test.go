@@ -209,8 +209,9 @@ func TestConfigSchemaCheck(t *testing.T) {
 }
 
 // TestNoGoroutineCheck pins the goroutine ban on its fixture: the go
-// statement in badgo must be flagged, and the sanctioned packages
-// (internal/runner and the cpu/pram workload handoff) must stay exempt.
+// statement in badgo must be flagged, the sanctioned packages must stay
+// exempt, and the workload handoff (cpu, pram), which switches to programs
+// through prog.Coroutine, must not be exempt.
 func TestNoGoroutineCheck(t *testing.T) {
 	pkgs, err := Load(".", "./testdata/src/badgo")
 	if err != nil {
@@ -228,9 +229,14 @@ func TestNoGoroutineCheck(t *testing.T) {
 	if !strings.Contains(got[0].Pos, "badgo.go") {
 		t.Errorf("finding anchored at %s, want badgo.go", got[0].Pos)
 	}
-	for _, path := range []string{"ccnuma/internal/runner", "ccnuma/internal/cpu", "ccnuma/internal/pram"} {
+	for _, path := range []string{"ccnuma/internal/runner", "ccnuma/internal/serve", "ccnuma/internal/sim"} {
 		if !goroutineAllowed[path] {
 			t.Errorf("%s missing from the goroutine allowlist", path)
+		}
+	}
+	for _, path := range []string{"ccnuma/internal/cpu", "ccnuma/internal/pram", "ccnuma/internal/prog"} {
+		if goroutineAllowed[path] {
+			t.Errorf("%s is on the goroutine allowlist; the workload handoff needs no go statement", path)
 		}
 	}
 }

@@ -2,8 +2,8 @@
 // switches must be exhaustive or fail loudly, simulated-time packages must
 // not consult wall-clock or global-randomness sources, callbacks handed to
 // the discrete-event engine must do work, protocol enums must be printable,
-// goroutines may be spawned only by internal/runner and the workload
-// handoff, and lint suppressions must carry a reason.
+// goroutines may be spawned only by internal/runner and the few other
+// sanctioned concurrency homes, and lint suppressions must carry a reason.
 //
 // It is built only on the standard library's go/ast and go/types: packages
 // are enumerated with `go list -deps -export -json`, dependencies are

@@ -7,7 +7,8 @@ package badgo
 
 var results = make(chan int, 1)
 
-// Flagged: a go statement outside internal/runner and the workload handoff.
+// Flagged: a go statement outside internal/runner and the other sanctioned
+// concurrency homes.
 func spawn() int {
 	go func() { results <- 1 }()
 	return <-results

@@ -205,6 +205,14 @@ func (m *Machine) NProcs() int { return len(m.Procs) }
 // statistics. The run fails if the simulation exceeds the configured time
 // limit or deadlocks with unfinished processors.
 func (m *Machine) Run(program func(prog.Env)) (*stats.Run, error) {
+	// Every exit path (success, deadlock, time limit, watchdog, or a panic
+	// out of the model or a program) releases the programs still parked
+	// mid-operation, so an abandoned run does not pin the machine in memory.
+	defer func() {
+		for _, p := range m.Procs {
+			p.Stop()
+		}
+	}()
 	for _, p := range m.Procs {
 		p.Run(program)
 	}

@@ -56,8 +56,7 @@ type proc struct {
 	node int
 	l2   *cache.Cache
 
-	start    chan struct{}
-	ops      chan op
+	co       *prog.Coroutine[op]
 	blocked  bool
 	finished bool
 }
@@ -91,12 +90,10 @@ func New(cfg *config.Config, space *memaddr.Space) *Sim {
 	}
 	for i := 0; i < cfg.TotalProcs(); i++ {
 		s.procs = append(s.procs, &proc{
-			sim:   s,
-			id:    i,
-			node:  i / cfg.ProcsPerNode,
-			l2:    cache.New(cfg.L2Size, cfg.L2Assoc, cfg.LineSize),
-			start: make(chan struct{}),
-			ops:   make(chan op),
+			sim:  s,
+			id:   i,
+			node: i / cfg.ProcsPerNode,
+			l2:   cache.New(cfg.L2Size, cfg.L2Assoc, cfg.LineSize),
 		})
 	}
 	return s
@@ -121,13 +118,16 @@ func (s *Sim) RCCPI() float64 {
 // free programs' results and reference streams.
 func (s *Sim) Run(program func(prog.Env)) error {
 	for _, p := range s.procs {
-		p := p
-		go func() {
-			<-p.start
-			program(&env{p: p})
-			p.ops <- op{kind: opDone}
-		}()
+		e := &env{p: p}
+		p.co = prog.Start(func() { program(e) }, op{kind: opDone})
 	}
+	// Every exit path (completion, deadlock, or a panic) releases the
+	// programs, finished or still parked mid-operation.
+	defer func() {
+		for _, p := range s.procs {
+			p.co.Stop()
+		}
+	}()
 	// Round-robin one operation per processor per turn: per-reference
 	// interleaving matters, because it produces the line ping-pong that
 	// dominates the communication of migratory and falsely-shared data
@@ -163,62 +163,59 @@ func (s *Sim) allFinished() bool {
 
 // step executes one operation of p (p must be runnable).
 func (s *Sim) step(p *proc) {
-	{
-		p.start <- struct{}{}
-		o := <-p.ops
-		switch o.kind {
-		case opRead:
-			s.instructions++
-			s.access(p, o.addr, false)
-		case opWrite:
-			s.instructions++
-			s.access(p, o.addr, true)
-		case opCompute:
-			s.instructions += uint64(o.n)
-		case opBarrier:
-			s.parkedBarrier = append(s.parkedBarrier, p)
+	o := p.co.Next()
+	switch o.kind {
+	case opRead:
+		s.instructions++
+		s.access(p, o.addr, false)
+	case opWrite:
+		s.instructions++
+		s.access(p, o.addr, true)
+	case opCompute:
+		s.instructions += uint64(o.n)
+	case opBarrier:
+		s.parkedBarrier = append(s.parkedBarrier, p)
+		p.blocked = true
+		if len(s.parkedBarrier) == len(s.procs) {
+			for _, q := range s.parkedBarrier {
+				q.blocked = false
+			}
+			s.parkedBarrier = nil
+		}
+		return
+	case opLock:
+		s.instructions++
+		lq := s.locks[o.n]
+		if lq == nil {
+			lq = &lockq{}
+			s.locks[o.n] = lq
+		}
+		if lq.held {
+			lq.waiters = append(lq.waiters, p)
 			p.blocked = true
-			if len(s.parkedBarrier) == len(s.procs) {
-				for _, q := range s.parkedBarrier {
-					q.blocked = false
-				}
-				s.parkedBarrier = nil
-			}
-			return
-		case opLock:
-			s.instructions++
-			lq := s.locks[o.n]
-			if lq == nil {
-				lq = &lockq{}
-				s.locks[o.n] = lq
-			}
-			if lq.held {
-				lq.waiters = append(lq.waiters, p)
-				p.blocked = true
-				return
-			}
-			lq.held = true
-			// A lock acquisition is a read-exclusive of the lock line at
-			// minimum: charge a small constant.
-			s.ccRequests += 2
-		case opUnlock:
-			s.instructions++
-			lq := s.locks[o.n]
-			if lq == nil || !lq.held {
-				panic(fmt.Sprintf("pram: unlock of free lock %d", o.n))
-			}
-			if len(lq.waiters) > 0 {
-				next := lq.waiters[0]
-				lq.waiters = lq.waiters[1:]
-				next.blocked = false
-				s.ccRequests += 2
-			} else {
-				lq.held = false
-			}
-		case opDone:
-			p.finished = true
 			return
 		}
+		lq.held = true
+		// A lock acquisition is a read-exclusive of the lock line at
+		// minimum: charge a small constant.
+		s.ccRequests += 2
+	case opUnlock:
+		s.instructions++
+		lq := s.locks[o.n]
+		if lq == nil || !lq.held {
+			panic(fmt.Sprintf("pram: unlock of free lock %d", o.n))
+		}
+		if len(lq.waiters) > 0 {
+			next := lq.waiters[0]
+			lq.waiters = lq.waiters[1:]
+			next.blocked = false
+			s.ccRequests += 2
+		} else {
+			lq.held = false
+		}
+	case opDone:
+		p.finished = true
+		return
 	}
 }
 
@@ -407,10 +404,7 @@ type env struct {
 func (e *env) ID() int   { return e.p.id }
 func (e *env) Node() int { return e.p.node }
 
-func (e *env) issue(o op) {
-	e.p.ops <- o
-	<-e.p.start
-}
+func (e *env) issue(o op) { e.p.co.Yield(o) }
 
 func (e *env) Read(addr uint64)  { e.issue(op{kind: opRead, addr: addr}) }
 func (e *env) Write(addr uint64) { e.issue(op{kind: opWrite, addr: addr}) }

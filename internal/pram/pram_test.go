@@ -1,6 +1,7 @@
 package pram
 
 import (
+	"runtime"
 	"testing"
 
 	"ccnuma/internal/config"
@@ -108,6 +109,32 @@ func TestDeadlockDetected(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("mismatched barrier should be detected")
+	}
+}
+
+// TestRunReleasesPrograms checks that Run's deadlock error leaves no
+// program coroutine parked: the goroutine count returns to its starting
+// value.
+func TestRunReleasesPrograms(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s, space, _ := newSim(t, 2, 2)
+	base := space.Alloc(4096)
+	err := s.Run(func(e prog.Env) {
+		e.Read(base)
+		if e.ID() != 3 {
+			e.Barrier() // proc 3 never joins
+		}
+	})
+	if err == nil {
+		t.Fatal("mismatched barrier should be detected")
+	}
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > before; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	if n > before {
+		t.Fatalf("%d goroutines after the failed run, %d before", n, before)
 	}
 }
 

@@ -58,8 +58,9 @@ const heapArity = 4
 
 // Engine is a discrete-event scheduler. The zero value is not usable; create
 // one with NewEngine. Engine is not safe for concurrent use: all model code
-// runs on the single goroutine that called Run (workload goroutines hand off
-// control synchronously and never touch the engine while it is stepping).
+// runs on the single goroutine that called Run (workload programs run as
+// coroutines that the engine switches to directly, so a program runs only
+// while the engine is suspended inside the event that resumed it).
 // Independent simulations each own their engine, so whole runs can execute
 // concurrently (see internal/runner).
 type Engine struct {
