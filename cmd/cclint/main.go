@@ -62,8 +62,7 @@ func main() {
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		// The payload type lives in obs so run artifacts (ccnuma-run/v1)
-		// can embed cclint output in their tooling section verbatim.
+		// obs.LintReport declares this document's schema.
 		payload := obs.LintReport{
 			Packages: len(pkgs),
 			Findings: make([]obs.LintFindingDoc, 0, len(findings)),

@@ -26,6 +26,7 @@ import (
 	"ccnuma/internal/config"
 	"ccnuma/internal/machine"
 	"ccnuma/internal/obs"
+	"ccnuma/internal/scenario"
 	"ccnuma/internal/workload"
 )
 
@@ -49,16 +50,9 @@ func main() {
 	cfg.Nodes, cfg.ProcsPerNode = *nodes, *ppn
 	cfg.SimLimit = 50_000_000_000
 
-	var size workload.SizeClass
-	switch *sizeFlag {
-	case "test":
-		size = workload.SizeTest
-	case "base":
-		size = workload.SizeBase
-	case "large":
-		size = workload.SizeLarge
-	default:
-		fatal(fmt.Errorf("unknown size %q", *sizeFlag))
+	size, err := scenario.ParseSize(*sizeFlag)
+	if err != nil {
+		fatal(err)
 	}
 
 	var wantLine uint64
@@ -115,11 +109,13 @@ func main() {
 		fatal(err)
 	}
 	r, err := m.Run(w.Body)
+	out.Flush()
 	if err != nil {
-		out.Flush()
 		fatal(err)
 	}
-	out.Flush()
+	if err := w.Verify(); err != nil {
+		fatal(fmt.Errorf("verification failed: %w", err))
+	}
 	if *chromePath != "" {
 		if err := obs.WriteChromeTraceFile(*chromePath, tr.Events()); err != nil {
 			fatal(err)

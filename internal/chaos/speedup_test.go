@@ -43,13 +43,11 @@ func timeCampaign(t *testing.T, jobs, schedules int) time.Duration {
 	return elapsed
 }
 
-// TestCampaignPoolSpeedup is the pool-utilization regression test behind the
-// ccbench chaos/fft section: with four real cores available, fanning the
-// independent schedules across -jobs 4 must beat the serial loop by a clear
-// margin. The historical failure mode was not the pool but the measurement —
-// baselines recorded with -jobs 4 on a GOMAXPROCS=1 host reported ~0.99x
-// "speedup" that was pure goroutine oversubscription, which is why ccbench
-// now refuses cross-GOMAXPROCS baseline comparisons. On hosts without the
+// TestCampaignPoolSpeedup is the pool-utilization regression test for chaos
+// campaigns: with four real cores available, fanning the independent
+// schedules across -jobs 4 must beat the serial loop by a clear margin.
+// Measured with -jobs 4 on a GOMAXPROCS=1 host, the same campaign reads
+// ~0.99x: goroutine oversubscription, not an idle pool. On hosts without the
 // cores to exercise real parallelism this test skips explicitly rather than
 // passing vacuously.
 func TestCampaignPoolSpeedup(t *testing.T) {

@@ -15,8 +15,8 @@ const ArtifactSchema = "ccnuma-run/v1"
 
 // Artifact is the versioned, machine-readable record of one simulation run:
 // the knobs that produced it, the headline metrics of the paper's tables,
-// and the latency distributions with percentiles. It is the document behind
-// ccsim/ccsweep/cctables -json and BENCH_*.json trajectory tracking.
+// and the latency distributions with percentiles. It is the document that
+// ccsim/ccsweep/cctables/ccchaos -json write and ccserved stores.
 type Artifact struct {
 	Schema string `json:"schema"`
 	Tool   string `json:"tool"`
@@ -49,11 +49,6 @@ type Artifact struct {
 	// PenaltyVsBaselinePct is the PP penalty against a baseline run when the
 	// producing tool had one (ccsweep's first architecture), else absent.
 	PenaltyVsBaselinePct *float64 `json:"penaltyVsBaselinePct,omitempty"`
-
-	// Tooling records the static-analysis and model-checking evidence that
-	// accompanied the run (cclint -json and ccverify -json output), when the
-	// producing pipeline attached it. Absent for plain simulation runs.
-	Tooling *ToolingDoc `json:"tooling,omitempty"`
 
 	// Recovery records fault-injection and NACK/retry recovery activity.
 	// Absent when the robustness knobs were off and no faults were injected.
@@ -198,12 +193,6 @@ func NewAttributionDoc(a *stats.Attribution) *AttributionDoc {
 	return doc
 }
 
-// ToolingDoc groups the verification evidence attachable to an artifact.
-type ToolingDoc struct {
-	Lint   *LintReport   `json:"lint,omitempty"`
-	Verify *VerifyReport `json:"verify,omitempty"`
-}
-
 // LintReport is the document cclint -json emits: the number of packages
 // analyzed and every remaining finding. cmd/cclint builds this struct
 // directly, so the schema here is the schema on the wire.
@@ -217,45 +206,6 @@ type LintFindingDoc struct {
 	Pos     string `json:"pos"` // file:line:col
 	Check   string `json:"check"`
 	Message string `json:"message"`
-}
-
-// VerifyReport mirrors ccverify -json output (verify.Result): the size of
-// the explored state space and any invariant violations with their replay
-// paths.
-type VerifyReport struct {
-	States         int                  `json:"states"`
-	Edges          int                  `json:"edges"`
-	Races          int                  `json:"races"`
-	Truncated      bool                 `json:"truncated"`
-	RacesTruncated bool                 `json:"racesTruncated"`
-	Violations     []VerifyViolationDoc `json:"violations"`
-}
-
-// VerifyViolationDoc is one model-checker violation.
-type VerifyViolationDoc struct {
-	Kind   string `json:"kind"`
-	Detail string `json:"detail"`
-	Path   string `json:"path"`
-}
-
-// ParseLintReport decodes cclint -json output for attachment to an
-// artifact's tooling section.
-func ParseLintReport(data []byte) (*LintReport, error) {
-	var r LintReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// ParseVerifyReport decodes ccverify -json output for attachment to an
-// artifact's tooling section.
-func ParseVerifyReport(data []byte) (*VerifyReport, error) {
-	var r VerifyReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }
 
 // ArtifactConfig echoes the architectural parameters that shaped the run.

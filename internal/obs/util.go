@@ -1,6 +1,6 @@
 // Runner-pool utilization document: the wall-clock busy/idle worker series
-// recorded by internal/runner's usage observer, reduced to the artifact
-// form the benchmark harness embeds. Scheduling gaps — a serial pilot
+// recorded by internal/runner's usage observer, reduced to the document
+// ccserved's /statusz reports as its pool. Scheduling gaps — a serial pilot
 // phase, a straggler job pinning one worker while the rest sit idle —
 // show up directly as buckets with Busy well below the worker count.
 package obs

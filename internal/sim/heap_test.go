@@ -118,28 +118,77 @@ func TestHeapSlabReuse(t *testing.T) {
 	}
 }
 
-// TestHeapScheduleStepAllocFree asserts the serial scheduling hot path is
-// allocation-free at steady state: the rank machinery added for sharded
-// clusters must cost serial engines nothing (events carry a nil rank and
-// the (time, seq) path is unchanged).
+// TestHeapScheduleStepAllocFree asserts the scheduling hot loops are
+// allocation-free at steady state in the three shapes the BenchmarkEngine*
+// functions time: the rank machinery added for sharded clusters must cost
+// serial engines nothing (events carry a nil rank and the (time, seq) path
+// is unchanged), and once the slab reaches its high-water mark no shape may
+// allocate at all.
 func TestHeapScheduleStepAllocFree(t *testing.T) {
-	e := NewEngine()
-	rng := rand.New(rand.NewSource(3))
-	var fire func()
-	fire = func() { e.After(Time(rng.Intn(16)+1), fire) }
-	for i := 0; i < 256; i++ {
-		e.At(Time(rng.Intn(16)), fire)
-	}
-	for i := 0; i < 10_000; i++ { // reach slab high water
-		e.Step()
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 100; i++ {
+	stepN := func(e *Engine, n int) {
+		for i := 0; i < n; i++ {
 			e.Step()
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("serial schedule/step allocates %.1f per 100 steps at steady state", allocs)
+	}
+	for _, tc := range []struct {
+		name string
+		// prime fills the engine's queue and returns a function that
+		// executes at least n events of the shape.
+		prime func(e *Engine) func(n int)
+	}{
+		{"schedule-step", func(e *Engine) func(n int) {
+			// Every event re-arms itself a few cycles out.
+			rng := rand.New(rand.NewSource(1))
+			var fire func()
+			fire = func() { e.After(Time(rng.Intn(64)+1), fire) }
+			for i := 0; i < 1024; i++ {
+				e.At(Time(rng.Intn(64)), fire)
+			}
+			return func(n int) { stepN(e, n) }
+		}},
+		{"mixed-horizon", func(e *Engine) func(n int) {
+			// One re-arm in eight lands 10 000-109 999 cycles out.
+			rng := rand.New(rand.NewSource(2))
+			var fire func()
+			fire = func() {
+				if rng.Intn(8) == 0 {
+					e.After(Time(rng.Intn(100_000)+10_000), fire)
+				} else {
+					e.After(Time(rng.Intn(16)+1), fire)
+				}
+			}
+			for i := 0; i < 4096; i++ {
+				e.At(Time(rng.Intn(64)), fire)
+			}
+			return func(n int) { stepN(e, n) }
+		}},
+		{"same-cycle-burst", func(e *Engine) func(n int) {
+			// 64 events share each cycle.
+			nop := func() {}
+			return func(n int) {
+				for done := 0; done < n; done += 64 {
+					at := e.Now() + 1
+					for j := 0; j < 64; j++ {
+						e.At(at, nop)
+					}
+					stepN(e, 64)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			run := tc.prime(e)
+			const events = 10_000
+			// AllocsPerRun's warm-up call takes the slab to its high-water
+			// mark; one measured run makes the result an exact count.
+			if allocs := testing.AllocsPerRun(1, func() { run(events) }); allocs != 0 {
+				t.Fatalf("%.0f allocations in %d steady-state events", allocs, events)
+			}
+			if e.Executed() < 2*events {
+				t.Fatalf("executed %d events, want at least %d", e.Executed(), 2*events)
+			}
+		})
 	}
 }
 
