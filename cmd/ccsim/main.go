@@ -71,17 +71,14 @@ func main() {
 		os.Stdout.Write(canon)
 		return
 	}
-	fp, err := spec.Fingerprint()
+	// ccsim runs its spec's machine and workload as one cell; a sweep or
+	// fault section is ccsweep's or ccchaos's business.
+	cell, err := scenario.NewCell(spec.Machine, spec.Workload)
 	if err != nil {
 		fatal(err)
 	}
-
-	cfg := spec.Machine
-	app := spec.Workload.App
-	size, err := spec.Size()
-	if err != nil {
-		fatal(err)
-	}
+	cfg := cell.Spec.Machine
+	app := cell.Spec.Workload.App
 
 	var tr *obs.Tracer
 	if *tracePath != "" {
@@ -96,24 +93,18 @@ func main() {
 		sampler = obs.NewSampler(sim.Time(*sampleEvery))
 		m.AttachSampler(sampler)
 	}
-	w, err := workload.NewSeeded(app, size, m.NProcs(), spec.Workload.Seed)
+	w, err := cell.NewWorkload(m.NProcs())
 	if err != nil {
-		fatal(err)
-	}
-	if err := w.Setup(m); err != nil {
 		fatal(err)
 	}
 	var r *stats.Run
 	var runErr error
 	perf := obs.MeasurePerf(func() uint64 {
-		r, runErr = m.Run(w.Body)
+		r, runErr = workload.Run(m, w)
 		return m.Executed()
 	})
 	if runErr != nil {
 		fatal(runErr)
-	}
-	if err := w.Verify(); err != nil {
-		fatal(fmt.Errorf("verification failed: %w", err))
 	}
 	if tr != nil {
 		if err := obs.WriteChromeTraceFile(*tracePath, tr.Events()); err != nil {
@@ -134,17 +125,11 @@ func main() {
 			out, len(sampler.Samples()), sampler.Interval)
 	}
 	if *jsonPath != "" {
-		art := obs.NewArtifact("ccsim", spec.Workload.Size, &cfg, r)
-		art.Seed = spec.Workload.Seed
-		art.Scenario = canon
-		art.ScenarioFingerprint = fp
+		art := cell.Artifact("ccsim", r)
 		// Host timing is excluded by default so that -replay of the
 		// artifact reproduces it byte for byte.
 		if *perfOut {
 			art.Perf = &perf
-		}
-		if cfg.Robust() {
-			art.Recovery = obs.NewRecoveryDoc(&cfg, r, nil)
 		}
 		if err := art.WriteFile(*jsonPath); err != nil {
 			fatal(err)
@@ -152,8 +137,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "artifact: %s\n", *jsonPath)
 	}
 
-	fmt.Printf("scenario:           %s\n", fp)
-	fmt.Printf("application:        %s (%s)\n", app, spec.Workload.Size)
+	fmt.Printf("scenario:           %s\n", cell.Fp)
+	fmt.Printf("application:        %s (%s)\n", app, cell.Spec.Workload.Size)
 	fmt.Printf("architecture:       %s (%d nodes x %d procs, %dB lines, %d-cycle network)\n",
 		cfg.ArchName(), cfg.Nodes, cfg.ProcsPerNode, cfg.LineSize, cfg.NetLatency)
 	fmt.Printf("execution time:     %d cycles (%.2f us)\n", r.ExecTime, r.ExecTime.Nanoseconds()/1000)

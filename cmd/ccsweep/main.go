@@ -2,9 +2,10 @@
 // architectures, emitting CSV for plotting (the raw material behind the
 // paper's sensitivity figures). The grid is a ccnuma-scenario/v1 sweep
 // section — flags build one implicitly, -spec loads one from a file — and
-// grid cells are independent simulations, so they run concurrently
-// (-jobs); rows are still emitted in grid order, so the CSV, artifacts,
-// and error behaviour are identical for any -jobs.
+// expands into scenario cells, which are independent simulations, so they
+// run concurrently (-jobs); rows are still emitted in grid order, so the
+// CSV, artifacts, and error behaviour are identical for any -jobs. Each
+// -json artifact embeds its own cell, so `ccsim -replay` re-runs it.
 //
 // Usage:
 //
@@ -21,7 +22,6 @@ import (
 	"fmt"
 	"os"
 
-	"ccnuma/internal/config"
 	"ccnuma/internal/machine"
 	"ccnuma/internal/obs"
 	"ccnuma/internal/runner"
@@ -50,77 +50,37 @@ func main() {
 		fatal(err)
 	}
 	sweep := spec.EnsureSweep()
-	canon, err := spec.Canonical()
-	if err != nil {
-		fatal(err)
-	}
 	if *printSpec {
+		canon, err := spec.Canonical()
+		if err != nil {
+			fatal(err)
+		}
 		os.Stdout.Write(canon)
 		return
 	}
-	fp, err := spec.Fingerprint()
+	cells, err := spec.Cells()
 	if err != nil {
 		fatal(err)
 	}
 
 	app := spec.Workload.App
-	size, err := spec.Size()
-	if err != nil {
-		fatal(err)
-	}
-
-	// The sweep grid, value-major: the first architecture of each value
-	// group is that group's penalty baseline.
-	type cell struct {
-		value int
-		arch  string
-	}
-	var cells []cell
-	for _, v := range sweep.Values {
-		for _, arch := range sweep.Archs {
-			cells = append(cells, cell{value: v, arch: arch})
-		}
-	}
-
-	type cellOut struct {
-		cfg config.Config
-		run *stats.Run
-	}
 	var artifacts []*obs.Artifact
 	var baseline *stats.Run
 	fmt.Println("app,param,value,arch,exec_cycles,rccpi_x1000,util_pct,queue_ns,penalty_vs_first_arch_pct")
 	_, err = runner.MapStream(context.Background(), spec.Jobs, len(cells),
-		func(i int) (cellOut, error) {
+		func(i int) (*stats.Run, error) { return run(cells[i]) },
+		func(i int, r *stats.Run) {
 			c := cells[i]
-			cfg, err := spec.Machine.WithArch(c.arch)
-			if err != nil {
-				return cellOut{}, err
-			}
-			if err := scenario.ApplySweepValue(&cfg, sweep.Param, c.value); err != nil {
-				return cellOut{}, err
-			}
-			r, err := run(cfg, app, size, spec.Workload.Seed)
-			if err != nil {
-				return cellOut{}, err
-			}
-			return cellOut{cfg: cfg, run: r}, nil
-		},
-		func(i int, out cellOut) {
 			if i%len(sweep.Archs) == 0 {
-				baseline = out.run
+				baseline = r
 			}
-			penalty := 100 * stats.Penalty(baseline, out.run)
-			r := out.run
+			penalty := 100 * stats.Penalty(baseline, r)
 			fmt.Printf("%s,%s,%d,%s,%d,%.3f,%.2f,%.0f,%.1f\n",
-				app, sweep.Param, cells[i].value, cells[i].arch, r.ExecTime, 1000*r.RCCPI(),
+				app, sweep.Param, c.Value, c.Arch, r.ExecTime, 1000*r.RCCPI(),
 				100*r.AvgUtilization(-1), r.AvgQueueDelayNs(-1), penalty)
 			if *jsonPath != "" {
-				a := obs.NewArtifact("ccsweep", spec.Workload.Size, &out.cfg, r)
-				a.Seed = spec.Workload.Seed
-				a.Scenario = canon
-				a.ScenarioFingerprint = fp
-				p := penalty
-				a.PenaltyVsBaselinePct = &p
+				a := c.Artifact("ccsweep", r)
+				a.PenaltyVsBaselinePct = &penalty
 				artifacts = append(artifacts, a)
 			}
 		})
@@ -145,26 +105,16 @@ func unwrapJob(err error) error {
 	return err
 }
 
-func run(cfg config.Config, app string, size workload.SizeClass, seed int64) (*stats.Run, error) {
-	m, err := machine.New(cfg, app)
+func run(c *scenario.Cell) (*stats.Run, error) {
+	m, err := machine.New(c.Spec.Machine, c.Spec.Workload.App)
 	if err != nil {
 		return nil, err
 	}
-	w, err := workload.NewSeeded(app, size, m.NProcs(), seed)
+	w, err := c.NewWorkload(m.NProcs())
 	if err != nil {
 		return nil, err
 	}
-	if err := w.Setup(m); err != nil {
-		return nil, err
-	}
-	r, err := m.Run(w.Body)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.Verify(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return workload.Run(m, w)
 }
 
 func fatal(err error) {

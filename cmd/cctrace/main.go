@@ -23,7 +23,6 @@ import (
 	"strconv"
 	"strings"
 
-	"ccnuma/internal/config"
 	"ccnuma/internal/machine"
 	"ccnuma/internal/obs"
 	"ccnuma/internal/scenario"
@@ -31,26 +30,23 @@ import (
 )
 
 func main() {
-	app := flag.String("app", "ocean", fmt.Sprintf("application: %v", workload.Names()))
-	arch := flag.String("arch", "HWC", "controller architecture")
-	nodes := flag.Int("nodes", 4, "SMP nodes")
-	ppn := flag.Int("ppn", 2, "processors per node")
-	sizeFlag := flag.String("size", "test", "problem size: test, base, large")
+	flag.String("app", "ocean", fmt.Sprintf("application: %v", workload.Names()))
+	flag.String("arch", "HWC", "controller architecture")
+	flag.Int("nodes", 4, "SMP nodes")
+	flag.Int("ppn", 2, "processors per node")
+	flag.String("size", "test", "problem size: test, small, base, large")
 	lineHex := flag.String("line", "", "only trace this cache line (hex, e.g. 0x3200)")
 	txnHex := flag.String("txn", "", "print the causal span history of one transaction (hex ID from span events; implies attribution)")
 	maxLines := flag.Int("max", 0, "stop printing after this many trace lines (0 = unlimited)")
 	chromePath := flag.String("chrome", "", "also write Chrome trace_event JSON (Perfetto) to this file")
 	flag.Parse()
 
-	cfg := config.Base()
-	cfg, err := cfg.WithArch(*arch)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Nodes, cfg.ProcsPerNode = *nodes, *ppn
-	cfg.SimLimit = 50_000_000_000
-
-	size, err := scenario.ParseSize(*sizeFlag)
+	// The machine and workload flags resolve through the scenario layer
+	// like every other command's; -line here filters the trace rather
+	// than setting the cache-line size.
+	spec, err := scenario.FromFlags(flag.CommandLine, "", "", map[string]scenario.FlagFunc{
+		"line": func(*scenario.Spec, string) error { return nil },
+	})
 	if err != nil {
 		fatal(err)
 	}
@@ -72,8 +68,13 @@ func main() {
 			fatal(fmt.Errorf("bad -txn %q: %w", *txnHex, err))
 		}
 		wantTxn, txnFiltered = v, true
-		cfg.Attribution = true // span events only exist with the tracker on
+		spec.Machine.Attribution = true // span events only exist with the tracker on
 	}
+	cell, err := scenario.NewCell(spec.Machine, spec.Workload)
+	if err != nil {
+		fatal(err)
+	}
+	app, cfg := cell.Spec.Workload.App, cell.Spec.Machine
 
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
@@ -97,24 +98,18 @@ func main() {
 	}
 	tr := obs.NewTracer(opts...)
 
-	m, err := machine.NewTraced(cfg, *app, tr)
+	m, err := machine.NewTraced(cfg, app, tr)
 	if err != nil {
 		fatal(err)
 	}
-	w, err := workload.New(*app, size, m.NProcs())
+	w, err := cell.NewWorkload(m.NProcs())
 	if err != nil {
 		fatal(err)
 	}
-	if err := w.Setup(m); err != nil {
-		fatal(err)
-	}
-	r, err := m.Run(w.Body)
+	r, err := workload.Run(m, w)
 	out.Flush()
 	if err != nil {
 		fatal(err)
-	}
-	if err := w.Verify(); err != nil {
-		fatal(fmt.Errorf("verification failed: %w", err))
 	}
 	if *chromePath != "" {
 		if err := obs.WriteChromeTraceFile(*chromePath, tr.Events()); err != nil {
@@ -124,7 +119,7 @@ func main() {
 			*chromePath, tr.Recorded(), tr.Dropped())
 	}
 	fmt.Fprintf(os.Stderr, "\n%s/%s: %d cycles, %d events printed\n",
-		*app, cfg.ArchName(), r.ExecTime, kept)
+		app, cfg.ArchName(), r.ExecTime, kept)
 }
 
 func fatal(err error) {

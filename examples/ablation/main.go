@@ -33,10 +33,7 @@ func run(arch string, mutate func(*config.Config)) *stats.Run {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := w.Setup(m); err != nil {
-		log.Fatal(err)
-	}
-	r, err := m.Run(w.Body)
+	r, err := workload.Run(m, w)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,11 +27,7 @@ func measure(arch string, sharePct, computePer int) *stats.Run {
 	if err != nil {
 		log.Fatal(err)
 	}
-	w := workload.NewMicro(300, sharePct, computePer, m.NProcs())
-	if err := w.Setup(m); err != nil {
-		log.Fatal(err)
-	}
-	r, err := m.Run(w.Body)
+	r, err := workload.Run(m, workload.NewMicro(300, sharePct, computePer, m.NProcs()))
 	if err != nil {
 		log.Fatal(err)
 	}

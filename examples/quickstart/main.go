@@ -29,20 +29,15 @@ func run(arch string) *stats.Run {
 		log.Fatal(err)
 	}
 
-	// Workloads allocate their shared regions, then run SPMD on every
-	// simulated processor; the run returns the paper's statistics.
+	// workload.Run allocates the workload's shared regions, runs it SPMD
+	// on every simulated processor, checks its result, and returns the
+	// paper's statistics.
 	w, err := workload.New("ocean", workload.SizeTest, m.NProcs())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := w.Setup(m); err != nil {
-		log.Fatal(err)
-	}
-	r, err := m.Run(w.Body)
+	r, err := workload.Run(m, w)
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := w.Verify(); err != nil {
 		log.Fatal(err)
 	}
 	return r

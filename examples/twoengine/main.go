@@ -32,14 +32,8 @@ func run(arch string, split config.SplitPolicy) *stats.Run {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := w.Setup(m); err != nil {
-		log.Fatal(err)
-	}
-	r, err := m.Run(w.Body)
+	r, err := workload.Run(m, w)
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := w.Verify(); err != nil {
 		log.Fatal(err)
 	}
 	return r

@@ -197,39 +197,19 @@ func (c *Campaign) runSchedule(name string, sch *fault.Schedule) (r *stats.Run, 
 	}
 	inj = m.InjectFaults(sch)
 	r, err = c.runKernel(m, name)
-	if err != nil {
-		return nil, inj, nil, err
-	}
-	if inflight := m.Net.InFlight(); inflight != 0 {
-		return nil, inj, nil, fmt.Errorf("network did not drain: %d frames still in flight", inflight)
-	}
-	for n := 0; n < c.Cfg.Nodes; n++ {
-		if q := m.Net.OutQueued(n); q != 0 {
-			return nil, inj, nil, fmt.Errorf("network did not drain: node %d NI still queues %d frames", n, q)
-		}
-	}
-	return r, inj, nil, nil
+	return r, inj, nil, err
 }
 
-// runKernel builds the seeded workload, runs it, and verifies the result.
-// Machine.Run itself enforces processor completion, zero transient protocol
-// ops, and the global coherence invariants on the quiesced machine.
+// runKernel builds the seeded workload and runs it: workload.Run verifies
+// the result, and Machine.Run itself enforces processor completion, zero
+// transient protocol ops, a drained network, and the global coherence
+// invariants on the quiesced machine.
 func (c *Campaign) runKernel(m *machine.Machine, name string) (*stats.Run, error) {
 	w, err := workload.NewSeeded(name, c.Size, m.NProcs(), c.BaseSeed)
 	if err != nil {
 		return nil, err
 	}
-	if err := w.Setup(m); err != nil {
-		return nil, err
-	}
-	r, err := m.Run(w.Body)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.Verify(); err != nil {
-		return nil, fmt.Errorf("verification failed: %w", err)
-	}
-	return r, nil
+	return workload.Run(m, w)
 }
 
 func renderApplied(applied map[string]uint64) string {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"ccnuma/internal/obs"
+	"ccnuma/internal/scenario"
 	"ccnuma/internal/stats"
 	"ccnuma/internal/workload"
 )
@@ -21,28 +22,27 @@ type AttributionRow struct {
 }
 
 // attrReq resolves the attributed base run for (app, arch): the standard
-// base-variant request with span tracing switched on, under its own memo key
-// so attributed runs never alias the plain Figure 6 runs.
+// base-variant request with span tracing switched on, a different cell, so
+// attributed runs never alias the plain Figure 6 runs.
 func (s *Suite) attrReq(app, arch string) (runReq, error) {
 	req, err := s.reqFor(app, arch, base())
 	if err != nil {
 		return runReq{}, err
 	}
-	req.cfg.Attribution = true
-	req.key += "/attr"
+	cfg := req.cell.Spec.Machine
+	cfg.Attribution = true
+	req.cell, err = scenario.NewCell(cfg, req.cell.Spec.Workload)
 	req.vname = "attr"
-	return req, nil
+	return req, err
 }
 
 // Attribution runs every paper application on every base architecture with
 // span tracing enabled and returns the per-run latency decompositions.
 func (s *Suite) Attribution() ([]AttributionRow, error) {
-	var reqs []runReq
+	var reqs batch
 	for _, app := range workload.PaperApps {
 		for _, arch := range allArchs {
-			if req, err := s.attrReq(app, arch); err == nil {
-				reqs = append(reqs, req)
-			}
+			reqs.add(s.attrReq(app, arch))
 		}
 	}
 	s.prefetch(reqs)
@@ -54,14 +54,9 @@ func (s *Suite) Attribution() ([]AttributionRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			r, ok := s.cache[req.key]
-			if !ok {
-				var art *obs.Artifact
-				r, art, err = simulateDetached(req, s.CollectArtifacts)
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s (attr): %w", app, arch, err)
-				}
-				s.commit(req, r, art)
+			r, err := s.run(req)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s (attr): %w", app, arch, err)
 			}
 			if r.Attribution == nil {
 				return nil, fmt.Errorf("%s/%s: attributed run carried no attribution stats", app, arch)

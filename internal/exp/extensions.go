@@ -5,7 +5,6 @@ import (
 
 	"ccnuma/internal/config"
 	"ccnuma/internal/stats"
-	"ccnuma/internal/workload"
 )
 
 // ExtensionResult holds the Section 5 extension studies: scaling the number
@@ -30,14 +29,14 @@ func (s *Suite) Extensions(apps ...string) (*ExtensionResult, error) {
 	if len(apps) == 0 {
 		apps = []string{"ocean", "radix"}
 	}
-	var reqs []runReq
+	var reqs batch
 	for _, app := range apps {
 		for _, n := range engineCounts {
-			reqs = append(reqs, s.engineReq(app, n, variant{name: fmt.Sprintf("eng%d", n)}))
+			reqs.add(s.engineReq(app, n))
 		}
-		s.gather(&reqs, app, "HWC", base2())
+		reqs.add(s.reqFor(app, "HWC", base()))
 		for _, arch := range []string{"HWC", "PPCA", "PPC"} {
-			s.gather(&reqs, app, arch, base2())
+			reqs.add(s.reqFor(app, arch, base()))
 		}
 	}
 	s.prefetch(reqs)
@@ -49,26 +48,29 @@ func (s *Suite) Extensions(apps ...string) (*ExtensionResult, error) {
 	}
 	for _, app := range apps {
 		res.EngineScaling[app] = map[int]float64{}
-		var base *stats.Run
+		var one *stats.Run // the 1-engine run
 		for _, n := range engineCounts {
-			v := variant{name: fmt.Sprintf("eng%d", n)}
-			r, err := s.runEngines(app, n, v)
+			req, err := s.engineReq(app, n)
+			if err != nil {
+				return nil, err
+			}
+			r, err := s.run(req)
 			if err != nil {
 				return nil, err
 			}
 			if n == 1 {
-				base = r
+				one = r
 			}
-			res.EngineScaling[app][n] = float64(r.ExecTime) / float64(base.ExecTime)
+			res.EngineScaling[app][n] = float64(r.ExecTime) / float64(one.ExecTime)
 		}
 
 		res.KindTimes[app] = map[string]float64{}
-		hwc, err := s.Run(app, "HWC", base2())
+		hwc, err := s.Run(app, "HWC", base())
 		if err != nil {
 			return nil, err
 		}
 		for _, arch := range []string{"HWC", "PPCA", "PPC"} {
-			r, err := s.Run(app, arch, base2())
+			r, err := s.Run(app, arch, base())
 			if err != nil {
 				return nil, err
 			}
@@ -78,41 +80,15 @@ func (s *Suite) Extensions(apps ...string) (*ExtensionResult, error) {
 	return res, nil
 }
 
-// base2 aliases the base variant (kept separate so extension runs get their
-// own cache keys when suites are shared).
-func base2() variant { return variant{name: "base"} }
-
 // engineReq resolves the n-region-split-PPC-engines study to a request.
-func (s *Suite) engineReq(app string, n int, v variant) runReq {
-	cfg := config.Base()
+func (s *Suite) engineReq(app string, n int) (runReq, error) {
+	cfg := s.machine(app)
 	cfg.Engine = config.PPC
 	cfg.NumEngines = n
 	if n > 1 {
 		cfg.Split = config.SplitRegion
 	}
-	nodes, ppn := s.geometry(app)
-	cfg.Nodes, cfg.ProcsPerNode = nodes, ppn
-	cfg.SimLimit = 20_000_000_000
-	size := workload.SizeBase
-	if s.Size == workload.SizeTest {
-		size = workload.SizeTest
-	}
-	return runReq{key: s.key(app, fmt.Sprintf("%dPPC-region", n), v),
-		cfg: cfg, app: app, size: size}
-}
-
-// runEngines simulates app with n region-split PPC engines.
-func (s *Suite) runEngines(app string, n int, v variant) (*stats.Run, error) {
-	req := s.engineReq(app, n, v)
-	if r, ok := s.cache[req.key]; ok {
-		return r, nil
-	}
-	r, art, err := simulateDetached(req, s.CollectArtifacts)
-	if err != nil {
-		return nil, err
-	}
-	s.commit(req, r, art)
-	return r, nil
+	return cellReq(cfg, app, s.baseSize())
 }
 
 // Render formats the extension studies.

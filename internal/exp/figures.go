@@ -50,11 +50,11 @@ func (f *FigureResult) PPPenalty(app string) float64 {
 // normalized builds a figure over the given apps and variants, normalizing
 // by each app's baseline run (HWC under baseVariant).
 func (s *Suite) normalized(title string, apps []string, archs []string, v variant, baseVariant variant) (*FigureResult, error) {
-	var reqs []runReq
+	var reqs batch
 	for _, app := range apps {
-		s.gather(&reqs, app, "HWC", baseVariant)
+		reqs.add(s.reqFor(app, "HWC", baseVariant))
 		for _, arch := range archs {
-			s.gather(&reqs, app, arch, v)
+			reqs.add(s.reqFor(app, arch, v))
 		}
 	}
 	s.prefetch(reqs)
@@ -177,18 +177,18 @@ func (f *Figure10Result) Render() string {
 // paper does.
 func (s *Suite) Figure10() (*Figure10Result, error) {
 	widths := []int{1, 2, 4, 8}
-	var reqs []runReq
+	var reqs batch
 	for _, app := range workload.PaperApps {
 		baseNodes, basePPN := s.geometry(app)
 		total := baseNodes * basePPN
-		s.gather(&reqs, app, "HWC", base())
+		reqs.add(s.reqFor(app, "HWC", base()))
 		for _, wdt := range widths {
 			if total/wdt < 1 {
 				continue
 			}
 			v := variant{name: fmt.Sprintf("ppn%d", wdt), nodes: total / wdt, ppn: wdt}
 			for _, arch := range allArchs {
-				s.gather(&reqs, app, arch, v)
+				reqs.add(s.reqFor(app, arch, v))
 			}
 		}
 	}
@@ -285,10 +285,10 @@ func (s *Suite) figurePoints() []struct {
 
 // prefetchPoints warms the cache for the Figure 11/12 point set.
 func (s *Suite) prefetchPoints() {
-	var reqs []runReq
+	var reqs batch
 	for _, pt := range s.figurePoints() {
-		s.gather(&reqs, pt.app, "HWC", pt.v)
-		s.gather(&reqs, pt.app, "PPC", pt.v)
+		reqs.add(s.reqFor(pt.app, "HWC", pt.v))
+		reqs.add(s.reqFor(pt.app, "PPC", pt.v))
 	}
 	s.prefetch(reqs)
 }

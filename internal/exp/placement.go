@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"ccnuma/internal/config"
-	"ccnuma/internal/obs"
-	"ccnuma/internal/workload"
 )
 
 // PlacementResult compares page-placement policies (the paper's Section 3.1
@@ -22,17 +20,10 @@ type PlacementResult struct {
 var placementPolicies = []config.PlacementPolicy{config.PlaceRoundRobin, config.PlaceFirstTouch}
 
 // placementReq resolves the page-placement study to a request.
-func (s *Suite) placementReq(app string, pol config.PlacementPolicy) runReq {
-	cfg := config.Base()
+func (s *Suite) placementReq(app string, pol config.PlacementPolicy) (runReq, error) {
+	cfg := s.machine(app)
 	cfg.Placement = pol
-	cfg.Nodes, cfg.ProcsPerNode = s.geometry(app)
-	cfg.SimLimit = 20_000_000_000
-	size := workload.SizeBase
-	if s.Size == workload.SizeTest {
-		size = workload.SizeTest
-	}
-	return runReq{key: s.key(app, "HWC", variant{name: "place-" + pol.String()}),
-		cfg: cfg, app: app, size: size}
+	return cellReq(cfg, app, s.baseSize())
 }
 
 // Placement runs the placement-policy comparison (defaults to the
@@ -41,10 +32,10 @@ func (s *Suite) Placement(apps ...string) (*PlacementResult, error) {
 	if len(apps) == 0 {
 		apps = []string{"ocean", "radix", "barnes", "water-nsq"}
 	}
-	var reqs []runReq
+	var reqs batch
 	for _, app := range apps {
 		for _, pol := range placementPolicies {
-			reqs = append(reqs, s.placementReq(app, pol))
+			reqs.add(s.placementReq(app, pol))
 		}
 	}
 	s.prefetch(reqs)
@@ -54,16 +45,13 @@ func (s *Suite) Placement(apps ...string) (*PlacementResult, error) {
 		res.Normalized[app] = map[string]float64{}
 		var base float64
 		for _, pol := range placementPolicies {
-			req := s.placementReq(app, pol)
-			r, ok := s.cache[req.key]
-			if !ok {
-				var art *obs.Artifact
-				var err error
-				r, art, err = simulateDetached(req, s.CollectArtifacts)
-				if err != nil {
-					return nil, fmt.Errorf("placement %s/%s: %w", app, pol, err)
-				}
-				s.commit(req, r, art)
+			req, err := s.placementReq(app, pol)
+			if err != nil {
+				return nil, err
+			}
+			r, err := s.run(req)
+			if err != nil {
+				return nil, fmt.Errorf("placement %s/%s: %w", app, pol, err)
 			}
 			if pol == config.PlaceRoundRobin {
 				base = float64(r.ExecTime)

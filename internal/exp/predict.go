@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"ccnuma/internal/config"
 	"ccnuma/internal/machine"
 	"ccnuma/internal/pram"
 	"ccnuma/internal/stats"
@@ -52,14 +51,14 @@ func (s *Suite) Prediction() (*PredictionResult, error) {
 	}
 	calApps := []string{"water-sp", "barnes", "water-nsq", "fft", "radix", "ocean"}
 	vCal := variant{name: "cal-small", size: calSize}
-	var reqs []runReq
+	var reqs batch
 	for _, app := range calApps {
-		s.gather(&reqs, app, "HWC", vCal)
-		s.gather(&reqs, app, "PPC", vCal)
+		reqs.add(s.reqFor(app, "HWC", vCal))
+		reqs.add(s.reqFor(app, "PPC", vCal))
 	}
 	for _, app := range workload.PaperApps {
-		s.gather(&reqs, app, "HWC", base())
-		s.gather(&reqs, app, "PPC", base())
+		reqs.add(s.reqFor(app, "HWC", base()))
+		reqs.add(s.reqFor(app, "PPC", base()))
 	}
 	s.prefetch(reqs)
 	for _, app := range calApps {
@@ -79,29 +78,18 @@ func (s *Suite) Prediction() (*PredictionResult, error) {
 	// Low anchor: a nearly computation-only micro run.
 	{
 		var runs [2]*stats.Run
-		nodes, ppn := s.geometry("micro")
 		for i, arch := range []string{"HWC", "PPC"} {
-			cfg := config.Base()
-			var err error
-			cfg, err = cfg.WithArch(arch)
+			cfg, err := s.machine("micro").WithArch(arch)
 			if err != nil {
 				return nil, err
 			}
-			cfg.Nodes, cfg.ProcsPerNode = nodes, ppn
-			cfg.SimLimit = 20_000_000_000
 			m, err := machine.New(cfg, "micro")
 			if err != nil {
 				return nil, err
 			}
-			w := workload.NewMicro(150, 2, 300, m.NProcs())
-			if err := w.Setup(m); err != nil {
+			if runs[i], err = workload.Run(m, workload.NewMicro(150, 2, 300, m.NProcs())); err != nil {
 				return nil, err
 			}
-			r, err := m.Run(w.Body)
-			if err != nil {
-				return nil, err
-			}
-			runs[i] = r
 		}
 		res.Curve = append(res.Curve, stats.CurvePoint{
 			X: 1000 * runs[0].RCCPI(),
@@ -137,17 +125,11 @@ func (s *Suite) Prediction() (*PredictionResult, error) {
 
 // pramRCCPI runs the functional estimator over one application.
 func (s *Suite) pramRCCPI(app string) (float64, error) {
-	cfg := config.Base()
-	cfg.Nodes, cfg.ProcsPerNode = s.geometry(app)
-	m, err := machine.New(cfg, app)
+	m, err := machine.New(s.machine(app), app)
 	if err != nil {
 		return 0, err
 	}
-	size := workload.SizeBase
-	if s.Size == workload.SizeTest {
-		size = workload.SizeTest
-	}
-	w, err := workload.New(app, size, m.NProcs())
+	w, err := workload.New(app, s.baseSize(), m.NProcs())
 	if err != nil {
 		return 0, err
 	}

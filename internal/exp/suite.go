@@ -1,9 +1,9 @@
 // Package exp reproduces every table and figure of the paper's evaluation
 // section. Each experiment has a typed result plus a text renderer that
 // prints the same rows/series the paper reports; cmd/cctables drives them
-// all. Runs are memoized inside a Suite so the statistics tables reuse the
-// Figure 6 base runs, exactly as the paper derives Tables 6 and 7 from the
-// base-configuration simulations.
+// all. Runs are scenario cells, memoized inside a Suite by fingerprint, so
+// the statistics tables reuse the Figure 6 base runs, exactly as the paper
+// derives Tables 6 and 7 from the base-configuration simulations.
 package exp
 
 import (
@@ -17,13 +17,16 @@ import (
 	"ccnuma/internal/machine"
 	"ccnuma/internal/obs"
 	"ccnuma/internal/runner"
+	"ccnuma/internal/scenario"
 	"ccnuma/internal/sim"
 	"ccnuma/internal/stats"
 	"ccnuma/internal/workload"
 )
 
 // Suite runs experiments at a given problem-size class, memoizing
-// simulation results.
+// simulation results by scenario-cell fingerprint: requests that resolve to
+// the same experiment (Figure 10's base-width column and Figure 6's base
+// runs, say) simulate once.
 type Suite struct {
 	// Size selects the workload problem sizes (SizeTest shrinks both the
 	// data sets and the machine for quick smoke runs and benchmarks).
@@ -41,7 +44,7 @@ type Suite struct {
 	// executes the plain serial loop with no goroutines at all.
 	Jobs int
 
-	cache     map[string]*stats.Run
+	cache     map[string]*stats.Run // by cell fingerprint
 	artifacts []*obs.Artifact
 }
 
@@ -72,6 +75,24 @@ func (s *Suite) geometry(app string) (nodes, ppn int) {
 	return 16, 4
 }
 
+// machine returns the paper's base machine in the suite geometry for app,
+// under the suite's watchdog horizon.
+func (s *Suite) machine(app string) config.Config {
+	cfg := config.Base()
+	cfg.Nodes, cfg.ProcsPerNode = s.geometry(app)
+	cfg.SimLimit = 20_000_000_000
+	return cfg
+}
+
+// baseSize is the problem size of the studies that always run base data
+// (test data in a SizeTest suite).
+func (s *Suite) baseSize() workload.SizeClass {
+	if s.Size == workload.SizeTest {
+		return workload.SizeTest
+	}
+	return workload.SizeBase
+}
+
 // variant captures the parameter deltas of the non-base experiments.
 type variant struct {
 	name       string
@@ -81,48 +102,41 @@ type variant struct {
 	nodes, ppn int // 0 = use default geometry
 }
 
-func (s *Suite) key(app, arch string, v variant) string {
-	return fmt.Sprintf("%s/%s/%s/%d/%d/%d/%d/%d", app, arch, v.name, v.lineSize, v.netLatency, int(v.size), v.nodes, v.ppn)
-}
-
-// runReq is one fully resolved simulation request: a cache key, the exact
-// configuration and problem size to run, and how to report it. Requests are
-// what both the serial accessors and the parallel prefetcher operate on, so
-// the two paths cannot diverge.
+// runReq is one simulation request: the scenario cell to run, and how to
+// report it. Requests are what both the serial accessors and the parallel
+// prefetcher operate on, so the two paths cannot diverge.
 type runReq struct {
-	key      string
-	cfg      config.Config
-	app      string
-	size     workload.SizeClass
+	cell     *scenario.Cell
 	progress bool   // write a progress line when it completes
 	arch     string // progress-line labels
 	vname    string
 }
 
+// cellReq normalizes one machine and workload into a silent request.
+func cellReq(cfg config.Config, app string, size workload.SizeClass) (runReq, error) {
+	cell, err := scenario.NewCell(cfg, scenario.Workload{App: app, Size: size.String()})
+	return runReq{cell: cell}, err
+}
+
 // reqFor resolves the standard (app, arch, variant) experiment to a request,
 // applying the suite geometry and variant overrides.
 func (s *Suite) reqFor(app, arch string, v variant) (runReq, error) {
-	cfg := config.Base()
-	var err error
-	cfg, err = cfg.WithArch(arch)
+	cfg, err := s.machine(app).WithArch(arch)
 	if err != nil {
 		return runReq{}, err
 	}
-	nodes, ppn := s.geometry(app)
 	if v.nodes > 0 {
-		nodes = v.nodes
+		cfg.Nodes = v.nodes
 	}
 	if v.ppn > 0 {
-		ppn = v.ppn
+		cfg.ProcsPerNode = v.ppn
 	}
-	cfg.Nodes, cfg.ProcsPerNode = nodes, ppn
 	if v.lineSize > 0 {
 		cfg.LineSize = v.lineSize
 	}
 	if v.netLatency > 0 {
 		cfg.NetLatency = sim.Time(v.netLatency)
 	}
-	cfg.SimLimit = 20_000_000_000
 	size := s.Size
 	if v.size != 0 {
 		size = v.size
@@ -130,8 +144,9 @@ func (s *Suite) reqFor(app, arch string, v variant) (runReq, error) {
 	if s.Size == workload.SizeTest {
 		size = workload.SizeTest
 	}
-	return runReq{key: s.key(app, arch, v), cfg: cfg, app: app, size: size,
-		progress: true, arch: arch, vname: v.name}, nil
+	req, err := cellReq(cfg, app, size)
+	req.progress, req.arch, req.vname = true, arch, v.name
+	return req, err
 }
 
 // Run simulates one application on one architecture under a variant,
@@ -141,12 +156,21 @@ func (s *Suite) Run(app, arch string, v variant) (*stats.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r, ok := s.cache[req.key]; ok {
+	r, err := s.run(req)
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s (%s): %w", app, arch, v.name, err)
+	}
+	return r, nil
+}
+
+// run returns the memoized result of req, simulating it on a miss.
+func (s *Suite) run(req runReq) (*stats.Run, error) {
+	if r, ok := s.cache[req.cell.Fp]; ok {
 		return r, nil
 	}
 	r, art, err := simulateDetached(req, s.CollectArtifacts)
 	if err != nil {
-		return nil, fmt.Errorf("%s/%s (%s): %w", app, arch, v.name, err)
+		return nil, err
 	}
 	s.commit(req, r, art)
 	return r, nil
@@ -157,23 +181,24 @@ func (s *Suite) Run(app, arch string, v variant) (*stats.Run, error) {
 func (s *Suite) commit(req runReq, r *stats.Run, art *obs.Artifact) {
 	if req.progress && s.Progress != nil {
 		fmt.Fprintf(s.Progress, "  ran %-10s %-5s %-12s exec=%-12d 1000*RCCPI=%.2f\n",
-			req.app, req.arch, req.vname, r.ExecTime, 1000*r.RCCPI())
+			req.cell.Spec.Workload.App, req.arch, req.vname, r.ExecTime, 1000*r.RCCPI())
 	}
-	s.cache[req.key] = r
+	s.cache[req.cell.Fp] = r
 	if s.CollectArtifacts && art != nil {
 		s.artifacts = append(s.artifacts, art)
 	}
 }
 
-// gather appends the request for (app, arch, v) to reqs. A request that
-// fails to resolve (e.g. an unknown architecture) is silently skipped: the
-// serial accessor will hit the same failure and report it properly.
-func (s *Suite) gather(reqs *[]runReq, app, arch string, v variant) {
-	req, err := s.reqFor(app, arch, v)
-	if err != nil {
-		return
+// batch collects the requests an experiment prefetches.
+type batch []runReq
+
+// add appends a resolved request. One that failed to resolve (e.g. an
+// unknown architecture) is silently skipped: the serial accessor will hit
+// the same failure and report it properly.
+func (b *batch) add(req runReq, err error) {
+	if err == nil {
+		*b = append(*b, req)
 	}
-	*reqs = append(*reqs, req)
 }
 
 // prefetch warms the memo cache for a set of requests, running the missing
@@ -187,20 +212,21 @@ func (s *Suite) gather(reqs *[]runReq, app, arch string, v variant) {
 // the error with its usual wrapping. That keeps error text and partial
 // progress output identical to a serial run, at the cost of re-running the
 // one failing simulation.
-func (s *Suite) prefetch(reqs []runReq) {
+func (s *Suite) prefetch(reqs batch) {
 	if runner.Workers(s.Jobs) == 1 {
 		return
 	}
 	seen := make(map[string]bool, len(reqs))
 	todo := reqs[:0:0]
 	for _, req := range reqs {
-		if seen[req.key] {
+		fp := req.cell.Fp
+		if seen[fp] {
 			continue
 		}
-		if _, ok := s.cache[req.key]; ok {
+		if _, ok := s.cache[fp]; ok {
 			continue
 		}
-		seen[req.key] = true
+		seen[fp] = true
 		todo = append(todo, req)
 	}
 	if len(todo) == 0 {
@@ -221,48 +247,26 @@ func (s *Suite) prefetch(reqs []runReq) {
 		})
 }
 
-// simulate runs app on a fully specified configuration at the suite's size
-// class.
-func (s *Suite) simulate(cfg config.Config, app string) (*stats.Run, error) {
-	size := workload.SizeBase
-	if s.Size == workload.SizeTest {
-		size = workload.SizeTest
-	}
-	r, art, err := simulateDetached(runReq{cfg: cfg, app: app, size: size}, s.CollectArtifacts)
-	if err != nil {
-		return nil, err
-	}
-	if s.CollectArtifacts && art != nil {
-		s.artifacts = append(s.artifacts, art)
-	}
-	return r, nil
-}
-
 // simulateDetached executes one simulation without touching any suite
 // state, so it is safe to call from runner workers. The artifact (if
 // requested) is returned rather than recorded; commit attaches it in order.
 func simulateDetached(req runReq, collectArtifact bool) (*stats.Run, *obs.Artifact, error) {
-	m, err := machine.New(req.cfg, req.app)
+	c := req.cell
+	m, err := machine.New(c.Spec.Machine, c.Spec.Workload.App)
 	if err != nil {
 		return nil, nil, err
 	}
-	w, err := workload.New(req.app, req.size, m.NProcs())
+	w, err := c.NewWorkload(m.NProcs())
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := w.Setup(m); err != nil {
-		return nil, nil, err
-	}
-	r, err := m.Run(w.Body)
+	r, err := workload.Run(m, w)
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := w.Verify(); err != nil {
 		return nil, nil, err
 	}
 	var art *obs.Artifact
 	if collectArtifact {
-		art = obs.NewArtifact("cctables", req.size.String(), &req.cfg, r)
+		art = c.Artifact("cctables", r)
 	}
 	return r, art, nil
 }

@@ -163,10 +163,10 @@ type Table6Row struct {
 
 // Table6 computes the communication statistics from the base runs.
 func (s *Suite) Table6() ([]Table6Row, error) {
-	var reqs []runReq
+	var reqs batch
 	for _, app := range workload.PaperApps {
-		s.gather(&reqs, app, "HWC", base())
-		s.gather(&reqs, app, "PPC", base())
+		reqs.add(s.reqFor(app, "HWC", base()))
+		reqs.add(s.reqFor(app, "PPC", base()))
 	}
 	s.prefetch(reqs)
 
@@ -244,10 +244,10 @@ type Table7Row struct {
 
 // Table7 computes the two-engine utilization and distribution statistics.
 func (s *Suite) Table7() ([]Table7Row, error) {
-	var reqs []runReq
+	var reqs batch
 	for _, app := range workload.PaperApps {
 		for _, arch := range []string{"2HWC", "2PPC"} {
-			s.gather(&reqs, app, arch, base())
+			reqs.add(s.reqFor(app, arch, base()))
 		}
 	}
 	s.prefetch(reqs)

@@ -203,7 +203,8 @@ func (m *Machine) NProcs() int { return len(m.Procs) }
 
 // Run executes program on every processor (SPMD) and returns the collected
 // statistics. The run fails if the simulation exceeds the configured time
-// limit or deadlocks with unfinished processors.
+// limit, deadlocks with unfinished processors, leaves protocol operations
+// or network frames outstanding, or breaks a coherence invariant.
 func (m *Machine) Run(program func(prog.Env)) (*stats.Run, error) {
 	// Every exit path (success, deadlock, time limit, watchdog, or a panic
 	// out of the model or a program) releases the programs still parked
@@ -241,6 +242,14 @@ func (m *Machine) Run(program func(prog.Env)) (*stats.Run, error) {
 			return nil, fmt.Errorf("machine: controller %d left %d transient ops", n, pend)
 		}
 	}
+	if n := m.Net.InFlight(); n != 0 {
+		return nil, fmt.Errorf("machine: network did not drain: %d frames still in flight", n)
+	}
+	for n := 0; n < m.Cfg.Nodes; n++ {
+		if q := m.Net.OutQueued(n); q != 0 {
+			return nil, fmt.Errorf("machine: network did not drain: node %d NI still queues %d frames", n, q)
+		}
+	}
 	if err := m.CheckCoherence(); err != nil {
 		return nil, err
 	}
@@ -259,78 +268,49 @@ func (m *Machine) Run(program func(prog.Env)) (*stats.Run, error) {
 // are a few events per component; millions means time has stopped advancing.
 const watchdogChunk = 2_000_000
 
-// runEngine drives the event loop in chunks, watching for loss of forward
-// progress: if a full chunk of events executes without the clock moving, or
-// with no useful protocol work (dispatches) behind heavy NACK/retry
-// traffic, the run is aborted with a classified stall report and a state
-// snapshot instead of spinning forever.
+// runEngine drives the event loop, serial or sharded, watching for loss of
+// forward progress: every watchdogChunk events (with the cluster quiescent
+// when sharded) a check aborts the run with a classified stall report and a
+// state snapshot if the clock has not moved, or if no useful protocol work
+// (dispatches) happened behind heavy NACK/retry traffic, instead of
+// spinning forever.
 func (m *Machine) runEngine() error {
-	if m.cluster != nil {
-		return m.runEngineSharded()
-	}
 	prevDisp, prevNacks, prevRetries := m.progressCounters()
-	for {
-		last := m.Eng.Now()
-		n := 0
-		for n < watchdogChunk && m.Eng.Step() {
-			n++
-		}
-		if n < watchdogChunk {
-			break // queue drained, Stop called, or time limit hit
-		}
-		rep := m.stallReport(last, n, prevDisp, prevNacks, prevRetries)
-		if m.Eng.Now() == last {
-			return fmt.Errorf("machine: watchdog: simulated time stalled at t=%d (%d events without progress)\n%s\n%s",
-				m.Eng.Now(), watchdogChunk, rep, m.Snapshot())
+	last := m.simNow()
+	var stalled error
+	check := func(uint64) error {
+		rep := m.stallReport(last, watchdogChunk, prevDisp, prevNacks, prevRetries)
+		now := m.simNow()
+		if now == last {
+			stalled = fmt.Errorf("machine: watchdog: simulated time stalled at t=%d (%d events without progress)\n%s\n%s",
+				now, watchdogChunk, rep, m.Snapshot())
+			return stalled
 		}
 		// Time advances but a whole chunk dispatched nothing while NACK or
 		// retry traffic flowed: the protocol is churning without absorbing
 		// work (NACK storm / livelock with a moving clock).
 		if rep.DispatchesInWindow == 0 && rep.NacksInWindow+rep.RetriesInWindow > 0 {
-			return fmt.Errorf("machine: watchdog: no useful work for %d events at t=%d\n%s\n%s",
-				watchdogChunk, m.Eng.Now(), rep, m.Snapshot())
-		}
-		prevDisp, prevNacks, prevRetries = m.progressCounters()
-	}
-	if m.Eng.LimitHit() {
-		return fmt.Errorf("machine: time limit %d exceeded at t=%d with %d events pending\n%s",
-			m.Eng.Limit, m.Eng.Now(), m.Eng.Pending(), m.Snapshot())
-	}
-	return nil
-}
-
-// runEngineSharded drives the shard cluster with the same watchdog policy
-// as the serial loop: the onCheck hook fires with the cluster quiescent
-// every watchdogChunk events, applying the identical stall classification.
-func (m *Machine) runEngineSharded() error {
-	prevDisp, prevNacks, prevRetries := m.progressCounters()
-	last := m.simNow()
-	check := func(executed uint64) error {
-		rep := m.stallReport(last, watchdogChunk, prevDisp, prevNacks, prevRetries)
-		now := m.simNow()
-		if now == last {
-			return fmt.Errorf("machine: watchdog: simulated time stalled at t=%d (%d events without progress)\n%s\n%s",
-				now, watchdogChunk, rep, m.Snapshot())
-		}
-		if rep.DispatchesInWindow == 0 && rep.NacksInWindow+rep.RetriesInWindow > 0 {
-			return fmt.Errorf("machine: watchdog: no useful work for %d events at t=%d\n%s\n%s",
+			stalled = fmt.Errorf("machine: watchdog: no useful work for %d events at t=%d\n%s\n%s",
 				watchdogChunk, now, rep, m.Snapshot())
+			return stalled
 		}
 		prevDisp, prevNacks, prevRetries = m.progressCounters()
 		last = now
 		return nil
 	}
-	if _, err := m.cluster.Run(watchdogChunk, check); err != nil {
-		// The cluster reports the limit only after draining every event at
-		// or below it, exactly like the serial loop; re-render its error in
-		// the machine's format. Watchdog errors pass through unchanged.
-		if m.cluster.LimitHit() && strings.HasPrefix(err.Error(), "sim: time limit") {
-			return fmt.Errorf("machine: time limit %d exceeded at t=%d with %d events pending\n%s",
-				m.Eng.Limit, m.simNow(), m.pendingEvents(), m.Snapshot())
-		}
+	var err error
+	if m.cluster != nil {
+		_, err = m.cluster.Run(watchdogChunk, check)
+	} else {
+		_, err = m.Eng.RunChecked(watchdogChunk, check)
+	}
+	if err == nil || stalled != nil {
 		return err
 	}
-	return nil
+	// The engine's own error is its time limit, reported only after every
+	// event at or below it ran; re-render it in the machine's format.
+	return fmt.Errorf("machine: time limit %d exceeded at t=%d with %d events pending\n%s",
+		m.Eng.Limit, m.simNow(), m.pendingEvents(), m.Snapshot())
 }
 
 // Snapshot renders the machine's live state for stall and deadlock reports:

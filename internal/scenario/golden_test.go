@@ -9,34 +9,35 @@ import (
 	"ccnuma/internal/workload"
 )
 
-// runSpec builds the machine and workload a spec describes and runs it to
-// completion, exactly as cmd/ccsim does.
+// runSpec runs a spec without a sweep as its one cell, exactly as
+// cmd/ccsim does.
 func runSpec(t *testing.T, s *Spec) *stats.Run {
 	t.Helper()
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	size, err := s.Size()
+	cells, err := s.Cells()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := machine.New(s.Machine, s.Workload.App)
+	if len(cells) != 1 {
+		t.Fatalf("spec expands to %d cells, want 1", len(cells))
+	}
+	return runCell(t, cells[0])
+}
+
+// runCell builds the cell's machine and workload and runs it to
+// completion.
+func runCell(t *testing.T, c *Cell) *stats.Run {
+	t.Helper()
+	m, err := machine.New(c.Spec.Machine, c.Spec.Workload.App)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := workload.NewSeeded(s.Workload.App, size, m.NProcs(), s.Workload.Seed)
+	w, err := c.NewWorkload(m.NProcs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Setup(m); err != nil {
-		t.Fatal(err)
-	}
-	r, err := m.Run(w.Body)
+	r, err := workload.Run(m, w)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := w.Verify(); err != nil {
-		t.Fatalf("verification: %v", err)
 	}
 	return r
 }

@@ -2,18 +2,22 @@
 // versioned JSON document that names everything a run needs — machine
 // geometry and per-node engine configuration, Table 1/2 timing overrides,
 // workload and problem size, fault schedule, sweep axes, seeds, and job
-// counts. Every command (ccsim, ccsweep, ccchaos, ccverify) is a thin
-// wrapper over the same loading pipeline: start from Default(), overlay a
-// -spec file if given, then overlay the command's flags.
+// counts. Every command (ccsim, ccsweep, ccchaos, ccverify, cctrace) is a
+// thin wrapper over the same loading pipeline: start from Default(),
+// overlay a -spec file if given, then overlay the command's flags.
 //
 // Specs are canonicalized before use: loading resolves absent fields to
 // their defaults, validation rejects inconsistent machines with errors
 // naming the offending field, and Canonical() serializes the resolved spec
 // with a fixed field order. The Fingerprint() of those canonical bytes is
 // stable across JSON field ordering and whitespace, so two specs hash
-// equal exactly when they describe the same experiment. Run artifacts
-// embed the canonical document plus its fingerprint, which is what makes
-// `ccsim -replay artifact.json` reproduce any published result.
+// equal exactly when they describe the same experiment.
+//
+// A spec expands into cells (Spec.Cells): one normalized machine and
+// workload per simulation, the unit every per-run tool works in. Run
+// artifacts embed their cell's canonical document plus its fingerprint
+// (Cell.Artifact), which is what makes `ccsim -replay artifact.json`
+// reproduce any published run.
 package scenario
 
 import (
@@ -40,7 +44,8 @@ const DefaultSimLimit = 50_000_000_000
 type Spec struct {
 	SchemaName string `json:"schema"`
 	// Name is a free-form label for humans; it participates in the
-	// canonical form (two specs differing only in Name hash differently).
+	// spec's canonical form (two specs differing only in Name hash
+	// differently) but not in its cells, so run fingerprints ignore it.
 	Name string `json:"name,omitempty"`
 
 	// Machine is the full architectural configuration, including the
@@ -64,7 +69,7 @@ type Spec struct {
 // Workload names the kernel and problem size to run.
 type Workload struct {
 	App string `json:"app"`
-	// Size is the problem-size class: test, base, or large.
+	// Size is the problem-size class: test, small, base, or large.
 	Size string `json:"size"`
 	// Seed selects the kernel's input (0 = the fixed default input).
 	Seed int64 `json:"seed,omitempty"`
@@ -227,6 +232,10 @@ func (s *Spec) Validate() error {
 		if len(sw.Archs) == 0 {
 			return fmt.Errorf("scenario: sweep.archs: must name at least one architecture")
 		}
+		if n := len(sw.Values) * len(sw.Archs); n > MaxSweepCells {
+			return fmt.Errorf("scenario: sweep: %d values x %d archs = %d cells exceeds the limit of %d",
+				len(sw.Values), len(sw.Archs), n, MaxSweepCells)
+		}
 		for _, a := range sw.Archs {
 			if _, _, err := config.ParseArch(a); err != nil {
 				return fmt.Errorf("scenario: sweep.archs: %w", err)
@@ -284,12 +293,14 @@ func ParseSize(name string) (workload.SizeClass, error) {
 	switch name {
 	case "test":
 		return workload.SizeTest, nil
+	case "small":
+		return workload.SizeSmall, nil
 	case "base":
 		return workload.SizeBase, nil
 	case "large":
 		return workload.SizeLarge, nil
 	}
-	return 0, fmt.Errorf("unknown size %q (want test, base, or large)", name)
+	return 0, fmt.Errorf("unknown size %q (want test, small, base, or large)", name)
 }
 
 // ApplySweepValue sets one swept parameter on the configuration; it is the

@@ -234,6 +234,9 @@ func TestValidateRejects(t *testing.T) {
 		{"empty sweep values", func(s *Spec) { s.Sweep = &SweepPlan{Param: "netlat", Archs: []string{"HWC"}} }, "sweep.values"},
 		{"empty sweep archs", func(s *Spec) { s.Sweep = &SweepPlan{Param: "netlat", Values: []int{1}} }, "sweep.archs"},
 		{"bad sweep arch", func(s *Spec) { s.Sweep = &SweepPlan{Param: "netlat", Values: []int{1}, Archs: []string{"XY"}} }, "sweep.archs"},
+		{"oversized sweep grid", func(s *Spec) {
+			s.Sweep = &SweepPlan{Param: "netlat", Values: make([]int, 1000), Archs: make([]string, 1000)}
+		}, "1000000 cells exceeds the limit of 4096"},
 		{"negative jobs", func(s *Spec) { s.Jobs = -1 }, "jobs"},
 		{"machine error", func(s *Spec) { s.Machine.LineSize = 96 }, "LineSize"},
 	}

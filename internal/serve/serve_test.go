@@ -220,7 +220,7 @@ func TestFailingCellClassifiedAndRetried(t *testing.T) {
 	// Canonical() validates documents, so a runtime cell failure needs a
 	// cell built by hand: a size class the workload layer rejects. The cell
 	// must fail cleanly — classified, retried, never crashing the server.
-	bad := &Cell{
+	bad := &Cell{Cell: &scenario.Cell{
 		Spec: &scenario.Spec{
 			SchemaName: scenario.Schema,
 			Machine:    mustSpec(t, singleDoc).Machine,
@@ -228,7 +228,7 @@ func TestFailingCellClassifiedAndRetried(t *testing.T) {
 		},
 		Fp:    "00000000deadbeef",
 		Canon: []byte("{}"),
-	}
+	}}
 	c := s.runCell(bad)
 	if c.Status != StatusError || c.Failure == nil {
 		t.Fatalf("bad cell: %+v", c)
@@ -304,6 +304,35 @@ func TestHTTPSubmitAndArtifact(t *testing.T) {
 		if miss.StatusCode != http.StatusNotFound {
 			t.Fatalf("absent artifact: %s", miss.Status)
 		}
+	}
+}
+
+// TestOversizedSweepRejectedBeforeExpansion posts a small document whose
+// 1000 x 1000 grid would expand to a million cells: validation must refuse
+// it with 400 before any cell is built, well within a second.
+func TestOversizedSweepRejectedBeforeExpansion(t *testing.T) {
+	_, base := startHTTP(t, testConfig(t))
+	values := make([]string, 1000)
+	archs := make([]string, 1000)
+	for i := range values {
+		values[i] = strconv.Itoa(14 + i)
+		archs[i] = `"HWC"`
+	}
+	doc := `{"schema": "ccnuma-scenario/v1", "workload": {"app": "fft", "size": "test"},
+ "sweep": {"param": "netlat", "values": [` + strings.Join(values, ",") + `], "archs": [` + strings.Join(archs, ",") + `]}}`
+	start := time.Now()
+	resp, err := http.Post(base+"/v1/submit", "application/json", strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	elapsed := time.Since(start)
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "exceeds the limit") {
+		t.Fatalf("%d-byte million-cell sweep: %s: %s", len(doc), resp.Status, body)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("rejection took %v, want under a second", elapsed)
 	}
 }
 

@@ -238,8 +238,20 @@ func (e *Engine) Sharded() bool { return e.cluster != nil }
 // Run executes events until the queue is empty, Stop is called, or the time
 // limit (if any) is exceeded. It returns the final simulated time and an
 // error if the time limit was hit with work still pending.
-func (e *Engine) Run() (Time, error) {
+func (e *Engine) Run() (Time, error) { return e.RunChecked(0, nil) }
+
+// RunChecked is Run with the progress hook of Cluster.Run: when stepCap is
+// positive, onCheck runs after every stepCap executed events, and a
+// non-nil error from it aborts the run and is returned unchanged.
+func (e *Engine) RunChecked(stepCap uint64, onCheck func(executed uint64) error) (Time, error) {
+	var n uint64
 	for e.Step() {
+		if n++; n == stepCap && onCheck != nil {
+			n = 0
+			if err := onCheck(e.executed); err != nil {
+				return e.now, err
+			}
+		}
 	}
 	if e.limitHit {
 		return e.now, fmt.Errorf("sim: time limit %d exceeded at t=%d with %d events pending", e.Limit, e.now, len(e.events))

@@ -35,20 +35,7 @@ func (r *Resource) Name() string { return r.name }
 // free (FIFO). grant runs at the cycle the hold begins. Acquire returns the
 // time at which the hold will begin.
 func (r *Resource) Acquire(hold Time, grant func(start Time)) Time {
-	now := r.eng.Now()
-	r.noteArrival(now)
-	start := r.freeAt
-	if start < now {
-		start = now
-	}
-	r.freeAt = start + hold
-	r.busy += hold
-	r.grants++
-	r.waitTotal += start - now
-	if grant != nil {
-		r.eng.At(start, func() { grant(start) })
-	}
-	return start
+	return r.AcquireAt(r.eng.Now(), hold, grant)
 }
 
 // AcquireAt is like Acquire but the request is considered to arrive at the

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -115,6 +117,40 @@ func TestEngineLimitNotHitWhenQuiet(t *testing.T) {
 	e.At(99, func() {})
 	if _, err := e.Run(); err != nil {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestEngineRunChecked pins the serial progress hook: onCheck sees every
+// stepCap-th executed event count, and its error aborts the run unchanged.
+func TestEngineRunChecked(t *testing.T) {
+	stop := errors.New("stop")
+	for _, tc := range []struct {
+		stepCap, failAt uint64
+		want            []uint64
+		wantErr         error
+	}{
+		{stepCap: 0, want: nil},
+		{stepCap: 4, want: []uint64{4, 8}},
+		{stepCap: 3, failAt: 6, want: []uint64{3, 6}, wantErr: stop},
+	} {
+		e := NewEngine()
+		for i := 0; i < 10; i++ {
+			e.At(Time(i), func() {})
+		}
+		var got []uint64
+		_, err := e.RunChecked(tc.stepCap, func(executed uint64) error {
+			got = append(got, executed)
+			if executed == tc.failAt {
+				return stop
+			}
+			return nil
+		})
+		if err != tc.wantErr || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("stepCap=%d: checks at %v err %v, want %v err %v", tc.stepCap, got, err, tc.want, tc.wantErr)
+		}
+		if tc.wantErr != nil && e.Executed() != tc.failAt {
+			t.Errorf("stepCap=%d: %d events ran after the failed check at %d", tc.stepCap, e.Executed(), tc.failAt)
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 
 	"ccnuma/internal/machine"
 	"ccnuma/internal/prog"
+	"ccnuma/internal/stats"
 )
 
 // SizeClass selects a problem size.
@@ -68,6 +69,24 @@ type Workload interface {
 	Body(e prog.Env)
 	// Verify checks the computation's result after the run.
 	Verify() error
+}
+
+// Run is the one way a workload runs on a machine: Setup, then the SPMD
+// Body on every processor, then the workload's own result check. The
+// caller builds the machine, so tracers, samplers and fault hooks attach
+// before the run; Machine.Run checks completion, drain and coherence.
+func Run(m *machine.Machine, w Workload) (*stats.Run, error) {
+	if err := w.Setup(m); err != nil {
+		return nil, err
+	}
+	r, err := m.Run(w.Body)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.Verify(); err != nil {
+		return nil, fmt.Errorf("verification failed: %w", err)
+	}
+	return r, nil
 }
 
 // Factory builds a workload at a given size for a machine with nprocs
