@@ -8,6 +8,7 @@ package config
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -820,16 +821,12 @@ func (c *Config) Validate() error {
 		return fieldErr("NIPortDepth", "must be non-negative, got %d", c.NIPortDepth)
 	case c.RetryBudget < 0:
 		return fieldErr("RetryBudget", "must be non-negative, got %d", c.RetryBudget)
-	case c.NackDelay < 0:
-		return fieldErr("NackDelay", "must be non-negative, got %d", int64(c.NackDelay))
-	case c.NackBackoffMax < 0:
-		return fieldErr("NackBackoffMax", "must be non-negative, got %d", int64(c.NackBackoffMax))
-	case c.RequestTimeout < 0:
-		return fieldErr("RequestTimeout", "must be non-negative, got %d", int64(c.RequestTimeout))
-	case c.NetRetryDelay < 0:
-		return fieldErr("NetRetryDelay", "must be non-negative, got %d", int64(c.NetRetryDelay))
-	case c.BusBackoffMax < 0:
-		return fieldErr("BusBackoffMax", "must be non-negative, got %d", int64(c.BusBackoffMax))
+	case c.WriteBackDepth < 0:
+		return fieldErr("WriteBackDepth", "must be non-negative, got %d", c.WriteBackDepth)
+	case c.DirCacheEntries < 0:
+		return fieldErr("DirCacheEntries", "must be non-negative, got %d", c.DirCacheEntries)
+	case c.NetHeader < 0:
+		return fieldErr("NetHeader", "must be non-negative, got %d", c.NetHeader)
 	case c.QueueDepth > 0 && c.QueueDepth < 2:
 		return fieldErr("QueueDepth", "below 2 cannot hold a request and its replay, got %d", c.QueueDepth)
 	case c.SimShards < 0:
@@ -839,10 +836,28 @@ func (c *Config) Validate() error {
 	case c.SimShards > 1 && c.Topology == TopoMesh2D:
 		return fieldErr("SimShards", "mesh topology routes through shared per-hop links and cannot shard; use the crossbar or SimShards <= 1")
 	}
+	if err := c.validateTimes(); err != nil {
+		return err
+	}
 	if err := c.validateCosts(); err != nil {
 		return err
 	}
 	return c.validateNodeArchs()
+}
+
+var timeType = reflect.TypeOf(sim.Time(0))
+
+// validateTimes rejects a negative value in any sim.Time field. Every one
+// is a latency, occupancy, back-off or bound that the model adds to the
+// current time, and the engine cannot schedule an event before now.
+func (c *Config) validateTimes() error {
+	v := reflect.ValueOf(c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Type() == timeType && f.Int() < 0 {
+			return fieldErr(v.Type().Field(i).Name, "must be non-negative, got %d", f.Int())
+		}
+	}
+	return nil
 }
 
 // validateCosts rejects occupancy overrides outside the model's range: no

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"ccnuma/internal/sim"
 )
 
 // TestValidateFieldErrorEdges drives Validate through the rejection edges
@@ -40,6 +42,24 @@ func TestValidateFieldErrorEdges(t *testing.T) {
 		{"negative queue depth", func(c *Config) { c.QueueDepth = -1 }, "QueueDepth"},
 		{"queue depth one", func(c *Config) { c.QueueDepth = 1 }, "QueueDepth"},
 		{"negative nack delay", func(c *Config) { c.NackDelay = -5 }, "NackDelay"},
+		{"negative write-back depth", func(c *Config) { c.WriteBackDepth = -1 }, "WriteBackDepth"},
+		{"negative dir cache", func(c *Config) { c.DirCacheEntries = -1 }, "DirCacheEntries"},
+		{"negative net header", func(c *Config) { c.NetHeader = -1000 }, "NetHeader"},
+	}
+	// Every sim.Time field is a latency, occupancy or bound: a negative
+	// one must be rejected by name, including fields added later.
+	timeType := reflect.TypeOf(sim.Time(0))
+	ct := reflect.TypeOf(Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		if ct.Field(i).Type != timeType {
+			continue
+		}
+		i, name := i, ct.Field(i).Name
+		cases = append(cases, struct {
+			name   string
+			mutate func(*Config)
+			field  string
+		}{"negative " + name, func(c *Config) { reflect.ValueOf(c).Elem().Field(i).SetInt(-1) }, name})
 	}
 	for _, tc := range cases {
 		c := Base()

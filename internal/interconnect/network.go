@@ -326,14 +326,16 @@ func (n *Network) transmit(src, dst, flitCount int, payload interface{}, delay s
 		n.tr.NetSend(n.eng.Now(), src, dst, name, line, flitCount)
 	}
 	ser := sim.Time(flitCount) * n.cfg.NetFlitTime
-	n.out[src].Acquire(ser, func(start sim.Time) {
+	n.out[src].Acquire(ser, func() {
+		eng := n.engOf(src)
+		start := eng.Now()
 		if n.spans.Enabled() {
 			txn, epoch := obs.DescribeSpan(payload)
 			n.spans.SpanEnd(txn, obs.StageNIPort, epoch, start)
 			n.spans.SpanBegin(txn, obs.StageWire, epoch, start)
 		}
 		if track {
-			n.engOf(src).At(start+ser, func() { n.portDrained(src) })
+			eng.At(start+ser, func() { n.portDrained(src) })
 		}
 		if n.mesh != nil && src != dst {
 			n.sendMesh(src, dst, start+delay, ser, payload)
@@ -379,7 +381,7 @@ func (n *Network) Brownout(node int, out bool, dur sim.Time) {
 		eng.DeferTo(eng, func() { r.AcquireAt(at, dur, nil) })
 		return
 	}
-	r.Acquire(dur, func(sim.Time) {})
+	r.Acquire(dur, func() {})
 }
 
 // sendMesh chains the message across the mesh's links with dimension-order
@@ -394,8 +396,8 @@ func (n *Network) sendMesh(src, dst int, start, ser sim.Time, payload interface{
 			return
 		}
 		link := n.mesh.links[hops[i]]
-		link.AcquireAt(t, ser, func(ls sim.Time) {
-			advance(i+1, ls+n.cfg.NetHopLatency)
+		link.AcquireAt(t, ser, func() {
+			advance(i+1, n.eng.Now()+n.cfg.NetHopLatency)
 		})
 	}
 	advance(0, start)
@@ -422,8 +424,8 @@ func (n *Network) deliverAt(src, dst int, headArrives, ser sim.Time, payload int
 
 func (n *Network) admit(src, dst int, headArrives, ser sim.Time, payload interface{}) {
 	eng := n.engOf(dst)
-	n.in[dst].AcquireAt(headArrives, ser, func(inStart sim.Time) {
-		eng.At(inStart+ser, func() {
+	n.in[dst].AcquireAt(headArrives, ser, func() {
+		eng.After(ser, func() {
 			atomic.AddInt64(&n.inFlight, -1)
 			if _, rejected := payload.(*discardFrame); rejected {
 				// Failed CRC or duplicate sequence number: the NI rejects

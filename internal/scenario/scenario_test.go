@@ -239,6 +239,7 @@ func TestValidateRejects(t *testing.T) {
 		}, "1000000 cells exceeds the limit of 4096"},
 		{"negative jobs", func(s *Spec) { s.Jobs = -1 }, "jobs"},
 		{"machine error", func(s *Spec) { s.Machine.LineSize = 96 }, "LineSize"},
+		{"negative latency", func(s *Spec) { s.Machine.NetLatency = -5 }, "NetLatency"},
 	}
 	for _, tc := range cases {
 		s := Default()

@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // Time is a simulated timestamp or duration in compute-processor cycles
@@ -20,7 +21,7 @@ func (t Time) Nanoseconds() float64 { return float64(t) * 5.0 }
 
 // event is a scheduled closure. seq breaks ties between events scheduled for
 // the same cycle so execution order is insertion order (deterministic).
-// Events are stored by value inside the engine's heap slab: scheduling one
+// Events are stored by value inside the engine's node slab: scheduling one
 // performs no per-event heap allocation (the closure the caller passes is
 // the only allocation on the scheduling path).
 //
@@ -49,12 +50,28 @@ func (e *event) before(o *event) bool {
 	return rankLess(e.rank, o.rank)
 }
 
-// heapArity is the fan-out of the event heap. A 4-ary heap halves the tree
-// depth of a binary heap, trading a few extra sibling comparisons (which hit
-// the same cache line, since events are stored by value) for fewer
-// level-to-level moves — the winning trade for the short-horizon reschedule
-// pattern that dominates the machine model.
-const heapArity = 4
+// node is one slot of the engine's event slab: a pending event and the slab
+// index of the next node in its bucket or in the free list.
+type node struct {
+	ev   event
+	next int32
+}
+
+const (
+	// wheelSpan is the calendar ring's width in cycles: an event less than
+	// wheelSpan cycles ahead of now waits in the bucket for its cycle. The
+	// machine model schedules 99.9% of its events at most 127 cycles ahead;
+	// the rest (barrier costs, fault delays, sampler periods) wait in the
+	// far heap. A power of two, so a time's bucket is its low bits.
+	wheelSpan  = 256
+	wheelMask  = wheelSpan - 1
+	wheelWords = wheelSpan / 64
+
+	// heapArity is the fan-out of the far heap. A 4-ary heap halves the
+	// tree depth of a binary heap at the price of a few extra sibling
+	// comparisons per level.
+	heapArity = 4
+)
 
 // Engine is a discrete-event scheduler. The zero value is not usable; create
 // one with NewEngine. Engine is not safe for concurrent use: all model code
@@ -63,20 +80,38 @@ const heapArity = 4
 // while the engine is suspended inside the event that resumed it).
 // Independent simulations each own their engine, so whole runs can execute
 // concurrently (see internal/runner).
+//
+// The pending events form a calendar queue (R. Brown, "Calendar queues",
+// CACM 31(10), 1988): a ring of wheelSpan one-cycle buckets holds every
+// event less than wheelSpan cycles ahead of now, and the far heap holds the
+// rest. Every far event is later than every ring event: whenever now
+// advances, the far events that come within the span move into the ring
+// before the event at the new time runs. Each bucket holds one time and is
+// kept in event.before order, so the head of the first non-empty bucket at
+// or after now is the next event.
 type Engine struct {
 	now Time
 	seq uint64
-	// events is a value-typed heapArity-ary min-heap ordered by (at, seq).
-	// The backing array doubles as the event slab: pops shrink the slice
-	// without releasing capacity, so a simulation reaches its high-water
-	// queue depth once and then schedules allocation-free.
-	events []event
+	// slab holds every pending event; its len(slab)-pending other nodes
+	// form a free list headed by free. A simulation reaches its
+	// high-water queue depth once and then schedules allocation-free.
+	slab    []node
+	free    int32
+	pending int
+	// head and tail index the first and last node of each ring bucket;
+	// they are meaningful only while the bucket's bit in busy is set.
+	head, tail [wheelSpan]int32
+	busy       [wheelWords]uint64
+	// far is a heapArity-ary min-heap of the slab indices of events at
+	// least wheelSpan cycles ahead. Its capacity follows the slab's, so it
+	// never grows on its own.
+	far []int32
 	// stopped is set by Stop; Run drains no further events once set.
 	stopped bool
 	// executed counts events run, for debugging, runaway detection, and
 	// events-per-second throughput accounting (obs.MeasurePerf).
 	executed uint64
-	// maxPending tracks the heap's high-water mark (slab size reporting).
+	// maxPending tracks the queue's high-water mark (slab size reporting).
 	maxPending int
 	// limitHit records that the run ended because Limit was exceeded.
 	limitHit bool
@@ -137,9 +172,11 @@ func (e *Engine) At(t Time, fn func()) {
 		e.seq++
 		ev.seq = e.seq
 	}
-	e.push(ev)
-	if len(e.events) > e.maxPending {
-		e.maxPending = len(e.events)
+	i := e.alloc(ev)
+	if t-e.now < wheelSpan {
+		e.link(i)
+	} else {
+		e.pushFar(i)
 	}
 }
 
@@ -151,34 +188,133 @@ func (e *Engine) After(d Time, fn func()) {
 	e.At(e.now+d, fn)
 }
 
-// push appends ev and sifts it up to its heap position.
-func (e *Engine) push(ev event) {
-	h := append(e.events, ev)
-	e.events = h
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !ev.before(&h[parent]) {
-			break
+// alloc stores ev in a free slab node, growing the slab (and the far heap's
+// capacity with it) only when every node is pending.
+func (e *Engine) alloc(ev event) int32 {
+	var i int32
+	if e.pending < len(e.slab) {
+		i = e.free
+		e.free = e.slab[i].next
+	} else {
+		i = int32(len(e.slab))
+		e.slab = append(e.slab, node{})
+		if cap(e.far) < cap(e.slab) {
+			e.far = append(make([]int32, 0, cap(e.slab)), e.far...)
 		}
-		h[i] = h[parent]
-		i = parent
 	}
-	h[i] = ev
+	e.slab[i].ev = ev
+	if e.pending++; e.pending > e.maxPending {
+		e.maxPending = e.pending
+	}
+	return i
 }
 
-// pop removes and returns the minimum event. The vacated slot at the slab
-// tail is zeroed so the engine does not pin the popped closure alive.
-func (e *Engine) pop() event {
-	h := e.events
-	min := h[0]
+// link adds node i to its ring bucket in event.before order. A new event
+// orders after the bucket's tail on a serial engine (seq only grows, and a
+// far event migrates before anything can be scheduled directly into its
+// bucket), so the walk runs only on a shard, for a drained cross-shard send
+// or a fence body that orders before events its shard already holds.
+func (e *Engine) link(i int32) {
+	n := &e.slab[i]
+	b := n.ev.at & wheelMask
+	w, bit := b/64, uint64(1)<<(b%64)
+	if e.busy[w]&bit == 0 {
+		e.busy[w] |= bit
+		e.head[b], e.tail[b] = i, i
+		return
+	}
+	if t := e.tail[b]; e.slab[t].ev.before(&n.ev) {
+		e.slab[t].next = i
+		e.tail[b] = i
+		return
+	}
+	// n orders before the tail, so the walk stops at or before it.
+	p := &e.head[b]
+	for !n.ev.before(&e.slab[*p].ev) {
+		p = &e.slab[*p].next
+	}
+	n.next = *p
+	*p = i
+}
+
+// next returns the time of the earliest pending event: the first busy
+// bucket at or after now, or the far heap's root when the ring is empty.
+func (e *Engine) next() (Time, bool) {
+	if e.pending == 0 {
+		return 0, false
+	}
+	base := int(e.now & wheelMask)
+	w := base / 64
+	if m := e.busy[w] >> (base % 64); m != 0 {
+		return e.now + Time(bits.TrailingZeros64(m)), true
+	}
+	// The last pass revisits word w for the buckets below base.
+	for k := 1; k <= wheelWords; k++ {
+		wi := (w + k) % wheelWords
+		if m := e.busy[wi]; m != 0 {
+			b := wi*64 + bits.TrailingZeros64(m)
+			return e.now + Time((b-base)&wheelMask), true
+		}
+	}
+	return e.slab[e.far[0]].ev.at, true
+}
+
+// take advances now to t, the time next reported, moves the far events
+// that come within the span into the ring, and removes and returns the
+// head of t's bucket. The vacated node is zeroed so the slab does not pin
+// the closure alive.
+func (e *Engine) take(t Time) event {
+	e.now = t
+	for len(e.far) > 0 && e.slab[e.far[0]].ev.at-t < wheelSpan {
+		e.link(e.popFar())
+	}
+	b := t & wheelMask
+	i := e.head[b]
+	n := &e.slab[i]
+	ev := n.ev
+	if i == e.tail[b] {
+		e.busy[b/64] &^= 1 << (b % 64)
+	} else {
+		e.head[b] = n.next
+	}
+	*n = node{next: e.free}
+	e.free = i
+	e.pending--
+	e.executed++
+	if e.cluster != nil {
+		e.cur = Ctx{parent: ev.rank, at: ev.at}
+	}
+	return ev
+}
+
+// pushFar adds node i to the far heap, sifting it up to its position.
+func (e *Engine) pushFar(i int32) {
+	h := append(e.far, i)
+	e.far = h
+	ev := &e.slab[i].ev
+	j := len(h) - 1
+	for j > 0 {
+		parent := (j - 1) / heapArity
+		if !ev.before(&e.slab[h[parent]].ev) {
+			break
+		}
+		h[j] = h[parent]
+		j = parent
+	}
+	h[j] = i
+}
+
+// popFar removes and returns the far heap's root.
+func (e *Engine) popFar() int32 {
+	h := e.far
+	root := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{}
 	h = h[:n]
-	e.events = h
+	e.far = h
 	if n > 0 {
 		// Sift last down from the root.
+		lev := &e.slab[last].ev
 		i := 0
 		for {
 			c := heapArity*i + 1
@@ -191,11 +327,11 @@ func (e *Engine) pop() event {
 			}
 			m := c
 			for j := c + 1; j < end; j++ {
-				if h[j].before(&h[m]) {
+				if e.slab[h[j]].ev.before(&e.slab[h[m]].ev) {
 					m = j
 				}
 			}
-			if !h[m].before(&last) {
+			if !e.slab[h[m]].ev.before(lev) {
 				break
 			}
 			h[i] = h[m]
@@ -203,7 +339,18 @@ func (e *Engine) pop() event {
 		}
 		h[i] = last
 	}
-	return min
+	return root
+}
+
+// pastLimit reports whether an event at t lies past Limit, and if so stops
+// the engine at its limit.
+func (e *Engine) pastLimit(t Time) bool {
+	if e.Limit > 0 && t > e.Limit {
+		e.stopped = true
+		e.limitHit = true
+		return true
+	}
+	return false
 }
 
 // Stop halts the run loop after the current event completes.
@@ -212,21 +359,14 @@ func (e *Engine) Stop() { e.stopped = true }
 // Step executes the single earliest pending event and advances time to it.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	if e.stopped || len(e.events) == 0 {
+	if e.stopped {
 		return false
 	}
-	if e.Limit > 0 && e.events[0].at > e.Limit {
-		e.stopped = true
-		e.limitHit = true
+	t, ok := e.next()
+	if !ok || e.pastLimit(t) {
 		return false
 	}
-	ev := e.pop()
-	e.now = ev.at
-	e.executed++
-	if e.cluster != nil {
-		e.cur = Ctx{parent: ev.rank, at: ev.at}
-	}
-	ev.fn()
+	e.take(t).fn()
 	return true
 }
 
@@ -254,13 +394,13 @@ func (e *Engine) RunChecked(stepCap uint64, onCheck func(executed uint64) error)
 		}
 	}
 	if e.limitHit {
-		return e.now, fmt.Errorf("sim: time limit %d exceeded at t=%d with %d events pending", e.Limit, e.now, len(e.events))
+		return e.now, fmt.Errorf("sim: time limit %d exceeded at t=%d with %d events pending", e.Limit, e.now, e.pending)
 	}
 	return e.now, nil
 }
 
 // Pending reports the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.pending }
 
 // LimitHit reports whether stepping stopped because the time limit was
 // exceeded (for callers driving Step directly instead of Run).

@@ -32,7 +32,7 @@ func BenchmarkEngineScheduleStep(b *testing.B) {
 
 // BenchmarkEngineMixedHorizon mixes near events (the common case: bus and
 // engine occupancies a few cycles out) with a tail of far-future events
-// (timeouts), the mix that stresses heap reordering.
+// (timeouts) that wait in the far heap until they migrate into the ring.
 func BenchmarkEngineMixedHorizon(b *testing.B) {
 	const depth = 4096
 	rng := rand.New(rand.NewSource(2))
@@ -47,6 +47,30 @@ func BenchmarkEngineMixedHorizon(b *testing.B) {
 	}
 	for i := 0; i < depth; i++ {
 		e.At(Time(rng.Intn(64)), fire)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !e.Step() {
+			b.Fatal("queue drained unexpectedly")
+		}
+	}
+}
+
+// BenchmarkEngineFarMigration re-arms every event 300-2 000 cycles out,
+// past the ring's span (barrier costs, lock back-offs and fault delays), so
+// each event waits in the far heap and migrates into the ring before it
+// runs.
+func BenchmarkEngineFarMigration(b *testing.B) {
+	const depth = 1024
+	rng := rand.New(rand.NewSource(3))
+	e := NewEngine()
+	var fire func()
+	fire = func() {
+		e.After(Time(rng.Intn(1_701)+300), fire)
+	}
+	for i := 0; i < depth; i++ {
+		e.At(Time(rng.Intn(2_000)), fire)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

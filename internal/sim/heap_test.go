@@ -6,65 +6,124 @@ import (
 	"testing"
 )
 
-// TestHeapTotalOrder drives the 4-ary heap with a large randomized
-// interleaving of pushes and pops and checks that events drain in exact
+// TestHeapTotalOrder drives the calendar queue with a large randomized
+// interleaving of schedules and steps and checks that events drain in exact
 // (time, seq) total order — including FIFO order for same-cycle ties, which
-// the machine model relies on for bit-for-bit reproducibility.
+// the machine model relies on for bit-for-bit reproducibility — that every
+// event fires at its scheduled time, and that Pending and MaxPending track
+// the queue depth. The horizon mixes cover the ring alone, both sides of
+// its span, far events migrating into the ring, and direct inserts into a
+// bucket that a far event migrated into.
 func TestHeapTotalOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	e := NewEngine()
-
-	type stamp struct {
-		at  Time
-		seq uint64
-	}
-	var fired []stamp
-
-	// Schedule in clustered batches so many events share a cycle (ties) and
-	// interleave pops so the heap is exercised at many sizes, not just one
-	// build-then-drain pass.
-	pending := 0
-	for round := 0; round < 200; round++ {
-		batch := rng.Intn(32) + 1
-		for i := 0; i < batch; i++ {
-			// Cluster times into few buckets to force same-cycle ties.
-			at := e.Now() + Time(rng.Intn(8))
-			var ev stamp
-			e.At(at, func() {
-				ev.at = e.Now()
-				fired = append(fired, ev)
-			})
-			// Engine assigns seq internally; mirror it (seq is incremented
-			// once per At call, starting from 1).
-			ev.seq = e.seq
-			ev.at = at
-			pending++
-		}
-		drain := rng.Intn(pending + 1)
-		for i := 0; i < drain; i++ {
-			if !e.Step() {
-				t.Fatalf("round %d: Step returned false with %d pending", round, pending)
+	for _, tc := range []struct {
+		name string
+		// at returns the time of the next event to schedule.
+		at func(now Time, rng *rand.Rand) Time
+	}{
+		{"near", func(now Time, rng *rand.Rand) Time {
+			// Few distinct cycles force same-cycle ties.
+			return now + Time(rng.Intn(8))
+		}},
+		{"straddle-span", func(now Time, rng *rand.Rand) Time {
+			return now + wheelSpan - 2 + Time(rng.Intn(5))
+		}},
+		{"far-mixed", func(now Time, rng *rand.Rand) Time {
+			if rng.Intn(4) == 0 {
+				return now + Time(rng.Intn(100_000)+10_000)
 			}
-			pending--
-		}
-	}
-	for e.Step() {
-	}
-
-	if len(fired) == 0 {
-		t.Fatal("no events fired")
-	}
-	if !sort.SliceIsSorted(fired, func(i, j int) bool {
-		a, b := fired[i], fired[j]
-		return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-	}) {
-		for i := 1; i < len(fired); i++ {
-			a, b := fired[i-1], fired[i]
-			if b.at < a.at || (b.at == a.at && b.seq < a.seq) {
-				t.Fatalf("order violation at %d: (%d,%d) fired before (%d,%d)",
-					i, a.at, a.seq, b.at, b.seq)
+			return now + Time(rng.Intn(8))
+		}},
+		{"migrated-bucket-insert", func() func(Time, *rand.Rand) Time {
+			// Half the events are far; the other half join a far event's
+			// cycle once it has come within the span, so they land in a
+			// bucket that already holds the migrated event.
+			var farTimes []Time
+			return func(now Time, rng *rand.Rand) Time {
+				for len(farTimes) > 0 && farTimes[0] < now {
+					farTimes = farTimes[1:]
+				}
+				near := 0
+				for near < len(farTimes) && farTimes[near]-now < wheelSpan {
+					near++
+				}
+				if near > 0 && rng.Intn(2) == 0 {
+					return farTimes[rng.Intn(near)]
+				}
+				at := now + wheelSpan + Time(rng.Intn(4))
+				farTimes = append(farTimes, at)
+				sort.Slice(farTimes, func(i, j int) bool { return farTimes[i] < farTimes[j] })
+				return at
 			}
-		}
+		}()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			e := NewEngine()
+
+			type stamp struct {
+				at, ran Time
+				seq     uint64
+			}
+			var fired []stamp
+
+			// Interleave steps with scheduling so the queue is exercised
+			// at many depths and times, not just one build-then-drain pass.
+			pending, maxPending := 0, 0
+			step := func() {
+				if !e.Step() {
+					t.Fatalf("Step returned false with %d pending", pending)
+				}
+				pending--
+			}
+			for round := 0; round < 200; round++ {
+				batch := rng.Intn(32) + 1
+				for i := 0; i < batch; i++ {
+					s := &stamp{at: tc.at(e.Now(), rng)}
+					e.At(s.at, func() {
+						s.ran = e.Now()
+						fired = append(fired, *s)
+					})
+					// Engine assigns seq internally; mirror it (seq is
+					// incremented once per At call, starting from 1).
+					s.seq = e.seq
+					if pending++; pending > maxPending {
+						maxPending = pending
+					}
+				}
+				drain := rng.Intn(pending + 1)
+				for i := 0; i < drain; i++ {
+					step()
+				}
+				if e.Pending() != pending {
+					t.Fatalf("round %d: Pending() = %d, want %d", round, e.Pending(), pending)
+				}
+			}
+			for pending > 0 {
+				step()
+			}
+			if e.Step() {
+				t.Fatal("Step ran an event past the drained queue")
+			}
+			if e.MaxPending() != maxPending {
+				t.Fatalf("MaxPending() = %d, want %d", e.MaxPending(), maxPending)
+			}
+
+			if len(fired) == 0 {
+				t.Fatal("no events fired")
+			}
+			for i, s := range fired {
+				if s.ran != s.at {
+					t.Fatalf("event %d (seq %d) scheduled at %d fired at %d", i, s.seq, s.at, s.ran)
+				}
+				if i == 0 {
+					continue
+				}
+				if a := fired[i-1]; s.at < a.at || (s.at == a.at && s.seq < a.seq) {
+					t.Fatalf("order violation at %d: (%d,%d) fired before (%d,%d)",
+						i, a.at, a.seq, s.at, s.seq)
+				}
+			}
+		})
 	}
 }
 
@@ -72,7 +131,7 @@ func TestHeapTotalOrder(t *testing.T) {
 // events all scheduled for the same cycle must execute in insertion order.
 func TestHeapSameCycleFIFO(t *testing.T) {
 	e := NewEngine()
-	const n = 257 // not a power of the heap arity: exercises ragged last rows
+	const n = 257 // more events than the ring has buckets, all in one
 	var got []int
 	for i := 0; i < n; i++ {
 		i := i
@@ -91,8 +150,9 @@ func TestHeapSameCycleFIFO(t *testing.T) {
 	}
 }
 
-// TestHeapSlabReuse checks that the heap's backing array is reused: after
-// reaching steady state, schedule/step cycles must not grow the slab.
+// TestHeapSlabReuse checks that the event slab is reused: after reaching
+// steady state, schedule/step cycles must grow neither the slab nor the far
+// heap.
 func TestHeapSlabReuse(t *testing.T) {
 	e := NewEngine()
 	var fire func()
@@ -106,12 +166,13 @@ func TestHeapSlabReuse(t *testing.T) {
 	for i := 0; i < 10_000; i++ {
 		e.Step()
 	}
-	capBefore := cap(e.events)
+	slabCap, farCap := cap(e.slab), cap(e.far)
 	for i := 0; i < 100_000; i++ {
 		e.Step()
 	}
-	if cap(e.events) != capBefore {
-		t.Fatalf("slab grew in steady state: cap %d -> %d", capBefore, cap(e.events))
+	if cap(e.slab) != slabCap || cap(e.far) != farCap {
+		t.Fatalf("queue grew in steady state: slab cap %d -> %d, far cap %d -> %d",
+			slabCap, cap(e.slab), farCap, cap(e.far))
 	}
 	if e.MaxPending() < depth {
 		t.Fatalf("MaxPending %d below steady-state depth %d", e.MaxPending(), depth)
@@ -119,11 +180,11 @@ func TestHeapSlabReuse(t *testing.T) {
 }
 
 // TestHeapScheduleStepAllocFree asserts the scheduling hot loops are
-// allocation-free at steady state in the three shapes the BenchmarkEngine*
-// functions time: the rank machinery added for sharded clusters must cost
-// serial engines nothing (events carry a nil rank and the (time, seq) path
-// is unchanged), and once the slab reaches its high-water mark no shape may
-// allocate at all.
+// allocation-free at steady state in the four shapes the BenchmarkEngine*
+// functions time: the rank machinery for sharded clusters must cost serial
+// engines nothing (events carry a nil rank), and once the slab reaches its
+// high-water mark no shape may allocate at all — far events included, since
+// the far heap's capacity follows the slab's.
 func TestHeapScheduleStepAllocFree(t *testing.T) {
 	stepN := func(e *Engine, n int) {
 		for i := 0; i < n; i++ {
@@ -162,6 +223,16 @@ func TestHeapScheduleStepAllocFree(t *testing.T) {
 			}
 			return func(n int) { stepN(e, n) }
 		}},
+		{"far-migration", func(e *Engine) func(n int) {
+			// Every re-arm lands past the ring's span and migrates in.
+			rng := rand.New(rand.NewSource(3))
+			var fire func()
+			fire = func() { e.After(Time(rng.Intn(1_701)+300), fire) }
+			for i := 0; i < 1024; i++ {
+				e.At(Time(rng.Intn(2_000)), fire)
+			}
+			return func(n int) { stepN(e, n) }
+		}},
 		{"same-cycle-burst", func(e *Engine) func(n int) {
 			// 64 events share each cycle.
 			nop := func() {}
@@ -192,18 +263,25 @@ func TestHeapScheduleStepAllocFree(t *testing.T) {
 	}
 }
 
-// TestHeapPoppedSlotCleared checks that pop zeroes the vacated tail slot so
-// completed closures are not pinned by the slab.
+// TestHeapPoppedSlotCleared checks that taking an event zeroes its slab
+// node, for ring and far events alike, so completed closures are not pinned
+// by the slab.
 func TestHeapPoppedSlotCleared(t *testing.T) {
 	e := NewEngine()
 	e.At(1, func() {})
 	e.At(2, func() {})
-	e.Step()
-	e.Step()
-	for i := 0; i < cap(e.events); i++ {
-		ev := e.events[:cap(e.events)][i]
-		if ev.fn != nil {
-			t.Fatalf("slab slot %d still holds a closure after drain", i)
+	e.At(10*wheelSpan, func() {})
+	if len(e.far) != 1 {
+		t.Fatalf("far heap holds %d events, want 1", len(e.far))
+	}
+	for e.Step() {
+	}
+	if e.Executed() != 3 {
+		t.Fatalf("executed %d events, want 3", e.Executed())
+	}
+	for i, n := range e.slab[:cap(e.slab)] {
+		if n.ev.fn != nil || n.ev.rank != nil {
+			t.Fatalf("slab node %d still holds an event after drain", i)
 		}
 	}
 }

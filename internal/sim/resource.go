@@ -32,16 +32,17 @@ func NewResource(eng *Engine, name string) *Resource {
 func (r *Resource) Name() string { return r.name }
 
 // Acquire requests the resource for hold cycles starting as soon as it is
-// free (FIFO). grant runs at the cycle the hold begins. Acquire returns the
-// time at which the hold will begin.
-func (r *Resource) Acquire(hold Time, grant func(start Time)) Time {
+// free (FIFO). grant runs at the cycle the hold begins, so the engine's Now
+// inside it is the start time. Acquire returns the time at which the hold
+// will begin.
+func (r *Resource) Acquire(hold Time, grant func()) Time {
 	return r.AcquireAt(r.eng.Now(), hold, grant)
 }
 
 // AcquireAt is like Acquire but the request is considered to arrive at the
 // given (current or future) time rather than now. It is used when a model
 // component decides at time t that a resource will be needed at t+d.
-func (r *Resource) AcquireAt(arrive, hold Time, grant func(start Time)) Time {
+func (r *Resource) AcquireAt(arrive, hold Time, grant func()) Time {
 	// On a sharded engine a request drained at a window boundary may carry
 	// an arrival earlier than this shard's local clock (which has already
 	// run ahead within the window); clamping it would change occupancy
@@ -61,7 +62,7 @@ func (r *Resource) AcquireAt(arrive, hold Time, grant func(start Time)) Time {
 	r.grants++
 	r.waitTotal += start - arrive
 	if grant != nil {
-		r.eng.At(start, func() { grant(start) })
+		r.eng.At(start, grant)
 	}
 	return start
 }

@@ -240,7 +240,7 @@ func (c *Cluster) LimitHit() bool {
 func (c *Cluster) Pending() int {
 	var n int
 	for _, e := range c.engines {
-		n += len(e.events)
+		n += e.pending
 	}
 	return n
 }
@@ -333,14 +333,9 @@ func (c *Cluster) worker(shard int) {
 func (c *Cluster) runWindow(e *Engine, shard int, w window) (final report) {
 	final.shard = shard
 	var steps uint64
-	for !e.stopped && len(e.events) > 0 {
-		next := e.events[0].at
-		if next >= w.horizon {
-			break
-		}
-		if e.Limit > 0 && next > e.Limit {
-			e.stopped = true
-			e.limitHit = true
+	for !e.stopped {
+		t, ok := e.next()
+		if !ok || t >= w.horizon || e.pastLimit(t) {
 			break
 		}
 		if w.cap > 0 && steps >= w.cap {
@@ -351,11 +346,8 @@ func (c *Cluster) runWindow(e *Engine, shard int, w window) (final report) {
 			steps = 0
 			continue
 		}
-		ev := e.pop()
-		e.now = ev.at
-		e.executed++
+		ev := e.take(t)
 		steps++
-		e.cur = Ctx{parent: ev.rank, at: ev.at}
 		if pv := runCaptured(ev.fn); pv != nil {
 			final.panicked = true
 			final.pv = pv
@@ -496,11 +488,8 @@ func (c *Cluster) Run(stepCap uint64, onCheck func(executed uint64) error) (Time
 				}
 				continue
 			}
-			if len(e.events) == 0 {
-				continue
-			}
-			if !have || e.events[0].at < t {
-				t, have = e.events[0].at, true
+			if et, ok := e.next(); ok && (!have || et < t) {
+				t, have = et, true
 			}
 		}
 		if !have || stopAll {

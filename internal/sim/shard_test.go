@@ -427,7 +427,7 @@ func TestShardStepCapCheck(t *testing.T) {
 	}
 }
 
-// TestShardSameCycleMultiShardBurst covers the heap edge the PDES windows
+// TestShardSameCycleMultiShardBurst covers the queue edge the PDES windows
 // lean on: large same-cycle bursts on several shards at once must drain in
 // per-shard scheduling order even though the shards execute concurrently.
 func TestShardSameCycleMultiShardBurst(t *testing.T) {
@@ -486,7 +486,7 @@ func TestClusterMaxPendingAcrossShards(t *testing.T) {
 
 // TestShardSlabReuseAfterDrain covers slab reuse across windows: once a
 // shard has reached its high-water mark, windows of drained cross-shard
-// deliveries must not regrow its heap slab.
+// deliveries must not regrow its event slab.
 func TestShardSlabReuseAfterDrain(t *testing.T) {
 	const look = 8
 	c := NewCluster(2, look)
@@ -500,7 +500,7 @@ func TestShardSlabReuseAfterDrain(t *testing.T) {
 				return
 			}
 			if hops == 500 { // steady state reached: record slab capacities
-				caps[0], caps[1] = cap(a.events), cap(b.events)
+				caps[0], caps[1] = cap(a.slab), cap(b.slab)
 			}
 			arr := self.Now() + look
 			self.DeferTo(other, func() {
@@ -517,9 +517,9 @@ func TestShardSlabReuseAfterDrain(t *testing.T) {
 	if caps[0] == 0 {
 		t.Fatal("steady state never reached")
 	}
-	if cap(a.events) != caps[0] || cap(b.events) != caps[1] {
+	if cap(a.slab) != caps[0] || cap(b.slab) != caps[1] {
 		t.Fatalf("slabs regrew across drains: (%d,%d) -> (%d,%d)",
-			caps[0], caps[1], cap(a.events), cap(b.events))
+			caps[0], caps[1], cap(a.slab), cap(b.slab))
 	}
 }
 

@@ -197,11 +197,11 @@ func TestResourceFIFOAndStats(t *testing.T) {
 	r := NewResource(e, "bus")
 	var starts []Time
 	e.At(0, func() {
-		r.Acquire(10, func(s Time) { starts = append(starts, s) })
-		r.Acquire(10, func(s Time) { starts = append(starts, s) })
+		r.Acquire(10, func() { starts = append(starts, e.Now()) })
+		r.Acquire(10, func() { starts = append(starts, e.Now()) })
 	})
 	e.At(5, func() {
-		r.Acquire(10, func(s Time) { starts = append(starts, s) })
+		r.Acquire(10, func() { starts = append(starts, e.Now()) })
 	})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestResourceAcquireAt(t *testing.T) {
 	r := NewResource(e, "bank")
 	var start Time = -1
 	e.At(0, func() {
-		r.AcquireAt(100, 10, func(s Time) { start = s })
+		r.AcquireAt(100, 10, func() { start = e.Now() })
 	})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -273,8 +273,8 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 			at += Time(h % 7)
 			thisAt := at
 			e.At(thisAt, func() {
-				r.Acquire(h, func(s Time) {
-					grants = append(grants, grant{s, s + h})
+				r.Acquire(h, func() {
+					grants = append(grants, grant{e.Now(), e.Now() + h})
 				})
 			})
 		}

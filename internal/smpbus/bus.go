@@ -296,8 +296,8 @@ func (b *Bus) Stall(dur sim.Time) {
 		return
 	}
 	b.stalls++
-	b.addr.Acquire(dur, func(sim.Time) {})
-	b.data.Acquire(dur, func(sim.Time) {})
+	b.addr.Acquire(dur, func() {})
+	b.data.Acquire(dur, func() {})
 }
 
 // Stalls returns the number of injected bus outages.
@@ -356,8 +356,8 @@ func (b *Bus) Issue(txn *Txn) {
 		// data phase would return stale memory.
 		b.mem[txn.Line] = txn.Data
 	}
-	b.addr.Acquire(b.cfg.AddrStrobe, func(start sim.Time) {
-		b.eng.At(start+b.cfg.BusArb, func() { b.strobe(txn) })
+	b.addr.Acquire(b.cfg.AddrStrobe, func() {
+		b.eng.After(b.cfg.BusArb, func() { b.strobe(txn) })
 	})
 }
 
@@ -541,7 +541,8 @@ func (b *Bus) resolveReadEx(txn *Txn, now sim.Time, owned, deferred bool) {
 
 func (b *Bus) resolveWriteBack(txn *Txn, now sim.Time, sharedLeft bool) {
 	// Data crosses the bus starting two cycles after the strobe.
-	b.data.AcquireAt(now+2, b.cfg.BusDataTime(), func(ds sim.Time) {
+	b.data.AcquireAt(now+2, b.cfg.BusDataTime(), func() {
+		ds := b.eng.Now()
 		end := ds + b.cfg.BusDataTime()
 		if txn.HomeLocal {
 			// Memory bank absorbs the line (its shadow value was already
@@ -590,17 +591,18 @@ func (b *Bus) resolveFetch(txn *Txn, now sim.Time, owned, sharedSeen bool) {
 // word.
 func (b *Bus) memoryRead(txn *Txn, now sim.Time, out Outcome) {
 	out.Data = b.mem[txn.Line]
-	b.bank(txn.Line).AcquireAt(now, b.cfg.BankBusy, func(bankStart sim.Time) {
-		b.spans.SpanEnd(txn.Attr, obs.StageMem, 0, bankStart+b.cfg.MemAccess)
-		b.transferData(txn, bankStart+b.cfg.MemAccess, out)
+	b.bank(txn.Line).AcquireAt(now, b.cfg.BankBusy, func() {
+		ready := b.eng.Now() + b.cfg.MemAccess
+		b.spans.SpanEnd(txn.Attr, obs.StageMem, 0, ready)
+		b.transferData(txn, ready, out)
 	})
 }
 
 // transferData moves a line over the data bus beginning no earlier than
 // ready, completing the transaction at the critical-quad-word arrival.
 func (b *Bus) transferData(txn *Txn, ready sim.Time, out Outcome) {
-	b.data.AcquireAt(ready, b.cfg.BusDataTime(), func(ds sim.Time) {
-		b.complete(txn, ds+b.cfg.CriticalQuad, out)
+	b.data.AcquireAt(ready, b.cfg.BusDataTime(), func() {
+		b.complete(txn, b.eng.Now()+b.cfg.CriticalQuad, out)
 	})
 }
 
@@ -648,8 +650,8 @@ func (b *Bus) resolveSupply(s *Txn, now sim.Time) {
 	parked := s.supplyFor
 	out := Outcome{Status: OK, Shared: s.shared, WithData: s.withData, Data: s.Data}
 	if s.withData {
-		b.data.AcquireAt(now+2, b.cfg.BusDataTime(), func(ds sim.Time) {
-			b.complete(parked, ds+b.cfg.CriticalQuad, out)
+		b.data.AcquireAt(now+2, b.cfg.BusDataTime(), func() {
+			b.complete(parked, b.eng.Now()+b.cfg.CriticalQuad, out)
 		})
 		return
 	}
