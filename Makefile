@@ -152,4 +152,4 @@ tables:
 
 clean:
 	$(GO) clean
-	rm -f ccsim ccsweep cctables cctrace ccchaos
+	rm -f ccchaos cclint ccmodel ccserved ccsim ccsubmit ccsweep cctables cctrace ccverify

@@ -31,7 +31,7 @@ import (
 func main() {
 	flag.String("app", "ocean", fmt.Sprintf("application: %v", workload.Names()))
 	flag.String("arch", "HWC", "controller architecture: HWC, PPC, PPCA, 2HWC, 2PPC, 2PPCA")
-	flag.Int("engines", 0, "override the protocol engine count (>2 requires -split region)")
+	flag.Int("engines", 0, "protocol engines per controller, overriding -arch's count (0 keeps it; >2 requires -split region)")
 	flag.String("node-archs", "", "comma-separated per-node architectures (e.g. HWC,HWC,PPC,PPC); empty = homogeneous -arch")
 	flag.Int("nodes", 16, "SMP nodes")
 	flag.Int("ppn", 4, "processors per node")
@@ -145,7 +145,7 @@ func main() {
 	fmt.Printf("instructions:       %d\n", r.Instructions)
 	fmt.Printf("1000 x RCCPI:       %.3f\n", 1000*r.RCCPI())
 	fmt.Printf("controller util:    %.2f%%\n", 100*r.AvgUtilization(-1))
-	if cfg.TwoEngines {
+	if cfg.EngineCount() == 2 {
 		fmt.Printf("  LPE util:         %.2f%% (share %.1f%%, queue %.0f ns)\n",
 			100*r.AvgUtilization(0), 100*r.EngineShare(0), r.AvgQueueDelayNs(0))
 		fmt.Printf("  RPE util:         %.2f%% (share %.1f%%, queue %.0f ns)\n",

@@ -415,17 +415,15 @@ type Config struct {
 
 	// Controller architecture.
 	Engine EngineKind `json:"engine"`
-	// TwoEngines selects the paper's two-engine designs (2HWC / 2PPC).
-	TwoEngines bool `json:"twoEngines"`
-	// NumEngines, when positive, overrides TwoEngines with an arbitrary
-	// engine count (the paper's Section 5 extension); more than two
-	// engines require the region or round-robin split.
+	// NumEngines is the protocol-engine count per controller (0 means one):
+	// two is the paper's 2HWC / 2PPC designs, more is the paper's Section 5
+	// extension and requires the region or round-robin split.
 	NumEngines  int         `json:"numEngines"`
 	Split       SplitPolicy `json:"split"`
 	Arbitration ArbPolicy   `json:"arbitration"`
 	// NodeArchs, when non-empty, configures heterogeneous controllers:
 	// entry i names node i's architecture ("HWC", "2PPC", ...; an empty
-	// entry inherits Engine/TwoEngines/NumEngines). The paper's Section 5
+	// entry inherits Engine/NumEngines). The paper's Section 5
 	// discussion of asymmetric designs — e.g. custom-hardware home nodes
 	// serving commodity protocol-processor remotes — is expressed here.
 	NodeArchs []string `json:"nodeArchs,omitempty"`
@@ -454,18 +452,16 @@ type Config struct {
 
 	// SMP bus (100 MHz, 16 bytes wide, fully pipelined, split transaction,
 	// separate address and data buses).
-	BusCycle       sim.Time `json:"busCycle"`       // CPU cycles per bus cycle (2)
-	AddrStrobe     sim.Time `json:"addrStrobe"`     // address strobe to next address strobe (4)
-	BusArb         sim.Time `json:"busArb"`         // arbitration before the strobe
-	SnoopLatch     sim.Time `json:"snoopLatch"`     // strobe to controller queue insertion
-	MemAccess      sim.Time `json:"memAccess"`      // address strobe to start of data from memory (20)
-	CacheToCache   sim.Time `json:"cacheToCache"`   // address strobe to start of data from another cache
-	CriticalQuad   sim.Time `json:"criticalQuad"`   // data start to critical quad word delivered
-	FillRestart    sim.Time `json:"fillRestart"`    // L2/L1 fill to processor restart
-	BusRetry       sim.Time `json:"busRetry"`       // back-off before re-arbitrating a retried transaction
-	MemBanks       int      `json:"memBanks"`       // interleaved banks per node
-	BankBusy       sim.Time `json:"bankBusy"`       // bank occupancy per line access
-	WriteBackDepth int      `json:"writeBackDepth"` // write-back buffer entries per processor
+	BusCycle     sim.Time `json:"busCycle"`     // CPU cycles per bus cycle (2)
+	AddrStrobe   sim.Time `json:"addrStrobe"`   // address strobe to next address strobe (4)
+	BusArb       sim.Time `json:"busArb"`       // arbitration before the strobe
+	MemAccess    sim.Time `json:"memAccess"`    // address strobe to start of data from memory (20)
+	CacheToCache sim.Time `json:"cacheToCache"` // address strobe to start of data from another cache
+	CriticalQuad sim.Time `json:"criticalQuad"` // data start to critical quad word delivered
+	FillRestart  sim.Time `json:"fillRestart"`  // L2/L1 fill to processor restart
+	BusRetry     sim.Time `json:"busRetry"`     // back-off before re-arbitrating a retried transaction
+	MemBanks     int      `json:"memBanks"`     // interleaved banks per node
+	BankBusy     sim.Time `json:"bankBusy"`     // bank occupancy per line access
 
 	// Network (Table 1: point-to-point 14 cycles = 70 ns; 32-byte links).
 	NetLatency   sim.Time `json:"netLatency"`   // point-to-point latency (crossbar) / router cut-through (mesh)
@@ -691,7 +687,7 @@ func Base() Config {
 		ProcsPerNode: 4,
 
 		Engine:         HWC,
-		TwoEngines:     false,
+		NumEngines:     1,
 		Split:          SplitLocalRemote,
 		RegionBytes:    4096,
 		Arbitration:    ArbPaper,
@@ -707,18 +703,16 @@ func Base() Config {
 		L2HitTime:    8,
 		L2MissDetect: 8,
 
-		BusCycle:       2,
-		AddrStrobe:     4,
-		BusArb:         4,
-		SnoopLatch:     4,
-		MemAccess:      20,
-		CacheToCache:   16,
-		CriticalQuad:   4,
-		FillRestart:    10,
-		BusRetry:       20,
-		MemBanks:       4,
-		BankBusy:       40,
-		WriteBackDepth: 4,
+		BusCycle:     2,
+		AddrStrobe:   4,
+		BusArb:       4,
+		MemAccess:    20,
+		CacheToCache: 16,
+		CriticalQuad: 4,
+		FillRestart:  10,
+		BusRetry:     20,
+		MemBanks:     4,
+		BankBusy:     40,
 
 		NetLatency:    14,
 		NetFlitBytes:  32,
@@ -821,8 +815,6 @@ func (c *Config) Validate() error {
 		return fieldErr("NIPortDepth", "must be non-negative, got %d", c.NIPortDepth)
 	case c.RetryBudget < 0:
 		return fieldErr("RetryBudget", "must be non-negative, got %d", c.RetryBudget)
-	case c.WriteBackDepth < 0:
-		return fieldErr("WriteBackDepth", "must be non-negative, got %d", c.WriteBackDepth)
 	case c.DirCacheEntries < 0:
 		return fieldErr("DirCacheEntries", "must be non-negative, got %d", c.DirCacheEntries)
 	case c.NetHeader < 0:
@@ -914,9 +906,6 @@ func (c *Config) EngineCount() int {
 	if c.NumEngines > 0 {
 		return c.NumEngines
 	}
-	if c.TwoEngines {
-		return 2
-	}
 	return 1
 }
 
@@ -998,12 +987,7 @@ func (c Config) WithArch(name string) (Config, error) {
 	if err != nil {
 		return c, err
 	}
-	c.Engine = kind
-	c.TwoEngines = count == 2
-	c.NumEngines = 0
-	if count > 2 {
-		c.NumEngines = count
-	}
+	c.Engine, c.NumEngines = kind, count
 	c.NodeArchs = nil
 	return c, nil
 }

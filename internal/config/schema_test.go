@@ -42,7 +42,6 @@ func TestValidateFieldErrorEdges(t *testing.T) {
 		{"negative queue depth", func(c *Config) { c.QueueDepth = -1 }, "QueueDepth"},
 		{"queue depth one", func(c *Config) { c.QueueDepth = 1 }, "QueueDepth"},
 		{"negative nack delay", func(c *Config) { c.NackDelay = -5 }, "NackDelay"},
-		{"negative write-back depth", func(c *Config) { c.WriteBackDepth = -1 }, "WriteBackDepth"},
 		{"negative dir cache", func(c *Config) { c.DirCacheEntries = -1 }, "DirCacheEntries"},
 		{"negative net header", func(c *Config) { c.NetHeader = -1000 }, "NetHeader"},
 	}
@@ -142,7 +141,7 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	c.Nodes = 8
 	c.ProcsPerNode = 2
 	c.Engine = PPC
-	c.TwoEngines = true
+	c.NumEngines = 2
 	c.Split = SplitRegion
 	c.RegionBytes = 8192
 	c.Arbitration = ArbFIFO

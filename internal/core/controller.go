@@ -51,6 +51,27 @@ func (w *work) label() string {
 	return w.msg.Type.String()
 }
 
+// queue returns the input queue w waits in (obs.QResp, obs.QReq or
+// obs.QBus).
+func (w *work) queue() int {
+	switch {
+	case w.txn != nil:
+		return obs.QBus
+	case w.msg.IsResponse():
+		return obs.QResp
+	default:
+		return obs.QReq
+	}
+}
+
+// span returns the causal-span identity of the transaction w serves.
+func (w *work) span() (uint64, uint32) {
+	if w.txn != nil {
+		return w.txn.Attr, 0
+	}
+	return w.msg.Txn, w.msg.Epoch
+}
+
 // homeOp is a transient home-node operation on a local line.
 type homeOp struct {
 	line      uint64
@@ -168,13 +189,12 @@ type Controller struct {
 }
 
 // engine is one protocol engine (FSM or protocol processor) with its input
-// queues.
+// queues, indexed by obs.QResp, obs.QReq and obs.QBus: the paper's
+// dispatch-priority order.
 type engine struct {
 	cc        *Controller
 	idx       int
-	busQ      []*work
-	reqQ      []*work
-	respQ     []*work
+	q         [3][]*work
 	busy      bool
 	netStreak int // consecutive network-request dispatches while bus waits
 }
@@ -228,8 +248,8 @@ func (cc *Controller) PendingOps() int { return len(cc.homeOps) + len(cc.mshr) }
 // QueueDepths returns engine i's input-queue depths (for the sampler and
 // stall snapshots).
 func (cc *Controller) QueueDepths(i int) (resp, req, bus int) {
-	e := cc.engines[i]
-	return len(e.respQ), len(e.reqQ), len(e.busQ)
+	q := &cc.engines[i].q
+	return len(q[obs.QResp]), len(q[obs.QReq]), len(q[obs.QBus])
 }
 
 // EngineBusy reports whether engine i is executing a handler right now.
@@ -263,7 +283,7 @@ func (cc *Controller) DumpPending() string {
 	}
 	for i, e := range cc.engines {
 		fmt.Fprintf(&b, "node %d engine %d busy=%v busQ=%d reqQ=%d respQ=%d\n",
-			cc.node, i, e.busy, len(e.busQ), len(e.reqQ), len(e.respQ))
+			cc.node, i, e.busy, len(e.q[obs.QBus]), len(e.q[obs.QReq]), len(e.q[obs.QResp]))
 	}
 	return b.String()
 }
@@ -299,14 +319,10 @@ func (cc *Controller) StateSnapshot() string {
 	}
 	for i, e := range cc.engines {
 		fmt.Fprintf(&b, "e%d:b%vs%d", i, e.busy, e.netStreak)
-		for _, w := range e.respQ {
-			fmt.Fprintf(&b, "R%s@%#x", w.label(), cc.lineOf(w))
-		}
-		for _, w := range e.reqQ {
-			fmt.Fprintf(&b, "Q%s@%#x", w.label(), cc.lineOf(w))
-		}
-		for _, w := range e.busQ {
-			fmt.Fprintf(&b, "B%s@%#x", w.label(), cc.lineOf(w))
+		for q, tag := range [...]byte{obs.QResp: 'R', obs.QReq: 'Q', obs.QBus: 'B'} {
+			for _, w := range e.q[q] {
+				fmt.Fprintf(&b, "%c%s@%#x", tag, w.label(), cc.lineOf(w))
+			}
 		}
 		b.WriteByte(';')
 	}
@@ -314,10 +330,6 @@ func (cc *Controller) StateSnapshot() string {
 }
 
 func (cc *Controller) costs() *config.CostTable { return &cc.cfg.Costs }
-
-func (cc *Controller) cost(op config.SubOp) sim.Time {
-	return cc.cfg.Costs.Cost(cc.kind, op)
-}
 
 // engineFor selects the engine serving a line per the split policy.
 func (cc *Controller) engineFor(line uint64) *engine {
@@ -398,20 +410,17 @@ func (cc *Controller) Snoop(txn *smpbus.Txn) smpbus.SnoopResult {
 
 // AcceptDeferred receives a bus transaction the snoop claimed. With a
 // finite QueueDepth, a full bus queue aborts the transaction on the bus
-// instead: the requesting processor sees RetryNeeded and backs off.
+// instead: the requesting processor is told to retry and backs off.
 func (cc *Controller) AcceptDeferred(txn *smpbus.Txn) {
 	e := cc.engineFor(txn.Line)
-	if cc.cfg.QueueDepth > 0 && len(e.busQ) >= cc.cfg.QueueDepth {
+	if cc.cfg.QueueDepth > 0 && len(e.q[obs.QBus]) >= cc.cfg.QueueDepth {
 		cc.st.BusAborts++
 		cc.bus.Abort(txn)
 		return
 	}
 	w := &work{arrival: cc.eng.Now(), txn: txn}
 	cc.st.NoteArrival(w.arrival)
-	e.busQ = append(e.busQ, w)
-	cc.tr.Enqueue(w.arrival, cc.node, e.idx, obs.QBus, len(e.busQ), txn.Kind.String(), txn.Line)
-	cc.spans.SpanBegin(txn.Attr, obs.StageCCQueue, 0, w.arrival)
-	e.kick()
+	e.enqueue(w)
 }
 
 // CaptureWriteBack implements the direct data path: a dirty-remote
@@ -449,17 +458,13 @@ func (cc *Controller) deliver(src int, payload interface{}) {
 				m.responseArrived = true
 			}
 		}
-		cc.st.NoteArrival(w.arrival)
-		e.respQ = append(e.respQ, w)
-		cc.tr.Enqueue(w.arrival, cc.node, e.idx, obs.QResp, len(e.respQ), msg.Type.String(), msg.Line)
-		cc.spans.SpanBegin(msg.Txn, obs.StageCCQueue, msg.Epoch, w.arrival)
 	} else {
 		// Finite request queue: a NACKable request arriving at a full
 		// queue is bounced straight back by the NI, without consuming a
 		// handler dispatch. Non-NACKable requests (forwarded interventions,
 		// invalidations, write-backs) ride guaranteed channels with
 		// reserved buffering and are always accepted.
-		full := cc.cfg.QueueDepth > 0 && len(e.reqQ) >= cc.cfg.QueueDepth
+		full := cc.cfg.QueueDepth > 0 && len(e.q[obs.QReq]) >= cc.cfg.QueueDepth
 		if msg.Nackable() && (full || cc.forceNack > 0) {
 			if !full {
 				cc.forceNack--
@@ -473,12 +478,9 @@ func (cc *Controller) deliver(src int, payload interface{}) {
 			})
 			return
 		}
-		cc.st.NoteArrival(w.arrival)
-		e.reqQ = append(e.reqQ, w)
-		cc.tr.Enqueue(w.arrival, cc.node, e.idx, obs.QReq, len(e.reqQ), msg.Type.String(), msg.Line)
-		cc.spans.SpanBegin(msg.Txn, obs.StageCCQueue, msg.Epoch, w.arrival)
 	}
-	e.kick()
+	cc.st.NoteArrival(w.arrival)
+	e.enqueue(w)
 }
 
 // StallEngine occupies an idle protocol engine for dur cycles (fault
@@ -520,9 +522,12 @@ func (cc *Controller) send(at sim.Time, dst int, msg *protocol.Msg) {
 // queueLen returns the engine's total queued work plus any in-service
 // handler (the dynamic split's load metric).
 func (e *engine) queueLen() int {
-	n := len(e.busQ) + len(e.reqQ) + len(e.respQ)
+	n := 0
 	if e.busy {
 		n++
+	}
+	for _, q := range e.q {
+		n += len(q)
 	}
 	return n
 }
@@ -539,76 +544,58 @@ func (e *engine) kick() {
 	e.dispatch(w)
 }
 
-// takeResp removes the head of the response queue, tracing the removal.
-func (e *engine) takeResp() *work {
-	w := e.respQ[0]
-	e.respQ = e.respQ[1:]
-	e.cc.tr.Dequeue(e.cc.eng.Now(), e.cc.node, e.idx, obs.QResp, len(e.respQ), e.cc.lineOf(w))
-	return w
+// enqueue appends w to its input queue and starts a dispatch if the
+// engine is idle. w.arrival must already be set.
+func (e *engine) enqueue(w *work) {
+	cc := e.cc
+	q := w.queue()
+	e.q[q] = append(e.q[q], w)
+	cc.tr.Enqueue(w.arrival, cc.node, e.idx, q, len(e.q[q]), w.label(), cc.lineOf(w))
+	id, epoch := w.span()
+	cc.spans.SpanBegin(id, obs.StageCCQueue, epoch, w.arrival)
+	e.kick()
 }
 
-// takeReq removes the head of the network-request queue.
-func (e *engine) takeReq() *work {
-	w := e.reqQ[0]
-	e.reqQ = e.reqQ[1:]
-	e.cc.tr.Dequeue(e.cc.eng.Now(), e.cc.node, e.idx, obs.QReq, len(e.reqQ), e.cc.lineOf(w))
-	return w
-}
-
-// takeBus removes the head of the bus-request queue.
-func (e *engine) takeBus() *work {
-	w := e.busQ[0]
-	e.busQ = e.busQ[1:]
-	e.cc.tr.Dequeue(e.cc.eng.Now(), e.cc.node, e.idx, obs.QBus, len(e.busQ), e.cc.lineOf(w))
+// take removes the head of input queue q, tracing the removal.
+func (e *engine) take(q int) *work {
+	w := e.q[q][0]
+	e.q[q] = e.q[q][1:]
+	e.cc.tr.Dequeue(e.cc.eng.Now(), e.cc.node, e.idx, q, len(e.q[q]), e.cc.lineOf(w))
 	return w
 }
 
 // pick removes and returns the next work item per the arbitration policy.
 func (e *engine) pick() *work {
 	if e.cc.cfg.Arbitration == config.ArbFIFO {
-		return e.pickFIFO()
+		// Oldest head first; equal arrivals go in priority order.
+		best := -1
+		for q := range e.q {
+			if len(e.q[q]) > 0 && (best < 0 || e.q[q][0].arrival < e.q[best][0].arrival) {
+				best = q
+			}
+		}
+		if best < 0 {
+			return nil
+		}
+		return e.take(best)
 	}
 	// Paper policy: responses, then network requests, then bus requests —
 	// with the anti-livelock exception for long-waiting bus requests.
-	if len(e.respQ) > 0 {
-		return e.takeResp()
-	}
-	if len(e.busQ) > 0 && len(e.reqQ) > 0 && e.netStreak >= e.cc.cfg.LivelockLimit {
+	resp, req, bus := len(e.q[obs.QResp]) > 0, len(e.q[obs.QReq]) > 0, len(e.q[obs.QBus]) > 0
+	switch {
+	case resp:
+		return e.take(obs.QResp)
+	case bus && req && e.netStreak >= e.cc.cfg.LivelockLimit:
 		e.netStreak = 0
-		return e.takeBus()
-	}
-	if len(e.reqQ) > 0 {
-		if len(e.busQ) > 0 {
+		return e.take(obs.QBus)
+	case req:
+		if bus {
 			e.netStreak++
 		}
-		return e.takeReq()
-	}
-	if len(e.busQ) > 0 {
+		return e.take(obs.QReq)
+	case bus:
 		e.netStreak = 0
-		return e.takeBus()
-	}
-	return nil
-}
-
-func (e *engine) pickFIFO() *work {
-	best := -1 // 0=resp 1=req 2=bus
-	var bestAt sim.Time
-	if len(e.respQ) > 0 {
-		best, bestAt = 0, e.respQ[0].arrival
-	}
-	if len(e.reqQ) > 0 && (best < 0 || e.reqQ[0].arrival < bestAt) {
-		best, bestAt = 1, e.reqQ[0].arrival
-	}
-	if len(e.busQ) > 0 && (best < 0 || e.busQ[0].arrival < bestAt) {
-		best = 2
-	}
-	switch best {
-	case 0:
-		return e.takeResp()
-	case 1:
-		return e.takeReq()
-	case 2:
-		return e.takeBus()
+		return e.take(obs.QBus)
 	}
 	return nil
 }
@@ -622,11 +609,8 @@ func (e *engine) dispatch(w *work) {
 	est.Dispatches++
 	est.QueueDelay += now - w.arrival
 	est.QueueDelayHist.Add(now - w.arrival)
-	if w.txn != nil {
-		cc.spans.SpanEnd(w.txn.Attr, obs.StageCCQueue, 0, now)
-	} else {
-		cc.spans.SpanEnd(w.msg.Txn, obs.StageCCQueue, w.msg.Epoch, now)
-	}
+	id, epoch := w.span()
+	cc.spans.SpanEnd(id, obs.StageCCQueue, epoch, now)
 
 	e.busy = true
 	if cc.hook != nil {
@@ -703,23 +687,8 @@ func (cc *Controller) requeue(list *[]*work, w *work) sim.Time {
 // replay re-enqueues parked work after the blocking state cleared.
 func (cc *Controller) replay(ws []*work) {
 	for _, w := range ws {
-		w := w
 		w.arrival = cc.eng.Now()
-		e := cc.engineFor(cc.lineOf(w))
-		if w.txn != nil {
-			e.busQ = append(e.busQ, w)
-			cc.tr.Enqueue(w.arrival, cc.node, e.idx, obs.QBus, len(e.busQ), w.label(), w.txn.Line)
-			cc.spans.SpanBegin(w.txn.Attr, obs.StageCCQueue, 0, w.arrival)
-		} else if w.msg.IsResponse() {
-			e.respQ = append(e.respQ, w)
-			cc.tr.Enqueue(w.arrival, cc.node, e.idx, obs.QResp, len(e.respQ), w.label(), w.msg.Line)
-			cc.spans.SpanBegin(w.msg.Txn, obs.StageCCQueue, w.msg.Epoch, w.arrival)
-		} else {
-			e.reqQ = append(e.reqQ, w)
-			cc.tr.Enqueue(w.arrival, cc.node, e.idx, obs.QReq, len(e.reqQ), w.label(), w.msg.Line)
-			cc.spans.SpanBegin(w.msg.Txn, obs.StageCCQueue, w.msg.Epoch, w.arrival)
-		}
-		e.kick()
+		cc.engineFor(cc.lineOf(w)).enqueue(w)
 	}
 }
 

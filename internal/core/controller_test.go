@@ -7,6 +7,7 @@ import (
 	"ccnuma/internal/directory"
 	"ccnuma/internal/interconnect"
 	"ccnuma/internal/memaddr"
+	"ccnuma/internal/obs"
 	"ccnuma/internal/protocol"
 	"ccnuma/internal/sim"
 	"ccnuma/internal/smpbus"
@@ -39,7 +40,7 @@ func newRig(t *testing.T, mutate func(*config.Config)) *rig {
 	}
 	r := &rig{eng: sim.NewEngine(), cfg: cfg}
 	r.space = memaddr.NewSpace(&r.cfg)
-	r.net = interconnect.New(r.eng, &r.cfg, nil)
+	r.net = interconnect.New([]*sim.Engine{r.eng, r.eng}, &r.cfg, nil)
 	r.runs = stats.NewRun(cfg.ArchName(), "rig", cfg.EngineCounts())
 	for n := 0; n < cfg.Nodes; n++ {
 		bus := smpbus.New(r.eng, &r.cfg, n, nil)
@@ -202,9 +203,9 @@ func TestArbitrationPrefersResponses(t *testing.T) {
 	line := r.space.AllocOnNode(4096, 1)
 	respMsg := &protocol.Msg{Type: protocol.MsgInvalAck, Line: line}
 	reqMsg := &protocol.Msg{Type: protocol.MsgInval, Line: line}
-	e.respQ = append(e.respQ, &work{msg: respMsg})
-	e.reqQ = append(e.reqQ, &work{msg: reqMsg})
-	e.busQ = append(e.busQ, &work{txn: &smpbus.Txn{Kind: smpbus.Read, Line: line}})
+	e.q[obs.QResp] = append(e.q[obs.QResp], &work{msg: respMsg})
+	e.q[obs.QReq] = append(e.q[obs.QReq], &work{msg: reqMsg})
+	e.q[obs.QBus] = append(e.q[obs.QBus], &work{txn: &smpbus.Txn{Kind: smpbus.Read, Line: line}})
 
 	if w := e.pick(); w.msg != respMsg {
 		t.Fatal("responses must dispatch first")
@@ -225,9 +226,9 @@ func TestArbitrationLivelockException(t *testing.T) {
 	e := r.ccs[0].engines[0]
 	line := r.space.AllocOnNode(4096, 1)
 	busWork := &work{txn: &smpbus.Txn{Kind: smpbus.Read, Line: line}}
-	e.busQ = append(e.busQ, busWork)
+	e.q[obs.QBus] = append(e.q[obs.QBus], busWork)
 	for i := 0; i < 5; i++ {
-		e.reqQ = append(e.reqQ, &work{msg: &protocol.Msg{Type: protocol.MsgInval, Line: line}})
+		e.q[obs.QReq] = append(e.q[obs.QReq], &work{msg: &protocol.Msg{Type: protocol.MsgInval, Line: line}})
 	}
 	// Two network requests dispatch; the third pick must serve the bus.
 	if w := e.pick(); w.msg == nil {
@@ -250,8 +251,8 @@ func TestArbitrationFIFO(t *testing.T) {
 	line := r.space.AllocOnNode(4096, 1)
 	first := &work{arrival: 5, txn: &smpbus.Txn{Kind: smpbus.Read, Line: line}}
 	second := &work{arrival: 10, msg: &protocol.Msg{Type: protocol.MsgInvalAck, Line: line}}
-	e.busQ = append(e.busQ, first)
-	e.respQ = append(e.respQ, second)
+	e.q[obs.QBus] = append(e.q[obs.QBus], first)
+	e.q[obs.QResp] = append(e.q[obs.QResp], second)
 	if w := e.pick(); w != first {
 		t.Fatal("FIFO must dispatch the earliest arrival even from the bus queue")
 	}
@@ -261,7 +262,7 @@ func TestArbitrationFIFO(t *testing.T) {
 }
 
 func TestTwoEngineSplitRouting(t *testing.T) {
-	r := newRig(t, func(c *config.Config) { c.TwoEngines = true })
+	r := newRig(t, func(c *config.Config) { c.NumEngines = 2 })
 	cc := r.ccs[0]
 	localLine := r.space.AllocOnNode(4096, 0)
 	remoteLine := r.space.AllocOnNode(4096, 1)
@@ -275,7 +276,7 @@ func TestTwoEngineSplitRouting(t *testing.T) {
 
 func TestRoundRobinSplitAlternates(t *testing.T) {
 	r := newRig(t, func(c *config.Config) {
-		c.TwoEngines = true
+		c.NumEngines = 2
 		c.Split = config.SplitRoundRobin
 	})
 	cc := r.ccs[0]
@@ -316,19 +317,19 @@ func TestChargeCountsHandlers(t *testing.T) {
 
 func TestDynamicSplitPicksShortestQueue(t *testing.T) {
 	r := newRig(t, func(c *config.Config) {
-		c.TwoEngines = true
+		c.NumEngines = 2
 		c.Split = config.SplitDynamic
 	})
 	cc := r.ccs[0]
 	line := r.space.AllocOnNode(4096, 1)
 	// Load engine 0 with queued work; the next request must go to engine 1.
-	cc.engines[0].reqQ = append(cc.engines[0].reqQ,
+	cc.engines[0].q[obs.QReq] = append(cc.engines[0].q[obs.QReq],
 		&work{msg: &protocol.Msg{Type: protocol.MsgInval, Line: line}})
 	if e := cc.engineFor(line); e != cc.engines[1] {
 		t.Fatal("dynamic split should pick the idle engine")
 	}
 	// Balance them; ties resolve to engine 0.
-	cc.engines[1].reqQ = append(cc.engines[1].reqQ,
+	cc.engines[1].q[obs.QReq] = append(cc.engines[1].q[obs.QReq],
 		&work{msg: &protocol.Msg{Type: protocol.MsgInval, Line: line}})
 	if e := cc.engineFor(line); e != cc.engines[0] {
 		t.Fatal("dynamic split ties should resolve to the first engine")

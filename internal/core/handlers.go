@@ -231,15 +231,10 @@ func (cc *Controller) fetchForOp(at sim.Time, op *homeOp, exclusive bool) {
 	if exclusive {
 		kind = smpbus.FetchEx
 	}
-	var txn *smpbus.Txn
-	txn = &smpbus.Txn{
+	txn := &smpbus.Txn{
 		Kind: kind, Line: op.line, Src: smpbus.CCSrc, HomeLocal: true,
 		Done: func(o smpbus.Outcome) {
 			switch o.Status {
-			case smpbus.RetryNeeded:
-				// A live processor transaction on this line is mid-flight;
-				// fetch again once it lands.
-				cc.eng.After(cc.cfg.BusRetry, func() { cc.bus.Issue(txn) })
 			case smpbus.OK:
 				st, se := op.spanTxn()
 				cc.spans.SpanEnd(st, obs.StageMem, se, cc.eng.Now())
@@ -511,15 +506,10 @@ func (cc *Controller) ownerFetch(w *work, exclusive bool) sim.Time {
 	}
 	requester := msg.Requester
 	spanID, spanEpoch := msg.Txn, msg.Epoch
-	var txn *smpbus.Txn
-	txn = &smpbus.Txn{
+	txn := &smpbus.Txn{
 		Kind: kind, Line: line, Src: smpbus.CCSrc, HomeLocal: false,
 		Done: func(o smpbus.Outcome) {
 			switch o.Status {
-			case smpbus.RetryNeeded:
-				// A line transfer is in flight on our bus; retry after it
-				// lands.
-				cc.eng.After(cc.cfg.BusRetry, func() { cc.bus.Issue(txn) })
 			case smpbus.NoData:
 				cc.send(cc.eng.Now(), home, &protocol.Msg{
 					Type: protocol.MsgInterventionMiss, Line: line, Src: cc.node,
@@ -567,14 +557,9 @@ func (cc *Controller) sharerInval(w *work) sim.Time {
 		return cc.requeue(&m.waiters, w)
 	}
 	occ, act := cc.charge(protocol.HInvalAtSharer, 0, 0)
-	var txn *smpbus.Txn
-	txn = &smpbus.Txn{
+	txn := &smpbus.Txn{
 		Kind: smpbus.Inval, Line: line, Src: smpbus.CCSrc, HomeLocal: false,
-		Done: func(o smpbus.Outcome) {
-			if o.Status == smpbus.RetryNeeded {
-				cc.eng.After(cc.cfg.BusRetry, func() { cc.bus.Issue(txn) })
-				return
-			}
+		Done: func(smpbus.Outcome) {
 			cc.send(cc.eng.Now(), home, &protocol.Msg{
 				Type: protocol.MsgInvalAck, Line: line, Src: cc.node,
 			})

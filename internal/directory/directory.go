@@ -101,7 +101,7 @@ func New(eng *sim.Engine, cfg *config.Config, node int, tr *obs.Tracer) *Directo
 		node:    node,
 		tr:      tr,
 		entries: make(map[uint64]Entry),
-		dram:    sim.NewResource(eng, fmt.Sprintf("dir-dram-%d", node)),
+		dram:    sim.NewResource(eng),
 	}
 	if cfg.DirCacheEntries > 0 {
 		d.dirCache = cache.New(cfg.DirCacheEntries*cfg.LineSize, 4, cfg.LineSize)

@@ -24,8 +24,8 @@ import (
 // parked work re-enters dispatch, which would make the walk cyclic and
 // attribute every handler's actions to every other).
 var stopSet = map[string]bool{
-	"dispatch": true, "kick": true, "pick": true, "pickFIFO": true,
-	"takeResp": true, "takeReq": true, "takeBus": true, "replay": true,
+	"dispatch": true, "kick": true, "pick": true, "take": true,
+	"enqueue": true, "replay": true,
 }
 
 // extractor holds the type-checked packages and the per-run memo tables.

@@ -204,6 +204,32 @@ func TestStaleDetection(t *testing.T) {
 	if !strings.Contains(reason, "ccmodel -write") {
 		t.Errorf("stale reason does not say how to fix it: %q", reason)
 	}
+	const unchanged = "rules, handlers and messages unchanged"
+	if !strings.Contains(reason, unchanged) {
+		t.Errorf("a comment-only drift must report the model itself unchanged: %q", reason)
+	}
+
+	// A committed artifact whose rules differ from the fresh extraction is
+	// stale without that reassurance.
+	committed, _, err := LoadArtifact(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed.Rules = committed.Rules[1:]
+	b, err := committed.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ArtifactPath), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reason, err = CheckStale(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reason == "" || strings.Contains(reason, unchanged) {
+		t.Errorf("artifact with a rule removed: stale reason = %q", reason)
+	}
 
 	// A missing artifact is also stale, with its own actionable message.
 	if err := os.Remove(filepath.Join(dir, ArtifactPath)); err != nil {

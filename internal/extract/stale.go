@@ -53,6 +53,30 @@ func CheckStale(moduleRoot string) (string, error) {
 	if len(changed) > 0 {
 		msg += "; changed sources: " + strings.Join(dedupStrings(changed), ", ")
 	}
+	same, err := sameModel(fresh, committed)
+	if err != nil {
+		return "", err
+	}
+	if same {
+		msg += "; rules, handlers and messages unchanged"
+	}
 	msg += "); run `ccmodel -write` and commit " + ArtifactPath
 	return msg, nil
+}
+
+// sameModel reports whether two models differ at most in their fingerprint
+// and source hashes: the implementation files changed, but not what they
+// extract to.
+func sameModel(a, b *Model) (bool, error) {
+	x, y := *a, *b
+	x.Sources, y.Sources = nil, nil
+	xb, err := x.Canonical()
+	if err != nil {
+		return false, err
+	}
+	yb, err := y.Canonical()
+	if err != nil {
+		return false, err
+	}
+	return bytes.Equal(xb, yb), nil
 }

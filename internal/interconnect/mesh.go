@@ -1,10 +1,6 @@
 package interconnect
 
-import (
-	"fmt"
-
-	"ccnuma/internal/sim"
-)
+import "ccnuma/internal/sim"
 
 // mesh implements the 2-D mesh topology: nodes arranged in a rows×cols
 // grid, dimension-order (X then Y) routing, and one sim.Resource per
@@ -28,7 +24,7 @@ func newMesh(eng *sim.Engine, n int) *mesh {
 	link := func(a, b int) {
 		key := [2]int{a, b}
 		if m.links[key] == nil {
-			m.links[key] = sim.NewResource(eng, fmt.Sprintf("link-%d-%d", a, b))
+			m.links[key] = sim.NewResource(eng)
 		}
 	}
 	for r := 0; r < m.rows; r++ {

@@ -86,12 +86,12 @@ type pairHold struct {
 
 // Network connects the nodes' network interfaces.
 type Network struct {
-	eng *sim.Engine
-	// engs, when non-nil, maps each node to the shard engine that owns it
-	// (set by Shard). The source side of a send — output port, overflow
-	// buffer, go-back-N holds — runs entirely on the source node's engine;
-	// the destination side crosses shards through DeferTo, so the input
-	// port admits requests in the reconstructed serial order.
+	// engs maps each node to the engine that owns it (every entry is the
+	// same engine on a serial run). The source side of a send — output
+	// port, overflow buffer, go-back-N holds — runs entirely on the source
+	// node's engine; on a sharded run the destination side crosses shards
+	// through DeferTo, so the input port admits requests in the
+	// reconstructed serial order.
 	engs  []*sim.Engine
 	cfg   *config.Config
 	tr    *obs.Tracer     // nil when tracing is disabled
@@ -129,10 +129,16 @@ type Network struct {
 	hold []map[int]*pairHold
 }
 
-// New creates the network for the configured node count. tr may be nil.
-func New(eng *sim.Engine, cfg *config.Config, tr *obs.Tracer) *Network {
+// New creates the network for the configured node count; engs[i] is the
+// engine that owns node i. The mesh topology routes through per-hop links
+// shared between nodes and runs on engs[0] (config.Validate rejects mesh
+// with shards). tr may be nil.
+func New(engs []*sim.Engine, cfg *config.Config, tr *obs.Tracer) *Network {
+	if len(engs) != cfg.Nodes {
+		panic(fmt.Sprintf("interconnect: %d engines for %d nodes", len(engs), cfg.Nodes))
+	}
 	n := &Network{
-		eng:       eng,
+		engs:      engs,
 		cfg:       cfg,
 		tr:        tr,
 		out:       make([]*sim.Resource, cfg.Nodes),
@@ -143,43 +149,15 @@ func New(eng *sim.Engine, cfg *config.Config, tr *obs.Tracer) *Network {
 		hold:      make([]map[int]*pairHold, cfg.Nodes),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		n.out[i] = sim.NewResource(eng, fmt.Sprintf("ni-out-%d", i))
-		n.in[i] = sim.NewResource(eng, fmt.Sprintf("ni-in-%d", i))
+		n.out[i] = sim.NewResource(engs[i])
+		n.in[i] = sim.NewResource(engs[i])
 		n.hold[i] = map[int]*pairHold{}
 	}
 	if cfg.Topology == config.TopoMesh2D {
-		n.mesh = newMesh(eng, cfg.Nodes)
+		n.mesh = newMesh(engs[0], cfg.Nodes)
 	}
 	return n
 }
-
-// Shard rebinds each node's NI port resources to the shard engine that owns
-// the node. Must be called before any traffic is sent. The mesh topology
-// routes through per-hop links shared between nodes and cannot shard
-// (config.Validate rejects the combination).
-func (n *Network) Shard(engs []*sim.Engine) {
-	if len(engs) != len(n.out) {
-		panic(fmt.Sprintf("interconnect: Shard got %d engines for %d nodes", len(engs), len(n.out)))
-	}
-	if n.mesh != nil {
-		panic("interconnect: mesh topology cannot shard")
-	}
-	n.engs = engs
-	for i := range n.out {
-		n.out[i] = sim.NewResource(engs[i], fmt.Sprintf("ni-out-%d", i))
-		n.in[i] = sim.NewResource(engs[i], fmt.Sprintf("ni-in-%d", i))
-	}
-}
-
-// engOf returns the engine that owns a node's NI.
-func (n *Network) engOf(node int) *sim.Engine {
-	if n.engs != nil {
-		return n.engs[node]
-	}
-	return n.eng
-}
-
-func (n *Network) sharded() bool { return n.engs != nil }
 
 // AttachSpans attaches the latency-attribution span tracker (nil keeps
 // attribution disabled).
@@ -219,7 +197,7 @@ func (n *Network) Send(src, dst, flitCount int, payload interface{}) {
 	}
 	if n.spans.Enabled() {
 		txn, epoch := obs.DescribeSpan(payload)
-		n.spans.SpanBegin(txn, obs.StageNIPort, epoch, n.engOf(src).Now())
+		n.spans.SpanBegin(txn, obs.StageNIPort, epoch, n.engs[src].Now())
 	}
 	if n.Fault == nil {
 		n.enqueue(src, dst, flitCount, payload, 0)
@@ -294,7 +272,7 @@ func (n *Network) holdPair(src, dst int, delay sim.Time, f frame) {
 	}
 	h := &pairHold{frames: []frame{f}}
 	n.hold[src][dst] = h
-	n.engOf(src).After(delay, func() {
+	n.engs[src].After(delay, func() {
 		delete(n.hold[src], dst)
 		for _, qf := range h.frames {
 			n.enqueue(src, qf.dst, qf.flits, qf.payload, qf.delay)
@@ -323,11 +301,11 @@ func (n *Network) transmit(src, dst, flitCount int, payload interface{}, delay s
 	}
 	if n.tr != nil {
 		name, line := obs.DescribePayload(payload)
-		n.tr.NetSend(n.eng.Now(), src, dst, name, line, flitCount)
+		n.tr.NetSend(n.engs[src].Now(), src, dst, name, line, flitCount)
 	}
 	ser := sim.Time(flitCount) * n.cfg.NetFlitTime
 	n.out[src].Acquire(ser, func() {
-		eng := n.engOf(src)
+		eng := n.engs[src]
 		start := eng.Now()
 		if n.spans.Enabled() {
 			txn, epoch := obs.DescribeSpan(payload)
@@ -366,22 +344,18 @@ func (n *Network) Brownout(node int, out bool, dur sim.Time) {
 		return
 	}
 	atomic.AddUint64(&n.link.Brownouts, 1)
-	r := n.in[node]
 	if out {
-		r = n.out[node]
-	}
-	if !out && n.sharded() {
-		// Input-port admissions are serialized through the window drain in
-		// reconstructed serial order; the outage must take its place in that
-		// same order or the port's FIFO accumulation diverges from serial.
-		// The nil grant schedules no event, so the drain's lookahead guard
-		// never sees the below-horizon arrival.
-		eng := n.engOf(node)
-		at := eng.Now()
-		eng.DeferTo(eng, func() { r.AcquireAt(at, dur, nil) })
+		n.out[node].Acquire(dur, nil)
 		return
 	}
-	r.Acquire(dur, func() {})
+	// Input-port admissions are serialized through the window drain in
+	// reconstructed serial order on a sharded run; the outage must take its
+	// place in that same order or the port's FIFO accumulation diverges
+	// from serial. The nil grant schedules no event, so the drain's
+	// lookahead guard never sees the below-horizon arrival.
+	eng := n.engs[node]
+	at := eng.Now()
+	eng.DeferTo(eng, func() { n.in[node].AcquireAt(at, dur, nil) })
 }
 
 // sendMesh chains the message across the mesh's links with dimension-order
@@ -397,7 +371,7 @@ func (n *Network) sendMesh(src, dst int, start, ser sim.Time, payload interface{
 		}
 		link := n.mesh.links[hops[i]]
 		link.AcquireAt(t, ser, func() {
-			advance(i+1, n.eng.Now()+n.cfg.NetHopLatency)
+			advance(i+1, n.engs[0].Now()+n.cfg.NetHopLatency)
 		})
 	}
 	advance(0, start)
@@ -411,19 +385,21 @@ func (n *Network) sendMesh(src, dst int, start, ser sim.Time, payload interface{
 // order, not just arrival times). headArrives is at least one network
 // latency past the sending event, and the cluster lookahead never exceeds
 // the network latency, so the drained admission lands at or past the
-// window horizon.
+// window horizon. A serial run admits directly: DeferTo would run inline
+// anyway, but only after allocating a closure per message.
 func (n *Network) deliverAt(src, dst int, headArrives, ser sim.Time, payload interface{}) {
-	if n.sharded() {
-		n.engOf(src).DeferTo(n.engOf(dst), func() {
-			n.admit(src, dst, headArrives, ser, payload)
-		})
+	eng := n.engs[src]
+	if !eng.Sharded() {
+		n.admit(src, dst, headArrives, ser, payload)
 		return
 	}
-	n.admit(src, dst, headArrives, ser, payload)
+	eng.DeferTo(n.engs[dst], func() {
+		n.admit(src, dst, headArrives, ser, payload)
+	})
 }
 
 func (n *Network) admit(src, dst int, headArrives, ser sim.Time, payload interface{}) {
-	eng := n.engOf(dst)
+	eng := n.engs[dst]
 	n.in[dst].AcquireAt(headArrives, ser, func() {
 		eng.After(ser, func() {
 			atomic.AddInt64(&n.inFlight, -1)

@@ -130,10 +130,7 @@ func NewTraced(cfg config.Config, app string, tr *obs.Tracer) (*Machine, error) 
 		run:       stats.NewRun(cfg.ArchName(), app, cfg.EngineCounts()),
 	}
 	m.Space = memaddr.NewSpace(&m.Cfg)
-	m.Net = interconnect.New(eng, &m.Cfg, tr)
-	if cluster != nil {
-		m.Net.Shard(engs)
-	}
+	m.Net = interconnect.New(engs, &m.Cfg, tr)
 	if cfg.Attribution {
 		m.spans = obs.NewSpanTracker(tr)
 		m.Net.AttachSpans(m.spans)

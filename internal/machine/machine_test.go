@@ -418,7 +418,7 @@ func TestAllArchitecturesRunStress(t *testing.T) {
 
 func TestTwoEngineSplitUsesBothEngines(t *testing.T) {
 	cfg := testCfg(4, 2)
-	cfg.TwoEngines = true
+	cfg.NumEngines = 2
 	m, err := New(cfg, "split")
 	if err != nil {
 		t.Fatal(err)

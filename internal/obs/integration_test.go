@@ -5,12 +5,15 @@ package obs_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
 	"ccnuma/internal/config"
 	"ccnuma/internal/machine"
 	"ccnuma/internal/obs"
+	"ccnuma/internal/stats"
 	"ccnuma/internal/workload"
 )
 
@@ -18,36 +21,41 @@ import (
 // sampling attached.
 func runTraced(t *testing.T) (*obs.Tracer, *obs.Sampler) {
 	t.Helper()
-	cfg := config.Base()
-	cfg, err := cfg.WithArch("PPC")
+	tr := obs.NewTracer(obs.WithBuffer(1 << 16))
+	s := obs.NewSampler(1000)
+	run4x2(t, "micro", "PPC", nil, tr, s)
+	return tr, s
+}
+
+// run4x2 simulates app on the 4x2 machine at test size with the given
+// architecture and instruments attached, returning the run's result.
+func run4x2(t *testing.T, app, arch string, tune func(*config.Config), tr *obs.Tracer, s *obs.Sampler) *stats.Run {
+	t.Helper()
+	cfg, err := config.Base().WithArch(arch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Nodes, cfg.ProcsPerNode = 4, 2
 	cfg.SimLimit = 1_000_000_000
-
-	tr := obs.NewTracer(obs.WithBuffer(1 << 16))
-	m, err := machine.NewTraced(cfg, "micro", tr)
+	if tune != nil {
+		tune(&cfg)
+	}
+	m, err := machine.NewTraced(cfg, app, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := obs.NewSampler(1000)
-	m.AttachSampler(s)
-
-	w, err := workload.New("micro", workload.SizeTest, m.NProcs())
+	if s != nil {
+		m.AttachSampler(s)
+	}
+	w, err := workload.New(app, workload.SizeTest, m.NProcs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Setup(m); err != nil {
+	r, err := workload.Run(m, w)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(w.Body); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	return tr, s
+	return r
 }
 
 func TestTracedRun(t *testing.T) {
@@ -140,4 +148,50 @@ func TestTracedRunDeterministic(t *testing.T) {
 			t.Fatalf("event %d differs between identical runs:\n%s\n%s", i, e1[i].Text(), e2[i].Text())
 		}
 	}
+}
+
+// TestInstrumentStreamsPinned pins a digest of each instrument stream, so
+// a refactor that reorders or rewords trace events, sample rows or
+// attribution records fails here rather than only across two runs of the
+// same build. The trace and CSV digests equal those of
+// `cctrace -app fft -arch HWC -size test` stdout and of
+// `ccsim -app ocean -arch PPC -nodes 4 -ppn 2 -size test -sample 1000`'s
+// CSV. A deliberate model change updates them.
+func TestInstrumentStreamsPinned(t *testing.T) {
+	digest := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	check := func(name, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s digest = %s, want %s", name, got, want)
+		}
+	}
+
+	var text bytes.Buffer
+	tr := obs.NewTracer(obs.WithBuffer(0), obs.WithSink(func(ev *obs.Event) {
+		text.WriteString(ev.Text())
+		text.WriteByte('\n')
+	}))
+	run4x2(t, "fft", "HWC", nil, tr, nil)
+	check("fft/HWC trace text", digest(text.Bytes()), "125773e9a99c368bf7e9414f131aa681f3a4579e7a9f2f8d605c0d20322c5792")
+
+	s := obs.NewSampler(1000)
+	run4x2(t, "ocean", "PPC", nil, nil, s)
+	var csv bytes.Buffer
+	if err := s.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	check("ocean/PPC sampler CSV", digest(csv.Bytes()), "2650fe0d316592622aaf6c916089f2a9e261a14dff98fb0ec7808ae37bb4cb78")
+
+	r := run4x2(t, "fft", "HWC", func(c *config.Config) {
+		*c = c.WithRobustness()
+		c.Attribution = true
+	}, nil, nil)
+	doc, err := json.Marshal(obs.NewAttributionDoc(r.Attribution))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fft/HWC robust attribution", digest(doc), "9b979a6846f91e9600226efefa4cc85a2596280b786a3a7238ffc09c43550f40")
 }

@@ -51,7 +51,6 @@ type lockq struct {
 }
 
 type proc struct {
-	sim  *Sim
 	id   int
 	node int
 	l2   *cache.Cache
@@ -90,7 +89,6 @@ func New(cfg *config.Config, space *memaddr.Space) *Sim {
 	}
 	for i := 0; i < cfg.TotalProcs(); i++ {
 		s.procs = append(s.procs, &proc{
-			sim:  s,
 			id:   i,
 			node: i / cfg.ProcsPerNode,
 			l2:   cache.New(cfg.L2Size, cfg.L2Assoc, cfg.LineSize),

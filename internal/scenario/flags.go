@@ -107,7 +107,11 @@ func ApplyFlag(s *Spec, name, value string) (bool, error) {
 		if err != nil {
 			return true, err
 		}
-		s.Machine.NumEngines = v
+		// 0 (the flag default) keeps the count -arch chose, which the
+		// alphabetical overlay applied first.
+		if v != 0 {
+			s.Machine.NumEngines = v
+		}
 	case "node-archs":
 		s.Machine.NodeArchs = splitList(value)
 	case "nodes":

@@ -194,7 +194,7 @@ func TestEngineDeterminism(t *testing.T) {
 
 func TestResourceFIFOAndStats(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "bus")
+	r := NewResource(e)
 	var starts []Time
 	e.At(0, func() {
 		r.Acquire(10, func() { starts = append(starts, e.Now()) })
@@ -215,21 +215,11 @@ func TestResourceFIFOAndStats(t *testing.T) {
 	if r.Busy() != 30 {
 		t.Fatalf("busy = %d, want 30", r.Busy())
 	}
-	if r.Grants() != 3 {
-		t.Fatalf("grants = %d, want 3", r.Grants())
-	}
-	// Waits: 0, 10, 15.
-	if r.WaitTotal() != 25 {
-		t.Fatalf("wait total = %d, want 25", r.WaitTotal())
-	}
-	if got := r.MeanWait(); got != 25.0/3 {
-		t.Fatalf("mean wait = %v", got)
-	}
 }
 
 func TestResourceAcquireAt(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "bank")
+	r := NewResource(e)
 	var start Time = -1
 	e.At(0, func() {
 		r.AcquireAt(100, 10, func() { start = e.Now() })
@@ -242,21 +232,6 @@ func TestResourceAcquireAt(t *testing.T) {
 	}
 }
 
-func TestResourceUtilization(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "x")
-	e.At(0, func() { r.Acquire(25, nil) })
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Utilization(100); got != 0.25 {
-		t.Fatalf("utilization = %v, want 0.25", got)
-	}
-	if got := r.Utilization(0); got != 0 {
-		t.Fatalf("utilization of zero elapsed = %v, want 0", got)
-	}
-}
-
 // Property: for any set of (arrival, hold) pairs issued in arrival order,
 // the resource grants in FIFO order with no overlap and no idle-time
 // inversion (a grant never starts before the later of its arrival and the
@@ -264,7 +239,7 @@ func TestResourceUtilization(t *testing.T) {
 func TestResourceNoOverlapProperty(t *testing.T) {
 	f := func(holds []uint8) bool {
 		e := NewEngine()
-		r := NewResource(e, "p")
+		r := NewResource(e)
 		type grant struct{ start, end Time }
 		var grants []grant
 		at := Time(0)

@@ -64,9 +64,11 @@ type Status int
 const (
 	// OK means the transaction completed (data delivered where relevant).
 	OK Status = iota
-	// RetryNeeded means the transaction collided with an in-flight
-	// transaction on the same line; the issuer should re-arbitrate after
-	// the configured back-off (re-evaluating its cache state first).
+	// RetryNeeded means a processor's transaction collided with an
+	// in-flight transaction on the same line, or was aborted by the
+	// controller; the processor should re-arbitrate after the configured
+	// back-off (re-evaluating its cache state first). Controller-issued
+	// transactions never see it: the bus retries them itself.
 	RetryNeeded
 	// NoData means a Fetch/FetchEx found neither a cached copy nor local
 	// memory backing (a fetch on a remote-home line whose dirty copy was
@@ -110,7 +112,6 @@ type Outcome struct {
 // Txn is one bus transaction. Create with fields set and hand to Issue; the
 // bus invokes Done exactly once.
 type Txn struct {
-	ID   uint64
 	Kind Kind
 	Line uint64
 	// Src is the index of the issuing processor's snooper, or CCSrc for
@@ -228,7 +229,6 @@ type Bus struct {
 	cc       Controller
 
 	pending map[uint64]*Txn // line -> in-flight processor transaction
-	nextID  uint64
 
 	// mem is the shadow value image of this node's local memory, keyed by
 	// line address. Absent entries read as zero (never-written memory).
@@ -249,13 +249,13 @@ func New(eng *sim.Engine, cfg *config.Config, node int, tr *obs.Tracer) *Bus {
 		cfg:     cfg,
 		node:    node,
 		tr:      tr,
-		addr:    sim.NewResource(eng, fmt.Sprintf("bus-addr-%d", node)),
-		data:    sim.NewResource(eng, fmt.Sprintf("bus-data-%d", node)),
+		addr:    sim.NewResource(eng),
+		data:    sim.NewResource(eng),
 		pending: make(map[uint64]*Txn),
 		mem:     make(map[uint64]uint64),
 	}
 	for i := 0; i < cfg.MemBanks; i++ {
-		b.banks = append(b.banks, sim.NewResource(eng, fmt.Sprintf("bank-%d.%d", node, i)))
+		b.banks = append(b.banks, sim.NewResource(eng))
 	}
 	return b
 }
@@ -296,8 +296,8 @@ func (b *Bus) Stall(dur sim.Time) {
 		return
 	}
 	b.stalls++
-	b.addr.Acquire(dur, func() {})
-	b.data.Acquire(dur, func() {})
+	b.addr.Acquire(dur, nil)
+	b.data.Acquire(dur, nil)
 }
 
 // Stalls returns the number of injected bus outages.
@@ -345,8 +345,6 @@ func (b *Bus) Issue(txn *Txn) {
 	if txn.Line&uint64(b.cfg.LineSize-1) != 0 {
 		panic(fmt.Sprintf("smpbus: unaligned line %#x", txn.Line))
 	}
-	b.nextID++
-	txn.ID = b.nextID
 	b.spans.SpanBegin(txn.Attr, obs.StageBusArb, 0, b.eng.Now())
 	if txn.Kind == WriteBack && txn.HomeLocal {
 		// The line enters the write-back buffer now; any read serialized
@@ -606,12 +604,21 @@ func (b *Bus) transferData(txn *Txn, ready sim.Time, out Outcome) {
 	})
 }
 
-// bounce rejects a strobed transaction with RetryNeeded two cycles later
-// (the conflict-resolution window), attributing the window to the bus.
+// bounce rejects a strobed transaction two cycles later (the
+// conflict-resolution window), attributing the window to the bus. A
+// processor sees RetryNeeded and re-evaluates its cache state; a
+// controller-issued fetch or invalidation has no state to re-evaluate, so
+// the bus re-issues it itself after the BusRetry back-off.
 func (b *Bus) bounce(txn *Txn, now sim.Time) {
 	b.retries++
 	b.spans.SpanEnd(txn.Attr, obs.StageBus, 0, now+2)
-	b.eng.After(2, func() { txn.Done(Outcome{Status: RetryNeeded}) })
+	b.eng.After(2, func() {
+		if txn.Src == CCSrc {
+			b.eng.After(b.cfg.BusRetry, func() { b.Issue(txn) })
+			return
+		}
+		txn.Done(Outcome{Status: RetryNeeded})
+	})
 }
 
 // complete removes the pending entry and fires Done at time t.

@@ -485,13 +485,14 @@ func TestWriteBackPassesParkedTransaction(t *testing.T) {
 }
 
 func TestCCInterventionBouncesOnLiveTransfer(t *testing.T) {
-	eng, b, cfg := newBus(t)
+	eng, b, _ := newBus(t)
 	src := b.AttachSnooper(&fakeSnooper{verdict: SnoopNone})
 	var outcomes []Status
 	eng.At(0, func() {
 		// Live local read occupies the line (memory path, done ~28 cycles).
 		b.Issue(&Txn{Kind: Read, Line: 0x1000, Src: src, HomeLocal: true, Done: func(Outcome) {}})
-		// CC fetch for the same line strobes mid-flight: must bounce.
+		// CC fetch for the same line strobes mid-flight: it must bounce,
+		// and the bus re-issues it itself until it completes.
 		b.Issue(&Txn{Kind: Fetch, Line: 0x1000, Src: CCSrc, HomeLocal: true, Done: func(o Outcome) {
 			outcomes = append(outcomes, o.Status)
 		}})
@@ -499,8 +500,10 @@ func TestCCInterventionBouncesOnLiveTransfer(t *testing.T) {
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(outcomes) != 1 || outcomes[0] != RetryNeeded {
-		t.Fatalf("outcomes %v, want one RetryNeeded", outcomes)
+	if len(outcomes) != 1 || outcomes[0] != OK {
+		t.Fatalf("outcomes %v, want one OK", outcomes)
 	}
-	_ = cfg
+	if got := b.Retries(); got != 1 {
+		t.Fatalf("retries = %d, want 1 bounce before the re-issued fetch lands", got)
+	}
 }

@@ -85,9 +85,6 @@ func (w *fftWork) Setup(m *machine.Machine) error {
 	return nil
 }
 
-func (w *fftWork) addrA(row, col int) uint64 { return w.baseA + uint64((row*w.m+col)*16) }
-func (w *fftWork) addrB(row, col int) uint64 { return w.baseB + uint64((row*w.m+col)*16) }
-
 // transpose copies srcArr^T into dstArr for this processor's rows, in
 // line-sized column tiles (blocked transpose, as SPLASH-2 does). Reading a
 // column of the source touches one line of every source row in the tile:
