@@ -172,15 +172,15 @@ func main() {
 	}
 
 	if a := r.Attribution; a != nil {
+		e2e := &r.MissLatency // every tracked miss is one transaction
 		fmt.Printf("attribution:        %d transactions, end-to-end mean %.0f cycles, p50=%.0f p95=%.0f p99=%.0f\n",
-			a.Completed, a.EndToEnd.Mean(), a.EndToEnd.Percentile(50),
-			a.EndToEnd.Percentile(95), a.EndToEnd.Percentile(99))
+			e2e.Count, e2e.Mean(), e2e.Percentile(50), e2e.Percentile(95), e2e.Percentile(99))
 		for _, st := range a.Stages {
-			if st.Total == 0 {
+			if st.Hist.Sum == 0 {
 				continue
 			}
 			fmt.Printf("  %-10s        %6.2f%%  (%d cycles, mean %.0f over %d spans)\n",
-				st.Stage, 100*a.StageShare(st.Stage), st.Total, st.Hist.Mean(), st.Hist.Count)
+				st.Stage, 100*a.StageShare(st.Stage), st.Hist.Sum, st.Hist.Mean(), st.Hist.Count)
 		}
 	}
 

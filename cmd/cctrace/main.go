@@ -1,8 +1,10 @@
 // Command cctrace runs a simulation with the typed event trace enabled and
-// prints every controller dispatch, queue movement, bus strobe, network
-// send/receive, directory access, and cache-state transition — optionally
-// filtered to one cache line. It is the tool that found this repository's
-// protocol races; it is equally useful for studying handler interleavings.
+// streams every controller dispatch, queue movement, bus strobe, network
+// send/receive, directory access, and cache-state transition to stdout as
+// text — optionally filtered to one cache line or one transaction. It is
+// the tool that found this repository's protocol races; it is equally
+// useful for studying handler interleavings. For a Perfetto (Chrome
+// trace_event) file of the same run, use `ccsim -trace F`.
 //
 // The filter compares the parsed line-address field of each structured
 // event, so -line 0x3200 matches exactly that line (and not 0x32000, as the
@@ -12,7 +14,7 @@
 //
 //	cctrace -app ocean -arch PPC -size test                 # full trace
 //	cctrace -app radix -line 0x3200 -max 200                # one line
-//	cctrace -app fft -chrome trace.json                     # Perfetto trace
+//	cctrace -app fft -txn 0x100000001                       # one transaction
 package main
 
 import (
@@ -38,7 +40,6 @@ func main() {
 	lineHex := flag.String("line", "", "only trace this cache line (hex, e.g. 0x3200)")
 	txnHex := flag.String("txn", "", "print the causal span history of one transaction (hex ID from span events; implies attribution)")
 	maxLines := flag.Int("max", 0, "stop printing after this many trace lines (0 = unlimited)")
-	chromePath := flag.String("chrome", "", "also write Chrome trace_event JSON (Perfetto) to this file")
 	flag.Parse()
 
 	// The machine and workload flags resolve through the scenario layer
@@ -68,7 +69,7 @@ func main() {
 			fatal(fmt.Errorf("bad -txn %q: %w", *txnHex, err))
 		}
 		wantTxn, txnFiltered = v, true
-		spec.Machine.Attribution = true // span events only exist with the tracker on
+		spec.Machine.Attribution = true // span events only exist with span tiling on
 	}
 	cell, err := scenario.NewCell(spec.Machine, spec.Workload)
 	if err != nil {
@@ -80,7 +81,7 @@ func main() {
 	defer out.Flush()
 
 	kept := 0
-	opts := []obs.Option{obs.WithSink(func(ev *obs.Event) {
+	tr := obs.NewTracer(obs.WithBuffer(0), obs.WithSink(func(ev *obs.Event) {
 		if txnFiltered && (ev.Kind != obs.EvSpan || uint64(ev.A) != wantTxn) {
 			return
 		}
@@ -92,11 +93,7 @@ func main() {
 			out.WriteByte('\n')
 			kept++
 		}
-	})}
-	if *chromePath == "" {
-		opts = append(opts, obs.WithBuffer(0)) // stream-only: no ring needed
-	}
-	tr := obs.NewTracer(opts...)
+	}))
 
 	m, err := machine.NewTraced(cfg, app, tr)
 	if err != nil {
@@ -110,13 +107,6 @@ func main() {
 	out.Flush()
 	if err != nil {
 		fatal(err)
-	}
-	if *chromePath != "" {
-		if err := obs.WriteChromeTraceFile(*chromePath, tr.Events()); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "chrome trace: %s (%d events buffered, %d dropped)\n",
-			*chromePath, tr.Recorded(), tr.Dropped())
 	}
 	fmt.Fprintf(os.Stderr, "\n%s/%s: %d cycles, %d events printed\n",
 		app, cfg.ArchName(), r.ExecTime, kept)

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"ccnuma/internal/protocol"
-	"ccnuma/internal/smpbus"
-)
+import "ccnuma/internal/protocol"
 
 // ConformanceHook observes every handler dispatch and every network send a
 // controller performs, in terms of the trigger/handler vocabulary of the
@@ -45,17 +42,4 @@ func (w *work) trigger() string {
 		return "bus:" + w.txn.Kind.String() + "/remote"
 	}
 	return "msg:" + w.msg.Type.String()
-}
-
-// TriggerForMsg renders the trigger label for a network message type, and
-// TriggerForBus for a deferred bus transaction kind — the same labels the
-// extractor writes into the committed model artifact.
-func TriggerForMsg(t protocol.MsgType) string { return "msg:" + t.String() }
-
-// TriggerForBus renders the bus-side trigger label.
-func TriggerForBus(k smpbus.Kind, homeLocal bool) string {
-	if homeLocal {
-		return "bus:" + k.String() + "/local"
-	}
-	return "bus:" + k.String() + "/remote"
 }

@@ -64,7 +64,9 @@ func (w *work) queue() int {
 	}
 }
 
-// span returns the causal-span identity of the transaction w serves.
+// span returns the causal-span identity of the transaction w serves:
+// deferred bus transactions carry the requester's episode ID with no
+// epoch; network messages echo both the ID and the request epoch.
 func (w *work) span() (uint64, uint32) {
 	if w.txn != nil {
 		return w.txn.Attr, 0
@@ -102,10 +104,10 @@ type homeOp struct {
 	waiters []*work
 }
 
-// spanTxn resolves the causal-span identity of the op's requester: local
+// span resolves the causal-span identity of the op's requester: local
 // requesters are identified by their parked bus transaction, remote ones
 // by the ID echoed from the request message.
-func (op *homeOp) spanTxn() (uint64, uint32) {
+func (op *homeOp) span() (uint64, uint32) {
 	if op.parked != nil {
 		return op.parked.Attr, 0
 	}
@@ -153,7 +155,7 @@ type Controller struct {
 	dir   *directory.Directory
 	space *memaddr.Space
 	st    *stats.ControllerStats
-	tr    *obs.Tracer // nil when tracing is disabled
+	tr    *obs.Tracer // nil when tracing and attribution are off
 
 	// kind is this node's protocol-engine implementation; on heterogeneous
 	// machines (Config.NodeArchs) it differs per controller, so occupancy
@@ -171,9 +173,6 @@ type Controller struct {
 	// epochCtr mints request-episode tags for outgoing ReadReq/ReadExReq
 	// (see protocol.Msg.Epoch).
 	epochCtr uint32
-
-	// spans is the latency-attribution tracker (nil when attribution is off).
-	spans *obs.SpanTracker
 
 	// hook observes dispatches and sends for the model conformance harness
 	// (nil in normal runs). curTrigger/curHandler identify the dispatch in
@@ -227,10 +226,6 @@ func New(eng *sim.Engine, cfg *config.Config, node int, bus *smpbus.Bus,
 	net.Attach(node, cc.deliver)
 	return cc
 }
-
-// AttachSpans attaches the latency-attribution span tracker (nil keeps
-// attribution disabled).
-func (cc *Controller) AttachSpans(sp *obs.SpanTracker) { cc.spans = sp }
 
 // HandlerCount returns how many times handler h was dispatched.
 func (cc *Controller) HandlerCount(h protocol.Handler) uint64 {
@@ -552,7 +547,7 @@ func (e *engine) enqueue(w *work) {
 	e.q[q] = append(e.q[q], w)
 	cc.tr.Enqueue(w.arrival, cc.node, e.idx, q, len(e.q[q]), w.label(), cc.lineOf(w))
 	id, epoch := w.span()
-	cc.spans.SpanBegin(id, obs.StageCCQueue, epoch, w.arrival)
+	cc.tr.SpanBegin(id, obs.StageCCQueue, epoch, w.arrival)
 	e.kick()
 }
 
@@ -610,7 +605,7 @@ func (e *engine) dispatch(w *work) {
 	est.QueueDelay += now - w.arrival
 	est.QueueDelayHist.Add(now - w.arrival)
 	id, epoch := w.span()
-	cc.spans.SpanEnd(id, obs.StageCCQueue, epoch, now)
+	cc.tr.SpanEnd(id, obs.StageCCQueue, epoch, now)
 
 	e.busy = true
 	if cc.hook != nil {
@@ -629,7 +624,7 @@ func (e *engine) dispatch(w *work) {
 		panic("core: handler with non-positive occupancy")
 	}
 	est.Busy += occ
-	if cc.tr != nil {
+	if cc.tr.Enabled() {
 		cc.tr.Dispatch(now, cc.node, e.idx, w.label(), cc.lineOf(w), occ, now-w.arrival)
 	}
 	cc.eng.At(now+occ, func() {

@@ -10,31 +10,21 @@ import (
 	"ccnuma/internal/smpbus"
 )
 
-// spanTxn resolves the causal-span identity of queued work: deferred bus
-// transactions carry the requester's episode ID with no epoch; network
-// messages echo both the ID and the request epoch.
-func (w *work) spanTxn() (uint64, uint32) {
-	if w.txn != nil {
-		return w.txn.Attr, 0
-	}
-	return w.msg.Txn, w.msg.Epoch
-}
-
 // spanEngine checkpoints the engine occupancy on the critical path of w's
 // transaction: dispatch to the handler's action point, minus any
 // directory-DRAM stall, which is attributed separately.
 func (cc *Controller) spanEngine(w *work, act, dirExtra sim.Time) {
-	txn, epoch := w.spanTxn()
-	cc.spans.SpanBegin(txn, obs.StageEngine, epoch, cc.eng.Now())
-	cc.spans.SpanEnd(txn, obs.StageEngine, epoch, act-dirExtra)
-	cc.spans.SpanEnd(txn, obs.StageDirectory, epoch, act)
+	txn, epoch := w.span()
+	cc.tr.SpanBegin(txn, obs.StageEngine, epoch, cc.eng.Now())
+	cc.tr.SpanEnd(txn, obs.StageEngine, epoch, act-dirExtra)
+	cc.tr.SpanEnd(txn, obs.StageDirectory, epoch, act)
 }
 
 // spanHome marks the start of the home-side wait window: the op is parked
 // from the handler's action point until finishOp issues the grant.
 func (cc *Controller) spanHome(w *work, act sim.Time) {
-	txn, epoch := w.spanTxn()
-	cc.spans.SpanBegin(txn, obs.StageHomeWait, epoch, act)
+	txn, epoch := w.span()
+	cc.tr.SpanBegin(txn, obs.StageHomeWait, epoch, act)
 }
 
 // handleBusTxn dispatches a deferred bus transaction and returns the
@@ -72,7 +62,7 @@ func (cc *Controller) handleRemoteBus(w *work) sim.Time {
 	m := &mshrEntry{line: line, excl: excl, parked: txn,
 		issuedAt: cc.eng.Now(), epoch: cc.epochCtr}
 	cc.mshr[line] = m
-	cc.spans.SetEpoch(txn.Attr, m.epoch)
+	cc.tr.SpanEpoch(txn.Attr, m.epoch)
 	cc.send(act, home, &protocol.Msg{Type: mt, Line: line, Src: cc.node,
 		Requester: cc.node, Epoch: m.epoch, Txn: txn.Attr})
 	cc.armTimeout(m)
@@ -236,8 +226,8 @@ func (cc *Controller) fetchForOp(at sim.Time, op *homeOp, exclusive bool) {
 		Done: func(o smpbus.Outcome) {
 			switch o.Status {
 			case smpbus.OK:
-				st, se := op.spanTxn()
-				cc.spans.SpanEnd(st, obs.StageMem, se, cc.eng.Now())
+				st, se := op.span()
+				cc.tr.SpanEnd(st, obs.StageMem, se, cc.eng.Now())
 				op.haveData = true
 				op.data = o.Data
 				cc.finishIfReady(op)
@@ -270,8 +260,8 @@ func (cc *Controller) finishOp(op *homeOp) {
 	}
 	op.finishing = true
 	now := cc.eng.Now()
-	st, se := op.spanTxn()
-	cc.spans.SpanEnd(st, obs.StageHomeWait, se, now)
+	st, se := op.span()
+	cc.tr.SpanEnd(st, obs.StageHomeWait, se, now)
 	if op.requester >= 0 {
 		mt := protocol.MsgDataShared
 		if op.excl {
@@ -515,7 +505,7 @@ func (cc *Controller) ownerFetch(w *work, exclusive bool) sim.Time {
 					Type: protocol.MsgInterventionMiss, Line: line, Src: cc.node,
 				})
 			case smpbus.OK:
-				cc.spans.SpanEnd(spanID, obs.StageMem, spanEpoch, cc.eng.Now())
+				cc.tr.SpanEnd(spanID, obs.StageMem, spanEpoch, cc.eng.Now())
 				if fromHome {
 					cc.send(cc.eng.Now(), home, &protocol.Msg{
 						Type: protocol.MsgFetchDataHome, Line: line, Src: cc.node,

@@ -28,7 +28,7 @@ func (cc *Controller) requesterNack(w *work) sim.Time {
 	}
 	cc.st.NacksRecv++
 	cc.spanEngine(w, act, 0)
-	cc.spans.SpanBegin(m.parked.Attr, obs.StageBackoff, m.epoch, act)
+	cc.tr.SpanBegin(m.parked.Attr, obs.StageBackoff, m.epoch, act)
 	cc.noteAttempt(m, "NACKed")
 	backoff := cc.nackBackoff(m.attempts)
 	line := m.line
@@ -99,7 +99,7 @@ func (cc *Controller) reissue(line uint64, m *mshrEntry) {
 		return
 	}
 	cc.st.Retries++
-	cc.spans.SpanEnd(m.parked.Attr, obs.StageBackoff, m.epoch, cc.eng.Now())
+	cc.tr.SpanEnd(m.parked.Attr, obs.StageBackoff, m.epoch, cc.eng.Now())
 	mt := protocol.MsgReadReq
 	if m.excl {
 		mt = protocol.MsgReadExReq
@@ -126,7 +126,7 @@ func (cc *Controller) armTimeout(m *mshrEntry) {
 			return
 		}
 		cc.st.Timeouts++
-		cc.spans.SpanBegin(m.parked.Attr, obs.StageBackoff, m.epoch, cc.eng.Now())
+		cc.tr.SpanBegin(m.parked.Attr, obs.StageBackoff, m.epoch, cc.eng.Now())
 		cc.noteAttempt(m, "timed out")
 		cc.reissue(line, m)
 	})

@@ -58,7 +58,7 @@ type Proc struct {
 	src   int // snooper index on the bus
 	space *memaddr.Space
 	sync  SyncHandler
-	tr    *obs.Tracer // nil when tracing is disabled
+	tr    *obs.Tracer // nil when tracing and attribution are off
 
 	l1 *cache.Cache
 	l2 *cache.Cache
@@ -109,11 +109,9 @@ type Proc struct {
 	// the exponential back-off gated on Config.BusBackoffMax.
 	retryStreak int
 
-	// spans is the latency-attribution tracker (nil when attribution is
-	// off). missTxn is the causal-span ID of the in-flight miss episode,
-	// minted like shadow write values: processor index in the high word,
-	// per-processor sequence in the low word.
-	spans   *obs.SpanTracker
+	// missTxn is the causal-span ID of the in-flight miss episode when
+	// the tracer is attributing, minted like shadow write values: processor
+	// index in the high word, per-processor sequence in the low word.
 	missTxn uint64
 	missSeq uint64
 }
@@ -139,10 +137,6 @@ func New(eng *sim.Engine, cfg *config.Config, id, node int, bus *smpbus.Bus,
 	p.src = bus.AttachSnooper(p)
 	return p
 }
-
-// AttachSpans attaches the latency-attribution span tracker (nil keeps
-// attribution disabled).
-func (p *Proc) AttachSpans(sp *obs.SpanTracker) { p.spans = sp }
 
 // ID returns the processor's global index.
 func (p *Proc) ID() int { return p.id }
@@ -342,11 +336,11 @@ func (p *Proc) access(addr uint64, write bool) {
 		p.misses++
 		p.missStart = p.eng.Now()
 		p.missActive = true
-		if p.spans.Enabled() {
+		if p.tr.Attributing() {
 			p.missSeq++
 			p.missTxn = uint64(p.id+1)<<32 | p.missSeq
-			p.spans.Start(p.missTxn, p.node, line, p.missStart)
-			p.spans.SpanBegin(p.missTxn, obs.StageStall, 0, p.missStart)
+			p.tr.SpanStart(p.missTxn, p.node, line, p.missStart)
+			p.tr.SpanBegin(p.missTxn, obs.StageStall, 0, p.missStart)
 		}
 		kind := smpbus.Read
 		if write {
@@ -390,7 +384,7 @@ func (p *Proc) issueMiss(line uint64, kind smpbus.Kind) {
 	}
 	if p.missActive {
 		txn.Attr = p.missTxn
-		p.spans.SpanEnd(p.missTxn, obs.StageStall, 0, p.eng.Now())
+		p.tr.SpanEnd(p.missTxn, obs.StageStall, 0, p.eng.Now())
 	}
 	p.bus.Issue(txn)
 }
@@ -420,7 +414,7 @@ func (p *Proc) missDone(line uint64, kind smpbus.Kind, owned bool, o smpbus.Outc
 	switch o.Status {
 	case smpbus.RetryNeeded:
 		p.retries++
-		p.spans.SpanBegin(p.missTxn, obs.StageBackoff, 0, p.eng.Now())
+		p.tr.SpanBegin(p.missTxn, obs.StageBackoff, 0, p.eng.Now())
 		p.eng.After(p.busBackoff(), func() { p.retryAccess(line, kind) })
 		return
 	case smpbus.OK:
@@ -483,32 +477,24 @@ func (p *Proc) missDone(line uint64, kind smpbus.Kind, owned bool, o smpbus.Outc
 	p.finishAccess(p.cfg.FillRestart)
 }
 
-// retryAccess re-evaluates the cache state after a bus bounce: the line may
-// have arrived via a sibling in the meantime.
+// retryAccess re-evaluates the cache state after a bus bounce: a snoop
+// may have downgraded or invalidated the line in the meantime. The line
+// cannot have arrived: the L2 gains a line only through this processor's
+// own missDone, and the processor has one access in flight.
 func (p *Proc) retryAccess(line uint64, kind smpbus.Kind) {
-	p.spans.SpanEnd(p.missTxn, obs.StageBackoff, 0, p.eng.Now())
+	p.tr.SpanEnd(p.missTxn, obs.StageBackoff, 0, p.eng.Now())
 	st := p.l2.Touch(line)
 	switch kind {
 	case smpbus.Read:
 		if st != cache.Invalid {
-			// The line arrived via a sibling while we were backing off: the
-			// miss episode dissolves into a cache hit, so its span (if any)
-			// is discarded rather than finished.
-			p.spans.Abandon(p.missTxn)
-			p.readValue(line)
-			p.installL1(line)
-			p.finishAccess(p.cfg.L2HitTime)
-			return
+			panic(fmt.Sprintf("cpu: proc %d retry of %v line %#x found it %v while its miss was in flight",
+				p.id, kind, line, st))
 		}
 	case smpbus.ReadEx, smpbus.Upgrade:
 		switch st {
 		case cache.Modified, cache.Exclusive:
-			p.spans.Abandon(p.missTxn)
-			p.l2.SetState(line, cache.Modified)
-			p.writeValue(line)
-			p.installL1(line)
-			p.finishAccess(p.cfg.L2HitTime)
-			return
+			panic(fmt.Sprintf("cpu: proc %d retry of %v line %#x found it %v while its miss was in flight",
+				p.id, kind, line, st))
 		case cache.Shared, cache.Owned:
 			kind = smpbus.Upgrade
 		case cache.Invalid:
@@ -565,7 +551,7 @@ func (p *Proc) writeBack(line uint64) {
 // finishMiss records the completed miss's service time.
 func (p *Proc) finishMiss() {
 	if p.missActive {
-		p.spans.Finish(p.missTxn, p.eng.Now())
+		p.tr.SpanFinish(p.missTxn, p.eng.Now())
 		p.missLat.Add(p.eng.Now() - p.missStart)
 		p.missActive = false
 	}

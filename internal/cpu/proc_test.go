@@ -265,3 +265,29 @@ func TestReadWriteRangeHelpers(t *testing.T) {
 		t.Fatalf("reads=%d writes=%d, want 16/16", c["reads"], c["writes"])
 	}
 }
+
+// TestRetryOfPresentLinePanics checks that a bus retry finding its line
+// already valid panics: the L2 gains a line only through the processor's
+// own miss completion, so that state is a model bug, not a cache hit.
+func TestRetryOfPresentLinePanics(t *testing.T) {
+	for _, tc := range []struct {
+		kind smpbus.Kind
+		st   cache.State
+	}{
+		{smpbus.Read, cache.Shared},
+		{smpbus.ReadEx, cache.Exclusive},
+		{smpbus.Upgrade, cache.Modified},
+	} {
+		_, _, space, _, ps := testRig(t, 1)
+		line := space.Alloc(4096)
+		ps[0].l2.Insert(line, tc.st)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("retry of %v finding the line %v did not panic", tc.kind, tc.st)
+				}
+			}()
+			ps[0].retryAccess(line, tc.kind)
+		}()
+	}
+}

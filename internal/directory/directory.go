@@ -82,7 +82,7 @@ type Entry struct {
 type Directory struct {
 	cfg  *config.Config
 	node int
-	tr   *obs.Tracer // nil when tracing is disabled
+	tr   *obs.Tracer // nil when tracing and attribution are off
 
 	entries map[uint64]Entry
 	// dirCache models the 8K-entry write-through directory cache. Only

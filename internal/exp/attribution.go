@@ -14,11 +14,10 @@ import (
 	"ccnuma/internal/workload"
 )
 
-// AttributionRow is one kernel x architecture attribution result.
+// AttributionRow is one kernel x architecture attributed run.
 type AttributionRow struct {
 	App, Arch string
-	Exec      int64
-	Attr      *stats.Attribution
+	Run       *stats.Run
 }
 
 // attrReq resolves the attributed base run for (app, arch): the standard
@@ -61,9 +60,7 @@ func (s *Suite) Attribution() ([]AttributionRow, error) {
 			if r.Attribution == nil {
 				return nil, fmt.Errorf("%s/%s: attributed run carried no attribution stats", app, arch)
 			}
-			rows = append(rows, AttributionRow{
-				App: app, Arch: arch, Exec: int64(r.ExecTime), Attr: r.Attribution,
-			})
+			rows = append(rows, AttributionRow{App: app, Arch: arch, Run: r})
 		}
 	}
 	return rows, nil
@@ -80,14 +77,14 @@ func RenderAttribution(rows []AttributionRow) string {
 	}
 	var cells [][]string
 	for _, row := range rows {
-		a := row.Attr
+		a, e2e := row.Run.Attribution, &row.Run.MissLatency
 		c := []string{
 			AppLabel(row.App), row.Arch,
-			fmt.Sprintf("%d", a.Completed),
-			fmt.Sprintf("%.0f", a.EndToEnd.Mean()),
-			fmt.Sprintf("%.0f", a.EndToEnd.Percentile(50)),
-			fmt.Sprintf("%.0f", a.EndToEnd.Percentile(95)),
-			fmt.Sprintf("%.0f", a.EndToEnd.Percentile(99)),
+			fmt.Sprintf("%d", e2e.Count),
+			fmt.Sprintf("%.0f", e2e.Mean()),
+			fmt.Sprintf("%.0f", e2e.Percentile(50)),
+			fmt.Sprintf("%.0f", e2e.Percentile(95)),
+			fmt.Sprintf("%.0f", e2e.Percentile(99)),
 		}
 		for i := 0; i < obs.NumStages; i++ {
 			c = append(c, fmt.Sprintf("%.1f", 100*a.StageShare(obs.StageName(i))))

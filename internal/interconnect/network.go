@@ -94,7 +94,7 @@ type Network struct {
 	// reconstructed serial order.
 	engs  []*sim.Engine
 	cfg   *config.Config
-	tr    *obs.Tracer     // nil when tracing is disabled
+	tr    *obs.Tracer     // nil when tracing and attribution are off
 	out   []*sim.Resource // per-node NI output ports
 	in    []*sim.Resource // per-node NI input ports
 	sinks []Handler
@@ -115,8 +115,7 @@ type Network struct {
 	// bound its in-flight message multiset).
 	inFlight int64
 
-	link  LinkStats
-	spans *obs.SpanTracker // nil when attribution is disabled
+	link LinkStats
 	// outQueued/outWait implement the finite NI output buffer: messages
 	// beyond Config.NIPortDepth park in outWait until the port drains.
 	// Only maintained when the depth knob is on, so fault-free runs
@@ -159,10 +158,6 @@ func New(engs []*sim.Engine, cfg *config.Config, tr *obs.Tracer) *Network {
 	return n
 }
 
-// AttachSpans attaches the latency-attribution span tracker (nil keeps
-// attribution disabled).
-func (n *Network) AttachSpans(sp *obs.SpanTracker) { n.spans = sp }
-
 // Hops returns the routing distance between two nodes (1 for the
 // crossbar).
 func (n *Network) Hops(src, dst int) int {
@@ -195,9 +190,9 @@ func (n *Network) Send(src, dst, flitCount int, payload interface{}) {
 	if flitCount <= 0 {
 		flitCount = 1
 	}
-	if n.spans.Enabled() {
-		txn, epoch := obs.DescribeSpan(payload)
-		n.spans.SpanBegin(txn, obs.StageNIPort, epoch, n.engs[src].Now())
+	if n.tr.Attributing() {
+		_, _, txn, epoch := obs.DescribePayload(payload)
+		n.tr.SpanBegin(txn, obs.StageNIPort, epoch, n.engs[src].Now())
 	}
 	if n.Fault == nil {
 		n.enqueue(src, dst, flitCount, payload, 0)
@@ -299,18 +294,18 @@ func (n *Network) transmit(src, dst, flitCount int, payload interface{}, delay s
 	if track {
 		n.outQueued[src]++
 	}
-	if n.tr != nil {
-		name, line := obs.DescribePayload(payload)
+	if n.tr.Enabled() {
+		name, line, _, _ := obs.DescribePayload(payload)
 		n.tr.NetSend(n.engs[src].Now(), src, dst, name, line, flitCount)
 	}
 	ser := sim.Time(flitCount) * n.cfg.NetFlitTime
 	n.out[src].Acquire(ser, func() {
 		eng := n.engs[src]
 		start := eng.Now()
-		if n.spans.Enabled() {
-			txn, epoch := obs.DescribeSpan(payload)
-			n.spans.SpanEnd(txn, obs.StageNIPort, epoch, start)
-			n.spans.SpanBegin(txn, obs.StageWire, epoch, start)
+		if n.tr.Attributing() {
+			_, _, txn, epoch := obs.DescribePayload(payload)
+			n.tr.SpanEnd(txn, obs.StageNIPort, epoch, start)
+			n.tr.SpanBegin(txn, obs.StageWire, epoch, start)
 		}
 		if track {
 			eng.At(start+ser, func() { n.portDrained(src) })
@@ -414,12 +409,9 @@ func (n *Network) admit(src, dst int, headArrives, ser sim.Time, payload interfa
 				panic(fmt.Sprintf("interconnect: no sink on node %d", dst))
 			}
 			if n.tr != nil {
-				name, line := obs.DescribePayload(payload)
+				name, line, txn, epoch := obs.DescribePayload(payload)
 				n.tr.NetRecv(eng.Now(), src, dst, name, line)
-			}
-			if n.spans.Enabled() {
-				txn, epoch := obs.DescribeSpan(payload)
-				n.spans.SpanEnd(txn, obs.StageWire, epoch, eng.Now())
+				n.tr.SpanEnd(txn, obs.StageWire, epoch, eng.Now())
 			}
 			sink(src, payload)
 		})

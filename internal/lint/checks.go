@@ -597,7 +597,7 @@ func checkSpanPairs(pkg *Package) []Finding {
 			}
 			named, isNamed := recv.(*types.Named)
 			if !isNamed || named.Obj().Pkg() == nil ||
-				named.Obj().Pkg().Path() != "ccnuma/internal/obs" || named.Obj().Name() != "SpanTracker" {
+				named.Obj().Pkg().Path() != "ccnuma/internal/obs" || named.Obj().Name() != "Tracer" {
 				return true
 			}
 			if len(call.Args) < 2 {

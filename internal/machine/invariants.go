@@ -103,6 +103,3 @@ func anyModified(hs []l2Holder) bool {
 	}
 	return false
 }
-
-// dirEntryNone returns an empty (NoRemote) directory entry (test helper).
-func dirEntryNone() directory.Entry { return directory.Entry{} }

@@ -43,13 +43,13 @@ type Machine struct {
 	CCs     []*core.Controller
 	Procs   []*cpu.Proc
 
-	// Tracer is the structured-event tracer every component records into
-	// (nil when tracing is disabled).
+	// Tracer is the observation handle every component records into: the
+	// caller's event tracer, with span tiling on when Cfg.Attribution is
+	// set. Nil when tracing and attribution are both off.
 	Tracer *obs.Tracer
 
 	run     *stats.Run
 	sampler *obs.Sampler
-	spans   *obs.SpanTracker // nil unless Cfg.Attribution
 
 	// Barrier state (single global sense-counting barrier).
 	barrierParked []*cpu.Proc
@@ -73,14 +73,16 @@ func New(cfg config.Config, app string) (*Machine, error) {
 }
 
 // NewTraced builds a machine whose components record typed events into tr
-// (nil disables tracing at zero cost).
+// (nil disables tracing at zero cost). With cfg.Attribution set, the
+// machine turns span tiling on in tr, building a tracer that records no
+// events when tr is nil.
 func NewTraced(cfg config.Config, app string, tr *obs.Tracer) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	var cluster *sim.Cluster
 	if cfg.SimShards > 1 {
-		if tr != nil {
+		if tr.Enabled() {
 			return nil, fmt.Errorf("machine: tracing requires SimShards <= 1: the trace ring is one globally ordered log")
 		}
 		// Conservative lookahead: the smallest delay any cross-node effect
@@ -118,6 +120,12 @@ func NewTraced(cfg config.Config, app string, tr *obs.Tracer) (*Machine, error) 
 	} else {
 		engs[0].Limit = cfg.SimLimit
 	}
+	if cfg.Attribution {
+		if tr == nil {
+			tr = new(obs.Tracer) // records no events: span tiling only
+		}
+		tr.EnableAttribution()
+	}
 	eng := engs[0]
 	m := &Machine{
 		Eng:       eng,
@@ -131,23 +139,16 @@ func NewTraced(cfg config.Config, app string, tr *obs.Tracer) (*Machine, error) 
 	}
 	m.Space = memaddr.NewSpace(&m.Cfg)
 	m.Net = interconnect.New(engs, &m.Cfg, tr)
-	if cfg.Attribution {
-		m.spans = obs.NewSpanTracker(tr)
-		m.Net.AttachSpans(m.spans)
-	}
 	for n := 0; n < cfg.Nodes; n++ {
 		bus := smpbus.New(engs[n], &m.Cfg, n, tr)
 		dir := directory.New(engs[n], &m.Cfg, n, tr)
 		cc := core.New(engs[n], &m.Cfg, n, bus, m.Net, dir, m.Space, &m.run.Controllers[n], tr)
-		bus.AttachSpans(m.spans)
-		cc.AttachSpans(m.spans)
 		m.Buses = append(m.Buses, bus)
 		m.Dirs = append(m.Dirs, dir)
 		m.CCs = append(m.CCs, cc)
 		for i := 0; i < cfg.ProcsPerNode; i++ {
 			id := n*cfg.ProcsPerNode + i
 			p := cpu.New(engs[n], &m.Cfg, id, n, bus, m.Space, m, tr)
-			p.AttachSpans(m.spans)
 			m.Procs = append(m.Procs, p)
 		}
 	}
@@ -186,9 +187,6 @@ func (m *Machine) pendingEvents() int {
 	}
 	return m.Eng.Pending()
 }
-
-// Spans returns the machine's span tracker (nil unless Cfg.Attribution).
-func (m *Machine) Spans() *obs.SpanTracker { return m.spans }
 
 // AttachSampler registers a time-series sampler; the machine probes engine
 // utilization, queue depths, bus/bank/directory occupancy, and NI backlog
@@ -250,13 +248,13 @@ func (m *Machine) Run(program func(prog.Env)) (*stats.Run, error) {
 	if err := m.CheckCoherence(); err != nil {
 		return nil, err
 	}
+	m.collect(execTime)
 	// Every attributed run self-checks the span conservation invariant:
-	// each completed transaction's stage segments partition its end-to-end
-	// miss latency exactly, and no transaction leaks open.
-	if err := m.spans.CheckConservation(); err != nil {
+	// the completed transactions' stage segments partition the processors'
+	// recorded miss latency exactly, and no transaction leaks open.
+	if err := m.Tracer.CheckConservation(&m.run.MissLatency); err != nil {
 		return nil, err
 	}
-	m.collect(execTime)
 	return m.run, nil
 }
 
@@ -414,7 +412,7 @@ func (m *Machine) startSampler() {
 func (m *Machine) collect(execTime sim.Time) {
 	r := m.run
 	r.ExecTime = execTime
-	r.Attribution = m.spans.Stats()
+	r.Attribution = m.Tracer.Attribution()
 	for _, p := range m.Procs {
 		r.Instructions += p.Instructions()
 		r.MissLatency.Merge(p.MissLatencies())

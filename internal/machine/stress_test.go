@@ -6,8 +6,12 @@ import (
 	"testing"
 
 	"ccnuma/internal/config"
+	"ccnuma/internal/directory"
 	"ccnuma/internal/prog"
 )
+
+// dirEntryNone returns an empty (NoRemote) directory entry.
+func dirEntryNone() directory.Entry { return directory.Entry{} }
 
 // randomProgram builds a deterministic pseudo-random SPMD program from a
 // seed: mixed reads, writes, upgrades-by-rewrite, lock sections, and

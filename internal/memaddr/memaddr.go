@@ -123,6 +123,3 @@ func (s *Space) HomeOrAssign(addr Addr, toucher int) int {
 	s.homes[page] = toucher
 	return toucher
 }
-
-// Allocated returns the highest allocated address bound (exclusive).
-func (s *Space) Allocated() Addr { return s.next }

@@ -142,8 +142,8 @@ func (f *FailureDoc) Pathological() bool {
 type AttributionDoc struct {
 	Completed  uint64 `json:"completed"`
 	Violations uint64 `json:"violations"` // conservation failures; must be 0
-	// EndToEnd is the per-transaction end-to-end latency distribution (it
-	// matches the processor-side missLatency section for tracked misses).
+	// EndToEnd is the per-transaction end-to-end latency distribution: the
+	// run's missLatency section, since every tracked miss is a transaction.
 	EndToEnd HistogramDoc `json:"endToEnd"`
 	// QueueSharePct is the share of all attributed cycles spent waiting in
 	// protocol-engine input queues — the paper's occupancy bottleneck.
@@ -161,31 +161,33 @@ type AttributionStageDoc struct {
 	Hist HistogramDoc `json:"hist"`
 }
 
-// NewAttributionDoc reduces a run's attribution aggregate to its document
-// form (nil in, nil out).
-func NewAttributionDoc(a *stats.Attribution) *AttributionDoc {
+// NewAttributionDoc reduces a run's attribution to its document form (nil
+// when the run was not attributed). The completed count and end-to-end
+// distribution are the run's miss-latency record.
+func NewAttributionDoc(r *stats.Run) *AttributionDoc {
+	a := r.Attribution
 	if a == nil {
 		return nil
 	}
 	doc := &AttributionDoc{
-		Completed:     a.Completed,
+		Completed:     r.MissLatency.Count,
 		Violations:    a.Violations,
-		EndToEnd:      NewHistogramDoc(&a.EndToEnd),
+		EndToEnd:      NewHistogramDoc(&r.MissLatency),
 		QueueSharePct: 100 * a.StageShare("cc-queue"),
 	}
-	total := float64(a.EndToEnd.Sum)
+	total := float64(r.MissLatency.Sum)
 	for i := range a.Stages {
 		st := &a.Stages[i]
-		if st.Total == 0 {
+		if st.Hist.Sum == 0 {
 			continue
 		}
 		share := 0.0
 		if total > 0 {
-			share = 100 * float64(st.Total) / total
+			share = 100 * float64(st.Hist.Sum) / total
 		}
 		doc.Stages = append(doc.Stages, AttributionStageDoc{
 			Stage:    st.Stage,
-			Cycles:   int64(st.Total),
+			Cycles:   st.Hist.Sum,
 			SharePct: share,
 			Hist:     NewHistogramDoc(&st.Hist),
 		})
@@ -314,7 +316,7 @@ func NewArtifact(tool, size string, cfg *config.Config, r *stats.Run) *Artifact 
 		MissLatency: NewHistogramDoc(&r.MissLatency),
 		QueueDelay:  NewHistogramDoc(&qd),
 		Counters:    r.Counters,
-		Attribution: NewAttributionDoc(r.Attribution),
+		Attribution: NewAttributionDoc(r),
 	}
 }
 

@@ -189,9 +189,30 @@ func TestInstrumentStreamsPinned(t *testing.T) {
 		*c = c.WithRobustness()
 		c.Attribution = true
 	}, nil, nil)
-	doc, err := json.Marshal(obs.NewAttributionDoc(r.Attribution))
+	doc, err := json.Marshal(obs.NewAttributionDoc(r))
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("fft/HWC robust attribution", digest(doc), "9b979a6846f91e9600226efefa4cc85a2596280b786a3a7238ffc09c43550f40")
+
+	// With attribution on, the trace also carries every span checkpoint;
+	// the Chrome export of the same events equals the file
+	// `ccsim -app fft -arch HWC -nodes 4 -ppn 2 -size test -attribution -trace F` writes.
+	text.Reset()
+	var evs []obs.Event
+	tr = obs.NewTracer(obs.WithBuffer(0), obs.WithSink(func(ev *obs.Event) {
+		text.WriteString(ev.Text())
+		text.WriteByte('\n')
+		evs = append(evs, *ev)
+	}))
+	run4x2(t, "fft", "HWC", func(c *config.Config) { c.Attribution = true }, tr, nil)
+	if len(evs) != 18361 {
+		t.Errorf("fft/HWC attributed trace has %d events, want 18361", len(evs))
+	}
+	check("fft/HWC attributed trace text", digest(text.Bytes()), "b9274bcca2880d401b5b9001240d78eeb8ae40ccb2b09e16c1a8fec04a506116")
+	var chrome bytes.Buffer
+	if err := obs.WriteChromeTrace(&chrome, evs); err != nil {
+		t.Fatal(err)
+	}
+	check("fft/HWC attributed Chrome trace", digest(chrome.Bytes()), "f42258bf81eb0c58e6a6fdd78f13c93e5f8f0e411cca0fb69c6cc5ea0a5e2432")
 }

@@ -1,17 +1,23 @@
 // Package obs is the structured observability layer of the simulator: typed
-// protocol trace events, a simulated-time metrics sampler, and versioned
-// machine-readable run artifacts. The timing model records events through a
-// *Tracer handle that is nil when tracing is disabled; every recording
-// method begins with a nil-receiver check, so the disabled path costs one
-// branch and zero allocations. The single-goroutine simulation discipline
-// (all model code runs on the engine goroutine) means one ring buffer per
-// Tracer suffices; Tracer is not safe for concurrent use.
+// protocol trace events, per-transaction latency attribution, a
+// simulated-time metrics sampler, and versioned machine-readable run
+// artifacts. Every model component holds one *Tracer handle, nil when both
+// tracing and attribution are off; every method begins with a
+// nil-receiver check, so the disabled path costs one branch and zero
+// allocations. Event recording assumes the single-goroutine simulation
+// discipline (one ring buffer per Tracer, not safe for concurrent use), so
+// a tracer that records events refuses sharded runs. Span tiling (span.go)
+// is guarded by its own mutex, and a tracer that records no events returns
+// from every event method before touching shared state, so attribution
+// works serial or sharded.
 package obs
 
 import (
 	"fmt"
+	"sync"
 
 	"ccnuma/internal/sim"
+	"ccnuma/internal/stats"
 )
 
 // EventKind identifies the typed trace-event vocabulary.
@@ -95,19 +101,24 @@ func QueueName(q int) string {
 }
 
 // TraceDescriber lets payloads that are opaque to a carrier (the network
-// sees only interface{}) describe themselves for tracing.
+// sees only interface{}) describe themselves for tracing and span tiling.
 type TraceDescriber interface {
 	TraceName() string
 	TraceLine() uint64
+	// SpanTxn reports the transaction ID and request-episode epoch the
+	// payload carries (zeros for untracked work).
+	SpanTxn() (txn uint64, epoch uint32)
 }
 
-// DescribePayload extracts a trace label and line from an opaque payload,
-// returning zero values when the payload cannot describe itself.
-func DescribePayload(p interface{}) (string, uint64) {
+// DescribePayload extracts a trace label, line, transaction ID and epoch
+// from an opaque payload, returning zero values when the payload cannot
+// describe itself (fault-wrapped frames, raw test payloads).
+func DescribePayload(p interface{}) (name string, line, txn uint64, epoch uint32) {
 	if d, ok := p.(TraceDescriber); ok {
-		return d.TraceName(), d.TraceLine()
+		txn, epoch = d.SpanTxn()
+		return d.TraceName(), d.TraceLine(), txn, epoch
 	}
-	return "", 0
+	return "", 0, 0, 0
 }
 
 // Event is one typed trace record. The struct is fixed-size and string
@@ -128,17 +139,32 @@ type Event struct {
 	Aux   string // secondary label (cache state for EvCache), often empty
 }
 
-// Tracer records typed events into a fixed-capacity ring buffer and/or
-// streams them to a sink. A nil *Tracer is the disabled tracer: every
-// recording method no-ops after one nil check.
+// Tracer is the one observation handle of the model components. A tracer
+// built by NewTracer records typed events into a fixed-capacity ring
+// buffer and/or streams them to a sink; the zero Tracer records no events.
+// EnableAttribution adds span tiling to either. A nil *Tracer is the
+// disabled tracer: every method no-ops after one nil check.
 type Tracer struct {
-	ring []Event
-	next uint64 // total events recorded (ring index = next % len(ring))
-	sink func(*Event)
+	events bool // records events (set by NewTracer)
+	ring   []Event
+	next   uint64 // total events recorded (ring index = next % len(ring))
+	sink   func(*Event)
 	// scratch carries the event to the sink; passing &scratch instead of a
 	// stack variable's address keeps record() allocation-free (a local whose
 	// address reaches an unknown function would escape to the heap).
 	scratch Event
+
+	// Span tiling state (span.go); open is nil unless EnableAttribution ran.
+	// mu guards open and the aggregates: under -shards, checkpoints for
+	// different transactions arrive from different shard workers. Any one
+	// transaction's checkpoints are never concurrent (its lifecycle events
+	// are causally chained at least one lookahead apart), and every
+	// aggregate is an order-independent sum, so the lock protects memory
+	// without affecting the aggregated results.
+	mu         sync.Mutex
+	open       map[uint64]*spanState
+	stages     [numStages]stats.Histogram
+	violations uint64
 }
 
 // Option configures a Tracer.
@@ -162,9 +188,9 @@ func WithSink(fn func(*Event)) Option {
 	return func(t *Tracer) { t.sink = fn }
 }
 
-// NewTracer creates an enabled tracer.
+// NewTracer creates a tracer that records events.
 func NewTracer(opts ...Option) *Tracer {
-	t := &Tracer{ring: make([]Event, 1<<18)}
+	t := &Tracer{events: true, ring: make([]Event, 1<<18)}
 	for _, o := range opts {
 		o(t)
 	}
@@ -172,7 +198,7 @@ func NewTracer(opts ...Option) *Tracer {
 }
 
 // Enabled reports whether the tracer records events.
-func (t *Tracer) Enabled() bool { return t != nil }
+func (t *Tracer) Enabled() bool { return t != nil && t.events }
 
 // Recorded returns the total number of events recorded (including any that
 // have been overwritten in the ring).
@@ -226,7 +252,7 @@ func (t *Tracer) record(ev Event) {
 // label (message type or bus-transaction kind), its line, the occupancy
 // charged, and the arrival-to-dispatch queueing delay.
 func (t *Tracer) Dispatch(at sim.Time, node, engine int, name string, line uint64, occ, queueDelay sim.Time) {
-	if t == nil {
+	if !t.Enabled() {
 		return
 	}
 	t.record(Event{At: at, Dur: occ, Kind: EvDispatch, Node: int32(node),
@@ -236,7 +262,7 @@ func (t *Tracer) Dispatch(at sim.Time, node, engine int, name string, line uint6
 // Enqueue records an insertion into a controller input queue, with the
 // queue's depth after the insertion.
 func (t *Tracer) Enqueue(at sim.Time, node, engine, queue, depth int, name string, line uint64) {
-	if t == nil {
+	if !t.Enabled() {
 		return
 	}
 	t.record(Event{At: at, Kind: EvEnqueue, Node: int32(node), Track: int32(engine),
@@ -246,7 +272,7 @@ func (t *Tracer) Enqueue(at sim.Time, node, engine, queue, depth int, name strin
 // Dequeue records a removal from a controller input queue at dispatch time,
 // with the queue's depth after the removal.
 func (t *Tracer) Dequeue(at sim.Time, node, engine, queue, depth int, line uint64) {
-	if t == nil {
+	if !t.Enabled() {
 		return
 	}
 	t.record(Event{At: at, Kind: EvDequeue, Node: int32(node), Track: int32(engine),
@@ -255,7 +281,7 @@ func (t *Tracer) Dequeue(at sim.Time, node, engine, queue, depth int, line uint6
 
 // BusStrobe records a bus transaction reaching the address strobe.
 func (t *Tracer) BusStrobe(at sim.Time, node int, kind string, line uint64, src int) {
-	if t == nil {
+	if !t.Enabled() {
 		return
 	}
 	t.record(Event{At: at, Kind: EvBusStrobe, Node: int32(node), Line: line,
@@ -264,7 +290,7 @@ func (t *Tracer) BusStrobe(at sim.Time, node int, kind string, line uint64, src 
 
 // NetSend records a message entering a node's NI output port.
 func (t *Tracer) NetSend(at sim.Time, src, dst int, name string, line uint64, flits int) {
-	if t == nil {
+	if !t.Enabled() {
 		return
 	}
 	t.record(Event{At: at, Kind: EvNetSend, Node: int32(src), A: int64(dst),
@@ -273,7 +299,7 @@ func (t *Tracer) NetSend(at sim.Time, src, dst int, name string, line uint64, fl
 
 // NetRecv records a message fully drained into the destination NI.
 func (t *Tracer) NetRecv(at sim.Time, src, dst int, name string, line uint64) {
-	if t == nil {
+	if !t.Enabled() {
 		return
 	}
 	t.record(Event{At: at, Kind: EvNetRecv, Node: int32(dst), A: int64(src),
@@ -283,7 +309,7 @@ func (t *Tracer) NetRecv(at sim.Time, src, dst int, name string, line uint64) {
 // DirAccess records a directory read (hit reports a directory-cache hit) or
 // write-through; state is the entry state read or written.
 func (t *Tracer) DirAccess(at sim.Time, node int, line uint64, write, hit bool, state string) {
-	if t == nil {
+	if !t.Enabled() {
 		return
 	}
 	kind := EvDirRead
@@ -300,7 +326,7 @@ func (t *Tracer) DirAccess(at sim.Time, node int, line uint64, write, hit bool, 
 // processor index, action the transition (snoop/install/evict/writeback)
 // and state the resulting or observed cache state.
 func (t *Tracer) Cache(at sim.Time, node, proc int, line uint64, action, state string) {
-	if t == nil {
+	if !t.Enabled() {
 		return
 	}
 	t.record(Event{At: at, Kind: EvCache, Node: int32(node), Track: int32(proc),
@@ -309,7 +335,7 @@ func (t *Tracer) Cache(at sim.Time, node, proc int, line uint64, action, state s
 
 // Nack records a request bounced by a home controller without dispatch.
 func (t *Tracer) Nack(at sim.Time, node, engine int, name string, line uint64) {
-	if t == nil {
+	if !t.Enabled() {
 		return
 	}
 	t.record(Event{At: at, Kind: EvNack, Node: int32(node), Track: int32(engine),
@@ -319,19 +345,8 @@ func (t *Tracer) Nack(at sim.Time, node, engine int, name string, line uint64) {
 // Fault records an injected fault taking effect; kind is the fault name
 // (drop/dup/delay/corrupt/stall/brownout) and arg a kind-specific value.
 func (t *Tracer) Fault(at sim.Time, node int, kind string, arg int64) {
-	if t == nil {
+	if !t.Enabled() {
 		return
 	}
 	t.record(Event{At: at, Kind: EvFault, Node: int32(node), A: arg, Name: kind})
-}
-
-// Span records a latency-attribution checkpoint of one transaction; stage
-// is the stage name (a constant-table string), txn the transaction ID, and
-// mark the marker kind (see EvSpan).
-func (t *Tracer) Span(at, dur sim.Time, node int, stage string, line uint64, txn uint64, mark int64) {
-	if t == nil {
-		return
-	}
-	t.record(Event{At: at, Dur: dur, Kind: EvSpan, Node: int32(node),
-		Line: line, A: int64(txn), B: mark, Name: stage})
 }

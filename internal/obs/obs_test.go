@@ -289,16 +289,17 @@ func TestUtilPctClamps(t *testing.T) {
 
 type fakePayload struct{}
 
-func (fakePayload) TraceName() string { return "Fake" }
-func (fakePayload) TraceLine() uint64 { return 0xabc }
+func (fakePayload) TraceName() string         { return "Fake" }
+func (fakePayload) TraceLine() uint64         { return 0xabc }
+func (fakePayload) SpanTxn() (uint64, uint32) { return 7, 2 }
 
 func TestDescribePayload(t *testing.T) {
-	name, line := DescribePayload(fakePayload{})
-	if name != "Fake" || line != 0xabc {
-		t.Errorf("DescribePayload = %q, %#x", name, line)
+	name, line, txn, epoch := DescribePayload(fakePayload{})
+	if name != "Fake" || line != 0xabc || txn != 7 || epoch != 2 {
+		t.Errorf("DescribePayload = %q, %#x, %d, %d", name, line, txn, epoch)
 	}
-	name, line = DescribePayload(42)
-	if name != "" || line != 0 {
-		t.Errorf("opaque payload = %q, %#x, want zero values", name, line)
+	name, line, txn, epoch = DescribePayload(42)
+	if name != "" || line != 0 || txn != 0 || epoch != 0 {
+		t.Errorf("opaque payload = %q, %#x, %d, %d, want zero values", name, line, txn, epoch)
 	}
 }

@@ -1,22 +1,26 @@
 // Causal span tracing: every coherence transaction (one processor miss
 // episode) carries a stable ID from the cycle its miss is detected to the
 // cycle its processor restarts, and each component it crosses checkpoints
-// the stages of its life. The tracker tiles each transaction's lifetime
-// with half-open stage segments: a checkpoint at cycle t closes the
-// interval [cursor, t) under the named stage and advances the cursor, so
-// the stages of a completed transaction always partition its end-to-end
-// latency exactly — conservation holds by construction, and the residue
-// between the last checkpoint and the processor restart is attributed to
-// the fill stage. Checkpoints that would move the cursor backwards (stale
-// duplicates, replayed messages under fault injection) are silent no-ops;
-// the only conservation violation the tracker can record is a transaction
-// finishing before its own cursor, which would mean a component
-// checkpointed time the processor never observed.
+// the stages of its life through its Tracer. The tracer tiles each
+// transaction's lifetime with half-open stage segments: a checkpoint at
+// cycle t closes the interval [cursor, t) under the named stage and
+// advances the cursor, so the stages of a completed transaction always
+// partition its end-to-end latency exactly — conservation holds by
+// construction, and the residue between the last checkpoint and the
+// processor restart is attributed to the fill stage. Checkpoints that would
+// move the cursor backwards (stale duplicates, replayed messages under
+// fault injection) are silent no-ops; the only conservation violation the
+// tracer can record is a transaction finishing before its own cursor, which
+// would mean a component checkpointed time the processor never observed.
+//
+// The tracer keeps only what nothing else records: the per-stage tiling.
+// A transaction's end-to-end latency is the processor's miss latency, so
+// the completed count, the end-to-end distribution and the conservation
+// reference all come from the run's miss-latency record.
 package obs
 
 import (
 	"fmt"
-	"sync"
 
 	"ccnuma/internal/sim"
 	"ccnuma/internal/stats"
@@ -84,23 +88,6 @@ const NumStages = int(numStages)
 // StageName returns the report name of stage index i.
 func StageName(i int) string { return Stage(i).String() }
 
-// SpanDescriber lets payloads that are opaque to a carrier (the network
-// sees only interface{}) expose their transaction ID and episode epoch for
-// span checkpointing. Payloads that do not implement it (fault-wrapped
-// frames, raw test payloads) are simply not checkpointed.
-type SpanDescriber interface {
-	SpanTxn() (txn uint64, epoch uint32)
-}
-
-// DescribeSpan extracts (txn, epoch) from an opaque payload, returning
-// zeros when the payload cannot describe itself.
-func DescribeSpan(p interface{}) (uint64, uint32) {
-	if d, ok := p.(SpanDescriber); ok {
-		return d.SpanTxn()
-	}
-	return 0, 0
-}
-
 // EvSpan marker kinds (Event.B).
 const (
 	spanMarkBegin  = 0 // stage entry marker, Dur = 0
@@ -118,73 +105,55 @@ type spanState struct {
 	segs   [numStages]sim.Time
 }
 
-// SpanTracker assigns stage segments to open transactions and aggregates
-// completed ones into per-stage latency distributions. Like *Tracer, a nil
-// *SpanTracker is the disabled tracker: every method no-ops after one nil
-// check, so call sites need no attribution-knob branches and the disabled
-// path leaves event order untouched.
-type SpanTracker struct {
-	tr *Tracer // optional: emits EvSpan trace events (may be nil)
+// EnableAttribution turns span tiling on. The machine calls it before any
+// component records, when Config.Attribution is set.
+func (t *Tracer) EnableAttribution() { t.open = make(map[uint64]*spanState) }
 
-	// mu guards the open-transaction map and the aggregates: under -shards,
-	// checkpoints for different transactions arrive from different shard
-	// workers. Any one transaction's checkpoints are never concurrent (its
-	// lifecycle events are causally chained at least one lookahead apart),
-	// and every aggregate is an order-independent sum, so the lock protects
-	// memory without affecting the aggregated results.
-	mu   sync.Mutex
-	open map[uint64]*spanState
+// Attributing reports whether the tracer tiles transaction spans.
+func (t *Tracer) Attributing() bool { return t != nil && t.open != nil }
 
-	stages     [numStages]stats.Histogram
-	totals     [numStages]sim.Time
-	endToEnd   stats.Histogram
-	completed  uint64
-	violations uint64
-}
-
-// NewSpanTracker creates an enabled tracker. tr may be nil to aggregate
-// without emitting trace events.
-func NewSpanTracker(tr *Tracer) *SpanTracker {
-	return &SpanTracker{tr: tr, open: make(map[uint64]*spanState)}
-}
-
-// Enabled reports whether the tracker records spans.
-func (s *SpanTracker) Enabled() bool { return s != nil }
-
-// Start opens transaction txn at time at: the requesting processor detected
-// a miss on line. An ID of zero (untracked work) is ignored.
-func (s *SpanTracker) Start(txn uint64, node int, line uint64, at sim.Time) {
-	if s == nil || txn == 0 {
+// span emits one EvSpan checkpoint event for st's transaction (a no-op
+// unless the tracer records events). Callers emit after releasing mu, so
+// the lock is never held across the sink.
+func (t *Tracer) span(at, dur sim.Time, st *spanState, stage string, txn uint64, mark int64) {
+	if !t.events {
 		return
 	}
-	s.mu.Lock()
-	s.open[txn] = &spanState{line: line, node: int32(node), start: at, cursor: at}
-	s.mu.Unlock()
+	t.record(Event{At: at, Dur: dur, Kind: EvSpan, Node: st.node,
+		Line: st.line, A: int64(txn), B: mark, Name: stage})
 }
 
-// SetEpoch tags the open transaction with its current request episode so
+// SpanStart opens transaction txn at time at: the requesting processor
+// detected a miss on line. An ID of zero (untracked work) is ignored.
+func (t *Tracer) SpanStart(txn uint64, node int, line uint64, at sim.Time) {
+	if !t.Attributing() || txn == 0 {
+		return
+	}
+	t.mu.Lock()
+	t.open[txn] = &spanState{line: line, node: int32(node), start: at, cursor: at}
+	t.mu.Unlock()
+}
+
+// SpanEpoch tags the open transaction with its current request episode so
 // checkpoints carrying a stale epoch (messages from a closed, retried
 // episode) are ignored. A new episode (timeout or NACK re-issue) simply
-// calls SetEpoch again.
-func (s *SpanTracker) SetEpoch(txn uint64, epoch uint32) {
-	if s == nil || txn == 0 {
+// calls SpanEpoch again.
+func (t *Tracer) SpanEpoch(txn uint64, epoch uint32) {
+	if !t.Attributing() {
 		return
 	}
-	s.mu.Lock()
-	if st := s.open[txn]; st != nil {
+	t.mu.Lock()
+	if st := t.open[txn]; st != nil {
 		st.epoch = epoch
 	}
-	s.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // match resolves a checkpoint to its open transaction. Epoch zero on
 // either side is a wildcard (bus- and CPU-side checkpoints predate epoch
 // minting; the base configuration never mints epochs at all).
-func (s *SpanTracker) match(txn uint64, epoch uint32) *spanState {
-	if s == nil || txn == 0 {
-		return nil
-	}
-	st := s.open[txn]
+func (t *Tracer) match(txn uint64, epoch uint32) *spanState {
+	st := t.open[txn]
 	if st == nil {
 		return nil
 	}
@@ -198,155 +167,115 @@ func (s *SpanTracker) match(txn uint64, epoch uint32) *spanState {
 // informational marker (the attribution math is driven entirely by
 // SpanEnd's cursor tiling): it emits a trace event for cctrace/Perfetto
 // and anchors the lint pairing rule, but moves no cursor.
-func (s *SpanTracker) SpanBegin(txn uint64, stage Stage, epoch uint32, at sim.Time) {
-	if s == nil {
+func (t *Tracer) SpanBegin(txn uint64, stage Stage, epoch uint32, at sim.Time) {
+	if !t.Attributing() {
 		return
 	}
-	s.mu.Lock()
-	st := s.match(txn, epoch)
-	if st == nil {
-		s.mu.Unlock()
-		return
+	t.mu.Lock()
+	st := t.match(txn, epoch)
+	t.mu.Unlock()
+	if st != nil {
+		t.span(at, 0, st, stage.String(), txn, spanMarkBegin)
 	}
-	node, line := int(st.node), st.line
-	s.mu.Unlock()
-	s.tr.Span(at, 0, node, stage.String(), line, txn, spanMarkBegin)
 }
 
 // SpanEnd closes the open interval [cursor, at) under the given stage and
 // advances the cursor. Checkpoints at or before the cursor (duplicate or
 // stale deliveries, same-cycle hops) are silent no-ops: they attribute
 // zero cycles rather than corrupt the tiling.
-func (s *SpanTracker) SpanEnd(txn uint64, stage Stage, epoch uint32, at sim.Time) {
-	if s == nil {
+func (t *Tracer) SpanEnd(txn uint64, stage Stage, epoch uint32, at sim.Time) {
+	if !t.Attributing() {
 		return
 	}
-	s.mu.Lock()
-	st := s.match(txn, epoch)
+	t.mu.Lock()
+	st := t.match(txn, epoch)
 	if st == nil || at <= st.cursor {
-		s.mu.Unlock()
+		t.mu.Unlock()
 		return
 	}
-	s.tr.Span(st.cursor, at-st.cursor, int(st.node), stage.String(), st.line, txn, spanMarkSlice)
-	st.segs[stage] += at - st.cursor
+	from := st.cursor
+	st.segs[stage] += at - from
 	st.cursor = at
-	s.mu.Unlock()
+	t.mu.Unlock()
+	t.span(from, at-from, st, stage.String(), txn, spanMarkSlice)
 }
 
-// Finish completes transaction txn at time at (the processor restart),
+// SpanFinish completes transaction txn at time at (the processor restart),
 // attributing the residue past the last checkpoint to StageFill and
-// folding the transaction into the aggregate distributions. A finish
-// before the transaction's own cursor is the one true conservation
+// folding the transaction's stages into the per-stage distributions. A
+// finish before the transaction's own cursor is the one true conservation
 // violation: some component checkpointed cycles past the observed
 // end-to-end latency.
-func (s *SpanTracker) Finish(txn uint64, at sim.Time) {
-	if s == nil {
+func (t *Tracer) SpanFinish(txn uint64, at sim.Time) {
+	if !t.Attributing() {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.open[txn]
+	t.mu.Lock()
+	st := t.open[txn]
 	if st == nil {
+		t.mu.Unlock()
 		return
 	}
-	delete(s.open, txn)
+	delete(t.open, txn)
 	if at < st.cursor {
-		s.violations++
+		t.violations++
+		t.mu.Unlock()
 		return
 	}
-	if at > st.cursor {
-		s.tr.Span(st.cursor, at-st.cursor, int(st.node), StageFill.String(), st.line, txn, spanMarkSlice)
-		st.segs[StageFill] += at - st.cursor
-	}
-	for i := Stage(0); i < numStages; i++ {
-		if st.segs[i] > 0 {
-			s.stages[i].Add(st.segs[i])
-			s.totals[i] += st.segs[i]
+	fill := at - st.cursor
+	st.segs[StageFill] += fill
+	for i, seg := range st.segs {
+		if seg > 0 {
+			t.stages[i].Add(seg)
 		}
 	}
-	s.endToEnd.Add(at - st.start)
-	s.completed++
-	s.tr.Span(st.start, at-st.start, int(st.node), "txn", st.line, txn, spanMarkFinish)
-}
-
-// Abandon discards an open transaction without aggregating it (the
-// processor dropped the miss episode: a racing snoop turned the retry into
-// a plain cache hit).
-func (s *SpanTracker) Abandon(txn uint64) {
-	if s == nil {
-		return
+	t.mu.Unlock()
+	if fill > 0 {
+		t.span(st.cursor, fill, st, StageFill.String(), txn, spanMarkSlice)
 	}
-	s.mu.Lock()
-	delete(s.open, txn)
-	s.mu.Unlock()
+	t.span(st.start, at-st.start, st, "txn", txn, spanMarkFinish)
 }
 
-// OpenCount returns how many transactions are currently open.
-func (s *SpanTracker) OpenCount() int {
-	if s == nil {
+// OpenSpans returns how many transactions are currently open.
+func (t *Tracer) OpenSpans() int {
+	if !t.Attributing() {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.open)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.open)
 }
 
-// Completed returns how many transactions finished and were aggregated.
-func (s *SpanTracker) Completed() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.completed
-}
-
-// Violations returns how many transactions finished before their own
-// cursor (conservation failures).
-func (s *SpanTracker) Violations() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.violations
-}
-
-// Stats snapshots the aggregate attribution into the stats-layer form the
-// reports consume. Returns nil on a disabled tracker.
-func (s *SpanTracker) Stats() *stats.Attribution {
-	if s == nil {
+// Attribution snapshots the per-stage tiling into the stats-layer form the
+// reports consume. Returns nil unless the tracer is attributing.
+func (t *Tracer) Attribution() *stats.Attribution {
+	if !t.Attributing() {
 		return nil
 	}
-	a := &stats.Attribution{
-		Completed:  s.completed,
-		Violations: s.violations,
-		EndToEnd:   s.endToEnd,
-	}
+	a := &stats.Attribution{Violations: t.violations}
 	for i := Stage(0); i < numStages; i++ {
-		a.Stages = append(a.Stages, stats.StageAttribution{
-			Stage: i.String(), Total: s.totals[i], Hist: s.stages[i],
-		})
+		a.Stages = append(a.Stages, stats.StageAttribution{Stage: i.String(), Hist: t.stages[i]})
 	}
 	return a
 }
 
-// CheckConservation verifies the tracker's global invariants after a run:
+// CheckConservation verifies the tiling's global invariants after a run:
 // no transaction finished past its cursor, no transaction leaked open, and
-// the per-stage totals sum cycle-exactly to the end-to-end total.
-func (s *SpanTracker) CheckConservation() error {
-	if s == nil {
+// the per-stage cycles sum exactly to the processors' own miss-latency
+// record miss.
+func (t *Tracer) CheckConservation(miss *stats.Histogram) error {
+	if !t.Attributing() {
 		return nil
 	}
-	if s.violations > 0 {
-		return fmt.Errorf("obs: %d span conservation violations (stage cycles past end-to-end latency)", s.violations)
+	if t.violations > 0 {
+		return fmt.Errorf("obs: %d span conservation violations (stage cycles past end-to-end latency)", t.violations)
 	}
-	if len(s.open) > 0 {
-		return fmt.Errorf("obs: %d transaction spans leaked open after run end", len(s.open))
+	if len(t.open) > 0 {
+		return fmt.Errorf("obs: %d transaction spans leaked open after run end", len(t.open))
 	}
-	var sum sim.Time
-	for i := range s.totals {
-		sum += s.totals[i]
-	}
-	if int64(sum) != s.endToEnd.Sum {
-		return fmt.Errorf("obs: stage cycles (%d) != end-to-end cycles (%d) over %d transactions",
-			sum, s.endToEnd.Sum, s.completed)
+	if sum := t.Attribution().TotalCycles(); int64(sum) != miss.Sum {
+		return fmt.Errorf("obs: stage cycles (%d) != miss-latency cycles (%d) over %d misses",
+			sum, miss.Sum, miss.Count)
 	}
 	return nil
 }

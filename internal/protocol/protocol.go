@@ -171,7 +171,7 @@ func (m *Msg) TraceName() string { return m.Type.String() }
 func (m *Msg) TraceLine() uint64 { return m.Line }
 
 // SpanTxn exposes the message's transaction ID and episode epoch for span
-// checkpointing (obs.SpanDescriber).
+// checkpointing (obs.TraceDescriber).
 func (m *Msg) SpanTxn() (uint64, uint32) { return m.Txn, m.Epoch }
 
 // Flits returns the network occupancy of the message under cfg.

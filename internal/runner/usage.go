@@ -116,7 +116,7 @@ func (u *Usage) Summary(buckets int) (jobs int, wallMs, busyMs float64, peak int
 				if bLo >= hi {
 					break
 				}
-				olo, ohi := maxDur(lo, bLo), minDur(hi, bLo+width)
+				olo, ohi := max(lo, bLo), min(hi, bLo+width)
 				if ohi > olo {
 					series[b].Busy += float64((ohi - olo).Nanoseconds()) * float64(busy)
 				}
@@ -133,18 +133,4 @@ func (u *Usage) Summary(buckets int) (jobs int, wallMs, busyMs float64, peak int
 		series[i].Busy /= float64(width.Nanoseconds())
 	}
 	return jobs, wallMs, busyMs, peak, series
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -186,12 +186,6 @@ func NewCluster(shards int, lookahead Time) *Cluster {
 // Shard returns the engine owning shard i.
 func (c *Cluster) Shard(i int) *Engine { return c.engines[i] }
 
-// Shards returns the number of shards.
-func (c *Cluster) Shards() int { return len(c.engines) }
-
-// Lookahead returns the conservative window width in cycles.
-func (c *Cluster) Lookahead() Time { return c.lookahead }
-
 // Windows returns how many barrier windows Run executed.
 func (c *Cluster) Windows() uint64 { return c.windows }
 
@@ -224,16 +218,6 @@ func (c *Cluster) MaxPending() int {
 		n += e.maxPending
 	}
 	return n
-}
-
-// LimitHit reports whether any shard stopped at its time limit.
-func (c *Cluster) LimitHit() bool {
-	for _, e := range c.engines {
-		if e.limitHit {
-			return true
-		}
-	}
-	return false
 }
 
 // Pending sums events still queued across shards.

@@ -219,7 +219,7 @@ type Bus struct {
 	eng  *sim.Engine
 	cfg  *config.Config
 	node int
-	tr   *obs.Tracer // nil when tracing is disabled
+	tr   *obs.Tracer // nil when tracing and attribution are off
 
 	addr  *sim.Resource
 	data  *sim.Resource
@@ -237,8 +237,6 @@ type Bus struct {
 	counts  [numKinds]uint64
 	retries uint64
 	stalls  uint64 // injected bus outages (fault layer)
-
-	spans *obs.SpanTracker // nil when attribution is disabled
 }
 
 // New creates a bus for the given node with the configured number of
@@ -265,10 +263,6 @@ func (b *Bus) AttachSnooper(s Snooper) int {
 	b.snoopers = append(b.snoopers, s)
 	return len(b.snoopers) - 1
 }
-
-// AttachSpans attaches the latency-attribution span tracker (nil keeps
-// attribution disabled).
-func (b *Bus) AttachSpans(sp *obs.SpanTracker) { b.spans = sp }
 
 // AttachController registers the node's coherence controller.
 func (b *Bus) AttachController(cc Controller) {
@@ -345,7 +339,7 @@ func (b *Bus) Issue(txn *Txn) {
 	if txn.Line&uint64(b.cfg.LineSize-1) != 0 {
 		panic(fmt.Sprintf("smpbus: unaligned line %#x", txn.Line))
 	}
-	b.spans.SpanBegin(txn.Attr, obs.StageBusArb, 0, b.eng.Now())
+	b.tr.SpanBegin(txn.Attr, obs.StageBusArb, 0, b.eng.Now())
 	if txn.Kind == WriteBack && txn.HomeLocal {
 		// The line enters the write-back buffer now; any read serialized
 		// later is forwarded the buffered value even though the bus/bank
@@ -364,7 +358,7 @@ func (b *Bus) strobe(txn *Txn) {
 	b.counts[txn.Kind]++
 	now := b.eng.Now()
 	b.tr.BusStrobe(now, b.node, txn.Kind.String(), txn.Line, txn.Src)
-	b.spans.SpanEnd(txn.Attr, obs.StageBusArb, 0, now)
+	b.tr.SpanEnd(txn.Attr, obs.StageBusArb, 0, now)
 
 	// Same-line serialization. Processor transactions register in the
 	// pending table and bounce on conflicts. Controller-issued fetches and
@@ -591,7 +585,7 @@ func (b *Bus) memoryRead(txn *Txn, now sim.Time, out Outcome) {
 	out.Data = b.mem[txn.Line]
 	b.bank(txn.Line).AcquireAt(now, b.cfg.BankBusy, func() {
 		ready := b.eng.Now() + b.cfg.MemAccess
-		b.spans.SpanEnd(txn.Attr, obs.StageMem, 0, ready)
+		b.tr.SpanEnd(txn.Attr, obs.StageMem, 0, ready)
 		b.transferData(txn, ready, out)
 	})
 }
@@ -611,7 +605,7 @@ func (b *Bus) transferData(txn *Txn, ready sim.Time, out Outcome) {
 // the bus re-issues it itself after the BusRetry back-off.
 func (b *Bus) bounce(txn *Txn, now sim.Time) {
 	b.retries++
-	b.spans.SpanEnd(txn.Attr, obs.StageBus, 0, now+2)
+	b.tr.SpanEnd(txn.Attr, obs.StageBus, 0, now+2)
 	b.eng.After(2, func() {
 		if txn.Src == CCSrc {
 			b.eng.After(b.cfg.BusRetry, func() { b.Issue(txn) })
@@ -623,7 +617,7 @@ func (b *Bus) bounce(txn *Txn, now sim.Time) {
 
 // complete removes the pending entry and fires Done at time t.
 func (b *Bus) complete(txn *Txn, t sim.Time, out Outcome) {
-	b.spans.SpanEnd(txn.Attr, obs.StageBus, 0, t)
+	b.tr.SpanEnd(txn.Attr, obs.StageBus, 0, t)
 	b.eng.At(t, func() {
 		if b.pending[txn.Line] == txn {
 			delete(b.pending, txn.Line)
@@ -669,7 +663,7 @@ func (b *Bus) resolveSupply(s *Txn, now sim.Time) {
 // (used when the controller decides the request must be re-evaluated, e.g.
 // an upgrade whose line was invalidated while queued).
 func (b *Bus) Abort(parked *Txn) {
-	b.spans.SpanEnd(parked.Attr, obs.StageBus, 0, b.eng.Now()+2)
+	b.tr.SpanEnd(parked.Attr, obs.StageBus, 0, b.eng.Now()+2)
 	b.eng.After(2, func() {
 		if b.pending[parked.Line] == parked {
 			delete(b.pending, parked.Line)

@@ -125,48 +125,50 @@ type Run struct {
 	// hits/misses, ...) for validation and the example programs.
 	Counters map[string]uint64
 
-	// Attribution is the per-stage decomposition of miss latency recorded
-	// by the span tracker (nil unless the run enabled attribution).
+	// Attribution is the per-stage decomposition of MissLatency recorded
+	// by span tiling (nil unless the run enabled attribution).
 	Attribution *Attribution
 }
 
-// StageAttribution is the aggregate latency of one span stage over every
-// completed transaction of a run.
+// StageAttribution is the per-transaction distribution of one span stage's
+// cycles, over the completed transactions that spent time in the stage.
 type StageAttribution struct {
-	Stage string    // stage name (obs stage table)
-	Total sim.Time  // cycles attributed to this stage over all transactions
-	Hist  Histogram // per-transaction distribution of the stage's cycles
+	Stage string // stage name (obs stage table)
+	Hist  Histogram
 }
 
-// Attribution is the causal latency-attribution aggregate of one run: for
-// every completed coherence transaction, its end-to-end miss latency
-// partitioned cycle-exactly into stage segments.
+// Attribution is the causal latency-attribution aggregate of one run:
+// every completed miss's latency (Run.MissLatency, which also gives the
+// completed count and the end-to-end distribution) partitioned
+// cycle-exactly into stage segments.
 type Attribution struct {
-	Completed  uint64 // transactions finished and aggregated
 	Violations uint64 // conservation violations (must be zero)
-	EndToEnd   Histogram
 	Stages     []StageAttribution
 }
 
 // TotalCycles returns the attributed cycles summed over all stages (equal
-// to EndToEnd.Sum when conservation holds).
+// to Run.MissLatency.Sum when conservation holds).
 func (a *Attribution) TotalCycles() sim.Time {
-	var t sim.Time
+	var t int64
 	for i := range a.Stages {
-		t += a.Stages[i].Total
+		t += a.Stages[i].Hist.Sum
 	}
-	return t
+	return sim.Time(t)
 }
 
 // StageShare returns the fraction of all attributed cycles spent in the
 // named stage (0 when the run attributed nothing).
 func (a *Attribution) StageShare(stage string) float64 {
-	if a == nil || a.EndToEnd.Sum <= 0 {
+	if a == nil {
+		return 0
+	}
+	total := a.TotalCycles()
+	if total <= 0 {
 		return 0
 	}
 	for i := range a.Stages {
 		if a.Stages[i].Stage == stage {
-			return float64(a.Stages[i].Total) / float64(a.EndToEnd.Sum)
+			return float64(a.Stages[i].Hist.Sum) / float64(total)
 		}
 	}
 	return 0

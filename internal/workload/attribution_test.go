@@ -38,15 +38,15 @@ func runAttributed(t *testing.T, cfg config.Config, app string) (*machine.Machin
 	if a == nil {
 		t.Fatalf("%s: attributed run produced no Attribution stats", app)
 	}
-	if a.Completed == 0 {
+	if r.MissLatency.Count == 0 {
 		t.Fatalf("%s: no transactions completed under attribution", app)
 	}
 	if a.Violations != 0 {
 		t.Fatalf("%s: %d conservation violations", app, a.Violations)
 	}
-	if int64(a.TotalCycles()) != a.EndToEnd.Sum {
-		t.Fatalf("%s: stage cycles %d != end-to-end cycles %d over %d transactions",
-			app, a.TotalCycles(), a.EndToEnd.Sum, a.Completed)
+	if int64(a.TotalCycles()) != r.MissLatency.Sum {
+		t.Fatalf("%s: stage cycles %d != miss-latency cycles %d over %d transactions",
+			app, a.TotalCycles(), r.MissLatency.Sum, r.MissLatency.Count)
 	}
 	return m, r.ExecTime
 }
@@ -81,7 +81,7 @@ func TestAttributionTimingInvisible(t *testing.T) {
 }
 
 // TestAttributionNoLeak checks that span state is reclaimed across a full
-// kernel run: every opened transaction is finished or abandoned by the time
+// kernel run: every opened transaction is finished by the time
 // the machine quiesces.
 func TestAttributionNoLeak(t *testing.T) {
 	for _, app := range []string{"fft", "radix", "lu"} {
@@ -93,7 +93,7 @@ func TestAttributionNoLeak(t *testing.T) {
 		cfg.ProcsPerNode = 2
 		cfg.SimLimit = 2_000_000_000
 		m, _ := runAttributed(t, cfg, app)
-		if n := m.Spans().OpenCount(); n != 0 {
+		if n := m.Tracer.OpenSpans(); n != 0 {
 			t.Errorf("%s: %d transaction spans still open after run end", app, n)
 		}
 	}
@@ -163,17 +163,17 @@ func TestAttributionChaosProperty(t *testing.T) {
 			t.Fatalf("seed %d verification: %v", seed, err)
 		}
 		a := r.Attribution
-		if a == nil || a.Completed == 0 {
+		if a == nil || r.MissLatency.Count == 0 {
 			t.Fatalf("seed %d: no attributed transactions", seed)
 		}
 		if a.Violations != 0 {
 			t.Fatalf("seed %d: %d conservation violations under faults (%s)", seed, a.Violations, sch)
 		}
-		if int64(a.TotalCycles()) != a.EndToEnd.Sum {
-			t.Fatalf("seed %d: stage cycles %d != end-to-end %d (%s)",
-				seed, a.TotalCycles(), a.EndToEnd.Sum, sch)
+		if int64(a.TotalCycles()) != r.MissLatency.Sum {
+			t.Fatalf("seed %d: stage cycles %d != miss-latency cycles %d (%s)",
+				seed, a.TotalCycles(), r.MissLatency.Sum, sch)
 		}
-		if n := m.Spans().OpenCount(); n != 0 {
+		if n := m.Tracer.OpenSpans(); n != 0 {
 			t.Fatalf("seed %d: %d spans leaked open", seed, n)
 		}
 	}

@@ -195,10 +195,3 @@ func blockRange(n, nprocs, id int) (int, int) {
 	}
 	return lo, hi
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
