@@ -131,12 +131,13 @@ torture-smoke:
 	$(GO) test -count=1 -run TestKillTorture -v ./internal/serve/
 
 # microbench runs the go-test benchmark suites: each paper artifact once at
-# SizeTest, and the engine hot-loop benchmarks in internal/sim at the default
-# benchtime, so their ns/op is the engine's per-event cost rather than one
-# timed iteration. No gate reads these timings.
+# SizeTest, then the engine hot-loop benchmarks in internal/sim and the miss
+# path benchmarks in internal/machine at the default benchtime, so their
+# ns/op is the engine's per-event cost and the host cost of one local or
+# remote L2 miss, printed with allocs/op. No gate reads these timings.
 microbench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-	$(GO) test -bench . -run '^$$' ./internal/sim
+	$(GO) test -bench . -run '^$$' ./internal/sim ./internal/machine
 
 # perfbench tests the repository benchmark (BENCHMARK.json), a nested
 # module that the root module's build, vet and tests never compile: its

@@ -196,6 +196,9 @@ type engine struct {
 	q         [3][]*work
 	busy      bool
 	netStreak int // consecutive network-request dispatches while bus waits
+	// idleFn is idle, bound once: dispatch and StallEngine schedule it at
+	// the end of every occupancy without allocating.
+	idleFn func()
 }
 
 // New creates a controller, attaching it to the node's bus and to the
@@ -220,7 +223,9 @@ func New(eng *sim.Engine, cfg *config.Config, node int, bus *smpbus.Bus,
 		mshr:    make(map[uint64]*mshrEntry),
 	}
 	for i := 0; i < cfg.NodeEngineCount(node); i++ {
-		cc.engines = append(cc.engines, &engine{cc: cc, idx: i})
+		e := &engine{cc: cc, idx: i}
+		e.idleFn = e.idle
+		cc.engines = append(cc.engines, e)
 	}
 	bus.AttachController(cc)
 	net.Attach(node, cc.deliver)
@@ -490,10 +495,7 @@ func (cc *Controller) StallEngine(idx int, dur sim.Time) bool {
 		return false
 	}
 	e.busy = true
-	cc.eng.After(dur, func() {
-		e.busy = false
-		e.kick()
-	})
+	cc.eng.After(dur, e.idleFn)
 	return true
 }
 
@@ -507,9 +509,7 @@ func (cc *Controller) send(at sim.Time, dst int, msg *protocol.Msg) {
 	if cc.hook != nil {
 		cc.hook.Send(cc.node, cc.inDispatch, cc.curTrigger, cc.curHandler, msg.Type)
 	}
-	cc.eng.At(at, func() {
-		cc.net.Send(cc.node, dst, msg.Flits(cc.cfg), msg)
-	})
+	cc.net.Send(at, cc.node, dst, msg.Flits(cc.cfg), msg)
 }
 
 // ---- dispatch -------------------------------------------------------------
@@ -525,6 +525,12 @@ func (e *engine) queueLen() int {
 		n += len(q)
 	}
 	return n
+}
+
+// idle ends the engine's current occupancy and re-arbitrates.
+func (e *engine) idle() {
+	e.busy = false
+	e.kick()
 }
 
 // kick starts a dispatch if the engine is idle and work is queued.
@@ -551,11 +557,15 @@ func (e *engine) enqueue(w *work) {
 	e.kick()
 }
 
-// take removes the head of input queue q, tracing the removal.
+// take removes the head of input queue q, tracing the removal. The queue
+// shifts down in place, so it keeps reusing its backing array.
 func (e *engine) take(q int) *work {
-	w := e.q[q][0]
-	e.q[q] = e.q[q][1:]
-	e.cc.tr.Dequeue(e.cc.eng.Now(), e.cc.node, e.idx, q, len(e.q[q]), e.cc.lineOf(w))
+	s := e.q[q]
+	w := s[0]
+	n := copy(s, s[1:])
+	s[n] = nil
+	e.q[q] = s[:n]
+	e.cc.tr.Dequeue(e.cc.eng.Now(), e.cc.node, e.idx, q, n, e.cc.lineOf(w))
 	return w
 }
 
@@ -627,10 +637,7 @@ func (e *engine) dispatch(w *work) {
 	if cc.tr.Enabled() {
 		cc.tr.Dispatch(now, cc.node, e.idx, w.label(), cc.lineOf(w), occ, now-w.arrival)
 	}
-	cc.eng.At(now+occ, func() {
-		e.busy = false
-		e.kick()
-	})
+	cc.eng.At(now+occ, e.idleFn)
 }
 
 // charge computes a handler's total occupancy and its action time (the

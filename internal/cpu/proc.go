@@ -89,6 +89,16 @@ type Proc struct {
 	// synchronization layer instead of resuming the program.
 	syncCb func()
 
+	// miss is the bus transaction of the in-flight miss or upgrade, issued
+	// again for every attempt: an in-order processor has at most one in
+	// flight. Its Line and Kind name the access between attempts. issueFn,
+	// retryFn and missDoneFn are issueMiss, retryAccess and missDone for
+	// it, bound once so that neither an issue nor a retry allocates.
+	miss       smpbus.Txn
+	issueFn    func()
+	retryFn    func()
+	missDoneFn func(smpbus.Outcome)
+
 	pendingComp int64 // program-side accumulated compute cycles
 
 	// Statistics.
@@ -134,7 +144,13 @@ func New(eng *sim.Engine, cfg *config.Config, id, node int, bus *smpbus.Bus,
 	}
 	p.resumeFn = p.resumeProgram
 	p.execFn = func() { p.execOp(p.curOp) }
+	p.issueFn = func() { p.issueMiss(p.miss.Line, p.miss.Kind) }
+	p.retryFn = func() { p.retryAccess(p.miss.Line, p.miss.Kind) }
+	p.missDoneFn = func(o smpbus.Outcome) {
+		p.missDone(p.miss.Line, p.miss.Kind, p.miss.RequesterOwns, o)
+	}
 	p.src = bus.AttachSnooper(p)
+	p.miss.Src = p.src
 	return p
 }
 
@@ -342,11 +358,11 @@ func (p *Proc) access(addr uint64, write bool) {
 			p.tr.SpanStart(p.missTxn, p.node, line, p.missStart)
 			p.tr.SpanBegin(p.missTxn, obs.StageStall, 0, p.missStart)
 		}
-		kind := smpbus.Read
+		p.miss.Line, p.miss.Kind = line, smpbus.Read
 		if write {
-			kind = smpbus.ReadEx
+			p.miss.Kind = smpbus.ReadEx
 		}
-		p.eng.After(p.cfg.L2MissDetect, func() { p.issueMiss(line, kind) })
+		p.eng.After(p.cfg.L2MissDetect, p.issueFn)
 	case !write:
 		p.l2Hits++
 		p.readValue(line)
@@ -360,7 +376,8 @@ func (p *Proc) access(addr uint64, write bool) {
 		p.finishAccess(p.cfg.L2HitTime)
 	default: // write to Shared or Owned: upgrade
 		p.upgrades++
-		p.eng.After(p.cfg.L2MissDetect, func() { p.issueMiss(line, smpbus.Upgrade) })
+		p.miss.Line, p.miss.Kind = line, smpbus.Upgrade
+		p.eng.After(p.cfg.L2MissDetect, p.issueFn)
 	}
 }
 
@@ -370,18 +387,17 @@ func (p *Proc) requesterOwns(line uint64, kind smpbus.Kind) bool {
 	return kind == smpbus.Upgrade && p.l2.Lookup(line) == cache.Owned
 }
 
-// issueMiss puts a transaction on the bus and handles its outcome,
-// retrying with a re-evaluated cache state when bounced.
+// issueMiss puts the miss transaction on the bus and handles its outcome,
+// retrying with a re-evaluated cache state when bounced. Done is re-armed on
+// every issue: the controller wraps it while it serves one issue.
 func (p *Proc) issueMiss(line uint64, kind smpbus.Kind) {
-	owns := p.requesterOwns(line, kind)
-	txn := &smpbus.Txn{
-		Kind:          kind,
-		Line:          line,
-		Src:           p.src,
-		HomeLocal:     p.space.Home(line) == p.node,
-		RequesterOwns: owns,
-		Done:          func(o smpbus.Outcome) { p.missDone(line, kind, owns, o) },
-	}
+	txn := &p.miss
+	txn.Kind = kind
+	txn.Line = line
+	txn.HomeLocal = p.space.Home(line) == p.node
+	txn.RequesterOwns = p.requesterOwns(line, kind)
+	txn.Attr = 0
+	txn.Done = p.missDoneFn
 	if p.missActive {
 		txn.Attr = p.missTxn
 		p.tr.SpanEnd(p.missTxn, obs.StageStall, 0, p.eng.Now())
@@ -415,7 +431,7 @@ func (p *Proc) missDone(line uint64, kind smpbus.Kind, owned bool, o smpbus.Outc
 	case smpbus.RetryNeeded:
 		p.retries++
 		p.tr.SpanBegin(p.missTxn, obs.StageBackoff, 0, p.eng.Now())
-		p.eng.After(p.busBackoff(), func() { p.retryAccess(line, kind) })
+		p.eng.After(p.busBackoff(), p.retryFn)
 		return
 	case smpbus.OK:
 		p.retryStreak = 0
@@ -451,7 +467,7 @@ func (p *Proc) missDone(line uint64, kind smpbus.Kind, owned bool, o smpbus.Outc
 			// invalidated it while the upgrade was in flight, in which
 			// case global ownership moved and we must restart.
 			if p.l2.Lookup(line) != cache.Owned {
-				p.eng.After(p.cfg.BusRetry, func() { p.retryAccess(line, smpbus.Upgrade) })
+				p.eng.After(p.cfg.BusRetry, p.retryFn) // retries the Upgrade
 				return
 			}
 			p.l2.SetState(line, cache.Modified)

@@ -291,3 +291,64 @@ func TestRetryOfPresentLinePanics(t *testing.T) {
 		}()
 	}
 }
+
+// wrappingCC defers every remote-home transaction and supplies it 100
+// cycles later. On the first one it wraps Done the way the coherence
+// controller's mshrFill and finishOp do, counting the wrapper's calls.
+type wrappingCC struct {
+	eng      *sim.Engine
+	bus      *smpbus.Bus
+	deferred int
+	wrapped  int
+}
+
+func (c *wrappingCC) Snoop(txn *smpbus.Txn) smpbus.SnoopResult {
+	if txn.HomeLocal {
+		return smpbus.SnoopNone
+	}
+	return smpbus.SnoopDefer
+}
+
+func (c *wrappingCC) AcceptDeferred(txn *smpbus.Txn) {
+	if c.deferred++; c.deferred == 1 {
+		orig := txn.Done
+		txn.Done = func(o smpbus.Outcome) {
+			c.wrapped++
+			orig(o)
+		}
+	}
+	c.eng.After(100, func() { c.bus.Supply(txn, true, true, 0) })
+}
+
+func (c *wrappingCC) CaptureWriteBack(uint64, bool, uint64) {}
+
+// TestMissDoneWrapperLastsOneIssue checks that a Done wrapper the
+// controller installs while serving one miss is dropped when the processor
+// re-issues its transaction for the next miss.
+func TestMissDoneWrapperLastsOneIssue(t *testing.T) {
+	cfg := config.Base()
+	cfg.Nodes = 2
+	cfg.ProcsPerNode = 1
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine()
+	eng.Limit = 10_000_000
+	space := memaddr.NewSpace(&cfg)
+	bus := smpbus.New(eng, &cfg, 0, nil)
+	cc := &wrappingCC{eng: eng, bus: bus}
+	bus.AttachController(cc)
+	p := New(eng, &cfg, 0, 0, bus, space, noSync{}, nil)
+	remote := space.AllocOnNode(4096, 1)
+	run(t, eng, []*Proc{p}, func(e prog.Env) {
+		e.Read(remote)
+		e.Read(remote + uint64(cfg.LineSize))
+		e.Read(remote + 2*uint64(cfg.LineSize))
+	})
+	if cc.deferred != 3 || p.Counters()["misses"] != 3 {
+		t.Fatalf("%d misses, %d deferred to the controller; want 3 and 3", p.Counters()["misses"], cc.deferred)
+	}
+	if cc.wrapped != 1 {
+		t.Fatalf("the first miss's Done wrapper ran %d times over three misses, want 1", cc.wrapped)
+	}
+}

@@ -63,13 +63,25 @@ type discardFrame struct {
 	payload interface{}
 }
 
-// frame is a send parked behind a full NI output buffer or a link-level
-// recovery window.
+// frame is one message crossing the network. It carries the message from
+// the send through the output buffer, any go-back-N hold, both ports and
+// arrival. Frames are recycled through per-node free lists, and each
+// frame's callbacks are bound once, when it is allocated, so a recycled
+// frame crosses the network without allocating.
 type frame struct {
-	dst     int
-	flits   int
-	payload interface{}
-	delay   sim.Time
+	src, dst int
+	flits    int
+	payload  interface{}
+	delay    sim.Time
+	// ser is the serialization time and head the cycle the head flit
+	// reaches the destination's input port; both are set at the output
+	// port grant.
+	ser, head sim.Time
+	next      *frame // free-list link
+
+	// sendFn, launchFn, admitFn, landFn and arriveFn are send, launch,
+	// admit, land and arrive bound to this frame.
+	sendFn, launchFn, admitFn, landFn, arriveFn func()
 }
 
 // pairHold is a go-back-N recovery window on one (src, dst) pair: the
@@ -81,7 +93,7 @@ type frame struct {
 // frame holds everything behind it on the same pair instead of being
 // overtaken.
 type pairHold struct {
-	frames []frame
+	frames []*frame
 }
 
 // Network connects the nodes' network interfaces.
@@ -121,11 +133,18 @@ type Network struct {
 	// Only maintained when the depth knob is on, so fault-free runs
 	// schedule an identical event stream.
 	outQueued []int
-	outWait   [][]frame
+	outWait   [][]*frame
 	// hold[src] carries the active go-back-N recovery windows keyed by
 	// destination (NetReliable only; never populated on a fault-free run).
 	// Per-source maps keep all mutation on the source node's engine.
 	hold []map[int]*pairHold
+	// free[node] heads the node's list of idle frames. A send takes its
+	// frame from the source node's list and the arrival returns it to the
+	// destination node's, each on that node's engine, so a sharded run
+	// never touches one list from two goroutines.
+	free []*frame
+	// drainFns[node] is portDrained for that node, bound once.
+	drainFns []func()
 }
 
 // New creates the network for the configured node count; engs[i] is the
@@ -144,13 +163,17 @@ func New(engs []*sim.Engine, cfg *config.Config, tr *obs.Tracer) *Network {
 		in:        make([]*sim.Resource, cfg.Nodes),
 		sinks:     make([]Handler, cfg.Nodes),
 		outQueued: make([]int, cfg.Nodes),
-		outWait:   make([][]frame, cfg.Nodes),
+		outWait:   make([][]*frame, cfg.Nodes),
 		hold:      make([]map[int]*pairHold, cfg.Nodes),
+		free:      make([]*frame, cfg.Nodes),
+		drainFns:  make([]func(), cfg.Nodes),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		n.out[i] = sim.NewResource(engs[i])
 		n.in[i] = sim.NewResource(engs[i])
 		n.hold[i] = map[int]*pairHold{}
+		node := i
+		n.drainFns[i] = func() { n.portDrained(node) }
 	}
 	if cfg.Topology == config.TopoMesh2D {
 		n.mesh = newMesh(engs[0], cfg.Nodes)
@@ -177,28 +200,54 @@ func (n *Network) Attach(node int, h Handler) {
 }
 
 // Send transmits a message of the given flit count from src to dst. The
-// sender's output port is occupied for the serialization time; the head
-// flit then traverses the switch with the configured point-to-point
-// latency; the receiver's input port is occupied while the message drains
-// into the destination NI; the sink fires when the last flit has arrived.
-// Send returns immediately (the NI accepts the message into its send queue
-// at the current cycle).
-func (n *Network) Send(src, dst, flitCount int, payload interface{}) {
+// source NI accepts it into its send queue at cycle at of src's engine,
+// which must not be in the past. The sender's output port is occupied for
+// the serialization time; the head flit then traverses the switch with the
+// configured point-to-point latency; the receiver's input port is occupied
+// while the message drains into the destination NI; the sink fires when
+// the last flit has arrived.
+func (n *Network) Send(at sim.Time, src, dst, flitCount int, payload interface{}) {
+	f := n.frameFor(src, dst, flitCount, payload)
+	n.engs[src].At(at, f.sendFn)
+}
+
+// frameFor takes a frame for one message from src's free list, allocating
+// and binding a new one when the list is empty.
+func (n *Network) frameFor(src, dst, flitCount int, payload interface{}) *frame {
 	if src < 0 || src >= len(n.out) || dst < 0 || dst >= len(n.in) {
 		panic(fmt.Sprintf("interconnect: send %d->%d out of range", src, dst))
 	}
 	if flitCount <= 0 {
 		flitCount = 1
 	}
+	f := n.free[src]
+	if f == nil {
+		f = &frame{}
+		f.sendFn = func() { n.send(f) }
+		f.launchFn = func() { n.launch(f) }
+		f.admitFn = func() { n.admit(f) }
+		f.landFn = func() { n.land(f) }
+		f.arriveFn = func() { n.arrive(f) }
+	} else {
+		n.free[src] = f.next
+		f.next = nil
+	}
+	f.src, f.dst, f.flits, f.payload, f.delay = src, dst, flitCount, payload, 0
+	return f
+}
+
+// send puts f through the fault hook, if any, and into the source NI.
+func (n *Network) send(f *frame) {
+	src, dst := f.src, f.dst
 	if n.tr.Attributing() {
-		_, _, txn, epoch := obs.DescribePayload(payload)
+		_, _, txn, epoch := obs.DescribePayload(f.payload)
 		n.tr.SpanBegin(txn, obs.StageNIPort, epoch, n.engs[src].Now())
 	}
 	if n.Fault == nil {
-		n.enqueue(src, dst, flitCount, payload, 0)
+		n.enqueue(f)
 		return
 	}
-	d := n.Fault(src, dst, payload)
+	d := n.Fault(src, dst, f.payload)
 	if d.Delay > 0 {
 		atomic.AddUint64(&n.link.DelaysInjected, 1)
 	}
@@ -207,44 +256,47 @@ func (n *Network) Send(src, dst, flitCount int, payload interface{}) {
 		if n.cfg.NetReliable {
 			// The mangled frame crosses the wire, fails the receiver's
 			// CRC, and the sender's replay buffer re-sends the original.
-			n.enqueue(src, dst, flitCount, &discardFrame{payload: d.Replace}, d.Delay)
+			bad := n.frameFor(src, dst, f.flits, &discardFrame{payload: d.Replace})
+			bad.delay = d.Delay
+			n.enqueue(bad)
 			atomic.AddUint64(&n.link.Retransmits, 1)
-			n.holdPair(src, dst, n.retryDelay(), frame{dst: dst, flits: flitCount, payload: payload})
+			n.holdPair(src, dst, n.retryDelay(), f)
 			return
 		}
-		payload = d.Replace
+		f.payload = d.Replace
 	}
 	if d.Drop {
 		atomic.AddUint64(&n.link.Drops, 1)
 		if n.cfg.NetReliable {
 			atomic.AddUint64(&n.link.Retransmits, 1)
-			n.holdPair(src, dst, n.retryDelay(), frame{dst: dst, flits: flitCount, payload: payload})
+			n.holdPair(src, dst, n.retryDelay(), f)
 		}
 		return
 	}
 	if d.Duplicate {
 		atomic.AddUint64(&n.link.Duplicates, 1)
-		copyPayload := payload
+		copyPayload := f.payload
 		if n.cfg.NetReliable {
-			copyPayload = &discardFrame{payload: payload}
+			copyPayload = &discardFrame{payload: f.payload}
 		}
 		// The duplicate copy needs no ordering: the receiving NI rejects
 		// it (reliable) or the protocol must tolerate it (raw).
-		n.enqueue(src, dst, flitCount, copyPayload, 0)
+		n.enqueue(n.frameFor(src, dst, f.flits, copyPayload))
 	}
 	if n.cfg.NetReliable {
 		if d.Delay > 0 {
 			// A delayed frame stalls its go-back-N window: later frames
 			// on the pair queue behind it instead of overtaking.
-			n.holdPair(src, dst, d.Delay, frame{dst: dst, flits: flitCount, payload: payload})
+			n.holdPair(src, dst, d.Delay, f)
 			return
 		}
 		if h := n.hold[src][dst]; h != nil {
-			h.frames = append(h.frames, frame{dst: dst, flits: flitCount, payload: payload})
+			h.frames = append(h.frames, f)
 			return
 		}
 	}
-	n.enqueue(src, dst, flitCount, payload, d.Delay)
+	f.delay = d.Delay
+	n.enqueue(f)
 }
 
 // retryDelay is the link-level recovery latency (replay-buffer timeout).
@@ -258,77 +310,84 @@ func (n *Network) retryDelay() sim.Time {
 // holdPair opens (or joins) the pair's go-back-N recovery window: f and
 // every subsequent original on the pair re-enter the send path, in order,
 // when the window closes after delay.
-func (n *Network) holdPair(src, dst int, delay sim.Time, f frame) {
+func (n *Network) holdPair(src, dst int, delay sim.Time, f *frame) {
 	if h := n.hold[src][dst]; h != nil {
 		// Already recovering this pair: the frame joins the replay queue
 		// and rides the existing window.
 		h.frames = append(h.frames, f)
 		return
 	}
-	h := &pairHold{frames: []frame{f}}
+	h := &pairHold{frames: []*frame{f}}
 	n.hold[src][dst] = h
 	n.engs[src].After(delay, func() {
 		delete(n.hold[src], dst)
 		for _, qf := range h.frames {
-			n.enqueue(src, qf.dst, qf.flits, qf.payload, qf.delay)
+			n.enqueue(qf)
 		}
 	})
 }
 
 // enqueue admits a message to the source NI's output buffer, parking it
 // when the configured finite depth is exceeded (back-pressure).
-func (n *Network) enqueue(src, dst, flitCount int, payload interface{}, delay sim.Time) {
-	if n.cfg.NIPortDepth > 0 && n.outQueued[src] >= n.cfg.NIPortDepth {
+func (n *Network) enqueue(f *frame) {
+	if n.cfg.NIPortDepth > 0 && n.outQueued[f.src] >= n.cfg.NIPortDepth {
 		atomic.AddUint64(&n.link.Overflows, 1)
-		n.outWait[src] = append(n.outWait[src], frame{dst: dst, flits: flitCount, payload: payload, delay: delay})
+		n.outWait[f.src] = append(n.outWait[f.src], f)
 		return
 	}
-	n.transmit(src, dst, flitCount, payload, delay)
+	n.transmit(f)
 }
 
-func (n *Network) transmit(src, dst, flitCount int, payload interface{}, delay sim.Time) {
+func (n *Network) transmit(f *frame) {
 	atomic.AddUint64(&n.msgs, 1)
-	atomic.AddUint64(&n.flits, uint64(flitCount))
+	atomic.AddUint64(&n.flits, uint64(f.flits))
 	atomic.AddInt64(&n.inFlight, 1)
-	track := n.cfg.NIPortDepth > 0
-	if track {
-		n.outQueued[src]++
+	if n.cfg.NIPortDepth > 0 {
+		n.outQueued[f.src]++
 	}
 	if n.tr.Enabled() {
-		name, line, _, _ := obs.DescribePayload(payload)
-		n.tr.NetSend(n.engs[src].Now(), src, dst, name, line, flitCount)
+		name, line, _, _ := obs.DescribePayload(f.payload)
+		n.tr.NetSend(n.engs[f.src].Now(), f.src, f.dst, name, line, f.flits)
 	}
-	ser := sim.Time(flitCount) * n.cfg.NetFlitTime
-	n.out[src].Acquire(ser, func() {
-		eng := n.engs[src]
-		start := eng.Now()
-		if n.tr.Attributing() {
-			_, _, txn, epoch := obs.DescribePayload(payload)
-			n.tr.SpanEnd(txn, obs.StageNIPort, epoch, start)
-			n.tr.SpanBegin(txn, obs.StageWire, epoch, start)
-		}
-		if track {
-			eng.At(start+ser, func() { n.portDrained(src) })
-		}
-		if n.mesh != nil && src != dst {
-			n.sendMesh(src, dst, start+delay, ser, payload)
-			return
-		}
-		headArrives := start + n.cfg.NetLatency + delay
-		n.deliverAt(src, dst, headArrives, ser, payload)
-	})
+	f.ser = sim.Time(f.flits) * n.cfg.NetFlitTime
+	n.out[f.src].Acquire(f.ser, f.launchFn)
+}
+
+// launch runs at the output port grant: the frame serializes onto the
+// wire and its head flit heads for the destination.
+func (n *Network) launch(f *frame) {
+	eng := n.engs[f.src]
+	start := eng.Now()
+	if n.tr.Attributing() {
+		_, _, txn, epoch := obs.DescribePayload(f.payload)
+		n.tr.SpanEnd(txn, obs.StageNIPort, epoch, start)
+		n.tr.SpanBegin(txn, obs.StageWire, epoch, start)
+	}
+	if n.cfg.NIPortDepth > 0 {
+		eng.At(start+f.ser, n.drainFns[f.src])
+	}
+	if n.mesh != nil && f.src != f.dst {
+		n.sendMesh(f, start+f.delay)
+		return
+	}
+	f.head = start + n.cfg.NetLatency + f.delay
+	n.deliverAt(f)
 }
 
 // portDrained frees one NI output-buffer slot and launches the oldest
-// parked send, if any.
+// parked send, if any. The buffer shifts down in place, so it keeps
+// reusing its backing array.
 func (n *Network) portDrained(src int) {
 	n.outQueued[src]--
-	if len(n.outWait[src]) == 0 {
+	w := n.outWait[src]
+	if len(w) == 0 {
 		return
 	}
-	f := n.outWait[src][0]
-	n.outWait[src] = n.outWait[src][1:]
-	n.transmit(src, f.dst, f.flits, f.payload, f.delay)
+	f := w[0]
+	k := copy(w, w[1:])
+	w[k] = nil
+	n.outWait[src] = w[:k]
+	n.transmit(f)
 }
 
 // Brownout takes a node's NI port out of service for dur cycles (fault
@@ -356,16 +415,17 @@ func (n *Network) Brownout(node int, out bool, dur sim.Time) {
 // sendMesh chains the message across the mesh's links with dimension-order
 // routing: each hop contends for its directed link, occupies it for the
 // serialization time, and adds the per-hop router latency.
-func (n *Network) sendMesh(src, dst int, start, ser sim.Time, payload interface{}) {
-	hops := n.mesh.route(src, dst)
+func (n *Network) sendMesh(f *frame, start sim.Time) {
+	hops := n.mesh.route(f.src, f.dst)
 	var advance func(i int, t sim.Time)
 	advance = func(i int, t sim.Time) {
 		if i == len(hops) {
-			n.deliverAt(src, dst, t, ser, payload)
+			f.head = t
+			n.deliverAt(f)
 			return
 		}
 		link := n.mesh.links[hops[i]]
-		link.AcquireAt(t, ser, func() {
+		link.AcquireAt(t, f.ser, func() {
 			advance(i+1, n.engs[0].Now()+n.cfg.NetHopLatency)
 		})
 	}
@@ -373,49 +433,53 @@ func (n *Network) sendMesh(src, dst int, start, ser sim.Time, payload interface{
 }
 
 // deliverAt drains the message into the destination NI beginning at
-// headArrives and fires the sink when the last flit lands. When sharded,
+// f.head and fires the sink when the last flit lands. The admission goes
+// through DeferTo, which runs it inline on a serial engine. When sharded,
 // every delivery — even one whose destination shares the source's shard —
-// crosses through DeferTo, so the input port admits requests in the
+// is admitted at the window drain, so the input port admits requests in the
 // reconstructed serial order (its FIFO accumulation depends on admission
-// order, not just arrival times). headArrives is at least one network
-// latency past the sending event, and the cluster lookahead never exceeds
-// the network latency, so the drained admission lands at or past the
-// window horizon. A serial run admits directly: DeferTo would run inline
-// anyway, but only after allocating a closure per message.
-func (n *Network) deliverAt(src, dst int, headArrives, ser sim.Time, payload interface{}) {
-	eng := n.engs[src]
-	if !eng.Sharded() {
-		n.admit(src, dst, headArrives, ser, payload)
-		return
-	}
-	eng.DeferTo(n.engs[dst], func() {
-		n.admit(src, dst, headArrives, ser, payload)
-	})
+// order, not just arrival times). f.head is at least one network latency
+// past the sending event, and the cluster lookahead never exceeds the
+// network latency, so the drained admission lands at or past the window
+// horizon.
+func (n *Network) deliverAt(f *frame) {
+	n.engs[f.src].DeferTo(n.engs[f.dst], f.admitFn)
 }
 
-func (n *Network) admit(src, dst int, headArrives, ser sim.Time, payload interface{}) {
-	eng := n.engs[dst]
-	n.in[dst].AcquireAt(headArrives, ser, func() {
-		eng.After(ser, func() {
-			atomic.AddInt64(&n.inFlight, -1)
-			if _, rejected := payload.(*discardFrame); rejected {
-				// Failed CRC or duplicate sequence number: the NI rejects
-				// the frame after it has consumed wire bandwidth.
-				atomic.AddUint64(&n.link.Discards, 1)
-				return
-			}
-			sink := n.sinks[dst]
-			if sink == nil {
-				panic(fmt.Sprintf("interconnect: no sink on node %d", dst))
-			}
-			if n.tr != nil {
-				name, line, txn, epoch := obs.DescribePayload(payload)
-				n.tr.NetRecv(eng.Now(), src, dst, name, line)
-				n.tr.SpanEnd(txn, obs.StageWire, epoch, eng.Now())
-			}
-			sink(src, payload)
-		})
-	})
+// admit queues the frame for the destination's input port.
+func (n *Network) admit(f *frame) {
+	n.in[f.dst].AcquireAt(f.head, f.ser, f.landFn)
+}
+
+// land runs at the input port grant: the last flit arrives ser later.
+func (n *Network) land(f *frame) {
+	n.engs[f.dst].After(f.ser, f.arriveFn)
+}
+
+// arrive hands the message to the destination's sink, first returning the
+// frame to the destination's free list for the sink's own sends.
+func (n *Network) arrive(f *frame) {
+	src, dst, payload := f.src, f.dst, f.payload
+	f.payload, f.next = nil, n.free[dst]
+	n.free[dst] = f
+	atomic.AddInt64(&n.inFlight, -1)
+	if _, rejected := payload.(*discardFrame); rejected {
+		// Failed CRC or duplicate sequence number: the NI rejects the
+		// frame after it has consumed wire bandwidth.
+		atomic.AddUint64(&n.link.Discards, 1)
+		return
+	}
+	sink := n.sinks[dst]
+	if sink == nil {
+		panic(fmt.Sprintf("interconnect: no sink on node %d", dst))
+	}
+	if n.tr != nil {
+		eng := n.engs[dst]
+		name, line, txn, epoch := obs.DescribePayload(payload)
+		n.tr.NetRecv(eng.Now(), src, dst, name, line)
+		n.tr.SpanEnd(txn, obs.StageWire, epoch, eng.Now())
+	}
+	sink(src, payload)
 }
 
 // Messages returns the number of messages sent so far.

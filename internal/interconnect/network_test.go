@@ -34,7 +34,7 @@ func TestControlMessageLatency(t *testing.T) {
 		deliveredSrc = src
 		deliveredPayload = p
 	})
-	eng.At(0, func() { net.Send(0, 1, cfg.ControlFlits(), "hello") })
+	net.Send(0, 0, 1, cfg.ControlFlits(), "hello")
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestDataMessageLatency(t *testing.T) {
 	eng, net, cfg := setup(t)
 	var at sim.Time = -1
 	net.Attach(2, func(int, interface{}) { at = eng.Now() })
-	eng.At(0, func() { net.Send(0, 2, cfg.LineDataFlits(), nil) })
+	net.Send(0, 0, 2, cfg.LineDataFlits(), nil)
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +66,8 @@ func TestOutputPortSerializes(t *testing.T) {
 	var times []sim.Time
 	net.Attach(1, func(int, interface{}) { times = append(times, eng.Now()) })
 	net.Attach(2, func(int, interface{}) { times = append(times, eng.Now()) })
-	eng.At(0, func() {
-		net.Send(0, 1, 5, nil) // occupies out port [0,10)
-		net.Send(0, 2, 1, nil) // must wait until 10
-	})
+	net.Send(0, 0, 1, 5, nil) // occupies out port [0,10)
+	net.Send(0, 0, 2, 1, nil) // must wait until 10
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +84,8 @@ func TestInputPortContention(t *testing.T) {
 	eng, net, _ := setup(t)
 	var times []sim.Time
 	net.Attach(3, func(src int, _ interface{}) { times = append(times, eng.Now()) })
-	eng.At(0, func() {
-		net.Send(0, 3, 5, nil) // arrives head at 14, drains [14,24)
-		net.Send(1, 3, 5, nil) // head also at 14, must queue: drains [24,34)
-	})
+	net.Send(0, 0, 3, 5, nil) // arrives head at 14, drains [14,24)
+	net.Send(0, 1, 3, 5, nil) // head also at 14, must queue: drains [24,34)
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +101,7 @@ func TestSlowNetworkParameter(t *testing.T) {
 	net := newSerial(eng, &cfg)
 	var at sim.Time
 	net.Attach(1, func(int, interface{}) { at = eng.Now() })
-	eng.At(0, func() { net.Send(0, 1, 1, nil) })
+	net.Send(0, 0, 1, 1, nil)
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +113,8 @@ func TestSlowNetworkParameter(t *testing.T) {
 func TestCounters(t *testing.T) {
 	eng, net, _ := setup(t)
 	net.Attach(1, func(int, interface{}) {})
-	eng.At(0, func() {
-		net.Send(0, 1, 5, nil)
-		net.Send(0, 1, 1, nil)
-	})
+	net.Send(0, 0, 1, 5, nil)
+	net.Send(0, 0, 1, 1, nil)
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +131,7 @@ func TestCounters(t *testing.T) {
 
 func TestNoSinkPanics(t *testing.T) {
 	eng, net, _ := setup(t)
-	eng.At(0, func() { net.Send(0, 1, 1, nil) })
+	net.Send(0, 0, 1, 1, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("delivery without sink did not panic")
@@ -182,10 +176,8 @@ func TestMeshLatencyScalesWithDistance(t *testing.T) {
 	var near, far sim.Time
 	net.Attach(1, func(int, interface{}) { near = eng.Now() })
 	net.Attach(15, func(int, interface{}) { far = eng.Now() })
-	eng.At(0, func() {
-		net.Send(0, 1, 1, nil)  // 1 hop
-		net.Send(0, 15, 1, nil) // 6 hops
-	})
+	net.Send(0, 0, 1, 1, nil)  // 1 hop
+	net.Send(0, 0, 15, 1, nil) // 6 hops
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +198,9 @@ func TestMeshLinkContention(t *testing.T) {
 	net := newSerial(eng, &cfg)
 	var times []sim.Time
 	net.Attach(1, func(int, interface{}) { times = append(times, eng.Now()) })
-	eng.At(0, func() {
-		// Two messages over the same 0->1 link: the second queues.
-		net.Send(0, 1, 5, nil)
-		net.Send(0, 1, 5, nil)
-	})
+	// Two messages over the same 0->1 link: the second queues.
+	net.Send(0, 0, 1, 5, nil)
+	net.Send(0, 0, 1, 5, nil)
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +223,7 @@ func TestMeshEndToEndMachine(t *testing.T) {
 		net := newSerial(eng, &cfg)
 		got := 0
 		net.Attach(3, func(int, interface{}) { got++ })
-		eng.At(0, func() { net.Send(0, 3, cfg.LineDataFlits(), nil) })
+		net.Send(0, 0, 3, cfg.LineDataFlits(), nil)
 		if _, err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -270,8 +260,8 @@ func TestReliableLinkPreservesPairOrder(t *testing.T) {
 			}
 			return Decision{}
 		}
-		eng.At(0, func() { net.Send(0, 1, 1, "first") })
-		eng.At(1, func() { net.Send(0, 1, 1, "second") })
+		net.Send(0, 0, 1, 1, "first")
+		net.Send(1, 0, 1, 1, "second")
 		if _, err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +282,7 @@ func TestReliableLinkRejectsDuplicates(t *testing.T) {
 	delivered := 0
 	net.Attach(1, func(int, interface{}) { delivered++ })
 	net.Fault = func(int, int, interface{}) Decision { return Decision{Duplicate: true} }
-	eng.At(0, func() { net.Send(0, 1, 1, "msg") })
+	net.Send(0, 0, 1, 1, "msg")
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

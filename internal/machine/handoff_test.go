@@ -160,3 +160,84 @@ func TestL1HitsDoNotAllocate(t *testing.T) {
 			perRef, small, n, large, 2*n)
 	}
 }
+
+// missStream builds a nodes×1 machine with a 64 KB L2 whose processor 0
+// makes n reads of lines homed on node home. It cycles through twice as many
+// distinct lines as the L2 holds, so every read misses in both caches and no
+// miss writes a line back; the other processors do nothing. Once n reaches
+// the cycle length, the caches and the end-of-run checks cost the same
+// whatever n is. The time limit allows 10,000 cycles per miss.
+func missStream(tb testing.TB, nodes, home, n int) (*Machine, func(prog.Env)) {
+	tb.Helper()
+	cfg := testCfg(nodes, 1)
+	cfg.L2Size = 64 << 10
+	cfg.SimLimit = sim.Time(n+1) * 10_000
+	m, err := New(cfg, "misses")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lines := 2 * m.Cfg.L2Size / m.Cfg.LineSize
+	base := m.Space.AllocOnNode(lines*m.Cfg.LineSize, home)
+	stride := uint64(m.Cfg.LineSize)
+	return m, func(e prog.Env) {
+		if e.ID() != 0 {
+			return
+		}
+		for i := 0; i < n; i++ {
+			e.Read(base + uint64(i%lines)*stride)
+		}
+	}
+}
+
+// missAllocs returns the allocations one miss adds to a missStream run:
+// the difference between runs of n and 2n misses, over n.
+func missAllocs(t *testing.T, nodes, home int) float64 {
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			m, program := missStream(t, nodes, home, n)
+			if _, err := m.Run(program); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const n = 4096
+	small, large := allocs(n), allocs(2*n)
+	return (large - small) / n
+}
+
+// TestMissesDoNotAllocate pins the cost of the miss path. A processor
+// re-issues one bus transaction for its in-flight miss, the bus, controller
+// engines and network schedule callbacks bound once per object, and network
+// frames are recycled, so a miss served by local memory allocates nothing.
+// A remote miss still allocates its protocol messages, queued work and
+// transient controller state; its measured count of 17 is pinned as a
+// ceiling. Both allow 0.01 per miss for the runtime's own occasional
+// allocations, which the race detector makes more frequent.
+func TestMissesDoNotAllocate(t *testing.T) {
+	const slack = 0.01
+	if perMiss := missAllocs(t, 1, 0); perMiss > slack {
+		t.Errorf("%.4f allocations per local miss, want 0", perMiss)
+	}
+	if perMiss := missAllocs(t, 2, 1); perMiss > 17+slack {
+		t.Errorf("%.4f allocations per remote miss, want at most 17", perMiss)
+	}
+}
+
+// BenchmarkMissPath reports the host time and allocations of one L2 miss
+// served by local memory and by a remote home, over the streams of
+// TestMissesDoNotAllocate.
+func BenchmarkMissPath(b *testing.B) {
+	for _, bc := range []struct {
+		name        string
+		nodes, home int
+	}{{"local", 1, 0}, {"remote", 2, 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			m, program := missStream(b, bc.nodes, bc.home, b.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			if _, err := m.Run(program); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

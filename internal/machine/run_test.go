@@ -56,7 +56,7 @@ func TestRunRequiresDrainedNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Eng.At(10, func() { m.Net.Send(0, 1, 1, nil) })
+	m.Net.Send(10, 0, 1, 1, nil)
 	m.Eng.At(11, m.Eng.Stop) // before the frame can land
 	_, err = m.Run(func(prog.Env) {})
 	if err == nil || !strings.Contains(err.Error(), "network did not drain: 1 frames still in flight") {

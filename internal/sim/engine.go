@@ -19,11 +19,13 @@ type Time int64
 // compute-processor clock.
 func (t Time) Nanoseconds() float64 { return float64(t) * 5.0 }
 
-// event is a scheduled closure. seq breaks ties between events scheduled for
-// the same cycle so execution order is insertion order (deterministic).
-// Events are stored by value inside the engine's node slab: scheduling one
-// performs no per-event heap allocation (the closure the caller passes is
-// the only allocation on the scheduling path).
+// event is a scheduled function. seq breaks ties between events scheduled
+// for the same cycle so execution order is insertion order (deterministic).
+// Events are stored by value inside the engine's node slab, so the engine
+// allocates nothing per event. A function literal that captures variables
+// allocates each time it is evaluated, so the model's hot paths schedule
+// functions bound once to a long-lived object instead: a processor, a bus
+// transaction, a protocol engine, a network frame (DESIGN §11.5).
 //
 // rank is nil on a serial engine. On a sharded engine (one that belongs to a
 // Cluster) every event carries a scheduling-lineage rank that reconstructs
@@ -369,11 +371,6 @@ func (e *Engine) Step() bool {
 	e.take(t).fn()
 	return true
 }
-
-// Sharded reports whether the engine belongs to a Cluster. Model components
-// use it to route cross-shard effects through DeferTo/Fence instead of
-// calling into another engine directly.
-func (e *Engine) Sharded() bool { return e.cluster != nil }
 
 // Run executes events until the queue is empty, Stop is called, or the time
 // limit (if any) is exceeded. It returns the final simulated time and an

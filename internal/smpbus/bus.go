@@ -110,7 +110,9 @@ type Outcome struct {
 }
 
 // Txn is one bus transaction. Create with fields set and hand to Issue; the
-// bus invokes Done exactly once.
+// bus invokes Done exactly once per issue. Once Done has run, the issuer may
+// set the fields again and re-issue the same Txn: a processor re-issues one
+// Txn for every attempt of every miss.
 type Txn struct {
 	Kind Kind
 	Line uint64
@@ -139,8 +141,6 @@ type Txn struct {
 	// supplyFor links an internal deferred-reply transaction to the parked
 	// transaction it completes.
 	supplyFor *Txn
-	withData  bool
-	shared    bool
 	// snoopData is the shadow value captured from the supplying snooper at
 	// strobe time (valid when a snooper answered Owned or Shared).
 	snoopData uint64
@@ -148,8 +148,29 @@ type Txn struct {
 	// transactions hold their pending slot for a long time but are not
 	// actively transferring data, so controller interventions may proceed
 	// past them (the controller's MSHR-fill check covers the actual
-	// data-transfer window).
+	// data-transfer window). Issue clears it and snoopData, so a re-issued
+	// transaction starts with no state from its previous issue.
 	deferredToCC bool
+	// out is the outcome the pending memory read, data transfer or
+	// completion will deliver: a transaction has at most one in flight. A
+	// deferred reply carries the outcome it delivers to the parked
+	// transaction here.
+	out Outcome
+	// reply is the deferred-reply transaction Supply issues for this one,
+	// allocated on the first Supply and reused by later issues.
+	reply *Txn
+	// The bus's callbacks for this transaction, each bound on first use
+	// (see bound), so a re-issued transaction schedules its events without
+	// allocating and a single-use one binds only what it uses.
+	onGrant, onStrobe, onBounce, onIssue, onFinish, onMem, onData func()
+}
+
+// bound returns the callback in slot, first binding it to step(b, txn).
+func bound(slot *func(), b *Bus, txn *Txn, step func(*Bus, *Txn)) func() {
+	if *slot == nil {
+		*slot = func() { step(b, txn) }
+	}
+	return *slot
 }
 
 // SnoopResult is a snooping agent's verdict at address-strobe time.
@@ -348,9 +369,14 @@ func (b *Bus) Issue(txn *Txn) {
 		// data phase would return stale memory.
 		b.mem[txn.Line] = txn.Data
 	}
-	b.addr.Acquire(b.cfg.AddrStrobe, func() {
-		b.eng.After(b.cfg.BusArb, func() { b.strobe(txn) })
-	})
+	txn.deferredToCC = false
+	txn.snoopData = 0
+	b.addr.Acquire(b.cfg.AddrStrobe, bound(&txn.onGrant, b, txn, (*Bus).granted))
+}
+
+// granted runs at the address-bus grant; the strobe follows BusArb later.
+func (b *Bus) granted(txn *Txn) {
+	b.eng.After(b.cfg.BusArb, bound(&txn.onStrobe, b, txn, (*Bus).strobe))
 }
 
 // strobe runs at address-strobe time: conflict check, snoop, resolution.
@@ -583,47 +609,65 @@ func (b *Bus) resolveFetch(txn *Txn, now sim.Time, owned, sharedSeen bool) {
 // word.
 func (b *Bus) memoryRead(txn *Txn, now sim.Time, out Outcome) {
 	out.Data = b.mem[txn.Line]
-	b.bank(txn.Line).AcquireAt(now, b.cfg.BankBusy, func() {
-		ready := b.eng.Now() + b.cfg.MemAccess
-		b.tr.SpanEnd(txn.Attr, obs.StageMem, 0, ready)
-		b.transferData(txn, ready, out)
-	})
+	txn.out = out
+	b.bank(txn.Line).AcquireAt(now, b.cfg.BankBusy, bound(&txn.onMem, b, txn, (*Bus).memReady))
+}
+
+// memReady runs when the bank accepts the read: the data is ready for the
+// bus MemAccess cycles later.
+func (b *Bus) memReady(txn *Txn) {
+	ready := b.eng.Now() + b.cfg.MemAccess
+	b.tr.SpanEnd(txn.Attr, obs.StageMem, 0, ready)
+	b.transferData(txn, ready, txn.out)
 }
 
 // transferData moves a line over the data bus beginning no earlier than
 // ready, completing the transaction at the critical-quad-word arrival.
 func (b *Bus) transferData(txn *Txn, ready sim.Time, out Outcome) {
-	b.data.AcquireAt(ready, b.cfg.BusDataTime(), func() {
-		b.complete(txn, b.eng.Now()+b.cfg.CriticalQuad, out)
-	})
+	txn.out = out
+	b.data.AcquireAt(ready, b.cfg.BusDataTime(), bound(&txn.onData, b, txn, (*Bus).dataGranted))
+}
+
+// dataGranted runs when the line starts crossing the data bus.
+func (b *Bus) dataGranted(txn *Txn) {
+	b.complete(txn, b.eng.Now()+b.cfg.CriticalQuad, txn.out)
 }
 
 // bounce rejects a strobed transaction two cycles later (the
-// conflict-resolution window), attributing the window to the bus. A
-// processor sees RetryNeeded and re-evaluates its cache state; a
-// controller-issued fetch or invalidation has no state to re-evaluate, so
-// the bus re-issues it itself after the BusRetry back-off.
+// conflict-resolution window), attributing the window to the bus.
 func (b *Bus) bounce(txn *Txn, now sim.Time) {
 	b.retries++
 	b.tr.SpanEnd(txn.Attr, obs.StageBus, 0, now+2)
-	b.eng.After(2, func() {
-		if txn.Src == CCSrc {
-			b.eng.After(b.cfg.BusRetry, func() { b.Issue(txn) })
-			return
-		}
-		txn.Done(Outcome{Status: RetryNeeded})
-	})
+	b.eng.After(2, bound(&txn.onBounce, b, txn, (*Bus).rejected))
 }
 
-// complete removes the pending entry and fires Done at time t.
+// rejected ends a bounce. A processor sees RetryNeeded and re-evaluates
+// its cache state; a controller-issued fetch or invalidation has no state
+// to re-evaluate, so the bus re-issues it itself after the BusRetry
+// back-off.
+func (b *Bus) rejected(txn *Txn) {
+	if txn.Src == CCSrc {
+		b.eng.After(b.cfg.BusRetry, bound(&txn.onIssue, b, txn, (*Bus).Issue))
+		return
+	}
+	txn.Done(Outcome{Status: RetryNeeded})
+}
+
+// complete fires Done with out at time t, removing the pending entry
+// first.
 func (b *Bus) complete(txn *Txn, t sim.Time, out Outcome) {
 	b.tr.SpanEnd(txn.Attr, obs.StageBus, 0, t)
-	b.eng.At(t, func() {
-		if b.pending[txn.Line] == txn {
-			delete(b.pending, txn.Line)
-		}
-		txn.Done(out)
-	})
+	txn.out = out
+	b.eng.At(t, bound(&txn.onFinish, b, txn, (*Bus).finish))
+}
+
+// finish is a scheduled completion. Done may re-issue txn, so the pending
+// entry goes first.
+func (b *Bus) finish(txn *Txn) {
+	if b.pending[txn.Line] == txn {
+		delete(b.pending, txn.Line)
+	}
+	txn.Done(txn.out)
 }
 
 // Supply completes a previously deferred transaction. withData selects a
@@ -632,42 +676,27 @@ func (b *Bus) complete(txn *Txn, t sim.Time, out Outcome) {
 // Shared; data is the shadow line value delivered with a data-bearing
 // reply.
 func (b *Bus) Supply(parked *Txn, withData, shared bool, data uint64) {
-	s := &Txn{
-		Kind:      supplyKind,
-		Line:      parked.Line,
-		Src:       CCSrc,
-		HomeLocal: parked.HomeLocal,
-		Data:      data,
-		Attr:      parked.Attr,
-		Done:      func(Outcome) {},
-		supplyFor: parked,
-		withData:  withData,
-		shared:    shared,
+	s := parked.reply
+	if s == nil {
+		s = &Txn{Kind: supplyKind, Src: CCSrc, Done: func(Outcome) {}, supplyFor: parked}
+		parked.reply = s
 	}
+	s.Line, s.HomeLocal, s.Attr = parked.Line, parked.HomeLocal, parked.Attr
+	s.out = Outcome{Status: OK, Shared: shared, WithData: withData, Data: data}
 	b.Issue(s)
 }
 
 func (b *Bus) resolveSupply(s *Txn, now sim.Time) {
-	parked := s.supplyFor
-	out := Outcome{Status: OK, Shared: s.shared, WithData: s.withData, Data: s.Data}
-	if s.withData {
-		b.data.AcquireAt(now+2, b.cfg.BusDataTime(), func() {
-			b.complete(parked, b.eng.Now()+b.cfg.CriticalQuad, out)
-		})
+	if s.out.WithData {
+		b.transferData(s.supplyFor, now+2, s.out)
 		return
 	}
-	b.complete(parked, now+2, out)
+	b.complete(s.supplyFor, now+2, s.out)
 }
 
 // Abort bounces a deferred transaction back to its issuer with RetryNeeded
 // (used when the controller decides the request must be re-evaluated, e.g.
 // an upgrade whose line was invalidated while queued).
 func (b *Bus) Abort(parked *Txn) {
-	b.tr.SpanEnd(parked.Attr, obs.StageBus, 0, b.eng.Now()+2)
-	b.eng.After(2, func() {
-		if b.pending[parked.Line] == parked {
-			delete(b.pending, parked.Line)
-		}
-		parked.Done(Outcome{Status: RetryNeeded})
-	})
+	b.complete(parked, b.eng.Now()+2, Outcome{Status: RetryNeeded})
 }

@@ -507,3 +507,96 @@ func TestCCInterventionBouncesOnLiveTransfer(t *testing.T) {
 		t.Fatalf("retries = %d, want 1 bounce before the re-issued fetch lands", got)
 	}
 }
+
+// TestTxnReissue re-issues one transaction after a bounce, after a deferred
+// Supply and after an Abort, the way a processor re-issues its miss
+// transaction for every attempt. Done must run once per issue with that
+// issue's outcome, the completed issue must leave no pending entry, and
+// the next issue must start with no parked or snoop state.
+func TestTxnReissue(t *testing.T) {
+	eng, b, _ := newBus(t)
+	src := b.AttachSnooper(&fakeSnooper{verdict: SnoopNone})
+	other := b.AttachSnooper(&fakeSnooper{verdict: SnoopNone})
+	cc := &fakeCC{verdict: SnoopDefer}
+	b.AttachController(cc)
+
+	var outs []Outcome
+	txn := &Txn{Src: src, Done: func(o Outcome) { outs = append(outs, o) }}
+	reissue := func(kind Kind, line uint64, homeLocal bool) {
+		t.Helper()
+		txn.Kind, txn.Line, txn.HomeLocal = kind, line, homeLocal
+		eng.At(eng.Now(), func() {
+			b.Issue(txn)
+			if txn.deferredToCC || txn.snoopData != 0 {
+				t.Errorf("issue of %v line %#x kept parked=%v snoopData=%#x from the last issue",
+					kind, line, txn.deferredToCC, txn.snoopData)
+			}
+		})
+	}
+	settle := func(want Outcome) {
+		t.Helper()
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(outs) != 1 || outs[0] != want {
+			t.Fatalf("issue of %v line %#x: Done saw %+v, want once with %+v", txn.Kind, txn.Line, outs, want)
+		}
+		outs = outs[:0]
+		for line, p := range b.pending {
+			if p == txn {
+				t.Fatalf("pending table still holds the completed issue under line %#x", line)
+			}
+		}
+	}
+
+	// A bounce: another processor's read of the line is parked first.
+	blocker := &Txn{Kind: Read, Line: 0x1000, Src: other, Done: func(Outcome) {}}
+	eng.At(0, func() { b.Issue(blocker) })
+	reissue(Read, 0x1000, false)
+	settle(Outcome{Status: RetryNeeded})
+	if b.pending[0x1000] != blocker {
+		t.Fatal("the bounce disturbed the parked transaction's pending entry")
+	}
+
+	// A deferred Supply with data.
+	reissue(ReadEx, 0x2000, false)
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(cc.deferred) != 2 || cc.deferred[1] != txn || b.pending[0x2000] != txn {
+		t.Fatal("the re-issued transaction was not parked with the controller")
+	}
+	b.Supply(txn, true, false, 0x55)
+	settle(Outcome{Status: OK, WithData: true, Data: 0x55})
+
+	// An Abort of the parked transaction.
+	reissue(Upgrade, 0x2000, false)
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	b.Abort(cc.deferred[2])
+	settle(Outcome{Status: RetryNeeded})
+
+	// After the Abort the transaction is live again, not parked: a
+	// controller fetch of its line must bounce off its memory read instead
+	// of passing it as it would pass a parked one.
+	cc.verdict = SnoopNone
+	reissue(Read, 0x3000, true)
+	var fetch Outcome
+	eng.At(eng.Now(), func() {
+		b.Issue(&Txn{Kind: Fetch, Line: 0x3000, Src: CCSrc, HomeLocal: true, Done: func(o Outcome) { fetch = o }})
+	})
+	retries := b.Retries()
+	settle(Outcome{Status: OK})
+	if b.Retries() != retries+1 || fetch.Status != OK {
+		t.Fatalf("controller fetch: %d bounces, outcome %+v; want one bounce, then OK",
+			b.Retries()-retries, fetch)
+	}
+	b.Supply(blocker, true, true, 0)
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(b.pending) != 0 {
+		t.Fatalf("pending table not empty at the end: %v", b.pending)
+	}
+}
