@@ -64,13 +64,19 @@ race:
 	$(GO) test -race ./...
 
 # scenario smoke-tests the declarative layer end to end: run a committed
-# spec, replay the artifact it wrote, and require the replayed artifact
-# to be byte-identical to the original.
+# spec, plain and with the -robust flag overlaid, replay each artifact it
+# wrote, and require every replayed artifact to be byte-identical to its
+# original (so "robust": true round-trips through -spec, the flag overlay,
+# the artifact and -replay).
 scenario:
 	@tmp="$$(mktemp -d)"; \
 	$(GO) run ./cmd/ccsim -spec examples/scenarios/base.json -json "$$tmp/run.json" >/dev/null && \
 	$(GO) run ./cmd/ccsim -replay "$$tmp/run.json" -json "$$tmp/replay.json" >/dev/null && \
-	cmp "$$tmp/run.json" "$$tmp/replay.json" && echo "scenario: replay byte-identical"; \
+	cmp "$$tmp/run.json" "$$tmp/replay.json" && \
+	$(GO) run ./cmd/ccsim -spec examples/scenarios/base.json -robust -json "$$tmp/robust.json" >/dev/null && \
+	grep -q '"robust": true' "$$tmp/robust.json" && \
+	$(GO) run ./cmd/ccsim -replay "$$tmp/robust.json" -json "$$tmp/robust-replay.json" >/dev/null && \
+	cmp "$$tmp/robust.json" "$$tmp/robust-replay.json" && echo "scenario: replay byte-identical, plain and robust"; \
 	status=$$?; rm -rf "$$tmp"; exit $$status
 
 # attribution smoke-tests the span-tracing layer: a small kernel with

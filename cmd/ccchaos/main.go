@@ -62,12 +62,9 @@ func main() {
 		fatal(err)
 	}
 	faults := spec.EnsureFaults()
-	// Chaos always runs on a robust machine: a spec without the recovery
-	// knobs gets the standard robustness preset, exactly as the flag path
-	// always has.
-	if !spec.Machine.Robust() {
-		spec.Machine = spec.Machine.WithRobustness()
-	}
+	// Chaos always runs on a robust machine, whether or not the spec says
+	// so, exactly as the flag path always has.
+	spec.Machine.Robust = true
 	canon, err := spec.Canonical()
 	if err != nil {
 		fatal(err)

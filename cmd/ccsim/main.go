@@ -41,10 +41,9 @@ func main() {
 	flag.String("split", "local-remote", "engine split policy: local-remote, round-robin, or region")
 	flag.String("arb", "paper", "dispatch arbitration: paper or fifo")
 	flag.String("topo", "crossbar", "interconnect topology: crossbar or mesh")
-	flag.Bool("directpath", true, "enable the direct bus/network data path for write-backs")
 	flag.Int("dircache", 8192, "directory cache entries (0 disables)")
 	flag.Int64("seed", 0, "workload input seed (0 = the kernel's fixed default input)")
-	flag.Bool("robust", false, "enable the robustness knobs: finite queues, NACK/retry, request timeouts, reliable link layer")
+	flag.Bool("robust", false, "enable the recovery layer: finite queues, NACK/retry, request timeouts, reliable link layer")
 	flag.Bool("attribution", false, "enable per-transaction span tracing and print the miss-latency attribution")
 	flag.Int("shards", 1, "event-engine shards running the simulation in parallel (results are identical for any value)")
 	specPath := flag.String("spec", "", "load a ccnuma-scenario/v1 file; explicit flags override its fields")
@@ -162,7 +161,7 @@ func main() {
 	qd := r.QueueDelayHistogram()
 	fmt.Printf("queueing delay dist: p50=%.0f p95=%.0f p99=%.0f max=%d cycles (n=%d)\n",
 		qd.Percentile(50), qd.Percentile(95), qd.Percentile(99), qd.MaxVal, qd.Count)
-	if cfg.Robust() {
+	if cfg.Robust {
 		ns, nr, rt, to, ba, sd := r.RecoveryTotals()
 		fmt.Printf("recovery:           nacksSent=%d nacksRecv=%d retries=%d timeouts=%d busAborts=%d strayDrops=%d\n",
 			ns, nr, rt, to, ba, sd)

@@ -143,7 +143,7 @@ func (c *Campaign) RunApp(name string) (int, error) {
 		art.Seed = c.BaseSeed
 		art.Scenario = c.ScenarioJSON
 		art.ScenarioFingerprint = c.ScenarioFingerprint
-		art.Recovery = obs.NewRecoveryDoc(&c.Cfg, lastRun, applied)
+		art.Recovery = obs.NewRecoveryDoc(lastRun, applied)
 		art.Recovery.Failures = failures
 		path := filepath.Join(c.JSONDir, "ccchaos-"+name+".json")
 		if err := art.WriteFile(path); err != nil {

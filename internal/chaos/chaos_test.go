@@ -11,7 +11,7 @@ import (
 )
 
 // runCampaign executes a 10-schedule fft campaign on the ccchaos default
-// machine (4x2, robust knobs on) and returns the full progress/summary
+// machine (4x2, Robust) and returns the full progress/summary
 // stream and the serialized run artifact. Runs sharing a dir must be
 // sequential: the artifact file is overwritten and re-read per run. The
 // dir is shared so the echoed artifact path is identical across runs.

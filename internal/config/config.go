@@ -432,10 +432,6 @@ type Config struct {
 	// LivelockLimit is the number of consecutive network-request dispatches
 	// after which a waiting bus request is served first (paper: "e.g. four").
 	LivelockLimit int `json:"livelockLimit"`
-	// DirectDataPath enables the direct bus-interface/network-interface
-	// path that forwards dirty-remote write-backs to the home node without
-	// waiting for handler dispatch.
-	DirectDataPath bool `json:"directDataPath"`
 
 	// Cache hierarchy.
 	LineSize int `json:"lineSize"` // bytes per cache line (base: 128)
@@ -510,70 +506,52 @@ type Config struct {
 	// not the experiment.
 	SimShards int `json:"simShards,omitempty"`
 
-	// Robustness / flow control. The paper's model assumes infinitely deep
-	// controller queues and a lossless network; every knob below defaults to
-	// its zero value, which preserves that model cycle-for-cycle (pinned by
-	// the golden test in internal/workload). Turning them on buys survival
-	// of finite buffering and injected transient faults.
-
-	// QueueDepth bounds each protocol-engine input queue (0 = unbounded).
-	// A network request arriving at a full request queue is NACKed back to
-	// its requester; a bus request arriving at a full bus queue is aborted
-	// on the bus (the requester sees RetryNeeded and backs off). Response
-	// queues are never limited: responses sink into reserved MSHR slots, so
-	// bounding them could deadlock the guaranteed delivery channel.
-	QueueDepth int `json:"queueDepth"`
-	// NIPortDepth bounds the per-node network-interface output buffer, in
-	// messages (0 = unbounded). Sends beyond the depth park in FIFO order
-	// until the port drains (back-pressure into the controller).
-	NIPortDepth int `json:"niPortDepth"`
-	// NackDelay is the base back-off before a NACKed request is re-issued;
-	// it doubles per consecutive NACK up to NackBackoffMax (0 = BusRetry).
-	NackDelay sim.Time `json:"nackDelay"`
-	// NackBackoffMax caps the exponential NACK back-off (0 = no cap).
-	NackBackoffMax sim.Time `json:"nackBackoffMax"`
-	// RetryBudget bounds consecutive NACK/timeout retries of one request
-	// before the controller declares the line unserviceable and panics with
-	// a diagnosis (0 = unbounded).
-	RetryBudget int `json:"retryBudget"`
-	// RequestTimeout re-issues an outstanding MSHR request that has seen no
-	// response for this many cycles, recovering transactions lost to
-	// injected faults (0 = no timeouts).
-	RequestTimeout sim.Time `json:"requestTimeout"`
-	// NetReliable models link-level recovery (CRC detection, sequence
-	// numbers, a sender-side replay buffer): dropped or corrupted messages
-	// are retransmitted after NetRetryDelay and duplicated messages are
-	// discarded at the receiving interface. Without it, injected network
-	// faults reach the protocol raw (used by the verify detection tests).
-	NetReliable bool `json:"netReliable"`
-	// NetRetryDelay is the link-level retransmission delay (0 = NetLatency).
-	NetRetryDelay sim.Time `json:"netRetryDelay"`
-	// BusBackoffMax, when positive, turns the processors' constant BusRetry
-	// back-off into an exponential one capped at this value, shedding bus
-	// load under NACK storms.
-	BusBackoffMax sim.Time `json:"busBackoffMax"`
+	// Robust turns on the recovery layer (DESIGN §10), an extension beyond
+	// the paper's idealized machine: finite controller and NI queues with
+	// NACK/retry flow control, request timeouts, exponential bus back-off
+	// and a reliable link layer, tuned by the Robust* constants. Off, the
+	// recovery code is inert and runs stay cycle-identical to the paper's
+	// model (pinned by the golden test in internal/workload).
+	Robust bool `json:"robust"`
 }
 
-// Robust reports whether any recovery knob is enabled; the controller uses
-// it to gate fault-tolerant message handling (tolerating stray or duplicate
-// responses instead of treating them as protocol bugs).
-func (c *Config) Robust() bool {
-	return c.QueueDepth > 0 || c.RequestTimeout > 0 || c.NetReliable
-}
+// The robustness preset: the recovery layer's tuning on a Robust machine.
+// Times are in compute-processor cycles.
+const (
+	// RobustQueueDepth bounds each protocol engine's request and bus input
+	// queues: a network request arriving at a full queue is NACKed back to
+	// its requester, a bus request is aborted on the bus (the requester
+	// backs off and retries). Response queues stay unbounded: responses
+	// sink into reserved MSHR slots, so bounding them could deadlock.
+	RobustQueueDepth = 16
+	// RobustNIPortDepth bounds each node's NI output buffer, in messages;
+	// further sends park in FIFO order until the port drains.
+	RobustNIPortDepth = 32
+	// RobustNackDelay is the base back-off before a NACKed request is
+	// re-issued; it doubles per consecutive NACK up to RobustNackBackoffMax.
+	RobustNackDelay      sim.Time = 30
+	RobustNackBackoffMax sim.Time = 2000
+	// RobustRetryBudget bounds consecutive NACK/timeout retries of one
+	// request; exhausting it panics with a diagnosis.
+	RobustRetryBudget = 25
+	// RobustRequestTimeout re-issues an MSHR request that has seen no
+	// response for this long, recovering transactions lost to faults.
+	RobustRequestTimeout sim.Time = 50_000
+	// RobustNetRetryDelay is the reliable link's retransmission delay. The
+	// link models CRC checks, sequence numbers and a sender-side replay
+	// buffer: dropped or corrupted frames are re-sent and duplicates are
+	// discarded at the receiving NI. Without Robust, injected network
+	// faults reach the protocol raw (as the verify detection tests need).
+	RobustNetRetryDelay sim.Time = 100
+	// RobustBusBackoffMax caps the processors' bus back-off, which doubles
+	// from BusRetry per consecutive abort, shedding bus load under NACK
+	// storms.
+	RobustBusBackoffMax sim.Time = 640
+)
 
-// WithRobustness returns a copy of c with every recovery knob set to a
-// sane default: finite queues, NACK/retry flow control, request timeouts,
-// and a reliable link layer. ccchaos and the fault sweep run with these.
+// WithRobustness returns a copy of c with the recovery layer on.
 func (c Config) WithRobustness() Config {
-	c.QueueDepth = 16
-	c.NIPortDepth = 32
-	c.NackDelay = 30
-	c.NackBackoffMax = 2000
-	c.RetryBudget = 25
-	c.RequestTimeout = 50_000
-	c.NetReliable = true
-	c.NetRetryDelay = 100
-	c.BusBackoffMax = 640
+	c.Robust = true
 	return c
 }
 
@@ -634,20 +612,13 @@ const (
 	// PlaceFirstTouch assigns a page to the node of the first processor
 	// that touches it after initialization.
 	PlaceFirstTouch
-	// PlaceExplicit honours per-allocation placement hints (used for FFT,
-	// which the paper runs with programmer-optimized placement).
-	PlaceExplicit
 )
 
 func (p PlacementPolicy) String() string {
-	switch p {
-	case PlaceFirstTouch:
+	if p == PlaceFirstTouch {
 		return "first-touch"
-	case PlaceExplicit:
-		return "explicit"
-	default:
-		return "round-robin"
 	}
+	return "round-robin"
 }
 
 // MarshalText renders the placement policy for scenario documents.
@@ -670,8 +641,6 @@ func ParsePlacement(name string) (PlacementPolicy, error) {
 		return PlaceRoundRobin, nil
 	case "first-touch":
 		return PlaceFirstTouch, nil
-	case "explicit":
-		return PlaceExplicit, nil
 	default:
 		return 0, fmt.Errorf("config: unknown placement policy %q", name)
 	}
@@ -686,13 +655,12 @@ func Base() Config {
 		Nodes:        16,
 		ProcsPerNode: 4,
 
-		Engine:         HWC,
-		NumEngines:     1,
-		Split:          SplitLocalRemote,
-		RegionBytes:    4096,
-		Arbitration:    ArbPaper,
-		LivelockLimit:  4,
-		DirectDataPath: true,
+		Engine:        HWC,
+		NumEngines:    1,
+		Split:         SplitLocalRemote,
+		RegionBytes:   4096,
+		Arbitration:   ArbPaper,
+		LivelockLimit: 4,
 
 		LineSize:     128,
 		L1Size:       16 * 1024,
@@ -773,12 +741,26 @@ func fieldErr(field, format string, args ...interface{}) error {
 	return &FieldError{Field: field, Err: fmt.Errorf(format, args...)}
 }
 
+// MaxNodes is the widest machine the directory's full sharer bit map
+// (directory.Bitmap, one uint64) can describe.
+const MaxNodes = 64
+
+// DirCacheAssoc is the associativity of the directory cache.
+const DirCacheAssoc = 4
+
+// powerOfTwoSets reports whether n entries fill a power-of-two number of
+// sets of setSize entries each: the only geometry cache.New builds.
+func powerOfTwoSets(n, setSize int) bool {
+	sets := n / setSize
+	return n > 0 && n%setSize == 0 && sets&(sets-1) == 0
+}
+
 // Validate checks internal consistency and returns a *FieldError naming
 // the offending field for the first problem found.
 func (c *Config) Validate() error {
 	switch {
-	case c.Nodes <= 0:
-		return fieldErr("Nodes", "must be positive, got %d", c.Nodes)
+	case c.Nodes <= 0 || c.Nodes > MaxNodes:
+		return fieldErr("Nodes", "must be in 1..%d (the directory's sharer bit map), got %d", MaxNodes, c.Nodes)
 	case c.ProcsPerNode <= 0:
 		return fieldErr("ProcsPerNode", "must be positive, got %d", c.ProcsPerNode)
 	case c.Nodes&(c.Nodes-1) != 0 && c.Topology != TopoCrossbar:
@@ -791,10 +773,10 @@ func (c *Config) Validate() error {
 		return fieldErr("L1Assoc", "must be positive, got %d", c.L1Assoc)
 	case c.L2Assoc <= 0:
 		return fieldErr("L2Assoc", "must be positive, got %d", c.L2Assoc)
-	case c.L1Size <= 0 || c.L1Size%(c.L1Assoc*c.LineSize) != 0:
-		return fieldErr("L1Size", "geometry %d/%d-way/%dB does not divide evenly", c.L1Size, c.L1Assoc, c.LineSize)
-	case c.L2Size <= 0 || c.L2Size%(c.L2Assoc*c.LineSize) != 0:
-		return fieldErr("L2Size", "geometry %d/%d-way/%dB does not divide evenly", c.L2Size, c.L2Assoc, c.LineSize)
+	case !powerOfTwoSets(c.L1Size, c.L1Assoc*c.LineSize):
+		return fieldErr("L1Size", "geometry %d/%d-way/%dB is not a power-of-two number of sets", c.L1Size, c.L1Assoc, c.LineSize)
+	case !powerOfTwoSets(c.L2Size, c.L2Assoc*c.LineSize):
+		return fieldErr("L2Size", "geometry %d/%d-way/%dB is not a power-of-two number of sets", c.L2Size, c.L2Assoc, c.LineSize)
 	case c.MemBanks <= 0:
 		return fieldErr("MemBanks", "must be positive, got %d", c.MemBanks)
 	case c.Engine < 0 || c.Engine >= EngineKind(numEngineKinds):
@@ -809,18 +791,11 @@ func (c *Config) Validate() error {
 		return fieldErr("LivelockLimit", "must be positive, got %d", c.LivelockLimit)
 	case c.NetFlitBytes <= 0:
 		return fieldErr("NetFlitBytes", "must be positive, got %d", c.NetFlitBytes)
-	case c.QueueDepth < 0:
-		return fieldErr("QueueDepth", "must be non-negative, got %d", c.QueueDepth)
-	case c.NIPortDepth < 0:
-		return fieldErr("NIPortDepth", "must be non-negative, got %d", c.NIPortDepth)
-	case c.RetryBudget < 0:
-		return fieldErr("RetryBudget", "must be non-negative, got %d", c.RetryBudget)
-	case c.DirCacheEntries < 0:
-		return fieldErr("DirCacheEntries", "must be non-negative, got %d", c.DirCacheEntries)
+	case c.DirCacheEntries != 0 && !powerOfTwoSets(c.DirCacheEntries, DirCacheAssoc):
+		return fieldErr("DirCacheEntries", "must be 0 or a power-of-two number of %d-way sets, got %d",
+			DirCacheAssoc, c.DirCacheEntries)
 	case c.NetHeader < 0:
 		return fieldErr("NetHeader", "must be non-negative, got %d", c.NetHeader)
-	case c.QueueDepth > 0 && c.QueueDepth < 2:
-		return fieldErr("QueueDepth", "below 2 cannot hold a request and its replay, got %d", c.QueueDepth)
 	case c.SimShards < 0:
 		return fieldErr("SimShards", "must be non-negative, got %d", c.SimShards)
 	case c.SimShards > c.Nodes:

@@ -149,7 +149,7 @@ func TestStringers(t *testing.T) {
 	if ArbPaper.String() != "paper" || ArbFIFO.String() != "fifo" {
 		t.Error("ArbPolicy stringer broken")
 	}
-	if PlaceRoundRobin.String() != "round-robin" || PlaceFirstTouch.String() != "first-touch" || PlaceExplicit.String() != "explicit" {
+	if PlaceRoundRobin.String() != "round-robin" || PlaceFirstTouch.String() != "first-touch" {
 		t.Error("PlacementPolicy stringer broken")
 	}
 	for op := SubOp(0); op < numSubOps; op++ {

@@ -39,10 +39,13 @@ func TestValidateFieldErrorEdges(t *testing.T) {
 			c.Nodes = 2
 			c.NodeArchs = []string{"4PPC", "HWC"}
 		}, "NodeArchs[0]"},
-		{"negative queue depth", func(c *Config) { c.QueueDepth = -1 }, "QueueDepth"},
-		{"queue depth one", func(c *Config) { c.QueueDepth = 1 }, "QueueDepth"},
-		{"negative nack delay", func(c *Config) { c.NackDelay = -5 }, "NackDelay"},
+		{"nodes beyond the sharer bit map", func(c *Config) { c.Nodes = 65 }, "Nodes"},
 		{"negative dir cache", func(c *Config) { c.DirCacheEntries = -1 }, "DirCacheEntries"},
+		{"dir cache below one set", func(c *Config) { c.DirCacheEntries = 2 }, "DirCacheEntries"},
+		{"dir cache partial set", func(c *Config) { c.DirCacheEntries = 5 }, "DirCacheEntries"},
+		{"dir cache three sets", func(c *Config) { c.DirCacheEntries = 12 }, "DirCacheEntries"},
+		{"l1 three sets", func(c *Config) { c.L1Size = 3 * 4 * 128 }, "L1Size"},
+		{"l2 three sets", func(c *Config) { c.L2Size = 3 * 4 * 128 }, "L2Size"},
 		{"negative net header", func(c *Config) { c.NetHeader = -1000 }, "NetHeader"},
 	}
 	// Every sim.Time field is a latency, occupancy or bound: a negative
@@ -74,6 +77,25 @@ func TestValidateFieldErrorEdges(t *testing.T) {
 		var fe *FieldError
 		if !errors.As(err, &fe) {
 			t.Errorf("%s: error %T is not a *FieldError", tc.name, err)
+		}
+	}
+}
+
+// TestValidateAcceptsLimits pins the accepting side of the Nodes and
+// DirCacheEntries edges: the widest machine the sharer bit map describes,
+// and every directory-cache size in use (off, the ablation's 256, the
+// paper's 8K).
+func TestValidateAcceptsLimits(t *testing.T) {
+	c := Base()
+	c.Nodes = 64
+	if err := c.Validate(); err != nil {
+		t.Errorf("64 nodes rejected: %v", err)
+	}
+	for _, entries := range []int{0, 256, 8192} {
+		c := Base()
+		c.DirCacheEntries = entries
+		if err := c.Validate(); err != nil {
+			t.Errorf("DirCacheEntries %d rejected: %v", entries, err)
 		}
 	}
 }
@@ -132,8 +154,8 @@ func TestConfigJSONTagsComplete(t *testing.T) {
 }
 
 // TestConfigJSONRoundTrip serializes a configuration with every category
-// of field moved off its default — geometry, enums, costs, robustness
-// knobs, per-node overrides — and requires the decode to reproduce it
+// of field moved off its default — geometry, enums, costs, the
+// robustness switch, per-node overrides — and requires the decode to reproduce it
 // exactly. This is the schema-completeness guarantee behind replay: any
 // field that fails to round-trip would silently revert to a default.
 func TestConfigJSONRoundTrip(t *testing.T) {

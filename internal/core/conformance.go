@@ -29,8 +29,8 @@ func (cc *Controller) SetConformanceHook(h ConformanceHook) { cc.hook = h }
 // arriving at this controller are bounced as if the request queue were
 // full, exercising the real NACK/backoff/retry path regardless of queue
 // occupancy. It is a deterministic injection seam for the single-fault
-// sweep's "nack" class and is inert outside robust configurations (a
-// non-robust requester treats an unexpected NACK as a stray).
+// sweep's "nack" class and is inert unless Config.Robust: a machine
+// without the recovery layer never bounces a request.
 func (cc *Controller) ForceNackNext(n int) { cc.forceNack += n }
 
 // trigger names w in the extracted model's trigger vocabulary.

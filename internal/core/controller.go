@@ -83,7 +83,7 @@ type homeOp struct {
 	upgrade   bool        // parked transaction is an upgrade (no data)
 
 	// epoch echoes the requesting episode's tag into the grant (zero for
-	// local requesters and with the robustness knobs off). txn is the
+	// local requesters and without Config.Robust). txn is the
 	// remote requester's causal-span ID, echoed the same way.
 	epoch uint32
 	txn   uint64
@@ -134,9 +134,9 @@ type mshrEntry struct {
 	data    uint64
 	waiters []*work
 
-	// Robustness state (zero and unused with the recovery knobs off).
+	// Robustness state (zero and unused unless Config.Robust).
 	// issuedAt is when the request was first sent; attempts counts NACKs
-	// and timeouts consumed against Config.RetryBudget; timeoutSeq
+	// and timeouts consumed against config.RobustRetryBudget; timeoutSeq
 	// invalidates stale timeout events after a re-issue; epoch tags the
 	// episode's messages so stale grants from a closed episode are dropped.
 	issuedAt   sim.Time
@@ -408,12 +408,12 @@ func (cc *Controller) Snoop(txn *smpbus.Txn) smpbus.SnoopResult {
 	}
 }
 
-// AcceptDeferred receives a bus transaction the snoop claimed. With a
-// finite QueueDepth, a full bus queue aborts the transaction on the bus
-// instead: the requesting processor is told to retry and backs off.
+// AcceptDeferred receives a bus transaction the snoop claimed. On a Robust
+// machine a full bus queue aborts the transaction on the bus instead: the
+// requesting processor is told to retry and backs off.
 func (cc *Controller) AcceptDeferred(txn *smpbus.Txn) {
 	e := cc.engineFor(txn.Line)
-	if cc.cfg.QueueDepth > 0 && len(e.q[obs.QBus]) >= cc.cfg.QueueDepth {
+	if cc.cfg.Robust && len(e.q[obs.QBus]) >= config.RobustQueueDepth {
 		cc.st.BusAborts++
 		cc.bus.Abort(txn)
 		return
@@ -454,18 +454,19 @@ func (cc *Controller) deliver(src int, payload interface{}) {
 			// must not mark the current episode as answered: it will be
 			// dropped at dispatch, and flagging it here would suppress the
 			// episode's timeout and NACK retries.
-			if m := cc.mshr[msg.Line]; m != nil && (!cc.cfg.Robust() || msg.Epoch == m.epoch) {
+			if m := cc.mshr[msg.Line]; m != nil && (!cc.cfg.Robust || msg.Epoch == m.epoch) {
 				m.responseArrived = true
 			}
 		}
-	} else {
+	} else if cc.cfg.Robust && msg.Nackable() {
 		// Finite request queue: a NACKable request arriving at a full
-		// queue is bounced straight back by the NI, without consuming a
-		// handler dispatch. Non-NACKable requests (forwarded interventions,
-		// invalidations, write-backs) ride guaranteed channels with
-		// reserved buffering and are always accepted.
-		full := cc.cfg.QueueDepth > 0 && len(e.q[obs.QReq]) >= cc.cfg.QueueDepth
-		if msg.Nackable() && (full || cc.forceNack > 0) {
+		// queue (or at an armed ForceNackNext) is bounced straight back by
+		// the NI, without consuming a handler dispatch. Non-NACKable
+		// requests (forwarded interventions, invalidations, write-backs)
+		// ride guaranteed channels with reserved buffering and are always
+		// accepted.
+		full := len(e.q[obs.QReq]) >= config.RobustQueueDepth
+		if full || cc.forceNack > 0 {
 			if !full {
 				cc.forceNack--
 			}

@@ -136,6 +136,41 @@ func TestRemoteMissRoundTrip(t *testing.T) {
 	}
 }
 
+// TestForceNackOnlyOnRobust pins that the forced-NACK seam bounces a
+// request only on a Robust machine: without the recovery layer the home
+// serves the request as if the seam were not armed.
+func TestForceNackOnlyOnRobust(t *testing.T) {
+	for _, robust := range []bool{false, true} {
+		r := newRig(t, func(c *config.Config) { c.Robust = robust })
+		line := r.space.AllocOnNode(4096, 0) // homed on node 0
+		r.buses[1].AttachSnooper(silentSnooper{})
+		r.buses[0].AttachSnooper(silentSnooper{})
+		r.ccs[0].ForceNackNext(1)
+		var out *smpbus.Outcome
+		r.eng.At(0, func() {
+			r.buses[1].Issue(&smpbus.Txn{
+				Kind: smpbus.Read, Line: line, Src: 0, HomeLocal: false,
+				Done: func(o smpbus.Outcome) { c := o; out = &c },
+			})
+		})
+		if _, err := r.eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if out == nil || out.Status != smpbus.OK {
+			t.Fatalf("robust=%v: outcome %+v, want OK", robust, out)
+		}
+		want := uint64(0)
+		if robust {
+			want = 1
+		}
+		home, req := &r.runs.Controllers[0], &r.runs.Controllers[1]
+		if home.NacksSent != want || req.NacksRecv != want || req.Retries != want {
+			t.Errorf("robust=%v: nacksSent=%d nacksRecv=%d retries=%d, want %d each",
+				robust, home.NacksSent, req.NacksRecv, req.Retries, want)
+		}
+	}
+}
+
 func TestRemoteReadExSetsDirty(t *testing.T) {
 	r := newRig(t, nil)
 	line := r.space.AllocOnNode(4096, 0)

@@ -461,7 +461,7 @@ func (cc *Controller) ownerFetch(w *work, exclusive bool) sim.Time {
 	msg := w.msg
 	line := msg.Line
 	home := msg.Src
-	if m := cc.mshr[line]; m != nil && (m.filling || m.responseArrived || cc.cfg.Robust()) {
+	if m := cc.mshr[line]; m != nil && (m.filling || m.responseArrived || cc.cfg.Robust) {
 		// Our own fill for this line is racing (its data response is on
 		// the bus or still in an input queue); process the intervention
 		// after the fill lands. Under the robust configuration an
@@ -582,14 +582,14 @@ func (cc *Controller) homeInvalAck(w *work) sim.Time {
 	return occ
 }
 
-// requesterData installs a data response for an outstanding miss. With the
-// robustness knobs on, a retried request can legitimately draw more than
+// requesterData installs a data response for an outstanding miss. On a
+// Robust machine a retried request can legitimately draw more than
 // one grant; stray and duplicate responses are counted and dropped instead
 // of treated as protocol bugs.
 func (cc *Controller) requesterData(w *work) sim.Time {
 	msg := w.msg
 	m := cc.mshr[msg.Line]
-	if cc.cfg.Robust() && (m == nil || m.filling || msg.Epoch != m.epoch) {
+	if cc.cfg.Robust && (m == nil || m.filling || msg.Epoch != m.epoch) {
 		occ, _ := cc.charge(protocol.HNackAtRequester, 0, 0)
 		cc.st.StrayDrops++
 		return occ

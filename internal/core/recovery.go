@@ -3,16 +3,16 @@ package core
 import (
 	"fmt"
 
+	"ccnuma/internal/config"
 	"ccnuma/internal/obs"
 	"ccnuma/internal/protocol"
 	"ccnuma/internal/sim"
 )
 
 // This file is the requester side of the NACK/retry and timeout recovery
-// machinery. All of it is inert with the robustness knobs at their zero
-// defaults: no NACK is ever sent with QueueDepth == 0, and no timeout is
-// armed with RequestTimeout == 0, so fault-free base runs schedule an
-// identical event stream (pinned by the golden test in internal/workload).
+// machinery. All of it is inert unless Config.Robust: no NACK is ever sent
+// and no timeout is armed, so fault-free base runs schedule an identical
+// event stream (pinned by the golden test in internal/workload).
 
 // requesterNack processes a NACK bounced back by the home: the outstanding
 // miss backs off exponentially and re-issues, within the retry budget. A
@@ -30,7 +30,7 @@ func (cc *Controller) requesterNack(w *work) sim.Time {
 	cc.spanEngine(w, act, 0)
 	cc.tr.SpanBegin(m.parked.Attr, obs.StageBackoff, m.epoch, act)
 	cc.noteAttempt(m, "NACKed")
-	backoff := cc.nackBackoff(m.attempts)
+	backoff := nackBackoff(m.attempts)
 	line := m.line
 	cc.eng.At(act, func() {
 		cc.eng.After(backoff, func() { cc.reissue(line, m) })
@@ -68,7 +68,7 @@ func (e *RetryBudgetError) Error() string {
 // continuing would livelock silently.
 func (cc *Controller) noteAttempt(m *mshrEntry, why string) {
 	m.attempts++
-	if b := cc.cfg.RetryBudget; b > 0 && m.attempts > b {
+	if m.attempts > config.RobustRetryBudget {
 		panic(&RetryBudgetError{
 			Node: cc.node, Line: m.line, Attempts: m.attempts,
 			LastEvent: why, At: cc.eng.Now(),
@@ -77,16 +77,14 @@ func (cc *Controller) noteAttempt(m *mshrEntry, why string) {
 }
 
 // nackBackoff returns the delay before re-issue number `attempts`: the base
-// NackDelay doubled per consecutive failure, capped at NackBackoffMax.
-func (cc *Controller) nackBackoff(attempts int) sim.Time {
-	d := cc.cfg.NackDelay
-	if d <= 0 {
-		d = cc.cfg.BusRetry
-	}
+// RobustNackDelay doubled per consecutive failure, capped at
+// RobustNackBackoffMax.
+func nackBackoff(attempts int) sim.Time {
+	d := config.RobustNackDelay
 	for i := 1; i < attempts; i++ {
 		d <<= 1
-		if limit := cc.cfg.NackBackoffMax; limit > 0 && d >= limit {
-			return limit
+		if d >= config.RobustNackBackoffMax {
+			return config.RobustNackBackoffMax
 		}
 	}
 	return d
@@ -115,13 +113,13 @@ func (cc *Controller) reissue(line uint64, m *mshrEntry) {
 // invalidates the previous timeout after each re-issue, so exactly one
 // timeout is live per episode.
 func (cc *Controller) armTimeout(m *mshrEntry) {
-	if cc.cfg.RequestTimeout <= 0 {
+	if !cc.cfg.Robust {
 		return
 	}
 	m.timeoutSeq++
 	seq := m.timeoutSeq
 	line := m.line
-	cc.eng.After(cc.cfg.RequestTimeout, func() {
+	cc.eng.After(config.RobustRequestTimeout, func() {
 		if cc.mshr[line] != m || m.timeoutSeq != seq || m.filling || m.responseArrived {
 			return
 		}

@@ -116,7 +116,7 @@ type Proc struct {
 	missStart    sim.Time // start of the in-flight miss (one per processor)
 	missActive   bool
 	// retryStreak counts consecutive bus aborts of the in-flight miss, for
-	// the exponential back-off gated on Config.BusBackoffMax.
+	// the exponential back-off gated on Config.Robust.
 	retryStreak int
 
 	// missTxn is the causal-span ID of the in-flight miss episode when
@@ -406,17 +406,18 @@ func (p *Proc) issueMiss(line uint64, kind smpbus.Kind) {
 }
 
 // busBackoff returns the delay before re-issuing an aborted bus
-// transaction: the fixed BusRetry interval, or — with Config.BusBackoffMax
-// on — BusRetry doubled per consecutive abort and capped, so requesters
-// bounced off a full controller queue spread out instead of retrying in
-// lockstep. With the knob off this is exactly the pre-robustness constant.
+// transaction: the fixed BusRetry interval, or — on a Robust machine —
+// BusRetry doubled per consecutive abort and capped at
+// config.RobustBusBackoffMax, so requesters bounced off a full controller
+// queue spread out instead of retrying in lockstep. Without the recovery
+// layer this is exactly the pre-robustness constant.
 func (p *Proc) busBackoff() sim.Time {
 	d := p.cfg.BusRetry
-	if limit := p.cfg.BusBackoffMax; limit > 0 {
+	if p.cfg.Robust {
 		for i := 0; i < p.retryStreak; i++ {
 			d <<= 1
-			if d >= limit {
-				d = limit
+			if d >= config.RobustBusBackoffMax {
+				d = config.RobustBusBackoffMax
 				break
 			}
 		}

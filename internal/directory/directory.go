@@ -47,7 +47,8 @@ func (s State) String() string {
 	}
 }
 
-// Bitmap is a node-sharing vector (full bit map; supports up to 64 nodes).
+// Bitmap is a node-sharing vector: a full bit map of up to config.MaxNodes
+// nodes, which Config.Validate enforces.
 type Bitmap uint64
 
 // Set returns the bitmap with node added.
@@ -104,7 +105,7 @@ func New(eng *sim.Engine, cfg *config.Config, node int, tr *obs.Tracer) *Directo
 		dram:    sim.NewResource(eng),
 	}
 	if cfg.DirCacheEntries > 0 {
-		d.dirCache = cache.New(cfg.DirCacheEntries*cfg.LineSize, 4, cfg.LineSize)
+		d.dirCache = cache.New(cfg.DirCacheEntries*cfg.LineSize, config.DirCacheAssoc, cfg.LineSize)
 	}
 	return d
 }

@@ -37,7 +37,7 @@ const (
 	// Delay adds extra switch-traversal latency to a message.
 	Delay
 	// Corrupt mangles a message's data payload (caught by link CRC when
-	// Config.NetReliable is on).
+	// Config.Robust is on).
 	Corrupt
 	// EngineStall freezes one protocol engine for a duration (transient
 	// controller hiccup: ECC scrub, microcode assist, thermal throttle).

@@ -20,18 +20,18 @@ type Handler func(src int, payload interface{})
 // Decision is the action the fault layer takes on one message entering the
 // network. The zero value means "deliver normally".
 type Decision struct {
-	// Drop loses the message on the link. With Config.NetReliable the link
-	// layer retransmits the original after NetRetryDelay; without it the
-	// loss is permanent.
+	// Drop loses the message on the link. On a Robust machine the link
+	// layer retransmits the original after config.RobustNetRetryDelay;
+	// without it the loss is permanent.
 	Drop bool
-	// Duplicate injects a second copy of the message. With NetReliable the
-	// receiving NI discards the copy (sequence-number dedup) after it has
+	// Duplicate injects a second copy of the message. On a Robust machine
+	// the receiving NI discards the copy (sequence-number dedup) after it has
 	// consumed link bandwidth; without it the copy reaches the protocol.
 	Duplicate bool
 	// Delay adds cycles to the message's switch traversal.
 	Delay sim.Time
-	// Replace, when non-nil, substitutes a corrupted payload. With
-	// NetReliable the corrupted frame fails the receiver's CRC, is
+	// Replace, when non-nil, substitutes a corrupted payload. On a Robust
+	// machine the corrupted frame fails the receiver's CRC, is
 	// discarded, and the original is retransmitted; without it the
 	// corrupted payload is delivered as-is.
 	Replace interface{}
@@ -50,7 +50,7 @@ type LinkStats struct {
 	Duplicates     uint64 // duplicate copies injected
 	Corrupts       uint64 // payload corruptions injected
 	DelaysInjected uint64 // messages given extra traversal delay
-	Retransmits    uint64 // link-level retransmissions (NetReliable)
+	Retransmits    uint64 // link-level retransmissions (Robust only)
 	Discards       uint64 // frames rejected at the receiving NI (CRC/dedup)
 	Overflows      uint64 // sends parked on a full NI output buffer
 	Brownouts      uint64 // injected NI port outages
@@ -129,13 +129,13 @@ type Network struct {
 
 	link LinkStats
 	// outQueued/outWait implement the finite NI output buffer: messages
-	// beyond Config.NIPortDepth park in outWait until the port drains.
-	// Only maintained when the depth knob is on, so fault-free runs
+	// beyond config.RobustNIPortDepth park in outWait until the port
+	// drains. Only maintained on a Robust machine, so fault-free runs
 	// schedule an identical event stream.
 	outQueued []int
 	outWait   [][]*frame
 	// hold[src] carries the active go-back-N recovery windows keyed by
-	// destination (NetReliable only; never populated on a fault-free run).
+	// destination (Robust only; never populated on a fault-free run).
 	// Per-source maps keep all mutation on the source node's engine.
 	hold []map[int]*pairHold
 	// free[node] heads the node's list of idle frames. A send takes its
@@ -253,37 +253,37 @@ func (n *Network) send(f *frame) {
 	}
 	if d.Replace != nil {
 		atomic.AddUint64(&n.link.Corrupts, 1)
-		if n.cfg.NetReliable {
+		if n.cfg.Robust {
 			// The mangled frame crosses the wire, fails the receiver's
 			// CRC, and the sender's replay buffer re-sends the original.
 			bad := n.frameFor(src, dst, f.flits, &discardFrame{payload: d.Replace})
 			bad.delay = d.Delay
 			n.enqueue(bad)
 			atomic.AddUint64(&n.link.Retransmits, 1)
-			n.holdPair(src, dst, n.retryDelay(), f)
+			n.holdPair(src, dst, config.RobustNetRetryDelay, f)
 			return
 		}
 		f.payload = d.Replace
 	}
 	if d.Drop {
 		atomic.AddUint64(&n.link.Drops, 1)
-		if n.cfg.NetReliable {
+		if n.cfg.Robust {
 			atomic.AddUint64(&n.link.Retransmits, 1)
-			n.holdPair(src, dst, n.retryDelay(), f)
+			n.holdPair(src, dst, config.RobustNetRetryDelay, f)
 		}
 		return
 	}
 	if d.Duplicate {
 		atomic.AddUint64(&n.link.Duplicates, 1)
 		copyPayload := f.payload
-		if n.cfg.NetReliable {
+		if n.cfg.Robust {
 			copyPayload = &discardFrame{payload: f.payload}
 		}
 		// The duplicate copy needs no ordering: the receiving NI rejects
 		// it (reliable) or the protocol must tolerate it (raw).
 		n.enqueue(n.frameFor(src, dst, f.flits, copyPayload))
 	}
-	if n.cfg.NetReliable {
+	if n.cfg.Robust {
 		if d.Delay > 0 {
 			// A delayed frame stalls its go-back-N window: later frames
 			// on the pair queue behind it instead of overtaking.
@@ -297,14 +297,6 @@ func (n *Network) send(f *frame) {
 	}
 	f.delay = d.Delay
 	n.enqueue(f)
-}
-
-// retryDelay is the link-level recovery latency (replay-buffer timeout).
-func (n *Network) retryDelay() sim.Time {
-	if d := n.cfg.NetRetryDelay; d > 0 {
-		return d
-	}
-	return n.cfg.NetLatency
 }
 
 // holdPair opens (or joins) the pair's go-back-N recovery window: f and
@@ -330,7 +322,7 @@ func (n *Network) holdPair(src, dst int, delay sim.Time, f *frame) {
 // enqueue admits a message to the source NI's output buffer, parking it
 // when the configured finite depth is exceeded (back-pressure).
 func (n *Network) enqueue(f *frame) {
-	if n.cfg.NIPortDepth > 0 && n.outQueued[f.src] >= n.cfg.NIPortDepth {
+	if n.cfg.Robust && n.outQueued[f.src] >= config.RobustNIPortDepth {
 		atomic.AddUint64(&n.link.Overflows, 1)
 		n.outWait[f.src] = append(n.outWait[f.src], f)
 		return
@@ -342,7 +334,7 @@ func (n *Network) transmit(f *frame) {
 	atomic.AddUint64(&n.msgs, 1)
 	atomic.AddUint64(&n.flits, uint64(f.flits))
 	atomic.AddInt64(&n.inFlight, 1)
-	if n.cfg.NIPortDepth > 0 {
+	if n.cfg.Robust {
 		n.outQueued[f.src]++
 	}
 	if n.tr.Enabled() {
@@ -363,7 +355,7 @@ func (n *Network) launch(f *frame) {
 		n.tr.SpanEnd(txn, obs.StageNIPort, epoch, start)
 		n.tr.SpanBegin(txn, obs.StageWire, epoch, start)
 	}
-	if n.cfg.NIPortDepth > 0 {
+	if n.cfg.Robust {
 		eng.At(start+f.ser, n.drainFns[f.src])
 	}
 	if n.mesh != nil && f.src != f.dst {
@@ -489,7 +481,7 @@ func (n *Network) Messages() uint64 { return n.msgs }
 func (n *Network) Link() LinkStats { return n.link }
 
 // OutQueued returns the number of messages currently held in a node's NI
-// output buffer (0 unless Config.NIPortDepth is on).
+// output buffer (0 unless Config.Robust).
 func (n *Network) OutQueued(node int) int {
 	return n.outQueued[node] + len(n.outWait[node])
 }

@@ -234,7 +234,7 @@ func TestMeshEndToEndMachine(t *testing.T) {
 }
 
 // TestReliableLinkPreservesPairOrder pins the go-back-N contract: when a
-// frame on a (src, dst) pair is dropped or delayed under NetReliable, later
+// frame on a (src, dst) pair is dropped or delayed on a Robust link, later
 // frames on the same pair must queue behind its recovery window instead of
 // overtaking it. The coherence protocol depends on this (an ownership grant
 // must land before a subsequent intervention).
@@ -248,8 +248,7 @@ func TestReliableLinkPreservesPairOrder(t *testing.T) {
 		{"delay", Decision{Delay: 300}},
 	} {
 		eng, net, cfg := setup(t)
-		cfg.NetReliable = true
-		cfg.NetRetryDelay = 100
+		cfg.Robust = true
 		var order []interface{}
 		net.Attach(1, func(_ int, p interface{}) { order = append(order, p) })
 		hit := false
@@ -275,10 +274,10 @@ func TestReliableLinkPreservesPairOrder(t *testing.T) {
 }
 
 // TestReliableLinkRejectsDuplicates pins that a duplicated frame's copy
-// burns bandwidth but never reaches the protocol under NetReliable.
+// burns bandwidth but never reaches the protocol on a Robust link.
 func TestReliableLinkRejectsDuplicates(t *testing.T) {
 	eng, net, cfg := setup(t)
-	cfg.NetReliable = true
+	cfg.Robust = true
 	delivered := 0
 	net.Attach(1, func(int, interface{}) { delivered++ })
 	net.Fault = func(int, int, interface{}) Decision { return Decision{Duplicate: true} }

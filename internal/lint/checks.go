@@ -49,10 +49,12 @@ var simPackages = map[string]bool{
 }
 
 // retryPackages are the recovery-path packages whose retry/timeout/backoff
-// tuning must come from internal/config knobs: a numeric constant pinned
-// locally cannot be swept, recorded in run artifacts, or turned off for the
-// cycle-identical base configuration. The testdata entry is the lint
-// suite's own fixture (go tooling never loads testdata via ./...).
+// tuning must come from internal/config: the preset lives there as named
+// constants, switched on as a whole by Config.Robust, so a constant pinned
+// locally would hide tuning from the one place that states it and could
+// escape the switch that keeps the base configuration cycle-identical. The
+// testdata entry is the lint suite's own fixture (go tooling never loads
+// testdata via ./...).
 var retryPackages = map[string]bool{
 	"ccnuma/internal/core":                       true,
 	"ccnuma/internal/cpu":                        true,
@@ -385,9 +387,8 @@ func doesWork(body *ast.BlockStmt) bool {
 
 // checkConfigLiterals flags const/var declarations in the recovery-path
 // packages that pin a retry, timeout, backoff, or NACK tuning value to a
-// local numeric literal. Those values must be config knobs: the robustness
-// machinery defaults off and stays cycle-identical only because every
-// delay it introduces is a zero-defaulted field of internal/config.
+// local numeric literal. Those values belong to internal/config's
+// robustness preset, which Config.Robust switches on as a whole.
 // Declarations whose initializer is derived from package config are exempt.
 func checkConfigLiterals(pkg *Package) []Finding {
 	if !retryPackages[pkg.ImportPath] {
@@ -423,7 +424,7 @@ func checkConfigLiterals(pkg *Package) []Finding {
 						continue
 					}
 					out = append(out, pkg.finding(name.Pos(), "config-literal",
-						"%s %s pins a retry/timeout/backoff value to a literal; recovery tuning must come from an internal/config knob",
+						"%s %s pins a retry/timeout/backoff value to a literal; recovery tuning must come from internal/config",
 						decl.Tok, name.Name))
 				}
 			}

@@ -196,6 +196,26 @@ func (m *Machine) AttachSampler(s *obs.Sampler) { m.sampler = s }
 // NProcs returns the machine's processor count.
 func (m *Machine) NProcs() int { return len(m.Procs) }
 
+// CheckDrained reports protocol operations or network frames left
+// outstanding after the event queue emptied: a lost message or a protocol
+// deadlock that no processor-side check would see.
+func (m *Machine) CheckDrained() error {
+	for n, cc := range m.CCs {
+		if pend := cc.PendingOps(); pend != 0 {
+			return fmt.Errorf("machine: controller %d left %d transient ops", n, pend)
+		}
+	}
+	if n := m.Net.InFlight(); n != 0 {
+		return fmt.Errorf("machine: network did not drain: %d frames still in flight", n)
+	}
+	for n := 0; n < m.Cfg.Nodes; n++ {
+		if q := m.Net.OutQueued(n); q != 0 {
+			return fmt.Errorf("machine: network did not drain: node %d NI still queues %d frames", n, q)
+		}
+	}
+	return nil
+}
+
 // Run executes program on every processor (SPMD) and returns the collected
 // statistics. The run fails if the simulation exceeds the configured time
 // limit, deadlocks with unfinished processors, leaves protocol operations
@@ -232,18 +252,8 @@ func (m *Machine) Run(program func(prog.Env)) (*stats.Run, error) {
 			execTime = at
 		}
 	}
-	for n, cc := range m.CCs {
-		if pend := cc.PendingOps(); pend != 0 {
-			return nil, fmt.Errorf("machine: controller %d left %d transient ops", n, pend)
-		}
-	}
-	if n := m.Net.InFlight(); n != 0 {
-		return nil, fmt.Errorf("machine: network did not drain: %d frames still in flight", n)
-	}
-	for n := 0; n < m.Cfg.Nodes; n++ {
-		if q := m.Net.OutQueued(n); q != 0 {
-			return nil, fmt.Errorf("machine: network did not drain: node %d NI still queues %d frames", n, q)
-		}
+	if err := m.CheckDrained(); err != nil {
+		return nil, err
 	}
 	if err := m.CheckCoherence(); err != nil {
 		return nil, err
@@ -349,6 +359,10 @@ func (m *Machine) startSampler() {
 	prevNacks := make([]uint64, nodes)
 	prevRetries := make([]uint64, nodes)
 	var prevOverflows uint64
+	queueCap := 0 // unbounded without the recovery layer
+	if m.Cfg.Robust {
+		queueCap = config.RobustQueueDepth
+	}
 	var tick func()
 	tick = func() {
 		now := m.Eng.Now()
@@ -392,7 +406,7 @@ func (m *Machine) startSampler() {
 					DirDRAMUtilPct: s.UtilPct(dram - prevDir[n]),
 					NIOutBacklog:   outBacklog,
 					NIInBacklog:    inBacklog,
-					QueueCap:       m.Cfg.QueueDepth,
+					QueueCap:       queueCap,
 					NIOutQueued:    m.Net.OutQueued(n),
 					Nacks:          nackDelta,
 					Retries:        retryDelta,

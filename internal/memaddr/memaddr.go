@@ -52,15 +52,12 @@ func (s *Space) Bank(addr Addr) int {
 // returned base address is page-aligned.
 func (s *Space) Alloc(n int) Addr {
 	return s.allocPages(n, func(page int) int {
-		switch s.cfg.Placement {
-		case config.PlaceFirstTouch:
+		if s.cfg.Placement == config.PlaceFirstTouch {
 			return -1
-		default: // round-robin is also the fallback for explicit allocations
-			// made without hints.
-			h := s.rr
-			s.rr = (s.rr + 1) % s.cfg.Nodes
-			return h
 		}
+		h := s.rr
+		s.rr = (s.rr + 1) % s.cfg.Nodes
+		return h
 	})
 }
 

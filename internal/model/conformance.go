@@ -5,6 +5,7 @@ import (
 
 	"ccnuma/internal/config"
 	"ccnuma/internal/extract"
+	"ccnuma/internal/interconnect"
 	"ccnuma/internal/machine"
 	"ccnuma/internal/protocol"
 )
@@ -98,14 +99,16 @@ func RunConformance(ix *extract.Index, cfgs ...ConformanceConfig) (*Conformance,
 		cfgs = DefaultConformanceConfigs
 	}
 	for _, vc := range cfgs {
-		if err := c.run(vc); err != nil {
+		if err := c.run(vc, nil); err != nil {
 			return nil, err
 		}
 	}
 	return c, nil
 }
 
-func (c *Conformance) run(vc ConformanceConfig) error {
+// run drives one storm to quiescence. fault, when non-nil, is installed as
+// the network's fault hook (the tests' seam for losing a message).
+func (c *Conformance) run(vc ConformanceConfig, fault interconnect.FaultHook) error {
 	mc := config.Base()
 	mc.Nodes = vc.Nodes
 	mc.ProcsPerNode = 1
@@ -127,6 +130,7 @@ func (c *Conformance) run(vc ConformanceConfig) error {
 	for _, cc := range m.CCs {
 		cc.SetConformanceHook(c)
 	}
+	m.Net.Fault = fault
 	ls := m.Cfg.LineSize
 	lines := make([]uint64, vc.Lines)
 	for i := range lines {
@@ -140,19 +144,19 @@ func (c *Conformance) run(vc ConformanceConfig) error {
 	// Every processor walks the shared lines with a deterministic
 	// phase-shifted read/write pattern, chaining the next access from the
 	// completion callback so each always has one outstanding (maximum
-	// contention and interleaving).
+	// contention and interleaving). done[pi] counts completed accesses.
+	done := make([]int, len(m.Procs))
 	for pi, p := range m.Procs {
 		p, pi := p, pi
-		step := 0
-		var next func()
+		var next, complete func()
 		next = func() {
-			if step >= vc.Ops {
-				return
+			if step := done[pi]; step < vc.Ops {
+				p.SyncAccess(lines[(step+pi)%len(lines)], (step+pi)%3 != 1, complete)
 			}
-			line := lines[(step+pi)%len(lines)]
-			write := (step+pi)%3 != 1
-			step++
-			p.SyncAccess(line, write, next)
+		}
+		complete = func() {
+			done[pi]++
+			next()
 		}
 		next()
 	}
@@ -160,6 +164,16 @@ func (c *Conformance) run(vc ConformanceConfig) error {
 	}
 	if m.Eng.LimitHit() {
 		return fmt.Errorf("model: conformance run %+v hit the event limit before draining", vc)
+	}
+	// A storm that stops short validated only a prefix of its transitions:
+	// a lost grant or a protocol deadlock drains the queue just the same.
+	for pi, n := range done {
+		if n < vc.Ops {
+			return fmt.Errorf("model: conformance run %+v deadlocked: processor %d completed %d of %d accesses", vc, pi, n, vc.Ops)
+		}
+	}
+	if err := m.CheckDrained(); err != nil {
+		return fmt.Errorf("model: conformance run %+v deadlocked: %w", vc, err)
 	}
 	if err := m.CheckCoherence(); err != nil {
 		return fmt.Errorf("model: conformance run %+v ended incoherent: %w", vc, err)

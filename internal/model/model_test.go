@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"ccnuma/internal/extract"
+	"ccnuma/internal/interconnect"
+	"ccnuma/internal/protocol"
 )
 
 // loadIndex loads the committed artifact's index (freshness is asserted
@@ -210,6 +212,32 @@ func TestConformance(t *testing.T) {
 	}
 	if c.Dispatches == 0 || c.Sends == 0 {
 		t.Error("one event class never fired; the hook is not wired through both paths")
+	}
+}
+
+// TestConformanceCatchesLostGrant drops the first DataExcl grant of the
+// default 4-node storm. Without the reliable link the requester waits
+// forever, the engine drains anyway, and the harness must report the
+// truncated storm instead of passing the prefix it validated.
+func TestConformanceCatchesLostGrant(t *testing.T) {
+	dropped := false
+	drop := func(src, dst int, payload interface{}) interconnect.Decision {
+		if msg, ok := payload.(*protocol.Msg); ok && msg.Type == protocol.MsgDataExcl && !dropped {
+			dropped = true
+			return interconnect.Decision{Drop: true}
+		}
+		return interconnect.Decision{}
+	}
+	vc := DefaultConformanceConfigs[1]
+	if vc.Robust {
+		t.Fatalf("storm %+v is robust; a dropped frame would be retransmitted", vc)
+	}
+	err := NewConformance(loadIndex(t)).run(vc, drop)
+	if !dropped {
+		t.Fatal("the storm sent no DataExcl grant to drop")
+	}
+	if err == nil || !strings.Contains(err.Error(), "deadlocked") {
+		t.Fatalf("storm with a lost grant: err = %v, want a deadlock report", err)
 	}
 }
 

@@ -51,7 +51,7 @@ type Artifact struct {
 	PenaltyVsBaselinePct *float64 `json:"penaltyVsBaselinePct,omitempty"`
 
 	// Recovery records fault-injection and NACK/retry recovery activity.
-	// Absent when the robustness knobs were off and no faults were injected.
+	// Absent unless the machine was Robust or faults were injected.
 	Recovery *RecoveryDoc `json:"recovery,omitempty"`
 
 	// Attribution is the per-stage causal decomposition of miss latency.
@@ -65,17 +65,10 @@ type Artifact struct {
 	Perf *PerfDoc `json:"perf,omitempty"`
 }
 
-// RecoveryDoc is the fault/recovery section of a run artifact: the
-// configured robustness knobs, what the fault layer injected, and how the
-// protocol recovered.
+// RecoveryDoc is the fault/recovery section of a run artifact: what the
+// fault layer injected, and how the protocol recovered. The embedded
+// scenario records that the machine was Robust.
 type RecoveryDoc struct {
-	// Knobs.
-	QueueDepth     int   `json:"queueDepth"`
-	NIPortDepth    int   `json:"niPortDepth"`
-	RetryBudget    int   `json:"retryBudget"`
-	RequestTimeout int64 `json:"requestTimeoutCycles"`
-	NetReliable    bool  `json:"netReliable"`
-
 	// Injection activity (what actually fired, by fault kind name).
 	FaultsApplied map[string]uint64 `json:"faultsApplied,omitempty"`
 
@@ -224,7 +217,6 @@ type ArtifactConfig struct {
 	NetLatency      int64    `json:"netLatencyCycles"`
 	Topology        string   `json:"topology"`
 	DirCacheEntries int      `json:"dirCacheEntries"`
-	DirectDataPath  bool     `json:"directDataPath"`
 }
 
 // ArtifactMetrics carries the headline quantities of Tables 6 and 7.
@@ -301,7 +293,6 @@ func NewArtifact(tool, size string, cfg *config.Config, r *stats.Run) *Artifact 
 			NetLatency:      int64(cfg.NetLatency),
 			Topology:        cfg.Topology.String(),
 			DirCacheEntries: cfg.DirCacheEntries,
-			DirectDataPath:  cfg.DirectDataPath,
 		},
 		Metrics: ArtifactMetrics{
 			ExecCycles:     int64(r.ExecTime),
@@ -320,28 +311,23 @@ func NewArtifact(tool, size string, cfg *config.Config, r *stats.Run) *Artifact 
 	}
 }
 
-// NewRecoveryDoc builds the fault/recovery section from the configured
-// knobs and a finished run's counters. faultsApplied is the injector's
-// name → count map (nil when the run had no fault schedule).
-func NewRecoveryDoc(cfg *config.Config, r *stats.Run, faultsApplied map[string]uint64) *RecoveryDoc {
+// NewRecoveryDoc builds the fault/recovery section from a finished run's
+// counters. faultsApplied is the injector's name → count map (nil when the
+// run had no fault schedule).
+func NewRecoveryDoc(r *stats.Run, faultsApplied map[string]uint64) *RecoveryDoc {
 	ns, nr, rt, to, ba, sd := r.RecoveryTotals()
 	rl := r.RetryLatencyHistogram()
 	return &RecoveryDoc{
-		QueueDepth:     cfg.QueueDepth,
-		NIPortDepth:    cfg.NIPortDepth,
-		RetryBudget:    cfg.RetryBudget,
-		RequestTimeout: int64(cfg.RequestTimeout),
-		NetReliable:    cfg.NetReliable,
-		FaultsApplied:  faultsApplied,
-		NacksSent:      ns,
-		NacksRecv:      nr,
-		Retries:        rt,
-		Timeouts:       to,
-		BusAborts:      ba,
-		StrayDrops:     sd,
-		Retransmits:    r.Counter("linkRetransmits"),
-		Overflows:      r.Counter("niOverflows"),
-		RetryLatency:   NewHistogramDoc(&rl),
+		FaultsApplied: faultsApplied,
+		NacksSent:     ns,
+		NacksRecv:     nr,
+		Retries:       rt,
+		Timeouts:      to,
+		BusAborts:     ba,
+		StrayDrops:    sd,
+		Retransmits:   r.Counter("linkRetransmits"),
+		Overflows:     r.Counter("niOverflows"),
+		RetryLatency:  NewHistogramDoc(&rl),
 	}
 }
 

@@ -36,7 +36,7 @@ type Sample struct {
 	NIOutBacklog int64 `json:"niOutBacklogCycles"` // output-port commitment beyond now
 	NIInBacklog  int64 `json:"niInBacklogCycles"`  // input-port commitment beyond now
 
-	// Robustness columns (all zero with the recovery knobs off). QueueCap is
+	// Robustness columns (all zero unless Config.Robust). QueueCap is
 	// the configured per-queue depth limit so plots can show depth against
 	// capacity; Nacks/Retries are this node's deltas over the interval;
 	// Overflows is the machine-wide NI output-buffer overflow delta

@@ -110,7 +110,7 @@ type Msg struct {
 	// The home echoes it in grants and NACKs so the requester can discard
 	// responses that belong to an episode a retried request has already
 	// closed. It rides along at zero timing cost and is only consulted
-	// when the robustness knobs are on.
+	// on a Robust machine.
 	Epoch uint32
 	// Data is the cache-line value carried by data-bearing messages. The
 	// simulator models one shadow word per line (enough to detect stale

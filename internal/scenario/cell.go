@@ -106,8 +106,8 @@ func (c *Cell) Artifact(tool string, r *stats.Run) *obs.Artifact {
 	a.Seed = c.Spec.Workload.Seed
 	a.Scenario = c.Canon
 	a.ScenarioFingerprint = c.Fp
-	if cfg.Robust() {
-		a.Recovery = obs.NewRecoveryDoc(cfg, r, nil)
+	if cfg.Robust {
+		a.Recovery = obs.NewRecoveryDoc(r, nil)
 	}
 	return a
 }

@@ -79,11 +79,10 @@ func Overlay(s *Spec, fs *flag.FlagSet, onlySet bool, overrides map[string]FlagF
 }
 
 // ApplyFlag maps one shared flag onto the spec, reporting whether the name
-// has a scenario meaning. Visit order matters for two pairs and flag.Visit*
-// iterates alphabetically, which happens to be the order the commands
-// always applied them in: -arch (resetting the engine layout) precedes
-// -engines and -node-archs, and -robust (the coarse preset) precedes
-// nothing it would clobber.
+// has a scenario meaning. Visit order matters for -arch, which resets the
+// engine layout, and flag.Visit* iterates alphabetically, which happens to
+// be the order the commands always applied them in: -arch precedes
+// -engines and -node-archs.
 func ApplyFlag(s *Spec, name, value string) (bool, error) {
 	switch name {
 	case "app":
@@ -156,12 +155,6 @@ func ApplyFlag(s *Spec, name, value string) (bool, error) {
 			return true, err
 		}
 		s.Machine.Topology = t
-	case "directpath":
-		v, err := strconv.ParseBool(value)
-		if err != nil {
-			return true, err
-		}
-		s.Machine.DirectDataPath = v
 	case "dircache":
 		v, err := strconv.Atoi(value)
 		if err != nil {
@@ -173,9 +166,7 @@ func ApplyFlag(s *Spec, name, value string) (bool, error) {
 		if err != nil {
 			return true, err
 		}
-		if v {
-			s.Machine = s.Machine.WithRobustness()
-		}
+		s.Machine.Robust = v
 	case "attribution":
 		v, err := strconv.ParseBool(value)
 		if err != nil {

@@ -109,7 +109,6 @@ func ccsimFlags() *flag.FlagSet {
 	fs.String("split", "local-remote", "")
 	fs.String("arb", "paper", "")
 	fs.String("topo", "crossbar", "")
-	fs.Bool("directpath", true, "")
 	fs.Int("dircache", 8192, "")
 	fs.Int64("seed", 0, "")
 	fs.Bool("robust", false, "")
@@ -204,6 +203,9 @@ func TestLoadRejects(t *testing.T) {
 		{"wrong schema", `{"schema": "ccnuma-scenario/v2"}`, "ccnuma-scenario/v1"},
 		{"unknown field", `{"schema": "ccnuma-scenario/v1", "wrkload": {}}`, "wrkload"},
 		{"unknown machine field", `{"schema": "ccnuma-scenario/v1", "machine": {"nodez": 4}}`, "nodez"},
+		{"removed recovery knob", `{"schema": "ccnuma-scenario/v1", "machine": {"queueDepth": 16}}`, "queueDepth"},
+		{"removed data-path knob", `{"schema": "ccnuma-scenario/v1", "machine": {"directDataPath": true}}`, "directDataPath"},
+		{"removed placement policy", `{"schema": "ccnuma-scenario/v1", "machine": {"placement": "explicit"}}`, "explicit"},
 		{"bad cost row", `{"schema": "ccnuma-scenario/v1", "machine": {"costs": {"nope": [1,2,3]}}}`, "nope"},
 		{"malformed", `{"schema": `, "unexpected"},
 	}

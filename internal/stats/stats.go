@@ -48,7 +48,7 @@ type ControllerStats struct {
 	Engines []EngineStats
 
 	// Robustness counters: NACK/retry flow control and fault recovery.
-	// All stay zero with the recovery knobs off.
+	// All stay zero unless Config.Robust.
 	NacksSent  uint64 // home-side NACKs issued (full queue or retried-owner bounce)
 	NacksRecv  uint64 // NACKs processed at the requester (dropped strays excluded)
 	Retries    uint64 // requests re-issued after a NACK back-off or timeout

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"ccnuma/internal/config"
 	"ccnuma/internal/interconnect"
 	"ccnuma/internal/machine"
 	"ccnuma/internal/protocol"
@@ -126,7 +127,7 @@ func SweepSingleFaults(vc Config, maxRuns int, kinds ...string) (*SweepResult, e
 						case "timeout":
 							// Park the message past the requester's re-issue
 							// timeout so the retry races the delayed original.
-							d.Delay = m.Cfg.RequestTimeout + m.Cfg.RequestTimeout/2
+							d.Delay = config.RobustRequestTimeout + config.RobustRequestTimeout/2
 						default:
 							d.Duplicate = true
 						}

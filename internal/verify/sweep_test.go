@@ -3,7 +3,7 @@ package verify
 import "testing"
 
 // TestSingleFaultSweepRecovers is the robustness acceptance check, run
-// per fault class: on the 2x1 machine with the recovery knobs on, one
+// per fault class: on the 2x1 Robust machine, one
 // injected fault at every message boundary of the canonical path must
 // always drain to a quiescent, invariant-clean state. Drop and dup
 // exercise the link layer's retransmission and dedup; nack exercises the

@@ -118,8 +118,8 @@ type Config struct {
 	// (0 = default 3).
 	MaxViolations int
 
-	// Robust builds every checker machine with the robustness knobs on
-	// (config.Config.WithRobustness): finite queues with NACK/retry,
+	// Robust builds every checker machine with the recovery layer on
+	// (config.Config.Robust): finite queues with NACK/retry,
 	// request timeouts, and link-level reliable delivery. The single-fault
 	// sweep uses it to assert that injected faults are survivable.
 	Robust bool
