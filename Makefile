@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build check fmt vet test race microbench perfbench tables lint verify model chaos scenario attribution serve-smoke torture-smoke pdes-smoke clean
+.PHONY: all build check fmt vet test race microbench perfbench tables lint model chaos scenario attribution serve-smoke torture-smoke pdes-smoke clean
 
 all: build
 
@@ -14,12 +14,12 @@ build:
 # check is the pre-PR gate: gofmt must report nothing, vet and cclint must
 # be clean (cclint also rejects //nolint and //cclint:ignore directives
 # that carry no reason, and fails when the committed protocol model is
-# stale), every test must pass with the race detector on, the replay
-# checker must close the 2-node state space with zero violations, the
-# extracted-model checker must close its abstract state space, seeded
-# chaos schedules must recover, and the benchmark must build and
-# reproduce its pinned simulated results. No step gates on host timing.
-check: fmt vet lint race verify model chaos scenario attribution serve-smoke torture-smoke pdes-smoke perfbench
+# stale), every test must pass with the race detector on, the protocol
+# checker must close the abstract 4-node state space and the real 2-node
+# one with zero violations, seeded chaos schedules and single injected
+# faults must recover, and the benchmark must build and reproduce its
+# pinned simulated results. No step gates on host timing.
+check: fmt vet lint race model chaos scenario attribution serve-smoke torture-smoke pdes-smoke perfbench
 
 # lint runs the repo's own analyzer suite (internal/lint): exhaustive
 # switches over protocol/cache/directory enums, no wall-clock or global
@@ -28,27 +28,24 @@ check: fmt vet lint race verify model chaos scenario attribution serve-smoke tor
 lint:
 	$(GO) run ./cmd/cclint ./...
 
-# verify model-checks the real protocol stack on the smallest interesting
-# machine. Must reach a fixpoint with zero invariant violations.
-verify:
-	$(GO) run ./cmd/ccverify -nodes 2 -procs 1 -q
-
-# model is the extracted-model gate: the committed ccnuma-model artifact
+# model is the protocol-checker gate: the committed ccnuma-model artifact
 # must match a fresh extraction of internal/core + internal/protocol, the
 # abstract 4-node machine (with finite-buffer NACK/backoff edges) must
-# reach a violation-free fixpoint, and a concrete replay must validate
-# its transitions against the extracted rule table.
+# reach a violation-free fixpoint, and the real stack must too on the
+# smallest interesting machine (2 nodes x 1 processor, plus timing races),
+# with every transition of those replays and of the access storms
+# validated against the extracted rule table.
 model:
 	$(GO) run ./cmd/ccmodel -stale
 	$(GO) run ./cmd/ccmodel -check -nodes 4 -robust
-	$(GO) run ./cmd/ccmodel -conform
+	$(GO) run ./cmd/ccmodel -conform -replay -nodes 2 -procs 1 -q
 
 # chaos smoke-tests the recovery machinery: one kernel under 25 seeded
 # fault schedules plus the single-fault recovery sweep. Every run must
 # complete, verify, and drain with zero invariant violations.
 chaos:
 	$(GO) run ./cmd/ccchaos -app fft -schedules 25 -q
-	$(GO) run ./cmd/ccverify -nodes 2 -procs 1 -sweep-faults -q
+	$(GO) run ./cmd/ccmodel -sweep-faults -nodes 2 -procs 1 -q
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -159,4 +156,4 @@ tables:
 
 clean:
 	$(GO) clean
-	rm -f ccchaos cclint ccmodel ccserved ccsim ccsubmit ccsweep cctables cctrace ccverify
+	rm -f ccchaos cclint ccmodel ccserved ccsim ccsubmit ccsweep cctables cctrace

@@ -32,7 +32,7 @@ func main() {
 	flag.String("arch", "HWC", "controller architecture: HWC, PPC, PPCA, 2HWC, 2PPC, 2PPCA")
 	flag.Int("nodes", 4, "SMP nodes")
 	flag.Int("ppn", 2, "processors per node")
-	flag.String("size", "test", "problem size: test, base, large")
+	flag.String("size", "test", "problem size: test, small, base, large")
 	flag.Int("schedules", 25, "fault schedules per application")
 	flag.Int("first", 0, "index of the first schedule (repro: -first N -schedules 1 replays exactly schedule N)")
 	flag.Int("events", 0, "faults per schedule (0 = scale with the machine: 2 + nodes)")

@@ -37,8 +37,8 @@ func main() {
 	flag.Int("ppn", 4, "processors per node")
 	flag.Int("line", 128, "cache line size in bytes")
 	flag.Int("netlat", 14, "network point-to-point latency in CPU cycles")
-	flag.String("size", "base", "problem size: test, base, large")
-	flag.String("split", "local-remote", "engine split policy: local-remote, round-robin, or region")
+	flag.String("size", "base", "problem size: test, small, base, large")
+	flag.String("split", "local-remote", "engine split policy: local-remote, round-robin, region, or dynamic")
 	flag.String("arb", "paper", "dispatch arbitration: paper or fifo")
 	flag.String("topo", "crossbar", "interconnect topology: crossbar or mesh")
 	flag.Int("dircache", 8192, "directory cache entries (0 disables)")

@@ -35,7 +35,7 @@ func main() {
 	flag.String("param", "netlat", "parameter: netlat, line, ppn, engines, dircache, banks, hoplat (mesh)")
 	flag.String("values", "14,50,100,200", "comma-separated parameter values")
 	flag.String("archs", "HWC,PPC", "comma-separated architectures")
-	flag.String("size", "test", "problem size: test, base, large")
+	flag.String("size", "test", "problem size: test, small, base, large")
 	flag.Int("nodes", 4, "SMP nodes (ignored by -param ppn, which fixes total processors)")
 	flag.Int("ppn", 2, "processors per node")
 	flag.Int64("seed", 0, "workload input seed (0 = the kernel's fixed default input)")

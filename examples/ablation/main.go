@@ -1,7 +1,7 @@
 // ablation measures the design choices DESIGN.md flags for study: the
-// direct bus/network data path for dirty write-backs, the directory cache,
-// and the paper's dispatch arbitration policy, each toggled independently
-// on a write-back-heavy workload.
+// directory cache, the paper's dispatch arbitration policy, and the
+// livelock limit, each toggled independently on ocean, a write-back-heavy
+// workload.
 package main
 
 import (

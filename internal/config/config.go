@@ -745,6 +745,21 @@ func fieldErr(field, format string, args ...interface{}) error {
 // (directory.Bitmap, one uint64) can describe.
 const MaxNodes = 64
 
+// Bounds on the other sizes machine.New allocates from, each well above
+// what the experiments, examples and tests build (8 processors per node,
+// 4 engines, 4 banks, 8K directory-cache entries, 1 MB L2s at 64 nodes).
+// MaxEngines bounds NumEngines and every NodeArchs count. MaxCacheLines
+// bounds TotalProcs × (L1Size+L2Size)/LineSize, because cache.New
+// allocates every way up front. The largest machine they admit builds in
+// about 330 MB.
+const (
+	MaxProcsPerNode    = 64
+	MaxEngines         = 16
+	MaxMemBanks        = 1024
+	MaxDirCacheEntries = 1 << 16
+	MaxCacheLines      = 1 << 24
+)
+
 // DirCacheAssoc is the associativity of the directory cache.
 const DirCacheAssoc = 4
 
@@ -761,8 +776,8 @@ func (c *Config) Validate() error {
 	switch {
 	case c.Nodes <= 0 || c.Nodes > MaxNodes:
 		return fieldErr("Nodes", "must be in 1..%d (the directory's sharer bit map), got %d", MaxNodes, c.Nodes)
-	case c.ProcsPerNode <= 0:
-		return fieldErr("ProcsPerNode", "must be positive, got %d", c.ProcsPerNode)
+	case c.ProcsPerNode <= 0 || c.ProcsPerNode > MaxProcsPerNode:
+		return fieldErr("ProcsPerNode", "must be in 1..%d, got %d", MaxProcsPerNode, c.ProcsPerNode)
 	case c.Nodes&(c.Nodes-1) != 0 && c.Topology != TopoCrossbar:
 		return fieldErr("Nodes", "must be a power of two for topology %v, got %d", c.Topology, c.Nodes)
 	case c.LineSize <= 0 || c.LineSize&(c.LineSize-1) != 0:
@@ -777,12 +792,15 @@ func (c *Config) Validate() error {
 		return fieldErr("L1Size", "geometry %d/%d-way/%dB is not a power-of-two number of sets", c.L1Size, c.L1Assoc, c.LineSize)
 	case !powerOfTwoSets(c.L2Size, c.L2Assoc*c.LineSize):
 		return fieldErr("L2Size", "geometry %d/%d-way/%dB is not a power-of-two number of sets", c.L2Size, c.L2Assoc, c.LineSize)
-	case c.MemBanks <= 0:
-		return fieldErr("MemBanks", "must be positive, got %d", c.MemBanks)
+	case uint64(c.L1Size/c.LineSize)+uint64(c.L2Size/c.LineSize) > MaxCacheLines/uint64(c.TotalProcs()):
+		return fieldErr("L2Size", "%d processors with %d+%d cache lines each exceed the limit of %d simulated lines",
+			c.TotalProcs(), c.L1Size/c.LineSize, c.L2Size/c.LineSize, MaxCacheLines)
+	case c.MemBanks <= 0 || c.MemBanks > MaxMemBanks:
+		return fieldErr("MemBanks", "must be in 1..%d, got %d", MaxMemBanks, c.MemBanks)
 	case c.Engine < 0 || c.Engine >= EngineKind(numEngineKinds):
 		return fieldErr("Engine", "unknown engine kind %d", int(c.Engine))
-	case c.NumEngines < 0:
-		return fieldErr("NumEngines", "must be non-negative, got %d", c.NumEngines)
+	case c.NumEngines < 0 || c.NumEngines > MaxEngines:
+		return fieldErr("NumEngines", "must be in 0..%d, got %d", MaxEngines, c.NumEngines)
 	case c.NumEngines > 2 && c.Split == SplitLocalRemote:
 		return fieldErr("Split", "%d engines require the region or round-robin split", c.NumEngines)
 	case c.Split == SplitRegion && (c.RegionBytes < c.LineSize || c.RegionBytes&(c.RegionBytes-1) != 0):
@@ -794,6 +812,8 @@ func (c *Config) Validate() error {
 	case c.DirCacheEntries != 0 && !powerOfTwoSets(c.DirCacheEntries, DirCacheAssoc):
 		return fieldErr("DirCacheEntries", "must be 0 or a power-of-two number of %d-way sets, got %d",
 			DirCacheAssoc, c.DirCacheEntries)
+	case c.DirCacheEntries > MaxDirCacheEntries:
+		return fieldErr("DirCacheEntries", "must be at most %d, got %d", MaxDirCacheEntries, c.DirCacheEntries)
 	case c.NetHeader < 0:
 		return fieldErr("NetHeader", "must be non-negative, got %d", c.NetHeader)
 	case c.SimShards < 0:
@@ -865,6 +885,9 @@ func (c *Config) validateNodeArchs() error {
 			continue
 		}
 		_, count, err := ParseArch(name)
+		if err == nil && count > MaxEngines {
+			err = fmt.Errorf("%d engines exceed the limit of %d", count, MaxEngines)
+		}
 		if err != nil {
 			return fieldErr(fmt.Sprintf("NodeArchs[%d]", n), "%v", err)
 		}

@@ -3,6 +3,7 @@ package config
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -47,6 +48,18 @@ func TestValidateFieldErrorEdges(t *testing.T) {
 		{"l1 three sets", func(c *Config) { c.L1Size = 3 * 4 * 128 }, "L1Size"},
 		{"l2 three sets", func(c *Config) { c.L2Size = 3 * 4 * 128 }, "L2Size"},
 		{"negative net header", func(c *Config) { c.NetHeader = -1000 }, "NetHeader"},
+		{"procs beyond the limit", func(c *Config) { c.ProcsPerNode = 1 << 20 }, "ProcsPerNode"},
+		{"l2 beyond the line limit", func(c *Config) { c.L2Size = 1 << 40 }, "L2Size"},
+		{"huge l1 and l2 lines", func(c *Config) { c.LineSize, c.L1Size, c.L1Assoc, c.L2Size, c.L2Assoc = 1, 1<<62, 1, 1<<62, 1 }, "L2Size"},
+		{"lines across processors", func(c *Config) { c.Nodes, c.ProcsPerNode = 64, MaxProcsPerNode }, "L2Size"},
+		{"dir cache beyond the limit", func(c *Config) { c.DirCacheEntries = 1 << 32 }, "DirCacheEntries"},
+		{"banks beyond the limit", func(c *Config) { c.MemBanks = 1 << 30 }, "MemBanks"},
+		{"engines beyond the limit", func(c *Config) { c.NumEngines = 1 << 30; c.Split = SplitRegion }, "NumEngines"},
+		{"node arch engines beyond the limit", func(c *Config) {
+			c.Nodes = 2
+			c.Split = SplitRegion
+			c.NodeArchs = []string{"HWC", fmt.Sprintf("%dPPC", MaxEngines+1)}
+		}, "NodeArchs[1]"},
 	}
 	// Every sim.Time field is a latency, occupancy or bound: a negative
 	// one must be rejected by name, including fields added later.
@@ -81,21 +94,40 @@ func TestValidateFieldErrorEdges(t *testing.T) {
 	}
 }
 
-// TestValidateAcceptsLimits pins the accepting side of the Nodes and
-// DirCacheEntries edges: the widest machine the sharer bit map describes,
-// and every directory-cache size in use (off, the ablation's 256, the
-// paper's 8K).
+// TestValidateAcceptsLimits pins the accepting side of the size edges:
+// the widest machine the sharer bit map describes, every directory-cache
+// size in use (off, the ablation's 256, the paper's 8K), the largest
+// machine the experiments build (64 nodes of 8 processors with 1 MB L2s),
+// and each size limit itself.
 func TestValidateAcceptsLimits(t *testing.T) {
-	c := Base()
-	c.Nodes = 64
-	if err := c.Validate(); err != nil {
-		t.Errorf("64 nodes rejected: %v", err)
-	}
-	for _, entries := range []int{0, 256, 8192} {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"64 nodes", func(c *Config) { c.Nodes = MaxNodes }},
+		{"no directory cache", func(c *Config) { c.DirCacheEntries = 0 }},
+		{"256 directory-cache entries", func(c *Config) { c.DirCacheEntries = 256 }},
+		{"8K directory-cache entries", func(c *Config) { c.DirCacheEntries = 8192 }},
+		{"64x8 with 1 MB L2s", func(c *Config) { c.Nodes, c.ProcsPerNode = 64, 8 }},
+		{"MaxProcsPerNode", func(c *Config) { c.ProcsPerNode = MaxProcsPerNode }},
+		{"MaxEngines", func(c *Config) { c.NumEngines, c.Split = MaxEngines, SplitRegion }},
+		{"MaxEngines per node", func(c *Config) {
+			c.Nodes, c.Split = 2, SplitRegion
+			c.NodeArchs = []string{"HWC", fmt.Sprintf("%dPPC", MaxEngines)}
+		}},
+		{"MaxMemBanks", func(c *Config) { c.MemBanks = MaxMemBanks }},
+		{"MaxDirCacheEntries", func(c *Config) { c.DirCacheEntries = MaxDirCacheEntries }},
+		{"MaxCacheLines", func(c *Config) {
+			// 512 processors whose L1 and L2 each hold a 1024th of the limit.
+			c.Nodes, c.ProcsPerNode = 64, 8
+			c.L1Size = MaxCacheLines / 1024 * c.LineSize
+			c.L2Size = c.L1Size
+		}},
+	} {
 		c := Base()
-		c.DirCacheEntries = entries
+		tc.mutate(&c)
 		if err := c.Validate(); err != nil {
-			t.Errorf("DirCacheEntries %d rejected: %v", entries, err)
+			t.Errorf("%s rejected: %v", tc.name, err)
 		}
 	}
 }

@@ -291,8 +291,8 @@ func (cc *Controller) DumpPending() string {
 // StateSnapshot renders the controller's complete transient state as a
 // deterministic string (map iteration is sorted by line). Two controllers
 // with equal snapshots will behave identically given identical future
-// inputs; the ccverify model checker folds snapshots into its abstract
-// state hash.
+// inputs; the protocol checker's replays fold snapshots into their
+// quiescent-state hash.
 func (cc *Controller) StateSnapshot() string {
 	var b strings.Builder
 	lines := make([]uint64, 0, len(cc.homeOps))

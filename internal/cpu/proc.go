@@ -71,7 +71,7 @@ type Proc struct {
 	valSeq uint64
 	// lastRead and lastWrite record the shadow value observed by the most
 	// recent completed load and produced by the most recent completed
-	// store (read by the ccverify model checker between operations).
+	// store (read by the protocol checker's replays between operations).
 	lastRead  uint64
 	lastWrite uint64
 

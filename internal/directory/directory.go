@@ -171,7 +171,7 @@ func (d *Directory) ForEachEntry(fn func(line uint64, e Entry)) {
 }
 
 // StateSnapshot renders the directory's stable state as a deterministic
-// string (sorted by line) for the ccverify model checker's abstract state
+// string (sorted by line) for the protocol checker's quiescent-state
 // hash. Directory-cache presence and DRAM timing are deliberately excluded:
 // they affect latency, never protocol behaviour.
 func (d *Directory) StateSnapshot() string {

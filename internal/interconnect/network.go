@@ -123,8 +123,8 @@ type Network struct {
 	msgs  uint64
 	flits uint64
 	// inFlight counts messages accepted by Send whose sink has not fired
-	// yet (the ccverify model checker uses it to detect quiescence and to
-	// bound its in-flight message multiset).
+	// yet (Machine.CheckDrained reads it to confirm a drained run left
+	// nothing on the wire).
 	inFlight int64
 
 	link LinkStats

@@ -2,12 +2,14 @@ package model
 
 import (
 	"fmt"
+	"sort"
+	"sync"
 
-	"ccnuma/internal/config"
 	"ccnuma/internal/extract"
 	"ccnuma/internal/interconnect"
 	"ccnuma/internal/machine"
 	"ccnuma/internal/protocol"
+	"ccnuma/internal/verify"
 )
 
 // Conformance implements core.ConformanceHook: it replays every handler
@@ -16,30 +18,69 @@ import (
 // admit. This closes the loop from the other side of the checker — the
 // checker proves properties of the abstract model, the conformance
 // harness shows the concrete simulator stays inside it.
+//
+// One hook serves every machine of a run, including replays running
+// concurrently (verify.Config.Conform): counts add, the reached rule keys
+// union, and failures are kept as a sorted, de-duplicated set, so the
+// result does not depend on the order machines finish in.
 type Conformance struct {
 	ix *extract.Index
+
+	mu sync.Mutex
 	// Dispatches and Sends count validated events.
 	Dispatches uint64
 	Sends      uint64
-	Failures   []string
+	// Failures holds the first maxFailures distinct failures in sorted
+	// order.
+	Failures []string
+	reached  map[extract.RuleKey]bool
 }
 
 const maxFailures = 16
 
 // NewConformance builds a hook validating against ix.
-func NewConformance(ix *extract.Index) *Conformance { return &Conformance{ix: ix} }
+func NewConformance(ix *extract.Index) *Conformance {
+	return &Conformance{ix: ix, reached: map[extract.RuleKey]bool{}}
+}
 
 // Events is the number of concrete transitions validated.
 func (c *Conformance) Events() uint64 { return c.Dispatches + c.Sends }
 
-func (c *Conformance) fail(f string) {
-	if len(c.Failures) < maxFailures {
-		c.Failures = append(c.Failures, f)
+// Coverage reports how many of the model's dispatchable rule keys (a
+// trigger and the handler it selects) the validated dispatches reached,
+// out of how many the model has.
+func (c *Conformance) Coverage() (reached, total int) {
+	for k := range c.ix.Rules {
+		if k.Handler != "" {
+			total++
+		}
 	}
+	return len(c.reached), total
+}
+
+func (c *Conformance) String() string {
+	reached, total := c.Coverage()
+	return fmt.Sprintf("conformance — %d dispatches, %d sends validated, %d failure(s), %d of %d rule keys reached",
+		c.Dispatches, c.Sends, len(c.Failures), reached, total)
+}
+
+// fail records f; the caller holds c.mu.
+func (c *Conformance) fail(f string) {
+	i := sort.SearchStrings(c.Failures, f)
+	if i == maxFailures || i < len(c.Failures) && c.Failures[i] == f {
+		return
+	}
+	if len(c.Failures) < maxFailures {
+		c.Failures = append(c.Failures, "")
+	}
+	copy(c.Failures[i+1:], c.Failures[i:])
+	c.Failures[i] = f
 }
 
 // Dispatch checks that the model admits dispatching trigger as h.
 func (c *Conformance) Dispatch(node int, trigger string, h protocol.Handler) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.Dispatches++
 	name, ok := c.ix.HandlerByID[int(h)]
 	if !ok {
@@ -48,7 +89,9 @@ func (c *Conformance) Dispatch(node int, trigger string, h protocol.Handler) {
 	}
 	if !c.ix.Admits(trigger, name) {
 		c.fail(fmt.Sprintf("n%d: model admits no rule for trigger %q as handler %s", node, trigger, name))
+		return
 	}
+	c.reached[extract.RuleKey{Trigger: trigger, Handler: name}] = true
 }
 
 // Send checks an outgoing message: synchronous sends must be admitted
@@ -56,6 +99,8 @@ func (c *Conformance) Dispatch(node int, trigger string, h protocol.Handler) {
 // (completion closures, the NI NACK bounce, the direct write-back path)
 // must be of a type the model marks deferrable.
 func (c *Conformance) Send(node int, inDispatch bool, trigger string, h protocol.Handler, t protocol.MsgType) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.Sends++
 	name := t.String()
 	if !inDispatch {
@@ -106,77 +151,57 @@ func RunConformance(ix *extract.Index, cfgs ...ConformanceConfig) (*Conformance,
 	return c, nil
 }
 
-// run drives one storm to quiescence. fault, when non-nil, is installed as
-// the network's fault hook (the tests' seam for losing a message).
-func (c *Conformance) run(vc ConformanceConfig, fault interconnect.FaultHook) error {
-	mc := config.Base()
-	mc.Nodes = vc.Nodes
-	mc.ProcsPerNode = 1
-	mc.Topology = config.TopoCrossbar
-	// Single-set, single-line caches: walking more than one line evicts
-	// on every step, so the storm exercises write-backs and interventions
-	// as densely as possible.
-	mc.L1Size, mc.L1Assoc = mc.LineSize, 1
-	mc.L2Size, mc.L2Assoc = mc.LineSize, 1
-	mc.DirCacheEntries = 0
-	mc.SimLimit = 20_000_000
-	if vc.Robust {
-		mc = mc.WithRobustness()
-	}
-	m, err := machine.New(mc, "ccmodel-conform")
+// run drives one storm on a checker machine (verify.Harness) to
+// quiescence under the harness's invariants. fault, when non-nil, is
+// installed as the network's fault hook (the tests' seam for losing a
+// message).
+func (c *Conformance) run(sc ConformanceConfig, fault interconnect.FaultHook) error {
+	h, err := verify.NewHarness(&verify.Config{
+		Nodes: sc.Nodes, ProcsPerNode: 1, Robust: sc.Robust, Conform: c,
+		Fault: func(m *machine.Machine) { m.Net.Fault = fault },
+	})
 	if err != nil {
 		return err
 	}
-	for _, cc := range m.CCs {
-		cc.SetConformanceHook(c)
-	}
-	m.Net.Fault = fault
-	ls := m.Cfg.LineSize
-	lines := make([]uint64, vc.Lines)
+	lines := make([]uint64, sc.Lines)
 	for i := range lines {
-		lines[i] = uint64(m.Space.AllocOnNode(ls, i%vc.Nodes))
+		lines[i] = h.Alloc(i % sc.Nodes)
 	}
-	if vc.Nacks > 0 {
-		for _, cc := range m.CCs {
-			cc.ForceNackNext(vc.Nacks)
+	if sc.Nacks > 0 {
+		for _, cc := range h.M.CCs {
+			cc.ForceNackNext(sc.Nacks)
 		}
 	}
 	// Every processor walks the shared lines with a deterministic
 	// phase-shifted read/write pattern, chaining the next access from the
 	// completion callback so each always has one outstanding (maximum
 	// contention and interleaving). done[pi] counts completed accesses.
-	done := make([]int, len(m.Procs))
-	for pi, p := range m.Procs {
-		p, pi := p, pi
-		var next, complete func()
+	done := make([]int, len(h.M.Procs))
+	for pi := range h.M.Procs {
+		pi := pi
+		var next func()
 		next = func() {
-			if step := done[pi]; step < vc.Ops {
-				p.SyncAccess(lines[(step+pi)%len(lines)], (step+pi)%3 != 1, complete)
+			if step := done[pi]; step < sc.Ops {
+				h.Access(pi, lines[(step+pi)%len(lines)], (step+pi)%3 != 1, func() {
+					done[pi]++
+					next()
+				})
 			}
-		}
-		complete = func() {
-			done[pi]++
-			next()
 		}
 		next()
 	}
-	for m.Eng.Step() {
-	}
-	if m.Eng.LimitHit() {
-		return fmt.Errorf("model: conformance run %+v hit the event limit before draining", vc)
+	if v := h.Drain(nil); v != nil {
+		return fmt.Errorf("model: conformance run %+v: %s: %s", sc, v.Kind, v.Detail)
 	}
 	// A storm that stops short validated only a prefix of its transitions:
 	// a lost grant or a protocol deadlock drains the queue just the same.
 	for pi, n := range done {
-		if n < vc.Ops {
-			return fmt.Errorf("model: conformance run %+v deadlocked: processor %d completed %d of %d accesses", vc, pi, n, vc.Ops)
+		if n < sc.Ops {
+			return fmt.Errorf("model: conformance run %+v deadlocked: processor %d completed %d of %d accesses", sc, pi, n, sc.Ops)
 		}
 	}
-	if err := m.CheckDrained(); err != nil {
-		return fmt.Errorf("model: conformance run %+v deadlocked: %w", vc, err)
-	}
-	if err := m.CheckCoherence(); err != nil {
-		return fmt.Errorf("model: conformance run %+v ended incoherent: %w", vc, err)
+	if v := h.Quiescent(); v != nil {
+		return fmt.Errorf("model: conformance run %+v: %s: %s", sc, v.Kind, v.Detail)
 	}
 	return nil
 }

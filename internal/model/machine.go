@@ -4,8 +4,8 @@
 // and an unordered bounded message pool with NACK/backoff edges — using
 // 64-bit hash compaction for the visited set and a per-line
 // partial-order reduction, and checks the same single-owner /
-// stale-read / lost-writeback / deadlock invariants as ccverify but at
-// node counts the replay-based checker cannot reach. Every transition
+// stale-read / lost-writeback / deadlock invariants as the replays of the
+// real stack (internal/verify) but at node counts they cannot reach. Every transition
 // the machine takes is labeled with the (trigger, handler) pair of the
 // concrete dispatch it abstracts and checked for admission against the
 // extracted rule table, so the hand-written abstraction cannot drift

@@ -1,12 +1,14 @@
 package model
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"ccnuma/internal/extract"
 	"ccnuma/internal/interconnect"
 	"ccnuma/internal/protocol"
+	"ccnuma/internal/verify"
 )
 
 // loadIndex loads the committed artifact's index (freshness is asserted
@@ -258,5 +260,89 @@ func TestConformanceDetectsDrift(t *testing.T) {
 	}
 	if len(c.Failures) == 0 {
 		t.Fatal("an empty rule table validated a concrete run")
+	}
+}
+
+// TestReplaysConform runs every concrete check `make check` runs — the
+// storms, the 2x1 state-space walk with its races, and the single-fault
+// sweep — under one hook. None may fail, and together they must reach at
+// least 38 of the model's 46 dispatchable rule keys. Four of those only
+// the replays reach: the "bus read excl." handlers entered from an
+// Upgrade, and a NACK answering a shared grant.
+func TestReplaysConform(t *testing.T) {
+	c, err := RunConformance(loadIndex(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc := verify.Config{Nodes: 2, ProcsPerNode: 1, Conform: c}
+	res, err := verify.Run(vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range res.Violations {
+		t.Errorf("replay violation: %s", v.String())
+	}
+	sw, err := verify.SweepSingleFaults(vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range sw.Violations {
+		t.Errorf("fault not recovered: %s", v.String())
+	}
+	t.Logf("%s", c)
+	for _, f := range c.Failures {
+		t.Errorf("conformance: %s", f)
+	}
+	if reached, total := c.Coverage(); reached < 38 || total != 46 {
+		t.Errorf("reached %d of %d rule keys, want >= 38 of 46", reached, total)
+	}
+	for _, k := range []extract.RuleKey{
+		{Trigger: "bus:Upgrade/local", Handler: "HBusReadExLocalCachedRemote"},
+		{Trigger: "bus:Upgrade/local", Handler: "HBusReadExLocalDirtyRemote"},
+		{Trigger: "bus:Upgrade/remote", Handler: "HBusReadExRemote"},
+		{Trigger: "msg:DataShared", Handler: "HNackAtRequester"},
+	} {
+		if !c.reached[k] {
+			t.Errorf("no validated dispatch of %s as %s", k.Trigger, k.Handler)
+		}
+	}
+}
+
+// TestReplayReportIndependentOfJobs replays the walk, its races and the
+// fault sweep serially and on two workers against an index missing every
+// message-triggered rule and every deferred send, so the hook records
+// more distinct failures than it keeps (24 against 16) as well as counts
+// and coverage. The two reports must be identical.
+func TestReplayReportIndependentOfJobs(t *testing.T) {
+	report := func(jobs int) (*verify.Result, *verify.SweepResult, *Conformance) {
+		ix := loadIndex(t)
+		for k := range ix.Rules {
+			if strings.HasPrefix(k.Trigger, "msg:") {
+				delete(ix.Rules, k)
+			}
+		}
+		ix.Deferred = map[string]bool{}
+		c := NewConformance(ix)
+		vc := verify.Config{Nodes: 2, ProcsPerNode: 1, MaxRaces: 500, Jobs: jobs, Conform: c}
+		res, err := verify.Run(vc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, err := verify.SweepSingleFaults(vc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, sw, c
+	}
+	res1, sw1, c1 := report(1)
+	res2, sw2, c2 := report(2)
+	if len(c1.Failures) < maxFailures {
+		t.Fatalf("the crippled index produced %d failures, want the cap of %d", len(c1.Failures), maxFailures)
+	}
+	if !reflect.DeepEqual(res1, res2) || !reflect.DeepEqual(sw1, sw2) {
+		t.Errorf("results differ between -jobs 1 and 2:\n%+v %+v\n%+v %+v", res1, sw1, res2, sw2)
+	}
+	if c1.String() != c2.String() || !reflect.DeepEqual(c1.Failures, c2.Failures) {
+		t.Errorf("conformance differs between -jobs 1 and 2:\n%s %q\n%s %q", c1, c1.Failures, c2, c2.Failures)
 	}
 }

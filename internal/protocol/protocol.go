@@ -115,7 +115,7 @@ type Msg struct {
 	// Data is the cache-line value carried by data-bearing messages. The
 	// simulator models one shadow word per line (enough to detect stale
 	// reads and lost write-backs); it rides along with the timing model at
-	// zero cost and is checked by the ccverify model checker.
+	// zero cost and is checked by the protocol checker's replays.
 	Data uint64
 	// Txn is the causal-span transaction ID of the miss episode this
 	// message serves (zero for untracked traffic: fan-out invalidations,

@@ -1,7 +1,7 @@
 // Package runner fans independent simulation jobs across a bounded pool of
 // worker goroutines while preserving the exact observable behaviour of a
 // serial loop. Every experiment in this repository — figure sweeps, tables,
-// chaos campaigns, ccverify replays — is a set of self-contained
+// chaos campaigns, protocol-checker replays — is a set of self-contained
 // simulations (each owns its engine, machine, and RNGs), so they can run
 // concurrently; what must NOT change is the order in which their results
 // are observed, because progress lines, memo caches, and artifact files are

@@ -119,7 +119,7 @@ func ApplyFlag(s *Spec, name, value string) (bool, error) {
 			return true, err
 		}
 		s.Machine.Nodes = v
-	case "ppn", "procs":
+	case "ppn":
 		v, err := strconv.Atoi(value)
 		if err != nil {
 			return true, err

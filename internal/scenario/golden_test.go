@@ -54,6 +54,12 @@ func TestGoldenExecTimesFromSpec(t *testing.T) {
 	}{
 		{"fft", "HWC", 14804},
 		{"fft", "2PPC", 21476},
+		{"ocean", "HWC", 33941},
+		{"ocean", "2HWC", 33237},
+		{"ocean", "PPC", 47083},
+		{"ocean", "2PPC", 44085},
+		{"ocean", "PPCA", 38168},
+		{"ocean", "2PPCA", 37070},
 	}
 	for _, tc := range cases {
 		doc := fmt.Sprintf(`{

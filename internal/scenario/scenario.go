@@ -2,8 +2,8 @@
 // versioned JSON document that names everything a run needs — machine
 // geometry and per-node engine configuration, Table 1/2 timing overrides,
 // workload and problem size, fault schedule, sweep axes, seeds, and job
-// counts. Every command (ccsim, ccsweep, ccchaos, ccverify, cctrace) is a
-// thin wrapper over the same loading pipeline: start from Default(),
+// counts. Every simulation command (ccsim, ccsweep, ccchaos, cctrace) is
+// a thin wrapper over the same loading pipeline: start from Default(),
 // overlay a -spec file if given, then overlay the command's flags.
 //
 // Specs are canonicalized before use: loading resolves absent fields to

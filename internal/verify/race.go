@@ -3,8 +3,8 @@ package verify
 import (
 	"context"
 	"fmt"
+	"sort"
 
-	"ccnuma/internal/cache"
 	pool "ccnuma/internal/runner"
 	"ccnuma/internal/sim"
 )
@@ -140,11 +140,7 @@ func sampleOffsets(cand []sim.Time, max int) []sim.Time {
 			out = append(out, t)
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	if max < 0 || len(out) <= max || max < 2 {
 		return out
 	}
@@ -180,46 +176,37 @@ func raceRun(vc *Config, path []Step, s1, s2 Step, d sim.Time) *Violation {
 	for k, v := range r.lastVal {
 		prefix[k] = v
 	}
-	eng := r.m.Eng
+	eng := r.M.Eng
 	t0 := eng.Now()
-	p1, p2 := r.m.Procs[s1.Proc], r.m.Procs[s2.Proc]
-	l1, w1 := r.lineFor(s1)
-	l2, w2 := r.lineFor(s2)
-	rec1 := &opRecord{line: l1, write: w1, start: t0}
-	rec2 := &opRecord{line: l2, write: w2, start: t0 + d}
-	finish := func(rec *opRecord, val uint64) {
-		rec.done = true
-		rec.end = eng.Now()
-		rec.val = val
+	track := func(s Step, start sim.Time) *opRecord {
+		line, write := r.lineFor(s)
+		return &opRecord{line: line, write: write, start: start}
 	}
-	p1.SyncAccess(l1, w1, func() {
-		if w1 {
-			finish(rec1, p1.LastWriteValue())
-		} else {
-			finish(rec1, p1.LastReadValue())
-		}
-	})
-	eng.At(t0+d, func() {
-		p2.SyncAccess(l2, w2, func() {
-			if w2 {
-				finish(rec2, p2.LastWriteValue())
+	issue := func(s Step, rec *opRecord) {
+		p := r.M.Procs[s.Proc]
+		r.Access(s.Proc, rec.line, rec.write, func() {
+			rec.done, rec.end = true, eng.Now()
+			if rec.write {
+				rec.val = p.LastWriteValue()
 			} else {
-				finish(rec2, p2.LastReadValue())
+				rec.val = p.LastReadValue()
 			}
 		})
-	})
-	if v := r.drain(nil); v != nil {
+	}
+	recs := []*opRecord{track(s1, t0), track(s2, t0+d)}
+	issue(s1, recs[0])
+	eng.At(t0+d, func() { issue(s2, recs[1]) })
+	if v := r.Drain(nil); v != nil {
 		return v
 	}
-	for _, rec := range []*opRecord{rec1, rec2} {
+	for _, rec := range recs {
 		if !rec.done {
 			return &Violation{Kind: "lost-op", Detail: fmt.Sprintf(
 				"racing op on line %#x never completed (offset +%d)", rec.line, d)}
 		}
 	}
 	// Value semantics per line of interest.
-	recs := []*opRecord{rec1, rec2}
-	for _, line := range r.sortedLines() {
+	for _, line := range r.lines {
 		var writes, reads []*opRecord
 		for _, rec := range recs {
 			if rec.line != line {
@@ -249,7 +236,7 @@ func raceRun(vc *Config, path []Step, s1, s2 Step, d sim.Time) *Violation {
 		// Anchor the quiescent sweep on the value the race serialized to.
 		r.lastVal[line] = actual
 	}
-	return r.quiescentCheck()
+	return r.Quiescent()
 }
 
 // allowedReadValues computes the set a racing read may legally return:
@@ -293,37 +280,12 @@ func allowedFinalValues(prefix uint64, writes []*opRecord) map[uint64]bool {
 	return finals
 }
 
-// finalValue reads the line's settled value out of the quiescent machine:
-// a dirty copy wins, else any valid copy, else the home memory image.
-func (r *runner) finalValue(line uint64) (uint64, string) {
-	var cleanVal uint64
-	haveClean := false
-	for _, p := range r.m.Procs {
-		st := p.L2State(line)
-		if st.Dirty() {
-			return p.LineValue(line), fmt.Sprintf("dirty copy on p%d", p.ID())
-		}
-		if st != cache.Invalid && !haveClean {
-			cleanVal, haveClean = p.LineValue(line), true
-		}
-	}
-	if haveClean {
-		return cleanVal, "clean cached copy"
-	}
-	home := r.m.Space.Home(line)
-	return r.m.Buses[home].MemValue(line), fmt.Sprintf("memory on node %d", home)
-}
-
 // valueSet renders an allowed-value set deterministically for messages.
 func valueSet(m map[uint64]bool) []string {
 	var out []string
 	for v := range m {
 		out = append(out, fmt.Sprintf("%#x", v))
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Strings(out)
 	return out
 }

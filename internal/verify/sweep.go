@@ -17,13 +17,13 @@ import (
 type SweepResult struct {
 	// Messages is the network message count of the fault-free reference run
 	// (the sweep's injection coordinate space).
-	Messages int `json:"messages"`
+	Messages int
 	// Runs is how many fault-injected replays executed.
-	Runs int `json:"runs"`
-	// Truncated means the (message, kind) grid exceeded the run budget and
+	Runs int
+	// Truncated means the (message, kind) grid exceeded sweepBudget and
 	// was stride-sampled instead of covered exhaustively.
-	Truncated  bool        `json:"truncated"`
-	Violations []Violation `json:"violations"`
+	Truncated  bool
+	Violations []Violation
 }
 
 // OK reports whether every injected fault was recovered from.
@@ -36,22 +36,22 @@ func (r *SweepResult) OK() bool { return len(r.Violations) == 0 }
 // timeout so the retry races its own original.
 var sweepKinds = [...]string{"drop", "dup", "nack", "timeout"}
 
+// sweepBudget bounds the sweep's fault-injected replays; a larger
+// (message, kind) grid is stride-sampled.
+const sweepBudget = 600
+
 // SweepSingleFaults replays one canonical path — every (processor, op) pair
 // in order, the state-space walk's step vocabulary — on the robust machine
 // configuration, once per (message index, fault kind) combination, with
 // exactly one fault injected at that message boundary. Each replay must
 // drain to a quiescent, invariant-clean state: the link layer and the
-// NACK/retry/timeout machinery must absorb any single fault. maxRuns bounds
-// the grid (0 = default 600); larger grids are stride-sampled. kinds
+// NACK/retry/timeout machinery must absorb any single fault. kinds
 // restricts the sweep to a subset of the fault classes (default: all).
 // Violations carry the replay path plus the injected fault for
 // reproduction.
-func SweepSingleFaults(vc Config, maxRuns int, kinds ...string) (*SweepResult, error) {
+func SweepSingleFaults(vc Config, kinds ...string) (*SweepResult, error) {
 	c := vc.normalized()
 	c.Robust = true
-	if maxRuns <= 0 {
-		maxRuns = 600
-	}
 	if len(kinds) == 0 {
 		kinds = sweepKinds[:]
 	}
@@ -89,11 +89,11 @@ func SweepSingleFaults(vc Config, maxRuns int, kinds ...string) (*SweepResult, e
 		return nil, fmt.Errorf("verify: fault-free robust reference run failed: %s", vio.String())
 	}
 
-	res := &SweepResult{Messages: int(msgs), Violations: []Violation{}}
+	res := &SweepResult{Messages: int(msgs)}
 	total := int(msgs) * len(kinds)
 	stride := 1
-	if total > maxRuns {
-		stride = (total + maxRuns - 1) / maxRuns
+	if total > sweepBudget {
+		stride = (total + sweepBudget - 1) / sweepBudget
 		res.Truncated = true
 	}
 	var idxs []int

@@ -15,7 +15,7 @@ func TestSingleFaultSweepRecovers(t *testing.T) {
 	for _, kind := range sweepKinds {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
-			res, err := SweepSingleFaults(Config{Nodes: 2, ProcsPerNode: 1}, 0, kind)
+			res, err := SweepSingleFaults(Config{Nodes: 2, ProcsPerNode: 1}, kind)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,13 +40,13 @@ func TestSingleFaultSweepRecovers(t *testing.T) {
 }
 
 // TestSweepFullGrid covers the combined grid (all kinds interleaved, the
-// shape cmd/ccverify runs) under the default budget, checking the budget
-// accounting in both the exhaustive and the stride-sampled regime.
+// shape ccmodel -sweep-faults runs) under the default budget, checking the
+// budget accounting in both the exhaustive and the stride-sampled regime.
 func TestSweepFullGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays the whole fault grid; skipped in -short")
 	}
-	res, err := SweepSingleFaults(Config{Nodes: 2, ProcsPerNode: 1}, 0)
+	res, err := SweepSingleFaults(Config{Nodes: 2, ProcsPerNode: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestSweepFullGrid(t *testing.T) {
 
 // TestSweepRejectsUnknownKind pins the kind-vocabulary guard.
 func TestSweepRejectsUnknownKind(t *testing.T) {
-	if _, err := SweepSingleFaults(Config{Nodes: 2, ProcsPerNode: 1}, 0, "corrupt-everything"); err == nil {
+	if _, err := SweepSingleFaults(Config{Nodes: 2, ProcsPerNode: 1}, "corrupt-everything"); err == nil {
 		t.Fatal("unknown fault kind accepted")
 	}
 }

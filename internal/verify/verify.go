@@ -1,9 +1,10 @@
-// Package verify is an exhaustive model checker for the coherence protocol.
-// Unlike a hand-written abstract model, it drives the REAL simulator stack
-// (cpu caches, smpbus, core controllers, directory, interconnect) over a
-// tiny machine — 2-3 nodes, 1-2 processors per node, single-set caches and
-// a single shared target line — and explores the reachable protocol state
-// space by breadth-first search over quiescent machine states.
+// Package verify is the concrete half of the protocol checker (ccmodel
+// -replay and -sweep-faults). Unlike the abstract model (internal/model),
+// it drives the REAL simulator stack (cpu caches, smpbus, core
+// controllers, directory, interconnect) over a tiny machine — 2-3 nodes,
+// 1-2 processors per node, single-set caches and a single shared target
+// line — and explores the reachable protocol state space by breadth-first
+// search over quiescent machine states.
 //
 // The simulator schedules closures, which cannot be snapshotted, so the
 // checker is replay-based: every explored edge rebuilds the machine from
@@ -25,21 +26,27 @@
 //     the first op's solo execution, covering the transient interleavings
 //     that serialized BFS edges cannot reach.
 //
+// Every machine comes from one Harness, which the model package's
+// conformance storms share, and can carry a conformance hook (Config.
+// Conform) that validates each dispatch and send against the extracted
+// rule table.
+//
 // Invariants checked: at most one Modified copy of a line system-wide (per
 // event), no livelock (simulated time advances, the event queue drains),
-// every operation completes, no transient controller state or in-flight
-// message survives quiescence, directory/cache agreement at quiescence
-// (machine.CheckCoherence), loads return the last written value (tracked
-// through the simulator's shadow data-value plumbing), and write-backs are
-// never lost (memory agrees with the last write once no dirty copy exists).
+// every operation completes, nothing in flight, queued or transient
+// survives quiescence (machine.CheckDrained), directory/cache agreement at
+// quiescence (machine.CheckCoherence), loads return the last written value
+// (tracked through the simulator's shadow data-value plumbing), and
+// write-backs are never lost (memory agrees with the last write once no
+// dirty copy exists).
 package verify
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
+	"ccnuma/internal/core"
 	"ccnuma/internal/machine"
 	pool "ccnuma/internal/runner"
 	"ccnuma/internal/sim"
@@ -134,8 +141,16 @@ type Config struct {
 
 	// Fault, when non-nil, is applied to every rebuilt machine before
 	// replay. It exists to seed protocol mutations (e.g. dropping an
-	// InvalAck) and prove the invariant suite catches them.
+	// InvalAck) and prove the invariant suite catches them; the fault
+	// sweep sets its own.
 	Fault func(m *machine.Machine)
+
+	// Conform, when non-nil, is attached to every controller of every
+	// rebuilt machine, so each replayed dispatch and send is validated
+	// against the extracted rule table. Replays share it, so it must be
+	// safe for concurrent use and fold its results independently of the
+	// order replays finish in.
+	Conform core.ConformanceHook
 
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...interface{})
@@ -173,11 +188,11 @@ func (vc *Config) logf(format string, args ...interface{}) {
 // Violation is one invariant failure, with the deterministic replay path
 // that reproduces it.
 type Violation struct {
-	Kind   string `json:"kind"`
-	Detail string `json:"detail"`
-	Path   []Step `json:"-"`
-	// PathStr is the rendered path (for JSON output).
-	PathStr string `json:"path"`
+	Kind   string
+	Detail string
+	Path   []Step
+	// PathStr is the rendered path.
+	PathStr string
 }
 
 func (v *Violation) String() string {
@@ -186,15 +201,15 @@ func (v *Violation) String() string {
 
 // Result summarizes an exploration.
 type Result struct {
-	States int `json:"states"`
-	Edges  int `json:"edges"`
-	Races  int `json:"races"`
+	States int
+	Edges  int
+	Races  int
 	// Truncated means phase A hit the state budget before the BFS closed;
 	// RacesTruncated means phase B hit the race budget. The former leaves
 	// quiescent states unexplored, the latter only thins race coverage.
-	Truncated      bool        `json:"truncated"`
-	RacesTruncated bool        `json:"racesTruncated"`
-	Violations     []Violation `json:"violations"`
+	Truncated      bool
+	RacesTruncated bool
+	Violations     []Violation
 }
 
 // OK reports whether the exploration found no violations.
@@ -205,8 +220,7 @@ func (r *Result) OK() bool { return len(r.Violations) == 0 }
 // problems; protocol bugs are reported as Violations.
 func Run(vc Config) (*Result, error) {
 	c := vc.normalized()
-	// Violations starts non-nil so -json emits [] rather than null.
-	res := &Result{Violations: []Violation{}}
+	res := &Result{}
 
 	// Probe machine construction once so config errors surface as errors
 	// rather than as a violation on every edge.
@@ -308,18 +322,75 @@ func protect(fn func() (string, *Violation)) (h string, v *Violation) {
 	return fn()
 }
 
+// runner is one state-space-walk machine: the harness plus the checker's
+// lines. target is the contended line, homed on node 0; victims[p] is the
+// private conflict line for processor p, homed on p's own node, which maps
+// to the same (only) cache set as the target and therefore evicts it.
+type runner struct {
+	*Harness
+	target  uint64
+	victims []uint64
+}
+
+// newRunner builds a fresh harness and allocates the checker's lines.
+func newRunner(vc *Config) (*runner, error) {
+	h, err := NewHarness(vc)
+	if err != nil {
+		return nil, err
+	}
+	r := &runner{Harness: h, target: h.Alloc(0)}
+	for _, p := range h.M.Procs {
+		r.victims = append(r.victims, h.Alloc(p.Node()))
+	}
+	return r, nil
+}
+
+// lineFor maps a step to its target line and access kind.
+func (r *runner) lineFor(s Step) (line uint64, write bool) {
+	switch s.Op {
+	case OpReadT:
+		return r.target, false
+	case OpWriteT:
+		return r.target, true
+	case OpReadV:
+		return r.victims[s.Proc], false
+	case OpWriteV:
+		return r.victims[s.Proc], true
+	default:
+		panic(fmt.Sprintf("verify: unknown op %v", s.Op))
+	}
+}
+
+// applyStep issues one operation, runs the machine to quiescence with
+// per-event invariant checks, and then applies the quiescent checks
+// (completion, read value, drained machine, cache/directory agreement,
+// write-back preservation).
+func (r *runner) applyStep(s Step, times *[]sim.Time) *Violation {
+	line, write := r.lineFor(s)
+	done := false
+	r.Access(s.Proc, line, write, func() { done = true })
+	if v := r.Drain(times); v != nil {
+		return v
+	}
+	if !done {
+		return &Violation{Kind: "lost-op", Detail: fmt.Sprintf(
+			"%v never completed; engine drained at t=%d", s, r.M.Eng.Now())}
+	}
+	if !write {
+		if got, want := r.M.Procs[s.Proc].LastReadValue(), r.lastVal[line]; got != want {
+			return &Violation{Kind: "stale-read", Detail: fmt.Sprintf(
+				"%v observed value %#x, want last written %#x", s, got, want)}
+		}
+	}
+	return r.Quiescent()
+}
+
 // runPath rebuilds the machine, replays every step to quiescence, and
 // returns the final abstract state hash.
 func runPath(vc *Config, path []Step) (string, *Violation) {
 	r, err := newRunner(vc)
 	if err != nil {
 		return "", &Violation{Kind: "setup", Detail: err.Error(), Path: path}
-	}
-	// Initial quiescence (allocation does not schedule events, but keep
-	// the invariant checks uniform).
-	if v := r.drainAndCheck(); v != nil {
-		v.Path = path
-		return "", v
 	}
 	for i, s := range path {
 		if v := r.applyStep(s, nil); v != nil {
@@ -328,11 +399,4 @@ func runPath(vc *Config, path []Step) (string, *Violation) {
 		}
 	}
 	return r.hash(), nil
-}
-
-// sortedLines returns the checker's lines of interest in fixed order.
-func (r *runner) sortedLines() []uint64 {
-	lines := append([]uint64{r.target}, r.victims...)
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	return lines
 }

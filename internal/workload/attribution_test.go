@@ -52,25 +52,16 @@ func runAttributed(t *testing.T, cfg config.Config, app string) (*machine.Machin
 }
 
 // TestAttributionTimingInvisible checks that turning attribution on does not
-// move a single cycle: the golden-pinned kernels must reproduce their exact
-// execution times, because span checkpoints observe the schedule without
-// touching it.
+// move a single cycle: every golden pin must reproduce its exact execution
+// time, because span checkpoints observe the schedule without touching it.
 func TestAttributionTimingInvisible(t *testing.T) {
-	cases := []struct {
-		app  string
-		arch string
-		want int64
-	}{
-		{"fft", "HWC", 14804},
-		{"fft", "2PPC", 21476},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenPins {
 		cfg, err := config.Base().WithArch(tc.arch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Nodes = 4
-		cfg.ProcsPerNode = 2
+		cfg.Nodes = tc.nodes
+		cfg.ProcsPerNode = tc.ppn
 		cfg.SimLimit = 2_000_000_000
 		_, exec := runAttributed(t, cfg, tc.app)
 		if int64(exec) != tc.want {
