@@ -58,6 +58,9 @@ func main() {
 		},
 	}
 	spec, err := scenario.FromFlags(flag.CommandLine, *specPath, "", overrides)
+	if err == nil {
+		err = spec.CheckSections("ccchaos")
+	}
 	if err != nil {
 		fatal(err)
 	}

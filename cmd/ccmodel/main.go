@@ -43,8 +43,7 @@ func main() {
 	lines := flag.Int("lines", 1, "abstract machine lines (with -check)")
 	robust := flag.Bool("robust", false, "enable finite-buffer NACK/backoff edges (with -check)")
 	por := flag.Bool("por", false, "enable the partial-order reduction (with -check)")
-	maxStates := flag.Int("max-states", 0, "state bound, 0 = default (with -check)")
-	states := flag.Int("states", 0, "quiescent-state budget, 0 = default (with -replay)")
+	states := flag.Int("states", 0, "state budget of the exploration that runs, 0 = its default (4,000,000 with -check, 5,000 with -replay)")
 	races := flag.Int("races", 0, "race budget, 0 = default, -1 skips the races (with -replay)")
 	jobs := flag.Int("jobs", 0, "replays to run concurrently (0 = GOMAXPROCS; the report is identical for any value)")
 	quiet := flag.Bool("q", false, "suppress progress output")
@@ -100,7 +99,7 @@ func main() {
 	if *check {
 		res, err := model.Check(model.Config{
 			Nodes: *nodes, Lines: *lines, Robust: *robust, POR: *por,
-			MaxStates: *maxStates,
+			MaxStates: *states,
 		}, ix)
 		if err != nil {
 			fatal(err)

@@ -59,6 +59,9 @@ func main() {
 	flag.Parse()
 
 	spec, err := scenario.FromFlags(flag.CommandLine, *specPath, *replayPath, nil)
+	if err == nil {
+		err = spec.CheckSections("ccsim")
+	}
 	if err != nil {
 		fatal(err)
 	}
@@ -70,8 +73,7 @@ func main() {
 		os.Stdout.Write(canon)
 		return
 	}
-	// ccsim runs its spec's machine and workload as one cell; a sweep or
-	// fault section is ccsweep's or ccchaos's business.
+	// ccsim runs its spec's machine and workload as one cell.
 	cell, err := scenario.NewCell(spec.Machine, spec.Workload)
 	if err != nil {
 		fatal(err)

@@ -16,18 +16,13 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 
-	"ccnuma/internal/machine"
 	"ccnuma/internal/obs"
-	"ccnuma/internal/runner"
 	"ccnuma/internal/scenario"
 	"ccnuma/internal/stats"
-	"ccnuma/internal/workload"
 )
 
 func main() {
@@ -46,6 +41,9 @@ func main() {
 	flag.Parse()
 
 	spec, err := scenario.FromFlags(flag.CommandLine, *specPath, "", nil)
+	if err == nil {
+		err = spec.CheckSections("ccsweep")
+	}
 	if err != nil {
 		fatal(err)
 	}
@@ -67,25 +65,22 @@ func main() {
 	var artifacts []*obs.Artifact
 	var baseline *stats.Run
 	fmt.Println("app,param,value,arch,exec_cycles,rccpi_x1000,util_pct,queue_ns,penalty_vs_first_arch_pct")
-	_, err = runner.MapStream(context.Background(), spec.Jobs, len(cells),
-		func(i int) (*stats.Run, error) { return run(cells[i]) },
-		func(i int, r *stats.Run) {
-			c := cells[i]
-			if i%len(sweep.Archs) == 0 {
-				baseline = r
-			}
-			penalty := 100 * stats.Penalty(baseline, r)
-			fmt.Printf("%s,%s,%d,%s,%d,%.3f,%.2f,%.0f,%.1f\n",
-				app, sweep.Param, c.Value, c.Arch, r.ExecTime, 1000*r.RCCPI(),
-				100*r.AvgUtilization(-1), r.AvgQueueDelayNs(-1), penalty)
-			if *jsonPath != "" {
-				a := c.Artifact("ccsweep", r)
-				a.PenaltyVsBaselinePct = &penalty
-				artifacts = append(artifacts, a)
-			}
-		})
-	if err != nil {
-		fatal(unwrapJob(err))
+	if err := scenario.RunCells(spec.Jobs, cells, func(i int, r *stats.Run) {
+		c := cells[i]
+		if i%len(sweep.Archs) == 0 {
+			baseline = r
+		}
+		penalty := 100 * stats.Penalty(baseline, r)
+		fmt.Printf("%s,%s,%d,%s,%d,%.3f,%.2f,%.0f,%.1f\n",
+			app, sweep.Param, c.Value, c.Arch, r.ExecTime, 1000*r.RCCPI(),
+			100*r.AvgUtilization(-1), r.AvgQueueDelayNs(-1), penalty)
+		if *jsonPath != "" {
+			a := c.Artifact("ccsweep", r)
+			a.PenaltyVsBaselinePct = &penalty
+			artifacts = append(artifacts, a)
+		}
+	}); err != nil {
+		fatal(err)
 	}
 	if *jsonPath != "" {
 		if err := obs.WriteArtifactsFile(*jsonPath, artifacts); err != nil {
@@ -93,28 +88,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "artifacts: %s (%d runs)\n", *jsonPath, len(artifacts))
 	}
-}
-
-// unwrapJob strips the runner's job-index wrapper so error messages match
-// the serial loop's.
-func unwrapJob(err error) error {
-	var je *runner.JobError
-	if errors.As(err, &je) {
-		return je.Err
-	}
-	return err
-}
-
-func run(c *scenario.Cell) (*stats.Run, error) {
-	m, err := machine.New(c.Spec.Machine, c.Spec.Workload.App)
-	if err != nil {
-		return nil, err
-	}
-	w, err := c.NewWorkload(m.NProcs())
-	if err != nil {
-		return nil, err
-	}
-	return workload.Run(m, w)
 }
 
 func fatal(err error) {

@@ -5,7 +5,7 @@
 //
 //	cctables                 # everything at base problem sizes
 //	cctables -only fig6      # one artifact (table1..table7, fig6..fig12)
-//	cctables -size test      # quick smoke run at tiny sizes
+//	cctables -size test      # quick smoke run at tiny sizes (test, small, base, large)
 //	cctables -v              # per-simulation progress
 package main
 
@@ -17,11 +17,11 @@ import (
 
 	"ccnuma/internal/exp"
 	"ccnuma/internal/obs"
-	"ccnuma/internal/workload"
+	"ccnuma/internal/scenario"
 )
 
 func main() {
-	size := flag.String("size", "base", "problem size class: test or base")
+	size := flag.String("size", "base", "problem size: test, small, base, large")
 	only := flag.String("only", "", "regenerate one artifact: table1,table2,table3,table4,table6,table7,fig6,fig7,fig8,fig9,fig10,fig11,fig12,ext,placement,predict")
 	attribution := flag.Bool("attribution", false, "print only the latency-attribution table (per kernel x architecture, span tracing on)")
 	verbose := flag.Bool("v", false, "print per-simulation progress")
@@ -29,14 +29,9 @@ func main() {
 	jobs := flag.Int("jobs", 0, "simulations to run concurrently (0 = GOMAXPROCS; 1 = serial; output is identical for any value)")
 	flag.Parse()
 
-	var sc workload.SizeClass
-	switch *size {
-	case "test":
-		sc = workload.SizeTest
-	case "base":
-		sc = workload.SizeBase
-	default:
-		fmt.Fprintf(os.Stderr, "unknown size %q (want test or base)\n", *size)
+	sc, err := scenario.ParseSize(*size)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cctables: -size:", err)
 		os.Exit(2)
 	}
 	s := exp.NewSuite(sc)

@@ -8,8 +8,8 @@ package exp
 import (
 	"fmt"
 
+	"ccnuma/internal/config"
 	"ccnuma/internal/obs"
-	"ccnuma/internal/scenario"
 	"ccnuma/internal/stats"
 	"ccnuma/internal/workload"
 )
@@ -20,47 +20,27 @@ type AttributionRow struct {
 	Run       *stats.Run
 }
 
-// attrReq resolves the attributed base run for (app, arch): the standard
-// base-variant request with span tracing switched on, a different cell, so
-// attributed runs never alias the plain Figure 6 runs.
-func (s *Suite) attrReq(app, arch string) (runReq, error) {
-	req, err := s.reqFor(app, arch, base())
-	if err != nil {
-		return runReq{}, err
-	}
-	cfg := req.cell.Spec.Machine
-	cfg.Attribution = true
-	req.cell, err = scenario.NewCell(cfg, req.cell.Spec.Workload)
-	req.vname = "attr"
-	return req, err
-}
-
 // Attribution runs every paper application on every base architecture with
 // span tracing enabled and returns the per-run latency decompositions.
+// Attributed runs are cells of their own, so they never alias the plain
+// Figure 6 runs.
 func (s *Suite) Attribution() ([]AttributionRow, error) {
-	var reqs batch
+	attr := variant{name: "attr", edit: func(cfg *config.Config) { cfg.Attribution = true }}
+	var rows []AttributionRow
+	var p plan
 	for _, app := range workload.PaperApps {
 		for _, arch := range allArchs {
-			reqs.add(s.attrReq(app, arch))
+			p.add(s.req(app, arch, attr), func(r *stats.Run) {
+				rows = append(rows, AttributionRow{App: app, Arch: arch, Run: r})
+			})
 		}
 	}
-	s.prefetch(reqs)
-
-	var rows []AttributionRow
-	for _, app := range workload.PaperApps {
-		for _, arch := range allArchs {
-			req, err := s.attrReq(app, arch)
-			if err != nil {
-				return nil, err
-			}
-			r, err := s.run(req)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s (attr): %w", app, arch, err)
-			}
-			if r.Attribution == nil {
-				return nil, fmt.Errorf("%s/%s: attributed run carried no attribution stats", app, arch)
-			}
-			rows = append(rows, AttributionRow{App: app, Arch: arch, Run: r})
+	if err := s.runs(p); err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
+		if row.Run.Attribution == nil {
+			return nil, fmt.Errorf("%s/%s: attributed run carried no attribution stats", row.App, row.Arch)
 		}
 	}
 	return rows, nil

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
+	"ccnuma/internal/config"
+	"ccnuma/internal/stats"
 	"ccnuma/internal/workload"
 )
 
@@ -94,5 +97,48 @@ func TestTable3Repeatable(t *testing.T) {
 	}
 	if a.Render() != b.Render() {
 		t.Error("Table3 renders differ across runs")
+	}
+}
+
+// TestFailureIndependentOfJobs makes the third cell of a plan fail (its
+// watchdog horizon ends long before the run does) and requires, serially
+// and on two workers, the same error naming the request, the same
+// progress lines for the cells before it, no memo entry for anything
+// after it, and no result handed to the plan.
+func TestFailureIndependentOfJobs(t *testing.T) {
+	failing := func(jobs int) (string, string) {
+		s := NewSuite(workload.SizeTest)
+		s.Jobs = jobs
+		var progress bytes.Buffer
+		s.Progress = &progress
+		short := variant{name: "short", edit: func(cfg *config.Config) { cfg.SimLimit = 1000 }}
+		var p plan
+		for _, q := range []runReq{
+			s.req("fft", "HWC", base()),
+			s.req("radix", "PPC", base()),
+			s.req("ocean", "2HWC", short),
+			s.req("water-sp", "HWC", base()),
+		} {
+			p.add(q, func(*stats.Run) { t.Errorf("jobs=%d: a failed plan handed out a run", jobs) })
+		}
+		err := s.runs(p)
+		if err == nil {
+			t.Fatalf("jobs=%d: a run past its time limit succeeded", jobs)
+		}
+		if len(s.cache) != 2 {
+			t.Errorf("jobs=%d: %d runs memoized, want the 2 before the failure", jobs, len(s.cache))
+		}
+		return err.Error(), progress.String()
+	}
+	err1, progress1 := failing(1)
+	err2, progress2 := failing(2)
+	if !strings.HasPrefix(err1, "ocean/2HWC (short): machine: time limit 1000 exceeded") {
+		t.Errorf("error %q does not name the failing request and its cause", err1)
+	}
+	if err2 != err1 {
+		t.Errorf("jobs=2 error differs from serial:\n%s\n--- serial ---\n%s", err2, err1)
+	}
+	if n := strings.Count(progress1, "  ran "); n != 2 || progress2 != progress1 {
+		t.Errorf("progress before the failure: serial (%d lines)\n%s--- jobs=2 ---\n%s", n, progress1, progress2)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"ccnuma/internal/config"
 	"ccnuma/internal/stats"
+	"ccnuma/internal/workload"
 )
 
 // ExtensionResult holds the Section 5 extension studies: scaling the number
@@ -29,66 +30,46 @@ func (s *Suite) Extensions(apps ...string) (*ExtensionResult, error) {
 	if len(apps) == 0 {
 		apps = []string{"ocean", "radix"}
 	}
-	var reqs batch
-	for _, app := range apps {
-		for _, n := range engineCounts {
-			reqs.add(s.engineReq(app, n))
-		}
-		reqs.add(s.reqFor(app, "HWC", base()))
-		for _, arch := range []string{"HWC", "PPCA", "PPC"} {
-			reqs.add(s.reqFor(app, arch, base()))
-		}
-	}
-	s.prefetch(reqs)
-
 	res := &ExtensionResult{
 		Apps:          apps,
 		EngineScaling: map[string]map[int]float64{},
 		KindTimes:     map[string]map[string]float64{},
 	}
+	var p plan
 	for _, app := range apps {
 		res.EngineScaling[app] = map[int]float64{}
 		var one *stats.Run // the 1-engine run
 		for _, n := range engineCounts {
-			req, err := s.engineReq(app, n)
-			if err != nil {
-				return nil, err
-			}
-			r, err := s.run(req)
-			if err != nil {
-				return nil, err
-			}
-			if n == 1 {
-				one = r
-			}
-			res.EngineScaling[app][n] = float64(r.ExecTime) / float64(one.ExecTime)
+			v := variant{name: fmt.Sprintf("engines%d", n), size: workload.SizeBase, quiet: true,
+				edit: func(cfg *config.Config) {
+					cfg.NumEngines = n
+					if n > 1 {
+						cfg.Split = config.SplitRegion
+					}
+				}}
+			p.add(s.req(app, "PPC", v), func(r *stats.Run) {
+				if n == 1 {
+					one = r
+				}
+				res.EngineScaling[app][n] = float64(r.ExecTime) / float64(one.ExecTime)
+			})
 		}
 
 		res.KindTimes[app] = map[string]float64{}
-		hwc, err := s.Run(app, "HWC", base())
-		if err != nil {
-			return nil, err
-		}
+		var hwc *stats.Run
 		for _, arch := range []string{"HWC", "PPCA", "PPC"} {
-			r, err := s.Run(app, arch, base())
-			if err != nil {
-				return nil, err
-			}
-			res.KindTimes[app][arch] = float64(r.ExecTime) / float64(hwc.ExecTime)
+			p.add(s.req(app, arch, base()), func(r *stats.Run) {
+				if arch == "HWC" {
+					hwc = r
+				}
+				res.KindTimes[app][arch] = float64(r.ExecTime) / float64(hwc.ExecTime)
+			})
 		}
+	}
+	if err := s.runs(p); err != nil {
+		return nil, err
 	}
 	return res, nil
-}
-
-// engineReq resolves the n-region-split-PPC-engines study to a request.
-func (s *Suite) engineReq(app string, n int) (runReq, error) {
-	cfg := s.machine(app)
-	cfg.Engine = config.PPC
-	cfg.NumEngines = n
-	if n > 1 {
-		cfg.Split = config.SplitRegion
-	}
-	return cellReq(cfg, app, s.baseSize())
 }
 
 // Render formats the extension studies.

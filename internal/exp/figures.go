@@ -50,31 +50,22 @@ func (f *FigureResult) PPPenalty(app string) float64 {
 // normalized builds a figure over the given apps and variants, normalizing
 // by each app's baseline run (HWC under baseVariant).
 func (s *Suite) normalized(title string, apps []string, archs []string, v variant, baseVariant variant) (*FigureResult, error) {
-	var reqs batch
-	for _, app := range apps {
-		reqs.add(s.reqFor(app, "HWC", baseVariant))
-		for _, arch := range archs {
-			reqs.add(s.reqFor(app, arch, v))
-		}
-	}
-	s.prefetch(reqs)
-
 	f := &FigureResult{Title: title, Apps: apps, Archs: archs, Series: map[string]map[string]float64{}}
 	for _, arch := range archs {
 		f.Series[arch] = map[string]float64{}
 	}
+	var p plan
 	for _, app := range apps {
-		baseRun, err := s.Run(app, "HWC", baseVariant)
-		if err != nil {
-			return nil, err
-		}
+		var baseRun *stats.Run
+		p.add(s.req(app, "HWC", baseVariant), func(r *stats.Run) { baseRun = r })
 		for _, arch := range archs {
-			r, err := s.Run(app, arch, v)
-			if err != nil {
-				return nil, err
-			}
-			f.Series[arch][app] = float64(r.ExecTime) / float64(baseRun.ExecTime)
+			p.add(s.req(app, arch, v), func(r *stats.Run) {
+				f.Series[arch][app] = float64(r.ExecTime) / float64(baseRun.ExecTime)
+			})
 		}
+	}
+	if err := s.runs(p); err != nil {
+		return nil, err
 	}
 	for _, app := range apps {
 		f.Notes = append(f.Notes, fmt.Sprintf("  %-10s PP penalty: %+.0f%%", AppLabel(app), 100*f.PPPenalty(app)))
@@ -95,7 +86,7 @@ func (s *Suite) Figure6() (*FigureResult, error) {
 // Figure7 reproduces the 32-byte cache line experiment (normalized to the
 // 128-byte-line HWC base, as in the paper).
 func (s *Suite) Figure7() (*FigureResult, error) {
-	v := variant{name: "line32", lineSize: 32}
+	v := variant{name: "line32", param: "line", value: 32}
 	return s.normalized(
 		"Figure 7: normalized execution time with small (32 byte) cache lines (base-system HWC = 1.0)",
 		workload.PaperApps, allArchs, v, base())
@@ -104,7 +95,7 @@ func (s *Suite) Figure7() (*FigureResult, error) {
 // Figure8 reproduces the slow-network (1 us point-to-point) experiment for
 // the four applications with the largest PP penalties.
 func (s *Suite) Figure8() (*FigureResult, error) {
-	v := variant{name: "slownet", netLatency: 200}
+	v := variant{name: "slownet", param: "netlat", value: 200}
 	apps := []string{"water-nsq", "fft", "radix", "ocean"}
 	return s.normalized(
 		"Figure 8: normalized execution time with high (1 us) network latency (base-system HWC = 1.0)",
@@ -177,47 +168,29 @@ func (f *Figure10Result) Render() string {
 // paper does.
 func (s *Suite) Figure10() (*Figure10Result, error) {
 	widths := []int{1, 2, 4, 8}
-	var reqs batch
-	for _, app := range workload.PaperApps {
-		baseNodes, basePPN := s.geometry(app)
-		total := baseNodes * basePPN
-		reqs.add(s.reqFor(app, "HWC", base()))
+	f := &Figure10Result{Apps: workload.PaperApps, Widths: widths, Archs: allArchs,
+		Series: map[string]map[int]map[string]float64{}}
+	var p plan
+	for _, app := range f.Apps {
+		nodes, ppn := s.geometry(app)
+		f.Series[app] = map[int]map[string]float64{}
+		var baseRun *stats.Run
+		p.add(s.req(app, "HWC", base()), func(r *stats.Run) { baseRun = r })
 		for _, wdt := range widths {
-			if total/wdt < 1 {
+			if nodes*ppn/wdt < 1 {
 				continue
 			}
-			v := variant{name: fmt.Sprintf("ppn%d", wdt), nodes: total / wdt, ppn: wdt}
+			f.Series[app][wdt] = map[string]float64{}
+			v := variant{name: fmt.Sprintf("ppn%d", wdt), param: "ppn", value: wdt}
 			for _, arch := range allArchs {
-				reqs.add(s.reqFor(app, arch, v))
+				p.add(s.req(app, arch, v), func(r *stats.Run) {
+					f.Series[app][wdt][arch] = float64(r.ExecTime) / float64(baseRun.ExecTime)
+				})
 			}
 		}
 	}
-	s.prefetch(reqs)
-
-	f := &Figure10Result{Apps: workload.PaperApps, Widths: widths, Archs: allArchs,
-		Series: map[string]map[int]map[string]float64{}}
-	for _, app := range f.Apps {
-		baseNodes, basePPN := s.geometry(app)
-		total := baseNodes * basePPN
-		baseRun, err := s.Run(app, "HWC", base())
-		if err != nil {
-			return nil, err
-		}
-		f.Series[app] = map[int]map[string]float64{}
-		for _, wdt := range widths {
-			if total/wdt < 1 {
-				continue
-			}
-			v := variant{name: fmt.Sprintf("ppn%d", wdt), nodes: total / wdt, ppn: wdt}
-			f.Series[app][wdt] = map[string]float64{}
-			for _, arch := range allArchs {
-				r, err := s.Run(app, arch, v)
-				if err != nil {
-					return nil, err
-				}
-				f.Series[app][wdt][arch] = float64(r.ExecTime) / float64(baseRun.ExecTime)
-			}
-		}
+	if err := s.runs(p); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -249,66 +222,41 @@ func (f *Figure11Result) Render() string {
 		[]string{"Point", "1000xRCCPI", "HWC req/us", "PPC req/us"}, rows)
 }
 
-// figurePoints returns the standard point set for Figures 11 and 12: the
-// base applications (except LU and Cholesky, which run on 32 processors in
-// the paper) plus the large data sizes of FFT and Ocean.
-func (s *Suite) figurePoints() []struct {
-	label, app string
-	v          variant
-} {
-	pts := []struct {
+// curvePoints runs the point set of Figures 11 and 12 on HWC and PPC and
+// hands each point's label and two runs to use: the base applications
+// (except LU and Cholesky, which run on 32 processors in the paper) plus
+// the large data sizes of FFT and Ocean.
+func (s *Suite) curvePoints(use func(label string, hwc, ppc *stats.Run)) error {
+	type point struct {
 		label, app string
 		v          variant
-	}{}
+	}
+	var pts []point
 	for _, app := range workload.PaperApps {
-		if app == "lu" || app == "cholesky" {
-			continue
+		if app != "lu" && app != "cholesky" {
+			pts = append(pts, point{AppLabel(app), app, base()})
 		}
-		pts = append(pts, struct {
-			label, app string
-			v          variant
-		}{AppLabel(app), app, base()})
 	}
-	vLarge := variant{name: "large", size: workload.SizeLarge}
-	pts = append(pts,
-		struct {
-			label, app string
-			v          variant
-		}{"FFT-large", "fft", vLarge},
-		struct {
-			label, app string
-			v          variant
-		}{"Ocean-large", "ocean", vLarge},
-	)
-	return pts
-}
-
-// prefetchPoints warms the cache for the Figure 11/12 point set.
-func (s *Suite) prefetchPoints() {
-	var reqs batch
-	for _, pt := range s.figurePoints() {
-		reqs.add(s.reqFor(pt.app, "HWC", pt.v))
-		reqs.add(s.reqFor(pt.app, "PPC", pt.v))
+	large := variant{name: "large", size: workload.SizeLarge}
+	pts = append(pts, point{"FFT-large", "fft", large}, point{"Ocean-large", "ocean", large})
+	var p plan
+	for _, pt := range pts {
+		p.pair(s.req(pt.app, "HWC", pt.v), s.req(pt.app, "PPC", pt.v), func(hwc, ppc *stats.Run) {
+			use(pt.label, hwc, ppc)
+		})
 	}
-	s.prefetch(reqs)
+	return s.runs(p)
 }
 
 // Figure11 computes the arrival rate of requests to each controller
 // architecture against RCCPI, showing PPC saturating below HWC.
 func (s *Suite) Figure11() (*Figure11Result, error) {
-	s.prefetchPoints()
 	f := &Figure11Result{}
-	for _, pt := range s.figurePoints() {
-		hwc, err := s.Run(pt.app, "HWC", pt.v)
-		if err != nil {
-			return nil, err
-		}
-		ppc, err := s.Run(pt.app, "PPC", pt.v)
-		if err != nil {
-			return nil, err
-		}
-		f.HWC = append(f.HWC, CurvePoint{pt.label, 1000 * hwc.RCCPI(), hwc.ArrivalRatePerMicrosecond()})
-		f.PPC = append(f.PPC, CurvePoint{pt.label, 1000 * ppc.RCCPI(), ppc.ArrivalRatePerMicrosecond()})
+	if err := s.curvePoints(func(label string, hwc, ppc *stats.Run) {
+		f.HWC = append(f.HWC, CurvePoint{label, 1000 * hwc.RCCPI(), hwc.ArrivalRatePerMicrosecond()})
+		f.PPC = append(f.PPC, CurvePoint{label, 1000 * ppc.RCCPI(), ppc.ArrivalRatePerMicrosecond()})
+	}); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -335,18 +283,11 @@ func (f *Figure12Result) Render() string {
 // Figure12 computes the PP penalty against RCCPI for the standard point
 // set, the paper's prediction methodology.
 func (s *Suite) Figure12() (*Figure12Result, error) {
-	s.prefetchPoints()
 	f := &Figure12Result{}
-	for _, pt := range s.figurePoints() {
-		hwc, err := s.Run(pt.app, "HWC", pt.v)
-		if err != nil {
-			return nil, err
-		}
-		ppc, err := s.Run(pt.app, "PPC", pt.v)
-		if err != nil {
-			return nil, err
-		}
-		f.Points = append(f.Points, CurvePoint{pt.label, 1000 * hwc.RCCPI(), stats.Penalty(hwc, ppc)})
+	if err := s.curvePoints(func(label string, hwc, ppc *stats.Run) {
+		f.Points = append(f.Points, CurvePoint{label, 1000 * hwc.RCCPI(), stats.Penalty(hwc, ppc)})
+	}); err != nil {
+		return nil, err
 	}
 	return f, nil
 }

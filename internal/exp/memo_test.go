@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"ccnuma/internal/machine"
 	"ccnuma/internal/scenario"
 	"ccnuma/internal/workload"
 )
@@ -74,15 +73,7 @@ func TestArtifactsReplay(t *testing.T) {
 			t.Errorf("%s/%s: fingerprint %s, artifact says %s (seen before: %v)", art.App, art.Arch, c.Fp, art.ScenarioFingerprint, seen[c.Fp])
 		}
 		seen[c.Fp] = true
-		m, err := machine.New(c.Spec.Machine, c.Spec.Workload.App)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := c.NewWorkload(m.NProcs())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := workload.Run(m, w)
+		r, err := c.Run()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"ccnuma/internal/config"
+	"ccnuma/internal/stats"
+	"ccnuma/internal/workload"
 )
 
 // PlacementResult compares page-placement policies (the paper's Section 3.1
@@ -19,45 +21,30 @@ type PlacementResult struct {
 
 var placementPolicies = []config.PlacementPolicy{config.PlaceRoundRobin, config.PlaceFirstTouch}
 
-// placementReq resolves the page-placement study to a request.
-func (s *Suite) placementReq(app string, pol config.PlacementPolicy) (runReq, error) {
-	cfg := s.machine(app)
-	cfg.Placement = pol
-	return cellReq(cfg, app, s.baseSize())
-}
-
 // Placement runs the placement-policy comparison (defaults to the
 // communication-heavy applications whose traffic placement shifts most).
 func (s *Suite) Placement(apps ...string) (*PlacementResult, error) {
 	if len(apps) == 0 {
 		apps = []string{"ocean", "radix", "barnes", "water-nsq"}
 	}
-	var reqs batch
-	for _, app := range apps {
-		for _, pol := range placementPolicies {
-			reqs.add(s.placementReq(app, pol))
-		}
-	}
-	s.prefetch(reqs)
-
 	res := &PlacementResult{Apps: apps, Normalized: map[string]map[string]float64{}}
+	var p plan
 	for _, app := range apps {
 		res.Normalized[app] = map[string]float64{}
 		var base float64
 		for _, pol := range placementPolicies {
-			req, err := s.placementReq(app, pol)
-			if err != nil {
-				return nil, err
-			}
-			r, err := s.run(req)
-			if err != nil {
-				return nil, fmt.Errorf("placement %s/%s: %w", app, pol, err)
-			}
-			if pol == config.PlaceRoundRobin {
-				base = float64(r.ExecTime)
-			}
-			res.Normalized[app][pol.String()] = float64(r.ExecTime) / base
+			v := variant{name: pol.String(), size: workload.SizeBase, quiet: true,
+				edit: func(cfg *config.Config) { cfg.Placement = pol }}
+			p.add(s.req(app, "HWC", v), func(r *stats.Run) {
+				if pol == config.PlaceRoundRobin {
+					base = float64(r.ExecTime)
+				}
+				res.Normalized[app][pol.String()] = float64(r.ExecTime) / base
+			})
 		}
+	}
+	if err := s.runs(p); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

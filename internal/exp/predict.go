@@ -44,36 +44,30 @@ func (s *Suite) Prediction() (*PredictionResult, error) {
 	// 1. Calibration curve from detailed simulation of "simpler
 	// applications covering a range of communication rates" (the paper's
 	// own wording): the suite's applications at reduced data sizes, plus a
-	// low-communication micro anchor.
-	calSize := workload.SizeSmall
-	if s.Size == workload.SizeTest {
-		calSize = workload.SizeTest
-	}
+	// low-communication micro anchor. The base runs give each
+	// application's detailed RCCPI and penalty.
 	calApps := []string{"water-sp", "barnes", "water-nsq", "fft", "radix", "ocean"}
-	vCal := variant{name: "cal-small", size: calSize}
-	var reqs batch
+	vCal := variant{name: "cal-small", size: workload.SizeSmall}
+	var p plan
 	for _, app := range calApps {
-		reqs.add(s.reqFor(app, "HWC", vCal))
-		reqs.add(s.reqFor(app, "PPC", vCal))
+		p.pair(s.req(app, "HWC", vCal), s.req(app, "PPC", vCal), func(hwc, ppc *stats.Run) {
+			res.Curve = append(res.Curve, stats.CurvePoint{
+				X: 1000 * hwc.RCCPI(),
+				Y: stats.Penalty(hwc, ppc),
+			})
+		})
 	}
 	for _, app := range workload.PaperApps {
-		reqs.add(s.reqFor(app, "HWC", base()))
-		reqs.add(s.reqFor(app, "PPC", base()))
-	}
-	s.prefetch(reqs)
-	for _, app := range calApps {
-		hwc, err := s.Run(app, "HWC", vCal)
-		if err != nil {
-			return nil, err
-		}
-		ppc, err := s.Run(app, "PPC", vCal)
-		if err != nil {
-			return nil, err
-		}
-		res.Curve = append(res.Curve, stats.CurvePoint{
-			X: 1000 * hwc.RCCPI(),
-			Y: stats.Penalty(hwc, ppc),
+		p.pair(s.req(app, "HWC", base()), s.req(app, "PPC", base()), func(hwc, ppc *stats.Run) {
+			res.Rows = append(res.Rows, PredictionRow{
+				App:              AppLabel(app),
+				ActualRCCPIx1000: 1000 * hwc.RCCPI(),
+				Actual:           stats.Penalty(hwc, ppc),
+			})
 		})
+	}
+	if err := s.runs(p); err != nil {
+		return nil, err
 	}
 	// Low anchor: a nearly computation-only micro run.
 	{
@@ -98,27 +92,15 @@ func (s *Suite) Prediction() (*PredictionResult, error) {
 	}
 	sort.Slice(res.Curve, func(i, j int) bool { return res.Curve[i].X < res.Curve[j].X })
 
-	// 2. Per-application PRAM estimate + prediction vs detailed truth.
-	for _, app := range workload.PaperApps {
+	// 2. Per-application PRAM estimate and the prediction it reads off the
+	// curve.
+	for i, app := range workload.PaperApps {
 		est, err := s.pramRCCPI(app)
 		if err != nil {
 			return nil, err
 		}
-		hwc, err := s.Run(app, "HWC", base())
-		if err != nil {
-			return nil, err
-		}
-		ppc, err := s.Run(app, "PPC", base())
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, PredictionRow{
-			App:              AppLabel(app),
-			PRAMRCCPIx1000:   1000 * est,
-			ActualRCCPIx1000: 1000 * hwc.RCCPI(),
-			Predicted:        interpolate(res.Curve, 1000*est),
-			Actual:           stats.Penalty(hwc, ppc),
-		})
+		res.Rows[i].PRAMRCCPIx1000 = 1000 * est
+		res.Rows[i].Predicted = interpolate(res.Curve, 1000*est)
 	}
 	return res, nil
 }

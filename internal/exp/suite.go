@@ -7,17 +7,13 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
 
 	"ccnuma/internal/config"
-	"ccnuma/internal/machine"
 	"ccnuma/internal/obs"
-	"ccnuma/internal/runner"
 	"ccnuma/internal/scenario"
-	"ccnuma/internal/sim"
 	"ccnuma/internal/stats"
 	"ccnuma/internal/workload"
 )
@@ -35,12 +31,12 @@ type Suite struct {
 	// CollectArtifacts, when true, retains one machine-readable run
 	// artifact per unique simulation (memoized reruns do not duplicate).
 	CollectArtifacts bool
-	// Jobs bounds how many simulations run concurrently when an experiment
-	// prefetches its runs (<= 0 means GOMAXPROCS). Progress lines, memo
-	// cache contents, artifact order, and every rendered result are
-	// identical for any value: each simulation is self-contained, and
-	// results are always committed in the serial loop's order. Jobs == 1
-	// executes the plain serial loop with no goroutines at all.
+	// Jobs bounds how many of an experiment's simulations run at once
+	// (<= 0 means GOMAXPROCS). Progress lines, memo contents, artifact
+	// order, errors and every rendered result are identical for any
+	// value: scenario.RunCells hands the runs back in the experiment's
+	// request order. Jobs == 1 is the plain serial loop, with no
+	// goroutines at all.
 	Jobs int
 
 	cache     map[string]*stats.Run // by cell fingerprint
@@ -92,186 +88,118 @@ func (s *Suite) baseSize() workload.SizeClass {
 	return workload.SizeBase
 }
 
-// variant captures the parameter deltas of the non-base experiments.
+// variant is one experiment's change to the base configuration.
 type variant struct {
-	name       string
-	lineSize   int
-	netLatency int
-	size       workload.SizeClass
-	nodes, ppn int // 0 = use default geometry
-}
-
-// runReq is one simulation request: the scenario cell to run, and how to
-// report it. Requests are what both the serial accessors and the parallel
-// prefetcher operate on, so the two paths cannot diverge.
-type runReq struct {
-	cell     *scenario.Cell
-	progress bool   // write a progress line when it completes
-	arch     string // progress-line labels
-	vname    string
-}
-
-// cellReq normalizes one machine and workload into a silent request.
-func cellReq(cfg config.Config, app string, size workload.SizeClass) (runReq, error) {
-	cell, err := scenario.NewCell(cfg, scenario.Workload{App: app, Size: size.String()})
-	return runReq{cell: cell}, err
-}
-
-// reqFor resolves the standard (app, arch, variant) experiment to a request,
-// applying the suite geometry and variant overrides.
-func (s *Suite) reqFor(app, arch string, v variant) (runReq, error) {
-	cfg, err := s.machine(app).WithArch(arch)
-	if err != nil {
-		return runReq{}, err
-	}
-	if v.nodes > 0 {
-		cfg.Nodes = v.nodes
-	}
-	if v.ppn > 0 {
-		cfg.ProcsPerNode = v.ppn
-	}
-	if v.lineSize > 0 {
-		cfg.LineSize = v.lineSize
-	}
-	if v.netLatency > 0 {
-		cfg.NetLatency = sim.Time(v.netLatency)
-	}
-	size := s.Size
-	if v.size != 0 {
-		size = v.size
-	}
-	if s.Size == workload.SizeTest {
-		size = workload.SizeTest
-	}
-	req, err := cellReq(cfg, app, size)
-	req.progress, req.arch, req.vname = true, arch, v.name
-	return req, err
-}
-
-// Run simulates one application on one architecture under a variant,
-// memoizing the result.
-func (s *Suite) Run(app, arch string, v variant) (*stats.Run, error) {
-	req, err := s.reqFor(app, arch, v)
-	if err != nil {
-		return nil, err
-	}
-	r, err := s.run(req)
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s (%s): %w", app, arch, v.name, err)
-	}
-	return r, nil
-}
-
-// run returns the memoized result of req, simulating it on a miss.
-func (s *Suite) run(req runReq) (*stats.Run, error) {
-	if r, ok := s.cache[req.cell.Fp]; ok {
-		return r, nil
-	}
-	r, art, err := simulateDetached(req, s.CollectArtifacts)
-	if err != nil {
-		return nil, err
-	}
-	s.commit(req, r, art)
-	return r, nil
-}
-
-// commit records a completed simulation: progress line, memo cache,
-// artifact. Always called in request order, on the suite's goroutine.
-func (s *Suite) commit(req runReq, r *stats.Run, art *obs.Artifact) {
-	if req.progress && s.Progress != nil {
-		fmt.Fprintf(s.Progress, "  ran %-10s %-5s %-12s exec=%-12d 1000*RCCPI=%.2f\n",
-			req.cell.Spec.Workload.App, req.arch, req.vname, r.ExecTime, 1000*r.RCCPI())
-	}
-	s.cache[req.cell.Fp] = r
-	if s.CollectArtifacts && art != nil {
-		s.artifacts = append(s.artifacts, art)
-	}
-}
-
-// batch collects the requests an experiment prefetches.
-type batch []runReq
-
-// add appends a resolved request. One that failed to resolve (e.g. an
-// unknown architecture) is silently skipped: the serial accessor will hit
-// the same failure and report it properly.
-func (b *batch) add(req runReq, err error) {
-	if err == nil {
-		*b = append(*b, req)
-	}
-}
-
-// prefetch warms the memo cache for a set of requests, running the missing
-// simulations across the suite's worker budget. Requests must be listed in
-// the order the serial code would first execute them: completions are
-// committed (progress, cache, artifacts) in exactly that order, so the
-// observable output is byte-identical to the serial loop for any Jobs.
-//
-// Errors are deliberately ignored here: a failed request is simply not
-// cached, and the serial accessor that needs it will re-run it and report
-// the error with its usual wrapping. That keeps error text and partial
-// progress output identical to a serial run, at the cost of re-running the
-// one failing simulation.
-func (s *Suite) prefetch(reqs batch) {
-	if runner.Workers(s.Jobs) == 1 {
-		return
-	}
-	seen := make(map[string]bool, len(reqs))
-	todo := reqs[:0:0]
-	for _, req := range reqs {
-		fp := req.cell.Fp
-		if seen[fp] {
-			continue
-		}
-		if _, ok := s.cache[fp]; ok {
-			continue
-		}
-		seen[fp] = true
-		todo = append(todo, req)
-	}
-	if len(todo) == 0 {
-		return
-	}
-	type simOut struct {
-		run *stats.Run
-		art *obs.Artifact
-	}
-	collect := s.CollectArtifacts
-	_, _ = runner.MapStream(context.Background(), s.Jobs, len(todo),
-		func(i int) (simOut, error) {
-			r, art, err := simulateDetached(todo[i], collect)
-			return simOut{run: r, art: art}, err
-		},
-		func(i int, out simOut) {
-			s.commit(todo[i], out.run, out.art)
-		})
-}
-
-// simulateDetached executes one simulation without touching any suite
-// state, so it is safe to call from runner workers. The artifact (if
-// requested) is returned rather than recorded; commit attaches it in order.
-func simulateDetached(req runReq, collectArtifact bool) (*stats.Run, *obs.Artifact, error) {
-	c := req.cell
-	m, err := machine.New(c.Spec.Machine, c.Spec.Workload.App)
-	if err != nil {
-		return nil, nil, err
-	}
-	w, err := c.NewWorkload(m.NProcs())
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := workload.Run(m, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	var art *obs.Artifact
-	if collectArtifact {
-		art = c.Artifact("cctables", r)
-	}
-	return r, art, nil
+	name string
+	// size is the problem size (0 = the suite's); a SizeTest suite runs
+	// every variant at test size.
+	size workload.SizeClass
+	// param and value set one scenario.ApplySweepValue axis ("" = none).
+	param string
+	value int
+	// edit, when non-nil, makes a change no sweep axis names.
+	edit func(*config.Config)
+	// quiet runs write no progress line.
+	quiet bool
 }
 
 // base returns the base-configuration variant.
 func base() variant { return variant{name: "base"} }
+
+// runReq is one simulation request: the cell to run and the labels its
+// progress line and errors carry, or the error that kept it from
+// resolving to a cell.
+type runReq struct {
+	cell            *scenario.Cell
+	app, arch, name string
+	quiet           bool
+	err             error
+}
+
+func (q runReq) String() string { return fmt.Sprintf("%s/%s (%s)", q.app, q.arch, q.name) }
+
+// req resolves app on arch under variant v: the suite's machine for app,
+// then v's sweep value and edit, at v's problem size.
+func (s *Suite) req(app, arch string, v variant) runReq {
+	q := runReq{app: app, arch: arch, name: v.name, quiet: v.quiet}
+	cfg, err := s.machine(app).WithArch(arch)
+	if err == nil && v.param != "" {
+		err = scenario.ApplySweepValue(&cfg, v.param, v.value)
+	}
+	if err == nil {
+		if v.edit != nil {
+			v.edit(&cfg)
+		}
+		size := s.Size
+		if v.size != 0 && s.Size != workload.SizeTest {
+			size = v.size
+		}
+		q.cell, err = scenario.NewCell(cfg, scenario.Workload{App: app, Size: size.String()})
+	}
+	if err != nil {
+		q.err = fmt.Errorf("%s: %w", q, err)
+	}
+	return q
+}
+
+// plan is one experiment's simulations in the order they run, each
+// request listed once, together with the code that reads its run.
+type plan []step
+
+type step struct {
+	req runReq
+	use func(*stats.Run)
+}
+
+func (p *plan) add(q runReq, use func(*stats.Run)) { *p = append(*p, step{q, use}) }
+
+// pair lists two requests and hands both runs to use.
+func (p *plan) pair(a, b runReq, use func(a, b *stats.Run)) {
+	var first *stats.Run
+	p.add(a, func(r *stats.Run) { first = r })
+	p.add(b, func(r *stats.Run) { use(first, r) })
+}
+
+// runs simulates a plan and hands every request's run to its use, in plan
+// order. Cells already memoized are not simulated again; the rest go
+// through scenario.RunCells, and their progress lines, memo entries and
+// artifacts are committed in plan order. The error names the first
+// request that failed to resolve or to simulate, and nothing is used then.
+func (s *Suite) runs(p plan) error {
+	var todo []runReq
+	var cells []*scenario.Cell
+	queued := map[string]bool{}
+	for _, st := range p {
+		q := st.req
+		if q.err != nil {
+			return q.err
+		}
+		if _, ok := s.cache[q.cell.Fp]; !ok && !queued[q.cell.Fp] {
+			queued[q.cell.Fp] = true
+			todo = append(todo, q)
+			cells = append(cells, q.cell)
+		}
+	}
+	ran := 0
+	if err := scenario.RunCells(s.Jobs, cells, func(i int, r *stats.Run) {
+		q := todo[i]
+		if !q.quiet && s.Progress != nil {
+			fmt.Fprintf(s.Progress, "  ran %-10s %-5s %-12s exec=%-12d 1000*RCCPI=%.2f\n",
+				q.app, q.arch, q.name, r.ExecTime, 1000*r.RCCPI())
+		}
+		s.cache[q.cell.Fp] = r
+		if s.CollectArtifacts {
+			s.artifacts = append(s.artifacts, q.cell.Artifact("cctables", r))
+		}
+		ran++
+	}); err != nil {
+		return fmt.Errorf("%s: %w", todo[ran], err)
+	}
+	for _, st := range p {
+		st.use(s.cache[st.req.cell.Fp])
+	}
+	return nil
+}
 
 // AppLabel maps internal names to the paper's display names.
 func AppLabel(app string) string {

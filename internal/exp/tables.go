@@ -163,43 +163,34 @@ type Table6Row struct {
 
 // Table6 computes the communication statistics from the base runs.
 func (s *Suite) Table6() ([]Table6Row, error) {
-	var reqs batch
-	for _, app := range workload.PaperApps {
-		reqs.add(s.reqFor(app, "HWC", base()))
-		reqs.add(s.reqFor(app, "PPC", base()))
-	}
-	s.prefetch(reqs)
-
 	var rows []Table6Row
+	var p plan
 	for _, app := range workload.PaperApps {
-		hwc, err := s.Run(app, "HWC", base())
-		if err != nil {
-			return nil, err
-		}
-		ppc, err := s.Run(app, "PPC", base())
-		if err != nil {
-			return nil, err
-		}
-		hq := hwc.QueueDelayHistogram()
-		pq := ppc.QueueDelayHistogram()
-		rows = append(rows, Table6Row{
-			App:            AppLabel(app),
-			Penalty:        stats.Penalty(hwc, ppc),
-			RCCPIx1000:     1000 * hwc.RCCPI(),
-			OccupancyRatio: stats.OccupancyRatio(hwc, ppc),
-			HWCUtil:        hwc.AvgUtilization(-1),
-			PPCUtil:        ppc.AvgUtilization(-1),
-			HWCQueueNs:     hwc.AvgQueueDelayNs(-1),
-			PPCQueueNs:     ppc.AvgQueueDelayNs(-1),
-			HWCArrivalUs:   hwc.ArrivalRatePerMicrosecond(),
-			PPCArrivalUs:   ppc.ArrivalRatePerMicrosecond(),
-			HWCQueueP50:    hq.Percentile(50),
-			HWCQueueP95:    hq.Percentile(95),
-			HWCQueueP99:    hq.Percentile(99),
-			PPCQueueP50:    pq.Percentile(50),
-			PPCQueueP95:    pq.Percentile(95),
-			PPCQueueP99:    pq.Percentile(99),
+		p.pair(s.req(app, "HWC", base()), s.req(app, "PPC", base()), func(hwc, ppc *stats.Run) {
+			hq := hwc.QueueDelayHistogram()
+			pq := ppc.QueueDelayHistogram()
+			rows = append(rows, Table6Row{
+				App:            AppLabel(app),
+				Penalty:        stats.Penalty(hwc, ppc),
+				RCCPIx1000:     1000 * hwc.RCCPI(),
+				OccupancyRatio: stats.OccupancyRatio(hwc, ppc),
+				HWCUtil:        hwc.AvgUtilization(-1),
+				PPCUtil:        ppc.AvgUtilization(-1),
+				HWCQueueNs:     hwc.AvgQueueDelayNs(-1),
+				PPCQueueNs:     ppc.AvgQueueDelayNs(-1),
+				HWCArrivalUs:   hwc.ArrivalRatePerMicrosecond(),
+				PPCArrivalUs:   ppc.ArrivalRatePerMicrosecond(),
+				HWCQueueP50:    hq.Percentile(50),
+				HWCQueueP95:    hq.Percentile(95),
+				HWCQueueP99:    hq.Percentile(99),
+				PPCQueueP50:    pq.Percentile(50),
+				PPCQueueP95:    pq.Percentile(95),
+				PPCQueueP99:    pq.Percentile(99),
+			})
 		})
+	}
+	if err := s.runs(p); err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -244,32 +235,26 @@ type Table7Row struct {
 
 // Table7 computes the two-engine utilization and distribution statistics.
 func (s *Suite) Table7() ([]Table7Row, error) {
-	var reqs batch
-	for _, app := range workload.PaperApps {
-		for _, arch := range []string{"2HWC", "2PPC"} {
-			reqs.add(s.reqFor(app, arch, base()))
-		}
-	}
-	s.prefetch(reqs)
-
 	var rows []Table7Row
+	var p plan
 	for _, app := range workload.PaperApps {
 		for _, arch := range []string{"2HWC", "2PPC"} {
-			r, err := s.Run(app, arch, base())
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, Table7Row{
-				App:        AppLabel(app),
-				Arch:       arch,
-				LPEUtil:    r.AvgUtilization(0),
-				RPEUtil:    r.AvgUtilization(1),
-				LPEShare:   r.EngineShare(0),
-				RPEShare:   r.EngineShare(1),
-				LPEQueueNs: r.AvgQueueDelayNs(0),
-				RPEQueueNs: r.AvgQueueDelayNs(1),
+			p.add(s.req(app, arch, base()), func(r *stats.Run) {
+				rows = append(rows, Table7Row{
+					App:        AppLabel(app),
+					Arch:       arch,
+					LPEUtil:    r.AvgUtilization(0),
+					RPEUtil:    r.AvgUtilization(1),
+					LPEShare:   r.EngineShare(0),
+					RPEShare:   r.EngineShare(1),
+					LPEQueueNs: r.AvgQueueDelayNs(0),
+					RPEQueueNs: r.AvgQueueDelayNs(1),
+				})
 			})
 		}
+	}
+	if err := s.runs(p); err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"ccnuma/internal/extract"
@@ -58,10 +59,27 @@ func (c *Conformance) Coverage() (reached, total int) {
 	return len(c.reached), total
 }
 
+// unreached lists, sorted, the dispatchable rule keys no validated
+// dispatch reached, each as trigger→handler.
+func (c *Conformance) unreached() []string {
+	var keys []string
+	for k := range c.ix.Rules {
+		if k.Handler != "" && !c.reached[k] {
+			keys = append(keys, k.Trigger+"→"+k.Handler)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 func (c *Conformance) String() string {
 	reached, total := c.Coverage()
-	return fmt.Sprintf("conformance — %d dispatches, %d sends validated, %d failure(s), %d of %d rule keys reached",
+	s := fmt.Sprintf("conformance — %d dispatches, %d sends validated, %d failure(s), %d of %d rule keys reached",
 		c.Dispatches, c.Sends, len(c.Failures), reached, total)
+	if missed := c.unreached(); len(missed) > 0 {
+		s += "; unreached: " + strings.Join(missed, ", ")
+	}
+	return s
 }
 
 // fail records f; the caller holds c.mu.
@@ -118,7 +136,11 @@ func (c *Conformance) Send(node int, inDispatch bool, trigger string, h protocol
 // ConformanceConfig shapes one concrete replay run.
 type ConformanceConfig struct {
 	Nodes int
-	Lines int
+	// ProcsPerNode is the processors on each node (0 means one). Sibling
+	// processors share a node's controller, so a node can hold a home op
+	// open while a second request for the line arrives.
+	ProcsPerNode int
+	Lines        int
 	// Ops is the number of chained accesses per processor.
 	Ops    int
 	Robust bool
@@ -133,6 +155,7 @@ var DefaultConformanceConfigs = []ConformanceConfig{
 	{Nodes: 2, Lines: 2, Ops: 32},
 	{Nodes: 4, Lines: 3, Ops: 32},
 	{Nodes: 4, Lines: 2, Ops: 32, Robust: true, Nacks: 4},
+	{Nodes: 4, ProcsPerNode: 2, Lines: 2, Ops: 64},
 }
 
 // RunConformance drives freshly built concrete machines through
@@ -157,7 +180,7 @@ func RunConformance(ix *extract.Index, cfgs ...ConformanceConfig) (*Conformance,
 // message).
 func (c *Conformance) run(sc ConformanceConfig, fault interconnect.FaultHook) error {
 	h, err := verify.NewHarness(&verify.Config{
-		Nodes: sc.Nodes, ProcsPerNode: 1, Robust: sc.Robust, Conform: c,
+		Nodes: sc.Nodes, ProcsPerNode: max(sc.ProcsPerNode, 1), Robust: sc.Robust, Conform: c,
 		Fault: func(m *machine.Machine) { m.Net.Fault = fault },
 	})
 	if err != nil {

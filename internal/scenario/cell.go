@@ -1,10 +1,14 @@
 package scenario
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"ccnuma/internal/config"
+	"ccnuma/internal/machine"
 	"ccnuma/internal/obs"
+	"ccnuma/internal/runner"
 	"ccnuma/internal/stats"
 	"ccnuma/internal/workload"
 )
@@ -93,6 +97,35 @@ func (c *Cell) NewWorkload(nprocs int) (workload.Workload, error) {
 		return nil, err
 	}
 	return workload.NewSeeded(c.Spec.Workload.App, size, nprocs, c.Spec.Workload.Seed)
+}
+
+// Run simulates the cell: it builds the machine and the seeded workload
+// and runs them to completion through workload.Run.
+func (c *Cell) Run() (*stats.Run, error) {
+	m, err := machine.New(c.Spec.Machine, c.Spec.Workload.App)
+	if err != nil {
+		return nil, err
+	}
+	w, err := c.NewWorkload(m.NProcs())
+	if err != nil {
+		return nil, err
+	}
+	return workload.Run(m, w)
+}
+
+// RunCells simulates cells on up to jobs workers (<= 0 means GOMAXPROCS)
+// and hands each run to done in cell order, on the calling goroutine, so
+// what done writes is the same for any jobs; jobs 1 is the plain serial
+// loop. It returns the error of the first cell that fails, after done
+// has seen exactly the cells before it.
+func RunCells(jobs int, cells []*Cell, done func(int, *stats.Run)) error {
+	_, err := runner.MapStream(context.Background(), jobs, len(cells),
+		func(i int) (*stats.Run, error) { return cells[i].Run() }, done)
+	var je *runner.JobError
+	if errors.As(err, &je) {
+		return je.Err
+	}
+	return err
 }
 
 // Artifact builds the ccnuma-run/v1 document of the cell's finished run:

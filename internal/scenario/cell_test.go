@@ -2,8 +2,11 @@ package scenario
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+
+	"ccnuma/internal/stats"
 )
 
 const sweepDoc = `{
@@ -138,5 +141,30 @@ func TestSweepCellsReplay(t *testing.T) {
 	}
 	if len(seen) != 4 {
 		t.Errorf("%d distinct artifact fingerprints, want 4", len(seen))
+	}
+}
+
+// TestRunCellsInOrderToFirstFailure runs a grid whose third cell cannot
+// finish inside its time limit, serially and on two workers: done sees
+// exactly the two cells before it, in order, and the error is the cell's
+// own, without the runner's job wrapper.
+func TestRunCellsInOrderToFirstFailure(t *testing.T) {
+	cells := mustCells(t, mustLoad(t, sweepDoc))
+	short := cells[2].Spec.Machine
+	short.SimLimit = 1000
+	bad, err := NewCell(short, cells[2].Spec.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells[2] = bad
+	for _, jobs := range []int{1, 2} {
+		var seen []int
+		err := RunCells(jobs, cells, func(i int, _ *stats.Run) { seen = append(seen, i) })
+		if err == nil || !strings.HasPrefix(err.Error(), "machine: time limit 1000 exceeded") {
+			t.Errorf("jobs=%d: err = %v, want the cell's time-limit error", jobs, err)
+		}
+		if !reflect.DeepEqual(seen, []int{0, 1}) {
+			t.Errorf("jobs=%d: done saw cells %v, want [0 1]", jobs, seen)
+		}
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"ccnuma/internal/machine"
 	"ccnuma/internal/stats"
-	"ccnuma/internal/workload"
 )
 
 // runSpec runs a spec without a sweep as its one cell, exactly as
@@ -23,19 +21,10 @@ func runSpec(t *testing.T, s *Spec) *stats.Run {
 	return runCell(t, cells[0])
 }
 
-// runCell builds the cell's machine and workload and runs it to
-// completion.
+// runCell runs the cell to completion.
 func runCell(t *testing.T, c *Cell) *stats.Run {
 	t.Helper()
-	m, err := machine.New(c.Spec.Machine, c.Spec.Workload.App)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := c.NewWorkload(m.NProcs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := workload.Run(m, w)
+	r, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

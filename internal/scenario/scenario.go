@@ -134,6 +134,25 @@ func (s *Spec) EnsureSweep() *SweepPlan {
 	return s.Sweep
 }
 
+// CheckSections rejects a section of the spec that command cmd does not
+// run, naming the command that does: a sweep runs under ccsweep and a
+// fault campaign under ccchaos. No command then drops part of a document
+// without a word.
+func (s *Spec) CheckSections(cmd string) error {
+	for _, sec := range []struct {
+		present     bool
+		name, owner string
+	}{
+		{s.Sweep != nil, "sweep", "ccsweep"},
+		{s.Faults != nil, "faults", "ccchaos"},
+	} {
+		if sec.present && cmd != sec.owner {
+			return fmt.Errorf("scenario: %s does not run a %s section (%s does)", cmd, sec.name, sec.owner)
+		}
+	}
+	return nil
+}
+
 // Load reads and resolves a scenario file.
 func Load(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)

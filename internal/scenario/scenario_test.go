@@ -366,3 +366,40 @@ func TestFlagOverrides(t *testing.T) {
 		t.Errorf("override leaked into workload.seed: %d", s.Workload.Seed)
 	}
 }
+
+// TestCheckSections pins which command runs which section: a command
+// handed a section it would drop rejects it and names the command that
+// runs it.
+func TestCheckSections(t *testing.T) {
+	sweep, err := Load("../../examples/scenarios/2hwc-vs-2ppc.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		cmd           string
+		sweep, faults bool
+		want          string // empty: accepted
+	}{
+		{"ccsim", false, false, ""},
+		{"ccsim", true, false, "ccsim does not run a sweep section (ccsweep does)"},
+		{"ccsim", false, true, "ccsim does not run a faults section (ccchaos does)"},
+		{"ccsweep", false, false, ""},
+		{"ccsweep", true, false, ""},
+		{"ccsweep", true, true, "ccsweep does not run a faults section (ccchaos does)"},
+		{"ccchaos", false, false, ""},
+		{"ccchaos", false, true, ""},
+		{"ccchaos", true, true, "ccchaos does not run a sweep section (ccsweep does)"},
+	} {
+		s := Default()
+		if tc.sweep {
+			s.Sweep = sweep.Sweep
+		}
+		if tc.faults {
+			s.EnsureFaults()
+		}
+		err := s.CheckSections(tc.cmd)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.HasSuffix(err.Error(), tc.want)) {
+			t.Errorf("%s with sweep=%v faults=%v: err = %v, want %q", tc.cmd, tc.sweep, tc.faults, err, tc.want)
+		}
+	}
+}
