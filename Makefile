@@ -64,7 +64,9 @@ race:
 # spec, plain and with the -robust flag overlaid, replay each artifact it
 # wrote, and require every replayed artifact to be byte-identical to its
 # original (so "robust": true round-trips through -spec, the flag overlay,
-# the artifact and -replay).
+# the artifact and -replay). A ccchaos campaign must replay byte-identical
+# from its artifact too, and ccchaos's -seed must set the fault plan's base
+# seed, not the workload's.
 scenario:
 	@tmp="$$(mktemp -d)"; \
 	$(GO) run ./cmd/ccsim -spec examples/scenarios/base.json -json "$$tmp/run.json" >/dev/null && \
@@ -73,7 +75,14 @@ scenario:
 	$(GO) run ./cmd/ccsim -spec examples/scenarios/base.json -robust -json "$$tmp/robust.json" >/dev/null && \
 	grep -q '"robust": true' "$$tmp/robust.json" && \
 	$(GO) run ./cmd/ccsim -replay "$$tmp/robust.json" -json "$$tmp/robust-replay.json" >/dev/null && \
-	cmp "$$tmp/robust.json" "$$tmp/robust-replay.json" && echo "scenario: replay byte-identical, plain and robust"; \
+	cmp "$$tmp/robust.json" "$$tmp/robust-replay.json" && \
+	mkdir "$$tmp/A" "$$tmp/B" && \
+	$(GO) run ./cmd/ccchaos -app fft -schedules 3 -q -json "$$tmp/A" >/dev/null && \
+	$(GO) run ./cmd/ccchaos -replay "$$tmp/A/ccchaos-fft.json" -q -json "$$tmp/B" >/dev/null && \
+	cmp "$$tmp/A/ccchaos-fft.json" "$$tmp/B/ccchaos-fft.json" && \
+	$(GO) run ./cmd/ccchaos -seed 9 -print-spec >"$$tmp/seed.json" && \
+	grep -q '"baseSeed": 9' "$$tmp/seed.json" && ! grep -q '"seed"' "$$tmp/seed.json" && \
+	echo "scenario: replay byte-identical: plain, robust and a chaos campaign"; \
 	status=$$?; rm -rf "$$tmp"; exit $$status
 
 # attribution smoke-tests the span-tracing layer: a small kernel with

@@ -1,11 +1,12 @@
 // Command ccchaos runs workload kernels under seeded fault-injection
 // schedules on the robust machine configuration and checks that every run
 // recovers (see internal/chaos). The campaign is a ccnuma-scenario/v1
-// faults section — flags build one implicitly, -spec loads one from a
-// file. Each schedule is generated deterministically from its seed, so any
-// failure is reproducible from the printed (app, seed) pair alone;
-// schedules run concurrently under -jobs with output identical to a
-// serial run.
+// faults section — by default 25 schedules of each of the paper's eight
+// applications on a 4x2 machine at test size, one loaded with -spec, or
+// the campaign a ccchaos artifact embeds, re-run with -replay. Each
+// schedule is generated deterministically from its seed, so any failure is
+// reproducible from the printed (app, seed) pair alone; schedules run
+// concurrently under -jobs with output identical to a serial run.
 //
 // Usage:
 //
@@ -13,13 +14,13 @@
 //	ccchaos -app all -size test -nodes 4 -ppn 2 -schedules 25 -jobs 4
 //	ccchaos -app radix -schedules 200 -seed 1000 -json out/
 //	ccchaos -spec examples/scenarios/base.json -schedules 10
+//	ccchaos -replay out/ccchaos-radix.json -json out2/
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"ccnuma/internal/chaos"
@@ -28,36 +29,22 @@ import (
 )
 
 func main() {
-	flag.String("app", "all", fmt.Sprintf("application, or \"all\" for the paper's eight: %v", workload.PaperApps))
-	flag.String("arch", "HWC", "controller architecture: HWC, PPC, PPCA, 2HWC, 2PPC, 2PPCA")
-	flag.Int("nodes", 4, "SMP nodes")
-	flag.Int("ppn", 2, "processors per node")
-	flag.String("size", "test", "problem size: test, small, base, large")
-	flag.Int("schedules", 25, "fault schedules per application")
-	flag.Int("first", 0, "index of the first schedule (repro: -first N -schedules 1 replays exactly schedule N)")
-	flag.Int("events", 0, "faults per schedule (0 = scale with the machine: 2 + nodes)")
-	flag.Int64("seed", 1, "base seed; schedule s runs under seed base+s")
-	flag.Int("jobs", 0, "schedules to run concurrently (0 = GOMAXPROCS; 1 = serial; output is identical for any value)")
-	flag.Int("shards", 1, "event-engine shards inside each simulation (results are identical for any value)")
+	def := scenario.Small()
+	def.Workload.App = "all"
+	plan := def.EnsureFaults()
+	scenario.Flags(flag.CommandLine, def, "app", "arch", "nodes", "ppn", "size", "schedules", "first", "events", "jobs", "shards")
+	seed := flag.Int64("seed", plan.BaseSeed, "base seed; schedule s runs under seed base+s")
 	specPath := flag.String("spec", "", "load a ccnuma-scenario/v1 file; explicit flags override its fields")
+	replayPath := flag.String("replay", "", "re-run the campaign embedded in a ccchaos artifact")
 	printSpec := flag.Bool("print-spec", false, "print the resolved canonical scenario and exit without simulating")
 	jsonDir := flag.String("json", "", "write one run artifact per app (ccchaos-<app>.json) into this directory")
 	quiet := flag.Bool("q", false, "suppress per-schedule progress output")
 	flag.Parse()
 
-	// ccchaos's -seed seeds the fault schedules (and through the campaign
-	// the kernels), not the generic workload seed.
-	overrides := map[string]scenario.FlagFunc{
-		"seed": func(s *scenario.Spec, value string) error {
-			v, err := strconv.ParseInt(value, 10, 64)
-			if err != nil {
-				return err
-			}
-			s.EnsureFaults().BaseSeed = v
-			return nil
-		},
+	spec, err := scenario.FromFlags(flag.CommandLine, def, *specPath, *replayPath)
+	if err == nil && *replayPath != "" && spec.Faults == nil {
+		err = fmt.Errorf("%s records one run, not a campaign; re-run it with ccsim -replay", *replayPath)
 	}
-	spec, err := scenario.FromFlags(flag.CommandLine, *specPath, "", overrides)
 	if err == nil {
 		err = spec.CheckSections("ccchaos")
 	}
@@ -65,8 +52,15 @@ func main() {
 		fatal(err)
 	}
 	faults := spec.EnsureFaults()
+	// ccchaos's -seed seeds the fault schedules (and through the campaign
+	// the kernels), not the workload input.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			faults.BaseSeed = *seed
+		}
+	})
 	// Chaos always runs on a robust machine, whether or not the spec says
-	// so, exactly as the flag path always has.
+	// so.
 	spec.Machine.Robust = true
 	canon, err := spec.Canonical()
 	if err != nil {

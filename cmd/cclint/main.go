@@ -6,24 +6,21 @@
 // Usage:
 //
 //	cclint ./...
-//	cclint -json ./internal/core
+//	cclint ./internal/core
 //
 // Exit status is 1 when findings remain, 2 on loader errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	"ccnuma/internal/extract"
 	"ccnuma/internal/lint"
-	"ccnuma/internal/obs"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout")
 	dir := flag.String("dir", ".", "directory to resolve patterns from (must be inside the module)")
 	flag.Parse()
 
@@ -59,29 +56,10 @@ func main() {
 		break
 	}
 
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		// obs.LintReport declares this document's schema.
-		payload := obs.LintReport{
-			Packages: len(pkgs),
-			Findings: make([]obs.LintFindingDoc, 0, len(findings)),
-		}
-		for _, f := range findings {
-			payload.Findings = append(payload.Findings, obs.LintFindingDoc{
-				Pos: f.Pos, Check: f.Check, Message: f.Message,
-			})
-		}
-		if err := enc.Encode(payload); err != nil {
-			fmt.Fprintf(os.Stderr, "cclint: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f.String())
-		}
-		fmt.Fprintf(os.Stderr, "cclint: %d package(s), %d finding(s)\n", len(pkgs), len(findings))
+	for _, f := range findings {
+		fmt.Println(f.String())
 	}
+	fmt.Fprintf(os.Stderr, "cclint: %d package(s), %d finding(s)\n", len(pkgs), len(findings))
 	if len(findings) > 0 {
 		os.Exit(1)
 	}

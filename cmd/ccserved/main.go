@@ -23,8 +23,6 @@ func main() {
 	flag.StringVar(&cfg.StoreDir, "store", cfg.StoreDir, "content-addressed store directory")
 	flag.IntVar(&cfg.Jobs, "jobs", cfg.Jobs, "concurrently executing cells per submission")
 	flag.IntVar(&cfg.QueueDepth, "queue", cfg.QueueDepth, "admitted-cell bound; beyond it submissions get 429")
-	flag.IntVar(&cfg.CellRetries, "cell-retries", cfg.CellRetries, "retries for transiently failing cells")
-	flag.DurationVar(&cfg.RetryBackoff, "retry-backoff", cfg.RetryBackoff, "initial backoff between cell retries (doubles)")
 	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", cfg.DrainTimeout, "graceful-shutdown bound")
 	flag.Int64Var(&cfg.SampleEvery, "sample-every", 0, "attach an obs sampler at this simulated-cycle interval (0 = off)")
 	flag.StringVar(&cfg.ComputeLog, "compute-log", "", "append one line per actually-computed cell (audit trail)")

@@ -1,9 +1,9 @@
 // Command ccsim runs a single CC-NUMA simulation — one application on one
 // coherence-controller architecture — and prints a full statistics report.
-// The run is described by a ccnuma-scenario/v1 document: flags build one
-// implicitly, -spec loads one from a file (with explicit flags overriding
-// individual fields), and -replay re-runs the scenario embedded in a
-// previously written run artifact, reproducing it byte for byte.
+// The run is described by a ccnuma-scenario/v1 document: the paper's base
+// machine running ocean by default, a file loaded with -spec, or the
+// scenario embedded in a run artifact given to -replay, which reproduces
+// that run byte for byte; each flag the user sets overrides one field.
 //
 // Usage:
 //
@@ -29,23 +29,9 @@ import (
 )
 
 func main() {
-	flag.String("app", "ocean", fmt.Sprintf("application: %v", workload.Names()))
-	flag.String("arch", "HWC", "controller architecture: HWC, PPC, PPCA, 2HWC, 2PPC, 2PPCA")
-	flag.Int("engines", 0, "protocol engines per controller, overriding -arch's count (0 keeps it; >2 requires -split region)")
-	flag.String("node-archs", "", "comma-separated per-node architectures (e.g. HWC,HWC,PPC,PPC); empty = homogeneous -arch")
-	flag.Int("nodes", 16, "SMP nodes")
-	flag.Int("ppn", 4, "processors per node")
-	flag.Int("line", 128, "cache line size in bytes")
-	flag.Int("netlat", 14, "network point-to-point latency in CPU cycles")
-	flag.String("size", "base", "problem size: test, small, base, large")
-	flag.String("split", "local-remote", "engine split policy: local-remote, round-robin, region, or dynamic")
-	flag.String("arb", "paper", "dispatch arbitration: paper or fifo")
-	flag.String("topo", "crossbar", "interconnect topology: crossbar or mesh")
-	flag.Int("dircache", 8192, "directory cache entries (0 disables)")
-	flag.Int64("seed", 0, "workload input seed (0 = the kernel's fixed default input)")
-	flag.Bool("robust", false, "enable the recovery layer: finite queues, NACK/retry, request timeouts, reliable link layer")
-	flag.Bool("attribution", false, "enable per-transaction span tracing and print the miss-latency attribution")
-	flag.Int("shards", 1, "event-engine shards running the simulation in parallel (results are identical for any value)")
+	def := scenario.Default()
+	scenario.Flags(flag.CommandLine, def, "app", "arch", "engines", "node-archs", "nodes", "ppn", "line", "netlat",
+		"size", "split", "arb", "topo", "dircache", "seed", "robust", "attribution", "shards")
 	specPath := flag.String("spec", "", "load a ccnuma-scenario/v1 file; explicit flags override its fields")
 	replayPath := flag.String("replay", "", "re-run the scenario embedded in a run artifact")
 	printSpec := flag.Bool("print-spec", false, "print the resolved canonical scenario and exit without simulating")
@@ -58,7 +44,7 @@ func main() {
 	perfOut := flag.Bool("perf", false, "include host engine-throughput numbers in the artifact (makes it host-dependent)")
 	flag.Parse()
 
-	spec, err := scenario.FromFlags(flag.CommandLine, *specPath, *replayPath, nil)
+	spec, err := scenario.FromFlags(flag.CommandLine, def, *specPath, *replayPath)
 	if err == nil {
 		err = spec.CheckSections("ccsim")
 	}

@@ -1,11 +1,12 @@
 // Command ccsweep sweeps one architectural parameter across values and
 // architectures, emitting CSV for plotting (the raw material behind the
 // paper's sensitivity figures). The grid is a ccnuma-scenario/v1 sweep
-// section — flags build one implicitly, -spec loads one from a file — and
-// expands into scenario cells, which are independent simulations, so they
-// run concurrently (-jobs); rows are still emitted in grid order, so the
-// CSV, artifacts, and error behaviour are identical for any -jobs. Each
-// -json artifact embeds its own cell, so `ccsim -replay` re-runs it.
+// section — by default ocean's network latency on a 4x2 machine at test
+// size, or one loaded with -spec — and expands into scenario cells, which
+// are independent simulations, so they run concurrently (-jobs); rows are
+// still emitted in grid order, so the CSV, artifacts, and error behaviour
+// are identical for any -jobs. Each -json artifact embeds its own cell, so
+// `ccsim -replay` re-runs it.
 //
 // Usage:
 //
@@ -26,21 +27,15 @@ import (
 )
 
 func main() {
-	flag.String("app", "ocean", "application to sweep")
-	flag.String("param", "netlat", "parameter: netlat, line, ppn, engines, dircache, banks, hoplat (mesh)")
-	flag.String("values", "14,50,100,200", "comma-separated parameter values")
-	flag.String("archs", "HWC,PPC", "comma-separated architectures")
-	flag.String("size", "test", "problem size: test, small, base, large")
-	flag.Int("nodes", 4, "SMP nodes (ignored by -param ppn, which fixes total processors)")
-	flag.Int("ppn", 2, "processors per node")
-	flag.Int64("seed", 0, "workload input seed (0 = the kernel's fixed default input)")
-	flag.Int("jobs", 0, "grid cells to simulate concurrently (0 = GOMAXPROCS; 1 = serial; output is identical for any value)")
+	def := scenario.Small()
+	def.EnsureSweep()
+	scenario.Flags(flag.CommandLine, def, "app", "param", "values", "archs", "size", "nodes", "ppn", "seed", "jobs")
 	specPath := flag.String("spec", "", "load a ccnuma-scenario/v1 file; explicit flags override its fields")
 	printSpec := flag.Bool("print-spec", false, "print the resolved canonical scenario and exit without simulating")
 	jsonPath := flag.String("json", "", "also write an array of run-artifact documents to this file")
 	flag.Parse()
 
-	spec, err := scenario.FromFlags(flag.CommandLine, *specPath, "", nil)
+	spec, err := scenario.FromFlags(flag.CommandLine, def, *specPath, "")
 	if err == nil {
 		err = spec.CheckSections("ccsweep")
 	}

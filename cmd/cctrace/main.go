@@ -32,22 +32,14 @@ import (
 )
 
 func main() {
-	flag.String("app", "ocean", fmt.Sprintf("application: %v", workload.Names()))
-	flag.String("arch", "HWC", "controller architecture")
-	flag.Int("nodes", 4, "SMP nodes")
-	flag.Int("ppn", 2, "processors per node")
-	flag.String("size", "test", "problem size: test, small, base, large")
+	def := scenario.Small()
+	scenario.Flags(flag.CommandLine, def, "app", "arch", "nodes", "ppn", "size")
 	lineHex := flag.String("line", "", "only trace this cache line (hex, e.g. 0x3200)")
 	txnHex := flag.String("txn", "", "print the causal span history of one transaction (hex ID from span events; implies attribution)")
 	maxLines := flag.Int("max", 0, "stop printing after this many trace lines (0 = unlimited)")
 	flag.Parse()
 
-	// The machine and workload flags resolve through the scenario layer
-	// like every other command's; -line here filters the trace rather
-	// than setting the cache-line size.
-	spec, err := scenario.FromFlags(flag.CommandLine, "", "", map[string]scenario.FlagFunc{
-		"line": func(*scenario.Spec, string) error { return nil },
-	})
+	spec, err := scenario.FromFlags(flag.CommandLine, def, "", "")
 	if err != nil {
 		fatal(err)
 	}

@@ -17,15 +17,13 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"ccnuma/internal/config"
 	"ccnuma/internal/fault"
-	"ccnuma/internal/interconnect"
 	"ccnuma/internal/machine"
 	"ccnuma/internal/obs"
 	"ccnuma/internal/runner"
-	"ccnuma/internal/sim"
+	"ccnuma/internal/scenario"
 	"ccnuma/internal/stats"
 	"ccnuma/internal/workload"
 )
@@ -64,20 +62,27 @@ type Campaign struct {
 // RunApp pilots one app fault-free, then runs the schedule sweep. It
 // returns the number of failed schedules.
 func (c *Campaign) RunApp(name string) (int, error) {
-	// Pilot: fault-free run on the same robust configuration, counting the
-	// network messages so the schedule's fault coordinates land inside the
-	// run instead of past its end.
-	pilotMsgs, pilotExec, err := c.pilot(name)
+	// Every run of the app is one cell: the kernel seeded like its
+	// schedules, on the campaign's robust machine.
+	cell, err := scenario.NewCell(c.Cfg, scenario.Workload{App: name, Size: c.Size.String(), Seed: c.BaseSeed})
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", name, err)
+	}
+	// Pilot: the cell run fault-free, whose network message count and
+	// execution time size the schedules so their fault coordinates land
+	// inside the run instead of past its end.
+	pilot, err := cell.Run()
 	if err != nil {
 		return 0, fmt.Errorf("%s: fault-free pilot failed (nothing injected): %w", name, err)
 	}
+	pilotMsgs := pilot.Counter("netMessages")
 	if !c.Quiet {
-		fmt.Fprintf(c.Out, "%-10s pilot: %d messages, %d cycles\n", name, pilotMsgs, pilotExec)
+		fmt.Fprintf(c.Out, "%-10s pilot: %d messages, %d cycles\n", name, pilotMsgs, pilot.ExecTime)
 	}
 
 	params := fault.Params{
 		Events:   c.Events,
-		Horizon:  pilotExec,
+		Horizon:  pilot.ExecTime,
 		Messages: pilotMsgs,
 		Nodes:    c.Cfg.Nodes,
 		Engines:  c.Cfg.MaxEngineCount(),
@@ -101,7 +106,7 @@ func (c *Campaign) RunApp(name string) (int, error) {
 		func(i int) (scheduleResult, error) {
 			seed := c.BaseSeed + int64(c.First+i)
 			sch := fault.Generate(seed, params)
-			r, inj, fail, err := c.runSchedule(name, sch)
+			r, inj, fail, err := runSchedule(cell, sch)
 			return scheduleResult{sch: sch, run: r, inj: inj, fail: fail, err: err}, nil
 		},
 		func(i int, res scheduleResult) {
@@ -156,30 +161,11 @@ func (c *Campaign) RunApp(name string) (int, error) {
 	return failed, nil
 }
 
-// pilot runs the kernel fault-free on the robust configuration and returns
-// its network message count and execution time.
-func (c *Campaign) pilot(name string) (uint64, sim.Time, error) {
-	m, err := machine.New(c.Cfg, name)
-	if err != nil {
-		return 0, 0, err
-	}
-	var msgs uint64
-	m.Net.Fault = func(src, dst int, payload interface{}) interconnect.Decision {
-		// The hook fires on every source node's engine; under -shards those
-		// run concurrently.
-		atomic.AddUint64(&msgs, 1)
-		return interconnect.Decision{}
-	}
-	r, err := c.runKernel(m, name)
-	if err != nil {
-		return 0, 0, err
-	}
-	return msgs, r.ExecTime, nil
-}
-
-// runSchedule executes one kernel run with the schedule injected and all
-// recovery checks applied: completion, result verification, network drain.
-func (c *Campaign) runSchedule(name string, sch *fault.Schedule) (r *stats.Run, inj *fault.Injector, fail *obs.FailureDoc, err error) {
+// runSchedule runs the cell with the schedule injected. The run applies
+// every recovery check: workload.Run verifies the result, and Machine.Run
+// enforces processor completion, zero transient protocol ops, a drained
+// network, and the coherence invariants on the quiesced machine.
+func runSchedule(cell *scenario.Cell, sch *fault.Schedule) (r *stats.Run, inj *fault.Injector, fail *obs.FailureDoc, err error) {
 	// The recovery machinery is deliberately fail-stop (e.g. an exhausted
 	// retry budget panics); one schedule's failure must not take down the
 	// rest of the sweep. The panic value is classified before it is
@@ -191,25 +177,8 @@ func (c *Campaign) runSchedule(name string, sch *fault.Schedule) (r *stats.Run, 
 			r, err = nil, fmt.Errorf("panic: %v", p)
 		}
 	}()
-	m, err := machine.New(c.Cfg, name)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	inj = m.InjectFaults(sch)
-	r, err = c.runKernel(m, name)
+	r, err = cell.Run(func(m *machine.Machine) { inj = m.InjectFaults(sch) })
 	return r, inj, nil, err
-}
-
-// runKernel builds the seeded workload and runs it: workload.Run verifies
-// the result, and Machine.Run itself enforces processor completion, zero
-// transient protocol ops, a drained network, and the global coherence
-// invariants on the quiesced machine.
-func (c *Campaign) runKernel(m *machine.Machine, name string) (*stats.Run, error) {
-	w, err := workload.NewSeeded(name, c.Size, m.NProcs(), c.BaseSeed)
-	if err != nil {
-		return nil, err
-	}
-	return workload.Run(m, w)
 }
 
 func renderApplied(applied map[string]uint64) string {

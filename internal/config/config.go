@@ -134,31 +134,22 @@ func (p SplitPolicy) MarshalText() ([]byte, error) {
 	return []byte(p.String()), nil
 }
 
-// UnmarshalText parses a split-policy name.
-func (p *SplitPolicy) UnmarshalText(text []byte) error {
-	pol, err := ParseSplit(string(text))
-	if err != nil {
-		return err
-	}
-	*p = pol
-	return nil
-}
-
-// ParseSplit resolves a split-policy name; "local/remote" and
+// UnmarshalText parses a split-policy name; "local/remote" and
 // "local-remote" are synonyms.
-func ParseSplit(name string) (SplitPolicy, error) {
-	switch name {
+func (p *SplitPolicy) UnmarshalText(text []byte) error {
+	switch string(text) {
 	case "local-remote", "local/remote":
-		return SplitLocalRemote, nil
+		*p = SplitLocalRemote
 	case "round-robin":
-		return SplitRoundRobin, nil
+		*p = SplitRoundRobin
 	case "region":
-		return SplitRegion, nil
+		*p = SplitRegion
 	case "dynamic":
-		return SplitDynamic, nil
+		*p = SplitDynamic
 	default:
-		return 0, fmt.Errorf("config: unknown split policy %q", name)
+		return fmt.Errorf("config: unknown split policy %q", text)
 	}
+	return nil
 }
 
 // ArbPolicy selects the dispatch arbitration between the controller's three
@@ -187,24 +178,15 @@ func (p ArbPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), ni
 
 // UnmarshalText parses an arbitration-policy name.
 func (p *ArbPolicy) UnmarshalText(text []byte) error {
-	pol, err := ParseArb(string(text))
-	if err != nil {
-		return err
-	}
-	*p = pol
-	return nil
-}
-
-// ParseArb resolves an arbitration-policy name.
-func ParseArb(name string) (ArbPolicy, error) {
-	switch name {
+	switch string(text) {
 	case "paper":
-		return ArbPaper, nil
+		*p = ArbPaper
 	case "fifo":
-		return ArbFIFO, nil
+		*p = ArbFIFO
 	default:
-		return 0, fmt.Errorf("config: unknown arbitration %q", name)
+		return fmt.Errorf("config: unknown arbitration %q", text)
 	}
+	return nil
 }
 
 // SubOp enumerates the protocol-engine sub-operations of the paper's
@@ -579,27 +561,18 @@ func (t Topology) String() string {
 // MarshalText renders the topology for scenario documents.
 func (t Topology) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
 
-// UnmarshalText parses a topology name.
-func (t *Topology) UnmarshalText(text []byte) error {
-	topo, err := ParseTopology(string(text))
-	if err != nil {
-		return err
-	}
-	*t = topo
-	return nil
-}
-
-// ParseTopology resolves a topology name; "mesh" is the flag spelling of
+// UnmarshalText parses a topology name; "mesh" is the flag spelling of
 // "mesh2d".
-func ParseTopology(name string) (Topology, error) {
-	switch name {
+func (t *Topology) UnmarshalText(text []byte) error {
+	switch string(text) {
 	case "crossbar":
-		return TopoCrossbar, nil
+		*t = TopoCrossbar
 	case "mesh", "mesh2d":
-		return TopoMesh2D, nil
+		*t = TopoMesh2D
 	default:
-		return 0, fmt.Errorf("config: unknown topology %q", name)
+		return fmt.Errorf("config: unknown topology %q", text)
 	}
+	return nil
 }
 
 // PlacementPolicy selects how pages are assigned home nodes.
@@ -626,24 +599,15 @@ func (p PlacementPolicy) MarshalText() ([]byte, error) { return []byte(p.String(
 
 // UnmarshalText parses a placement-policy name.
 func (p *PlacementPolicy) UnmarshalText(text []byte) error {
-	pol, err := ParsePlacement(string(text))
-	if err != nil {
-		return err
-	}
-	*p = pol
-	return nil
-}
-
-// ParsePlacement resolves a placement-policy name.
-func ParsePlacement(name string) (PlacementPolicy, error) {
-	switch name {
+	switch string(text) {
 	case "round-robin":
-		return PlaceRoundRobin, nil
+		*p = PlaceRoundRobin
 	case "first-touch":
-		return PlaceFirstTouch, nil
+		*p = PlaceFirstTouch
 	default:
-		return 0, fmt.Errorf("config: unknown placement policy %q", name)
+		return fmt.Errorf("config: unknown placement policy %q", text)
 	}
+	return nil
 }
 
 // Base returns the paper's base system configuration: 16 four-processor SMP

@@ -16,9 +16,6 @@ func TestClassifyFailureRetryBudget(t *testing.T) {
 	if doc.Class != obs.FailureRetryBudget {
 		t.Fatalf("class = %q, want %q", doc.Class, obs.FailureRetryBudget)
 	}
-	if !doc.Pathological() {
-		t.Fatal("retry-budget exhaustion must classify as pathological")
-	}
 	if doc.Node != 3 || doc.Line != "0x1f80" || doc.Attempts != 26 {
 		t.Fatalf("location not carried over: %+v", doc)
 	}
@@ -37,10 +34,10 @@ func TestClassifyFailureWrappedError(t *testing.T) {
 }
 
 func TestClassifyFailureUnclassified(t *testing.T) {
-	if doc := ClassifyFailure("kaboom"); doc.Class != obs.FailurePanic || doc.Pathological() {
+	if doc := ClassifyFailure("kaboom"); doc.Class != obs.FailurePanic {
 		t.Fatalf("raw panic value: got %+v", doc)
 	}
-	if doc := ClassifyFailure(errors.New("disk on fire")); doc.Class != obs.FailureError || doc.Pathological() {
+	if doc := ClassifyFailure(errors.New("disk on fire")); doc.Class != obs.FailureError {
 		t.Fatalf("plain error: got %+v", doc)
 	}
 	if doc := ClassifyFailure(nil); doc != nil {

@@ -97,13 +97,11 @@ type RecoveryDoc struct {
 // Failure classes. A class is a stable, machine-readable name; Message is
 // the human diagnostic.
 const (
-	// FailureRetryBudget marks the protocol's deterministic fail-stop:
-	// re-running the same scenario reproduces the failure, so retrying is
-	// pointless (the scenario itself is unserviceable).
+	// FailureRetryBudget marks the protocol's fail-stop: a request ran
+	// out of NACK/timeout retries.
 	FailureRetryBudget = "retry-budget-exhausted"
 	// FailurePanic is an unclassified panic; FailureError an unclassified
-	// error return. Either may be transient from a harness's point of view
-	// (worth a bounded retry).
+	// error return.
 	FailurePanic = "panic"
 	FailureError = "error"
 )
@@ -120,13 +118,6 @@ type FailureDoc struct {
 	Node     int    `json:"node,omitempty"`
 	Line     string `json:"line,omitempty"`
 	Attempts int    `json:"attempts,omitempty"`
-}
-
-// Pathological reports whether the failure is deterministic — re-running
-// the identical scenario will fail the same way — so a serving layer must
-// not spend retries on it.
-func (f *FailureDoc) Pathological() bool {
-	return f.Class == FailureRetryBudget
 }
 
 // AttributionDoc is the latency-attribution section of a run artifact:
@@ -186,21 +177,6 @@ func NewAttributionDoc(r *stats.Run) *AttributionDoc {
 		})
 	}
 	return doc
-}
-
-// LintReport is the document cclint -json emits: the number of packages
-// analyzed and every remaining finding. cmd/cclint builds this struct
-// directly, so the schema here is the schema on the wire.
-type LintReport struct {
-	Packages int              `json:"packages"`
-	Findings []LintFindingDoc `json:"findings"`
-}
-
-// LintFindingDoc is one cclint diagnostic.
-type LintFindingDoc struct {
-	Pos     string `json:"pos"` // file:line:col
-	Check   string `json:"check"`
-	Message string `json:"message"`
 }
 
 // ArtifactConfig echoes the architectural parameters that shaped the run.

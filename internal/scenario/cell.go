@@ -99,12 +99,16 @@ func (c *Cell) NewWorkload(nprocs int) (workload.Workload, error) {
 	return workload.NewSeeded(c.Spec.Workload.App, size, nprocs, c.Spec.Workload.Seed)
 }
 
-// Run simulates the cell: it builds the machine and the seeded workload
-// and runs them to completion through workload.Run.
-func (c *Cell) Run() (*stats.Run, error) {
+// Run simulates the cell: it builds the machine, hands it to each attach
+// (a sampler, a fault schedule), builds the seeded workload and runs them
+// to completion through workload.Run.
+func (c *Cell) Run(attach ...func(*machine.Machine)) (*stats.Run, error) {
 	m, err := machine.New(c.Spec.Machine, c.Spec.Workload.App)
 	if err != nil {
 		return nil, err
+	}
+	for _, a := range attach {
+		a(m)
 	}
 	w, err := c.NewWorkload(m.NProcs())
 	if err != nil {

@@ -3,8 +3,10 @@
 // geometry and per-node engine configuration, Table 1/2 timing overrides,
 // workload and problem size, fault schedule, sweep axes, seeds, and job
 // counts. Every simulation command (ccsim, ccsweep, ccchaos, cctrace) is
-// a thin wrapper over the same loading pipeline: start from Default(),
-// overlay a -spec file if given, then overlay the command's flags.
+// a thin wrapper over the same loading pipeline: start from the command's
+// default spec, a -spec file or a -replay artifact's scenario, then apply
+// the flags the user set, each a view of one spec field (Flags,
+// FromFlags).
 //
 // Specs are canonicalized before use: loading resolves absent fields to
 // their defaults, validation rejects inconsistent machines with errors
@@ -110,6 +112,16 @@ func Default() *Spec {
 		Machine:    m,
 		Workload:   Workload{App: "ocean", Size: "base"},
 	}
+}
+
+// Small is Default on a 4-node machine of 2-processor nodes at test size:
+// where ccsweep, ccchaos and cctrace start, since they run many
+// simulations or print every event of one.
+func Small() *Spec {
+	s := Default()
+	s.Machine.Nodes, s.Machine.ProcsPerNode = 4, 2
+	s.Workload.Size = "test"
+	return s
 }
 
 // EnsureFaults returns the spec's fault plan, installing the ccchaos

@@ -3,7 +3,6 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -93,39 +92,19 @@ func TestFingerprintStableAcrossFieldOrder(t *testing.T) {
 	}
 }
 
-// ccsimFlags reproduces cmd/ccsim's scenario-relevant flag set on a fresh
-// FlagSet so overlay behavior can be tested hermetically.
-func ccsimFlags() *flag.FlagSet {
-	fs := flag.NewFlagSet("ccsim", flag.ContinueOnError)
-	fs.String("app", "ocean", "")
-	fs.String("arch", "HWC", "")
-	fs.Int("engines", 0, "")
-	fs.String("node-archs", "", "")
-	fs.Int("nodes", 16, "")
-	fs.Int("ppn", 4, "")
-	fs.Int("line", 128, "")
-	fs.Int("netlat", 14, "")
-	fs.String("size", "base", "")
-	fs.String("split", "local-remote", "")
-	fs.String("arb", "paper", "")
-	fs.String("topo", "crossbar", "")
-	fs.Int("dircache", 8192, "")
-	fs.Int64("seed", 0, "")
-	fs.Bool("robust", false, "")
-	return fs
-}
-
 // TestSpecPlusOverridesEqualsPureFlags pins the resolution rule the
 // commands rely on: a spec file plus explicit override flags must resolve
 // to exactly the scenario that pure flags produce (same fingerprint), for
 // the Table 6 / Figure 6 style configurations the golden pins cover.
 func TestSpecPlusOverridesEqualsPureFlags(t *testing.T) {
 	// Pure flags: ccsim -app fft -arch 2PPC -nodes 4 -ppn 2 -size test -netlat 50
-	pure := ccsimFlags()
+	ccsim := []string{"app", "arch", "nodes", "ppn", "size", "netlat"}
+	def := Default()
+	pure := knobFlags(def, ccsim...)
 	if err := pure.Parse([]string{"-app", "fft", "-arch", "2PPC", "-nodes", "4", "-ppn", "2", "-size", "test", "-netlat", "50"}); err != nil {
 		t.Fatal(err)
 	}
-	fromFlags, err := FromFlags(pure, "", "", nil)
+	fromFlags, err := FromFlags(pure, def, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +120,12 @@ func TestSpecPlusOverridesEqualsPureFlags(t *testing.T) {
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	over := ccsimFlags()
+	def = Default()
+	over := knobFlags(def, ccsim...)
 	if err := over.Parse([]string{"-arch", "2PPC", "-netlat", "50"}); err != nil {
 		t.Fatal(err)
 	}
-	fromSpec, err := FromFlags(over, path, "", nil)
+	fromSpec, err := FromFlags(over, def, path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,17 +157,18 @@ func TestOverlayOnlySetRespectsSpec(t *testing.T) {
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fs := ccsimFlags()
+	def := Default()
+	fs := knobFlags(def)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	s, err := FromFlags(fs, path, "", nil)
+	s, err := FromFlags(fs, def, path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Machine.Nodes != 8 || s.Machine.NetLatency != 200 || s.Workload.App != "lu" {
-		t.Errorf("flag defaults clobbered the spec: nodes=%d netlat=%d app=%s",
-			s.Machine.Nodes, s.Machine.NetLatency, s.Workload.App)
+	if s.Machine.Nodes != 8 || s.Machine.NetLatency != 200 || s.Workload.App != "lu" || s.Faults != nil || s.Sweep != nil {
+		t.Errorf("flag defaults clobbered the spec: nodes=%d netlat=%d app=%s faults=%v sweep=%v",
+			s.Machine.Nodes, s.Machine.NetLatency, s.Workload.App, s.Faults, s.Sweep)
 	}
 }
 
@@ -338,32 +319,6 @@ func TestApplySweepValue(t *testing.T) {
 	}
 	if err := ApplySweepValue(&cfg, "warp", 1); err == nil {
 		t.Error("unknown sweep parameter was accepted")
-	}
-}
-
-// TestFlagOverrides checks the per-command override hook (ccchaos's -seed
-// feeds the fault plan, not the workload).
-func TestFlagOverrides(t *testing.T) {
-	fs := flag.NewFlagSet("ccchaos", flag.ContinueOnError)
-	fs.Int64("seed", 1, "")
-	if err := fs.Parse([]string{"-seed", "42"}); err != nil {
-		t.Fatal(err)
-	}
-	overrides := map[string]FlagFunc{
-		"seed": func(s *Spec, value string) error {
-			s.EnsureFaults().BaseSeed = 42
-			return nil
-		},
-	}
-	s, err := FromFlags(fs, "", "", overrides)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Faults == nil || s.Faults.BaseSeed != 42 {
-		t.Errorf("override did not route -seed to faults.baseSeed: %+v", s.Faults)
-	}
-	if s.Workload.Seed != 0 {
-		t.Errorf("override leaked into workload.seed: %d", s.Workload.Seed)
 	}
 }
 

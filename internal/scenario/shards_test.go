@@ -43,9 +43,14 @@ func TestShardsOutsideFingerprint(t *testing.T) {
 // fences around it: shard counts are bounded by the node count and the
 // mesh topology cannot shard.
 func TestShardsFlagApplies(t *testing.T) {
-	s := Default()
-	if ok, err := ApplyFlag(s, "shards", "4"); !ok || err != nil {
-		t.Fatalf("ApplyFlag(shards): ok=%v err=%v", ok, err)
+	def := Default()
+	fs := knobFlags(def, "shards")
+	if err := fs.Parse([]string{"-shards", "4"}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := FromFlags(fs, def, "", "")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if s.Machine.SimShards != 4 {
 		t.Fatalf("SimShards = %d, want 4", s.Machine.SimShards)

@@ -7,7 +7,6 @@ import (
 	"ccnuma/internal/machine"
 	"ccnuma/internal/obs"
 	"ccnuma/internal/scenario"
-	"ccnuma/internal/workload"
 )
 
 // Cell is one unit of serveable work: a scenario cell, content-addressed
@@ -40,30 +39,24 @@ func ExpandCells(spec *scenario.Spec) ([]*Cell, error) {
 }
 
 // computeCell runs one cell's simulation and serializes its ccnuma-run/v1
-// artifact. The artifact embeds the cell's canonical scenario, so `ccsim
-// -replay` on served bytes reproduces the run; it never includes host
-// timing, so the bytes are deterministic — the property the kill-torture
-// harness pins by comparing resumed sweeps against uninterrupted ones. A
-// panic anywhere in the simulation (the protocol's fail-stop included) is
-// captured and classified, never propagated into the serving loop.
+// artifact, attaching the sampler (if any) to the machine. The artifact
+// embeds the cell's canonical scenario, so `ccsim -replay` on served bytes
+// reproduces the run; it never includes host timing, so the bytes are
+// deterministic — the property the kill-torture harness pins by comparing
+// resumed sweeps against uninterrupted ones. A panic anywhere in the
+// simulation (the protocol's fail-stop included) is captured and
+// classified, never propagated into the serving loop.
 func computeCell(c *Cell, sampler *obs.Sampler) (payload []byte, fail *obs.FailureDoc) {
 	defer func() {
 		if p := recover(); p != nil {
 			payload, fail = nil, machine.ClassifyFailure(p)
 		}
 	}()
-	m, err := machine.New(c.Spec.Machine, c.Spec.Workload.App)
-	if err != nil {
-		return nil, machine.ClassifyFailure(err)
-	}
-	if sampler != nil {
-		m.AttachSampler(sampler)
-	}
-	w, err := c.NewWorkload(m.NProcs())
-	if err != nil {
-		return nil, machine.ClassifyFailure(err)
-	}
-	r, err := workload.Run(m, w)
+	r, err := c.Run(func(m *machine.Machine) {
+		if sampler != nil {
+			m.AttachSampler(sampler)
+		}
+	})
 	if err != nil {
 		return nil, machine.ClassifyFailure(err)
 	}

@@ -20,8 +20,8 @@
 // balancer can route elsewhere. Cell panics (including the protocol's
 // deliberate fail-stop) are captured, classified via
 // machine.ClassifyFailure, and surfaced as machine-readable failure
-// documents; transient classes are retried with bounded backoff,
-// pathological ones are not.
+// documents. A cell runs once: every way it can fail is deterministic, so
+// running it again would fail the same way.
 package serve
 
 import (
@@ -54,13 +54,6 @@ type Config struct {
 	// QueueDepth bounds cells admitted across all submissions; beyond it,
 	// submissions are rejected with 429 + Retry-After.
 	QueueDepth int
-	// CellRetries is how many times a transiently failing cell is retried
-	// (pathological failures — e.g. retry-budget exhaustion, which is
-	// deterministic for a given scenario — are never retried).
-	CellRetries int
-	// RetryBackoff is the initial backoff between cell retries; it doubles
-	// per attempt.
-	RetryBackoff time.Duration
 	// DrainTimeout bounds graceful shutdown: how long in-flight requests
 	// and cells get to finish before the listener is torn down hard.
 	DrainTimeout time.Duration
@@ -83,8 +76,6 @@ func DefaultConfig() Config {
 		StoreDir:     "ccserved-store",
 		Jobs:         4,
 		QueueDepth:   64,
-		CellRetries:  2,
-		RetryBackoff: 50 * time.Millisecond,
 		DrainTimeout: 30 * time.Second,
 	}
 }
@@ -96,7 +87,6 @@ type Counters struct {
 	CellsHit      uint64 `json:"cellsHit"`
 	CellsComputed uint64 `json:"cellsComputed"`
 	CellsFailed   uint64 `json:"cellsFailed"`
-	CellRetries   uint64 `json:"cellRetries"`
 	Rejected      uint64 `json:"rejected"`
 	SweepsResumed uint64 `json:"sweepsResumed"`
 }
@@ -104,9 +94,8 @@ type Counters struct {
 // flight is one in-progress cell computation; duplicate submissions of
 // the same fingerprint join it instead of computing again (singleflight).
 type flight struct {
-	done    chan struct{}
-	fail    *obs.FailureDoc
-	retries int
+	done chan struct{}
+	fail *obs.FailureDoc
 }
 
 // Server is the experiment service. Create with New, start with Start or

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ccnuma/internal/obs"
 	"ccnuma/internal/scenario"
 	"ccnuma/internal/store"
 )
@@ -40,8 +41,6 @@ func testConfig(t *testing.T) Config {
 	cfg.ComputeLog = filepath.Join(dir, "compute.log")
 	cfg.Jobs = 2
 	cfg.QueueDepth = 16
-	cfg.CellRetries = 1
-	cfg.RetryBackoff = time.Millisecond
 	cfg.DrainTimeout = 5 * time.Second
 	cfg.Out = io.Discard
 	return cfg
@@ -209,17 +208,15 @@ func TestResumePendingSweepOnStartup(t *testing.T) {
 	}
 }
 
-func TestFailingCellClassifiedAndRetried(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.CellRetries = 2
-	s, err := New(cfg)
+func TestFailingCellClassified(t *testing.T) {
+	s, err := New(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Shutdown()
 	// Canonical() validates documents, so a runtime cell failure needs a
 	// cell built by hand: a size class the workload layer rejects. The cell
-	// must fail cleanly — classified, retried, never crashing the server.
+	// must fail cleanly — run once, classified, never crashing the server.
 	bad := &Cell{Cell: &scenario.Cell{
 		Spec: &scenario.Spec{
 			SchemaName: scenario.Schema,
@@ -233,17 +230,14 @@ func TestFailingCellClassifiedAndRetried(t *testing.T) {
 	if c.Status != StatusError || c.Failure == nil {
 		t.Fatalf("bad cell: %+v", c)
 	}
-	if c.Failure.Class == "" || c.Failure.Message == "" {
-		t.Fatalf("failure not machine-readable: %+v", c.Failure)
-	}
-	if c.Retries != 2 {
-		t.Fatalf("transient-class failure retried %d times, want CellRetries=2", c.Retries)
+	if c.Failure.Class != obs.FailureError || !strings.Contains(c.Failure.Message, "bogus") {
+		t.Fatalf("failure not classified: %+v", c.Failure)
 	}
 	s.mu.Lock()
-	failed, retries := s.counters.CellsFailed, s.counters.CellRetries
+	counters := s.counters
 	s.mu.Unlock()
-	if failed != 1 || retries != 2 {
-		t.Fatalf("counters: failed=%d retries=%d", failed, retries)
+	if counters.CellsFailed != 1 || counters.CellsComputed != 0 {
+		t.Fatalf("one attempt should count one failure: %+v", counters)
 	}
 }
 

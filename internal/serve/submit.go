@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"ccnuma/internal/obs"
 	"ccnuma/internal/runner"
@@ -35,10 +34,8 @@ type CellResult struct {
 	// ExecCycles is probed from the artifact for hit/computed cells so a
 	// sweep client gets its headline numbers without refetching every
 	// artifact.
-	ExecCycles int64 `json:"execCycles,omitempty"`
-	// Retries counts how many failed attempts preceded the outcome.
-	Retries int             `json:"retries,omitempty"`
-	Failure *obs.FailureDoc `json:"failure,omitempty"`
+	ExecCycles int64           `json:"execCycles,omitempty"`
+	Failure    *obs.FailureDoc `json:"failure,omitempty"`
 }
 
 // SubmitResponse is the ccnuma-serve/v1 document.
@@ -103,9 +100,9 @@ func (s *Server) Submit(spec *scenario.Spec) (*SubmitResponse, error) {
 				break
 			}
 		}
-		// A sweep with failed cells stays pending: failures may be
-		// transient across restarts (and pathological ones recompute
-		// cheaply enough to re-classify).
+		// A sweep with failed cells stays pending: a store write that
+		// failed may succeed after a restart (a failed simulation runs
+		// again and fails the same way).
 		if clean {
 			if err := s.store.EndSweep(fp); err != nil {
 				return nil, err
@@ -199,7 +196,7 @@ func (s *Server) runCells(submitFp string, cells []*Cell, resume bool) ([]CellRe
 }
 
 // runCell produces one cell's outcome: store hit, join of an identical
-// in-flight computation, or a fresh computation with bounded retries.
+// in-flight computation, or a fresh computation.
 func (s *Server) runCell(c *Cell) CellResult {
 	res := CellResult{Fp: c.Fp, Arch: c.Arch}
 	if c.HasValue {
@@ -232,7 +229,7 @@ func (s *Server) runCell(c *Cell) CellResult {
 			select {
 			case <-f.done:
 				if f.fail != nil {
-					res.Status, res.Failure, res.Retries = StatusError, f.fail, f.retries
+					res.Status, res.Failure = StatusError, f.fail
 					return res
 				}
 				continue // stored now; loop serves the hit
@@ -246,9 +243,14 @@ func (s *Server) runCell(c *Cell) CellResult {
 		s.flights[c.Fp] = f
 		s.mu.Unlock()
 
-		payload, fail, retries := s.computeWithRetries(c)
-		f.fail, f.retries = fail, retries
+		var sampler *obs.Sampler
+		if s.cfg.SampleEvery > 0 {
+			sampler = obs.NewSampler(sim.Time(s.cfg.SampleEvery))
+		}
+		payload, fail := computeCell(c, sampler)
+		f.fail = fail
 		if fail == nil {
+			s.keepSamples(sampler)
 			if err := s.store.Put(c.Fp, payload); err != nil {
 				f.fail = &obs.FailureDoc{Class: obs.FailureError, Message: err.Error()}
 			} else {
@@ -262,47 +264,16 @@ func (s *Server) runCell(c *Cell) CellResult {
 		} else {
 			s.counters.CellsFailed++
 		}
-		s.counters.CellRetries += uint64(retries)
 		s.mu.Unlock()
 		close(f.done)
 
 		if f.fail != nil {
-			res.Status, res.Failure, res.Retries = StatusError, f.fail, retries
+			res.Status, res.Failure = StatusError, f.fail
 			return res
 		}
-		res.Status, res.Retries = StatusComputed, retries
+		res.Status = StatusComputed
 		res.ExecCycles = probeExecCycles(payload)
 		return res
-	}
-}
-
-// computeWithRetries runs the simulation, retrying transient failures
-// with doubling backoff. Pathological failures (deterministic for the
-// scenario, e.g. retry-budget exhaustion) are returned immediately —
-// re-running an identical deterministic simulation cannot help.
-func (s *Server) computeWithRetries(c *Cell) (payload []byte, fail *obs.FailureDoc, retries int) {
-	backoff := s.cfg.RetryBackoff
-	for attempt := 0; ; attempt++ {
-		var sampler *obs.Sampler
-		if s.cfg.SampleEvery > 0 {
-			sampler = obs.NewSampler(sim.Time(s.cfg.SampleEvery))
-		}
-		payload, fail = computeCell(c, sampler)
-		if fail == nil {
-			s.keepSamples(sampler)
-			return payload, nil, attempt
-		}
-		if fail.Pathological() || attempt >= s.cfg.CellRetries {
-			return nil, fail, attempt
-		}
-		s.logf("cell %s attempt %d failed [%s]: %s — retrying in %v",
-			c.Fp, attempt+1, fail.Class, fail.Message, backoff)
-		select {
-		case <-time.After(backoff):
-		case <-s.baseCtx.Done():
-			return nil, fail, attempt
-		}
-		backoff *= 2
 	}
 }
 

@@ -52,7 +52,6 @@ func helperMain() {
 	cfg.ComputeLog = os.Getenv("CCSERVED_COMPUTELOG")
 	cfg.Jobs = 2
 	cfg.QueueDepth = 256
-	cfg.CellRetries = 0
 	cfg.Out = io.Discard
 	s, err := New(cfg)
 	if err != nil {
