@@ -66,7 +66,9 @@ race:
 # original (so "robust": true round-trips through -spec, the flag overlay,
 # the artifact and -replay). A ccchaos campaign must replay byte-identical
 # from its artifact too, and ccchaos's -seed must set the fault plan's base
-# seed, not the workload's.
+# seed, not the workload's. An output path in a missing directory must fail
+# before the run (ccchaos prints its campaign header once it starts):
+# non-zero exit, nothing on stdout, nothing created.
 scenario:
 	@tmp="$$(mktemp -d)"; \
 	$(GO) run ./cmd/ccsim -spec examples/scenarios/base.json -json "$$tmp/run.json" >/dev/null && \
@@ -82,7 +84,11 @@ scenario:
 	cmp "$$tmp/A/ccchaos-fft.json" "$$tmp/B/ccchaos-fft.json" && \
 	$(GO) run ./cmd/ccchaos -seed 9 -print-spec >"$$tmp/seed.json" && \
 	grep -q '"baseSeed": 9' "$$tmp/seed.json" && ! grep -q '"seed"' "$$tmp/seed.json" && \
-	echo "scenario: replay byte-identical: plain, robust and a chaos campaign"; \
+	! $(GO) run ./cmd/ccsim -app fft -nodes 2 -ppn 1 -size test -json "$$tmp/missing/run.json" >"$$tmp/missing.out" 2>/dev/null && \
+	[ ! -s "$$tmp/missing.out" ] && \
+	! $(GO) run ./cmd/ccchaos -app fft -schedules 3 -q -json "$$tmp/missing" >"$$tmp/missing.out" 2>/dev/null && \
+	[ ! -s "$$tmp/missing.out" ] && [ ! -e "$$tmp/missing" ] && \
+	echo "scenario: replay byte-identical: plain, robust and a chaos campaign; a missing output directory fails first"; \
 	status=$$?; rm -rf "$$tmp"; exit $$status
 
 # attribution smoke-tests the span-tracing layer: a small kernel with
@@ -144,9 +150,11 @@ torture-smoke:
 
 # microbench runs the go-test benchmark suites: each paper artifact once at
 # SizeTest, then the engine hot-loop benchmarks in internal/sim and the miss
-# path benchmarks in internal/machine at the default benchtime, so their
-# ns/op is the engine's per-event cost and the host cost of one local or
-# remote L2 miss, printed with allocs/op. No gate reads these timings.
+# path and construction benchmarks in internal/machine at the default
+# benchtime, so their ns/op is the engine's per-event cost, the host cost
+# of one local or remote L2 miss, and the cost of building the 16x4 HWC
+# machine and chaos-sweep's robust 4x2 one, printed with allocs/op and
+# B/op. No gate reads these timings.
 microbench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 	$(GO) test -bench . -run '^$$' ./internal/sim ./internal/machine

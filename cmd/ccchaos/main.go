@@ -77,6 +77,9 @@ func main() {
 
 	cfg := spec.Machine
 	size, err := spec.Size()
+	if err == nil {
+		err = scenario.CheckOutputDir(*jsonDir)
+	}
 	if err != nil {
 		fatal(err)
 	}

@@ -59,6 +59,13 @@ func main() {
 		os.Stdout.Write(canon)
 		return
 	}
+	sampleFile := ""
+	if *sampleEvery > 0 {
+		sampleFile = *sampleOut
+	}
+	if err := scenario.CheckOutputFiles(*tracePath, sampleFile, *jsonPath); err != nil {
+		fatal(err)
+	}
 	// ccsim runs its spec's machine and workload as one cell.
 	cell, err := scenario.NewCell(spec.Machine, spec.Workload)
 	if err != nil {

@@ -52,6 +52,9 @@ func main() {
 		return
 	}
 	cells, err := spec.Cells()
+	if err == nil {
+		err = scenario.CheckOutputFiles(*jsonPath)
+	}
 	if err != nil {
 		fatal(err)
 	}

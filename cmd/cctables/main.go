@@ -34,6 +34,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cctables: -size:", err)
 		os.Exit(2)
 	}
+	if err := scenario.CheckOutputFiles(*jsonPath); err != nil {
+		fmt.Fprintln(os.Stderr, "cctables:", err)
+		os.Exit(1)
+	}
 	s := exp.NewSuite(sc)
 	s.Jobs = *jobs
 	if *verbose {

@@ -35,7 +35,7 @@ func TestLRUEviction(t *testing.T) {
 	c.Insert(0x0000, Shared)
 	c.Insert(0x0200, Shared)
 	c.Touch(0x0000) // make 0x0000 MRU; 0x0200 becomes LRU
-	victim, st := c.Insert(0x0400, Modified)
+	victim, st, _ := c.Insert(0x0400, Modified)
 	if victim != 0x0200 || st != Shared {
 		t.Fatalf("evicted %#x/%v, want 0x200/S", victim, st)
 	}
@@ -47,7 +47,7 @@ func TestLRUEviction(t *testing.T) {
 func TestInsertExistingUpdates(t *testing.T) {
 	c := New(512, 2, 128)
 	c.Insert(0x0000, Shared)
-	victim, st := c.Insert(0x0000, Modified)
+	victim, st, _ := c.Insert(0x0000, Modified)
 	if victim != 0 || st != Invalid {
 		t.Fatalf("re-insert evicted %#x/%v", victim, st)
 	}
@@ -65,7 +65,7 @@ func TestSnoopLookupDoesNotTouchLRU(t *testing.T) {
 	c.Insert(0x0200, Shared)
 	// Lookup (snoop) 0x0000 must NOT make it MRU.
 	c.Lookup(0x0000)
-	victim, _ := c.Insert(0x0400, Shared)
+	victim, _, _ := c.Insert(0x0400, Shared)
 	if victim != 0x0000 {
 		t.Fatalf("evicted %#x, want 0x0000 (Lookup must not update LRU)", victim)
 	}
@@ -146,7 +146,7 @@ func TestVictimSameSetProperty(t *testing.T) {
 		setOf := func(line uint64) uint64 { return (line / 128) % 4 }
 		for _, l := range lines {
 			line := uint64(l) * 128
-			victim, st := c.Insert(line, Modified)
+			victim, st, _ := c.Insert(line, Modified)
 			if st != Invalid {
 				if setOf(victim) != setOf(line) {
 					return false
@@ -167,6 +167,53 @@ func TestStateString(t *testing.T) {
 	for st, want := range map[State]string{Invalid: "I", Shared: "S", Exclusive: "E", Modified: "M"} {
 		if st.String() != want {
 			t.Errorf("%d.String() = %q, want %q", st, st.String(), want)
+		}
+	}
+}
+
+// TestUnfilledSetsAllocateNothing checks lazily allocated sets: Lookup,
+// Peek, Touch and Invalidate on a set that was never filled see an absent
+// line and allocate nothing, only Insert gives a set its ways, and Lines
+// visits sets in index order whatever order they were filled in.
+func TestUnfilledSetsAllocateNothing(t *testing.T) {
+	c := New(8*2*128, 2, 128) // 8 sets, 2 ways; set s holds lines s*128 + k*1024
+	c.Insert(1*128, Shared)
+	probe := func() {
+		for s := uint64(2); s < 8; s++ {
+			line := s * 128
+			if c.Lookup(line) != Invalid || c.Touch(line) != Invalid || c.Invalidate(line) != Invalid {
+				t.Fatalf("never-filled set %d reports line %#x present", s, line)
+			}
+			if st, v := c.Peek(line); st != Invalid || v != 0 {
+				t.Fatalf("never-filled set %d reports a value for line %#x", s, line)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, probe); n != 0 {
+		t.Fatalf("probing never-filled sets allocated %v times per run, want 0", n)
+	}
+	if len(c.ways) != c.Assoc() {
+		t.Fatalf("probes gave sets ways: pool holds %d ways, want the %d of the one filled set", len(c.ways), c.Assoc())
+	}
+
+	c = New(8*2*128, 2, 128)
+	var want []uint64
+	for _, s := range []uint64{5, 0, 7, 2} {
+		for k := uint64(0); k < 2; k++ {
+			c.Insert(s*128+k*1024, Exclusive)
+		}
+	}
+	for _, s := range []uint64{0, 2, 5, 7} {
+		want = append(want, s*128, s*128+1024)
+	}
+	var got []uint64
+	c.Lines(func(line uint64, _ State) bool { got = append(got, line); return true })
+	if len(got) != len(want) {
+		t.Fatalf("Lines visited %#x, want %#x", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Lines visited %#x, want %#x (set index order)", got, want)
 		}
 	}
 }

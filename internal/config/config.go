@@ -713,9 +713,11 @@ const MaxNodes = 64
 // what the experiments, examples and tests build (8 processors per node,
 // 4 engines, 4 banks, 8K directory-cache entries, 1 MB L2s at 64 nodes).
 // MaxEngines bounds NumEngines and every NodeArchs count. MaxCacheLines
-// bounds TotalProcs × (L1Size+L2Size)/LineSize, because cache.New
-// allocates every way up front. The largest machine they admit builds in
-// about 330 MB.
+// bounds TotalProcs × (L1Size+L2Size)/LineSize, the ways a run's
+// processor caches can fill: cache.New allocates one 4-byte index entry
+// per set, and a set's 24-byte ways when a run first fills it, so at the
+// bound a build holds at most 64 MB of cache index and a run can grow its
+// processor caches to 400 MB.
 const (
 	MaxProcsPerNode    = 64
 	MaxEngines         = 16

@@ -60,15 +60,18 @@ type Proc struct {
 	sync  SyncHandler
 	tr    *obs.Tracer // nil when tracing and attribution are off
 
+	// l1 tracks presence only. l2 holds each line's state and shadow
+	// value; inclusion keeps every L1 line in L2, so L2 has the value of
+	// every line the processor holds.
 	l1 *cache.Cache
 	l2 *cache.Cache
 
-	// vals shadows the value of every line this processor has ever held or
-	// written (one uint64 per line). Entries are deliberately kept after
-	// invalidation: the bus reads a supplier's value at snoop time, after
-	// the snoop itself may have invalidated the copy.
-	vals   map[uint64]uint64
-	valSeq uint64
+	// valSeq numbers this processor's stores (see writeValue). snoopVal is
+	// the value of the line the most recent Snoop found present, read
+	// before that snoop downgraded or invalidated the copy; the bus reads
+	// it through SnoopData when this processor supplies the line.
+	valSeq   uint64
+	snoopVal uint64
 	// lastRead and lastWrite record the shadow value observed by the most
 	// recent completed load and produced by the most recent completed
 	// store (read by the protocol checker's replays between operations).
@@ -140,7 +143,6 @@ func New(eng *sim.Engine, cfg *config.Config, id, node int, bus *smpbus.Bus,
 		tr:    tr,
 		l1:    cache.New(cfg.L1Size, cfg.L1Assoc, cfg.LineSize),
 		l2:    cache.New(cfg.L2Size, cfg.L2Assoc, cfg.LineSize),
-		vals:  make(map[uint64]uint64),
 	}
 	p.resumeFn = p.resumeProgram
 	p.execFn = func() { p.execOp(p.curOp) }
@@ -188,9 +190,13 @@ func (p *Proc) ForEachL1Line(fn func(line uint64, st cache.State)) {
 // L2State returns the L2 state of a line without touching LRU.
 func (p *Proc) L2State(line uint64) cache.State { return p.l2.Lookup(line) }
 
-// LineValue returns the processor's shadow value for a line (zero if the
-// processor never held it).
-func (p *Proc) LineValue(line uint64) uint64 { return p.vals[line] }
+// LineValue returns the shadow value of a line the processor holds in its
+// L2, or zero if it does not hold the line: a copy's value leaves with the
+// copy. Callers check L2State first.
+func (p *Proc) LineValue(line uint64) uint64 {
+	_, v := p.l2.Peek(line)
+	return v
+}
 
 // LastReadValue returns the shadow value observed by the most recently
 // completed load.
@@ -201,17 +207,18 @@ func (p *Proc) LastReadValue() uint64 { return p.lastRead }
 func (p *Proc) LastWriteValue() uint64 { return p.lastWrite }
 
 // writeValue mints a globally unique shadow value for a completed store to
-// line: the processor index in the high word and a per-processor sequence
-// number in the low word (no shared counter, so replays stay deterministic).
+// line, which L2 holds: the processor index in the high word and a
+// per-processor sequence number in the low word (no shared counter, so
+// replays stay deterministic).
 func (p *Proc) writeValue(line uint64) {
 	p.valSeq++
 	v := uint64(p.id+1)<<32 | p.valSeq
-	p.vals[line] = v
+	p.l2.SetValue(line, v)
 	p.lastWrite = v
 }
 
-// readValue records the value a completed load observed from the local copy.
-func (p *Proc) readValue(line uint64) { p.lastRead = p.vals[line] }
+// readValue records the value a completed load observed from the L2 copy.
+func (p *Proc) readValue(line uint64) { _, p.lastRead = p.l2.Peek(line) }
 
 // MissLatencies returns the processor's miss service-time distribution.
 func (p *Proc) MissLatencies() *stats.Histogram { return &p.missLat }
@@ -445,20 +452,17 @@ func (p *Proc) missDone(line uint64, kind smpbus.Kind, owned bool, o smpbus.Outc
 		if o.Shared {
 			st = cache.Shared
 		}
-		p.installL2(line, st)
-		p.vals[line] = o.Data
-		p.readValue(line)
+		p.installL2(line, st, o.Data)
+		p.lastRead = o.Data
 	case smpbus.ReadEx:
-		p.installL2(line, cache.Modified)
-		p.vals[line] = o.Data
+		p.installL2(line, cache.Modified, o.Data)
 		p.writeValue(line)
 	case smpbus.Upgrade:
 		if o.WithData {
 			// The reply carried the full line (deferred upgrades convert
 			// to read-exclusive at the home, and in-node ownership
 			// transfers move the line cache-to-cache).
-			p.installL2(line, cache.Modified)
-			p.vals[line] = o.Data
+			p.installL2(line, cache.Modified, o.Data)
 			p.writeValue(line)
 			break
 		}
@@ -527,16 +531,17 @@ func (p *Proc) retryAccess(line uint64, kind smpbus.Kind) {
 	p.issueMiss(line, kind)
 }
 
-// installL2 inserts a filled line, writing back a dirty victim and keeping
-// L1 inclusive.
-func (p *Proc) installL2(line uint64, st cache.State) {
-	victim, vstate := p.l2.Insert(line, st)
+// installL2 inserts a line filled with value v, writing back a dirty
+// victim with the victim's value and keeping L1 inclusive.
+func (p *Proc) installL2(line uint64, st cache.State, v uint64) {
+	victim, vstate, vval := p.l2.Insert(line, st)
+	p.l2.SetValue(line, v)
 	p.tr.Cache(p.eng.Now(), p.node, p.src, line, "install", st.String())
 	if vstate != cache.Invalid {
 		p.tr.Cache(p.eng.Now(), p.node, p.src, victim, "evict", vstate.String())
 		p.l1.Invalidate(victim)
 		if vstate.Dirty() {
-			p.writeBack(victim)
+			p.writeBack(victim, vval)
 		}
 	}
 	p.installL1(line)
@@ -546,19 +551,21 @@ func (p *Proc) installL1(line uint64) {
 	p.l1.Insert(line, cache.Shared) // L1 tracks presence only
 }
 
-// writeBack issues an eviction write-back (fire and forget; the write-back
-// buffer is not a modelled resource beyond the bus itself).
-func (p *Proc) writeBack(line uint64) {
+// writeBack issues an eviction write-back of line carrying its value v
+// (fire and forget; the write-back buffer is not a modelled resource
+// beyond the bus itself). A bounced write-back is issued again with the
+// same value: the evicted copy is gone, so v is the only record of it.
+func (p *Proc) writeBack(line, v uint64) {
 	p.tr.Cache(p.eng.Now(), p.node, p.src, line, "writeback", "")
 	txn := &smpbus.Txn{
 		Kind:      smpbus.WriteBack,
 		Line:      line,
 		Src:       p.src,
 		HomeLocal: p.space.Home(line) == p.node,
-		Data:      p.vals[line],
+		Data:      v,
 		Done: func(o smpbus.Outcome) {
 			if o.Status == smpbus.RetryNeeded {
-				p.eng.After(p.cfg.BusRetry, func() { p.writeBack(line) })
+				p.eng.After(p.cfg.BusRetry, func() { p.writeBack(line, v) })
 			}
 		},
 	}
@@ -585,13 +592,16 @@ func (p *Proc) finishAccess(extra sim.Time) {
 	p.eng.After(extra, p.resumeFn)
 }
 
-// Snoop implements the bus snooping agent for this processor's caches.
+// Snoop implements the bus snooping agent for this processor's caches. It
+// reads the line's state and value in one lookup, before any downgrade or
+// invalidation, and keeps the value for SnoopData.
 func (p *Proc) Snoop(txn *smpbus.Txn) smpbus.SnoopResult {
 	line := txn.Line
-	st := p.l2.Lookup(line)
+	st, v := p.l2.Peek(line)
 	if st == cache.Invalid {
 		return smpbus.SnoopNone
 	}
+	p.snoopVal = v
 	p.tr.Cache(p.eng.Now(), p.node, p.src, line, "snoop", st.String())
 	switch txn.Kind {
 	case smpbus.Read:
@@ -634,9 +644,10 @@ func (p *Proc) Snoop(txn *smpbus.Txn) smpbus.SnoopResult {
 	}
 }
 
-// LineData implements smpbus.DataSupplier: the shadow value this processor
-// would put on the bus when supplying the line cache-to-cache.
-func (p *Proc) LineData(line uint64) uint64 { return p.vals[line] }
+// SnoopData implements smpbus.DataSupplier: the shadow value this
+// processor puts on the bus when it supplies the line of its most recent
+// snoop cache-to-cache.
+func (p *Proc) SnoopData() uint64 { return p.snoopVal }
 
 // ---- program-facing API -----------------------------------------------------
 

@@ -352,3 +352,87 @@ func TestMissDoneWrapperLastsOneIssue(t *testing.T) {
 		t.Fatalf("the first miss's Done wrapper ran %d times over three misses, want 1", cc.wrapped)
 	}
 }
+
+// recordingCC claims nothing on the bus and records the dirty-remote
+// write-backs the direct data path hands it.
+type recordingCC struct {
+	captured []uint64
+}
+
+func (c *recordingCC) Snoop(*smpbus.Txn) smpbus.SnoopResult { return smpbus.SnoopNone }
+
+func (c *recordingCC) AcceptDeferred(txn *smpbus.Txn) {
+	panic("recordingCC defers nothing")
+}
+
+func (c *recordingCC) CaptureWriteBack(_ uint64, _ bool, data uint64) {
+	c.captured = append(c.captured, data)
+}
+
+// TestWriteBackCarriesVictimValue checks that evicting a dirty line writes
+// back the value the evicted copy held, for a line homed locally (the
+// memory image) and remotely (the direct data path), and that a
+// write-back the bus bounces is issued again with that same value: the
+// copy has left L2, so the write-back is the only record of it.
+func TestWriteBackCarriesVictimValue(t *testing.T) {
+	for _, home := range []int{0, 1} {
+		cfg := config.Base()
+		cfg.Nodes = 2
+		cfg.ProcsPerNode = 2
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		eng := sim.NewEngine()
+		eng.Limit = 10_000_000
+		space := memaddr.NewSpace(&cfg)
+		bus := smpbus.New(eng, &cfg, 0, nil)
+		cc := &recordingCC{}
+		bus.AttachController(cc)
+		p := New(eng, &cfg, 0, 0, bus, space, noSync{}, nil)
+		other := New(eng, &cfg, 1, 0, bus, space, noSync{}, nil)
+
+		// Fill one L2 set: the dirty victim first (so it is LRU), then
+		// clean lines. Same-set lines are L2Size/L2Assoc apart.
+		stride := uint64(cfg.L2Size / cfg.L2Assoc)
+		victim := space.AllocOnNode(int(stride)*(cfg.L2Assoc+1), home)
+		const want = 0xfeed
+		p.l2.Insert(victim, cache.Modified)
+		p.l2.SetValue(victim, want)
+		for i := 1; i < cfg.L2Assoc; i++ {
+			p.l2.Insert(victim+uint64(i)*stride, cache.Shared)
+		}
+
+		// Another processor's read of the victim line is on the bus when
+		// the write-back strobes, so the write-back bounces until the read
+		// completes. The read claims a local memory response, which keeps
+		// it live (not parked with the controller) throughout.
+		blocker := &smpbus.Txn{Kind: smpbus.Read, Line: victim, Src: other.src, HomeLocal: true,
+			Done: func(smpbus.Outcome) {}}
+		eng.At(0, func() {
+			bus.Issue(blocker)
+			p.installL2(victim+uint64(cfg.L2Assoc)*stride, cache.Exclusive, 0)
+		})
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if st := p.L2State(victim); st != cache.Invalid {
+			t.Fatalf("home %d: victim still in L2 as %v", home, st)
+		}
+		if bus.Retries() == 0 {
+			t.Fatalf("home %d: the write-back never bounced", home)
+		}
+		if bus.Count(smpbus.WriteBack) != bus.Retries()+1 {
+			t.Fatalf("home %d: %d write-back strobes for %d bounces, want one more strobe than bounces",
+				home, bus.Count(smpbus.WriteBack), bus.Retries())
+		}
+		if home == 0 {
+			if got := bus.MemValue(victim); got != want {
+				t.Fatalf("local home: memory holds %#x after the write-back, want %#x", got, want)
+			}
+			continue
+		}
+		if len(cc.captured) != 1 || cc.captured[0] != want {
+			t.Fatalf("remote home: controller captured %#x, want one write-back of %#x", cc.captured, want)
+		}
+	}
+}

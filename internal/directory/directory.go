@@ -12,11 +12,11 @@ package directory
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 
 	"ccnuma/internal/cache"
 	"ccnuma/internal/config"
+	"ccnuma/internal/memaddr"
 	"ccnuma/internal/obs"
 	"ccnuma/internal/sim"
 )
@@ -85,7 +85,10 @@ type Directory struct {
 	node int
 	tr   *obs.Tracer // nil when tracing and attribution are off
 
-	entries map[uint64]Entry
+	// entries holds one entry per line of this home's memory, as the
+	// paper's DRAM directory does; NoRemote is the zero Entry, so an
+	// unwritten line reads NoRemote.
+	entries memaddr.LineTable[Entry]
 	// dirCache models the 8K-entry write-through directory cache. Only
 	// presence/LRU matter; entry contents always come from entries.
 	dirCache *cache.Cache
@@ -101,7 +104,7 @@ func New(eng *sim.Engine, cfg *config.Config, node int, tr *obs.Tracer) *Directo
 		cfg:     cfg,
 		node:    node,
 		tr:      tr,
-		entries: make(map[uint64]Entry),
+		entries: memaddr.NewLineTable[Entry](cfg),
 		dram:    sim.NewResource(eng),
 	}
 	if cfg.DirCacheEntries > 0 {
@@ -114,7 +117,7 @@ func New(eng *sim.Engine, cfg *config.Config, node int, tr *obs.Tracer) *Directo
 // is the bus-side abbreviated copy: the directory access controller keeps
 // it consistent, so the bus snoop reads it for free.
 func (d *Directory) Lookup(line uint64) Entry {
-	return d.entries[line] // zero value = NoRemote
+	return d.entries.Get(line)
 }
 
 // Read returns the entry and the extra latency beyond a directory-cache
@@ -122,7 +125,7 @@ func (d *Directory) Lookup(line uint64) Entry {
 // The protocol engine stalls for the extra time; the sub-operation cost of
 // the cache access itself is charged separately by the handler.
 func (d *Directory) Read(now sim.Time, line uint64) (Entry, sim.Time) {
-	e := d.entries[line]
+	e := d.entries.Get(line)
 	if d.dirCache == nil {
 		d.tr.DirAccess(now, d.node, line, false, false, e.State.String())
 		start := d.dram.AcquireAt(now, d.cfg.DirDRAMRead, nil)
@@ -147,27 +150,18 @@ func (d *Directory) Read(now sim.Time, line uint64) (Entry, sim.Time) {
 func (d *Directory) Write(now sim.Time, line uint64, e Entry) {
 	d.tr.DirAccess(now, d.node, line, true, false, e.State.String())
 	if e.State == NoRemote {
-		delete(d.entries, line)
-	} else {
-		d.entries[line] = e
+		e = Entry{}
 	}
+	d.entries.Set(line, e)
 	if d.dirCache != nil {
 		d.dirCache.Insert(line, cache.Shared)
 	}
 	d.dram.AcquireAt(now, d.cfg.DirDRAMWrite, nil)
 }
 
-// ForEachEntry visits every non-NoRemote entry in ascending line order
-// (deterministic regardless of map iteration order).
+// ForEachEntry visits every non-NoRemote entry in ascending line order.
 func (d *Directory) ForEachEntry(fn func(line uint64, e Entry)) {
-	lines := make([]uint64, 0, len(d.entries))
-	for line := range d.entries {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, line := range lines {
-		fn(line, d.entries[line])
-	}
+	d.entries.ForEach(fn)
 }
 
 // StateSnapshot renders the directory's stable state as a deterministic

@@ -14,7 +14,7 @@ import (
 // scenario deterministically cannot complete — the protocol's fail-stop
 // fired) versus unclassified, shared by every harness that survives a
 // failing run: the chaos campaign records the document in its artifact,
-// and ccserved consults Pathological() before spending cell retries.
+// and ccserved serves it as the failed cell's result (a cell runs once).
 func ClassifyFailure(p interface{}) *obs.FailureDoc {
 	if p == nil {
 		return nil

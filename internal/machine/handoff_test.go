@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ccnuma/internal/config"
 	"ccnuma/internal/prog"
 	"ccnuma/internal/sim"
 )
@@ -237,6 +238,58 @@ func BenchmarkMissPath(b *testing.B) {
 			b.ResetTimer()
 			if _, err := m.Run(program); err != nil {
 				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// newMachineBytes returns the fewest bytes any of three builds of cfg
+// allocated (the minimum discounts allocation by the runtime itself).
+func newMachineBytes(t *testing.T, cfg config.Config) uint64 {
+	t.Helper()
+	least := uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := New(cfg, "build")
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(m)
+		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < least {
+			least = n
+		}
+	}
+	return least
+}
+
+// TestNewMachineAllocCeiling pins what building the paper's 16x4 HWC
+// machine allocates: about 0.77 MB, mostly one 4-byte index entry per
+// cache set, because caches allocate a set's ways on its first fill. With
+// every way allocated up front a build took 10.7 MB, so the ceiling, 25%
+// above today's figure, fails if eager cache arrays come back.
+func TestNewMachineAllocCeiling(t *testing.T) {
+	const ceiling = 965_000
+	if n := newMachineBytes(t, testCfg(16, 4)); n > ceiling {
+		t.Fatalf("building 16x4 HWC allocated %d bytes, want at most %d", n, ceiling)
+	}
+}
+
+// BenchmarkNewMachine reports the host time and allocations of building
+// the paper's 16x4 HWC machine and the robust 4x2 machine that every
+// chaos schedule builds.
+func BenchmarkNewMachine(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cfg  config.Config
+	}{{"16x4-HWC", testCfg(16, 4)}, {"4x2-robust", testCfg(4, 2).WithRobustness()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(bc.cfg, "build"); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -87,3 +87,63 @@ func FuzzHomePlacementRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLineTable checks the page-indexed line table against a map model
+// under random Set and Get: lines on pages never written and past the last
+// written page read zero, setting a line to zero makes it read like one
+// never set, and ForEach visits exactly the non-zero lines in ascending
+// order. Each op is three bytes: a selector and a 16-bit line number.
+func FuzzLineTable(f *testing.F) {
+	f.Add(uint8(3), uint8(2), []byte{2, 1, 0, 0, 1, 0, 2, 9, 0, 1, 9, 0, 3, 0, 1, 0, 9, 0})
+	f.Add(uint8(0), uint8(0), []byte{3, 0xff, 0xff, 2, 0, 0, 0, 0xfe, 0xff, 1, 0xff, 0xff, 0, 0xff, 0xff})
+	f.Add(uint8(5), uint8(4), []byte{2, 40, 0, 2, 8, 0, 2, 41, 0, 1, 8, 0, 2, 7, 1, 0, 41, 0})
+	f.Fuzz(func(t *testing.T, lineExp, pageExp uint8, ops []byte) {
+		c := fuzzConfig(t, lineExp, pageExp, 0, 0)
+		tab := NewLineTable[uint64](c)
+		model := map[Addr]uint64{}
+		if len(ops) > 3*512 {
+			ops = ops[:3*512]
+		}
+		var maxLine Addr
+		for i := 0; i+2 < len(ops); i += 3 {
+			line := (Addr(ops[i+1]) | Addr(ops[i+2])<<8) * Addr(c.LineSize)
+			if line > maxLine {
+				maxLine = line
+			}
+			switch ops[i] % 4 {
+			case 0: // Get, through any address within the line
+				addr := line + Addr(i)%Addr(c.LineSize)
+				if got := tab.Get(addr); got != model[line] {
+					t.Fatalf("Get(%#x) = %#x, model has %#x", addr, got, model[line])
+				}
+			case 1: // Set to zero
+				tab.Set(line, 0)
+				delete(model, line)
+			default: // Set to a non-zero value
+				v := uint64(i)<<8 | uint64(ops[i]) | 1
+				tab.Set(line, v)
+				model[line] = v
+			}
+		}
+		for _, past := range []Addr{maxLine + Addr(c.PageSize), maxLine + 1<<40} {
+			if got := tab.Get(past); got != 0 {
+				t.Fatalf("Get(%#x) past the last written page = %#x, want 0", past, got)
+			}
+		}
+		n := 0
+		prev, first := Addr(0), true
+		tab.ForEach(func(line Addr, v uint64) {
+			n++
+			if !first && line <= prev {
+				t.Fatalf("ForEach visited %#x after %#x", line, prev)
+			}
+			prev, first = line, false
+			if v == 0 || model[line] != v {
+				t.Fatalf("ForEach visited %#x = %#x, model has %#x", line, v, model[line])
+			}
+		})
+		if n != len(model) {
+			t.Fatalf("ForEach visited %d lines, model holds %d", n, len(model))
+		}
+	})
+}

@@ -6,6 +6,7 @@ package memaddr
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ccnuma/internal/config"
 )
@@ -16,23 +17,44 @@ type Addr = uint64
 // Space is the machine's physical address space. It is not safe for
 // concurrent use; in the simulator only one goroutine runs at a time.
 type Space struct {
-	cfg   *config.Config
-	next  Addr         // next unallocated address (starts above the null page)
-	homes map[Addr]int // page number -> home node (missing = unassigned)
-	rr    int          // next node for round-robin placement
+	cfg  *config.Config
+	next Addr // next unallocated address (starts above the null page)
+	// homes is the home node of each page, indexed by page number: -1 for
+	// an unassigned page. Allocation is one bump upward from page 1, so the
+	// slice is dense; allocPages grows it, and a page past its end is
+	// unassigned.
+	homes     []int
+	pageShift uint
+	rr        int // next node for round-robin placement
 }
 
-// NewSpace creates an empty address space for the given configuration.
+// NewSpace creates an empty address space for the given configuration,
+// whose PageSize must be a power of two (Config.Validate checks it).
 func NewSpace(cfg *config.Config) *Space {
 	return &Space{
-		cfg:   cfg,
-		next:  Addr(cfg.PageSize), // keep page 0 unmapped to catch null addresses
-		homes: make(map[Addr]int),
+		cfg:       cfg,
+		next:      Addr(cfg.PageSize), // keep page 0 unmapped to catch null addresses
+		pageShift: log2(cfg.PageSize, "page size"),
 	}
 }
 
+// log2 returns the exponent of a power of two, panicking on anything else.
+func log2(n int, what string) uint {
+	if n <= 0 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("memaddr: %s %d not a power of two", what, n))
+	}
+	return uint(bits.TrailingZeros(uint(n)))
+}
+
 // pageOf returns the page number containing addr.
-func (s *Space) pageOf(addr Addr) Addr { return addr / Addr(s.cfg.PageSize) }
+func (s *Space) pageOf(addr Addr) Addr { return addr >> s.pageShift }
+
+// grow extends homes to cover pages below n, leaving new pages unassigned.
+func (s *Space) grow(n Addr) {
+	for Addr(len(s.homes)) < n {
+		s.homes = append(s.homes, -1)
+	}
+}
 
 // Line returns the line-aligned base address of addr.
 func (s *Space) Line(addr Addr) Addr { return addr &^ Addr(s.cfg.LineSize-1) }
@@ -85,6 +107,7 @@ func (s *Space) allocPages(n int, home func(page int) int) Addr {
 	ps := Addr(s.cfg.PageSize)
 	base := (s.next + ps - 1) &^ (ps - 1)
 	pages := (Addr(n) + ps - 1) / ps
+	s.grow(base/ps + pages)
 	for i := Addr(0); i < pages; i++ {
 		h := home(int(i))
 		if h >= 0 {
@@ -101,8 +124,8 @@ func (s *Space) allocPages(n int, home func(page int) int) Addr {
 // Home returns the home node of addr, or -1 if the page is still unassigned
 // (first-touch placement before any access).
 func (s *Space) Home(addr Addr) int {
-	if h, ok := s.homes[s.pageOf(addr)]; ok {
-		return h
+	if page := s.pageOf(addr); page < Addr(len(s.homes)) {
+		return s.homes[page]
 	}
 	return -1
 }
@@ -110,13 +133,14 @@ func (s *Space) Home(addr Addr) int {
 // HomeOrAssign returns the home node of addr, assigning the page to toucher
 // if it has none yet (first-touch placement).
 func (s *Space) HomeOrAssign(addr Addr, toucher int) int {
-	page := s.pageOf(addr)
-	if h, ok := s.homes[page]; ok {
+	if h := s.Home(addr); h >= 0 {
 		return h
 	}
 	if toucher < 0 || toucher >= s.cfg.Nodes {
 		panic(fmt.Sprintf("memaddr: toucher %d out of range", toucher))
 	}
+	page := s.pageOf(addr)
+	s.grow(page + 1)
 	s.homes[page] = toucher
 	return toucher
 }

@@ -156,3 +156,32 @@ func TestAllocPanicsOnBadInput(t *testing.T) {
 		s.AllocPlaced(4096, func(int) int { return 1000 })
 	})
 }
+
+// TestHomePastLastAllocation checks the page-indexed home table at its
+// edges: a page past the last allocation reads unassigned, HomeOrAssign
+// still assigns it, and a later allocation covering that page keeps the
+// assignment, as it keeps every first-touch assignment.
+func TestHomePastLastAllocation(t *testing.T) {
+	s := space(t, func(c *config.Config) { c.Placement = config.PlaceFirstTouch })
+	base := s.Alloc(4096)
+	past := base + 8*4096
+	if got := s.Home(past); got != -1 {
+		t.Fatalf("page past the last allocation has home %d, want -1", got)
+	}
+	if got := s.HomeOrAssign(past, 5); got != 5 {
+		t.Fatalf("HomeOrAssign past the last allocation = %d, want 5", got)
+	}
+	if got := s.Home(past); got != 5 {
+		t.Fatalf("assigned page reads home %d, want 5", got)
+	}
+	if got := s.Home(past - 4096); got != -1 {
+		t.Fatalf("page between the allocation and the assigned page has home %d, want -1", got)
+	}
+	next := s.Alloc(16 * 4096)
+	if next > past || past >= next+16*4096 {
+		t.Fatalf("allocation [%#x,+16 pages) does not cover %#x", next, past)
+	}
+	if got := s.Home(past); got != 5 {
+		t.Fatalf("allocation over an assigned page reset its home to %d, want 5", got)
+	}
+}

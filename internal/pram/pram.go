@@ -380,7 +380,7 @@ func (s *Sim) invalidateAll(p *proc, line uint64) {
 // install fills a line, charging an estimated write-back for dirty
 // victims homed remotely.
 func (s *Sim) install(p *proc, line uint64, st cache.State, e *lineState) {
-	victim, vstate := p.l2.Insert(line, st)
+	victim, vstate, _ := p.l2.Insert(line, st)
 	if vstate.Dirty() {
 		if s.space.Home(victim) != p.node {
 			s.ccRequests++ // write-back dispatch at the home

@@ -11,6 +11,8 @@ import (
 	"encoding"
 	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -164,6 +166,45 @@ func FromFlags(fs *flag.FlagSet, def *Spec, specPath, replayPath string) (*Spec,
 		return nil, err
 	}
 	return s, nil
+}
+
+// CheckOutputFiles returns an error naming the first of paths whose
+// directory does not exist; empty paths (outputs not asked for) pass.
+// Commands call it before their first simulation, so a mistyped output
+// path fails at once instead of after the run it was meant to record.
+func CheckOutputFiles(paths ...string) error {
+	for _, p := range paths {
+		if p == "" {
+			continue
+		}
+		if err := checkDir(filepath.Dir(p)); err != nil {
+			return fmt.Errorf("output %s: %w", p, err)
+		}
+	}
+	return nil
+}
+
+// CheckOutputDir is CheckOutputFiles for an output directory: dir, unless
+// empty, must be an existing directory.
+func CheckOutputDir(dir string) error {
+	if dir == "" {
+		return nil
+	}
+	if err := checkDir(dir); err != nil {
+		return fmt.Errorf("output directory %s: %w", dir, err)
+	}
+	return nil
+}
+
+func checkDir(dir string) error {
+	fi, err := os.Stat(dir)
+	if err != nil {
+		return err
+	}
+	if !fi.IsDir() {
+		return fmt.Errorf("%s is not a directory", dir)
+	}
+	return nil
 }
 
 // parse writes a flag value into the field p points at: config enums

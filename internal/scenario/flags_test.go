@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -155,5 +157,42 @@ func TestArchBeforeEngines(t *testing.T) {
 		if got := s.Machine.ArchName(); got != tc.want {
 			t.Errorf("%v: architecture %s, want %s", tc.args, got, tc.want)
 		}
+	}
+}
+
+// TestCheckOutputs checks the output-path checks commands make before
+// simulating: a file in an existing directory (or no path at all) passes,
+// a file in a missing directory or an output directory that is missing or
+// a file fails with an error naming the path, and nothing is created.
+func TestCheckOutputs(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "run.json")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(dir, "missing")
+	if err := CheckOutputFiles("", file, filepath.Join(dir, "new.json")); err != nil {
+		t.Fatalf("files in an existing directory: %v", err)
+	}
+	if err := CheckOutputDir(""); err != nil {
+		t.Fatalf("no output directory: %v", err)
+	}
+	if err := CheckOutputDir(dir); err != nil {
+		t.Fatalf("existing directory: %v", err)
+	}
+	for _, c := range []struct {
+		path string
+		err  error
+	}{
+		{filepath.Join(missing, "run.json"), CheckOutputFiles(file, filepath.Join(missing, "run.json"))},
+		{missing, CheckOutputDir(missing)},
+		{file, CheckOutputDir(file)},
+	} {
+		if c.err == nil || !strings.Contains(c.err.Error(), c.path) {
+			t.Errorf("check of %s: error %v, want one naming the path", c.path, c.err)
+		}
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Fatalf("a check created %s", missing)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"ccnuma/internal/config"
+	"ccnuma/internal/memaddr"
 	"ccnuma/internal/obs"
 	"ccnuma/internal/sim"
 )
@@ -215,10 +216,11 @@ type Snooper interface {
 // DataSupplier is optionally implemented by snoopers that track shadow
 // line values. When a snooper answers SnoopOwned (or SnoopShared for a
 // clean cache-to-cache transfer) the bus reads the supplied value through
-// this interface; snoopers must keep the last value readable even after
-// the snoop invalidated the copy.
+// this interface right after the snoop: SnoopData returns the value the
+// snooper's copy held when its most recent Snoop read the line's state,
+// before that snoop downgraded or invalidated the copy.
 type DataSupplier interface {
-	LineData(line uint64) uint64
+	SnoopData() uint64
 }
 
 // Controller is the coherence controller's bus-facing interface.
@@ -249,11 +251,16 @@ type Bus struct {
 	snoopers []Snooper
 	cc       Controller
 
-	pending map[uint64]*Txn // line -> in-flight processor transaction
+	// pending holds each snooper's in-flight processor transaction and its
+	// line, indexed by Src (a zero slot is free). A processor has at most
+	// one transaction in flight, and write-backs and controller
+	// transactions never register, so a same-line check scans at most
+	// ProcsPerNode slots.
+	pending []pendingSlot
 
-	// mem is the shadow value image of this node's local memory, keyed by
-	// line address. Absent entries read as zero (never-written memory).
-	mem map[uint64]uint64
+	// mem is the shadow value image of this node's local memory. Lines
+	// never written read as zero.
+	mem memaddr.LineTable[uint64]
 
 	counts  [numKinds]uint64
 	retries uint64
@@ -264,14 +271,13 @@ type Bus struct {
 // interleaved memory banks. tr may be nil.
 func New(eng *sim.Engine, cfg *config.Config, node int, tr *obs.Tracer) *Bus {
 	b := &Bus{
-		eng:     eng,
-		cfg:     cfg,
-		node:    node,
-		tr:      tr,
-		addr:    sim.NewResource(eng),
-		data:    sim.NewResource(eng),
-		pending: make(map[uint64]*Txn),
-		mem:     make(map[uint64]uint64),
+		eng:  eng,
+		cfg:  cfg,
+		node: node,
+		tr:   tr,
+		addr: sim.NewResource(eng),
+		data: sim.NewResource(eng),
+		mem:  memaddr.NewLineTable[uint64](cfg),
 	}
 	for i := 0; i < cfg.MemBanks; i++ {
 		b.banks = append(b.banks, sim.NewResource(eng))
@@ -282,7 +288,24 @@ func New(eng *sim.Engine, cfg *config.Config, node int, tr *obs.Tracer) *Bus {
 // AttachSnooper registers a processor cache agent and returns its Src index.
 func (b *Bus) AttachSnooper(s Snooper) int {
 	b.snoopers = append(b.snoopers, s)
+	b.pending = append(b.pending, pendingSlot{})
 	return len(b.snoopers) - 1
+}
+
+// pendingSlot is one snooper's registered in-flight transaction.
+type pendingSlot struct {
+	line uint64
+	txn  *Txn
+}
+
+// pendingFor returns the registered processor transaction on line, or nil.
+func (b *Bus) pendingFor(line uint64) *Txn {
+	for i := range b.pending {
+		if s := &b.pending[i]; s.line == line && s.txn != nil {
+			return s.txn
+		}
+	}
+	return nil
 }
 
 // AttachController registers the node's coherence controller.
@@ -340,11 +363,11 @@ func (b *Bus) Retries() uint64 { return b.retries }
 
 // MemValue returns the shadow value of a line in this node's local memory
 // (zero if never written).
-func (b *Bus) MemValue(line uint64) uint64 { return b.mem[line] }
+func (b *Bus) MemValue(line uint64) uint64 { return b.mem.Get(line) }
 
 // SetMemValue overwrites the shadow memory image for a line. It exists for
 // controllers that absorb remote write-backs into home memory.
-func (b *Bus) SetMemValue(line, v uint64) { b.mem[line] = v }
+func (b *Bus) SetMemValue(line, v uint64) { b.mem.Set(line, v) }
 
 func (b *Bus) bank(line uint64) *sim.Resource {
 	return b.banks[int(line/uint64(b.cfg.LineSize))%len(b.banks)]
@@ -367,7 +390,7 @@ func (b *Bus) Issue(txn *Txn) {
 		// occupancy of the actual memory update is still ahead. Without
 		// this, a read strobing between the eviction and the write-back's
 		// data phase would return stale memory.
-		b.mem[txn.Line] = txn.Data
+		b.mem.Set(txn.Line, txn.Data)
 	}
 	txn.deferredToCC = false
 	txn.snoopData = 0
@@ -386,12 +409,13 @@ func (b *Bus) strobe(txn *Txn) {
 	b.tr.BusStrobe(now, b.node, txn.Kind.String(), txn.Line, txn.Src)
 	b.tr.SpanEnd(txn.Attr, obs.StageBusArb, 0, now)
 
-	// Same-line serialization. Processor transactions register in the
-	// pending table and bounce on conflicts. Controller-issued fetches and
-	// invalidations must not strobe in the middle of a LIVE same-line
-	// transfer (a supplier may already be invalidated with the requester
-	// not yet filled, or a concurrent local miss may be about to install a
-	// stale exclusive copy), so they bounce on non-parked conflicts.
+	// Same-line serialization. Processor transactions register in their
+	// snooper's pending slot and bounce on conflicts. Controller-issued
+	// fetches and invalidations must not strobe in the middle of a LIVE
+	// same-line transfer (a supplier may already be invalidated with the
+	// requester not yet filled, or a concurrent local miss may be about to
+	// install a stale exclusive copy), so they bounce on non-parked
+	// conflicts.
 	// Transactions parked with the controller (deferredToCC) are waiting
 	// on the controller itself and are bypassed — the controller
 	// serializes per line above the bus.
@@ -401,23 +425,23 @@ func (b *Bus) strobe(txn *Txn) {
 			// transaction may be waiting on the home, and the home may be
 			// waiting on this very write-back (the evict-then-re-request
 			// pattern) — blocking here would livelock. Write-backs do not
-			// register in the pending table: they complete unconditionally
-			// and carry no fill to protect.
-			if prev, busy := b.pending[txn.Line]; busy && !prev.deferredToCC {
+			// register a pending slot: they complete unconditionally and
+			// carry no fill to protect.
+			if prev := b.pendingFor(txn.Line); prev != nil && !prev.deferredToCC {
 				b.bounce(txn, now)
 				return
 			}
 		} else {
-			if prev, busy := b.pending[txn.Line]; busy && prev != txn {
+			if prev := b.pendingFor(txn.Line); prev != nil && prev != txn {
 				b.bounce(txn, now)
 				return
 			}
-			b.pending[txn.Line] = txn
+			b.pending[txn.Src] = pendingSlot{line: txn.Line, txn: txn}
 		}
 	} else {
 		switch txn.Kind {
 		case Fetch, FetchEx, Inval:
-			if prev, busy := b.pending[txn.Line]; busy && !prev.deferredToCC {
+			if prev := b.pendingFor(txn.Line); prev != nil && !prev.deferredToCC {
 				b.bounce(txn, now)
 				return
 			}
@@ -462,7 +486,7 @@ func (b *Bus) strobe(txn *Txn) {
 	}
 	if supplier >= 0 {
 		if ds, ok := b.snoopers[supplier].(DataSupplier); ok {
-			txn.snoopData = ds.LineData(txn.Line)
+			txn.snoopData = ds.SnoopData()
 		}
 	}
 	deferred := false
@@ -587,7 +611,7 @@ func (b *Bus) resolveFetch(txn *Txn, now sim.Time, owned, sharedSeen bool) {
 			// The dirty local copy downgrades to clean Shared as its data
 			// leaves for the controller; home memory absorbs the line.
 			b.bank(txn.Line).AcquireAt(now+b.cfg.CacheToCache, b.cfg.BankBusy, nil)
-			b.mem[txn.Line] = txn.snoopData
+			b.mem.Set(txn.Line, txn.snoopData)
 		}
 		b.transferData(txn, now+b.cfg.CacheToCache, Outcome{Status: OK, Shared: sharedSeen, Dirty: true, Data: txn.snoopData})
 	case sharedSeen && txn.Kind == Fetch:
@@ -608,7 +632,7 @@ func (b *Bus) resolveFetch(txn *Txn, now sim.Time, owned, sharedSeen bool) {
 // bank accepts the access; the requester restarts on the critical quad
 // word.
 func (b *Bus) memoryRead(txn *Txn, now sim.Time, out Outcome) {
-	out.Data = b.mem[txn.Line]
+	out.Data = b.mem.Get(txn.Line)
 	txn.out = out
 	b.bank(txn.Line).AcquireAt(now, b.cfg.BankBusy, bound(&txn.onMem, b, txn, (*Bus).memReady))
 }
@@ -653,7 +677,7 @@ func (b *Bus) rejected(txn *Txn) {
 	txn.Done(Outcome{Status: RetryNeeded})
 }
 
-// complete fires Done with out at time t, removing the pending entry
+// complete fires Done with out at time t, freeing the pending slot
 // first.
 func (b *Bus) complete(txn *Txn, t sim.Time, out Outcome) {
 	b.tr.SpanEnd(txn.Attr, obs.StageBus, 0, t)
@@ -662,10 +686,10 @@ func (b *Bus) complete(txn *Txn, t sim.Time, out Outcome) {
 }
 
 // finish is a scheduled completion. Done may re-issue txn, so the pending
-// entry goes first.
+// slot is freed first.
 func (b *Bus) finish(txn *Txn) {
-	if b.pending[txn.Line] == txn {
-		delete(b.pending, txn.Line)
+	if txn.Src != CCSrc && b.pending[txn.Src].txn == txn {
+		b.pending[txn.Src] = pendingSlot{}
 	}
 	txn.Done(txn.out)
 }

@@ -511,7 +511,7 @@ func TestCCInterventionBouncesOnLiveTransfer(t *testing.T) {
 // TestTxnReissue re-issues one transaction after a bounce, after a deferred
 // Supply and after an Abort, the way a processor re-issues its miss
 // transaction for every attempt. Done must run once per issue with that
-// issue's outcome, the completed issue must leave no pending entry, and
+// issue's outcome, the completed issue must free its pending slot, and
 // the next issue must start with no parked or snoop state.
 func TestTxnReissue(t *testing.T) {
 	eng, b, _ := newBus(t)
@@ -542,10 +542,8 @@ func TestTxnReissue(t *testing.T) {
 			t.Fatalf("issue of %v line %#x: Done saw %+v, want once with %+v", txn.Kind, txn.Line, outs, want)
 		}
 		outs = outs[:0]
-		for line, p := range b.pending {
-			if p == txn {
-				t.Fatalf("pending table still holds the completed issue under line %#x", line)
-			}
+		if s := b.pending[src]; s.txn != nil {
+			t.Fatalf("pending slot still holds the completed issue under line %#x", s.line)
 		}
 	}
 
@@ -554,8 +552,8 @@ func TestTxnReissue(t *testing.T) {
 	eng.At(0, func() { b.Issue(blocker) })
 	reissue(Read, 0x1000, false)
 	settle(Outcome{Status: RetryNeeded})
-	if b.pending[0x1000] != blocker {
-		t.Fatal("the bounce disturbed the parked transaction's pending entry")
+	if b.pending[other] != (pendingSlot{line: 0x1000, txn: blocker}) {
+		t.Fatal("the bounce disturbed the parked transaction's pending slot")
 	}
 
 	// A deferred Supply with data.
@@ -563,7 +561,7 @@ func TestTxnReissue(t *testing.T) {
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(cc.deferred) != 2 || cc.deferred[1] != txn || b.pending[0x2000] != txn {
+	if len(cc.deferred) != 2 || cc.deferred[1] != txn || b.pending[src] != (pendingSlot{line: 0x2000, txn: txn}) {
 		t.Fatal("the re-issued transaction was not parked with the controller")
 	}
 	b.Supply(txn, true, false, 0x55)
@@ -596,7 +594,9 @@ func TestTxnReissue(t *testing.T) {
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(b.pending) != 0 {
-		t.Fatalf("pending table not empty at the end: %v", b.pending)
+	for i, s := range b.pending {
+		if s.txn != nil {
+			t.Fatalf("pending slot %d still holds line %#x at the end", i, s.line)
+		}
 	}
 }
