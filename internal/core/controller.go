@@ -41,6 +41,9 @@ type work struct {
 	arrival sim.Time
 	txn     *smpbus.Txn
 	msg     *protocol.Msg
+	// parked marks work waiting on a home op's or an MSHR's waiter list;
+	// dispatch recycles any other work once its handler returns.
+	parked bool
 }
 
 // label names the queued request for tracing (a constant-table string).
@@ -102,6 +105,10 @@ type homeOp struct {
 	finalDir directory.Entry
 
 	waiters []*work
+
+	// pins counts what can still reach the op: its homeOps entry, pending
+	// continuations and an in-flight home fetch (see pool.go).
+	pins int
 }
 
 // span resolves the causal-span identity of the op's requester: local
@@ -130,19 +137,27 @@ type mshrEntry struct {
 	// otherwise be dispatched by the other engine ahead of the response.
 	responseArrived bool
 	filling         bool // response dispatched, bus supply in flight
-	// data is the shadow line value delivered by the data response.
+	// data is the shadow line value delivered by the data response, and
+	// shared whether the fill installs the line Shared.
 	data    uint64
+	shared  bool
 	waiters []*work
 
 	// Robustness state (zero and unused unless Config.Robust).
 	// issuedAt is when the request was first sent; attempts counts NACKs
-	// and timeouts consumed against config.RobustRetryBudget; timeoutSeq
-	// invalidates stale timeout events after a re-issue; epoch tags the
-	// episode's messages so stale grants from a closed episode are dropped.
-	issuedAt   sim.Time
-	attempts   int
-	timeoutSeq int
-	epoch      uint32
+	// and timeouts consumed against config.RobustRetryBudget; timeouts
+	// counts the armed timeouts that have not fired: every timeout waits
+	// the same delay, so they fire in the order they were armed and only
+	// the last one is live; epoch tags the episode's messages so stale
+	// grants from a closed episode are dropped.
+	issuedAt sim.Time
+	attempts int
+	timeouts int
+	epoch    uint32
+
+	// pins counts what can still reach the entry: its mshr entry until the
+	// fill retires it, pending continuations and the fill's Done wrapper.
+	pins int
 }
 
 // Controller is one node's coherence controller.
@@ -166,6 +181,15 @@ type Controller struct {
 
 	homeOps map[uint64]*homeOp
 	mshr    map[uint64]*mshrEntry
+
+	// Free lists of the controller's protocol objects (pool.go). msgs is
+	// shared with the controllers on the same engine.
+	msgs  *MsgPool
+	works freeList[work]
+	ops   freeList[homeOp]
+	mshrs freeList[mshrEntry]
+	conts freeList[cont]
+	txns  freeList[ccTxn]
 
 	handlerCounts [protocol.NumHandlers]uint64
 	handlerBusy   [protocol.NumHandlers]sim.Time
@@ -202,11 +226,12 @@ type engine struct {
 }
 
 // New creates a controller, attaching it to the node's bus and to the
-// network. st receives the controller's measurements (may be a throwaway
-// for unit tests); tr may be nil to disable tracing.
+// network. msgs is the message pool of the controllers on eng. st receives
+// the controller's measurements (may be a throwaway for unit tests); tr may
+// be nil to disable tracing.
 func New(eng *sim.Engine, cfg *config.Config, node int, bus *smpbus.Bus,
-	net *interconnect.Network, dir *directory.Directory, space *memaddr.Space,
-	st *stats.ControllerStats, tr *obs.Tracer) *Controller {
+	net *interconnect.Network, msgs *MsgPool, dir *directory.Directory,
+	space *memaddr.Space, st *stats.ControllerStats, tr *obs.Tracer) *Controller {
 
 	cc := &Controller{
 		eng:     eng,
@@ -221,6 +246,7 @@ func New(eng *sim.Engine, cfg *config.Config, node int, bus *smpbus.Bus,
 		kind:    cfg.NodeEngineKind(node),
 		homeOps: make(map[uint64]*homeOp),
 		mshr:    make(map[uint64]*mshrEntry),
+		msgs:    msgs,
 	}
 	for i := 0; i < cfg.NodeEngineCount(node); i++ {
 		e := &engine{cc: cc, idx: i}
@@ -418,7 +444,7 @@ func (cc *Controller) AcceptDeferred(txn *smpbus.Txn) {
 		cc.bus.Abort(txn)
 		return
 	}
-	w := &work{arrival: cc.eng.Now(), txn: txn}
+	w := cc.newWork(work{arrival: cc.eng.Now(), txn: txn})
 	cc.st.NoteArrival(w.arrival)
 	e.enqueue(w)
 }
@@ -444,7 +470,7 @@ func (cc *Controller) deliver(src int, payload interface{}) {
 	if !ok {
 		panic(fmt.Sprintf("core: unexpected payload %T", payload))
 	}
-	w := &work{arrival: cc.eng.Now(), msg: msg}
+	now := cc.eng.Now()
 	e := cc.engineFor(msg.Line)
 	if msg.IsResponse() {
 		isData := msg.Type == protocol.MsgDataShared ||
@@ -471,17 +497,18 @@ func (cc *Controller) deliver(src int, payload interface{}) {
 				cc.forceNack--
 			}
 			cc.st.NacksSent++
-			cc.tr.Nack(w.arrival, cc.node, e.idx, msg.Type.String(), msg.Line)
-			cc.send(w.arrival, msg.Requester, &protocol.Msg{
+			cc.tr.Nack(now, cc.node, e.idx, msg.Type.String(), msg.Line)
+			cc.send(now, msg.Requester, &protocol.Msg{
 				Type: protocol.MsgNack, Line: msg.Line, Src: cc.node,
 				Requester: msg.Requester, Excl: msg.Type == protocol.MsgReadExReq,
 				Epoch: msg.Epoch, Txn: msg.Txn,
 			})
+			cc.msgs.put(msg)
 			return
 		}
 	}
-	cc.st.NoteArrival(w.arrival)
-	e.enqueue(w)
+	cc.st.NoteArrival(now)
+	e.enqueue(cc.newWork(work{arrival: now, msg: msg}))
 }
 
 // StallEngine occupies an idle protocol engine for dur cycles (fault
@@ -500,6 +527,8 @@ func (cc *Controller) StallEngine(idx int, dur sim.Time) bool {
 	return true
 }
 
+// send transmits a copy of msg, taken from the message pool, so the
+// caller's literal never leaves its stack frame.
 func (cc *Controller) send(at sim.Time, dst int, msg *protocol.Msg) {
 	if dst == cc.node {
 		panic(fmt.Sprintf("core: node %d sending %v to itself", dst, msg.Type))
@@ -510,7 +539,9 @@ func (cc *Controller) send(at sim.Time, dst int, msg *protocol.Msg) {
 	if cc.hook != nil {
 		cc.hook.Send(cc.node, cc.inDispatch, cc.curTrigger, cc.curHandler, msg.Type)
 	}
-	cc.net.Send(at, cc.node, dst, msg.Flits(cc.cfg), msg)
+	m := cc.newMsg()
+	*m = *msg
+	cc.net.Send(at, cc.node, dst, m.Flits(cc.cfg), m)
 }
 
 // ---- dispatch -------------------------------------------------------------
@@ -638,6 +669,9 @@ func (e *engine) dispatch(w *work) {
 	if cc.tr.Enabled() {
 		cc.tr.Dispatch(now, cc.node, e.idx, w.label(), cc.lineOf(w), occ, now-w.arrival)
 	}
+	if !w.parked {
+		cc.freeWork(w)
+	}
 	cc.eng.At(now+occ, e.idleFn)
 }
 
@@ -683,6 +717,7 @@ func (cc *Controller) perInvalCost() sim.Time {
 // requeue parks w on a waiter list with the busy-check occupancy.
 func (cc *Controller) requeue(list *[]*work, w *work) sim.Time {
 	occ, _ := cc.charge(protocol.HBusyRequeue, 0, 0)
+	w.parked = true
 	*list = append(*list, w)
 	return occ
 }
@@ -691,6 +726,7 @@ func (cc *Controller) requeue(list *[]*work, w *work) sim.Time {
 func (cc *Controller) replay(ws []*work) {
 	for _, w := range ws {
 		w.arrival = cc.eng.Now()
+		w.parked = false
 		cc.engineFor(cc.lineOf(w)).enqueue(w)
 	}
 }

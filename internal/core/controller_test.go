@@ -40,12 +40,17 @@ func newRig(t *testing.T, mutate func(*config.Config)) *rig {
 	}
 	r := &rig{eng: sim.NewEngine(), cfg: cfg}
 	r.space = memaddr.NewSpace(&r.cfg)
-	r.net = interconnect.New([]*sim.Engine{r.eng, r.eng}, &r.cfg, nil)
+	engs := make([]*sim.Engine, cfg.Nodes)
+	for i := range engs {
+		engs[i] = r.eng
+	}
+	r.net = interconnect.New(engs, &r.cfg, nil)
 	r.runs = stats.NewRun(cfg.ArchName(), "rig", cfg.EngineCounts())
+	msgs := new(MsgPool)
 	for n := 0; n < cfg.Nodes; n++ {
 		bus := smpbus.New(r.eng, &r.cfg, n, nil)
 		dir := directory.New(r.eng, &r.cfg, n, nil)
-		cc := New(r.eng, &r.cfg, n, bus, r.net, dir, r.space, &r.runs.Controllers[n], nil)
+		cc := New(r.eng, &r.cfg, n, bus, r.net, msgs, dir, r.space, &r.runs.Controllers[n], nil)
 		r.buses = append(r.buses, bus)
 		r.ccs = append(r.ccs, cc)
 	}
@@ -56,6 +61,20 @@ func newRig(t *testing.T, mutate func(*config.Config)) *rig {
 type silentSnooper struct{}
 
 func (silentSnooper) Snoop(*smpbus.Txn) smpbus.SnoopResult { return smpbus.SnoopNone }
+
+// ownerSnooper answers every controller fetch as a cache holding the line
+// dirty would, supplying the line's address as the line's value.
+type ownerSnooper struct{ line uint64 }
+
+func (s *ownerSnooper) Snoop(txn *smpbus.Txn) smpbus.SnoopResult {
+	if txn.Kind == smpbus.Fetch || txn.Kind == smpbus.FetchEx {
+		s.line = txn.Line
+		return smpbus.SnoopOwned
+	}
+	return smpbus.SnoopNone
+}
+
+func (s *ownerSnooper) SnoopData() uint64 { return s.line }
 
 func TestSnoopClassification(t *testing.T) {
 	r := newRig(t, nil)
@@ -377,5 +396,167 @@ func TestHandlerBusyAccounting(t *testing.T) {
 	occ, _ := cc.charge(protocol.HInvalAtSharer, 0, 0)
 	if got := cc.HandlerBusy(protocol.HInvalAtSharer); got != occ {
 		t.Fatalf("handler busy = %d, want %d", got, occ)
+	}
+}
+
+// rigReq is one processor request a test issues on a rig's bus, with the
+// outcomes its Done has received.
+type rigReq struct {
+	node, src int
+	kind      smpbus.Kind
+	line      uint64
+	outs      []smpbus.Outcome
+}
+
+func (r *rig) issue(q *rigReq) {
+	r.buses[q.node].Issue(&smpbus.Txn{
+		Kind: q.kind, Line: q.line, Src: q.src, HomeLocal: r.space.Home(q.line) == q.node,
+		Done: func(o smpbus.Outcome) { q.outs = append(q.outs, o) },
+	})
+}
+
+// stepUntil runs events until cond holds.
+func (r *rig) stepUntil(t *testing.T, cond func() bool) {
+	t.Helper()
+	for !cond() {
+		if !r.eng.Step() {
+			t.Fatal("engine drained before the condition held")
+		}
+	}
+}
+
+// TestReplayedWaitersKeepTheirRequests parks requests for two lines on
+// home ops' waiter lists and on MSHRs' while the controllers recycle the
+// objects of retired ops, and checks that every request is served once,
+// for its own line and requester, with the value its line holds.
+func TestReplayedWaitersKeepTheirRequests(t *testing.T) {
+	r := newRig(t, func(c *config.Config) { c.Nodes = 3 })
+	lineL := r.space.AllocOnNode(4096, 0)
+	lineM := lineL + uint64(r.cfg.LineSize)
+	for _, b := range r.buses {
+		b.AttachSnooper(silentSnooper{})
+		b.AttachSnooper(silentSnooper{})
+	}
+	r.buses[2].AttachSnooper(&ownerSnooper{}) // node 2 supplies the lines it owns
+	run := func() {
+		if _, err := r.eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Node 1 shares both lines.
+	shared := []*rigReq{{node: 1, src: 0, kind: smpbus.Read, line: lineL}, {node: 1, src: 1, kind: smpbus.Read, line: lineM}}
+	for _, q := range shared {
+		r.issue(q)
+	}
+	run()
+	// Node 2 reads both exclusive: each home op invalidates node 1's copy.
+	// As each op opens, node 1 re-reads the line and the home's own
+	// processor reads it. Node 1's ack wins the home's arbitration over its
+	// re-read, so the op retires first, and the re-read opens a three-hop
+	// op on the retired op's recycled object; the home's read parks on that
+	// op. Node 2's interventions for the home's reads arrive right behind
+	// its own fills and park on its MSHRs.
+	excl := []*rigReq{{node: 2, src: 0, kind: smpbus.ReadEx, line: lineL}, {node: 2, src: 1, kind: smpbus.ReadEx, line: lineM}}
+	for _, q := range excl {
+		r.issue(q)
+	}
+	home := r.ccs[0]
+	var waiters []*rigReq
+	var exclOp *homeOp
+	for src, line := range []uint64{lineL, lineM} {
+		r.stepUntil(t, func() bool { return home.homeOps[line] != nil })
+		if line == lineL {
+			exclOp = home.homeOps[line]
+		}
+		for _, q := range []*rigReq{
+			{node: 0, src: src, kind: smpbus.Read, line: line},
+			{node: 1, src: src, kind: smpbus.Read, line: line},
+		} {
+			r.issue(q)
+			waiters = append(waiters, q)
+		}
+	}
+	r.stepUntil(t, func() bool { op := home.homeOps[lineL]; return op != nil && op.requester == 1 })
+	if home.homeOps[lineL] != exclOp {
+		t.Error("the three-hop op did not reuse the retired op's object")
+	}
+	run()
+
+	for _, q := range append(append(shared, excl...), waiters...) {
+		if len(q.outs) != 1 || q.outs[0].Status != smpbus.OK {
+			t.Fatalf("node %d %v of %#x: outcomes %+v, want one OK", q.node, q.kind, q.line, q.outs)
+		}
+	}
+	for _, q := range excl {
+		if o := q.outs[0]; o.Shared || !o.WithData {
+			t.Errorf("node 2 read-exclusive of %#x: outcome %+v, want exclusive data", q.line, o)
+		}
+	}
+	for _, q := range waiters {
+		if o := q.outs[0]; !o.Shared || o.Data != q.line {
+			t.Errorf("node %d read of %#x: outcome %+v, want shared with value %#x", q.node, q.line, o, q.line)
+		}
+	}
+	if n := home.HandlerCount(protocol.HBusyRequeue); n < 2 {
+		t.Errorf("home parked %d requests, want both of its own reads", n)
+	}
+	if n := r.ccs[2].HandlerCount(protocol.HBusyRequeue); n < 1 {
+		t.Errorf("node 2 parked %d interventions, want at least one", n)
+	}
+	for _, line := range []uint64{lineL, lineM} {
+		e := home.dir.Lookup(line)
+		if e.State != directory.SharedRemote || !e.Sharers.Has(1) || !e.Sharers.Has(2) {
+			t.Errorf("directory for %#x = %+v, want SharedRemote{1,2}", line, e)
+		}
+	}
+	for n, cc := range r.ccs {
+		if cc.PendingOps() != 0 {
+			t.Errorf("controller %d left %d transient ops", n, cc.PendingOps())
+		}
+	}
+}
+
+// TestStaleTimeoutDoesNothing closes a Robust miss while its timeout is
+// still armed and opens a second miss for the same line before the timeout
+// fires. The first entry stays pinned by its timeout, so the second miss
+// gets another entry; the stale timeout then fires in the middle of the
+// second miss and neither counts a timeout nor re-issues, and both entries
+// return to the free list once nothing can reach them.
+func TestStaleTimeoutDoesNothing(t *testing.T) {
+	r := newRig(t, func(c *config.Config) { c.Robust = true })
+	line := r.space.AllocOnNode(4096, 0)
+	r.buses[0].AttachSnooper(silentSnooper{})
+	r.buses[1].AttachSnooper(silentSnooper{})
+	cc := r.ccs[1]
+	var done []sim.Time
+	read := func() {
+		r.buses[1].Issue(&smpbus.Txn{Kind: smpbus.Read, Line: line, Src: 0,
+			Done: func(smpbus.Outcome) { done = append(done, r.eng.Now()) }})
+	}
+	read()
+	r.stepUntil(t, func() bool { return cc.mshr[line] != nil })
+	first := cc.mshr[line]
+	fires := first.issuedAt + config.RobustRequestTimeout
+	r.stepUntil(t, func() bool { return len(done) == 1 && cc.mshr[line] == nil })
+	if first.pins != 1 {
+		t.Fatalf("closed entry holds %d pins, want 1 for its armed timeout", first.pins)
+	}
+	r.eng.At(fires-20, read)
+	r.stepUntil(t, func() bool { return cc.mshr[line] != nil })
+	if second := cc.mshr[line]; second == first {
+		t.Fatal("the second miss reused an entry its stale timeout can still reach")
+	}
+	if _, err := r.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != 2 || done[1] <= fires {
+		t.Fatalf("fills at %v, want the second after the stale timeout at %d", done, fires)
+	}
+	st := &r.runs.Controllers[1]
+	if st.Timeouts != 0 || st.Retries != 0 {
+		t.Errorf("timeouts=%d retries=%d, want a stale timeout to do nothing", st.Timeouts, st.Retries)
+	}
+	if n := len(cc.mshrs.idle); n != 2 {
+		t.Errorf("%d entries on the free list, want both", n)
 	}
 }

@@ -59,8 +59,8 @@ func (cc *Controller) handleRemoteBus(w *work) sim.Time {
 	occ, act := cc.charge(h, 0, 0)
 	cc.spanEngine(w, act, 0)
 	cc.epochCtr++
-	m := &mshrEntry{line: line, excl: excl, parked: txn,
-		issuedAt: cc.eng.Now(), epoch: cc.epochCtr}
+	m := cc.newMSHR(mshrEntry{line: line, excl: excl, parked: txn,
+		issuedAt: cc.eng.Now(), epoch: cc.epochCtr})
 	cc.mshr[line] = m
 	cc.tr.SpanEpoch(txn.Attr, m.epoch)
 	cc.send(act, home, &protocol.Msg{Type: mt, Line: line, Src: cc.node,
@@ -72,19 +72,19 @@ func (cc *Controller) handleRemoteBus(w *work) sim.Time {
 // mshrFill completes an outstanding miss: the parked transaction is
 // supplied on the bus; when the fill finishes, queued interventions and
 // invalidations for the line are replayed.
-func (cc *Controller) mshrFill(m *mshrEntry, shared bool) {
+func (cc *Controller) mshrFill(m *mshrEntry) {
 	m.filling = true
-	orig := m.parked.Done
-	line := m.line
-	m.parked.Done = func(o smpbus.Outcome) {
-		orig(o)
-		cur := cc.mshr[line]
-		if cur == m {
-			delete(cc.mshr, line)
-			cc.replay(m.waiters)
-		}
+	cc.mshrOnDone(m.parked, (*Controller).mshrFilled, m)
+	cc.bus.Supply(m.parked, true, m.shared, m.data)
+}
+
+// mshrFilled retires the miss once the fill has reached the processor.
+func (cc *Controller) mshrFilled(m *mshrEntry) {
+	if cc.mshr[m.line] == m {
+		delete(cc.mshr, m.line)
+		cc.replay(m.waiters)
+		cc.unpinMSHR(m)
 	}
-	cc.bus.Supply(m.parked, true, shared, m.data)
 }
 
 // ---- home side: local-home lines -------------------------------------------
@@ -115,7 +115,7 @@ func (cc *Controller) homeLocalRead(w *work) sim.Time {
 	cc.spanEngine(w, act, dirExtra)
 	cc.spanHome(w, act)
 
-	op := &homeOp{line: line, requester: -1, parked: txn}
+	op := cc.newHomeOp(homeOp{line: line, requester: -1, parked: txn})
 	cc.homeOps[line] = op
 
 	switch entry.State {
@@ -149,8 +149,8 @@ func (cc *Controller) homeLocalReadEx(w *work) sim.Time {
 	upgrade := txn.Kind == smpbus.Upgrade
 	entry, dirExtra := cc.dir.Read(cc.eng.Now(), line)
 
-	op := &homeOp{line: line, requester: -1, parked: txn, excl: true, upgrade: upgrade,
-		finalDir: directory.Entry{State: directory.NoRemote}}
+	op := cc.newHomeOp(homeOp{line: line, requester: -1, parked: txn, excl: true, upgrade: upgrade,
+		finalDir: directory.Entry{State: directory.NoRemote}})
 
 	switch entry.State {
 	case directory.SharedRemote:
@@ -188,7 +188,7 @@ func (cc *Controller) homeLocalReadEx(w *work) sim.Time {
 		cc.spanHome(w, act)
 		cc.homeOps[line] = op
 		if upgrade {
-			cc.eng.At(act, func() { cc.finishOp(op) })
+			cc.opAt(act, (*Controller).finishOp, op)
 		} else {
 			occ += cc.homeFetchStall()
 			op.needData = true
@@ -221,22 +221,25 @@ func (cc *Controller) fetchForOp(at sim.Time, op *homeOp, exclusive bool) {
 	if exclusive {
 		kind = smpbus.FetchEx
 	}
-	txn := &smpbus.Txn{
-		Kind: kind, Line: op.line, Src: smpbus.CCSrc, HomeLocal: true,
-		Done: func(o smpbus.Outcome) {
-			switch o.Status {
-			case smpbus.OK:
-				st, se := op.span()
-				cc.tr.SpanEnd(st, obs.StageMem, se, cc.eng.Now())
-				op.haveData = true
-				op.data = o.Data
-				cc.finishIfReady(op)
-			default:
-				panic(fmt.Sprintf("core: home fetch of local line %#x failed: %+v", op.line, o))
-			}
-		},
+	t := cc.newTxn(kind, op.line, true, (*Controller).homeFetched)
+	t.op = op
+	op.pins++
+	cc.eng.At(at, t.issueFn)
+}
+
+// homeFetched collects the data of an op's home fetch.
+func (cc *Controller) homeFetched(t *ccTxn, o smpbus.Outcome) {
+	op := t.op
+	switch o.Status {
+	case smpbus.OK:
+		st, se := op.span()
+		cc.tr.SpanEnd(st, obs.StageMem, se, cc.eng.Now())
+		op.haveData = true
+		op.data = o.Data
+		cc.finishIfReady(op)
+	default:
+		panic(fmt.Sprintf("core: home fetch of local line %#x failed: %+v", op.line, o))
 	}
-	cc.eng.At(at, func() { cc.bus.Issue(txn) })
 }
 
 // finishIfReady completes the op if nothing remains outstanding.
@@ -272,11 +275,7 @@ func (cc *Controller) finishOp(op *homeOp) {
 			Data: op.data, Epoch: op.epoch, Txn: op.txn,
 		})
 	} else if op.parked != nil {
-		orig := op.parked.Done
-		op.parked.Done = func(o smpbus.Outcome) {
-			orig(o)
-			cc.retireOp(op)
-		}
+		cc.opOnDone(op.parked, (*Controller).retireOp, op)
 		cc.bus.Supply(op.parked, !op.upgrade, !op.excl, op.data)
 		return
 	}
@@ -291,6 +290,7 @@ func (cc *Controller) retireOp(op *homeOp) {
 	cc.dir.Write(cc.eng.Now(), op.line, op.finalDir)
 	delete(cc.homeOps, op.line)
 	cc.replay(op.waiters)
+	cc.unpinOp(op)
 }
 
 // ---- network message handlers ----------------------------------------------
@@ -349,7 +349,7 @@ func (cc *Controller) homeRead(w *work) sim.Time {
 			// NACK once the grant lands, or backs off and retries.
 			return cc.nackRetry(msg, dirExtra)
 		}
-		op := &homeOp{line: line, requester: r, epoch: msg.Epoch, txn: msg.Txn}
+		op := cc.newHomeOp(homeOp{line: line, requester: r, epoch: msg.Epoch, txn: msg.Txn})
 		cc.homeOps[line] = op
 		if entry.Owner == r {
 			// The requester is the registered owner: its write-back is in
@@ -377,8 +377,8 @@ func (cc *Controller) homeRead(w *work) sim.Time {
 		occ, act := cc.charge(protocol.HRemoteReadHomeClean, dirExtra, 0)
 		cc.spanEngine(w, act, dirExtra)
 		cc.spanHome(w, act)
-		op := &homeOp{line: line, requester: r, needData: true, epoch: msg.Epoch,
-			txn: msg.Txn}
+		op := cc.newHomeOp(homeOp{line: line, requester: r, needData: true, epoch: msg.Epoch,
+			txn: msg.Txn})
 		op.finalDir = directory.Entry{State: directory.SharedRemote,
 			Sharers: entry.Sharers.Set(r)}
 		cc.homeOps[line] = op
@@ -399,9 +399,9 @@ func (cc *Controller) homeReadEx(w *work) sim.Time {
 	}
 	entry, dirExtra := cc.dir.Read(cc.eng.Now(), line)
 	r := msg.Requester
-	op := &homeOp{line: line, requester: r, excl: true, epoch: msg.Epoch,
+	op := cc.newHomeOp(homeOp{line: line, requester: r, excl: true, epoch: msg.Epoch,
 		txn:      msg.Txn,
-		finalDir: directory.Entry{State: directory.DirtyRemote, Owner: r}}
+		finalDir: directory.Entry{State: directory.DirtyRemote, Owner: r}})
 
 	switch entry.State {
 	case directory.NoRemote:
@@ -432,6 +432,7 @@ func (cc *Controller) homeReadEx(w *work) sim.Time {
 			if msg.Retry {
 				// See homeRead: a retried request must not park on a
 				// write-back that may never come.
+				cc.unpinOp(op) // never installed
 				return cc.nackRetry(msg, dirExtra)
 			}
 			occ, act := cc.charge(protocol.HRemoteReadExHomeDirty, dirExtra, 0)
@@ -494,48 +495,52 @@ func (cc *Controller) ownerFetch(w *work, exclusive bool) sim.Time {
 	if exclusive {
 		kind = smpbus.FetchEx
 	}
-	requester := msg.Requester
-	spanID, spanEpoch := msg.Txn, msg.Epoch
-	txn := &smpbus.Txn{
-		Kind: kind, Line: line, Src: smpbus.CCSrc, HomeLocal: false,
-		Done: func(o smpbus.Outcome) {
-			switch o.Status {
-			case smpbus.NoData:
-				cc.send(cc.eng.Now(), home, &protocol.Msg{
-					Type: protocol.MsgInterventionMiss, Line: line, Src: cc.node,
-				})
-			case smpbus.OK:
-				cc.tr.SpanEnd(spanID, obs.StageMem, spanEpoch, cc.eng.Now())
-				if fromHome {
-					cc.send(cc.eng.Now(), home, &protocol.Msg{
-						Type: protocol.MsgFetchDataHome, Line: line, Src: cc.node,
-						Dirty: o.Dirty, Excl: exclusive, Data: o.Data,
-						Txn: spanID, Epoch: spanEpoch,
-					})
-					return
-				}
-				cc.send(cc.eng.Now(), requester, &protocol.Msg{
-					Type: protocol.MsgOwnerData, Line: line, Src: cc.node,
-					Requester: requester, Excl: exclusive, Data: o.Data,
-					Epoch: spanEpoch, Txn: spanID,
-				})
-				if exclusive {
-					cc.send(cc.eng.Now(), home, &protocol.Msg{
-						Type: protocol.MsgFetchExDone, Line: line, Src: cc.node,
-					})
-				} else {
-					cc.send(cc.eng.Now(), home, &protocol.Msg{
-						Type: protocol.MsgFetchDone, Line: line, Src: cc.node,
-						Dirty: o.Dirty, Data: o.Data,
-					})
-				}
-			default:
-				panic(fmt.Sprintf("core: unexpected intervention outcome %+v on line %#x", o, line))
-			}
-		},
-	}
-	cc.eng.At(act, func() { cc.bus.Issue(txn) })
+	t := cc.newTxn(kind, line, false, (*Controller).interventionDone)
+	t.home, t.requester, t.excl, t.fromHome = home, msg.Requester, exclusive, fromHome
+	t.spanID, t.spanEpoch = msg.Txn, msg.Epoch
+	cc.eng.At(act, t.issueFn)
 	return occ
+}
+
+// interventionDone answers an intervention once the owner's bus fetch has
+// collected the line: the data goes to the home, or to the requester with
+// a completion notice to the home.
+func (cc *Controller) interventionDone(t *ccTxn, o smpbus.Outcome) {
+	line, home, requester, exclusive := t.Line, t.home, t.requester, t.excl
+	spanID, spanEpoch := t.spanID, t.spanEpoch
+	switch o.Status {
+	case smpbus.NoData:
+		cc.send(cc.eng.Now(), home, &protocol.Msg{
+			Type: protocol.MsgInterventionMiss, Line: line, Src: cc.node,
+		})
+	case smpbus.OK:
+		cc.tr.SpanEnd(spanID, obs.StageMem, spanEpoch, cc.eng.Now())
+		if t.fromHome {
+			cc.send(cc.eng.Now(), home, &protocol.Msg{
+				Type: protocol.MsgFetchDataHome, Line: line, Src: cc.node,
+				Dirty: o.Dirty, Excl: exclusive, Data: o.Data,
+				Txn: spanID, Epoch: spanEpoch,
+			})
+			return
+		}
+		cc.send(cc.eng.Now(), requester, &protocol.Msg{
+			Type: protocol.MsgOwnerData, Line: line, Src: cc.node,
+			Requester: requester, Excl: exclusive, Data: o.Data,
+			Epoch: spanEpoch, Txn: spanID,
+		})
+		if exclusive {
+			cc.send(cc.eng.Now(), home, &protocol.Msg{
+				Type: protocol.MsgFetchExDone, Line: line, Src: cc.node,
+			})
+		} else {
+			cc.send(cc.eng.Now(), home, &protocol.Msg{
+				Type: protocol.MsgFetchDone, Line: line, Src: cc.node,
+				Dirty: o.Dirty, Data: o.Data,
+			})
+		}
+	default:
+		panic(fmt.Sprintf("core: unexpected intervention outcome %+v on line %#x", o, line))
+	}
 }
 
 // sharerInval invalidates local copies on behalf of the home node.
@@ -547,16 +552,17 @@ func (cc *Controller) sharerInval(w *work) sim.Time {
 		return cc.requeue(&m.waiters, w)
 	}
 	occ, act := cc.charge(protocol.HInvalAtSharer, 0, 0)
-	txn := &smpbus.Txn{
-		Kind: smpbus.Inval, Line: line, Src: smpbus.CCSrc, HomeLocal: false,
-		Done: func(smpbus.Outcome) {
-			cc.send(cc.eng.Now(), home, &protocol.Msg{
-				Type: protocol.MsgInvalAck, Line: line, Src: cc.node,
-			})
-		},
-	}
-	cc.eng.At(act, func() { cc.bus.Issue(txn) })
+	t := cc.newTxn(smpbus.Inval, line, false, (*Controller).invalDone)
+	t.home = home
+	cc.eng.At(act, t.issueFn)
 	return occ
+}
+
+// invalDone acknowledges an invalidation once the local copies are gone.
+func (cc *Controller) invalDone(t *ccTxn, _ smpbus.Outcome) {
+	cc.send(cc.eng.Now(), t.home, &protocol.Msg{
+		Type: protocol.MsgInvalAck, Line: t.Line, Src: cc.node,
+	})
 }
 
 // homeInvalAck counts an acknowledgement at the home node.
@@ -577,7 +583,7 @@ func (cc *Controller) homeInvalAck(w *work) sim.Time {
 	}
 	occ, act := cc.charge(h, 0, 0)
 	if op.acksLeft == 0 {
-		cc.eng.At(act, func() { cc.finishIfReady(op) })
+		cc.opAt(act, (*Controller).finishIfReady, op)
 	}
 	return occ
 }
@@ -612,7 +618,8 @@ func (cc *Controller) requesterData(w *work) sim.Time {
 		cc.st.RetryLat.Add(cc.eng.Now() - m.issuedAt)
 	}
 	m.data = msg.Data
-	cc.eng.At(act, func() { cc.mshrFill(m, shared) })
+	m.shared = shared
+	cc.mshrAt(act, (*Controller).mshrFill, m)
 	return occ
 }
 
@@ -629,7 +636,7 @@ func (cc *Controller) homeFetchDone(w *work) sim.Time {
 		cc.memoryWrite(act, msg.Line, msg.Data)
 	}
 	op.intervention = false
-	cc.eng.At(act, func() { cc.finishIfReadyNoResponse(op) })
+	cc.opAt(act, (*Controller).finishIfReadyNoResponse, op)
 	return occ
 }
 
@@ -642,7 +649,7 @@ func (cc *Controller) homeFetchExDone(w *work) sim.Time {
 	}
 	occ, act := cc.charge(protocol.HOwnerAckAtHome, 0, 0)
 	op.intervention = false
-	cc.eng.At(act, func() { cc.finishIfReadyNoResponse(op) })
+	cc.opAt(act, (*Controller).finishIfReadyNoResponse, op)
 	return occ
 }
 
@@ -667,7 +674,7 @@ func (cc *Controller) homeFetchData(w *work) sim.Time {
 	op.intervention = false
 	op.haveData = true
 	op.data = msg.Data
-	cc.eng.At(act, func() { cc.finishIfReady(op) })
+	cc.opAt(act, (*Controller).finishIfReady, op)
 	return occ
 }
 
@@ -682,7 +689,7 @@ func (cc *Controller) homeInterventionMiss(w *work) sim.Time {
 	occ, act := cc.charge(protocol.HInterventionMissAtHome, 0, 0)
 	op.intervention = false
 	op.waitWB = true
-	cc.eng.At(act, func() { cc.finishIfReady(op) })
+	cc.opAt(act, (*Controller).finishIfReady, op)
 	return occ
 }
 
@@ -717,7 +724,7 @@ func (cc *Controller) homeWriteBack(w *work) sim.Time {
 			}
 			op.finalDir = e
 		}
-		cc.eng.At(act, func() { cc.finishIfReady(op) })
+		cc.opAt(act, (*Controller).finishIfReady, op)
 		return occ
 	}
 	var e directory.Entry
@@ -743,6 +750,7 @@ func (cc *Controller) finishIfReadyNoResponse(op *homeOp) {
 		cc.dir.Write(cc.eng.Now(), op.line, op.finalDir)
 		delete(cc.homeOps, op.line)
 		cc.replay(op.waiters)
+		cc.unpinOp(op)
 		return
 	}
 	cc.finishOp(op)
@@ -752,10 +760,7 @@ func (cc *Controller) finishIfReadyNoResponse(op *homeOp) {
 // write-back (contends for the bus and the banks, occupies no engine time
 // beyond what the handler already charged).
 func (cc *Controller) memoryWrite(at sim.Time, line uint64, data uint64) {
-	txn := &smpbus.Txn{
-		Kind: smpbus.WriteBack, Line: line, Src: smpbus.CCSrc, HomeLocal: true,
-		Data: data,
-		Done: func(smpbus.Outcome) {},
-	}
-	cc.eng.At(at, func() { cc.bus.Issue(txn) })
+	t := cc.newTxn(smpbus.WriteBack, line, true, nil)
+	t.Data = data
+	cc.eng.At(at, t.issueFn)
 }

@@ -30,11 +30,7 @@ func (cc *Controller) requesterNack(w *work) sim.Time {
 	cc.spanEngine(w, act, 0)
 	cc.tr.SpanBegin(m.parked.Attr, obs.StageBackoff, m.epoch, act)
 	cc.noteAttempt(m, "NACKed")
-	backoff := nackBackoff(m.attempts)
-	line := m.line
-	cc.eng.At(act, func() {
-		cc.eng.After(backoff, func() { cc.reissue(line, m) })
-	})
+	cc.mshrAtAfter(act, nackBackoff(m.attempts), (*Controller).reissue, m)
 	return occ
 }
 
@@ -92,7 +88,8 @@ func nackBackoff(attempts int) sim.Time {
 
 // reissue re-sends the episode's request (marked Retry, same epoch) unless
 // a response has arrived in the meantime.
-func (cc *Controller) reissue(line uint64, m *mshrEntry) {
+func (cc *Controller) reissue(m *mshrEntry) {
+	line := m.line
 	if cc.mshr[line] != m || m.filling || m.responseArrived {
 		return
 	}
@@ -109,25 +106,28 @@ func (cc *Controller) reissue(line uint64, m *mshrEntry) {
 	cc.armTimeout(m)
 }
 
-// armTimeout schedules the episode's request timeout. The sequence number
-// invalidates the previous timeout after each re-issue, so exactly one
-// timeout is live per episode.
+// armTimeout schedules the episode's request timeout. A re-issue arms a
+// new one, and only the last timeout armed is live (see
+// mshrEntry.timeouts), so exactly one timeout is live per episode.
 func (cc *Controller) armTimeout(m *mshrEntry) {
 	if !cc.cfg.Robust {
 		return
 	}
-	m.timeoutSeq++
-	seq := m.timeoutSeq
-	line := m.line
-	cc.eng.After(config.RobustRequestTimeout, func() {
-		if cc.mshr[line] != m || m.timeoutSeq != seq || m.filling || m.responseArrived {
-			return
-		}
-		cc.st.Timeouts++
-		cc.tr.SpanBegin(m.parked.Attr, obs.StageBackoff, m.epoch, cc.eng.Now())
-		cc.noteAttempt(m, "timed out")
-		cc.reissue(line, m)
-	})
+	m.timeouts++
+	cc.mshrAt(cc.eng.Now()+config.RobustRequestTimeout, (*Controller).timeout, m)
+}
+
+// timeout re-issues the episode's request if this is its live timeout and
+// no response has arrived.
+func (cc *Controller) timeout(m *mshrEntry) {
+	m.timeouts--
+	if m.timeouts > 0 || cc.mshr[m.line] != m || m.filling || m.responseArrived {
+		return
+	}
+	cc.st.Timeouts++
+	cc.tr.SpanBegin(m.parked.Attr, obs.StageBackoff, m.epoch, cc.eng.Now())
+	cc.noteAttempt(m, "timed out")
+	cc.reissue(m)
 }
 
 // nackRetry bounces a retried home-bound request that must not join the

@@ -102,6 +102,11 @@ type Proc struct {
 	retryFn    func()
 	missDoneFn func(smpbus.Outcome)
 
+	// wbFree holds the processor's idle write-back transactions. Several
+	// write-backs can be in flight, so each has its own, recycled once its
+	// Done has run.
+	wbFree []*wbTxn
+
 	pendingComp int64 // program-side accumulated compute cycles
 
 	// Statistics.
@@ -551,25 +556,50 @@ func (p *Proc) installL1(line uint64) {
 	p.l1.Insert(line, cache.Shared) // L1 tracks presence only
 }
 
+// wbTxn is an eviction write-back in flight. Its Done and retryFn are done
+// and reissue, bound once per wbTxn, and the bus binds its own callbacks on
+// the first issue, so a recycled write-back issues without allocating.
+type wbTxn struct {
+	smpbus.Txn
+	p       *Proc
+	retryFn func()
+}
+
 // writeBack issues an eviction write-back of line carrying its value v
 // (fire and forget; the write-back buffer is not a modelled resource
 // beyond the bus itself). A bounced write-back is issued again with the
 // same value: the evicted copy is gone, so v is the only record of it.
 func (p *Proc) writeBack(line, v uint64) {
-	p.tr.Cache(p.eng.Now(), p.node, p.src, line, "writeback", "")
-	txn := &smpbus.Txn{
-		Kind:      smpbus.WriteBack,
-		Line:      line,
-		Src:       p.src,
-		HomeLocal: p.space.Home(line) == p.node,
-		Data:      v,
-		Done: func(o smpbus.Outcome) {
-			if o.Status == smpbus.RetryNeeded {
-				p.eng.After(p.cfg.BusRetry, func() { p.writeBack(line, v) })
-			}
-		},
+	var t *wbTxn
+	if n := len(p.wbFree); n > 0 {
+		t = p.wbFree[n-1]
+		p.wbFree = p.wbFree[:n-1]
+	} else {
+		t = &wbTxn{p: p}
+		t.Kind, t.Src = smpbus.WriteBack, p.src
+		t.Done = t.done
+		t.retryFn = t.reissue
 	}
-	p.bus.Issue(txn)
+	t.Line, t.Data = line, v
+	t.reissue()
+}
+
+// reissue puts the write-back on the bus.
+func (t *wbTxn) reissue() {
+	p := t.p
+	p.tr.Cache(p.eng.Now(), p.node, p.src, t.Line, "writeback", "")
+	t.HomeLocal = p.space.Home(t.Line) == p.node
+	p.bus.Issue(&t.Txn)
+}
+
+// done re-issues a bounced write-back after the bus back-off, and
+// recycles a completed one.
+func (t *wbTxn) done(o smpbus.Outcome) {
+	if o.Status == smpbus.RetryNeeded {
+		t.p.eng.After(t.p.cfg.BusRetry, t.retryFn)
+		return
+	}
+	t.p.wbFree = append(t.p.wbFree, t)
 }
 
 // finishMiss records the completed miss's service time.

@@ -558,6 +558,24 @@ func (x *extractor) typeText(e ast.Expr) string {
 	return tv.Type.String()
 }
 
+// continuation reports the controller method a method expression
+// (*Controller).name names: the form a handler uses to defer a method to a
+// later cycle or to a bus completion.
+func (x *extractor) continuation(sel *ast.SelectorExpr) (string, bool) {
+	s, ok := x.core.Info.Selections[sel]
+	if !ok || s.Kind() != types.MethodExpr {
+		return "", false
+	}
+	recv := s.Recv()
+	if p, isPtr := recv.(*types.Pointer); isPtr {
+		recv = p.Elem()
+	}
+	if named, isNamed := recv.(*types.Named); !isNamed || named.Obj().Name() != "Controller" {
+		return "", false
+	}
+	return sel.Sel.Name, true
+}
+
 func recvTypeName(t ast.Expr) string {
 	if star, ok := t.(*ast.StarExpr); ok {
 		t = star.X

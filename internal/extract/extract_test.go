@@ -135,6 +135,41 @@ func TestIndexAdmission(t *testing.T) {
 	}
 }
 
+// TestContinuationsReadAsDeferred pins that a controller method a handler
+// references as a continuation ((*Controller).name, scheduled or run at a
+// bus completion) is read as a deferred call: the sends it reaches appear
+// in the handler's rule, flagged deferred.
+func TestContinuationsReadAsDeferred(t *testing.T) {
+	m, err := Extract(moduleRoot)
+	if err != nil {
+		t.Fatalf("Extract: %v", err)
+	}
+	for _, c := range []struct{ trigger, handler, send string }{
+		{"msg:Inval", "HInvalAtSharer", "InvalAck"},                  // invalDone
+		{"msg:FetchReq", "HFetchOwnerRemoteReq", "OwnerData"},        // interventionDone
+		{"msg:ReadReq", "HRemoteReadHomeClean", "DataShared"},        // homeFetched
+		{"msg:InvalAck", "HInvalAckLastRemote", "DataExcl"},          // finishIfReady
+		{"bus:Read/remote", "HBusReadRemote", "ReadReq"},             // timeout
+		{"msg:Nack", "HNackAtRequester", "ReadExReq"},                // reissue
+		{"bus:ReadEx/local", "HBusReadExLocalCachedRemote", "Inval"}, // sendInvals' literal, still read as deferred
+	} {
+		found := false
+		for _, r := range m.Rules {
+			if r.Trigger != c.trigger || r.Handler != c.handler {
+				continue
+			}
+			for _, s := range r.Sends {
+				if s.Type == c.send && s.Deferred {
+					found = true
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s/%s: no deferred %s send", c.trigger, c.handler, c.send)
+		}
+	}
+}
+
 // copyModule clones the module's Go sources (plus go.mod and the
 // committed artifact) into a temp dir so a mutation can be applied
 // without touching the real tree.

@@ -238,13 +238,21 @@ func (w *walker) scanStmt(s ast.Stmt, g []string, fn string) {
 
 // scanNode inspects a simple statement (or a function-literal body) for
 // actions. lit marks positions inside a function literal: sends there may
-// run after the dispatch window, so they are flagged deferred.
+// run after the dispatch window, so they are flagged deferred. A controller
+// method referenced as a continuation ((*Controller).name, scheduled or
+// installed as a bus completion) is read the same way, as a deferred call.
 func (w *walker) scanNode(n ast.Node, g []string, fn string, lit bool) {
 	ast.Inspect(n, func(node ast.Node) bool {
 		switch nn := node.(type) {
 		case *ast.FuncLit:
 			w.scanNode(nn.Body, g, fn, true)
 			return false
+		case *ast.SelectorExpr:
+			if name, ok := w.x.continuation(nn); ok {
+				w.deferredCall(name, g, fn)
+				return false
+			}
+			return true
 		case *ast.CallExpr:
 			w.handleCall(nn, g, fn, lit)
 			return true
@@ -328,14 +336,36 @@ func (w *walker) handleCall(call *ast.CallExpr, g []string, fn string, lit bool)
 			w.walkCallee(decl, call, g)
 			return
 		}
-		sum := w.x.summarize(name)
-		for _, s := range sum.sends {
-			s.Deferred = s.Deferred || lit
-			w.emit(&event{kind: evSend, fn: fn, guards: g, sends: []Send{s}})
-		}
-		if len(sum.dirWrites) > 0 {
-			w.emit(&event{kind: evDirWrite, fn: fn, guards: g, texts: append([]string{}, sum.dirWrites...)})
-		}
+		w.emitSummary(name, g, fn, lit)
+	}
+}
+
+// deferredCall reads a controller method referenced as a continuation: its
+// effects happen after the dispatch window, like a function literal's.
+func (w *walker) deferredCall(name string, g []string, fn string) {
+	if w.collect != nil {
+		return
+	}
+	if _, isMethod := w.x.methods[name]; !isMethod || stopSet[name] {
+		return
+	}
+	if w.x.charging[name] {
+		w.x.problemf("%s: charging method %s referenced as a continuation", fn, name)
+		return
+	}
+	w.emitSummary(name, g, fn, true)
+}
+
+// emitSummary emits the transitive sends and directory writes of a
+// non-charging helper, flagging the sends deferred when deferred is set.
+func (w *walker) emitSummary(name string, g []string, fn string, deferred bool) {
+	sum := w.x.summarize(name)
+	for _, s := range sum.sends {
+		s.Deferred = s.Deferred || deferred
+		w.emit(&event{kind: evSend, fn: fn, guards: g, sends: []Send{s}})
+	}
+	if len(sum.dirWrites) > 0 {
+		w.emit(&event{kind: evDirWrite, fn: fn, guards: g, texts: append([]string{}, sum.dirWrites...)})
 	}
 }
 
@@ -681,7 +711,8 @@ func resolveChain(assigns []rhsAssign) []rhsAssign {
 // ---- effect summaries ------------------------------------------------------
 
 // summarize computes the transitive sends and directory writes of a
-// non-charging helper (completion closures included, flagged deferred).
+// non-charging helper (completion closures and continuations included,
+// flagged deferred).
 func (x *extractor) summarize(name string) *summary {
 	if s, ok := x.summaries[name]; ok {
 		return s
@@ -693,13 +724,30 @@ func (x *extractor) summarize(name string) *summary {
 		return s
 	}
 	w := x.newWalker()
+	include := func(callee string, deferred bool) {
+		if _, isM := x.methods[callee]; !isM || stopSet[callee] || callee == name {
+			return
+		}
+		child := x.summarize(callee)
+		for _, cs := range child.sends {
+			cs.Deferred = cs.Deferred || deferred
+			s.sends = append(s.sends, cs)
+		}
+		s.dirWrites = append(s.dirWrites, child.dirWrites...)
+	}
 	var scan func(n ast.Node, lit bool)
 	scan = func(n ast.Node, lit bool) {
 		ast.Inspect(n, func(node ast.Node) bool {
-			fl, ok := node.(*ast.FuncLit)
-			if ok {
-				scan(fl.Body, true)
+			switch nn := node.(type) {
+			case *ast.FuncLit:
+				scan(nn.Body, true)
 				return false
+			case *ast.SelectorExpr:
+				if callee, ok := x.continuation(nn); ok {
+					include(callee, true)
+					return false
+				}
+				return true
 			}
 			call, ok := node.(*ast.CallExpr)
 			if !ok {
@@ -719,14 +767,7 @@ func (x *extractor) summarize(name string) *summary {
 			case recv == "cc.dir" && sel.Sel.Name == "Write" && len(call.Args) == 3:
 				s.dirWrites = append(s.dirWrites, w.entryStates("write", call.Args[2], name)...)
 			case recv == "cc":
-				if _, isM := x.methods[sel.Sel.Name]; isM && !stopSet[sel.Sel.Name] && sel.Sel.Name != name {
-					child := x.summarize(sel.Sel.Name)
-					for _, cs := range child.sends {
-						cs.Deferred = cs.Deferred || lit
-						s.sends = append(s.sends, cs)
-					}
-					s.dirWrites = append(s.dirWrites, child.dirWrites...)
-				}
+				include(sel.Sel.Name, lit)
 			}
 			return true
 		})

@@ -26,7 +26,8 @@ type Decision struct {
 	Drop bool
 	// Duplicate injects a second copy of the message. On a Robust machine
 	// the receiving NI discards the copy (sequence-number dedup) after it has
-	// consumed link bandwidth; without it the copy reaches the protocol.
+	// consumed link bandwidth; without it the copy reaches the protocol, as
+	// a separate payload when the payload is a Cloner.
 	Duplicate bool
 	// Delay adds cycles to the message's switch traversal.
 	Delay sim.Time
@@ -35,6 +36,13 @@ type Decision struct {
 	// discarded, and the original is retransmitted; without it the
 	// corrupted payload is delivered as-is.
 	Replace interface{}
+}
+
+// Cloner is implemented by payloads that a sink may recycle once it has
+// handled them: a duplicate delivered to the sink must then be a separate
+// copy, or the sink would handle a payload it had already recycled.
+type Cloner interface {
+	Clone() interface{}
 }
 
 // FaultHook inspects every message entering the network and decides its
@@ -65,7 +73,7 @@ type discardFrame struct {
 
 // frame is one message crossing the network. It carries the message from
 // the send through the output buffer, any go-back-N hold, both ports and
-// arrival. Frames are recycled through per-node free lists, and each
+// arrival. Frames are recycled through per-engine free lists, and each
 // frame's callbacks are bound once, when it is allocated, so a recycled
 // frame crosses the network without allocating.
 type frame struct {
@@ -138,11 +146,14 @@ type Network struct {
 	// destination (Robust only; never populated on a fault-free run).
 	// Per-source maps keep all mutation on the source node's engine.
 	hold []map[int]*pairHold
-	// free[node] heads the node's list of idle frames. A send takes its
-	// frame from the source node's list and the arrival returns it to the
-	// destination node's, each on that node's engine, so a sharded run
-	// never touches one list from two goroutines.
+	// free[pool[node]] heads the list of idle frames of the engine that
+	// owns node: one list on a serial run, one per shard on a sharded one.
+	// A send takes its frame from the source engine's list and the arrival
+	// returns it to the destination engine's, each on that engine, so no
+	// list is touched from two goroutines, and a node that sends more than
+	// it receives reuses the frames its engine's other nodes received.
 	free []*frame
+	pool []int
 	// drainFns[node] is portDrained for that node, bound once.
 	drainFns []func()
 }
@@ -165,10 +176,18 @@ func New(engs []*sim.Engine, cfg *config.Config, tr *obs.Tracer) *Network {
 		outQueued: make([]int, cfg.Nodes),
 		outWait:   make([][]*frame, cfg.Nodes),
 		hold:      make([]map[int]*pairHold, cfg.Nodes),
-		free:      make([]*frame, cfg.Nodes),
+		pool:      make([]int, cfg.Nodes),
 		drainFns:  make([]func(), cfg.Nodes),
 	}
+	pools := make(map[*sim.Engine]int)
 	for i := 0; i < cfg.Nodes; i++ {
+		p, ok := pools[engs[i]]
+		if !ok {
+			p = len(n.free)
+			pools[engs[i]] = p
+			n.free = append(n.free, nil)
+		}
+		n.pool[i] = p
 		n.out[i] = sim.NewResource(engs[i])
 		n.in[i] = sim.NewResource(engs[i])
 		n.hold[i] = map[int]*pairHold{}
@@ -211,8 +230,8 @@ func (n *Network) Send(at sim.Time, src, dst, flitCount int, payload interface{}
 	n.engs[src].At(at, f.sendFn)
 }
 
-// frameFor takes a frame for one message from src's free list, allocating
-// and binding a new one when the list is empty.
+// frameFor takes a frame for one message from the free list of src's
+// engine, allocating and binding a new one when the list is empty.
 func (n *Network) frameFor(src, dst, flitCount int, payload interface{}) *frame {
 	if src < 0 || src >= len(n.out) || dst < 0 || dst >= len(n.in) {
 		panic(fmt.Sprintf("interconnect: send %d->%d out of range", src, dst))
@@ -220,7 +239,8 @@ func (n *Network) frameFor(src, dst, flitCount int, payload interface{}) *frame 
 	if flitCount <= 0 {
 		flitCount = 1
 	}
-	f := n.free[src]
+	p := n.pool[src]
+	f := n.free[p]
 	if f == nil {
 		f = &frame{}
 		f.sendFn = func() { n.send(f) }
@@ -229,7 +249,7 @@ func (n *Network) frameFor(src, dst, flitCount int, payload interface{}) *frame 
 		f.landFn = func() { n.land(f) }
 		f.arriveFn = func() { n.arrive(f) }
 	} else {
-		n.free[src] = f.next
+		n.free[p] = f.next
 		f.next = nil
 	}
 	f.src, f.dst, f.flits, f.payload, f.delay = src, dst, flitCount, payload, 0
@@ -278,6 +298,8 @@ func (n *Network) send(f *frame) {
 		copyPayload := f.payload
 		if n.cfg.Robust {
 			copyPayload = &discardFrame{payload: f.payload}
+		} else if c, ok := f.payload.(Cloner); ok {
+			copyPayload = c.Clone()
 		}
 		// The duplicate copy needs no ordering: the receiving NI rejects
 		// it (reliable) or the protocol must tolerate it (raw).
@@ -449,11 +471,13 @@ func (n *Network) land(f *frame) {
 }
 
 // arrive hands the message to the destination's sink, first returning the
-// frame to the destination's free list for the sink's own sends.
+// frame to the free list of the destination's engine for the sink's own
+// sends.
 func (n *Network) arrive(f *frame) {
 	src, dst, payload := f.src, f.dst, f.payload
-	f.payload, f.next = nil, n.free[dst]
-	n.free[dst] = f
+	p := n.pool[dst]
+	f.payload, f.next = nil, n.free[p]
+	n.free[p] = f
 	atomic.AddInt64(&n.inFlight, -1)
 	if _, rejected := payload.(*discardFrame); rejected {
 		// Failed CRC or duplicate sequence number: the NI rejects the

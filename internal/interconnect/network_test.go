@@ -292,3 +292,62 @@ func TestReliableLinkRejectsDuplicates(t *testing.T) {
 		t.Errorf("Discards = %d, want 1", net.Link().Discards)
 	}
 }
+
+// cell is a payload the sink may recycle, so a duplicate must be a copy.
+type cell struct{ v int }
+
+func (c *cell) Clone() interface{} {
+	d := *c
+	return &d
+}
+
+// TestRawDuplicateIsSeparateCopy pins that without the reliable link a
+// duplicated Cloner payload reaches the sink as a second object with the
+// original's contents, never as the original twice.
+func TestRawDuplicateIsSeparateCopy(t *testing.T) {
+	eng, net, _ := setup(t)
+	var got []*cell
+	net.Attach(1, func(_ int, p interface{}) { got = append(got, p.(*cell)) })
+	net.Fault = func(int, int, interface{}) Decision { return Decision{Duplicate: true} }
+	orig := &cell{v: 7}
+	net.Send(0, 0, 1, 1, orig)
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] == got[1] || *got[0] != *orig || *got[1] != *orig {
+		t.Fatalf("sink got %v, want the original and a separate copy of %v", got, *orig)
+	}
+}
+
+// TestFramesRecycledPerEngine pins that frame free lists are keyed by
+// engine: a serial network shares one list, so a node that only sends
+// reuses the frames its receiver returned and a message allocates nothing
+// once the list has warmed up, and a network spread over two engines keeps
+// one list per engine.
+func TestFramesRecycledPerEngine(t *testing.T) {
+	eng, net, cfg := setup(t)
+	net.Attach(1, func(int, interface{}) {})
+	send := func() {
+		net.Send(eng.Now(), 0, 1, 1, nil)
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send()
+	if perMsg := testing.AllocsPerRun(100, send); perMsg != 0 {
+		t.Errorf("%v allocations per message from a node that only sends, want 0", perMsg)
+	}
+
+	a, b := sim.NewEngine(), sim.NewEngine()
+	engs := make([]*sim.Engine, cfg.Nodes)
+	for i := range engs {
+		engs[i] = a
+		if i >= cfg.Nodes/2 {
+			engs[i] = b
+		}
+	}
+	split := New(engs, cfg, nil)
+	if len(split.free) != 2 || split.pool[0] != 0 || split.pool[cfg.Nodes-1] != 1 {
+		t.Errorf("two engines: %d lists, node pools %v, want one list per engine", len(split.free), split.pool)
+	}
+}

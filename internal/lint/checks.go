@@ -79,9 +79,21 @@ var rangeMapPackages = map[string]bool{
 	"ccnuma/internal/cpu":                           true,
 	"ccnuma/internal/directory":                     true,
 	"ccnuma/internal/interconnect":                  true,
+	"ccnuma/internal/machine":                       true,
 	"ccnuma/internal/protocol":                      true,
 	"ccnuma/internal/stats":                         true,
 	"ccnuma/internal/lint/testdata/src/badrangemap": true,
+}
+
+// schedClosurePackages are the packages whose scheduled callbacks must be
+// bound once to a long-lived object: a function literal that captures
+// variables allocates each time it is evaluated, so one scheduled or
+// installed per miss brings back the per-miss allocations the allocation
+// tests pin only for the streams they run (DESIGN §11.5). The testdata
+// entry is the lint suite's own fixture.
+var schedClosurePackages = map[string]bool{
+	"ccnuma/internal/core":                         true,
+	"ccnuma/internal/lint/testdata/src/badclosure": true,
 }
 
 // configSchemaPackages are the packages whose Config struct feeds the
@@ -127,6 +139,7 @@ func Check(pkgs []*Package) []Finding {
 		raw = append(raw, checkEnumSwitches(pkg)...)
 		raw = append(raw, checkSimDeterminism(pkg)...)
 		raw = append(raw, checkSchedNoop(pkg)...)
+		raw = append(raw, checkSchedClosure(pkg)...)
 		raw = append(raw, checkEnumStrings(pkg)...)
 		raw = append(raw, checkConfigLiterals(pkg)...)
 		raw = append(raw, checkConfigSchema(pkg)...)
@@ -326,6 +339,30 @@ func checkSimDeterminism(pkg *Package) []Finding {
 	return out
 }
 
+// scheduledLiteral returns the function literal a call hands to
+// sim.Engine.At or After, or nil.
+func scheduledLiteral(pkg *Package, call *ast.CallExpr) *ast.FuncLit {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "At" && sel.Sel.Name != "After") || len(call.Args) == 0 {
+		return nil
+	}
+	selection, ok := pkg.Info.Selections[sel]
+	if !ok {
+		return nil
+	}
+	recv := selection.Recv()
+	if ptr, isPtr := recv.(*types.Pointer); isPtr {
+		recv = ptr.Elem()
+	}
+	named, isNamed := recv.(*types.Named)
+	if !isNamed || named.Obj().Pkg() == nil ||
+		named.Obj().Pkg().Path() != "ccnuma/internal/sim" || named.Obj().Name() != "Engine" {
+		return nil
+	}
+	lit, _ := call.Args[len(call.Args)-1].(*ast.FuncLit)
+	return lit
+}
+
 // checkSchedNoop flags closures handed to the event engine that can never
 // advance the simulation: a callback containing no call, send, or go
 // statement burns an event without enqueuing work.
@@ -337,33 +374,65 @@ func checkSchedNoop(pkg *Package) []Finding {
 			if !ok {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "At" && sel.Sel.Name != "After") {
-				return true
-			}
-			selection, ok := pkg.Info.Selections[sel]
-			if !ok {
-				return true
-			}
-			recv := selection.Recv()
-			if ptr, isPtr := recv.(*types.Pointer); isPtr {
-				recv = ptr.Elem()
-			}
-			named, isNamed := recv.(*types.Named)
-			if !isNamed || named.Obj().Pkg() == nil ||
-				named.Obj().Pkg().Path() != "ccnuma/internal/sim" || named.Obj().Name() != "Engine" {
-				return true
-			}
-			if len(call.Args) == 0 {
-				return true
-			}
-			lit, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)
-			if !ok {
+			lit := scheduledLiteral(pkg, call)
+			if lit == nil {
 				return true
 			}
 			if !doesWork(lit.Body) {
 				out = append(out, pkg.finding(lit.Pos(), "sched-noop",
 					"callback scheduled on the sim engine performs no call/send; it consumes an event without advancing work"))
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// checkSchedClosure flags, in schedClosurePackages, function literals
+// scheduled on the sim engine (At, After) or installed as a bus
+// transaction's completion (an assignment to, or a composite-literal
+// element for, smpbus.Txn's Done field).
+func checkSchedClosure(pkg *Package) []Finding {
+	if !schedClosurePackages[pkg.ImportPath] {
+		return nil
+	}
+	var out []Finding
+	flag := func(lit *ast.FuncLit, where string) {
+		out = append(out, pkg.finding(lit.Pos(), "sched-closure",
+			"function literal %s allocates each time it is evaluated; bind the callback once to a long-lived object", where))
+	}
+	isDone := func(e ast.Expr) bool {
+		var obj types.Object
+		switch e := e.(type) {
+		case *ast.SelectorExpr:
+			obj = pkg.Info.Uses[e.Sel]
+		case *ast.Ident:
+			obj = pkg.Info.Uses[e]
+		}
+		v, ok := obj.(*types.Var)
+		return ok && v.IsField() && v.Name() == "Done" && v.Pkg() != nil &&
+			v.Pkg().Path() == "ccnuma/internal/smpbus"
+	}
+	for _, file := range pkg.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if lit := scheduledLiteral(pkg, n); lit != nil {
+					flag(lit, "scheduled on the sim engine")
+				}
+			case *ast.AssignStmt:
+				if len(n.Lhs) != len(n.Rhs) {
+					return true
+				}
+				for i, lhs := range n.Lhs {
+					if lit, ok := n.Rhs[i].(*ast.FuncLit); ok && isDone(lhs) {
+						flag(lit, "installed as a bus transaction's Done")
+					}
+				}
+			case *ast.KeyValueExpr:
+				if lit, ok := n.Value.(*ast.FuncLit); ok && isDone(n.Key) {
+					flag(lit, "installed as a bus transaction's Done")
+				}
 			}
 			return true
 		})

@@ -267,3 +267,31 @@ func TestSpanPairsCheck(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedClosureCheck pins the sched-closure analysis on its fixture:
+// the four literals scheduled on the engine or installed as a Done are
+// flagged, and the bound and synchronous shapes stay silent.
+func TestSchedClosureCheck(t *testing.T) {
+	pkgs, err := Load(".", "./testdata/src/badclosure")
+	if err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	var got []Finding
+	for _, f := range Check(pkgs) {
+		if f.Check != "sched-closure" {
+			t.Errorf("unexpected non-sched-closure finding: %s", f)
+			continue
+		}
+		got = append(got, f)
+	}
+	if len(got) != 4 {
+		t.Fatalf("sched-closure findings = %d, want 4: %v", len(got), got)
+	}
+	// The flagged literals are in ScheduleAt (line 25), ScheduleAfter
+	// (line 30), InstallDone (line 35) and BuildTxn (line 40).
+	for i, line := range []string{":25:", ":30:", ":35:", ":40:"} {
+		if !strings.Contains(got[i].Pos, line) {
+			t.Errorf("finding %d at %s, want line %s", i, got[i].Pos, line)
+		}
+	}
+}

@@ -3,21 +3,25 @@ package machine
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"ccnuma/internal/config"
 	"ccnuma/internal/prog"
 	"ccnuma/internal/sim"
 )
 
-// settledGoroutines returns the goroutine count once it has fallen to want
-// (an exiting goroutine may need a scheduler pass to be reaped), or after
-// giving up.
+// settledGoroutines returns the goroutine count once it has fallen to want,
+// or after five seconds. A goroutine that has returned stays counted until
+// the runtime reaps it, which on a loaded host can take many scheduler
+// passes.
 func settledGoroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
 	n := runtime.NumGoroutine()
-	for i := 0; i < 100 && n > want; i++ {
-		runtime.Gosched()
+	for n > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 		n = runtime.NumGoroutine()
 	}
 	return n
@@ -162,78 +166,169 @@ func TestL1HitsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// missStream builds a nodes×1 machine with a 64 KB L2 whose processor 0
-// makes n reads of lines homed on node home. It cycles through twice as many
-// distinct lines as the L2 holds, so every read misses in both caches and no
-// miss writes a line back; the other processors do nothing. Once n reaches
-// the cycle length, the caches and the end-of-run checks cost the same
-// whatever n is. The time limit allows 10,000 cycles per miss.
-func missStream(tb testing.TB, nodes, home, n int) (*Machine, func(prog.Env)) {
+// missCase is one miss stream of TestMissesDoNotAllocate and
+// BenchmarkMissPath, on a nodes×1 machine with a 64 KB L2 whose lines are
+// homed on node home. Without steps, processor 0 sweeps twice as many
+// distinct lines as its L2 holds, so every access misses in both caches:
+// reads miss without writing a line back, writes evict a dirty line each.
+// With steps, every round runs each step over one batch of lines, all
+// processors meeting at a barrier after each step; the batch fits in every
+// cache, so each access in a round is a protocol transaction.
+type missCase struct {
+	name          string
+	nodes, home   int
+	write, robust bool
+	steps         []missStep
+}
+
+// missStep is one step of a round: procs each read, or write, the batch.
+type missStep struct {
+	procs []int
+	write bool
+}
+
+var missCases = []missCase{
+	{name: "local", nodes: 1, home: 0},
+	{name: "remote", nodes: 2, home: 1},
+	// Node 2 writes the batch, then node 0's reads are three-hop misses
+	// served by node 2; from the second round node 2's writes invalidate
+	// node 0's copies.
+	{name: "three-hop", nodes: 3, home: 1, steps: []missStep{
+		{procs: []int{2}, write: true}, {procs: []int{0}}}},
+	// Nodes 0 and 3 read the batch (the later reader may wait on the
+	// home's open op), then node 2's read-exclusives invalidate both.
+	{name: "readex-invalidate", nodes: 4, home: 1, steps: []missStep{
+		{procs: []int{0, 3}}, {procs: []int{2}, write: true}}},
+	{name: "dirty-eviction", nodes: 2, home: 1, write: true},
+	{name: "robust-timeout", nodes: 2, home: 1, robust: true},
+}
+
+// stream builds the case's machine and program. A sweep makes size misses,
+// and once size reaches the sweep's length the caches and the end-of-run
+// checks cost the same whatever size is. Steps run rounds rounds over a
+// batch of size lines. The time limit allows 10,000 cycles per access and
+// the wait for the last Robust timeout.
+func (c missCase) stream(tb testing.TB, size, rounds int) (*Machine, func(prog.Env), int) {
 	tb.Helper()
-	cfg := testCfg(nodes, 1)
+	cfg := testCfg(c.nodes, 1)
+	if c.robust {
+		cfg = cfg.WithRobustness()
+	}
 	cfg.L2Size = 64 << 10
-	cfg.SimLimit = sim.Time(n+1) * 10_000
+	accesses := size
+	if c.steps != nil {
+		accesses = 0
+		for _, st := range c.steps {
+			accesses += len(st.procs) * size * rounds
+		}
+	}
+	cfg.SimLimit = sim.Time(accesses+1)*10_000 + config.RobustRequestTimeout
 	m, err := New(cfg, "misses")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	lines := 2 * m.Cfg.L2Size / m.Cfg.LineSize
-	base := m.Space.AllocOnNode(lines*m.Cfg.LineSize, home)
 	stride := uint64(m.Cfg.LineSize)
-	return m, func(e prog.Env) {
-		if e.ID() != 0 {
-			return
-		}
-		for i := 0; i < n; i++ {
-			e.Read(base + uint64(i%lines)*stride)
-		}
+	if c.steps == nil {
+		lines := 2 * m.Cfg.L2Size / m.Cfg.LineSize
+		base := m.Space.AllocOnNode(lines*m.Cfg.LineSize, c.home)
+		return m, func(e prog.Env) {
+			if e.ID() != 0 {
+				return
+			}
+			for i := 0; i < size; i++ {
+				if a := base + uint64(i%lines)*stride; c.write {
+					e.Write(a)
+				} else {
+					e.Read(a)
+				}
+			}
+		}, accesses
 	}
+	base := m.Space.AllocOnNode(size*m.Cfg.LineSize, c.home)
+	return m, func(e prog.Env) {
+		for r := 0; r < rounds; r++ {
+			for _, st := range c.steps {
+				if slices.Contains(st.procs, e.ID()) {
+					for i := 0; i < size; i++ {
+						if a := base + uint64(i)*stride; st.write {
+							e.Write(a)
+						} else {
+							e.Read(a)
+						}
+					}
+				}
+				e.Barrier()
+			}
+		}
+	}, accesses
 }
 
-// missAllocs returns the allocations one miss adds to a missStream run:
-// the difference between runs of n and 2n misses, over n.
-func missAllocs(t *testing.T, nodes, home int) float64 {
-	allocs := func(n int) float64 {
-		return testing.AllocsPerRun(1, func() {
-			m, program := missStream(t, nodes, home, n)
+// allocsPerMiss returns the allocations one miss adds to the case's run. A
+// sweep's cost is the difference between sweeps of 8192 and 4096 misses,
+// over 4096. A steps run also pays for each round's barriers and for each
+// page its batch touches, so its cost is a difference of differences: four
+// more rounds over a batch of 512 lines add the same barriers as four more
+// over 256 lines and twice the misses, so the gap between the two is the
+// allocations of the extra misses alone.
+func (c missCase) allocsPerMiss(t *testing.T) float64 {
+	run := func(size, rounds int) (float64, int) {
+		var misses int
+		allocs := testing.AllocsPerRun(1, func() {
+			m, program, n := c.stream(t, size, rounds)
 			if _, err := m.Run(program); err != nil {
 				t.Fatal(err)
 			}
+			misses = n
 		})
+		return allocs, misses
 	}
-	const n = 4096
-	small, large := allocs(n), allocs(2*n)
-	return (large - small) / n
+	if c.steps == nil {
+		small, n1 := run(4096, 0)
+		large, n2 := run(8192, 0)
+		return (large - small) / float64(n2-n1)
+	}
+	a1, n1 := run(256, 4)
+	a2, n2 := run(256, 8)
+	b1, _ := run(512, 4)
+	b2, _ := run(512, 8)
+	return ((b2 - b1) - (a2 - a1)) / float64(n2-n1)
 }
 
 // TestMissesDoNotAllocate pins the cost of the miss path. A processor
-// re-issues one bus transaction for its in-flight miss, the bus, controller
-// engines and network schedule callbacks bound once per object, and network
-// frames are recycled, so a miss served by local memory allocates nothing.
-// A remote miss still allocates its protocol messages, queued work and
-// transient controller state; its measured count of 17 is pinned as a
-// ceiling. Both allow 0.01 per miss for the runtime's own occasional
+// re-issues one bus transaction for its in-flight miss and recycles its
+// write-backs; the bus, controller engines and network schedule callbacks
+// bound once per object; and the controller recycles its work items,
+// messages, home ops, MSHR entries, continuations and bus transactions, so
+// a miss allocates nothing: served by local memory, by a remote home, by a
+// third node holding the line dirty, with invalidations of remote sharers,
+// with a dirty eviction on the direct data path, or with a Robust timeout
+// armed. Each case allows 0.01 per miss for the runtime's own occasional
 // allocations, which the race detector makes more frequent.
 func TestMissesDoNotAllocate(t *testing.T) {
 	const slack = 0.01
-	if perMiss := missAllocs(t, 1, 0); perMiss > slack {
-		t.Errorf("%.4f allocations per local miss, want 0", perMiss)
-	}
-	if perMiss := missAllocs(t, 2, 1); perMiss > 17+slack {
-		t.Errorf("%.4f allocations per remote miss, want at most 17", perMiss)
+	for _, c := range missCases {
+		if perMiss := c.allocsPerMiss(t); perMiss > slack {
+			t.Errorf("%s: %.4f allocations per miss, want 0", c.name, perMiss)
+		}
 	}
 }
 
-// BenchmarkMissPath reports the host time and allocations of one L2 miss
-// served by local memory and by a remote home, over the streams of
-// TestMissesDoNotAllocate.
+// BenchmarkMissPath reports the host time and allocations of one miss in
+// each stream of TestMissesDoNotAllocate. The steps streams run as many
+// rounds as b.N needs, so their figures include the barriers.
 func BenchmarkMissPath(b *testing.B) {
-	for _, bc := range []struct {
-		name        string
-		nodes, home int
-	}{{"local", 1, 0}, {"remote", 2, 1}} {
-		b.Run(bc.name, func(b *testing.B) {
-			m, program := missStream(b, bc.nodes, bc.home, b.N)
+	for _, c := range missCases {
+		b.Run(c.name, func(b *testing.B) {
+			size, rounds := b.N, 0
+			if c.steps != nil {
+				size = 256
+				perRound := 0
+				for _, st := range c.steps {
+					perRound += len(st.procs) * size
+				}
+				rounds = (b.N + perRound - 1) / perRound
+			}
+			m, program, _ := c.stream(b, size, rounds)
 			b.ReportAllocs()
 			b.ResetTimer()
 			if _, err := m.Run(program); err != nil {

@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ccnuma/internal/cache"
 	"ccnuma/internal/directory"
@@ -13,77 +15,94 @@ import (
 // home itself holds it), and every clean shared copy of a remote line is
 // covered by the home directory. Stale directory sharers (nodes that
 // silently dropped Shared copies) are legal; uncovered holders are not.
-// Machine.Run calls this after every successful run.
+// Lines are checked in ascending order, so a machine with several bad
+// lines always reports the lowest. Machine.Run calls this after every
+// successful run.
 func (m *Machine) CheckCoherence() error {
-	lines := make(map[uint64][]l2Holder)
+	var held []l2Holder
 	for _, p := range m.Procs {
 		node := p.Node()
 		p.ForEachL2Line(func(line uint64, st cache.State) {
-			lines[line] = append(lines[line], l2Holder{node, st})
+			held = append(held, l2Holder{line, node, st})
 		})
 	}
-	for line, hs := range lines {
-		home := m.Space.Home(line)
-		if home < 0 {
-			return fmt.Errorf("coherence: cached line %#x has no home", line)
+	// Stable, so each line's holders stay in processor order.
+	slices.SortStableFunc(held, func(a, b l2Holder) int { return cmp.Compare(a.line, b.line) })
+	for len(held) > 0 {
+		n := 1
+		for n < len(held) && held[n].line == held[0].line {
+			n++
 		}
-		entry := m.Dirs[home].Lookup(line)
+		if err := m.checkLine(held[0].line, held[:n]); err != nil {
+			return err
+		}
+		held = held[n:]
+	}
+	return nil
+}
 
-		dirtyNode := -1
-		for _, h := range hs {
-			if h.state.Dirty() {
-				if dirtyNode >= 0 && dirtyNode != h.node {
-					return fmt.Errorf("coherence: line %#x dirty in nodes %d and %d", line, dirtyNode, h.node)
-				}
-				dirtyNode = h.node
-			}
-		}
-		// A dirty copy forbids clean copies outside the dirty node unless
-		// the dirty state is Owned (dirty-shared within one node is legal,
-		// and Owned lines may have Shared copies in other nodes only if
-		// the directory knows — which DirtyRemote precludes). Modified
-		// must be globally exclusive.
-		for _, h := range hs {
-			if dirtyNode >= 0 && h.node != dirtyNode {
-				if anyModified(hs) {
-					return fmt.Errorf("coherence: line %#x cached in node %d while Modified in node %d",
-						line, h.node, dirtyNode)
-				}
-			}
-		}
+// checkLine validates one cached line against its holders.
+func (m *Machine) checkLine(line uint64, hs []l2Holder) error {
+	home := m.Space.Home(line)
+	if home < 0 {
+		return fmt.Errorf("coherence: cached line %#x has no home", line)
+	}
+	entry := m.Dirs[home].Lookup(line)
 
-		for _, h := range hs {
-			if h.node == home {
-				continue // the home's own caches are covered by bus snooping
+	dirtyNode := -1
+	for _, h := range hs {
+		if h.state.Dirty() {
+			if dirtyNode >= 0 && dirtyNode != h.node {
+				return fmt.Errorf("coherence: line %#x dirty in nodes %d and %d", line, dirtyNode, h.node)
 			}
-			switch {
-			case h.state.Dirty():
-				if entry.State != directory.DirtyRemote || entry.Owner != h.node {
-					return fmt.Errorf("coherence: line %#x dirty (%v) in node %d but home %d records %v/owner=%d",
-						line, h.state, h.node, home, entry.State, entry.Owner)
-				}
-			default: // Shared or Exclusive copy of a remote line
-				covered := (entry.State == directory.SharedRemote && entry.Sharers.Has(h.node)) ||
-					(entry.State == directory.DirtyRemote && entry.Owner == h.node)
-				if !covered {
-					return fmt.Errorf("coherence: line %#x held %v by node %d but home %d records %v (sharers=%b owner=%d)",
-						line, h.state, h.node, home, entry.State, entry.Sharers, entry.Owner)
-				}
+			dirtyNode = h.node
+		}
+	}
+	// A dirty copy forbids clean copies outside the dirty node unless
+	// the dirty state is Owned (dirty-shared within one node is legal,
+	// and Owned lines may have Shared copies in other nodes only if
+	// the directory knows — which DirtyRemote precludes). Modified
+	// must be globally exclusive.
+	for _, h := range hs {
+		if dirtyNode >= 0 && h.node != dirtyNode {
+			if anyModified(hs) {
+				return fmt.Errorf("coherence: line %#x cached in node %d while Modified in node %d",
+					line, h.node, dirtyNode)
 			}
 		}
-		// DirtyRemote entries must be backed by an actual dirty copy at
-		// the owner (otherwise a write-back was lost).
-		if entry.State == directory.DirtyRemote {
-			found := false
-			for _, h := range hs {
-				if h.node == entry.Owner && h.state.Dirty() {
-					found = true
-				}
+	}
+
+	for _, h := range hs {
+		if h.node == home {
+			continue // the home's own caches are covered by bus snooping
+		}
+		switch {
+		case h.state.Dirty():
+			if entry.State != directory.DirtyRemote || entry.Owner != h.node {
+				return fmt.Errorf("coherence: line %#x dirty (%v) in node %d but home %d records %v/owner=%d",
+					line, h.state, h.node, home, entry.State, entry.Owner)
 			}
-			if !found {
-				return fmt.Errorf("coherence: home %d records line %#x DirtyRemote at node %d but no dirty copy exists",
-					home, line, entry.Owner)
+		default: // Shared or Exclusive copy of a remote line
+			covered := (entry.State == directory.SharedRemote && entry.Sharers.Has(h.node)) ||
+				(entry.State == directory.DirtyRemote && entry.Owner == h.node)
+			if !covered {
+				return fmt.Errorf("coherence: line %#x held %v by node %d but home %d records %v (sharers=%b owner=%d)",
+					line, h.state, h.node, home, entry.State, entry.Sharers, entry.Owner)
 			}
+		}
+	}
+	// DirtyRemote entries must be backed by an actual dirty copy at
+	// the owner (otherwise a write-back was lost).
+	if entry.State == directory.DirtyRemote {
+		found := false
+		for _, h := range hs {
+			if h.node == entry.Owner && h.state.Dirty() {
+				found = true
+			}
+		}
+		if !found {
+			return fmt.Errorf("coherence: home %d records line %#x DirtyRemote at node %d but no dirty copy exists",
+				home, line, entry.Owner)
 		}
 	}
 	return nil
@@ -91,6 +110,7 @@ func (m *Machine) CheckCoherence() error {
 
 // l2Holder is one cache's view of a line during the coherence sweep.
 type l2Holder struct {
+	line  uint64
 	node  int
 	state cache.State
 }

@@ -139,10 +139,15 @@ func NewTraced(cfg config.Config, app string, tr *obs.Tracer) (*Machine, error) 
 	}
 	m.Space = memaddr.NewSpace(&m.Cfg)
 	m.Net = interconnect.New(engs, &m.Cfg, tr)
+	// Messages cross nodes, so the controllers on one engine share a pool.
+	msgs := make(map[*sim.Engine]*core.MsgPool)
 	for n := 0; n < cfg.Nodes; n++ {
 		bus := smpbus.New(engs[n], &m.Cfg, n, tr)
 		dir := directory.New(engs[n], &m.Cfg, n, tr)
-		cc := core.New(engs[n], &m.Cfg, n, bus, m.Net, dir, m.Space, &m.run.Controllers[n], tr)
+		if msgs[engs[n]] == nil {
+			msgs[engs[n]] = new(core.MsgPool)
+		}
+		cc := core.New(engs[n], &m.Cfg, n, bus, m.Net, msgs[engs[n]], dir, m.Space, &m.run.Controllers[n], tr)
 		m.Buses = append(m.Buses, bus)
 		m.Dirs = append(m.Dirs, dir)
 		m.CCs = append(m.CCs, cc)
@@ -431,7 +436,7 @@ func (m *Machine) collect(execTime sim.Time) {
 		r.Instructions += p.Instructions()
 		r.MissLatency.Merge(p.MissLatencies())
 		for k, v := range p.Counters() {
-			r.Add(k, v)
+			r.Counters[k] += v
 		}
 	}
 	r.Add("netMessages", m.Net.Messages())

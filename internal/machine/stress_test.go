@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ccnuma/internal/config"
@@ -159,6 +160,36 @@ func TestCoherenceCheckerDetectsViolations(t *testing.T) {
 	m.Dirs[0].Write(m.Eng.Now(), base, dirEntryNone())
 	if err := m.CheckCoherence(); err == nil {
 		t.Fatal("checker missed a planted dirty-without-directory violation")
+	}
+}
+
+// TestCoherenceCheckerReportsLowestLine plants violations on two lines and
+// requires every sweep to name the lower one. The higher line is written
+// first into the same L2 set, so it comes first in cache order too.
+func TestCoherenceCheckerReportsLowestLine(t *testing.T) {
+	m, err := New(testCfg(2, 1), "guard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	setSpan := m.Cfg.L2Size / m.Cfg.L2Assoc // bytes between lines of one set
+	lo := m.Space.AllocOnNode(setSpan+m.Cfg.LineSize, 0)
+	hi := lo + uint64(setSpan)
+	if _, err := m.Run(func(e prog.Env) {
+		if e.ID() == 1 {
+			e.Write(hi)
+			e.Write(lo)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m.Dirs[0].Write(m.Eng.Now(), lo, dirEntryNone())
+	m.Dirs[0].Write(m.Eng.Now(), hi, dirEntryNone())
+	want := fmt.Sprintf("line %#x ", lo)
+	for i := 0; i < 20; i++ {
+		err := m.CheckCoherence()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("sweep %d: error %v, want one naming %#x", i, err, lo)
+		}
 	}
 }
 

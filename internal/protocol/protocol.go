@@ -164,6 +164,14 @@ func (m *Msg) IsResponse() bool {
 	}
 }
 
+// Clone returns a separate copy of the message (interconnect.Cloner): the
+// receiving controller recycles each message it has handled, so a
+// duplicate the network delivers must not share the original.
+func (m *Msg) Clone() interface{} {
+	c := *m
+	return &c
+}
+
 // TraceName lets the network's tracer label this payload (obs.TraceDescriber).
 func (m *Msg) TraceName() string { return m.Type.String() }
 

@@ -164,6 +164,7 @@ type Txn struct {
 	// (see bound), so a re-issued transaction schedules its events without
 	// allocating and a single-use one binds only what it uses.
 	onGrant, onStrobe, onBounce, onIssue, onFinish, onMem, onData func()
+	onWBData, onCapture                                           func()
 }
 
 // bound returns the callback in slot, first binding it to step(b, txn).
@@ -583,25 +584,35 @@ func (b *Bus) resolveReadEx(txn *Txn, now sim.Time, owned, deferred bool) {
 
 func (b *Bus) resolveWriteBack(txn *Txn, now sim.Time, sharedLeft bool) {
 	// Data crosses the bus starting two cycles after the strobe.
-	b.data.AcquireAt(now+2, b.cfg.BusDataTime(), func() {
-		ds := b.eng.Now()
-		end := ds + b.cfg.BusDataTime()
-		if txn.HomeLocal {
-			// Memory bank absorbs the line (its shadow value was already
-			// forwarded from the write-back buffer at issue time).
-			b.bank(txn.Line).AcquireAt(ds, b.cfg.BankBusy, nil)
-			b.complete(txn, end, Outcome{Status: OK, Shared: sharedLeft})
-			return
-		}
-		// Direct data path: the controller's bus interface forwards the
-		// line to the network interface without dispatching a handler.
-		if b.cc == nil {
-			panic("smpbus: remote write-back with no controller")
-		}
-		line, shared, data := txn.Line, sharedLeft, txn.Data
-		b.eng.At(end, func() { b.cc.CaptureWriteBack(line, shared, data) })
-		b.complete(txn, end, Outcome{Status: OK, Shared: sharedLeft})
-	})
+	txn.out = Outcome{Status: OK, Shared: sharedLeft}
+	b.data.AcquireAt(now+2, b.cfg.BusDataTime(), bound(&txn.onWBData, b, txn, (*Bus).writeBackData))
+}
+
+// writeBackData runs when a write-back's line starts crossing the data bus.
+func (b *Bus) writeBackData(txn *Txn) {
+	ds := b.eng.Now()
+	end := ds + b.cfg.BusDataTime()
+	if txn.HomeLocal {
+		// Memory bank absorbs the line (its shadow value was already
+		// forwarded from the write-back buffer at issue time).
+		b.bank(txn.Line).AcquireAt(ds, b.cfg.BankBusy, nil)
+		b.complete(txn, end, txn.out)
+		return
+	}
+	// Direct data path: the controller's bus interface forwards the line
+	// to the network interface without dispatching a handler. The capture
+	// is scheduled before the completion, so it reads the transaction
+	// before its issuer can reuse it.
+	if b.cc == nil {
+		panic("smpbus: remote write-back with no controller")
+	}
+	b.eng.At(end, bound(&txn.onCapture, b, txn, (*Bus).captureWriteBack))
+	b.complete(txn, end, txn.out)
+}
+
+// captureWriteBack hands a remote write-back to the direct data path.
+func (b *Bus) captureWriteBack(txn *Txn) {
+	b.cc.CaptureWriteBack(txn.Line, txn.out.Shared, txn.Data)
 }
 
 func (b *Bus) resolveFetch(txn *Txn, now sim.Time, owned, sharedSeen bool) {
