@@ -13,8 +13,8 @@ build:
 
 # check is the pre-PR gate: gofmt must report nothing, vet and cclint must
 # be clean (cclint also rejects //nolint and //cclint:ignore directives
-# that carry no reason, and fails when the committed protocol model is
-# stale), every test must pass with the race detector on, the protocol
+# that carry no reason), the committed protocol model must be fresh,
+# every test must pass with the race detector on, the protocol
 # checker must close the abstract 4-node state space and the real 2-node
 # one with zero violations, seeded chaos schedules and single injected
 # faults must recover, and the benchmark must build and reproduce its

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 
-	"ccnuma/internal/extract"
 	"ccnuma/internal/lint"
 )
 
@@ -34,28 +33,6 @@ func main() {
 		os.Exit(2)
 	}
 	findings := lint.Check(pkgs)
-
-	// Staleness gate: when the run covers the protocol implementation, the
-	// committed ccnuma-model artifact must still match what the extractor
-	// derives from it — editing a handler without regenerating the model is
-	// a finding like any other.
-	for _, p := range pkgs {
-		if p.ImportPath != "ccnuma/internal/core" && p.ImportPath != "ccnuma/internal/protocol" {
-			continue
-		}
-		reason, err := extract.CheckStale(*dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cclint: model extraction: %v\n", err)
-			os.Exit(2)
-		}
-		if reason != "" {
-			findings = append(findings, lint.Finding{
-				Pos: extract.ArtifactPath, Check: "model-stale", Message: reason,
-			})
-		}
-		break
-	}
-
 	for _, f := range findings {
 		fmt.Println(f.String())
 	}

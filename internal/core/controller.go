@@ -21,7 +21,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"ccnuma/internal/config"
@@ -104,11 +104,7 @@ type homeOp struct {
 	// finalDir is written to the directory when the op completes.
 	finalDir directory.Entry
 
-	waiters []*work
-
-	// pins counts what can still reach the op: its homeOps entry, pending
-	// continuations and an in-flight home fetch (see pool.go).
-	pins int
+	recycled
 }
 
 // span resolves the causal-span identity of the op's requester: local
@@ -139,25 +135,25 @@ type mshrEntry struct {
 	filling         bool // response dispatched, bus supply in flight
 	// data is the shadow line value delivered by the data response, and
 	// shared whether the fill installs the line Shared.
-	data    uint64
-	shared  bool
-	waiters []*work
+	data   uint64
+	shared bool
 
 	// Robustness state (zero and unused unless Config.Robust).
 	// issuedAt is when the request was first sent; attempts counts NACKs
-	// and timeouts consumed against config.RobustRetryBudget; timeouts
-	// counts the armed timeouts that have not fired: every timeout waits
-	// the same delay, so they fire in the order they were armed and only
-	// the last one is live; epoch tags the episode's messages so stale
-	// grants from a closed episode are dropped.
+	// and timeouts consumed against config.RobustRetryBudget; epoch tags
+	// the episode's messages so stale grants from a closed episode are
+	// dropped.
 	issuedAt sim.Time
 	attempts int
-	timeouts int
 	epoch    uint32
+	// timeouts counts the entry's armed timeouts that have not fired,
+	// across reuse: every timeout waits the same delay, so they fire in
+	// the order they were armed and only the last one is live. timeoutFn
+	// is the entry's timer, bound on its first armTimeout.
+	timeouts  int
+	timeoutFn func()
 
-	// pins counts what can still reach the entry: its mshr entry until the
-	// fill retires it, pending continuations and the fill's Done wrapper.
-	pins int
+	recycled
 }
 
 // Controller is one node's coherence controller.
@@ -185,11 +181,11 @@ type Controller struct {
 	// Free lists of the controller's protocol objects (pool.go). msgs is
 	// shared with the controllers on the same engine.
 	msgs  *MsgPool
-	works freeList[work]
-	ops   freeList[homeOp]
-	mshrs freeList[mshrEntry]
-	conts freeList[cont]
-	txns  freeList[ccTxn]
+	works sim.FreeList[work]
+	ops   sim.FreeList[homeOp]
+	mshrs sim.FreeList[mshrEntry]
+	conts sim.FreeList[cont]
+	txns  sim.FreeList[ccTxn]
 
 	handlerCounts [protocol.NumHandlers]uint64
 	handlerBusy   [protocol.NumHandlers]sim.Time
@@ -281,28 +277,28 @@ func (cc *Controller) QueueDepths(i int) (resp, req, bus int) {
 // EngineBusy reports whether engine i is executing a handler right now.
 func (cc *Controller) EngineBusy(i int) bool { return cc.engines[i].busy }
 
-// DumpPending describes outstanding transient state for deadlock
-// diagnostics (map iteration is sorted by line so the dump is
-// deterministic).
-func (cc *Controller) DumpPending() string {
-	var b strings.Builder
-	lines := make([]uint64, 0, len(cc.homeOps))
-	for line := range cc.homeOps {
+// sortedLines returns the lines of a controller table in ascending order,
+// so that the dumps below are deterministic.
+func sortedLines[V any](table map[uint64]V) []uint64 {
+	lines := make([]uint64, 0, len(table))
+	for line := range table {
 		lines = append(lines, line)
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, line := range lines {
+	slices.Sort(lines)
+	return lines
+}
+
+// DumpPending describes outstanding transient state for deadlock
+// diagnostics.
+func (cc *Controller) DumpPending() string {
+	var b strings.Builder
+	for _, line := range sortedLines(cc.homeOps) {
 		op := cc.homeOps[line]
 		fmt.Fprintf(&b, "node %d homeOp line=%#x excl=%v req=%d acks=%d needData=%v haveData=%v interv=%v waitWB=%v wbArr=%v upgrade=%v waiters=%d\n",
 			cc.node, line, op.excl, op.requester, op.acksLeft, op.needData,
 			op.haveData, op.intervention, op.waitWB, op.wbArrived, op.upgrade, len(op.waiters))
 	}
-	lines = lines[:0]
-	for line := range cc.mshr {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, line := range lines {
+	for _, line := range sortedLines(cc.mshr) {
 		m := cc.mshr[line]
 		fmt.Fprintf(&b, "node %d mshr line=%#x excl=%v filling=%v waiters=%d\n",
 			cc.node, line, m.excl, m.filling, len(m.waiters))
@@ -315,30 +311,19 @@ func (cc *Controller) DumpPending() string {
 }
 
 // StateSnapshot renders the controller's complete transient state as a
-// deterministic string (map iteration is sorted by line). Two controllers
-// with equal snapshots will behave identically given identical future
-// inputs; the protocol checker's replays fold snapshots into their
-// quiescent-state hash.
+// deterministic string. Two controllers with equal snapshots will behave
+// identically given identical future inputs; the protocol checker's
+// replays fold snapshots into their quiescent-state hash.
 func (cc *Controller) StateSnapshot() string {
 	var b strings.Builder
-	lines := make([]uint64, 0, len(cc.homeOps))
-	for line := range cc.homeOps {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, line := range lines {
+	for _, line := range sortedLines(cc.homeOps) {
 		op := cc.homeOps[line]
 		fmt.Fprintf(&b, "h%#x:e%vr%da%dn%vd%vi%vw%vb%vf%vu%vq%d;",
 			line, op.excl, op.requester, op.acksLeft, op.needData, op.haveData,
 			op.intervention, op.waitWB, op.wbArrived, op.finishing, op.upgrade,
 			len(op.waiters))
 	}
-	lines = lines[:0]
-	for line := range cc.mshr {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, line := range lines {
+	for _, line := range sortedLines(cc.mshr) {
 		m := cc.mshr[line]
 		fmt.Fprintf(&b, "m%#x:e%vr%vf%vq%d;", line, m.excl, m.responseArrived,
 			m.filling, len(m.waiters))
@@ -503,7 +488,7 @@ func (cc *Controller) deliver(src int, payload interface{}) {
 				Requester: msg.Requester, Excl: msg.Type == protocol.MsgReadExReq,
 				Epoch: msg.Epoch, Txn: msg.Txn,
 			})
-			cc.msgs.put(msg)
+			cc.msgs.Put(msg)
 			return
 		}
 	}

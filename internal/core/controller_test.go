@@ -518,10 +518,10 @@ func TestReplayedWaitersKeepTheirRequests(t *testing.T) {
 
 // TestStaleTimeoutDoesNothing closes a Robust miss while its timeout is
 // still armed and opens a second miss for the same line before the timeout
-// fires. The first entry stays pinned by its timeout, so the second miss
-// gets another entry; the stale timeout then fires in the middle of the
-// second miss and neither counts a timeout nor re-issues, and both entries
-// return to the free list once nothing can reach them.
+// fires. The first entry recycled at its fill, so the second miss reuses
+// it; the stale timeout then fires in the middle of the second miss and
+// neither counts a timeout nor re-issues, and the one entry is back on the
+// free list at the end.
 func TestStaleTimeoutDoesNothing(t *testing.T) {
 	r := newRig(t, func(c *config.Config) { c.Robust = true })
 	line := r.space.AllocOnNode(4096, 0)
@@ -538,13 +538,13 @@ func TestStaleTimeoutDoesNothing(t *testing.T) {
 	first := cc.mshr[line]
 	fires := first.issuedAt + config.RobustRequestTimeout
 	r.stepUntil(t, func() bool { return len(done) == 1 && cc.mshr[line] == nil })
-	if first.pins != 1 {
-		t.Fatalf("closed entry holds %d pins, want 1 for its armed timeout", first.pins)
+	if first.timeouts != 1 {
+		t.Fatalf("closed entry counts %d armed timeouts, want 1", first.timeouts)
 	}
 	r.eng.At(fires-20, read)
 	r.stepUntil(t, func() bool { return cc.mshr[line] != nil })
-	if second := cc.mshr[line]; second == first {
-		t.Fatal("the second miss reused an entry its stale timeout can still reach")
+	if second := cc.mshr[line]; second != first {
+		t.Fatal("the second miss did not reuse the entry its fill recycled")
 	}
 	if _, err := r.eng.Run(); err != nil {
 		t.Fatal(err)
@@ -556,7 +556,76 @@ func TestStaleTimeoutDoesNothing(t *testing.T) {
 	if st.Timeouts != 0 || st.Retries != 0 {
 		t.Errorf("timeouts=%d retries=%d, want a stale timeout to do nothing", st.Timeouts, st.Retries)
 	}
-	if n := len(cc.mshrs.idle); n != 2 {
-		t.Errorf("%d entries on the free list, want both", n)
+	if n := cc.mshrs.Len(); n != 1 {
+		t.Errorf("%d entries on the free list, want the one both misses used", n)
+	}
+}
+
+// TestTimeoutsHoldNoEntry streams back-to-back remote misses on a Robust
+// rig, all within one RobustRequestTimeout, so every miss's timeout is
+// still armed when the next miss opens. Each entry recycles at its fill,
+// so the misses share one MSHR entry, and a timeout is the entry's bound
+// timer, so the stream needs no more conts than one fill does.
+func TestTimeoutsHoldNoEntry(t *testing.T) {
+	const misses = 8
+	r := newRig(t, func(c *config.Config) { c.Robust = true })
+	base := r.space.AllocOnNode(4096, 0)
+	r.buses[0].AttachSnooper(silentSnooper{})
+	r.buses[1].AttachSnooper(silentSnooper{})
+	cc := r.ccs[1]
+	var done []sim.Time
+	var read func()
+	read = func() {
+		line := base + uint64(len(done)*r.cfg.LineSize)
+		r.buses[1].Issue(&smpbus.Txn{Kind: smpbus.Read, Line: line, Src: 0,
+			Done: func(smpbus.Outcome) {
+				done = append(done, r.eng.Now())
+				if len(done) < misses {
+					read()
+				}
+			}})
+	}
+	r.eng.At(0, read)
+	if _, err := r.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != misses || done[misses-1] >= config.RobustRequestTimeout {
+		t.Fatalf("fills at %v, want %d, all before the first timeout at %d", done, misses, config.RobustRequestTimeout)
+	}
+	if st := &r.runs.Controllers[1]; st.Timeouts != 0 || st.Retries != 0 {
+		t.Errorf("timeouts=%d retries=%d, want none", st.Timeouts, st.Retries)
+	}
+	if n := cc.mshrs.Len(); n != 1 {
+		t.Errorf("%d MSHR entries for %d back-to-back misses, want 1", n, misses)
+	}
+	if n := cc.conts.Len(); n > 2 {
+		t.Errorf("%d conts for %d back-to-back misses, want at most the 2 one fill uses", n, misses)
+	}
+}
+
+// TestStaleStepsDoNothing arms a continuation and a home fetch on an op,
+// retires the op, and checks that neither runs once it fires.
+func TestStaleStepsDoNothing(t *testing.T) {
+	r := newRig(t, nil)
+	cc := r.ccs[0]
+	line := r.space.AllocOnNode(4096, 0)
+	op := cc.newHomeOp(homeOp{line: line, requester: 1})
+	ran := 0
+	cc.opAt(0, func(*Controller, *homeOp) { ran++ }, op)
+	fetch := cc.newTxn(smpbus.Fetch, line, true, func(*Controller, *ccTxn, smpbus.Outcome) { ran++ })
+	fetch.op, fetch.gen = op, op.gen
+	cc.freeOp(op)
+	if reused := cc.newHomeOp(homeOp{line: line, requester: 1}); reused != op {
+		t.Fatal("the next op did not reuse the retired op's object")
+	}
+	fetch.done(smpbus.Outcome{Status: smpbus.OK})
+	if _, err := r.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ran != 0 {
+		t.Errorf("%d stale steps ran on the reused op, want none", ran)
+	}
+	if cc.txns.Len() != 1 || cc.conts.Len() != 1 {
+		t.Errorf("%d transactions and %d conts recycled, want 1 each", cc.txns.Len(), cc.conts.Len())
 	}
 }

@@ -80,11 +80,9 @@ func (cc *Controller) mshrFill(m *mshrEntry) {
 
 // mshrFilled retires the miss once the fill has reached the processor.
 func (cc *Controller) mshrFilled(m *mshrEntry) {
-	if cc.mshr[m.line] == m {
-		delete(cc.mshr, m.line)
-		cc.replay(m.waiters)
-		cc.unpinMSHR(m)
-	}
+	delete(cc.mshr, m.line)
+	cc.replay(m.waiters)
+	cc.freeMSHR(m)
 }
 
 // ---- home side: local-home lines -------------------------------------------
@@ -222,8 +220,7 @@ func (cc *Controller) fetchForOp(at sim.Time, op *homeOp, exclusive bool) {
 		kind = smpbus.FetchEx
 	}
 	t := cc.newTxn(kind, op.line, true, (*Controller).homeFetched)
-	t.op = op
-	op.pins++
+	t.op, t.gen = op, op.gen
 	cc.eng.At(at, t.issueFn)
 }
 
@@ -244,10 +241,7 @@ func (cc *Controller) homeFetched(t *ccTxn, o smpbus.Outcome) {
 
 // finishIfReady completes the op if nothing remains outstanding.
 func (cc *Controller) finishIfReady(op *homeOp) {
-	if cc.homeOps[op.line] != op || op.finishing {
-		return // already finished or finishing
-	}
-	if op.ready() {
+	if !op.finishing && op.ready() {
 		cc.finishOp(op)
 	}
 }
@@ -282,15 +276,13 @@ func (cc *Controller) finishOp(op *homeOp) {
 	cc.retireOp(op)
 }
 
-// retireOp writes the op's final directory state and unblocks waiters.
+// retireOp writes the op's final directory state, unblocks waiters and
+// recycles the op.
 func (cc *Controller) retireOp(op *homeOp) {
-	if cc.homeOps[op.line] != op {
-		return
-	}
 	cc.dir.Write(cc.eng.Now(), op.line, op.finalDir)
 	delete(cc.homeOps, op.line)
 	cc.replay(op.waiters)
-	cc.unpinOp(op)
+	cc.freeOp(op)
 }
 
 // ---- network message handlers ----------------------------------------------
@@ -432,7 +424,7 @@ func (cc *Controller) homeReadEx(w *work) sim.Time {
 			if msg.Retry {
 				// See homeRead: a retried request must not park on a
 				// write-back that may never come.
-				cc.unpinOp(op) // never installed
+				cc.freeOp(op) // never installed
 				return cc.nackRetry(msg, dirExtra)
 			}
 			occ, act := cc.charge(protocol.HRemoteReadExHomeDirty, dirExtra, 0)
@@ -739,18 +731,12 @@ func (cc *Controller) homeWriteBack(w *work) sim.Time {
 // finishIfReadyNoResponse completes an op whose requester already received
 // data directly from the owner: no home data response is sent.
 func (cc *Controller) finishIfReadyNoResponse(op *homeOp) {
-	if cc.homeOps[op.line] != op || op.finishing {
-		return
-	}
-	if !op.ready() {
+	if op.finishing || !op.ready() {
 		return
 	}
 	if op.requester >= 0 {
 		// Data went owner->requester directly; just retire the op.
-		cc.dir.Write(cc.eng.Now(), op.line, op.finalDir)
-		delete(cc.homeOps, op.line)
-		cc.replay(op.waiters)
-		cc.unpinOp(op)
+		cc.retireOp(op)
 		return
 	}
 	cc.finishOp(op)

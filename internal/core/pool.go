@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"ccnuma/internal/protocol"
 	"ccnuma/internal/sim"
 	"ccnuma/internal/smpbus"
@@ -11,30 +9,13 @@ import (
 // The controller recycles every object a miss needs: queued work, protocol
 // messages, home ops, MSHR entries, its own bus transactions, and the
 // continuations that run later on a home op or an MSHR entry. Each kind has
-// a free list that starts empty and grows on demand. An object goes back to
-// its list only when nothing can still reach it: no pending event, waiter
-// list, in-flight bus transaction or network frame. Home ops and MSHR
-// entries count what can reach them in pins, so a continuation never runs on
-// an object that was recycled for a later operation (DESIGN §11.5).
-
-// freeList is a stack of idle objects of one kind.
-type freeList[T any] struct {
-	idle []*T
-}
-
-// get pops an idle object, or returns nil when the list is empty.
-func (l *freeList[T]) get() *T {
-	n := len(l.idle)
-	if n == 0 {
-		return nil
-	}
-	x := l.idle[n-1]
-	l.idle[n-1] = nil
-	l.idle = l.idle[:n-1]
-	return x
-}
-
-func (l *freeList[T]) put(x *T) { l.idle = append(l.idle, x) }
+// a free list that starts empty and grows on demand. A home op or an MSHR
+// entry goes back to its list as soon as its operation retires. Its
+// generation, which survives reuse, counts those retirements: every
+// continuation and home fetch records the generation when it is armed and
+// does nothing if the object has retired since, so a step armed for one
+// operation never acts on a later operation that reused the object
+// (DESIGN §11.5).
 
 // MsgPool is the free list of protocol messages shared by the controllers
 // that run on one engine. A message is taken by the controller that sends
@@ -43,12 +24,12 @@ func (l *freeList[T]) put(x *T) { l.idle = append(l.idle, x) }
 // neighbours returned. Keying the list by engine keeps every list on one
 // goroutine in a sharded run.
 type MsgPool struct {
-	freeList[protocol.Msg]
+	sim.FreeList[protocol.Msg]
 }
 
 // newMsg returns an idle message from the engine's pool.
 func (cc *Controller) newMsg() *protocol.Msg {
-	if m := cc.msgs.get(); m != nil {
+	if m := cc.msgs.Get(); m != nil {
 		return m
 	}
 	return new(protocol.Msg)
@@ -56,7 +37,7 @@ func (cc *Controller) newMsg() *protocol.Msg {
 
 // newWork returns an idle work item set to w.
 func (cc *Controller) newWork(w work) *work {
-	x := cc.works.get()
+	x := cc.works.Get()
 	if x == nil {
 		x = new(work)
 	}
@@ -67,72 +48,68 @@ func (cc *Controller) newWork(w work) *work {
 // freeWork returns a handled work item, and its message, to their lists.
 func (cc *Controller) freeWork(w *work) {
 	if w.msg != nil {
-		cc.msgs.put(w.msg)
+		cc.msgs.Put(w.msg)
 	}
 	*w = work{}
-	cc.works.put(w)
+	cc.works.Put(w)
 }
 
-// newHomeOp returns an idle home op set to v, pinned once for its entry in
-// homeOps: retiring the op, or dropping one that was never installed,
-// unpins it.
+// recycled is the part of a home op or an MSHR entry that survives its
+// reuse: the waiter list's array, and gen, the number of times the object
+// has retired.
+type recycled struct {
+	waiters []*work
+	gen     uint32
+}
+
+// retire empties the waiter list and starts the object's next generation.
+func (r *recycled) retire() {
+	clear(r.waiters)
+	r.waiters = r.waiters[:0]
+	r.gen++
+}
+
+// newHomeOp returns an idle home op set to v.
 func (cc *Controller) newHomeOp(v homeOp) *homeOp {
-	op := cc.ops.get()
+	op := cc.ops.Get()
 	if op == nil {
 		op = new(homeOp)
 	}
-	v.waiters = op.waiters // reuse the waiter list's array
+	v.recycled = op.recycled
 	*op = v
-	op.pins = 1
 	return op
 }
 
-// unpinOp drops one reference to op and recycles it after the last.
-func (cc *Controller) unpinOp(op *homeOp) {
-	op.pins--
-	if op.pins > 0 {
-		return
-	}
-	if op.pins < 0 {
-		panic(fmt.Sprintf("core: home op for line %#x unpinned more often than pinned", op.line))
-	}
-	clear(op.waiters)
-	*op = homeOp{waiters: op.waiters[:0]}
-	cc.ops.put(op)
+// freeOp recycles an op that retired or was never installed.
+func (cc *Controller) freeOp(op *homeOp) {
+	op.retire()
+	cc.ops.Put(op)
 }
 
-// newMSHR returns an idle MSHR entry set to v, pinned once for its entry in
-// mshr until the fill retires it.
+// newMSHR returns an idle MSHR entry set to v. The entry keeps its count
+// of armed timeouts and its bound timer across reuse (see armTimeout).
 func (cc *Controller) newMSHR(v mshrEntry) *mshrEntry {
-	m := cc.mshrs.get()
+	m := cc.mshrs.Get()
 	if m == nil {
 		m = new(mshrEntry)
 	}
-	v.waiters = m.waiters
+	v.recycled, v.timeouts, v.timeoutFn = m.recycled, m.timeouts, m.timeoutFn
 	*m = v
-	m.pins = 1
 	return m
 }
 
-// unpinMSHR drops one reference to m and recycles it after the last.
-func (cc *Controller) unpinMSHR(m *mshrEntry) {
-	m.pins--
-	if m.pins > 0 {
-		return
-	}
-	if m.pins < 0 {
-		panic(fmt.Sprintf("core: MSHR entry for line %#x unpinned more often than pinned", m.line))
-	}
-	clear(m.waiters)
-	*m = mshrEntry{waiters: m.waiters[:0]}
-	cc.mshrs.put(m)
+// freeMSHR recycles an entry whose fill has retired it.
+func (cc *Controller) freeMSHR(m *mshrEntry) {
+	m.retire()
+	cc.mshrs.Put(m)
 }
 
 // ---- continuations ---------------------------------------------------------
 
 // cont is a controller method waiting to run on a home op or an MSHR entry,
-// at a scheduled cycle or when a parked bus transaction completes. It pins
-// its object until the method has run. fireFn and doneFn are fire and done,
+// at a scheduled cycle or when a parked bus transaction completes. gen is
+// the object's generation when the cont was armed: the method runs only if
+// the object has not retired since. fireFn and doneFn are fire and done,
 // bound once per cont.
 type cont struct {
 	cc   *Controller
@@ -140,6 +117,7 @@ type cont struct {
 	opFn func(*Controller, *homeOp)
 	m    *mshrEntry
 	mFn  func(*Controller, *mshrEntry)
+	gen  uint32
 	// delay, when delayed is set, is waited out from the first firing
 	// before the method runs.
 	delay   sim.Time
@@ -152,7 +130,7 @@ type cont struct {
 }
 
 func (cc *Controller) newCont() *cont {
-	k := cc.conts.get()
+	k := cc.conts.Get()
 	if k == nil {
 		k = &cont{cc: cc}
 		k.fireFn = k.fire
@@ -178,25 +156,25 @@ func (k *cont) done(o smpbus.Outcome) {
 	k.run()
 }
 
-// run recycles the cont, then runs its method and unpins the object.
+// run recycles the cont, then runs its method if the object is still in
+// the generation the cont was armed in.
 func (k *cont) run() {
-	cc, op, opFn, m, mFn := k.cc, k.op, k.opFn, k.m, k.mFn
+	cc, op, opFn, m, mFn, gen := k.cc, k.op, k.opFn, k.m, k.mFn, k.gen
 	*k = cont{cc: cc, fireFn: k.fireFn, doneFn: k.doneFn}
-	cc.conts.put(k)
+	cc.conts.Put(k)
 	if op != nil {
-		opFn(cc, op)
-		cc.unpinOp(op)
-		return
+		if op.gen == gen {
+			opFn(cc, op)
+		}
+	} else if m.gen == gen {
+		mFn(cc, m)
 	}
-	mFn(cc, m)
-	cc.unpinMSHR(m)
 }
 
 // opAt runs fn on op at cycle at.
 func (cc *Controller) opAt(at sim.Time, fn func(*Controller, *homeOp), op *homeOp) {
 	k := cc.newCont()
-	k.op, k.opFn = op, fn
-	op.pins++
+	k.op, k.opFn, k.gen = op, fn, op.gen
 	cc.eng.At(at, k.fireFn)
 }
 
@@ -205,16 +183,14 @@ func (cc *Controller) opAt(at sim.Time, fn func(*Controller, *homeOp), op *homeO
 // lasts one issue.
 func (cc *Controller) opOnDone(txn *smpbus.Txn, fn func(*Controller, *homeOp), op *homeOp) {
 	k := cc.newCont()
-	k.op, k.opFn, k.orig = op, fn, txn.Done
-	op.pins++
+	k.op, k.opFn, k.gen, k.orig = op, fn, op.gen, txn.Done
 	txn.Done = k.doneFn
 }
 
 // mshrAt runs fn on m at cycle at.
 func (cc *Controller) mshrAt(at sim.Time, fn func(*Controller, *mshrEntry), m *mshrEntry) {
 	k := cc.newCont()
-	k.m, k.mFn = m, fn
-	m.pins++
+	k.m, k.mFn, k.gen = m, fn, m.gen
 	cc.eng.At(at, k.fireFn)
 }
 
@@ -222,9 +198,8 @@ func (cc *Controller) mshrAt(at sim.Time, fn func(*Controller, *mshrEntry), m *m
 // delay from an event at at.
 func (cc *Controller) mshrAtAfter(at, delay sim.Time, fn func(*Controller, *mshrEntry), m *mshrEntry) {
 	k := cc.newCont()
-	k.m, k.mFn = m, fn
+	k.m, k.mFn, k.gen = m, fn, m.gen
 	k.delay, k.delayed = delay, true
-	m.pins++
 	cc.eng.At(at, k.fireFn)
 }
 
@@ -232,8 +207,7 @@ func (cc *Controller) mshrAtAfter(at, delay sim.Time, fn func(*Controller, *mshr
 // txn's own Done.
 func (cc *Controller) mshrOnDone(txn *smpbus.Txn, fn func(*Controller, *mshrEntry), m *mshrEntry) {
 	k := cc.newCont()
-	k.m, k.mFn, k.orig = m, fn, txn.Done
-	m.pins++
+	k.m, k.mFn, k.gen, k.orig = m, fn, m.gen, txn.Done
 	txn.Done = k.doneFn
 }
 
@@ -250,9 +224,11 @@ type ccTxn struct {
 	smpbus.Txn
 	cc   *Controller
 	then func(*Controller, *ccTxn, smpbus.Outcome)
-	// op is the home op a fetch collects data for, pinned while the fetch
-	// is in flight.
-	op *homeOp
+	// op is the home op a fetch collects data for, and gen its generation
+	// when the fetch was issued: the completion runs only for that
+	// generation.
+	op  *homeOp
+	gen uint32
 	// home, requester, excl and fromHome route an intervention's data and
 	// completion notice (home alone routes an invalidation's ack); spanID
 	// and spanEpoch are the requester's causal-span identity.
@@ -269,7 +245,7 @@ type ccTxn struct {
 // reads.
 func (cc *Controller) newTxn(kind smpbus.Kind, line uint64, homeLocal bool,
 	then func(*Controller, *ccTxn, smpbus.Outcome)) *ccTxn {
-	t := cc.txns.get()
+	t := cc.txns.Get()
 	if t == nil {
 		t = &ccTxn{cc: cc}
 		t.Src = smpbus.CCSrc
@@ -282,15 +258,12 @@ func (cc *Controller) newTxn(kind smpbus.Kind, line uint64, homeLocal bool,
 
 func (t *ccTxn) issue() { t.cc.bus.Issue(&t.Txn) }
 
-// done runs the completion, recycles the transaction and unpins its op.
+// done runs the completion, unless the transaction fetched for an op that
+// has retired since, and recycles the transaction.
 func (t *ccTxn) done(o smpbus.Outcome) {
-	cc, op := t.cc, t.op
-	if t.then != nil {
-		t.then(cc, t, o)
+	if t.then != nil && (t.op == nil || t.op.gen == t.gen) {
+		t.then(t.cc, t, o)
 	}
 	t.then, t.op = nil, nil
-	cc.txns.put(t)
-	if op != nil {
-		cc.unpinOp(op)
-	}
+	t.cc.txns.Put(t)
 }

@@ -90,7 +90,7 @@ func nackBackoff(attempts int) sim.Time {
 // a response has arrived in the meantime.
 func (cc *Controller) reissue(m *mshrEntry) {
 	line := m.line
-	if cc.mshr[line] != m || m.filling || m.responseArrived {
+	if m.filling || m.responseArrived {
 		return
 	}
 	cc.st.Retries++
@@ -106,15 +106,21 @@ func (cc *Controller) reissue(m *mshrEntry) {
 	cc.armTimeout(m)
 }
 
-// armTimeout schedules the episode's request timeout. A re-issue arms a
-// new one, and only the last timeout armed is live (see
-// mshrEntry.timeouts), so exactly one timeout is live per episode.
+// armTimeout schedules the episode's request timeout on the entry's timer,
+// bound on the entry's first timeout. A re-issue arms a new one, and only
+// the last timeout armed is live (see mshrEntry.timeouts), so exactly one
+// timeout is live per episode. A timeout holds neither its entry nor a
+// cont: the entry recycles at its fill, and a stale timeout finds a later
+// timeout armed after it, or finds the entry no longer in mshr.
 func (cc *Controller) armTimeout(m *mshrEntry) {
 	if !cc.cfg.Robust {
 		return
 	}
+	if m.timeoutFn == nil {
+		m.timeoutFn = func() { cc.timeout(m) }
+	}
 	m.timeouts++
-	cc.mshrAt(cc.eng.Now()+config.RobustRequestTimeout, (*Controller).timeout, m)
+	cc.eng.At(cc.eng.Now()+config.RobustRequestTimeout, m.timeoutFn)
 }
 
 // timeout re-issues the episode's request if this is its live timeout and

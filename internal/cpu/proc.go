@@ -105,7 +105,7 @@ type Proc struct {
 	// wbFree holds the processor's idle write-back transactions. Several
 	// write-backs can be in flight, so each has its own, recycled once its
 	// Done has run.
-	wbFree []*wbTxn
+	wbFree sim.FreeList[wbTxn]
 
 	pendingComp int64 // program-side accumulated compute cycles
 
@@ -259,6 +259,9 @@ func (p *Proc) Stop() {
 func (p *Proc) Resume() {
 	p.resumeProgram()
 }
+
+// ResumeAt continues a parked processor at cycle t of its own engine.
+func (p *Proc) ResumeAt(t sim.Time) { p.eng.At(t, p.resumeFn) }
 
 // SyncAccess models a load/store issued by the synchronization layer on
 // behalf of the parked program (a lock-line acquisition or release). done
@@ -570,11 +573,8 @@ type wbTxn struct {
 // beyond the bus itself). A bounced write-back is issued again with the
 // same value: the evicted copy is gone, so v is the only record of it.
 func (p *Proc) writeBack(line, v uint64) {
-	var t *wbTxn
-	if n := len(p.wbFree); n > 0 {
-		t = p.wbFree[n-1]
-		p.wbFree = p.wbFree[:n-1]
-	} else {
+	t := p.wbFree.Get()
+	if t == nil {
 		t = &wbTxn{p: p}
 		t.Kind, t.Src = smpbus.WriteBack, p.src
 		t.Done = t.done
@@ -599,7 +599,7 @@ func (t *wbTxn) done(o smpbus.Outcome) {
 		t.p.eng.After(t.p.cfg.BusRetry, t.retryFn)
 		return
 	}
-	t.p.wbFree = append(t.p.wbFree, t)
+	t.p.wbFree.Put(t)
 }
 
 // finishMiss records the completed miss's service time.

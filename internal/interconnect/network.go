@@ -85,7 +85,6 @@ type frame struct {
 	// reaches the destination's input port; both are set at the output
 	// port grant.
 	ser, head sim.Time
-	next      *frame // free-list link
 
 	// sendFn, launchFn, admitFn, landFn and arriveFn are send, launch,
 	// admit, land and arrive bound to this frame.
@@ -146,13 +145,13 @@ type Network struct {
 	// destination (Robust only; never populated on a fault-free run).
 	// Per-source maps keep all mutation on the source node's engine.
 	hold []map[int]*pairHold
-	// free[pool[node]] heads the list of idle frames of the engine that
-	// owns node: one list on a serial run, one per shard on a sharded one.
+	// free[pool[node]] is the list of idle frames of the engine that owns
+	// node: one list on a serial run, one per shard on a sharded one.
 	// A send takes its frame from the source engine's list and the arrival
 	// returns it to the destination engine's, each on that engine, so no
 	// list is touched from two goroutines, and a node that sends more than
 	// it receives reuses the frames its engine's other nodes received.
-	free []*frame
+	free []sim.FreeList[frame]
 	pool []int
 	// drainFns[node] is portDrained for that node, bound once.
 	drainFns []func()
@@ -185,7 +184,7 @@ func New(engs []*sim.Engine, cfg *config.Config, tr *obs.Tracer) *Network {
 		if !ok {
 			p = len(n.free)
 			pools[engs[i]] = p
-			n.free = append(n.free, nil)
+			n.free = append(n.free, sim.FreeList[frame]{})
 		}
 		n.pool[i] = p
 		n.out[i] = sim.NewResource(engs[i])
@@ -239,8 +238,7 @@ func (n *Network) frameFor(src, dst, flitCount int, payload interface{}) *frame 
 	if flitCount <= 0 {
 		flitCount = 1
 	}
-	p := n.pool[src]
-	f := n.free[p]
+	f := n.free[n.pool[src]].Get()
 	if f == nil {
 		f = &frame{}
 		f.sendFn = func() { n.send(f) }
@@ -248,9 +246,6 @@ func (n *Network) frameFor(src, dst, flitCount int, payload interface{}) *frame 
 		f.admitFn = func() { n.admit(f) }
 		f.landFn = func() { n.land(f) }
 		f.arriveFn = func() { n.arrive(f) }
-	} else {
-		n.free[p] = f.next
-		f.next = nil
 	}
 	f.src, f.dst, f.flits, f.payload, f.delay = src, dst, flitCount, payload, 0
 	return f
@@ -475,9 +470,8 @@ func (n *Network) land(f *frame) {
 // sends.
 func (n *Network) arrive(f *frame) {
 	src, dst, payload := f.src, f.dst, f.payload
-	p := n.pool[dst]
-	f.payload, f.next = nil, n.free[p]
-	n.free[p] = f
+	f.payload = nil
+	n.free[n.pool[dst]].Put(f)
 	atomic.AddInt64(&n.inFlight, -1)
 	if _, rejected := payload.(*discardFrame); rejected {
 		// Failed CRC or duplicate sequence number: the NI rejects the

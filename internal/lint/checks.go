@@ -128,6 +128,25 @@ var bannedTimeFuncs = map[string]bool{
 	"AfterFunc": true,
 }
 
+// analyzers are the analyses Check runs over each package, each with the
+// check names its findings carry. Those names are what a cclint:ignore
+// directive may suppress (knownChecks).
+var analyzers = []struct {
+	checks []string
+	run    func(*Package) []Finding
+}{
+	{[]string{"switch-enum"}, checkEnumSwitches},
+	{[]string{"sim-time", "sim-rand"}, checkSimDeterminism},
+	{[]string{"sched-noop"}, checkSchedNoop},
+	{[]string{"sched-closure"}, checkSchedClosure},
+	{[]string{"enum-string"}, checkEnumStrings},
+	{[]string{"config-literal"}, checkConfigLiterals},
+	{[]string{"config-schema"}, checkConfigSchema},
+	{[]string{"no-goroutine"}, checkNoGoroutines},
+	{[]string{"span-pair"}, checkSpanPairs},
+	{[]string{"rangemap"}, checkRangeMaps},
+}
+
 // Check runs every analysis over the loaded packages and returns the
 // surviving findings (suppressions with a reason are honored; suppressions
 // without one become findings themselves).
@@ -135,20 +154,11 @@ func Check(pkgs []*Package) []Finding {
 	var out []Finding
 	for _, pkg := range pkgs {
 		sup := collectSuppressions(pkg)
-		var raw []Finding
-		raw = append(raw, checkEnumSwitches(pkg)...)
-		raw = append(raw, checkSimDeterminism(pkg)...)
-		raw = append(raw, checkSchedNoop(pkg)...)
-		raw = append(raw, checkSchedClosure(pkg)...)
-		raw = append(raw, checkEnumStrings(pkg)...)
-		raw = append(raw, checkConfigLiterals(pkg)...)
-		raw = append(raw, checkConfigSchema(pkg)...)
-		raw = append(raw, checkNoGoroutines(pkg)...)
-		raw = append(raw, checkSpanPairs(pkg)...)
-		raw = append(raw, checkRangeMaps(pkg)...)
-		for _, f := range raw {
-			if !sup.covers(f) {
-				out = append(out, f)
+		for _, a := range analyzers {
+			for _, f := range a.run(pkg) {
+				if !sup.covers(f) {
+					out = append(out, f)
+				}
 			}
 		}
 		out = append(out, checkCommentHygiene(pkg, sup)...)

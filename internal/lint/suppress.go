@@ -66,27 +66,19 @@ func locKey(file string, line int) string {
 	return fmt.Sprintf("%s:%d", file, line)
 }
 
-// knownChecks is the vocabulary a cclint:ignore directive may name. A
-// typo here would silently suppress nothing while looking intentional,
-// so unknown names are findings. model-stale is emitted by the cclint
-// driver (the artifact staleness gate) rather than package lint, but is
-// part of the same vocabulary.
-var knownChecks = map[string]bool{
-	"config-literal": true,
-	"config-schema":  true,
-	"enum-string":    true,
-	"ignore-reason":  true,
-	"ignore-unknown": true,
-	"model-stale":    true,
-	"no-goroutine":   true,
-	"nolint-reason":  true,
-	"rangemap":       true,
-	"sched-noop":     true,
-	"sim-rand":       true,
-	"sim-time":       true,
-	"span-pair":      true,
-	"switch-enum":    true,
-}
+// knownChecks is the vocabulary a cclint:ignore directive may name: the
+// checks the analyzers declare and those of the hygiene pass below. A
+// typo in a directive would silently suppress nothing while looking
+// intentional, so unknown names are findings.
+var knownChecks = func() map[string]bool {
+	known := map[string]bool{"ignore-reason": true, "ignore-unknown": true, "nolint-reason": true}
+	for _, a := range analyzers {
+		for _, c := range a.checks {
+			known[c] = true
+		}
+	}
+	return known
+}()
 
 // covers reports whether a complete (check + reason) suppression matches
 // the finding's location and check name, marking it used.

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -122,18 +124,47 @@ var G int //nolint:gocritic // shadow rule misfires on the engine idiom
 	}
 }
 
-// TestKnownChecksComplete walks every analyzer-emitted check name used in
-// this package's tests and requires it to be in the suppression
-// vocabulary, so a newly added analyzer cannot be un-suppressable by
-// omission.
+// TestKnownChecksComplete parses this package's sources and requires the
+// check name of every finding they build to be in the suppression
+// vocabulary, so an analyzer cannot report a check it does not declare,
+// which no directive could then suppress.
 func TestKnownChecksComplete(t *testing.T) {
-	for _, name := range []string{
-		"switch-enum", "sim-time", "sim-rand", "sched-noop", "enum-string",
-		"config-literal", "config-schema", "no-goroutine", "span-pair",
-		"rangemap", "model-stale",
-	} {
-		if !knownChecks[name] {
-			t.Errorf("check %q missing from knownChecks", name)
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	seen := map[string]bool{}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
 		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "finding" || len(call.Args) < 2 {
+				return true
+			}
+			lit, ok := call.Args[1].(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				t.Errorf("%s: finding built with a computed check name", fset.Position(call.Pos()))
+				return true
+			}
+			check, _ := strconv.Unquote(lit.Value)
+			seen[check] = true
+			if !knownChecks[check] {
+				t.Errorf("%s: check %q missing from knownChecks", fset.Position(call.Pos()), check)
+			}
+			return true
+		})
+	}
+	if !seen["sched-closure"] || !seen["ignore-unknown"] {
+		t.Fatalf("found checks %v, want the analyzers' and the hygiene pass's", seen)
 	}
 }

@@ -1,8 +1,8 @@
 // Package badclosure is a cclint test fixture for the sched-closure check.
 // The four functions marked "flagged" schedule a function literal on the
-// sim engine or install one as a bus transaction's Done; the bound and
-// synchronous shapes below them must stay silent. It is excluded from
-// normal builds by living under testdata.
+// sim engine or install one as a bus transaction's Done; the bound,
+// synchronous and suppressed shapes below them must stay silent. It is
+// excluded from normal builds by living under testdata.
 package badclosure
 
 import (
@@ -59,4 +59,10 @@ func visit(xs []int, fn func(int)) {
 	for _, x := range xs {
 		fn(x)
 	}
+}
+
+// Suppressed schedules a literal under a reasoned suppression: silent.
+func Suppressed(eng *sim.Engine, c *counter) {
+	//cclint:ignore sched-closure runs once per machine, not once per miss
+	eng.At(1, func() { c.bump() })
 }

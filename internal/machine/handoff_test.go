@@ -265,11 +265,9 @@ func (c missCase) stream(tb testing.TB, size, rounds int) (*Machine, func(prog.E
 
 // allocsPerMiss returns the allocations one miss adds to the case's run. A
 // sweep's cost is the difference between sweeps of 8192 and 4096 misses,
-// over 4096. A steps run also pays for each round's barriers and for each
-// page its batch touches, so its cost is a difference of differences: four
-// more rounds over a batch of 512 lines add the same barriers as four more
-// over 256 lines and twice the misses, so the gap between the two is the
-// allocations of the extra misses alone.
+// over 4096. A steps run's cost is the difference between 8 and 4 rounds
+// over one batch of 256 lines, over the extra misses: the extra rounds
+// touch no new page, and a barrier allocates nothing.
 func (c missCase) allocsPerMiss(t *testing.T) float64 {
 	run := func(size, rounds int) (float64, int) {
 		var misses int
@@ -289,9 +287,7 @@ func (c missCase) allocsPerMiss(t *testing.T) float64 {
 	}
 	a1, n1 := run(256, 4)
 	a2, n2 := run(256, 8)
-	b1, _ := run(512, 4)
-	b2, _ := run(512, 8)
-	return ((b2 - b1) - (a2 - a1)) / float64(n2-n1)
+	return (a2 - a1) / float64(n2-n1)
 }
 
 // TestMissesDoNotAllocate pins the cost of the miss path. A processor
@@ -310,6 +306,34 @@ func TestMissesDoNotAllocate(t *testing.T) {
 		if perMiss := c.allocsPerMiss(t); perMiss > slack {
 			t.Errorf("%s: %.4f allocations per miss, want 0", c.name, perMiss)
 		}
+	}
+}
+
+// TestBarriersDoNotAllocate pins the cost of a barrier round on a 3x1
+// machine: each processor's arrival is bound once, the parked list keeps
+// its array, and each release is the processor's own bound resume, so
+// doubling the rounds must not change the allocations of the whole run.
+func TestBarriersDoNotAllocate(t *testing.T) {
+	allocs := func(rounds int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			m, err := New(testCfg(3, 1), "barriers")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Run(func(e prog.Env) {
+				for i := 0; i < rounds; i++ {
+					e.Barrier()
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const rounds = 200
+	small, large := allocs(rounds), allocs(2*rounds)
+	if perRound := (large - small) / rounds; perRound > 0.01 {
+		t.Fatalf("%.4f allocations per barrier round (%v allocs at %d rounds, %v at %d), want 0",
+			perRound, small, rounds, large, 2*rounds)
 	}
 }
 

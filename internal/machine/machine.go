@@ -51,8 +51,10 @@ type Machine struct {
 	run     *stats.Run
 	sampler *obs.Sampler
 
-	// Barrier state (single global sense-counting barrier).
+	// Barrier state (single global sense-counting barrier). arriveFns[i]
+	// is barrierArrive for processor i, bound once.
 	barrierParked []*cpu.Proc
+	arriveFns     []func()
 
 	// Lock state.
 	locks     map[int]*lockState
@@ -133,6 +135,7 @@ func NewTraced(cfg config.Config, app string, tr *obs.Tracer) (*Machine, error) 
 		cluster:   cluster,
 		Cfg:       cfg,
 		Tracer:    tr,
+		arriveFns: make([]func(), 0, cfg.Nodes*cfg.ProcsPerNode),
 		locks:     make(map[int]*lockState),
 		lockAddrs: make(map[int]uint64),
 		run:       stats.NewRun(cfg.ArchName(), app, cfg.EngineCounts()),
@@ -155,6 +158,7 @@ func NewTraced(cfg config.Config, app string, tr *obs.Tracer) (*Machine, error) 
 			id := n*cfg.ProcsPerNode + i
 			p := cpu.New(engs[n], &m.Cfg, id, n, bus, m.Space, m, tr)
 			m.Procs = append(m.Procs, p)
+			m.arriveFns = append(m.arriveFns, func() { m.barrierArrive(p) })
 		}
 	}
 	return m, nil
@@ -508,20 +512,21 @@ func (m *Machine) collect(execTime sim.Time) {
 // arrival list is shared machine state, so the whole operation runs under a
 // fence; releases pay BarrierCost, which is at least the cluster lookahead,
 // so the cross-engine resumes are legal from the fence body.
-func (m *Machine) Barrier(p *cpu.Proc) {
-	m.fence(p, func() {
-		m.barrierParked = append(m.barrierParked, p)
-		if len(m.barrierParked) < len(m.Procs) {
-			return
-		}
-		parked := m.barrierParked
-		m.barrierParked = nil
-		at := m.engFor(p.Node()).Now()
-		for _, q := range parked {
-			q := q
-			m.engFor(q.Node()).At(at+m.Cfg.BarrierCost, q.Resume)
-		}
-	})
+func (m *Machine) Barrier(p *cpu.Proc) { m.fence(p, m.arriveFns[p.ID()]) }
+
+// barrierArrive parks p; the last arrival resumes every parked processor
+// on its own engine and empties the list, keeping its array.
+func (m *Machine) barrierArrive(p *cpu.Proc) {
+	m.barrierParked = append(m.barrierParked, p)
+	if len(m.barrierParked) < len(m.Procs) {
+		return
+	}
+	at := m.engFor(p.Node()).Now() + m.Cfg.BarrierCost
+	for _, q := range m.barrierParked {
+		q.ResumeAt(at)
+	}
+	clear(m.barrierParked)
+	m.barrierParked = m.barrierParked[:0]
 }
 
 // lockAddrFor lazily assigns each lock a cache line (packed 32 per page so
