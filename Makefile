@@ -149,10 +149,11 @@ torture-smoke:
 	$(GO) test -count=1 -run TestKillTorture -v ./internal/serve/
 
 # microbench runs the go-test benchmark suites: each paper artifact once at
-# SizeTest, then the engine hot-loop benchmarks in internal/sim and the miss
-# path and construction benchmarks in internal/machine at the default
-# benchtime, so their ns/op is the engine's per-event cost, the host cost
-# of one local or remote L2 miss, and the cost of building the 16x4 HWC
+# SizeTest, then the engine hot-loop benchmarks in internal/sim and the L1
+# hit, miss path and construction benchmarks in internal/machine at the
+# default benchtime, so their ns/op is the engine's per-event cost, the
+# host cost of one L1 hit (the program handoff and the processor's hit
+# path alone), of one local or remote L2 miss, and of building the 16x4 HWC
 # machine and chaos-sweep's robust 4x2 one, printed with allocs/op and
 # B/op. No gate reads these timings.
 microbench:

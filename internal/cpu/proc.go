@@ -2,8 +2,11 @@
 // Each simulated processor runs its workload program as a coroutine of the
 // engine (prog.Coroutine); the program's shared-memory loads and stores are
 // issued to the timing model (L1 -> L2 -> SMP bus -> coherence controller)
-// and the program stays parked until the simulated access completes,
-// exactly like the Augmint task-switch-per-reference model the paper used.
+// one at a time, the next when the previous access completes, as in the
+// Augmint model the paper used. The program itself runs ahead, buffering
+// loads and stores until its next synchronization operation, so the
+// engine switches into it once per batch rather than once per reference;
+// the operations and their simulated times are the same either way.
 // Control switches directly between the engine and one program, so only one
 // of them ever runs at a time and simulations stay deterministic.
 package cpu
@@ -79,8 +82,9 @@ type Proc struct {
 	lastWrite uint64
 
 	// co is the program coroutine (nil until Run). curOp is the one
-	// operation in flight while its compute cycles elapse: the program stays
-	// parked until that operation completes, so there is never a second.
+	// operation in flight while its compute cycles elapse: the next is
+	// taken from the coroutine only when that one completes, so there is
+	// never a second.
 	co    *prog.Coroutine[op]
 	curOp op
 	// resumeFn and execFn are resumeProgram and the curOp executor, bound
@@ -228,13 +232,16 @@ func (p *Proc) readValue(line uint64) { _, p.lastRead = p.l2.Peek(line) }
 // MissLatencies returns the processor's miss service-time distribution.
 func (p *Proc) MissLatencies() *stats.Histogram { return &p.missLat }
 
-// Counters returns the processor's reference statistics.
-func (p *Proc) Counters() map[string]uint64 {
-	return map[string]uint64{
-		"reads": p.reads, "writes": p.writes,
-		"l1Hits": p.l1Hits, "l2Hits": p.l2Hits, "misses": p.misses,
-		"upgrades": p.upgrades, "busRetries": p.retries,
-	}
+// AddCounters adds the processor's reference statistics to counters, each
+// under its name, zero counts included.
+func (p *Proc) AddCounters(counters map[string]uint64) {
+	counters["reads"] += p.reads
+	counters["writes"] += p.writes
+	counters["l1Hits"] += p.l1Hits
+	counters["l2Hits"] += p.l2Hits
+	counters["misses"] += p.misses
+	counters["upgrades"] += p.upgrades
+	counters["busRetries"] += p.retries
 }
 
 // Run prepares the program coroutine and schedules its first time slice.
@@ -280,9 +287,10 @@ func (p *Proc) SyncAccess(addr uint64, write bool, done func()) {
 	p.access(addr, write)
 }
 
-// resumeProgram switches to the program coroutine, receives its next
-// operation, and models it. The engine is suspended while the program
-// computes, which serializes all program execution deterministically.
+// resumeProgram takes the program's next operation, switching to the
+// program coroutine if it has none buffered, and models it. The engine is
+// suspended while the program computes, which serializes all program
+// execution deterministically.
 func (p *Proc) resumeProgram() {
 	p.handleOp(p.co.Next())
 }
@@ -682,9 +690,10 @@ func (p *Proc) SnoopData() uint64 { return p.snoopVal }
 // ---- program-facing API -----------------------------------------------------
 
 // Env is the shared-memory interface handed to workload programs (the
-// detailed implementation of prog.Env). All methods park the program
-// coroutine until the simulated operation completes. Env is owned by a
-// single program.
+// detailed implementation of prog.Env). Loads and stores go into the
+// coroutine's run-ahead buffer and return; Barrier, Lock and Unlock park
+// the program until the processor has completed every earlier operation
+// and the synchronization itself. Env is owned by a single program.
 type Env struct {
 	p *Proc
 }
@@ -705,17 +714,18 @@ func (e *Env) Compute(n int) {
 	}
 }
 
-func (e *Env) issue(o op) {
-	o.comp = e.p.pendingComp
-	e.p.pendingComp = 0
-	e.p.co.Yield(o)
+// withCompute attaches the compute cycles accumulated since the previous
+// operation to o.
+func (e *Env) withCompute(o op) op {
+	o.comp, e.p.pendingComp = e.p.pendingComp, 0
+	return o
 }
 
-// Read performs a shared-memory load from addr.
-func (e *Env) Read(addr uint64) { e.issue(op{kind: opRead, addr: addr}) }
+// Read issues a shared-memory load from addr and returns at once.
+func (e *Env) Read(addr uint64) { e.p.co.Put(e.withCompute(op{kind: opRead, addr: addr})) }
 
-// Write performs a shared-memory store to addr.
-func (e *Env) Write(addr uint64) { e.issue(op{kind: opWrite, addr: addr}) }
+// Write issues a shared-memory store to addr and returns at once.
+func (e *Env) Write(addr uint64) { e.p.co.Put(e.withCompute(op{kind: opWrite, addr: addr})) }
 
 // ReadRange loads n consecutive 8-byte words starting at addr, one
 // reference per word (the caches collapse same-line references).
@@ -734,11 +744,11 @@ func (e *Env) WriteRange(addr uint64, n int) {
 
 // Barrier joins the global barrier; the program resumes when every
 // processor has arrived.
-func (e *Env) Barrier() { e.issue(op{kind: opBarrier}) }
+func (e *Env) Barrier() { e.p.co.Yield(e.withCompute(op{kind: opBarrier})) }
 
 // Lock acquires the numbered lock, modelling the coherence traffic of a
 // read-exclusive acquisition of the lock's cache line.
-func (e *Env) Lock(id int) { e.issue(op{kind: opLock, id: id}) }
+func (e *Env) Lock(id int) { e.p.co.Yield(e.withCompute(op{kind: opLock, id: id})) }
 
 // Unlock releases the numbered lock.
-func (e *Env) Unlock(id int) { e.issue(op{kind: opUnlock, id: id}) }
+func (e *Env) Unlock(id int) { e.p.co.Yield(e.withCompute(op{kind: opUnlock, id: id})) }

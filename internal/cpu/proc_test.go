@@ -56,6 +56,13 @@ func run(t *testing.T, eng *sim.Engine, ps []*Proc, progs ...func(prog.Env)) {
 	}
 }
 
+// counters returns p's reference statistics by name.
+func counters(p *Proc) map[string]uint64 {
+	c := map[string]uint64{}
+	p.AddCounters(c)
+	return c
+}
+
 func TestCacheHitHierarchy(t *testing.T) {
 	eng, _, space, _, ps := testRig(t, 1)
 	base := space.Alloc(4096)
@@ -67,7 +74,7 @@ func TestCacheHitHierarchy(t *testing.T) {
 		e.Read(base + 64) // same 128B line: L1 hit
 	})
 	p := ps[0]
-	c := p.Counters()
+	c := counters(p)
 	if c["misses"] != 1 {
 		t.Fatalf("misses = %d, want 1", c["misses"])
 	}
@@ -212,7 +219,7 @@ func TestL1Inclusion(t *testing.T) {
 			e.Compute(500)
 			e.Write(base)
 		})
-	if got := ps[0].Counters()["misses"]; got != 2 {
+	if got := counters(ps[0])["misses"]; got != 2 {
 		t.Fatalf("proc 0 misses = %d, want 2 (L1 must be back-invalidated)", got)
 	}
 	_ = bus
@@ -232,7 +239,7 @@ func TestSyncAccessCallback(t *testing.T) {
 	if !fired {
 		t.Fatal("sync access callback never fired")
 	}
-	if p.Counters()["writes"] != 1 {
+	if counters(p)["writes"] != 1 {
 		t.Fatal("sync access not counted")
 	}
 }
@@ -260,9 +267,32 @@ func TestReadWriteRangeHelpers(t *testing.T) {
 		e.ReadRange(base, 16)
 		e.WriteRange(base, 16)
 	})
-	c := ps[0].Counters()
+	c := counters(ps[0])
 	if c["reads"] != 16 || c["writes"] != 16 {
 		t.Fatalf("reads=%d writes=%d, want 16/16", c["reads"], c["writes"])
+	}
+}
+
+// TestAddCountersAccumulates checks that AddCounters adds to what the map
+// holds, as Machine.collect sums its processors, and names every counter,
+// zero ones included.
+func TestAddCountersAccumulates(t *testing.T) {
+	eng, _, space, _, ps := testRig(t, 1)
+	base := space.Alloc(4096)
+	run(t, eng, ps, func(e prog.Env) { e.ReadRange(base, 16) })
+	c := map[string]uint64{"reads": 4}
+	ps[0].AddCounters(c)
+	ps[0].AddCounters(c)
+	if c["reads"] != 36 {
+		t.Fatalf("reads = %d after adding 16 twice to 4, want 36", c["reads"])
+	}
+	for _, name := range []string{"reads", "writes", "l1Hits", "l2Hits", "misses", "upgrades", "busRetries"} {
+		if _, ok := c[name]; !ok {
+			t.Errorf("counter %q missing", name)
+		}
+	}
+	if len(c) != 7 {
+		t.Errorf("%d counters, want 7: %v", len(c), c)
 	}
 }
 
@@ -345,8 +375,8 @@ func TestMissDoneWrapperLastsOneIssue(t *testing.T) {
 		e.Read(remote + uint64(cfg.LineSize))
 		e.Read(remote + 2*uint64(cfg.LineSize))
 	})
-	if cc.deferred != 3 || p.Counters()["misses"] != 3 {
-		t.Fatalf("%d misses, %d deferred to the controller; want 3 and 3", p.Counters()["misses"], cc.deferred)
+	if cc.deferred != 3 || counters(p)["misses"] != 3 {
+		t.Fatalf("%d misses, %d deferred to the controller; want 3 and 3", counters(p)["misses"], cc.deferred)
 	}
 	if cc.wrapped != 1 {
 		t.Fatalf("the first miss's Done wrapper ran %d times over three misses, want 1", cc.wrapped)

@@ -362,6 +362,30 @@ func BenchmarkMissPath(b *testing.B) {
 	}
 }
 
+// BenchmarkL1Hit reports the host time and allocations of one L1 hit: the
+// program of TestL1HitsDoNotAllocate re-reads one L1-resident line b.N
+// times on a 1x1 machine, so the figure is the program handoff and the
+// processor's hit path, with nothing below L1 (one cold miss per run).
+func BenchmarkL1Hit(b *testing.B) {
+	cfg := testCfg(1, 1)
+	cfg.SimLimit = sim.Time(b.N+1)*cfg.L1HitTime + 10_000
+	m, err := New(cfg, "l1hit")
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := m.Space.Alloc(4096)
+	n := b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := m.Run(func(e prog.Env) {
+		for i := 0; i < n; i++ {
+			e.Read(base)
+		}
+	}); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // newMachineBytes returns the fewest bytes any of three builds of cfg
 // allocated (the minimum discounts allocation by the runtime itself).
 func newMachineBytes(t *testing.T, cfg config.Config) uint64 {

@@ -439,16 +439,14 @@ func (m *Machine) collect(execTime sim.Time) {
 	for _, p := range m.Procs {
 		r.Instructions += p.Instructions()
 		r.MissLatency.Merge(p.MissLatencies())
-		for k, v := range p.Counters() {
-			r.Counters[k] += v
-		}
+		p.AddCounters(r.Counters)
 	}
 	r.Add("netMessages", m.Net.Messages())
 	r.Add("netFlits", m.Net.Flits())
 	for _, b := range m.Buses {
-		for k := smpbus.Kind(0); k < 8; k++ {
-			if c := b.Count(k); c > 0 {
-				r.Add("bus"+k.String(), c)
+		for k, name := range busCounterNames {
+			if c := b.Count(smpbus.Kind(k)); c > 0 {
+				r.Add(name, c)
 			}
 		}
 	}
@@ -498,11 +496,30 @@ func (m *Machine) collect(execTime sim.Time) {
 			busy += uint64(cc.HandlerBusy(h))
 		}
 		if c > 0 {
-			r.Add("handler:"+h.String(), c)
-			r.Add("handlerBusy:"+h.String(), busy)
+			r.Add(handlerCounterNames[h].count, c)
+			r.Add(handlerCounterNames[h].busy, busy)
 		}
 	}
 }
+
+// busCounterNames and handlerCounterNames are the names collect gives the
+// per-kind bus counts and the per-handler dispatch counts and busy times,
+// built once rather than on every run.
+var (
+	busCounterNames = func() (names [8]string) {
+		for k := range names {
+			names[k] = "bus" + smpbus.Kind(k).String()
+		}
+		return names
+	}()
+	handlerCounterNames = func() (names [protocol.NumHandlers]struct{ count, busy string }) {
+		for h := range names {
+			names[h].count = "handler:" + protocol.Handler(h).String()
+			names[h].busy = "handlerBusy:" + protocol.Handler(h).String()
+		}
+		return names
+	}()
+)
 
 // ---- synchronization (cpu.SyncHandler) --------------------------------------
 

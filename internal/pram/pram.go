@@ -111,9 +111,11 @@ func (s *Sim) RCCPI() float64 {
 	return float64(s.ccRequests) / float64(s.instructions)
 }
 
-// Run executes the SPMD program functionally. Processors run one at a time
-// (barrier- and lock-granular scheduling), which preserves the data-race-
-// free programs' results and reference streams.
+// Run executes the SPMD program functionally, one operation per processor
+// per turn. A program runs ahead of its turns, buffering reads, writes and
+// compute steps up to its next Barrier, Lock or Unlock; programs share Go
+// memory only across those, so the data-race-free programs' results and
+// reference streams are the same as with a switch per operation.
 func (s *Sim) Run(program func(prog.Env)) error {
 	for _, p := range s.procs {
 		e := &env{p: p}
@@ -402,13 +404,13 @@ type env struct {
 func (e *env) ID() int   { return e.p.id }
 func (e *env) Node() int { return e.p.node }
 
-func (e *env) issue(o op) { e.p.co.Yield(o) }
-
-func (e *env) Read(addr uint64)  { e.issue(op{kind: opRead, addr: addr}) }
-func (e *env) Write(addr uint64) { e.issue(op{kind: opWrite, addr: addr}) }
+// Read, Write and Compute only fill the run-ahead buffer; Barrier, Lock
+// and Unlock park the program until the estimator takes them.
+func (e *env) Read(addr uint64)  { e.p.co.Put(op{kind: opRead, addr: addr}) }
+func (e *env) Write(addr uint64) { e.p.co.Put(op{kind: opWrite, addr: addr}) }
 func (e *env) Compute(n int) {
 	if n > 0 {
-		e.issue(op{kind: opCompute, n: n})
+		e.p.co.Put(op{kind: opCompute, n: n})
 	}
 }
 func (e *env) ReadRange(addr uint64, n int) {
@@ -421,8 +423,8 @@ func (e *env) WriteRange(addr uint64, n int) {
 		e.Write(addr + uint64(i*8))
 	}
 }
-func (e *env) Barrier()      { e.issue(op{kind: opBarrier}) }
-func (e *env) Lock(id int)   { e.issue(op{kind: opLock, n: id}) }
-func (e *env) Unlock(id int) { e.issue(op{kind: opUnlock, n: id}) }
+func (e *env) Barrier()      { e.p.co.Yield(op{kind: opBarrier}) }
+func (e *env) Lock(id int)   { e.p.co.Yield(op{kind: opLock, n: id}) }
+func (e *env) Unlock(id int) { e.p.co.Yield(op{kind: opUnlock, n: id}) }
 
 var _ prog.Env = (*env)(nil)
