@@ -1,12 +1,22 @@
 // Package cache models the set-associative, write-back, LRU caches of the
 // simulated compute processors (16 KB L1 and 1 MB L2, 4-way, 128-byte lines
-// in the base configuration). Each way holds a line's state and its shadow
-// value: one uint64 standing for the line's data, which the processors mint
-// on stores and the protocol carries between caches and memory so that the
-// checkers can tell a stale copy from a current one. The workloads compute
-// on their own Go memory; the shadow value is what the simulated machine
-// moves. A cache allocates the ways of a set when the set is first filled,
-// so building a machine costs one index entry per set.
+// in the base configuration). Each way holds a line, its state and one
+// 64-bit word that belongs to the cache's user: in a processor's L2 it is
+// the line's shadow value, one uint64 standing for the line's data, which
+// the processors mint on stores and the protocol carries between caches
+// and memory so that the checkers can tell a stale copy from a current
+// one; in L1 it links the L2 way holding the same line; the directory
+// cache leaves it unused. The workloads compute on their own Go memory;
+// the shadow value is what the simulated machine moves.
+//
+// A lookup by line (Lookup, Touch, Insert, Invalidate) finds or places a
+// way and returns a handle on it, a Way; reading and writing the way's
+// state, word and recency then goes through the handle, so an access pays
+// for one set search. A handle stays valid while its way holds the same
+// line: once the line is evicted or invalidated the way may hold another
+// line, which Holds tells. A cache allocates the ways of a set when the
+// set is first filled, so building a machine costs one index entry per
+// set.
 package cache
 
 import (
@@ -56,13 +66,13 @@ func (s State) String() string {
 
 // way is one cache way: a line address, a packed word holding the line's
 // state in the high byte and its LRU stamp (higher = more recently used)
-// in the low 56 bits, and the line's shadow value. Stamps come from the
-// cache's access clock, which advances once per touch or insert and cannot
-// reach 2^56 in any simulation, so packing never truncates a stamp.
+// in the low 56 bits, and the user's word. Stamps come from the cache's
+// access clock, which advances once per touch or insert and cannot reach
+// 2^56 in any simulation, so packing never truncates a stamp.
 type way struct {
 	line uint64
 	meta uint64
-	val  uint64
+	word uint64
 }
 
 const (
@@ -77,6 +87,15 @@ func (w *way) lru() uint64 { return w.meta & lruMask }
 func (w *way) setState(st State) { w.meta = uint64(st)<<stateShift | w.meta&lruMask }
 
 func (w *way) touch(clock uint64) { w.meta = w.meta&^lruMask | clock }
+
+// Way is a handle on one way of a cache, returned by the lookups that
+// find or place a line. It indexes the cache's pool of ways, which only
+// grows, so a handle names the same way for the cache's lifetime; what
+// the way holds changes when its line is evicted or invalidated.
+type Way int32
+
+// NoWay is the handle a lookup returns for an absent line.
+const NoWay Way = -1
 
 // Cache is a set-associative LRU cache. The zero value is unusable; create
 // with New.
@@ -124,142 +143,140 @@ func (c *Cache) Sets() int { return len(c.index) }
 // Assoc returns the associativity.
 func (c *Cache) Assoc() int { return c.assoc }
 
-// setFor returns the ways of line's set, or nil if the set was never
-// filled.
-func (c *Cache) setFor(line uint64) []way {
-	k := int(c.index[(line>>c.lineShift)&c.setMask])
-	if k == 0 {
-		return nil
-	}
-	i := (k - 1) * c.assoc
-	return c.ways[i : i+c.assoc : i+c.assoc]
+// setBase returns the pool index of the first way of line's set, or a
+// negative index if the set was never filled.
+func (c *Cache) setBase(line uint64) int {
+	return (int(c.index[(line>>c.lineShift)&c.setMask]) - 1) * c.assoc
 }
 
-func (c *Cache) find(line uint64) *way {
-	set := c.setFor(line)
-	for i := range set {
-		if set[i].line == line && set[i].state() != Invalid {
-			return &set[i]
+// find returns the way holding line valid, or NoWay.
+func (c *Cache) find(line uint64) Way {
+	i := c.setBase(line)
+	if i < 0 {
+		return NoWay
+	}
+	set := c.ways[i : i+c.assoc : i+c.assoc]
+	for j := range set {
+		if set[j].line == line && set[j].state() != Invalid {
+			return Way(i + j)
 		}
 	}
-	return nil
+	return NoWay
 }
 
-// Lookup returns the state of line without updating LRU order (used by
-// snoops, which should not perturb replacement).
-func (c *Cache) Lookup(line uint64) State {
-	if w := c.find(line); w != nil {
-		return w.state()
-	}
-	return Invalid
-}
-
-// Peek returns the state and value of line without updating LRU order
-// (Invalid and zero when the line is absent).
-func (c *Cache) Peek(line uint64) (State, uint64) {
-	if w := c.find(line); w != nil {
-		return w.state(), w.val
-	}
-	return Invalid, 0
-}
-
-// Touch returns the state of line and marks it most recently used.
-func (c *Cache) Touch(line uint64) State {
-	if w := c.find(line); w != nil {
-		c.clock++
-		w.touch(c.clock)
-		return w.state()
-	}
-	return Invalid
-}
-
-// SetState updates the state of a present line. It panics if the line is
-// not present: callers must have established presence, and silently
-// creating lines here would mask protocol bugs.
-func (c *Cache) SetState(line uint64, st State) {
+// Lookup returns the way holding line and its state without updating LRU
+// order (used by snoops, which should not perturb replacement): NoWay and
+// Invalid when the line is absent.
+func (c *Cache) Lookup(line uint64) (Way, State) {
 	w := c.find(line)
-	if w == nil {
-		panic(fmt.Sprintf("cache: SetState on absent line %#x", line))
+	if w == NoWay {
+		return NoWay, Invalid
 	}
-	w.setState(st)
+	return w, c.ways[w].state()
 }
 
-// SetValue overwrites the shadow value of a present line. Like SetState it
-// panics if the line is not present.
-func (c *Cache) SetValue(line, v uint64) {
+// Touch is Lookup that also marks a present line most recently used.
+func (c *Cache) Touch(line uint64) (Way, State) {
 	w := c.find(line)
-	if w == nil {
-		panic(fmt.Sprintf("cache: SetValue on absent line %#x", line))
+	if w == NoWay {
+		return NoWay, Invalid
 	}
-	w.val = v
+	return w, c.Use(w)
 }
 
 // Invalidate removes line if present and returns its prior state.
 func (c *Cache) Invalidate(line uint64) State {
-	if w := c.find(line); w != nil {
-		st := w.state()
-		w.setState(Invalid)
-		return st
+	w, st := c.Lookup(line)
+	if w != NoWay {
+		c.ways[w].setState(Invalid)
 	}
-	return Invalid
+	return st
 }
 
 // Insert places line in state st, evicting the LRU way of its set if the
-// set is full. It returns the victim line, its state and its value
-// (victim == 0, Invalid and 0 when an empty way was used). A newly placed
-// line's value is zero. Inserting a line that is already present just
-// updates its state and LRU position and keeps its value.
-func (c *Cache) Insert(line uint64, st State) (victim uint64, victimState State, victimValue uint64) {
+// set is full. It returns the way it placed the line in, and the victim
+// line, its state and its word (victim == 0, Invalid and 0 when an empty
+// way was used). A newly placed line's word is zero. Inserting a line that
+// is already present just updates its state and LRU position in its way
+// and keeps its word.
+func (c *Cache) Insert(line uint64, st State) (w Way, victim uint64, victimState State, victimWord uint64) {
 	if st == Invalid {
 		panic("cache: Insert with Invalid state")
 	}
 	c.clock++
-	if w := c.find(line); w != nil {
-		w.meta = uint64(st)<<stateShift | c.clock
-		return 0, Invalid, 0
+	if w = c.find(line); w != NoWay {
+		c.ways[w].meta = uint64(st)<<stateShift | c.clock
+		return w, 0, Invalid, 0
 	}
-	set := c.setFor(line)
-	if set == nil {
-		set = c.allocSet(line)
+	i := c.setBase(line)
+	if i < 0 {
+		i = c.allocSet(line)
 	}
+	set := c.ways[i : i+c.assoc : i+c.assoc]
 	// Prefer an invalid way; otherwise evict the least recently used.
 	victimIdx := 0
-	for i := range set {
-		if set[i].state() == Invalid {
-			victimIdx = i
+	for j := range set {
+		if set[j].state() == Invalid {
+			victimIdx = j
 			goto place
 		}
-		if set[i].lru() < set[victimIdx].lru() {
-			victimIdx = i
+		if set[j].lru() < set[victimIdx].lru() {
+			victimIdx = j
 		}
 	}
-	victim, victimState, victimValue = set[victimIdx].line, set[victimIdx].state(), set[victimIdx].val
+	victim, victimState, victimWord = set[victimIdx].line, set[victimIdx].state(), set[victimIdx].word
 place:
 	set[victimIdx] = way{line: line, meta: uint64(st)<<stateShift | c.clock}
-	return victim, victimState, victimValue
+	return Way(i + victimIdx), victim, victimState, victimWord
 }
 
-// allocSet appends empty ways for line's set to the pool and returns them.
-func (c *Cache) allocSet(line uint64) []way {
+// allocSet appends empty ways for line's set to the pool and returns the
+// pool index of the first.
+func (c *Cache) allocSet(line uint64) int {
 	c.ways = append(c.ways, make([]way, c.assoc)...)
 	k := len(c.ways) / c.assoc
 	c.index[(line>>c.lineShift)&c.setMask] = int32(k)
-	i := (k - 1) * c.assoc
-	return c.ways[i : i+c.assoc : i+c.assoc]
+	return (k - 1) * c.assoc
 }
 
-// Lines calls fn for every valid line in the cache. Iteration order is
-// set-major, in set index order, and deterministic. If fn returns false
-// iteration stops.
-func (c *Cache) Lines(fn func(line uint64, st State) bool) {
+// Holds reports whether way w holds line in a valid state: true for the
+// handle a lookup of line returned until the line is evicted or
+// invalidated.
+func (c *Cache) Holds(w Way, line uint64) bool {
+	x := &c.ways[w]
+	return x.line == line && x.state() != Invalid
+}
+
+// Use marks way w most recently used and returns its state.
+func (c *Cache) Use(w Way) State {
+	c.clock++
+	x := &c.ways[w]
+	x.touch(c.clock)
+	return x.state()
+}
+
+// SetState sets the state of way w, leaving its LRU position; Invalid
+// removes its line.
+func (c *Cache) SetState(w Way, st State) { c.ways[w].setState(st) }
+
+// Word returns the word of way w.
+func (c *Cache) Word(w Way) uint64 { return c.ways[w].word }
+
+// SetWord overwrites the word of way w.
+func (c *Cache) SetWord(w Way, x uint64) { c.ways[w].word = x }
+
+// Lines calls fn for every valid line in the cache with its way. Iteration
+// order is set-major, in set index order, and deterministic. If fn returns
+// false iteration stops.
+func (c *Cache) Lines(fn func(w Way, line uint64, st State) bool) {
 	for _, k := range c.index {
 		if k == 0 {
 			continue
 		}
 		i := (int(k) - 1) * c.assoc
-		for _, w := range c.ways[i : i+c.assoc] {
-			if st := w.state(); st != Invalid {
-				if !fn(w.line, st) {
+		for j, x := range c.ways[i : i+c.assoc] {
+			if st := x.state(); st != Invalid {
+				if !fn(Way(i+j), x.line, st) {
 					return
 				}
 			}
@@ -270,6 +287,6 @@ func (c *Cache) Lines(fn func(line uint64, st State) bool) {
 // Count returns the number of valid lines.
 func (c *Cache) Count() int {
 	n := 0
-	c.Lines(func(uint64, State) bool { n++; return true })
+	c.Lines(func(Way, uint64, State) bool { n++; return true })
 	return n
 }

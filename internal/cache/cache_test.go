@@ -10,23 +10,30 @@ func TestBasicInsertLookup(t *testing.T) {
 	if c.Sets() != 4 || c.Assoc() != 2 {
 		t.Fatalf("geometry %d sets %d ways", c.Sets(), c.Assoc())
 	}
-	if st := c.Lookup(0x1000); st != Invalid {
-		t.Fatalf("empty cache lookup = %v", st)
+	if w, st := c.Lookup(0x1000); w != NoWay || st != Invalid {
+		t.Fatalf("empty cache lookup = %v, %v", w, st)
 	}
-	c.Insert(0x1000, Shared)
-	if st := c.Lookup(0x1000); st != Shared {
-		t.Fatalf("lookup after insert = %v", st)
+	w, _, _, _ := c.Insert(0x1000, Shared)
+	if got, st := c.Lookup(0x1000); got != w || st != Shared {
+		t.Fatalf("lookup after insert = %v, %v; Insert placed the line in way %v", got, st, w)
 	}
-	c.SetState(0x1000, Modified)
-	if st := c.Lookup(0x1000); st != Modified {
-		t.Fatalf("after SetState = %v", st)
+	c.SetState(w, Modified)
+	c.SetWord(w, 7)
+	if st := stateOf(c, 0x1000); st != Modified || c.Word(w) != 7 || !c.Holds(w, 0x1000) {
+		t.Fatalf("after SetState and SetWord = %v, word %d", st, c.Word(w))
 	}
 	if st := c.Invalidate(0x1000); st != Modified {
 		t.Fatalf("invalidate returned %v", st)
 	}
-	if st := c.Lookup(0x1000); st != Invalid {
+	if st := stateOf(c, 0x1000); st != Invalid || c.Holds(w, 0x1000) {
 		t.Fatalf("after invalidate = %v", st)
 	}
+}
+
+// stateOf returns the state of line in c.
+func stateOf(c *Cache, line uint64) State {
+	_, st := c.Lookup(line)
+	return st
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -35,23 +42,26 @@ func TestLRUEviction(t *testing.T) {
 	c.Insert(0x0000, Shared)
 	c.Insert(0x0200, Shared)
 	c.Touch(0x0000) // make 0x0000 MRU; 0x0200 becomes LRU
-	victim, st, _ := c.Insert(0x0400, Modified)
+	_, victim, st, _ := c.Insert(0x0400, Modified)
 	if victim != 0x0200 || st != Shared {
 		t.Fatalf("evicted %#x/%v, want 0x200/S", victim, st)
 	}
-	if c.Lookup(0x0000) != Shared || c.Lookup(0x0400) != Modified {
+	if stateOf(c, 0x0000) != Shared || stateOf(c, 0x0400) != Modified {
 		t.Fatal("survivors corrupted")
 	}
 }
 
 func TestInsertExistingUpdates(t *testing.T) {
 	c := New(512, 2, 128)
-	c.Insert(0x0000, Shared)
-	victim, st, _ := c.Insert(0x0000, Modified)
+	w, _, _, _ := c.Insert(0x0000, Shared)
+	again, victim, st, _ := c.Insert(0x0000, Modified)
 	if victim != 0 || st != Invalid {
 		t.Fatalf("re-insert evicted %#x/%v", victim, st)
 	}
-	if c.Lookup(0x0000) != Modified {
+	if again != w {
+		t.Fatalf("re-insert placed the line in way %v, want its way %v", again, w)
+	}
+	if stateOf(c, 0x0000) != Modified {
 		t.Fatal("re-insert did not update state")
 	}
 	if c.Count() != 1 {
@@ -65,7 +75,7 @@ func TestSnoopLookupDoesNotTouchLRU(t *testing.T) {
 	c.Insert(0x0200, Shared)
 	// Lookup (snoop) 0x0000 must NOT make it MRU.
 	c.Lookup(0x0000)
-	victim, _, _ := c.Insert(0x0400, Shared)
+	_, victim, _, _ := c.Insert(0x0400, Shared)
 	if victim != 0x0000 {
 		t.Fatalf("evicted %#x, want 0x0000 (Lookup must not update LRU)", victim)
 	}
@@ -75,10 +85,11 @@ func TestSetStateOnAbsentPanics(t *testing.T) {
 	c := New(512, 2, 128)
 	defer func() {
 		if recover() == nil {
-			t.Error("SetState on absent line did not panic")
+			t.Error("SetState on an absent line's handle did not panic")
 		}
 	}()
-	c.SetState(0xdead00, Shared)
+	w, _ := c.Lookup(0xdead00)
+	c.SetState(w, Shared)
 }
 
 func TestBadGeometryPanics(t *testing.T) {
@@ -99,7 +110,13 @@ func TestLinesIteration(t *testing.T) {
 		c.Insert(l, s)
 	}
 	got := map[uint64]State{}
-	c.Lines(func(l uint64, s State) bool { got[l] = s; return true })
+	c.Lines(func(w Way, l uint64, s State) bool {
+		if !c.Holds(w, l) {
+			t.Errorf("Lines passed way %v for line %#x, which it does not hold", w, l)
+		}
+		got[l] = s
+		return true
+	})
 	if len(got) != len(want) {
 		t.Fatalf("iterated %d lines, want %d", len(got), len(want))
 	}
@@ -110,7 +127,7 @@ func TestLinesIteration(t *testing.T) {
 	}
 	// Early termination.
 	n := 0
-	c.Lines(func(uint64, State) bool { n++; return false })
+	c.Lines(func(Way, uint64, State) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("early stop visited %d", n)
 	}
@@ -124,7 +141,7 @@ func TestCapacityProperty(t *testing.T) {
 		for _, l := range lines {
 			line := uint64(l) * 128
 			c.Insert(line, Shared)
-			if c.Lookup(line) != Shared {
+			if stateOf(c, line) != Shared {
 				return false
 			}
 			if c.Count() > 16 {
@@ -146,12 +163,12 @@ func TestVictimSameSetProperty(t *testing.T) {
 		setOf := func(line uint64) uint64 { return (line / 128) % 4 }
 		for _, l := range lines {
 			line := uint64(l) * 128
-			victim, st, _ := c.Insert(line, Modified)
+			_, victim, st, _ := c.Insert(line, Modified)
 			if st != Invalid {
 				if setOf(victim) != setOf(line) {
 					return false
 				}
-				if c.Lookup(victim) != Invalid {
+				if stateOf(c, victim) != Invalid {
 					return false
 				}
 			}
@@ -172,20 +189,19 @@ func TestStateString(t *testing.T) {
 }
 
 // TestUnfilledSetsAllocateNothing checks lazily allocated sets: Lookup,
-// Peek, Touch and Invalidate on a set that was never filled see an absent
-// line and allocate nothing, only Insert gives a set its ways, and Lines
-// visits sets in index order whatever order they were filled in.
+// Touch and Invalidate on a set that was never filled see an absent line
+// and allocate nothing, only Insert gives a set its ways, and Lines visits
+// sets in index order whatever order they were filled in.
 func TestUnfilledSetsAllocateNothing(t *testing.T) {
 	c := New(8*2*128, 2, 128) // 8 sets, 2 ways; set s holds lines s*128 + k*1024
 	c.Insert(1*128, Shared)
 	probe := func() {
 		for s := uint64(2); s < 8; s++ {
 			line := s * 128
-			if c.Lookup(line) != Invalid || c.Touch(line) != Invalid || c.Invalidate(line) != Invalid {
+			w, st := c.Lookup(line)
+			tw, tst := c.Touch(line)
+			if w != NoWay || st != Invalid || tw != NoWay || tst != Invalid || c.Invalidate(line) != Invalid {
 				t.Fatalf("never-filled set %d reports line %#x present", s, line)
-			}
-			if st, v := c.Peek(line); st != Invalid || v != 0 {
-				t.Fatalf("never-filled set %d reports a value for line %#x", s, line)
 			}
 		}
 	}
@@ -207,7 +223,7 @@ func TestUnfilledSetsAllocateNothing(t *testing.T) {
 		want = append(want, s*128, s*128+1024)
 	}
 	var got []uint64
-	c.Lines(func(line uint64, _ State) bool { got = append(got, line); return true })
+	c.Lines(func(_ Way, line uint64, _ State) bool { got = append(got, line); return true })
 	if len(got) != len(want) {
 		t.Fatalf("Lines visited %#x, want %#x", got, want)
 	}

@@ -63,13 +63,14 @@ type Proc struct {
 	sync  SyncHandler
 	tr    *obs.Tracer // nil when tracing and attribution are off
 
-	// l1 tracks presence only. l2 holds each line's state and shadow
-	// value; inclusion keeps every L1 line in L2, so L2 has the value of
-	// every line the processor holds.
+	// l2 holds each line's state, and its shadow value in the way's word.
+	// l1 tracks presence: inclusion keeps every L1 line in L2, and an L1
+	// way's word is the L2 way holding its line, so an L1 hit reaches the
+	// line's state and value without searching L2.
 	l1 *cache.Cache
 	l2 *cache.Cache
 
-	// valSeq numbers this processor's stores (see writeValue). snoopVal is
+	// valSeq numbers this processor's stores (see store). snoopVal is
 	// the value of the line the most recent Snoop found present, read
 	// before that snoop downgraded or invalidated the copy; the bus reads
 	// it through SnoopData when this processor supplies the line.
@@ -181,7 +182,7 @@ func (p *Proc) Finished() (bool, sim.Time) { return p.finished, p.finishedAt }
 // ForEachL2Line visits every valid line in the processor's L2 cache (for
 // end-of-run coherence invariant checks).
 func (p *Proc) ForEachL2Line(fn func(line uint64, st cache.State)) {
-	p.l2.Lines(func(line uint64, st cache.State) bool {
+	p.l2.Lines(func(_ cache.Way, line uint64, st cache.State) bool {
 		fn(line, st)
 		return true
 	})
@@ -190,21 +191,44 @@ func (p *Proc) ForEachL2Line(fn func(line uint64, st cache.State)) {
 // ForEachL1Line visits every valid line in the processor's L1 cache (the
 // model checker folds L1 presence into its abstract state hash).
 func (p *Proc) ForEachL1Line(fn func(line uint64, st cache.State)) {
-	p.l1.Lines(func(line uint64, st cache.State) bool {
+	p.l1.Lines(func(_ cache.Way, line uint64, st cache.State) bool {
 		fn(line, st)
 		return true
 	})
 }
 
+// CheckInclusion reports the first L1 line, in set order, whose link does
+// not name an L2 way holding the line: every line in L1 must be valid in
+// L2, in the way its L1 way's word names.
+func (p *Proc) CheckInclusion() error {
+	var err error
+	p.l1.Lines(func(w cache.Way, line uint64, _ cache.State) bool {
+		if !p.l2.Holds(cache.Way(p.l1.Word(w)), line) {
+			_, st := p.l2.Lookup(line)
+			err = fmt.Errorf("inclusion: proc %d holds line %#x in L1, but the L2 way it links does not hold it (L2 state %v)",
+				p.id, line, st)
+			return false
+		}
+		return true
+	})
+	return err
+}
+
 // L2State returns the L2 state of a line without touching LRU.
-func (p *Proc) L2State(line uint64) cache.State { return p.l2.Lookup(line) }
+func (p *Proc) L2State(line uint64) cache.State {
+	_, st := p.l2.Lookup(line)
+	return st
+}
 
 // LineValue returns the shadow value of a line the processor holds in its
 // L2, or zero if it does not hold the line: a copy's value leaves with the
 // copy. Callers check L2State first.
 func (p *Proc) LineValue(line uint64) uint64 {
-	_, v := p.l2.Peek(line)
-	return v
+	w, st := p.l2.Lookup(line)
+	if st == cache.Invalid {
+		return 0
+	}
+	return p.l2.Word(w)
 }
 
 // LastReadValue returns the shadow value observed by the most recently
@@ -215,19 +239,16 @@ func (p *Proc) LastReadValue() uint64 { return p.lastRead }
 // completed store.
 func (p *Proc) LastWriteValue() uint64 { return p.lastWrite }
 
-// writeValue mints a globally unique shadow value for a completed store to
-// line, which L2 holds: the processor index in the high word and a
+// store mints a globally unique shadow value for a completed store to the
+// line in L2 way w: the processor index in the high word and a
 // per-processor sequence number in the low word (no shared counter, so
 // replays stay deterministic).
-func (p *Proc) writeValue(line uint64) {
+func (p *Proc) store(w cache.Way) {
 	p.valSeq++
 	v := uint64(p.id+1)<<32 | p.valSeq
-	p.l2.SetValue(line, v)
+	p.l2.SetWord(w, v)
 	p.lastWrite = v
 }
-
-// readValue records the value a completed load observed from the L2 copy.
-func (p *Proc) readValue(line uint64) { _, p.lastRead = p.l2.Peek(line) }
 
 // MissLatencies returns the processor's miss service-time distribution.
 func (p *Proc) MissLatencies() *stats.Histogram { return &p.missLat }
@@ -333,13 +354,45 @@ func (p *Proc) execOp(o op) {
 // access models one load or store.
 func (p *Proc) access(addr uint64, write bool) {
 	line := p.space.Line(addr)
+
+	// L1: presence filter, linked to the line's L2 way. Writes
+	// additionally require L2 exclusivity.
+	if w1, st1 := p.l1.Touch(line); st1 != cache.Invalid {
+		w := cache.Way(p.l1.Word(w1))
+		if !p.l2.Holds(w, line) {
+			panic(fmt.Sprintf("cpu: proc %d holds line %#x in L1, but the L2 way it links does not hold it (inclusion broken)",
+				p.id, line))
+		}
+		st := p.l2.Use(w)
+		if !write {
+			p.l1Hits++
+			p.lastRead = p.l2.Word(w)
+			p.finishAccess(p.cfg.L1HitTime)
+			return
+		}
+		if st == cache.Modified || st == cache.Exclusive {
+			p.l1Hits++
+			p.l2.SetState(w, cache.Modified)
+			p.store(w)
+			p.finishAccess(p.cfg.L1HitTime)
+			return
+		}
+		// A write to a Shared or Owned line needs exclusivity: it stamps
+		// the L2 way a second time, as the L2 access of an L1 miss
+		// would, and upgrades.
+		p.l2.Use(w)
+		p.upgrade(line)
+		return
+	}
+
 	if p.space.Home(line) < 0 {
 		// First touch under first-touch placement assigns the page here.
 		// The placement table is shared by every node, so on a sharded
 		// engine the assignment runs under a cluster fence and the access
 		// re-enters once the home is set (nothing above this point has
-		// side effects, so re-entry is safe). On a serial engine the fence
-		// body runs inline and this is the plain assign-and-continue path.
+		// side effects: an L1 miss changes nothing, so re-entry is safe).
+		// On a serial engine the fence body runs inline and this is the
+		// plain assign-and-continue path. A line in L1 always has a home.
 		p.eng.Fence(func() {
 			p.space.HomeOrAssign(line, p.node)
 			p.access(addr, write)
@@ -347,29 +400,7 @@ func (p *Proc) access(addr uint64, write bool) {
 		return
 	}
 
-	// L1: presence filter. Writes additionally require L2 exclusivity.
-	if p.l1.Touch(line) != cache.Invalid {
-		st := p.l2.Touch(line)
-		if st == cache.Invalid {
-			// Inclusion was broken by a snoop between references; fall
-			// through to the L2/bus path after back-invalidating L1.
-			p.l1.Invalidate(line)
-		} else if !write {
-			p.l1Hits++
-			p.readValue(line)
-			p.finishAccess(p.cfg.L1HitTime)
-			return
-		} else if st == cache.Modified || st == cache.Exclusive {
-			p.l1Hits++
-			p.l2.SetState(line, cache.Modified)
-			p.writeValue(line)
-			p.finishAccess(p.cfg.L1HitTime)
-			return
-		}
-		// Write to a Shared/Owned line: exclusivity needed below.
-	}
-
-	st := p.l2.Touch(line)
+	w, st := p.l2.Touch(line)
 	switch {
 	case st == cache.Invalid:
 		p.misses++
@@ -388,26 +419,32 @@ func (p *Proc) access(addr uint64, write bool) {
 		p.eng.After(p.cfg.L2MissDetect, p.issueFn)
 	case !write:
 		p.l2Hits++
-		p.readValue(line)
-		p.installL1(line)
+		p.lastRead = p.l2.Word(w)
+		p.installL1(line, w)
 		p.finishAccess(p.cfg.L2HitTime)
 	case st == cache.Modified || st == cache.Exclusive:
 		p.l2Hits++
-		p.l2.SetState(line, cache.Modified)
-		p.writeValue(line)
-		p.installL1(line)
+		p.l2.SetState(w, cache.Modified)
+		p.store(w)
+		p.installL1(line, w)
 		p.finishAccess(p.cfg.L2HitTime)
-	default: // write to Shared or Owned: upgrade
-		p.upgrades++
-		p.miss.Line, p.miss.Kind = line, smpbus.Upgrade
-		p.eng.After(p.cfg.L2MissDetect, p.issueFn)
+	default: // write to Shared or Owned
+		p.upgrade(line)
 	}
+}
+
+// upgrade issues an Upgrade for a write to a line L2 holds Shared or
+// Owned.
+func (p *Proc) upgrade(line uint64) {
+	p.upgrades++
+	p.miss.Line, p.miss.Kind = line, smpbus.Upgrade
+	p.eng.After(p.cfg.L2MissDetect, p.issueFn)
 }
 
 // requesterOwns reports whether an Upgrade should carry the
 // dirty-ownership mark (the line is Owned in our L2 at issue time).
 func (p *Proc) requesterOwns(line uint64, kind smpbus.Kind) bool {
-	return kind == smpbus.Upgrade && p.l2.Lookup(line) == cache.Owned
+	return kind == smpbus.Upgrade && p.L2State(line) == cache.Owned
 }
 
 // issueMiss puts the miss transaction on the bus and handles its outcome,
@@ -471,40 +508,34 @@ func (p *Proc) missDone(line uint64, kind smpbus.Kind, owned bool, o smpbus.Outc
 		p.installL2(line, st, o.Data)
 		p.lastRead = o.Data
 	case smpbus.ReadEx:
-		p.installL2(line, cache.Modified, o.Data)
-		p.writeValue(line)
+		p.store(p.installL2(line, cache.Modified, o.Data))
 	case smpbus.Upgrade:
 		if o.WithData {
 			// The reply carried the full line (deferred upgrades convert
 			// to read-exclusive at the home, and in-node ownership
 			// transfers move the line cache-to-cache).
-			p.installL2(line, cache.Modified, o.Data)
-			p.writeValue(line)
+			p.store(p.installL2(line, cache.Modified, o.Data))
 			break
 		}
-		if owned {
+		w, st := p.l2.Lookup(line)
+		if owned && st != cache.Owned {
 			// A dirty-owner grant is valid only if we still hold the line
 			// Owned: a home-initiated intervention may have downgraded or
 			// invalidated it while the upgrade was in flight, in which
 			// case global ownership moved and we must restart.
-			if p.l2.Lookup(line) != cache.Owned {
-				p.eng.After(p.cfg.BusRetry, p.retryFn) // retries the Upgrade
-				return
-			}
-			p.l2.SetState(line, cache.Modified)
-			p.writeValue(line)
-			p.installL1(line)
-			break
+			p.eng.After(p.cfg.BusRetry, p.retryFn) // retries the Upgrade
+			return
 		}
-		// A bare home grant may arrive after an intervening invalidation
-		// removed our copy; in that case restart as a full read-exclusive.
-		if p.l2.Lookup(line) == cache.Invalid {
+		if st == cache.Invalid {
+			// A bare home grant may arrive after an intervening
+			// invalidation removed our copy; in that case restart as a
+			// full read-exclusive.
 			p.issueMiss(line, smpbus.ReadEx)
 			return
 		}
-		p.l2.SetState(line, cache.Modified)
-		p.writeValue(line)
-		p.installL1(line)
+		p.l2.SetState(w, cache.Modified)
+		p.store(w)
+		p.installL1(line, w)
 	case smpbus.WriteBack, smpbus.Inval, smpbus.Fetch, smpbus.FetchEx:
 		panic(fmt.Sprintf("cpu: miss completion for non-processor kind %v line %#x", kind, line))
 	default:
@@ -520,7 +551,7 @@ func (p *Proc) missDone(line uint64, kind smpbus.Kind, owned bool, o smpbus.Outc
 // own missDone, and the processor has one access in flight.
 func (p *Proc) retryAccess(line uint64, kind smpbus.Kind) {
 	p.tr.SpanEnd(p.missTxn, obs.StageBackoff, 0, p.eng.Now())
-	st := p.l2.Touch(line)
+	_, st := p.l2.Touch(line)
 	switch kind {
 	case smpbus.Read:
 		if st != cache.Invalid {
@@ -548,10 +579,12 @@ func (p *Proc) retryAccess(line uint64, kind smpbus.Kind) {
 }
 
 // installL2 inserts a line filled with value v, writing back a dirty
-// victim with the victim's value and keeping L1 inclusive.
-func (p *Proc) installL2(line uint64, st cache.State, v uint64) {
-	victim, vstate, vval := p.l2.Insert(line, st)
-	p.l2.SetValue(line, v)
+// victim with the victim's value and keeping L1 inclusive: the victim
+// leaves L1 too, so the only L1 way that links the line's L2 way is the
+// line's own. It returns the line's L2 way.
+func (p *Proc) installL2(line uint64, st cache.State, v uint64) cache.Way {
+	w, victim, vstate, vval := p.l2.Insert(line, st)
+	p.l2.SetWord(w, v)
 	p.tr.Cache(p.eng.Now(), p.node, p.src, line, "install", st.String())
 	if vstate != cache.Invalid {
 		p.tr.Cache(p.eng.Now(), p.node, p.src, victim, "evict", vstate.String())
@@ -560,11 +593,15 @@ func (p *Proc) installL2(line uint64, st cache.State, v uint64) {
 			p.writeBack(victim, vval)
 		}
 	}
-	p.installL1(line)
+	p.installL1(line, w)
+	return w
 }
 
-func (p *Proc) installL1(line uint64) {
-	p.l1.Insert(line, cache.Shared) // L1 tracks presence only
+// installL1 makes line present in L1 (in a state that stands for presence
+// only) and links its L1 way to w, the line's L2 way.
+func (p *Proc) installL1(line uint64, w cache.Way) {
+	w1, _, _, _ := p.l1.Insert(line, cache.Shared)
+	p.l1.SetWord(w1, uint64(w))
 }
 
 // wbTxn is an eviction write-back in flight. Its Done and retryFn are done
@@ -631,41 +668,42 @@ func (p *Proc) finishAccess(extra sim.Time) {
 }
 
 // Snoop implements the bus snooping agent for this processor's caches. It
-// reads the line's state and value in one lookup, before any downgrade or
-// invalidation, and keeps the value for SnoopData.
+// looks the line up in L2 once, reads its state and value before any
+// downgrade or invalidation, keeps the value for SnoopData, and changes
+// the state through the way it found.
 func (p *Proc) Snoop(txn *smpbus.Txn) smpbus.SnoopResult {
 	line := txn.Line
-	st, v := p.l2.Peek(line)
+	w, st := p.l2.Lookup(line)
 	if st == cache.Invalid {
 		return smpbus.SnoopNone
 	}
-	p.snoopVal = v
+	p.snoopVal = p.l2.Word(w)
 	p.tr.Cache(p.eng.Now(), p.node, p.src, line, "snoop", st.String())
 	switch txn.Kind {
 	case smpbus.Read:
 		// In-node read: a dirty owner supplies and keeps ownership
 		// (Modified -> Owned); clean holders supply shared.
 		if st.Dirty() {
-			p.l2.SetState(line, cache.Owned)
+			p.l2.SetState(w, cache.Owned)
 			return smpbus.SnoopOwned
 		}
 		if st == cache.Exclusive {
-			p.l2.SetState(line, cache.Shared)
+			p.l2.SetState(w, cache.Shared)
 		}
 		return smpbus.SnoopShared
 	case smpbus.Fetch:
 		// Controller fetch: dirty data leaves the node (home memory will
 		// be updated), so the copy downgrades to clean Shared.
 		if st.Dirty() {
-			p.l2.SetState(line, cache.Shared)
+			p.l2.SetState(w, cache.Shared)
 			return smpbus.SnoopOwned
 		}
 		if st == cache.Exclusive {
-			p.l2.SetState(line, cache.Shared)
+			p.l2.SetState(w, cache.Shared)
 		}
 		return smpbus.SnoopShared
 	case smpbus.ReadEx, smpbus.Upgrade, smpbus.FetchEx, smpbus.Inval:
-		p.l2.Invalidate(line)
+		p.l2.SetState(w, cache.Invalid)
 		p.l1.Invalidate(line)
 		if st.Dirty() {
 			return smpbus.SnoopOwned

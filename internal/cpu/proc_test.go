@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ccnuma/internal/cache"
@@ -153,10 +155,10 @@ func TestCacheToCacheTransfer(t *testing.T) {
 	// proc 0's fill, the c2c supplies the other. Check proc 0 downgraded
 	// to Owned.
 	line := space.Line(base)
-	if st := ps[0].l2.Lookup(line); st != cache.Owned {
+	if st := ps[0].L2State(line); st != cache.Owned {
 		t.Fatalf("supplier state = %v, want Owned", st)
 	}
-	if st := ps[1].l2.Lookup(line); st != cache.Shared {
+	if st := ps[1].L2State(line); st != cache.Shared {
 		t.Fatalf("reader state = %v, want Shared", st)
 	}
 	_ = bus
@@ -177,10 +179,10 @@ func TestOwnedWriterUpgradesInPlace(t *testing.T) {
 			e.Compute(10000)
 		})
 	line := space.Line(base)
-	if st := ps[0].l2.Lookup(line); st != cache.Modified {
+	if st := ps[0].L2State(line); st != cache.Modified {
 		t.Fatalf("owner state after re-write = %v, want Modified", st)
 	}
-	if st := ps[1].l2.Lookup(line); st != cache.Invalid {
+	if st := ps[1].L2State(line); st != cache.Invalid {
 		t.Fatalf("stale sharer state = %v, want Invalid", st)
 	}
 	if got := bus.Count(smpbus.Upgrade); got != 1 {
@@ -223,6 +225,102 @@ func TestL1Inclusion(t *testing.T) {
 		t.Fatalf("proc 0 misses = %d, want 2 (L1 must be back-invalidated)", got)
 	}
 	_ = bus
+}
+
+// TestL1LinkFollowsRefill checks that an L1 way follows its line to the L2
+// way a refill places it in. The processor writes a line and then as many
+// other lines of the same L2 set as L2 has ways, which evicts the line
+// (writing its value back) and the L1 copy with it; reading it again
+// refills it into another way, since the LRU way by then is a different
+// one. A later L1 hit must read the refill's value, and a write hit must
+// change the value LineValue reports.
+func TestL1LinkFollowsRefill(t *testing.T) {
+	eng, cfg, space, _, ps := testRig(t, 1)
+	p := ps[0]
+	stride := uint64(cfg.L2Size / cfg.L2Assoc) // same-set lines are this far apart
+	line := space.Alloc(int(stride) * (cfg.L2Assoc + 1))
+
+	type step struct {
+		addr  uint64
+		write bool
+		check func()
+	}
+	var first cache.Way
+	var stored, refilled uint64
+	steps := []step{{line, true, func() {
+		first, _ = p.l2.Lookup(line)
+		stored = p.LastWriteValue()
+	}}}
+	for i := 1; i <= cfg.L2Assoc; i++ {
+		steps = append(steps, step{line + uint64(i)*stride, true, nil})
+	}
+	steps = append(steps,
+		step{line, false, func() {
+			if st := p.L2State(line); st != cache.Exclusive {
+				t.Fatalf("refilled line is %v in L2, want Exclusive", st)
+			}
+			if w, _ := p.l2.Lookup(line); w == first {
+				t.Fatalf("the refill went into the line's first way %v; the test needs another", w)
+			}
+			if refilled = p.LastReadValue(); refilled != stored {
+				t.Fatalf("refill read %#x, want %#x, the value written back at the eviction", refilled, stored)
+			}
+		}},
+		step{line, false, func() {
+			if got := p.LastReadValue(); got != refilled {
+				t.Fatalf("L1 hit after the refill read %#x, want the refill's %#x", got, refilled)
+			}
+		}},
+		step{line, true, func() {
+			if got, want := p.LineValue(line), p.LastWriteValue(); got != want || got == refilled {
+				t.Fatalf("after a write hit LineValue = %#x, want the store's %#x (the refill held %#x)", got, want, refilled)
+			}
+		}},
+	)
+	var next func(i int)
+	next = func(i int) {
+		if i == len(steps) {
+			return
+		}
+		s := steps[i]
+		p.SyncAccess(s.addr, s.write, func() {
+			if s.check != nil {
+				s.check()
+			}
+			next(i + 1)
+		})
+	}
+	eng.At(0, func() { next(0) })
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c := counters(p); c["l1Hits"] != 2 || c["misses"] != uint64(cfg.L2Assoc+2) {
+		t.Fatalf("%d L1 hits and %d misses, want 2 and %d", c["l1Hits"], c["misses"], cfg.L2Assoc+2)
+	}
+	if err := p.CheckInclusion(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBrokenInclusionIsReported plants an L1 line whose link names an L2
+// way holding another line: CheckInclusion must report it, and an L1 hit
+// on it must panic, naming the processor and the line.
+func TestBrokenInclusionIsReported(t *testing.T) {
+	_, _, space, _, ps := testRig(t, 1)
+	p := ps[0]
+	line := space.Alloc(4096)
+	w, _, _, _ := p.l2.Insert(line+128, cache.Shared)
+	p.installL1(line, w)
+	want := fmt.Sprintf("proc 0 holds line %#x in L1", line)
+	if err := p.CheckInclusion(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("CheckInclusion = %v, want an error containing %q", err, want)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, want) {
+			t.Fatalf("L1 hit on a line its L2 way does not hold: panic %q, want one containing %q", msg, want)
+		}
+	}()
+	p.access(line, false)
 }
 
 func TestSyncAccessCallback(t *testing.T) {
@@ -426,8 +524,8 @@ func TestWriteBackCarriesVictimValue(t *testing.T) {
 		stride := uint64(cfg.L2Size / cfg.L2Assoc)
 		victim := space.AllocOnNode(int(stride)*(cfg.L2Assoc+1), home)
 		const want = 0xfeed
-		p.l2.Insert(victim, cache.Modified)
-		p.l2.SetValue(victim, want)
+		w, _, _, _ := p.l2.Insert(victim, cache.Modified)
+		p.l2.SetWord(w, want)
 		for i := 1; i < cfg.L2Assoc; i++ {
 			p.l2.Insert(victim+uint64(i)*stride, cache.Shared)
 		}

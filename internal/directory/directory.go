@@ -131,7 +131,7 @@ func (d *Directory) Read(now sim.Time, line uint64) (Entry, sim.Time) {
 		start := d.dram.AcquireAt(now, d.cfg.DirDRAMRead, nil)
 		return e, start - now + d.cfg.DirDRAMRead
 	}
-	if d.dirCache.Touch(line) != cache.Invalid {
+	if _, st := d.dirCache.Touch(line); st != cache.Invalid {
 		d.hits++
 		d.tr.DirAccess(now, d.node, line, false, true, e.State.String())
 		return e, 0

@@ -10,17 +10,21 @@ import (
 )
 
 // CheckCoherence validates the global coherence invariants on a quiesced
-// machine (no in-flight transactions): every dirty cached line is owned by
-// exactly one node and registered as DirtyRemote at its home (unless the
-// home itself holds it), and every clean shared copy of a remote line is
-// covered by the home directory. Stale directory sharers (nodes that
-// silently dropped Shared copies) are legal; uncovered holders are not.
-// Lines are checked in ascending order, so a machine with several bad
-// lines always reports the lowest. Machine.Run calls this after every
-// successful run.
+// machine (no in-flight transactions): each processor's L1 is included in
+// its L2, every L1 line linking the L2 way that holds it; every dirty
+// cached line is owned by exactly one node and registered as DirtyRemote
+// at its home (unless the home itself holds it), and every clean shared
+// copy of a remote line is covered by the home directory. Stale directory
+// sharers (nodes that silently dropped Shared copies) are legal; uncovered
+// holders are not. Processors are checked in order, then lines in
+// ascending order, so a machine with several bad lines always reports the
+// lowest. Machine.Run calls this after every successful run.
 func (m *Machine) CheckCoherence() error {
 	var held []l2Holder
 	for _, p := range m.Procs {
+		if err := p.CheckInclusion(); err != nil {
+			return fmt.Errorf("coherence: %w", err)
+		}
 		node := p.Node()
 		p.ForEachL2Line(func(line uint64, st cache.State) {
 			held = append(held, l2Holder{line, node, st})

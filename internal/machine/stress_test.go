@@ -193,6 +193,36 @@ func TestCoherenceCheckerReportsLowestLine(t *testing.T) {
 	}
 }
 
+// TestL2ConflictsKeepL1Included runs a processor over lines that share a
+// set of a direct-mapped L2 and fit one set of the 4-way L1, so every L2
+// fill evicts a line that L1 still holds. The fill must take that line out
+// of L1 as well; Machine.Run checks each processor's inclusion after the
+// run (CheckCoherence), which fails if L1 kept any of them.
+func TestL2ConflictsKeepL1Included(t *testing.T) {
+	cfg := testCfg(2, 1)
+	cfg.L2Size = 64 * 1024
+	cfg.L2Assoc = 1
+	m, err := New(cfg, "conflicts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := uint64(cfg.L2Size) // lines this far apart share an L2 set and an L1 set
+	base := m.Space.AllocOnNode(cfg.L1Assoc*cfg.L2Size, 1)
+	r, err := m.Run(func(e prog.Env) {
+		if e.ID() == 0 {
+			for i := 0; i < cfg.L1Assoc; i++ {
+				e.Write(base + uint64(i)*span)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Counters["misses"]; got != uint64(cfg.L1Assoc) {
+		t.Fatalf("%d misses, want %d", got, cfg.L1Assoc)
+	}
+}
+
 // TestProtocolStressDynamicSplit tortures the shortest-queue split.
 func TestProtocolStressDynamicSplit(t *testing.T) {
 	cfg := testCfg(4, 2)

@@ -237,7 +237,7 @@ func (s *Sim) siblingHas(p *proc, line uint64) (present, dirty bool) {
 		if i == p.id {
 			continue
 		}
-		switch st := s.procs[i].l2.Lookup(line); st {
+		switch _, st := s.procs[i].l2.Lookup(line); st {
 		case cache.Shared, cache.Exclusive:
 			present = true
 		case cache.Modified, cache.Owned:
@@ -259,7 +259,7 @@ func (s *Sim) access(p *proc, addr uint64, write bool) {
 	}
 	home := s.space.Home(line)
 	local := home == p.node
-	st := p.l2.Touch(line)
+	w, st := p.l2.Touch(line)
 	e := s.entry(line)
 
 	if !write {
@@ -299,7 +299,7 @@ func (s *Sim) access(p *proc, addr uint64, write bool) {
 	// Write.
 	if st == cache.Modified || st == cache.Exclusive {
 		if st == cache.Exclusive {
-			p.l2.SetState(line, cache.Modified)
+			p.l2.SetState(w, cache.Modified)
 		}
 		return // silent upgrade
 	}
@@ -354,8 +354,8 @@ func (s *Sim) remoteSharerCount(e *lineState, node int) int {
 func (s *Sim) downgradeNode(node int, line uint64) {
 	lo := node * s.cfg.ProcsPerNode
 	for i := lo; i < lo+s.cfg.ProcsPerNode; i++ {
-		if s.procs[i].l2.Lookup(line).Dirty() {
-			s.procs[i].l2.SetState(line, cache.Shared)
+		if w, st := s.procs[i].l2.Lookup(line); st.Dirty() {
+			s.procs[i].l2.SetState(w, cache.Shared)
 		}
 	}
 }
@@ -382,7 +382,7 @@ func (s *Sim) invalidateAll(p *proc, line uint64) {
 // install fills a line, charging an estimated write-back for dirty
 // victims homed remotely.
 func (s *Sim) install(p *proc, line uint64, st cache.State, e *lineState) {
-	victim, vstate, _ := p.l2.Insert(line, st)
+	_, victim, vstate, _ := p.l2.Insert(line, st)
 	if vstate.Dirty() {
 		if s.space.Home(victim) != p.node {
 			s.ccRequests++ // write-back dispatch at the home
