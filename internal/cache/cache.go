@@ -14,9 +14,11 @@
 // state, word and recency then goes through the handle, so an access pays
 // for one set search. A handle stays valid while its way holds the same
 // line: once the line is evicted or invalidated the way may hold another
-// line, which Holds tells. A cache allocates the ways of a set when the
-// set is first filled, so building a machine costs one index entry per
-// set.
+// line, which Holds tells. A cache places the ways of a set in its pool
+// when the set is first filled, so building a machine costs one index
+// entry per set. The first fill reserves room in the pool for up to
+// firstSets sets, so a short run fills its first sets without regrowing
+// the pool.
 package cache
 
 import (
@@ -230,9 +232,17 @@ place:
 	return Way(i + victimIdx), victim, victimState, victimWord
 }
 
+// firstSets is the number of sets the first fill reserves room for (all
+// of them in a smaller cache).
+const firstSets = 64
+
 // allocSet appends empty ways for line's set to the pool and returns the
-// pool index of the first.
+// pool index of the first. Sets enter the pool in fill order whatever its
+// capacity, so the reservation changes no handle.
 func (c *Cache) allocSet(line uint64) int {
+	if c.ways == nil {
+		c.ways = make([]way, 0, min(len(c.index), firstSets)*c.assoc)
+	}
 	c.ways = append(c.ways, make([]way, c.assoc)...)
 	k := len(c.ways) / c.assoc
 	c.index[(line>>c.lineShift)&c.setMask] = int32(k)

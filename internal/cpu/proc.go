@@ -179,6 +179,9 @@ func (p *Proc) Instructions() uint64 { return p.instructions }
 // Finished reports whether the program has completed, and when.
 func (p *Proc) Finished() (bool, sim.Time) { return p.finished, p.finishedAt }
 
+// L2Lines returns the number of valid lines in the processor's L2 cache.
+func (p *Proc) L2Lines() int { return p.l2.Count() }
+
 // ForEachL2Line visits every valid line in the processor's L2 cache (for
 // end-of-run coherence invariant checks).
 func (p *Proc) ForEachL2Line(fn func(line uint64, st cache.State)) {

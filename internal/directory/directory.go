@@ -93,7 +93,7 @@ type Directory struct {
 	// presence/LRU matter; entry contents always come from entries.
 	dirCache *cache.Cache
 	// dram models contention on the controller-side directory DRAM.
-	dram *sim.Resource
+	dram sim.Resource
 
 	hits, misses uint64
 }
@@ -105,7 +105,7 @@ func New(eng *sim.Engine, cfg *config.Config, node int, tr *obs.Tracer) *Directo
 		node:    node,
 		tr:      tr,
 		entries: memaddr.NewLineTable[Entry](cfg),
-		dram:    sim.NewResource(eng),
+		dram:    sim.MakeResource(eng),
 	}
 	if cfg.DirCacheEntries > 0 {
 		d.dirCache = cache.New(cfg.DirCacheEntries*cfg.LineSize, config.DirCacheAssoc, cfg.LineSize)
@@ -191,4 +191,4 @@ func (d *Directory) CacheHits() uint64 { return d.hits }
 func (d *Directory) CacheMisses() uint64 { return d.misses }
 
 // DRAM exposes the directory DRAM resource for utilization reports.
-func (d *Directory) DRAM() *sim.Resource { return d.dram }
+func (d *Directory) DRAM() *sim.Resource { return &d.dram }

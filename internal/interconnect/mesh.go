@@ -24,7 +24,8 @@ func newMesh(eng *sim.Engine, n int) *mesh {
 	link := func(a, b int) {
 		key := [2]int{a, b}
 		if m.links[key] == nil {
-			m.links[key] = sim.NewResource(eng)
+			r := sim.MakeResource(eng)
+			m.links[key] = &r
 		}
 	}
 	for r := 0; r < m.rows; r++ {
@@ -43,30 +44,30 @@ func newMesh(eng *sim.Engine, n int) *mesh {
 	return m
 }
 
-// route returns the sequence of directed links from src to dst under
-// dimension-order routing (X first, then Y).
-func (m *mesh) route(src, dst int) [][2]int {
-	var hops [][2]int
-	r, c := src/m.cols, src%m.cols
-	dr, dc := dst/m.cols, dst%m.cols
-	for c != dc {
-		next := c + 1
-		if dc < c {
-			next = c - 1
-		}
-		hops = append(hops, [2]int{r*m.cols + c, r*m.cols + next})
-		c = next
+// next returns the node after cur on the dimension-order route to dst
+// (X first, then Y); cur must not be dst.
+func (m *mesh) next(cur, dst int) int {
+	switch c, dc := cur%m.cols, dst%m.cols; {
+	case c < dc:
+		return cur + 1
+	case c > dc:
+		return cur - 1
+	case cur < dst:
+		return cur + m.cols
+	default:
+		return cur - m.cols
 	}
-	for r != dr {
-		next := r + 1
-		if dr < r {
-			next = r - 1
-		}
-		hops = append(hops, [2]int{r*m.cols + c, next*m.cols + c})
-		r = next
-	}
-	return hops
 }
 
-// Hops returns the Manhattan distance between two nodes.
-func (m *mesh) Hops(src, dst int) int { return len(m.route(src, dst)) }
+// Hops returns the Manhattan distance between two nodes, the length of
+// their route.
+func (m *mesh) Hops(src, dst int) int {
+	return abs(src/m.cols-dst/m.cols) + abs(src%m.cols-dst%m.cols)
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}

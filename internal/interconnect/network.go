@@ -72,10 +72,15 @@ type discardFrame struct {
 }
 
 // frame is one message crossing the network. It carries the message from
-// the send through the output buffer, any go-back-N hold, both ports and
-// arrival. Frames are recycled through per-engine free lists, and each
-// frame's callbacks are bound once, when it is allocated, so a recycled
-// frame crosses the network without allocating.
+// the send through the output buffer, any go-back-N hold, both ports (and
+// the mesh's links) and arrival, one step after another: send, launch,
+// admit, land and arrive (hopped for each mesh link between launch and
+// admit). While a frame waits in the NI output buffer or a go-back-N hold
+// it has no step in flight. Every step runs through one callback, bound
+// when the frame is allocated, which runs the step named in step;
+// scheduling a second step while one is in flight panics. Frames are
+// recycled through per-engine free lists, so a recycled frame crosses the
+// network without allocating.
 type frame struct {
 	src, dst int
 	flits    int
@@ -85,10 +90,32 @@ type frame struct {
 	// reaches the destination's input port; both are set at the output
 	// port grant.
 	ser, head sim.Time
+	// at is the mesh node the head flit has reached (TopoMesh2D only).
+	at int
 
-	// sendFn, launchFn, admitFn, landFn and arriveFn are send, launch,
-	// admit, land and arrive bound to this frame.
-	sendFn, launchFn, admitFn, landFn, arriveFn func()
+	// step is the network step scheduled for this frame (nil when none
+	// is), and stepFn the callback that runs it.
+	step   func(*Network, *frame)
+	stepFn func()
+}
+
+// then names step as f's next step and returns the callback that runs it,
+// for the caller to schedule. A frame with a step already in flight would
+// run only one of the two, so scheduling a second panics.
+func (f *frame) then(step func(*Network, *frame)) func() {
+	if f.step != nil {
+		panic(fmt.Sprintf("interconnect: frame %d->%d scheduled a network step with another in flight", f.src, f.dst))
+	}
+	f.step = step
+	return f.stepFn
+}
+
+// runStep runs f's scheduled step, clearing it first so that the step can
+// schedule the next.
+func (n *Network) runStep(f *frame) {
+	step := f.step
+	f.step = nil
+	step(n, f)
 }
 
 // pairHold is a go-back-N recovery window on one (src, dst) pair: the
@@ -100,7 +127,17 @@ type frame struct {
 // frame holds everything behind it on the same pair instead of being
 // overtaken.
 type pairHold struct {
+	n      *Network
+	pair   int // the window's index in Network.hold
 	frames []*frame
+}
+
+// close ends the window: the held frames re-enter the send path in order.
+func (h *pairHold) close() {
+	h.n.hold[h.pair] = nil
+	for _, f := range h.frames {
+		h.n.enqueue(f)
+	}
 }
 
 // Network connects the nodes' network interfaces.
@@ -113,9 +150,9 @@ type Network struct {
 	// reconstructed serial order.
 	engs  []*sim.Engine
 	cfg   *config.Config
-	tr    *obs.Tracer     // nil when tracing and attribution are off
-	out   []*sim.Resource // per-node NI output ports
-	in    []*sim.Resource // per-node NI input ports
+	tr    *obs.Tracer    // nil when tracing and attribution are off
+	out   []sim.Resource // per-node NI output ports
+	in    []sim.Resource // per-node NI input ports
 	sinks []Handler
 	mesh  *mesh // non-nil under TopoMesh2D
 
@@ -141,10 +178,10 @@ type Network struct {
 	// schedule an identical event stream.
 	outQueued []int
 	outWait   [][]*frame
-	// hold[src] carries the active go-back-N recovery windows keyed by
-	// destination (Robust only; never populated on a fault-free run).
-	// Per-source maps keep all mutation on the source node's engine.
-	hold []map[int]*pairHold
+	// hold[src*Nodes+dst] is the pair's active go-back-N recovery window,
+	// or nil (Robust only; never populated on a fault-free run). Only the
+	// source node's engine touches a pair's entry.
+	hold []*pairHold
 	// free[pool[node]] is the list of idle frames of the engine that owns
 	// node: one list on a serial run, one per shard on a sharded one.
 	// A send takes its frame from the source engine's list and the arrival
@@ -169,12 +206,12 @@ func New(engs []*sim.Engine, cfg *config.Config, tr *obs.Tracer) *Network {
 		engs:      engs,
 		cfg:       cfg,
 		tr:        tr,
-		out:       make([]*sim.Resource, cfg.Nodes),
-		in:        make([]*sim.Resource, cfg.Nodes),
+		out:       make([]sim.Resource, cfg.Nodes),
+		in:        make([]sim.Resource, cfg.Nodes),
 		sinks:     make([]Handler, cfg.Nodes),
 		outQueued: make([]int, cfg.Nodes),
 		outWait:   make([][]*frame, cfg.Nodes),
-		hold:      make([]map[int]*pairHold, cfg.Nodes),
+		hold:      make([]*pairHold, cfg.Nodes*cfg.Nodes),
 		pool:      make([]int, cfg.Nodes),
 		drainFns:  make([]func(), cfg.Nodes),
 	}
@@ -187,9 +224,8 @@ func New(engs []*sim.Engine, cfg *config.Config, tr *obs.Tracer) *Network {
 			n.free = append(n.free, sim.FreeList[frame]{})
 		}
 		n.pool[i] = p
-		n.out[i] = sim.NewResource(engs[i])
-		n.in[i] = sim.NewResource(engs[i])
-		n.hold[i] = map[int]*pairHold{}
+		n.out[i] = sim.MakeResource(engs[i])
+		n.in[i] = sim.MakeResource(engs[i])
 		node := i
 		n.drainFns[i] = func() { n.portDrained(node) }
 	}
@@ -226,11 +262,12 @@ func (n *Network) Attach(node int, h Handler) {
 // the last flit has arrived.
 func (n *Network) Send(at sim.Time, src, dst, flitCount int, payload interface{}) {
 	f := n.frameFor(src, dst, flitCount, payload)
-	n.engs[src].At(at, f.sendFn)
+	n.engs[src].At(at, f.then((*Network).send))
 }
 
 // frameFor takes a frame for one message from the free list of src's
-// engine, allocating and binding a new one when the list is empty.
+// engine, allocating a new one and binding its callback when the list is
+// empty.
 func (n *Network) frameFor(src, dst, flitCount int, payload interface{}) *frame {
 	if src < 0 || src >= len(n.out) || dst < 0 || dst >= len(n.in) {
 		panic(fmt.Sprintf("interconnect: send %d->%d out of range", src, dst))
@@ -241,11 +278,7 @@ func (n *Network) frameFor(src, dst, flitCount int, payload interface{}) *frame 
 	f := n.free[n.pool[src]].Get()
 	if f == nil {
 		f = &frame{}
-		f.sendFn = func() { n.send(f) }
-		f.launchFn = func() { n.launch(f) }
-		f.admitFn = func() { n.admit(f) }
-		f.landFn = func() { n.land(f) }
-		f.arriveFn = func() { n.arrive(f) }
+		f.stepFn = func() { n.runStep(f) }
 	}
 	f.src, f.dst, f.flits, f.payload, f.delay = src, dst, flitCount, payload, 0
 	return f
@@ -307,7 +340,7 @@ func (n *Network) send(f *frame) {
 			n.holdPair(src, dst, d.Delay, f)
 			return
 		}
-		if h := n.hold[src][dst]; h != nil {
+		if h := n.hold[n.pair(src, dst)]; h != nil {
 			h.frames = append(h.frames, f)
 			return
 		}
@@ -320,21 +353,22 @@ func (n *Network) send(f *frame) {
 // every subsequent original on the pair re-enter the send path, in order,
 // when the window closes after delay.
 func (n *Network) holdPair(src, dst int, delay sim.Time, f *frame) {
-	if h := n.hold[src][dst]; h != nil {
+	k := n.pair(src, dst)
+	if h := n.hold[k]; h != nil {
 		// Already recovering this pair: the frame joins the replay queue
 		// and rides the existing window.
 		h.frames = append(h.frames, f)
 		return
 	}
-	h := &pairHold{frames: []*frame{f}}
-	n.hold[src][dst] = h
-	n.engs[src].After(delay, func() {
-		delete(n.hold[src], dst)
-		for _, qf := range h.frames {
-			n.enqueue(qf)
-		}
-	})
+	h := &pairHold{n: n, pair: k, frames: []*frame{f}}
+	n.hold[k] = h
+	// A window opens only during fault recovery, so its close is bound
+	// once per window.
+	n.engs[src].After(delay, h.close)
 }
+
+// pair returns the index of the (src, dst) pair in hold.
+func (n *Network) pair(src, dst int) int { return src*n.cfg.Nodes + dst }
 
 // enqueue admits a message to the source NI's output buffer, parking it
 // when the configured finite depth is exceeded (back-pressure).
@@ -359,7 +393,7 @@ func (n *Network) transmit(f *frame) {
 		n.tr.NetSend(n.engs[f.src].Now(), f.src, f.dst, name, line, f.flits)
 	}
 	f.ser = sim.Time(f.flits) * n.cfg.NetFlitTime
-	n.out[f.src].Acquire(f.ser, f.launchFn)
+	n.out[f.src].Acquire(f.ser, f.then((*Network).launch))
 }
 
 // launch runs at the output port grant: the frame serializes onto the
@@ -425,20 +459,28 @@ func (n *Network) Brownout(node int, out bool, dur sim.Time) {
 // routing: each hop contends for its directed link, occupies it for the
 // serialization time, and adds the per-hop router latency.
 func (n *Network) sendMesh(f *frame, start sim.Time) {
-	hops := n.mesh.route(f.src, f.dst)
-	var advance func(i int, t sim.Time)
-	advance = func(i int, t sim.Time) {
-		if i == len(hops) {
-			f.head = t
-			n.deliverAt(f)
-			return
-		}
-		link := n.mesh.links[hops[i]]
-		link.AcquireAt(t, f.ser, func() {
-			advance(i+1, n.engs[0].Now()+n.cfg.NetHopLatency)
-		})
+	f.at = f.src
+	n.hop(f, start)
+}
+
+// hop requests, at t, the link from the head's node f.at to the next node
+// on f's route, or delivers f once its head has reached the destination.
+func (n *Network) hop(f *frame, t sim.Time) {
+	if f.at == f.dst {
+		f.head = t
+		n.deliverAt(f)
+		return
 	}
-	advance(0, start)
+	next := n.mesh.next(f.at, f.dst)
+	link := n.mesh.links[[2]int{f.at, next}]
+	f.at = next
+	link.AcquireAt(t, f.ser, f.then((*Network).hopped))
+}
+
+// hopped runs at a link grant: the head reaches the next router after the
+// per-hop latency.
+func (n *Network) hopped(f *frame) {
+	n.hop(f, n.engs[0].Now()+n.cfg.NetHopLatency)
 }
 
 // deliverAt drains the message into the destination NI beginning at
@@ -452,17 +494,17 @@ func (n *Network) sendMesh(f *frame, start sim.Time) {
 // network latency, so the drained admission lands at or past the window
 // horizon.
 func (n *Network) deliverAt(f *frame) {
-	n.engs[f.src].DeferTo(n.engs[f.dst], f.admitFn)
+	n.engs[f.src].DeferTo(n.engs[f.dst], f.then((*Network).admit))
 }
 
 // admit queues the frame for the destination's input port.
 func (n *Network) admit(f *frame) {
-	n.in[f.dst].AcquireAt(f.head, f.ser, f.landFn)
+	n.in[f.dst].AcquireAt(f.head, f.ser, f.then((*Network).land))
 }
 
 // land runs at the input port grant: the last flit arrives ser later.
 func (n *Network) land(f *frame) {
-	n.engs[f.dst].After(f.ser, f.arriveFn)
+	n.engs[f.dst].After(f.ser, f.then((*Network).arrive))
 }
 
 // arrive hands the message to the destination's sink, first returning the
@@ -512,7 +554,7 @@ func (n *Network) InFlight() int { return int(n.inFlight) }
 func (n *Network) Flits() uint64 { return n.flits }
 
 // OutPort exposes a node's output-port resource (for utilization reports).
-func (n *Network) OutPort(node int) *sim.Resource { return n.out[node] }
+func (n *Network) OutPort(node int) *sim.Resource { return &n.out[node] }
 
 // InPort exposes a node's input-port resource.
-func (n *Network) InPort(node int) *sim.Resource { return n.in[node] }
+func (n *Network) InPort(node int) *sim.Resource { return &n.in[node] }

@@ -1,6 +1,8 @@
 package interconnect
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"ccnuma/internal/config"
@@ -350,4 +352,50 @@ func TestFramesRecycledPerEngine(t *testing.T) {
 	if len(split.free) != 2 || split.pool[0] != 0 || split.pool[cfg.Nodes-1] != 1 {
 		t.Errorf("two engines: %d lists, node pools %v, want one list per engine", len(split.free), split.pool)
 	}
+}
+
+// mallocs returns the heap objects f allocates.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestFrameBindsOneCallback pins what a frame costs the network: a new
+// frame allocates itself and the one callback that runs all of its steps,
+// and a recycled frame allocates nothing.
+func TestFrameBindsOneCallback(t *testing.T) {
+	eng, net, _ := setup(t)
+	net.Attach(1, func(int, interface{}) {})
+	send := func() {
+		net.Send(eng.Now(), 0, 1, 1, nil)
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send() // the engine reserves its event slab and the frame goes idle
+	net.free[net.pool[0]].Get()
+	if n := mallocs(send); n != 2 {
+		t.Errorf("a message with no idle frame allocated %d objects, want 2: a frame and its callback", n)
+	}
+	if n := mallocs(send); n != 0 {
+		t.Errorf("a message with an idle frame allocated %d objects, want 0", n)
+	}
+}
+
+// TestSecondFrameStepPanics pins the one-step rule: a frame with a step in
+// flight cannot be given a second, and the panic names its pair.
+func TestSecondFrameStepPanics(t *testing.T) {
+	_, net, _ := setup(t)
+	f := net.frameFor(2, 3, 1, nil)
+	f.then((*Network).send)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "frame 2->3") || !strings.Contains(msg, "another in flight") {
+			t.Fatalf("panic %q, want one naming frame 2->3 and the step in flight", msg)
+		}
+	}()
+	f.then((*Network).launch)
 }

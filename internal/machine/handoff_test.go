@@ -419,6 +419,25 @@ func TestNewMachineAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestRobustBuildObjectCeiling pins how many objects building the robust
+// 4x2 machine allocates, the build every chaos cell makes: 186, because
+// the bus, network and directories hold their resources by value and size
+// their tables once (243 when each resource and table was allocated on
+// its own). The ceiling, 10% above today's figure, fails if those
+// allocations come back.
+func TestRobustBuildObjectCeiling(t *testing.T) {
+	const ceiling = 205
+	cfg := testCfg(4, 2).WithRobustness()
+	objects := testing.AllocsPerRun(3, func() {
+		if _, err := New(cfg, "build"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if objects > ceiling {
+		t.Fatalf("building the robust 4x2 machine allocated %v objects, want at most %d", objects, ceiling)
+	}
+}
+
 // BenchmarkNewMachine reports the host time and allocations of building
 // the paper's 16x4 HWC machine and the robust 4x2 machine that every
 // chaos schedule builds.

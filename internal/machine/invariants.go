@@ -20,18 +20,28 @@ import (
 // ascending order, so a machine with several bad lines always reports the
 // lowest. Machine.Run calls this after every successful run.
 func (m *Machine) CheckCoherence() error {
-	var held []l2Holder
+	lines := 0
 	for _, p := range m.Procs {
+		lines += p.L2Lines()
+	}
+	held := make([]l2Holder, 0, lines)
+	for i, p := range m.Procs {
 		if err := p.CheckInclusion(); err != nil {
 			return fmt.Errorf("coherence: %w", err)
 		}
 		node := p.Node()
 		p.ForEachL2Line(func(line uint64, st cache.State) {
-			held = append(held, l2Holder{line, node, st})
+			held = append(held, l2Holder{line, node, int32(i), st})
 		})
 	}
-	// Stable, so each line's holders stay in processor order.
-	slices.SortStableFunc(held, func(a, b l2Holder) int { return cmp.Compare(a.line, b.line) })
+	// A processor holds a line once, so (line, processor) orders every
+	// holder, and each line's holders in processor order.
+	slices.SortFunc(held, func(a, b l2Holder) int {
+		if c := cmp.Compare(a.line, b.line); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.proc, b.proc)
+	})
 	for len(held) > 0 {
 		n := 1
 		for n < len(held) && held[n].line == held[0].line {
@@ -112,10 +122,12 @@ func (m *Machine) checkLine(line uint64, hs []l2Holder) error {
 	return nil
 }
 
-// l2Holder is one cache's view of a line during the coherence sweep.
+// l2Holder is one cache's view of a line during the coherence sweep: the
+// line, the node and index of the processor holding it, and its state.
 type l2Holder struct {
 	line  uint64
 	node  int
+	proc  int32
 	state cache.State
 }
 

@@ -434,6 +434,7 @@ func (m *Machine) startSampler() {
 
 func (m *Machine) collect(execTime sim.Time) {
 	r := m.run
+	r.Counters = make(map[string]uint64, runCounters)
 	r.ExecTime = execTime
 	r.Attribution = m.Tracer.Attribution()
 	for _, p := range m.Procs {
@@ -501,6 +502,13 @@ func (m *Machine) collect(execTime sim.Time) {
 		}
 	}
 }
+
+// runCounters bounds the number of counters collect writes, so the run's
+// counter map is made with room for all of them: the processors' seven
+// reference counters, the network's two, one per bus kind, the directory
+// cache's two, six recovery and eight link counters, the bus stalls, and
+// a dispatch count and busy time per handler.
+const runCounters = 7 + 2 + len(busCounterNames) + 2 + 6 + 8 + 1 + 2*protocol.NumHandlers
 
 // busCounterNames and handlerCounterNames are the names collect gives the
 // per-kind bus counts and the per-handler dispatch counts and busy times,

@@ -73,6 +73,13 @@ const (
 	// tree depth of a binary heap at the price of a few extra sibling
 	// comparisons per level.
 	heapArity = 4
+
+	// firstSlab is the slab capacity the first event reserves: room for
+	// the queue of a short fault-free run, which then reaches its
+	// high-water depth without regrowing the slab. Reserving it at the
+	// first event rather than in NewEngine keeps building a machine from
+	// paying for it.
+	firstSlab = 256
 )
 
 // Engine is a discrete-event scheduler. The zero value is not usable; create
@@ -191,13 +198,17 @@ func (e *Engine) After(d Time, fn func()) {
 }
 
 // alloc stores ev in a free slab node, growing the slab (and the far heap's
-// capacity with it) only when every node is pending.
+// capacity with it) only when every node is pending. The first event
+// reserves firstSlab nodes.
 func (e *Engine) alloc(ev event) int32 {
 	var i int32
 	if e.pending < len(e.slab) {
 		i = e.free
 		e.free = e.slab[i].next
 	} else {
+		if e.slab == nil {
+			e.slab = make([]node, 0, firstSlab)
+		}
 		i = int32(len(e.slab))
 		e.slab = append(e.slab, node{})
 		if cap(e.far) < cap(e.slab) {

@@ -6,6 +6,7 @@ package sim
 // in FIFO order and invokes the grant callback at the cycle the resource
 // becomes theirs. The sampler reads the accumulated busy time, and the
 // sampler and stall snapshots read the next free cycle as a backlog.
+// Components hold their resources by value, made with MakeResource.
 type Resource struct {
 	eng *Engine
 
@@ -15,9 +16,9 @@ type Resource struct {
 	busy Time
 }
 
-// NewResource creates a resource bound to an engine.
-func NewResource(eng *Engine) *Resource {
-	return &Resource{eng: eng}
+// MakeResource returns an idle resource bound to an engine.
+func MakeResource(eng *Engine) Resource {
+	return Resource{eng: eng}
 }
 
 // Acquire requests the resource for hold cycles starting as soon as it is

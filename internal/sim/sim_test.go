@@ -194,7 +194,7 @@ func TestEngineDeterminism(t *testing.T) {
 
 func TestResourceFIFOAndStats(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e)
+	r := MakeResource(e)
 	var starts []Time
 	e.At(0, func() {
 		r.Acquire(10, func() { starts = append(starts, e.Now()) })
@@ -219,7 +219,7 @@ func TestResourceFIFOAndStats(t *testing.T) {
 
 func TestResourceAcquireAt(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e)
+	r := MakeResource(e)
 	var start Time = -1
 	e.At(0, func() {
 		r.AcquireAt(100, 10, func() { start = e.Now() })
@@ -239,7 +239,7 @@ func TestResourceAcquireAt(t *testing.T) {
 func TestResourceNoOverlapProperty(t *testing.T) {
 	f := func(holds []uint8) bool {
 		e := NewEngine()
-		r := NewResource(e)
+		r := MakeResource(e)
 		type grant struct{ start, end Time }
 		var grants []grant
 		at := Time(0)

@@ -114,6 +114,16 @@ type Outcome struct {
 // bus invokes Done exactly once per issue. Once Done has run, the issuer may
 // set the fields again and re-issue the same Txn: a processor re-issues one
 // Txn for every attempt of every miss.
+//
+// A transaction moves through the bus one step at a time: the arbitration
+// grant, the strobe, a bounce, a memory read, the data transfer, the
+// completion. The bus schedules every step through one callback, bound on
+// the transaction's first issue, which runs the step named in step; a
+// transaction has at most one step in flight, and scheduling a second
+// panics. Only a remote write-back's capture by the direct data path has a
+// callback of its own, because it runs at the same cycle as the
+// write-back's completion. A re-issued transaction therefore schedules its
+// events without allocating.
 type Txn struct {
 	Kind Kind
 	Line uint64
@@ -160,19 +170,32 @@ type Txn struct {
 	// reply is the deferred-reply transaction Supply issues for this one,
 	// allocated on the first Supply and reused by later issues.
 	reply *Txn
-	// The bus's callbacks for this transaction, each bound on first use
-	// (see bound), so a re-issued transaction schedules its events without
-	// allocating and a single-use one binds only what it uses.
-	onGrant, onStrobe, onBounce, onIssue, onFinish, onMem, onData func()
-	onWBData, onCapture                                           func()
+	// step is the bus step scheduled for this transaction (nil when none
+	// is), and stepFn the callback that runs it, bound on the first issue.
+	step   func(*Bus, *Txn)
+	stepFn func()
+	// captureFn hands a remote write-back to the direct data path, bound
+	// on the first such write-back.
+	captureFn func()
 }
 
-// bound returns the callback in slot, first binding it to step(b, txn).
-func bound(slot *func(), b *Bus, txn *Txn, step func(*Bus, *Txn)) func() {
-	if *slot == nil {
-		*slot = func() { step(b, txn) }
+// then names step as txn's next step and returns the callback that runs
+// it, for the caller to schedule. A transaction with a step already in
+// flight would run only one of the two, so scheduling a second panics.
+func (txn *Txn) then(step func(*Bus, *Txn)) func() {
+	if txn.step != nil {
+		panic(fmt.Sprintf("smpbus: %v of line %#x scheduled a bus step with another in flight", txn.Kind, txn.Line))
 	}
-	return *slot
+	txn.step = step
+	return txn.stepFn
+}
+
+// runStep runs txn's scheduled step, clearing it first so that the step
+// can schedule the next.
+func (b *Bus) runStep(txn *Txn) {
+	step := txn.step
+	txn.step = nil
+	step(b, txn)
 }
 
 // SnoopResult is a snooping agent's verdict at address-strobe time.
@@ -245,9 +268,9 @@ type Bus struct {
 	node int
 	tr   *obs.Tracer // nil when tracing and attribution are off
 
-	addr  *sim.Resource
-	data  *sim.Resource
-	banks []*sim.Resource
+	addr  sim.Resource
+	data  sim.Resource
+	banks []sim.Resource
 
 	snoopers []Snooper
 	cc       Controller
@@ -269,19 +292,23 @@ type Bus struct {
 }
 
 // New creates a bus for the given node with the configured number of
-// interleaved memory banks. tr may be nil.
+// interleaved memory banks and room for ProcsPerNode snoopers. tr may be
+// nil.
 func New(eng *sim.Engine, cfg *config.Config, node int, tr *obs.Tracer) *Bus {
 	b := &Bus{
-		eng:  eng,
-		cfg:  cfg,
-		node: node,
-		tr:   tr,
-		addr: sim.NewResource(eng),
-		data: sim.NewResource(eng),
-		mem:  memaddr.NewLineTable[uint64](cfg),
+		eng:      eng,
+		cfg:      cfg,
+		node:     node,
+		tr:       tr,
+		addr:     sim.MakeResource(eng),
+		data:     sim.MakeResource(eng),
+		banks:    make([]sim.Resource, cfg.MemBanks),
+		snoopers: make([]Snooper, 0, cfg.ProcsPerNode),
+		pending:  make([]pendingSlot, 0, cfg.ProcsPerNode),
+		mem:      memaddr.NewLineTable[uint64](cfg),
 	}
-	for i := 0; i < cfg.MemBanks; i++ {
-		b.banks = append(b.banks, sim.NewResource(eng))
+	for i := range b.banks {
+		b.banks[i] = sim.MakeResource(eng)
 	}
 	return b
 }
@@ -322,10 +349,10 @@ func (b *Bus) Node() int { return b.node }
 
 // AddrResource and DataResource expose the underlying resources for
 // utilization reporting.
-func (b *Bus) AddrResource() *sim.Resource { return b.addr }
+func (b *Bus) AddrResource() *sim.Resource { return &b.addr }
 
 // DataResource exposes the data-bus resource.
-func (b *Bus) DataResource() *sim.Resource { return b.data }
+func (b *Bus) DataResource() *sim.Resource { return &b.data }
 
 // Stall occupies the address and data buses for dur cycles (fault
 // injection: a transient bus outage). Outstanding transactions queue
@@ -349,8 +376,8 @@ func (b *Bus) NumBanks() int { return len(b.banks) }
 // bank-occupancy sampling).
 func (b *Bus) BanksBusy() sim.Time {
 	var t sim.Time
-	for _, bk := range b.banks {
-		t += bk.Busy()
+	for i := range b.banks {
+		t += b.banks[i].Busy()
 	}
 	return t
 }
@@ -371,7 +398,7 @@ func (b *Bus) MemValue(line uint64) uint64 { return b.mem.Get(line) }
 func (b *Bus) SetMemValue(line, v uint64) { b.mem.Set(line, v) }
 
 func (b *Bus) bank(line uint64) *sim.Resource {
-	return b.banks[int(line/uint64(b.cfg.LineSize))%len(b.banks)]
+	return &b.banks[int(line/uint64(b.cfg.LineSize))%len(b.banks)]
 }
 
 // Issue submits a transaction. The address bus is arbitrated FIFO; the
@@ -393,14 +420,17 @@ func (b *Bus) Issue(txn *Txn) {
 		// data phase would return stale memory.
 		b.mem.Set(txn.Line, txn.Data)
 	}
+	if txn.stepFn == nil {
+		txn.stepFn = func() { b.runStep(txn) }
+	}
 	txn.deferredToCC = false
 	txn.snoopData = 0
-	b.addr.Acquire(b.cfg.AddrStrobe, bound(&txn.onGrant, b, txn, (*Bus).granted))
+	b.addr.Acquire(b.cfg.AddrStrobe, txn.then((*Bus).granted))
 }
 
 // granted runs at the address-bus grant; the strobe follows BusArb later.
 func (b *Bus) granted(txn *Txn) {
-	b.eng.After(b.cfg.BusArb, bound(&txn.onStrobe, b, txn, (*Bus).strobe))
+	b.eng.After(b.cfg.BusArb, txn.then((*Bus).strobe))
 }
 
 // strobe runs at address-strobe time: conflict check, snoop, resolution.
@@ -585,7 +615,7 @@ func (b *Bus) resolveReadEx(txn *Txn, now sim.Time, owned, deferred bool) {
 func (b *Bus) resolveWriteBack(txn *Txn, now sim.Time, sharedLeft bool) {
 	// Data crosses the bus starting two cycles after the strobe.
 	txn.out = Outcome{Status: OK, Shared: sharedLeft}
-	b.data.AcquireAt(now+2, b.cfg.BusDataTime(), bound(&txn.onWBData, b, txn, (*Bus).writeBackData))
+	b.data.AcquireAt(now+2, b.cfg.BusDataTime(), txn.then((*Bus).writeBackData))
 }
 
 // writeBackData runs when a write-back's line starts crossing the data bus.
@@ -606,7 +636,10 @@ func (b *Bus) writeBackData(txn *Txn) {
 	if b.cc == nil {
 		panic("smpbus: remote write-back with no controller")
 	}
-	b.eng.At(end, bound(&txn.onCapture, b, txn, (*Bus).captureWriteBack))
+	if txn.captureFn == nil {
+		txn.captureFn = func() { b.captureWriteBack(txn) }
+	}
+	b.eng.At(end, txn.captureFn)
 	b.complete(txn, end, txn.out)
 }
 
@@ -645,7 +678,7 @@ func (b *Bus) resolveFetch(txn *Txn, now sim.Time, owned, sharedSeen bool) {
 func (b *Bus) memoryRead(txn *Txn, now sim.Time, out Outcome) {
 	out.Data = b.mem.Get(txn.Line)
 	txn.out = out
-	b.bank(txn.Line).AcquireAt(now, b.cfg.BankBusy, bound(&txn.onMem, b, txn, (*Bus).memReady))
+	b.bank(txn.Line).AcquireAt(now, b.cfg.BankBusy, txn.then((*Bus).memReady))
 }
 
 // memReady runs when the bank accepts the read: the data is ready for the
@@ -660,7 +693,7 @@ func (b *Bus) memReady(txn *Txn) {
 // ready, completing the transaction at the critical-quad-word arrival.
 func (b *Bus) transferData(txn *Txn, ready sim.Time, out Outcome) {
 	txn.out = out
-	b.data.AcquireAt(ready, b.cfg.BusDataTime(), bound(&txn.onData, b, txn, (*Bus).dataGranted))
+	b.data.AcquireAt(ready, b.cfg.BusDataTime(), txn.then((*Bus).dataGranted))
 }
 
 // dataGranted runs when the line starts crossing the data bus.
@@ -673,7 +706,7 @@ func (b *Bus) dataGranted(txn *Txn) {
 func (b *Bus) bounce(txn *Txn, now sim.Time) {
 	b.retries++
 	b.tr.SpanEnd(txn.Attr, obs.StageBus, 0, now+2)
-	b.eng.After(2, bound(&txn.onBounce, b, txn, (*Bus).rejected))
+	b.eng.After(2, txn.then((*Bus).rejected))
 }
 
 // rejected ends a bounce. A processor sees RetryNeeded and re-evaluates
@@ -682,7 +715,7 @@ func (b *Bus) bounce(txn *Txn, now sim.Time) {
 // back-off.
 func (b *Bus) rejected(txn *Txn) {
 	if txn.Src == CCSrc {
-		b.eng.After(b.cfg.BusRetry, bound(&txn.onIssue, b, txn, (*Bus).Issue))
+		b.eng.After(b.cfg.BusRetry, txn.then((*Bus).Issue))
 		return
 	}
 	txn.Done(Outcome{Status: RetryNeeded})
@@ -693,7 +726,7 @@ func (b *Bus) rejected(txn *Txn) {
 func (b *Bus) complete(txn *Txn, t sim.Time, out Outcome) {
 	b.tr.SpanEnd(txn.Attr, obs.StageBus, 0, t)
 	txn.out = out
-	b.eng.At(t, bound(&txn.onFinish, b, txn, (*Bus).finish))
+	b.eng.At(t, txn.then((*Bus).finish))
 }
 
 // finish is a scheduled completion. Done may re-issue txn, so the pending
@@ -713,13 +746,17 @@ func (b *Bus) finish(txn *Txn) {
 func (b *Bus) Supply(parked *Txn, withData, shared bool, data uint64) {
 	s := parked.reply
 	if s == nil {
-		s = &Txn{Kind: supplyKind, Src: CCSrc, Done: func(Outcome) {}, supplyFor: parked}
+		s = &Txn{Kind: supplyKind, Src: CCSrc, Done: replyDone, supplyFor: parked}
 		parked.reply = s
 	}
 	s.Line, s.HomeLocal, s.Attr = parked.Line, parked.HomeLocal, parked.Attr
 	s.out = Outcome{Status: OK, Shared: shared, WithData: withData, Data: data}
 	b.Issue(s)
 }
+
+// replyDone is a deferred reply's Done. It never runs: the reply
+// completes the parked transaction, not itself.
+func replyDone(Outcome) {}
 
 func (b *Bus) resolveSupply(s *Txn, now sim.Time) {
 	if s.out.WithData {

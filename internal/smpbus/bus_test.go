@@ -1,6 +1,8 @@
 package smpbus
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"ccnuma/internal/config"
@@ -599,4 +601,133 @@ func TestTxnReissue(t *testing.T) {
 			t.Fatalf("pending slot %d still holds line %#x at the end", i, s.line)
 		}
 	}
+}
+
+// verdictSnooper answers every snoop with its verdict and records nothing.
+type verdictSnooper SnoopResult
+
+func (v verdictSnooper) Snoop(*Txn) SnoopResult { return SnoopResult(v) }
+
+// parkingCC answers the controller snoop with verdict, keeps the last
+// transaction deferred to it and counts captured write-backs, allocating
+// nothing.
+type parkingCC struct {
+	verdict  SnoopResult
+	parked   *Txn
+	captured int
+}
+
+func (c *parkingCC) Snoop(*Txn) SnoopResult                         { return c.verdict }
+func (c *parkingCC) AcceptDeferred(txn *Txn)                        { c.parked = txn }
+func (c *parkingCC) CaptureWriteBack(line uint64, _ bool, _ uint64) { c.captured++ }
+
+// ignoreOutcome is a Done for transactions whose outcome the test does not
+// read.
+func ignoreOutcome(Outcome) {}
+
+// mallocs returns the heap objects f allocates.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestTxnBindsOneCallback pins what a transaction costs the bus: one
+// callback for every step it takes, bound on its first issue, and one for
+// a remote write-back's capture. One transaction is driven through a
+// bounce, a memory read, a deferred Supply, an Abort and a remote
+// write-back. The first pass may allocate those two callbacks and the
+// deferred reply that Supply makes once per parked transaction (the reply
+// and its own callback); the second pass allocates nothing.
+func TestTxnBindsOneCallback(t *testing.T) {
+	eng, b, _ := newBus(t)
+	src := b.AttachSnooper(verdictSnooper(SnoopNone))
+	other := b.AttachSnooper(verdictSnooper(SnoopNone))
+	cc := &parkingCC{}
+	b.AttachController(cc)
+
+	var got Outcome
+	done := 0
+	txn := &Txn{Src: src, Done: func(o Outcome) { got, done = o, done+1 }}
+	blocker := &Txn{Kind: Read, Line: 0x1000, Src: other, HomeLocal: true, Done: ignoreOutcome}
+	run := func() {
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	issue := func(kind Kind, line uint64, homeLocal bool) {
+		txn.Kind, txn.Line, txn.HomeLocal = kind, line, homeLocal
+		b.Issue(txn)
+	}
+	expect := func(step string, want Outcome) {
+		if done != 1 || got != want {
+			t.Fatalf("%s: Done ran %d times, last with %+v; want once with %+v", step, done, got, want)
+		}
+		done = 0
+	}
+	pass := func() {
+		// A bounce off the blocker's live memory read of the same line.
+		cc.verdict = SnoopNone
+		b.Issue(blocker)
+		issue(Read, 0x1000, true)
+		run()
+		expect("bounce", Outcome{Status: RetryNeeded})
+		// A memory read.
+		issue(Read, 0x2000, true)
+		run()
+		expect("memory read", Outcome{Status: OK})
+		// A deferred Supply with data.
+		cc.verdict = SnoopDefer
+		issue(ReadEx, 0x3000, false)
+		run()
+		b.Supply(cc.parked, true, false, 0x55)
+		run()
+		expect("supply", Outcome{Status: OK, WithData: true, Data: 0x55})
+		// An Abort of the parked transaction.
+		issue(Upgrade, 0x3000, false)
+		run()
+		b.Abort(cc.parked)
+		run()
+		expect("abort", Outcome{Status: RetryNeeded})
+		// A remote write-back through the direct data path.
+		cc.verdict = SnoopNone
+		txn.Data = 0x77
+		issue(WriteBack, 0x4000, false)
+		run()
+		expect("write-back", Outcome{Status: OK})
+	}
+
+	// The blocker's own issue binds its callback and the engine reserves
+	// its event slab before anything is counted.
+	b.Issue(blocker)
+	run()
+	first, second := mallocs(pass), mallocs(pass)
+	if first > 4 {
+		t.Errorf("first pass allocated %d objects, want at most 4: the step callback, the capture callback, the deferred reply and its callback", first)
+	}
+	if second != 0 {
+		t.Errorf("second pass allocated %d objects, want 0", second)
+	}
+	if cc.captured != 2 {
+		t.Errorf("direct data path captured %d write-backs, want 2", cc.captured)
+	}
+}
+
+// TestSecondStepPanics pins the one-step rule: a transaction with a step
+// in flight cannot be given a second, so aborting one that is not parked
+// panics, naming the transaction.
+func TestSecondStepPanics(t *testing.T) {
+	_, b, _ := newBus(t)
+	src := b.AttachSnooper(verdictSnooper(SnoopNone))
+	txn := &Txn{Kind: Read, Line: 0x1000, Src: src, HomeLocal: true, Done: ignoreOutcome}
+	b.Issue(txn) // its grant is in flight
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "Read of line 0x1000") || !strings.Contains(msg, "another in flight") {
+			t.Fatalf("panic %q, want one naming the Read of line 0x1000 and the step in flight", msg)
+		}
+	}()
+	b.Abort(txn)
 }

@@ -122,7 +122,9 @@ type Run struct {
 	MissLatency Histogram
 
 	// Extra named counters (bus transactions, network messages, cache
-	// hits/misses, ...) for validation and the example programs.
+	// hits/misses, ...) for validation and the example programs. The map
+	// is made when the first counter is recorded, by Add or by a writer
+	// that sizes it for all of its counters.
 	Counters map[string]uint64
 
 	// Attribution is the per-stage decomposition of MissLatency recorded
@@ -182,7 +184,6 @@ func NewRun(arch, app string, engineCounts []int) *Run {
 		Arch:        arch,
 		App:         app,
 		Controllers: make([]ControllerStats, len(engineCounts)),
-		Counters:    make(map[string]uint64),
 	}
 	for i := range r.Controllers {
 		n := engineCounts[i]
@@ -195,7 +196,12 @@ func NewRun(arch, app string, engineCounts []int) *Run {
 }
 
 // Add increments a named counter.
-func (r *Run) Add(name string, delta uint64) { r.Counters[name] += delta }
+func (r *Run) Add(name string, delta uint64) {
+	if r.Counters == nil {
+		r.Counters = make(map[string]uint64)
+	}
+	r.Counters[name] += delta
+}
 
 // Counter returns a named counter's value (0 when absent).
 func (r *Run) Counter(name string) uint64 { return r.Counters[name] }
