@@ -149,17 +149,18 @@ torture-smoke:
 	$(GO) test -count=1 -run TestKillTorture -v ./internal/serve/
 
 # microbench runs the go-test benchmark suites: each paper artifact once at
-# SizeTest, then the engine hot-loop benchmarks in internal/sim, the cache
-# benchmarks in internal/cache, the L1 hit, miss path and construction
-# benchmarks in internal/machine, and the chaos cell benchmark in
-# internal/chaos at the default benchtime, so their ns/op is the engine's
-# per-event cost, the host cost of reaching a line in the base 4-way L2 (a
-# hit by line, a hit through a way handle, a lookup of an absent line), of
-# one L1 hit (the program handoff and the processor's hit path alone), of
-# one local or remote L2 miss, of building the 16x4 HWC machine and
-# chaos-sweep's robust 4x2 one, and of one whole chaos-sweep cell (build,
-# a seeded fault schedule, a test-size fft run and its checks), printed
-# with allocs/op and B/op. No gate reads these timings.
+# SizeTest, then the engine benchmarks in internal/sim (events stepped one
+# at a time, a sharded window, and RunChecked's per-cycle drain over a
+# 64-processor mix), the cache benchmarks in internal/cache, the L1 hit,
+# miss path and construction benchmarks in internal/machine, and the chaos
+# cell benchmark in internal/chaos at the default benchtime, so their ns/op
+# is the engine's per-event cost, the host cost of reaching a line in the
+# base 4-way L2 (a hit by line, a hit through a way handle, a lookup of an
+# absent line), of one L1 hit (the program handoff and the processor's hit
+# path alone), of one local or remote L2 miss, of building the 16x4 HWC
+# machine and chaos-sweep's robust 4x2 one, and of one whole chaos-sweep
+# cell (build, a seeded fault schedule, a test-size fft run and its
+# checks), printed with allocs/op and B/op. No gate reads these timings.
 microbench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 	$(GO) test -bench . -run '^$$' ./internal/sim ./internal/cache ./internal/machine ./internal/chaos

@@ -19,52 +19,56 @@ type Time int64
 // compute-processor clock.
 func (t Time) Nanoseconds() float64 { return float64(t) * 5.0 }
 
-// event is a scheduled function. seq breaks ties between events scheduled
-// for the same cycle so execution order is insertion order (deterministic).
-// Events are stored by value inside the engine's node slab, so the engine
-// allocates nothing per event. A function literal that captures variables
-// allocates each time it is evaluated, so the model's hot paths schedule
-// functions bound once to a long-lived object instead: a processor, a bus
-// transaction, a protocol engine, a network frame (DESIGN §11.5).
+// node is one slot of the ring's slab: a pending event's function and the
+// slab index of the next node in its bucket or in the free list (-1 ends
+// the free list). A node holds neither a time nor a sequence number: its
+// bucket is its time, and on a serial engine its place in the bucket is its
+// place in scheduling order (see At). On a sharded engine each node's rank
+// sits beside the slab, in Engine.ranks.
 //
-// rank is nil on a serial engine. On a sharded engine (one that belongs to a
-// Cluster) every event carries a scheduling-lineage rank that reconstructs
-// the serial (time, seq) total order without a global sequence counter; see
-// shard.go for the ordering argument.
-type event struct {
+// Events are stored inside the slab, so the engine allocates nothing per
+// event. A function literal that captures variables allocates each time it
+// is evaluated, so the model's hot paths schedule functions bound once to a
+// long-lived object instead: a processor, a bus transaction, a protocol
+// engine, a network frame (DESIGN §11.5).
+type node struct {
+	fn   func()
+	next int32
+}
+
+// farEvent is an event scheduled at least wheelSpan cycles ahead, held by
+// value in the far heap until it comes within the span. seq numbers far
+// events in scheduling order and orders them among themselves; rank is nil
+// on a serial engine, and on a sharded one (one that belongs to a Cluster)
+// it is the event's scheduling-lineage rank, which reconstructs the serial
+// order without a global sequence counter (see shard.go).
+type farEvent struct {
 	at   Time
 	seq  uint64
 	rank *rankNode
 	fn   func()
 }
 
-// before reports whether e orders ahead of o in the engine's total order:
-// (time, seq) on a serial engine, (time, rank) on a sharded one. An engine
-// never mixes ranked and unranked events, so the nil checks only select the
-// mode.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+// before reports whether f orders ahead of o: by (time, seq) on a serial
+// engine, by (time, rank) on a sharded one. An engine never mixes ranked
+// and unranked events, so the nil check only selects the mode.
+func (f *farEvent) before(o *farEvent) bool {
+	if f.at != o.at {
+		return f.at < o.at
 	}
-	if e.rank == nil {
-		return e.seq < o.seq
+	if f.rank == nil {
+		return f.seq < o.seq
 	}
-	return rankLess(e.rank, o.rank)
-}
-
-// node is one slot of the engine's event slab: a pending event and the slab
-// index of the next node in its bucket or in the free list.
-type node struct {
-	ev   event
-	next int32
+	return rankLess(f.rank, o.rank)
 }
 
 const (
 	// wheelSpan is the calendar ring's width in cycles: an event less than
 	// wheelSpan cycles ahead of now waits in the bucket for its cycle. The
 	// machine model schedules 99.9% of its events at most 127 cycles ahead;
-	// the rest (barrier costs, fault delays, sampler periods) wait in the
-	// far heap. A power of two, so a time's bucket is its low bits.
+	// the rest (barrier costs, fault delays, request timeouts, sampler
+	// periods) wait in the far heap. A power of two, so a time's bucket is
+	// its low bits.
 	wheelSpan  = 256
 	wheelMask  = wheelSpan - 1
 	wheelWords = wheelSpan / 64
@@ -74,12 +78,18 @@ const (
 	// comparisons per level.
 	heapArity = 4
 
-	// firstSlab is the slab capacity the first event reserves: room for
-	// the queue of a short fault-free run, which then reaches its
-	// high-water depth without regrowing the slab. Reserving it at the
-	// first event rather than in NewEngine keeps building a machine from
-	// paying for it.
+	// firstSlab is the slab capacity the first ring event reserves: room
+	// for the ring of every machine the benchmarks build (a base-size 16x4
+	// machine keeps at most 177 events within the span), which then never
+	// regrows. Reserving it at the first event rather than in NewEngine
+	// keeps building a machine from paying for it.
 	firstSlab = 256
+
+	// firstFar is the least capacity the first far event reserves. A
+	// Robust machine keeps a request timeout far ahead for every remote
+	// miss in flight: a robust 4x2 test-size cell holds up to 192 (fft)
+	// and 335 (ocean) far events, and radix's 1,206 take two doublings.
+	firstFar = 512
 )
 
 // Engine is a discrete-event scheduler. The zero value is not usable; create
@@ -91,36 +101,43 @@ const (
 // concurrently (see internal/runner).
 //
 // The pending events form a calendar queue (R. Brown, "Calendar queues",
-// CACM 31(10), 1988): a ring of wheelSpan one-cycle buckets holds every
-// event less than wheelSpan cycles ahead of now, and the far heap holds the
-// rest. Every far event is later than every ring event: whenever now
-// advances, the far events that come within the span move into the ring
-// before the event at the new time runs. Each bucket holds one time and is
-// kept in event.before order, so the head of the first non-empty bucket at
-// or after now is the next event.
+// CACM 31(10), 1988): a ring of wheelSpan one-cycle buckets of slab nodes
+// holds every event less than wheelSpan cycles ahead of now, and the far
+// heap holds the rest by value. Every far event is later than every ring
+// event: whenever now advances, the far events that come within the span
+// move into the ring before any event at the new time runs. Every ring
+// event lies within the span, so a bucket holds one time, and the head of
+// the first non-empty bucket at or after now is the next event. Run finds
+// each cycle once and then runs its bucket to the end (DESIGN §11.2).
 type Engine struct {
 	now Time
+	// seq counts the events pushed onto the far heap, to order them.
 	seq uint64
-	// slab holds every pending event; its len(slab)-pending other nodes
-	// form a free list headed by free. A simulation reaches its
-	// high-water queue depth once and then schedules allocation-free.
-	slab    []node
-	free    int32
+	// slab holds every ring event; the nodes in no bucket form a free list
+	// headed by free. A simulation reaches its high-water ring depth once
+	// and then schedules allocation-free.
+	slab []node
+	free int32
+	// ranks parallels slab on a sharded engine, holding each ring node's
+	// rank; it stays nil on a serial engine.
+	ranks []*rankNode
+	// pending counts the events in the ring and the far heap.
 	pending int
 	// head and tail index the first and last node of each ring bucket;
 	// they are meaningful only while the bucket's bit in busy is set.
 	head, tail [wheelSpan]int32
 	busy       [wheelWords]uint64
-	// far is a heapArity-ary min-heap of the slab indices of events at
-	// least wheelSpan cycles ahead. Its capacity follows the slab's, so it
-	// never grows on its own.
-	far []int32
+	// far is a heapArity-ary min-heap of the events at least wheelSpan
+	// cycles ahead. Its first reservation is the larger of firstFar and
+	// the queue's high-water mark, and it doubles when full.
+	far []farEvent
 	// stopped is set by Stop; Run drains no further events once set.
 	stopped bool
 	// executed counts events run, for debugging, runaway detection, and
 	// events-per-second throughput accounting (obs.MeasurePerf).
 	executed uint64
-	// maxPending tracks the queue's high-water mark (slab size reporting).
+	// maxPending tracks the queue's high-water mark, ring and far heap
+	// together.
 	maxPending int
 	// limitHit records that the run ended because Limit was exceeded.
 	limitHit bool
@@ -142,7 +159,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero with no time limit.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{free: -1}
 }
 
 // Now returns the current simulated time.
@@ -151,17 +168,24 @@ func (e *Engine) Now() Time { return e.now }
 // Executed reports how many events have been executed so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// MaxPending reports the event queue's high-water mark: the slab capacity a
-// simulation of this shape needs.
+// MaxPending reports the event queue's high-water mark: the number of
+// events, in the ring and the far heap, a simulation of this shape holds
+// at once.
 func (e *Engine) MaxPending() int { return e.maxPending }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a model bug rather than a recoverable condition.
+//
+// On a serial engine, fn joins the tail of t's bucket without a comparison:
+// every event already in that bucket was scheduled earlier, because a far
+// event moves into its bucket at the advance that brings it within the
+// span, before anything can be scheduled straight into that bucket. So the
+// order of a bucket is the order of the At calls.
 func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %d before now %d", t, e.now))
 	}
-	ev := event{at: t, fn: fn}
+	var rank *rankNode
 	if c := e.cluster; c != nil {
 		if c.draining && t < c.drainHorizon {
 			panic(fmt.Sprintf("sim: cross-shard lookahead violated: drained send schedules at %d before window horizon %d", t, c.drainHorizon))
@@ -175,17 +199,17 @@ func (e *Engine) At(t Time, fn func()) {
 			// in tail position keeps the orders provably identical.
 			panic("sim: event scheduled on its own engine after posting a Fence")
 		}
-		ev.rank = &rankNode{t: ctx.at, parent: ctx.parent, idx: ctx.next}
+		rank = &rankNode{t: ctx.at, parent: ctx.parent, idx: ctx.next}
 		ctx.next++
+	}
+	if t-e.now < wheelSpan {
+		e.link(t, e.alloc(fn, rank))
 	} else {
 		e.seq++
-		ev.seq = e.seq
+		e.pushFar(farEvent{at: t, seq: e.seq, rank: rank, fn: fn})
 	}
-	i := e.alloc(ev)
-	if t-e.now < wheelSpan {
-		e.link(i)
-	} else {
-		e.pushFar(i)
+	if e.pending++; e.pending > e.maxPending {
+		e.maxPending = e.pending
 	}
 }
 
@@ -197,57 +221,58 @@ func (e *Engine) After(d Time, fn func()) {
 	e.At(e.now+d, fn)
 }
 
-// alloc stores ev in a free slab node, growing the slab (and the far heap's
-// capacity with it) only when every node is pending. The first event
-// reserves firstSlab nodes.
-func (e *Engine) alloc(ev event) int32 {
-	var i int32
-	if e.pending < len(e.slab) {
-		i = e.free
+// alloc stores fn (and on a sharded engine its rank) in a free slab node,
+// growing the slab only when every node is in a bucket. The first ring
+// event reserves firstSlab nodes.
+func (e *Engine) alloc(fn func(), rank *rankNode) int32 {
+	i := e.free
+	if i >= 0 {
 		e.free = e.slab[i].next
 	} else {
 		if e.slab == nil {
 			e.slab = make([]node, 0, firstSlab)
+			if e.cluster != nil {
+				e.ranks = make([]*rankNode, 0, firstSlab)
+			}
 		}
 		i = int32(len(e.slab))
 		e.slab = append(e.slab, node{})
-		if cap(e.far) < cap(e.slab) {
-			e.far = append(make([]int32, 0, cap(e.slab)), e.far...)
+		if e.cluster != nil {
+			e.ranks = append(e.ranks, nil)
 		}
 	}
-	e.slab[i].ev = ev
-	if e.pending++; e.pending > e.maxPending {
-		e.maxPending = e.pending
+	e.slab[i].fn = fn
+	if rank != nil {
+		e.ranks[i] = rank
 	}
 	return i
 }
 
-// link adds node i to its ring bucket in event.before order. A new event
-// orders after the bucket's tail on a serial engine (seq only grows, and a
-// far event migrates before anything can be scheduled directly into its
-// bucket), so the walk runs only on a shard, for a drained cross-shard send
-// or a fence body that orders before events its shard already holds.
-func (e *Engine) link(i int32) {
-	n := &e.slab[i]
-	b := n.ev.at & wheelMask
+// link adds node i to the tail of t's ring bucket. On a sharded engine a
+// bucket is kept in rank order, and a drained cross-shard send or a fence
+// body can order before events its shard already holds for that cycle; only
+// then does link walk the bucket.
+func (e *Engine) link(t Time, i int32) {
+	b := t & wheelMask
 	w, bit := b/64, uint64(1)<<(b%64)
 	if e.busy[w]&bit == 0 {
 		e.busy[w] |= bit
 		e.head[b], e.tail[b] = i, i
 		return
 	}
-	if t := e.tail[b]; e.slab[t].ev.before(&n.ev) {
-		e.slab[t].next = i
-		e.tail[b] = i
+	if e.ranks != nil && !rankLess(e.ranks[e.tail[b]], e.ranks[i]) {
+		// i orders before the tail, so the walk stops at or before it.
+		r := e.ranks[i]
+		p := &e.head[b]
+		for !rankLess(r, e.ranks[*p]) {
+			p = &e.slab[*p].next
+		}
+		e.slab[i].next = *p
+		*p = i
 		return
 	}
-	// n orders before the tail, so the walk stops at or before it.
-	p := &e.head[b]
-	for !n.ev.before(&e.slab[*p].ev) {
-		p = &e.slab[*p].next
-	}
-	n.next = *p
-	*p = i
+	e.slab[e.tail[b]].next = i
+	e.tail[b] = i
 }
 
 // next returns the time of the earliest pending event: the first busy
@@ -269,82 +294,98 @@ func (e *Engine) next() (Time, bool) {
 			return e.now + Time((b-base)&wheelMask), true
 		}
 	}
-	return e.slab[e.far[0]].ev.at, true
+	return e.far[0].at, true
 }
 
-// take advances now to t, the time next reported, moves the far events
-// that come within the span into the ring, and removes and returns the
-// head of t's bucket. The vacated node is zeroed so the slab does not pin
-// the closure alive.
-func (e *Engine) take(t Time) event {
+// advance moves now to t, the time next reported, and moves the far events
+// that come within the span into the ring, in far-heap order, so that every
+// event due before now+wheelSpan, t's included, waits in its bucket.
+func (e *Engine) advance(t Time) {
 	e.now = t
-	for len(e.far) > 0 && e.slab[e.far[0]].ev.at-t < wheelSpan {
-		e.link(e.popFar())
+	for len(e.far) > 0 && e.far[0].at-t < wheelSpan {
+		f := e.popFar()
+		e.link(f.at, e.alloc(f.fn, f.rank))
 	}
-	b := t & wheelMask
+}
+
+// take removes the head of now's bucket, which must hold an event, and
+// returns its function. The vacated node is cleared so the slab does not
+// pin the closure alive. On a sharded engine the event's rank becomes the
+// scheduling context of what it schedules.
+func (e *Engine) take() func() {
+	b := e.now & wheelMask
 	i := e.head[b]
 	n := &e.slab[i]
-	ev := n.ev
+	fn := n.fn
 	if i == e.tail[b] {
 		e.busy[b/64] &^= 1 << (b % 64)
 	} else {
 		e.head[b] = n.next
 	}
-	*n = node{next: e.free}
+	n.fn = nil
+	n.next = e.free
 	e.free = i
 	e.pending--
 	e.executed++
-	if e.cluster != nil {
-		e.cur = Ctx{parent: ev.rank, at: ev.at}
+	if e.ranks != nil {
+		e.cur = Ctx{parent: e.ranks[i], at: e.now}
+		e.ranks[i] = nil
 	}
-	return ev
+	return fn
 }
 
-// pushFar adds node i to the far heap, sifting it up to its position.
-func (e *Engine) pushFar(i int32) {
-	h := append(e.far, i)
-	e.far = h
-	ev := &e.slab[i].ev
+// pushFar adds f to the far heap, sifting it up to its position. A full
+// heap doubles; the first push reserves the larger of firstFar and the
+// queue's high-water mark.
+func (e *Engine) pushFar(f farEvent) {
+	h := e.far
+	if len(h) == cap(h) {
+		n := 2 * cap(h)
+		if n == 0 {
+			n = max(firstFar, e.maxPending)
+		}
+		h = append(make([]farEvent, 0, n), h...)
+	}
+	h = h[:len(h)+1]
 	j := len(h) - 1
 	for j > 0 {
 		parent := (j - 1) / heapArity
-		if !ev.before(&e.slab[h[parent]].ev) {
+		if !f.before(&h[parent]) {
 			break
 		}
 		h[j] = h[parent]
 		j = parent
 	}
-	h[j] = i
+	h[j] = f
+	e.far = h
 }
 
-// popFar removes and returns the far heap's root.
-func (e *Engine) popFar() int32 {
+// popFar removes and returns the far heap's root, clearing the vacated
+// entry so the heap does not pin the closure alive.
+func (e *Engine) popFar() farEvent {
 	h := e.far
 	root := h[0]
 	n := len(h) - 1
 	last := h[n]
+	h[n] = farEvent{}
 	h = h[:n]
 	e.far = h
 	if n > 0 {
 		// Sift last down from the root.
-		lev := &e.slab[last].ev
 		i := 0
 		for {
 			c := heapArity*i + 1
 			if c >= n {
 				break
 			}
-			end := c + heapArity
-			if end > n {
-				end = n
-			}
+			end := min(c+heapArity, n)
 			m := c
 			for j := c + 1; j < end; j++ {
-				if e.slab[h[j]].ev.before(&e.slab[h[m]].ev) {
+				if h[j].before(&h[m]) {
 					m = j
 				}
 			}
-			if !e.slab[h[m]].ev.before(lev) {
+			if !h[m].before(&last) {
 				break
 			}
 			h[i] = h[m]
@@ -379,7 +420,8 @@ func (e *Engine) Step() bool {
 	if !ok || e.pastLimit(t) {
 		return false
 	}
-	e.take(t).fn()
+	e.advance(t)
+	e.take()()
 	return true
 }
 
@@ -391,13 +433,32 @@ func (e *Engine) Run() (Time, error) { return e.RunChecked(0, nil) }
 // RunChecked is Run with the progress hook of Cluster.Run: when stepCap is
 // positive, onCheck runs after every stepCap executed events, and a
 // non-nil error from it aborts the run and is returned unchanged.
+//
+// It runs the events Step would, in the same order, one cycle at a time:
+// it finds the next cycle, checks it against Limit and advances to it once,
+// then takes the head of the cycle's bucket until the bucket is empty or
+// Stop has been called. An event scheduled for the current cycle joins the
+// bucket's tail and runs in the same drain.
 func (e *Engine) RunChecked(stepCap uint64, onCheck func(executed uint64) error) (Time, error) {
 	var n uint64
-	for e.Step() {
-		if n++; n == stepCap && onCheck != nil {
-			n = 0
-			if err := onCheck(e.executed); err != nil {
-				return e.now, err
+	for !e.stopped {
+		t, ok := e.next()
+		if !ok || e.pastLimit(t) {
+			break
+		}
+		e.advance(t)
+		b := t & wheelMask
+		busy, bit := &e.busy[b/64], uint64(1)<<(b%64)
+		for {
+			e.take()()
+			if n++; n == stepCap && onCheck != nil {
+				n = 0
+				if err := onCheck(e.executed); err != nil {
+					return e.now, err
+				}
+			}
+			if *busy&bit == 0 || e.stopped {
+				break
 			}
 		}
 	}

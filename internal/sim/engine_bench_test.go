@@ -130,3 +130,50 @@ func BenchmarkEngineSameCycleBurst(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEngineRun measures RunChecked, the loop a machine runs in, on a
+// queue shaped like the base 16x4 machine's: 64 chains of events that each
+// re-arm 1-16 cycles out, one re-arm in 64 past the ring's span (a barrier
+// cost or a request timeout), and one event in 8 fanning out a burst of
+// four more at its own cycle (snoops, zero-latency handoffs). The watchdog
+// hook runs as often as the machine's. An xorshift generator draws the
+// delays, so the loop costs little besides the engine. One op is one
+// event.
+func BenchmarkEngineRun(b *testing.B) {
+	e := NewEngine()
+	x := uint64(4)
+	draw := func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	left := b.N
+	nop := func() { left-- }
+	var fire func()
+	fire = func() {
+		if left--; left <= 0 {
+			return
+		}
+		r := draw()
+		switch {
+		case r%64 == 0:
+			e.After(Time(wheelSpan+r>>8%2_000), fire)
+		case r%8 == 1:
+			for j := 0; j < 4; j++ {
+				e.At(e.Now(), nop)
+			}
+			fallthrough
+		default:
+			e.After(Time(r>>8%16+1), fire)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		e.At(Time(draw()%16), fire)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := e.RunChecked(2_000_000, func(uint64) error { return nil }); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -69,6 +72,7 @@ func TestHeapTotalOrder(t *testing.T) {
 			// Interleave steps with scheduling so the queue is exercised
 			// at many depths and times, not just one build-then-drain pass.
 			pending, maxPending := 0, 0
+			var seq uint64
 			step := func() {
 				if !e.Step() {
 					t.Fatalf("Step returned false with %d pending", pending)
@@ -83,9 +87,9 @@ func TestHeapTotalOrder(t *testing.T) {
 						s.ran = e.Now()
 						fired = append(fired, *s)
 					})
-					// Engine assigns seq internally; mirror it (seq is
-					// incremented once per At call, starting from 1).
-					s.seq = e.seq
+					// The serial order is At-call order: number the calls.
+					seq++
+					s.seq = seq
 					if pending++; pending > maxPending {
 						maxPending = pending
 					}
@@ -180,11 +184,11 @@ func TestHeapSlabReuse(t *testing.T) {
 }
 
 // TestHeapScheduleStepAllocFree asserts the scheduling hot loops are
-// allocation-free at steady state in the four shapes the BenchmarkEngine*
-// functions time: the rank machinery for sharded clusters must cost serial
-// engines nothing (events carry a nil rank), and once the slab reaches its
-// high-water mark no shape may allocate at all — far events included, since
-// the far heap's capacity follows the slab's.
+// allocation-free at steady state in the four stepped shapes the
+// BenchmarkEngine* functions time: the rank machinery for sharded clusters
+// must cost serial engines nothing (they keep no ranks), and once the slab
+// and the far heap reach their high-water marks no shape may allocate at
+// all — far events included.
 func TestHeapScheduleStepAllocFree(t *testing.T) {
 	stepN := func(e *Engine, n int) {
 		for i := 0; i < n; i++ {
@@ -263,9 +267,9 @@ func TestHeapScheduleStepAllocFree(t *testing.T) {
 	}
 }
 
-// TestHeapPoppedSlotCleared checks that taking an event zeroes its slab
-// node, for ring and far events alike, so completed closures are not pinned
-// by the slab.
+// TestHeapPoppedSlotCleared checks that taking an event clears its slab
+// node and popping a far event clears its heap entry, so completed closures
+// are pinned by neither.
 func TestHeapPoppedSlotCleared(t *testing.T) {
 	e := NewEngine()
 	e.At(1, func() {})
@@ -280,8 +284,247 @@ func TestHeapPoppedSlotCleared(t *testing.T) {
 		t.Fatalf("executed %d events, want 3", e.Executed())
 	}
 	for i, n := range e.slab[:cap(e.slab)] {
-		if n.ev.fn != nil || n.ev.rank != nil {
+		if n.fn != nil {
 			t.Fatalf("slab node %d still holds an event after drain", i)
+		}
+	}
+	for i, f := range e.far[:cap(e.far)] {
+		if f.fn != nil || f.rank != nil {
+			t.Fatalf("far heap entry %d still holds an event after drain", i)
+		}
+	}
+}
+
+// TestHeapGrowth checks where a deep queue keeps its events: with 200 near
+// events and 1,300 far ones pending, the ring slab keeps the capacity its
+// first event reserved, and the far heap holds the rest by value, growing by
+// doubling from its first reservation (the larger of firstFar and the
+// queue's high-water mark, both cases checked), so a steady state allocates
+// nothing.
+func TestHeapGrowth(t *testing.T) {
+	e := NewEngine()
+	nop := func() {}
+	const near, far = 200, 1300
+	var farCaps []int
+	first := 0
+	for nearN, farN := 0, 0; nearN+farN < near+far; {
+		// One event in eight is near.
+		if farN == far || nearN < near && (nearN+farN)%8 == 0 {
+			e.At(Time(nearN), nop)
+			nearN++
+			continue
+		}
+		if first == 0 {
+			first = max(firstFar, e.MaxPending())
+		}
+		e.At(wheelSpan+Time(farN), nop)
+		farN++
+		if c := cap(e.far); len(farCaps) == 0 || c != farCaps[len(farCaps)-1] {
+			farCaps = append(farCaps, c)
+		}
+	}
+	if got := cap(e.slab); got != firstSlab {
+		t.Errorf("ring slab capacity %d with %d near events pending, want firstSlab = %d", got, len(e.slab), firstSlab)
+	}
+	if len(e.far) != far {
+		t.Fatalf("far heap holds %d events, want %d", len(e.far), far)
+	}
+	if farCaps[0] != first {
+		t.Errorf("far heap first reserved %d entries, want %d", farCaps[0], first)
+	}
+	for i := 1; i < len(farCaps); i++ {
+		if farCaps[i] != 2*farCaps[i-1] {
+			t.Errorf("far heap grew from %d to %d entries, want doubling (all: %v)", farCaps[i-1], farCaps[i], farCaps)
+		}
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Executed() != near+far || e.MaxPending() != near+far {
+		t.Fatalf("executed %d events with high-water mark %d, want %d each", e.Executed(), e.MaxPending(), near+far)
+	}
+	if got := cap(e.slab); got != firstSlab {
+		t.Errorf("migrating far events regrew the ring slab to %d nodes", got)
+	}
+
+	// A queue already deeper than firstFar reserves its high-water mark.
+	e = NewEngine()
+	for i := 0; i < 2*firstFar; i++ {
+		e.At(Time(i%wheelSpan), nop)
+	}
+	e.At(wheelSpan, nop)
+	if got := cap(e.far); got != 2*firstFar {
+		t.Errorf("far heap first reserved %d entries behind %d pending events, want %d", got, 2*firstFar, 2*firstFar)
+	}
+}
+
+// checkedByStep is RunChecked written as repeated Step calls: the engine's
+// one-event-at-a-time semantics that the per-cycle drain must reproduce.
+func checkedByStep(e *Engine, stepCap uint64, onCheck func(executed uint64) error) (Time, error) {
+	var n uint64
+	for e.Step() {
+		if n++; n == stepCap && onCheck != nil {
+			n = 0
+			if err := onCheck(e.Executed()); err != nil {
+				return e.Now(), err
+			}
+		}
+	}
+	if e.LimitHit() {
+		return e.Now(), fmt.Errorf("sim: time limit %d exceeded at t=%d with %d events pending", e.Limit, e.Now(), e.Pending())
+	}
+	return e.Now(), nil
+}
+
+// stepScript is one seeded schedule for TestRunMatchesStep. Every event
+// logs itself and makes up to three scheduling draws (a burst schedules
+// several events) from one generator, so a run whose order differs also
+// draws differently and diverges.
+type stepScript struct {
+	seed   int64
+	budget int    // events scheduled in all
+	stopID int    // the event that calls Stop, or -1
+	limit  Time   // Engine.Limit
+	check  uint64 // onCheck runs every check events
+	failAt uint64 // onCheck fails when this many events have run
+}
+
+// stepLog is everything TestRunMatchesStep compares between the two ways.
+type stepLog struct {
+	events   [][2]int64 // (event id, time)
+	checks   []uint64
+	results  []string // each run call's returned time and error
+	executed uint64
+	pending  int
+	maxPend  int
+	now      Time
+	limitHit bool
+}
+
+// play runs the script through run twice: the first call ends at the
+// failing check, and the second resumes the same engine until the queue
+// empties, Stop, or the limit.
+func (s stepScript) play(run func(*Engine, uint64, func(uint64) error) (Time, error)) stepLog {
+	rng := rand.New(rand.NewSource(s.seed))
+	e := NewEngine()
+	e.Limit = s.limit
+	var lg stepLog
+	var farTimes []Time // times of far events scheduled, ascending
+	ids := 0
+	var schedule func(at Time)
+	schedule = func(at Time) {
+		if ids == s.budget {
+			return
+		}
+		id := ids
+		ids++
+		if at-e.Now() >= wheelSpan {
+			farTimes = append(farTimes, at)
+			sort.Slice(farTimes, func(i, j int) bool { return farTimes[i] < farTimes[j] })
+		}
+		e.At(at, func() {
+			now := e.Now()
+			lg.events = append(lg.events, [2]int64{int64(id), int64(now)})
+			if id == s.stopID {
+				e.Stop()
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				switch r := rng.Intn(20); {
+				case r < 5: // at now, during this cycle's drain
+					schedule(now)
+				case r < 12:
+					schedule(now + Time(rng.Intn(16)+1))
+				case r < 14: // a same-cycle burst
+					at := now + Time(rng.Intn(3))
+					for b := rng.Intn(12) + 4; b > 0; b-- {
+						schedule(at)
+					}
+				case r < 17: // far: waits in the heap, then migrates
+					schedule(now + wheelSpan + Time(rng.Intn(1_500)))
+				default: // join the bucket a far event migrated into
+					for len(farTimes) > 0 && farTimes[0] < now {
+						farTimes = farTimes[1:]
+					}
+					in := 0
+					for in < len(farTimes) && farTimes[in]-now < wheelSpan {
+						in++
+					}
+					if in > 0 {
+						schedule(farTimes[rng.Intn(in)])
+					} else {
+						schedule(now + Time(rng.Intn(wheelSpan)))
+					}
+				}
+			}
+		})
+	}
+	for i := 0; i < 8; i++ {
+		schedule(Time(rng.Intn(4)))
+	}
+	onCheck := func(executed uint64) error {
+		lg.checks = append(lg.checks, executed)
+		if executed == s.failAt {
+			return errors.New("check failed")
+		}
+		return nil
+	}
+	for i := 0; i < 2; i++ {
+		now, err := run(e, s.check, onCheck)
+		lg.results = append(lg.results, fmt.Sprint(now, err))
+	}
+	lg.executed, lg.pending, lg.maxPend = e.Executed(), e.Pending(), e.MaxPending()
+	lg.now, lg.limitHit = e.Now(), e.LimitHit()
+	return lg
+}
+
+// TestRunMatchesStep checks that RunChecked's per-cycle drain runs the
+// events repeated Step calls run, in the same order, with the same progress
+// checks and the same final state. Seeded schedules mix same-cycle bursts,
+// events scheduled at now during a drain, far events that migrate (and near
+// events that then join their buckets: a far event always reaches its
+// bucket first), an onCheck every few events whose failure ends the first
+// run call, and then either a Stop from the middle of a bucket or a Limit
+// between two cycles.
+func TestRunMatchesStep(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		base := stepScript{seed: seed, budget: 3_000, stopID: -1}
+		full := base.play(checkedByStep)
+		if len(full.events) != base.budget {
+			t.Fatalf("seed %d: the unbounded schedule ran %d of %d events", seed, len(full.events), base.budget)
+		}
+		rng := rand.New(rand.NewSource(-seed))
+		base.check = uint64(rng.Intn(7) + 2)
+		base.failAt = base.check * uint64(rng.Intn(40)+1)
+		// Stop from an event with another event after it in its bucket,
+		// and a Limit strictly between two cycles, both past the check.
+		stop, limit := base, base
+		for i := len(full.events)/2 + rng.Intn(len(full.events)/4); stop.stopID < 0; i++ {
+			if full.events[i][1] == full.events[i+1][1] {
+				stop.stopID = int(full.events[i][0])
+			}
+		}
+		for i := len(full.events)/2 + rng.Intn(len(full.events)/4); limit.limit == 0; i++ {
+			if a, b := full.events[i][1], full.events[i+1][1]; b-a >= 2 {
+				limit.limit = Time(a + 1 + rng.Int63n(b-a-1))
+			}
+		}
+		for _, s := range []stepScript{stop, limit} {
+			want, got := s.play(checkedByStep), s.play((*Engine).RunChecked)
+			if len(want.checks) == 0 || want.checks[len(want.checks)-1] < s.failAt {
+				t.Fatalf("seed %d: the failing check at %d never ran", seed, s.failAt)
+			}
+			if s.stopID >= 0 && (want.pending == 0 || full.events[want.executed][1] != int64(want.now)) {
+				t.Fatalf("seed %d: Stop did not leave events in its bucket", seed)
+			}
+			if s.limit > 0 && !want.limitHit {
+				t.Fatalf("seed %d: limit %d never hit", seed, s.limit)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d (stop %d, limit %d): RunChecked and Step differ:\nrun:  %d events, checks %v, %v, executed %d pending %d max %d now %d limit %v\nstep: %d events, checks %v, %v, executed %d pending %d max %d now %d limit %v",
+					seed, s.stopID, s.limit,
+					len(got.events), got.checks, got.results, got.executed, got.pending, got.maxPend, got.now, got.limitHit,
+					len(want.events), want.checks, want.results, want.executed, want.pending, want.maxPend, want.now, want.limitHit)
+			}
 		}
 	}
 }

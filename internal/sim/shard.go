@@ -330,12 +330,13 @@ func (c *Cluster) runWindow(e *Engine, shard int, w window) (final report) {
 			steps = 0
 			continue
 		}
-		ev := e.take(t)
+		e.advance(t)
+		fn := e.take()
 		steps++
-		if pv := runCaptured(ev.fn); pv != nil {
+		if pv := runCaptured(fn); pv != nil {
 			final.panicked = true
 			final.pv = pv
-			final.rank = ev.rank
+			final.rank = e.cur.parent
 			return final
 		}
 		if e.fence != nil {
