@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build check fmt vet test race microbench perfbench tables lint model chaos scenario attribution serve-smoke torture-smoke pdes-smoke clean
+.PHONY: all build check fmt vet test race bench-smoke microbench perfbench tables lint model chaos scenario attribution serve-smoke torture-smoke pdes-smoke clean
 
 all: build
 
@@ -17,14 +17,15 @@ build:
 # every test must pass with the race detector on, the protocol
 # checker must close the abstract 4-node state space and the real 2-node
 # one with zero violations, seeded chaos schedules and single injected
-# faults must recover, and the benchmark must build and reproduce its
-# pinned simulated results. No step gates on host timing.
-check: fmt vet lint race model chaos scenario attribution serve-smoke torture-smoke pdes-smoke perfbench
+# faults must recover, every go-test benchmark must run once, and the
+# benchmark must build and reproduce its pinned simulated results. No step
+# gates on host timing.
+check: fmt vet lint race bench-smoke model chaos scenario attribution serve-smoke torture-smoke pdes-smoke perfbench
 
 # lint runs the repo's own analyzer suite (internal/lint): exhaustive
-# switches over protocol/cache/directory enums, no wall-clock or global
-# rand in simulated-time packages, no no-op scheduled callbacks, and
-# reasons on every suppression.
+# switches over protocol/cache/directory enums and program operation
+# kinds, no wall-clock or global rand in simulated-time packages, no no-op
+# scheduled callbacks, and reasons on every suppression.
 lint:
 	$(GO) run ./cmd/cclint ./...
 
@@ -59,6 +60,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench-smoke runs every go-test benchmark once, so a benchmark whose
+# program or machine no longer builds or runs fails the gate; it reads no
+# timing.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # scenario smoke-tests the declarative layer end to end: run a committed
 # spec, plain and with the -robust flag overlaid, replay each artifact it

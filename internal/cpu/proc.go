@@ -1,8 +1,9 @@
 // Package cpu implements the execution-driven compute-processor model.
 // Each simulated processor runs its workload program as a coroutine of the
-// engine (prog.Coroutine); the program's shared-memory loads and stores are
-// issued to the timing model (L1 -> L2 -> SMP bus -> coherence controller)
-// one at a time, the next when the previous access completes, as in the
+// engine (prog.Program) and models the program's operation stream: each
+// operation's compute cycles elapse first, then its shared-memory load or
+// store goes to the timing model (L1 -> L2 -> SMP bus -> coherence
+// controller), the next when the previous access completes, as in the
 // Augmint model the paper used. The program itself runs ahead, buffering
 // loads and stores until its next synchronization operation, so the
 // engine switches into it once per batch rather than once per reference;
@@ -23,24 +24,6 @@ import (
 	"ccnuma/internal/smpbus"
 	"ccnuma/internal/stats"
 )
-
-type opKind int
-
-const (
-	opRead opKind = iota
-	opWrite
-	opBarrier
-	opLock
-	opUnlock
-	opDone
-)
-
-type op struct {
-	kind opKind
-	addr uint64
-	comp int64 // compute cycles/instructions preceding this operation
-	id   int   // lock identifier
-}
 
 // SyncHandler implements machine-level synchronization: the processor
 // hands barrier/lock operations to it and expects Resume to be called when
@@ -82,13 +65,13 @@ type Proc struct {
 	lastRead  uint64
 	lastWrite uint64
 
-	// co is the program coroutine (nil until Run). curOp is the one
-	// operation in flight while its compute cycles elapse: the next is
-	// taken from the coroutine only when that one completes, so there is
-	// never a second.
-	co    *prog.Coroutine[op]
-	curOp op
-	// resumeFn and execFn are resumeProgram and the curOp executor, bound
+	// co is the program (nil until Run). cur is the one operation in
+	// flight while its compute cycles elapse: the next is taken from the
+	// program only when that one completes, so there is never a second,
+	// and cur stays valid until then.
+	co  *prog.Program
+	cur *prog.Op
+	// resumeFn and execFn are resumeProgram and the cur executor, bound
 	// once so that scheduling them on every reference allocates nothing.
 	resumeFn func()
 	execFn   func()
@@ -111,8 +94,6 @@ type Proc struct {
 	// write-backs can be in flight, so each has its own, recycled once its
 	// Done has run.
 	wbFree sim.FreeList[wbTxn]
-
-	pendingComp int64 // program-side accumulated compute cycles
 
 	// Statistics.
 	instructions uint64
@@ -155,7 +136,7 @@ func New(eng *sim.Engine, cfg *config.Config, id, node int, bus *smpbus.Bus,
 		l2:    cache.New(cfg.L2Size, cfg.L2Assoc, cfg.LineSize),
 	}
 	p.resumeFn = p.resumeProgram
-	p.execFn = func() { p.execOp(p.curOp) }
+	p.execFn = func() { p.execOp(p.cur) }
 	p.issueFn = func() { p.issueMiss(p.miss.Line, p.miss.Kind) }
 	p.retryFn = func() { p.retryAccess(p.miss.Line, p.miss.Kind) }
 	p.missDoneFn = func(o smpbus.Outcome) {
@@ -270,9 +251,8 @@ func (p *Proc) AddCounters(counters map[string]uint64) {
 
 // Run prepares the program coroutine and schedules its first time slice.
 // The program must use only the provided Env for shared-memory access.
-func (p *Proc) Run(program func(prog.Env)) {
-	env := &Env{p: p}
-	p.co = prog.Start(func() { program(env) }, op{kind: opDone})
+func (p *Proc) Run(program func(*prog.Env)) {
+	p.co = prog.Start(p.id, p.node, program)
 	p.eng.At(p.eng.Now(), p.resumeFn)
 }
 
@@ -312,45 +292,44 @@ func (p *Proc) SyncAccess(addr uint64, write bool, done func()) {
 }
 
 // resumeProgram takes the program's next operation, switching to the
-// program coroutine if it has none buffered, and models it. The engine is
-// suspended while the program computes, which serializes all program
-// execution deterministically.
+// program coroutine if it has none buffered, and models it after its
+// compute cycles. The compute a program charges after its last operation,
+// which Done carries, is not modelled. The engine is suspended while the
+// program computes, which serializes all program execution
+// deterministically.
 func (p *Proc) resumeProgram() {
-	p.handleOp(p.co.Next())
-}
-
-func (p *Proc) handleOp(o op) {
-	if o.comp > 0 {
-		p.instructions += uint64(o.comp)
-		p.curOp = o
-		p.eng.After(sim.Time(o.comp), p.execFn)
+	o := p.co.Next()
+	if o.Comp > 0 && o.Kind != prog.Done {
+		p.instructions += uint64(o.Comp)
+		p.cur = o
+		p.eng.After(sim.Time(o.Comp), p.execFn)
 		return
 	}
 	p.execOp(o)
 }
 
-func (p *Proc) execOp(o op) {
-	switch o.kind {
-	case opRead, opWrite:
+func (p *Proc) execOp(o *prog.Op) {
+	switch o.Kind {
+	case prog.Read, prog.Write:
 		p.instructions++
-		if o.kind == opRead {
+		if o.Kind == prog.Read {
 			p.reads++
 		} else {
 			p.writes++
 		}
-		p.access(o.addr, o.kind == opWrite)
-	case opBarrier:
+		p.access(o.Addr, o.Kind == prog.Write)
+	case prog.Barrier:
 		p.sync.Barrier(p)
-	case opLock:
-		p.sync.Lock(p, o.id)
-	case opUnlock:
-		p.sync.Unlock(p, o.id)
-	case opDone:
+	case prog.Lock:
+		p.sync.Lock(p, o.ID)
+	case prog.Unlock:
+		p.sync.Unlock(p, o.ID)
+	case prog.Done:
 		p.finished = true
 		p.finishedAt = p.eng.Now()
 		p.co.Stop()
 	default:
-		panic(fmt.Sprintf("cpu: unknown op %d", o.kind))
+		panic(fmt.Sprintf("cpu: unknown op %v", o.Kind))
 	}
 }
 
@@ -727,69 +706,3 @@ func (p *Proc) Snoop(txn *smpbus.Txn) smpbus.SnoopResult {
 // processor puts on the bus when it supplies the line of its most recent
 // snoop cache-to-cache.
 func (p *Proc) SnoopData() uint64 { return p.snoopVal }
-
-// ---- program-facing API -----------------------------------------------------
-
-// Env is the shared-memory interface handed to workload programs (the
-// detailed implementation of prog.Env). Loads and stores go into the
-// coroutine's run-ahead buffer and return; Barrier, Lock and Unlock park
-// the program until the processor has completed every earlier operation
-// and the synchronization itself. Env is owned by a single program.
-type Env struct {
-	p *Proc
-}
-
-var _ prog.Env = (*Env)(nil)
-
-// ID returns the global processor index running this program.
-func (e *Env) ID() int { return e.p.id }
-
-// Node returns the processor's node.
-func (e *Env) Node() int { return e.p.node }
-
-// Compute charges n instruction cycles of local computation. The cost is
-// attached to the next memory or synchronization operation.
-func (e *Env) Compute(n int) {
-	if n > 0 {
-		e.p.pendingComp += int64(n)
-	}
-}
-
-// withCompute attaches the compute cycles accumulated since the previous
-// operation to o.
-func (e *Env) withCompute(o op) op {
-	o.comp, e.p.pendingComp = e.p.pendingComp, 0
-	return o
-}
-
-// Read issues a shared-memory load from addr and returns at once.
-func (e *Env) Read(addr uint64) { e.p.co.Put(e.withCompute(op{kind: opRead, addr: addr})) }
-
-// Write issues a shared-memory store to addr and returns at once.
-func (e *Env) Write(addr uint64) { e.p.co.Put(e.withCompute(op{kind: opWrite, addr: addr})) }
-
-// ReadRange loads n consecutive 8-byte words starting at addr, one
-// reference per word (the caches collapse same-line references).
-func (e *Env) ReadRange(addr uint64, n int) {
-	for i := 0; i < n; i++ {
-		e.Read(addr + uint64(i*8))
-	}
-}
-
-// WriteRange stores n consecutive 8-byte words starting at addr.
-func (e *Env) WriteRange(addr uint64, n int) {
-	for i := 0; i < n; i++ {
-		e.Write(addr + uint64(i*8))
-	}
-}
-
-// Barrier joins the global barrier; the program resumes when every
-// processor has arrived.
-func (e *Env) Barrier() { e.p.co.Yield(e.withCompute(op{kind: opBarrier})) }
-
-// Lock acquires the numbered lock, modelling the coherence traffic of a
-// read-exclusive acquisition of the lock's cache line.
-func (e *Env) Lock(id int) { e.p.co.Yield(e.withCompute(op{kind: opLock, id: id})) }
-
-// Unlock releases the numbered lock.
-func (e *Env) Unlock(id int) { e.p.co.Yield(e.withCompute(op{kind: opUnlock, id: id})) }

@@ -43,7 +43,7 @@ func testRig(t *testing.T, procs int) (*sim.Engine, *config.Config, *memaddr.Spa
 	return eng, &cfg, space, bus, ps
 }
 
-func run(t *testing.T, eng *sim.Engine, ps []*Proc, progs ...func(prog.Env)) {
+func run(t *testing.T, eng *sim.Engine, ps []*Proc, progs ...func(*prog.Env)) {
 	t.Helper()
 	for i, p := range ps {
 		p.Run(progs[i])
@@ -68,7 +68,7 @@ func counters(p *Proc) map[string]uint64 {
 func TestCacheHitHierarchy(t *testing.T) {
 	eng, _, space, _, ps := testRig(t, 1)
 	base := space.Alloc(4096)
-	run(t, eng, ps, func(e prog.Env) {
+	run(t, eng, ps, func(e *prog.Env) {
 		e.Read(base)      // cold miss
 		e.Read(base)      // L1 hit
 		e.Read(base + 8)  // L1 hit (same line)
@@ -88,26 +88,39 @@ func TestCacheHitHierarchy(t *testing.T) {
 	}
 }
 
+// TestComputeAdvancesTime checks that compute before an operation delays
+// it and counts as instructions, and that compute after the program's last
+// operation, which rides on Done, is not modelled: a trailing Compute(500)
+// leaves the instructions and the finish time unchanged.
 func TestComputeAdvancesTime(t *testing.T) {
-	eng, _, space, _, ps := testRig(t, 1)
-	base := space.Alloc(4096)
-	run(t, eng, ps, func(e prog.Env) {
-		e.Read(base)
-		e.Compute(1000)
-		e.Read(base)
-	})
-	if eng.Now() < 1000 {
-		t.Fatalf("compute did not advance time: %d", eng.Now())
+	var finishedAt []sim.Time
+	for _, trailing := range []int{0, 500} {
+		eng, _, space, _, ps := testRig(t, 1)
+		base := space.Alloc(4096)
+		run(t, eng, ps, func(e *prog.Env) {
+			e.Read(base)
+			e.Compute(1000)
+			e.Read(base)
+			e.Compute(trailing)
+		})
+		if eng.Now() < 1000 {
+			t.Fatalf("compute did not advance time: %d", eng.Now())
+		}
+		if ps[0].Instructions() != 1002 {
+			t.Fatalf("trailing compute %d: instructions = %d, want 1002", trailing, ps[0].Instructions())
+		}
+		_, at := ps[0].Finished()
+		finishedAt = append(finishedAt, at)
 	}
-	if ps[0].Instructions() != 1002 {
-		t.Fatalf("instructions = %d, want 1002", ps[0].Instructions())
+	if finishedAt[1] != finishedAt[0] {
+		t.Fatalf("a trailing Compute(500) moved the finish time from %d to %d", finishedAt[0], finishedAt[1])
 	}
 }
 
 func TestExclusiveThenSilentUpgrade(t *testing.T) {
 	eng, _, space, bus, ps := testRig(t, 1)
 	base := space.Alloc(4096)
-	run(t, eng, ps, func(e prog.Env) {
+	run(t, eng, ps, func(e *prog.Env) {
 		e.Read(base)  // installs Exclusive (no other sharers)
 		e.Write(base) // E -> M silently, no bus transaction
 	})
@@ -123,12 +136,12 @@ func TestSharingAndUpgrade(t *testing.T) {
 	eng, _, space, bus, ps := testRig(t, 2)
 	base := space.Alloc(4096)
 	run(t, eng, ps,
-		func(e prog.Env) { // proc 0: read then later write
+		func(e *prog.Env) { // proc 0: read then later write
 			e.Read(base)
 			e.Compute(500)
 			e.Write(base)
 		},
-		func(e prog.Env) { // proc 1: read (creating sharing)
+		func(e *prog.Env) { // proc 1: read (creating sharing)
 			e.Compute(100)
 			e.Read(base)
 			e.Compute(2000)
@@ -143,11 +156,11 @@ func TestCacheToCacheTransfer(t *testing.T) {
 	eng, _, space, bus, ps := testRig(t, 2)
 	base := space.Alloc(4096)
 	run(t, eng, ps,
-		func(e prog.Env) {
+		func(e *prog.Env) {
 			e.Write(base) // M in proc 0
 			e.Compute(5000)
 		},
-		func(e prog.Env) {
+		func(e *prog.Env) {
 			e.Compute(500)
 			e.Read(base) // c2c from proc 0's M copy
 		})
@@ -168,12 +181,12 @@ func TestOwnedWriterUpgradesInPlace(t *testing.T) {
 	eng, _, space, bus, ps := testRig(t, 2)
 	base := space.Alloc(4096)
 	run(t, eng, ps,
-		func(e prog.Env) {
+		func(e *prog.Env) {
 			e.Write(base) // M
 			e.Compute(5000)
 			e.Write(base) // now Owned (after proc 1's read): upgrade, RequesterOwns
 		},
-		func(e prog.Env) {
+		func(e *prog.Env) {
 			e.Compute(500)
 			e.Read(base)
 			e.Compute(10000)
@@ -196,7 +209,7 @@ func TestEvictionWritesBack(t *testing.T) {
 	// lines mapping to the same set are L2Size/L2Assoc apart.
 	setStride := uint64(cfg.L2Size / cfg.L2Assoc)
 	base := space.Alloc(int(setStride) * 8)
-	run(t, eng, ps, func(e prog.Env) {
+	run(t, eng, ps, func(e *prog.Env) {
 		for i := 0; i < 6; i++ {
 			e.Write(base + uint64(i)*setStride)
 		}
@@ -210,14 +223,14 @@ func TestL1Inclusion(t *testing.T) {
 	eng, _, space, bus, ps := testRig(t, 2)
 	base := space.Alloc(4096)
 	run(t, eng, ps,
-		func(e prog.Env) {
+		func(e *prog.Env) {
 			e.Read(base)
 			e.Compute(2000)
 			// After proc 1's write invalidated us (including L1), this
 			// read must miss again.
 			e.Read(base)
 		},
-		func(e prog.Env) {
+		func(e *prog.Env) {
 			e.Compute(500)
 			e.Write(base)
 		})
@@ -361,7 +374,7 @@ func TestOverlappingSyncAccessPanics(t *testing.T) {
 func TestReadWriteRangeHelpers(t *testing.T) {
 	eng, _, space, _, ps := testRig(t, 1)
 	base := space.Alloc(4096)
-	run(t, eng, ps, func(e prog.Env) {
+	run(t, eng, ps, func(e *prog.Env) {
 		e.ReadRange(base, 16)
 		e.WriteRange(base, 16)
 	})
@@ -377,7 +390,7 @@ func TestReadWriteRangeHelpers(t *testing.T) {
 func TestAddCountersAccumulates(t *testing.T) {
 	eng, _, space, _, ps := testRig(t, 1)
 	base := space.Alloc(4096)
-	run(t, eng, ps, func(e prog.Env) { e.ReadRange(base, 16) })
+	run(t, eng, ps, func(e *prog.Env) { e.ReadRange(base, 16) })
 	c := map[string]uint64{"reads": 4}
 	ps[0].AddCounters(c)
 	ps[0].AddCounters(c)
@@ -468,7 +481,7 @@ func TestMissDoneWrapperLastsOneIssue(t *testing.T) {
 	bus.AttachController(cc)
 	p := New(eng, &cfg, 0, 0, bus, space, noSync{}, nil)
 	remote := space.AllocOnNode(4096, 1)
-	run(t, eng, []*Proc{p}, func(e prog.Env) {
+	run(t, eng, []*Proc{p}, func(e *prog.Env) {
 		e.Read(remote)
 		e.Read(remote + uint64(cfg.LineSize))
 		e.Read(remote + 2*uint64(cfg.LineSize))

@@ -81,7 +81,7 @@ func Table3() (Table3Result, error) {
 			return res, err
 		}
 		addr := m.Space.AllocOnNode(4096, 0)
-		r, err := m.Run(func(e prog.Env) {
+		r, err := m.Run(func(e *prog.Env) {
 			if e.ID() == 1 {
 				e.Read(addr)
 			}

@@ -23,13 +23,15 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Check, f.Message)
 }
 
-// enumTargets lists the protocol-state enums whose switches must be
-// exhaustive or fail loudly, keyed by defining package import path.
+// enumTargets lists the protocol-state enums, and the program operation
+// kinds both simulators consume, whose switches must be exhaustive or fail
+// loudly, keyed by defining package import path.
 var enumTargets = map[string][]string{
 	"ccnuma/internal/protocol":  {"MsgType", "Handler", "StallKind"},
 	"ccnuma/internal/cache":     {"State"},
 	"ccnuma/internal/directory": {"State"},
 	"ccnuma/internal/smpbus":    {"Kind", "Status", "SnoopResult"},
+	"ccnuma/internal/prog":      {"Kind"},
 }
 
 // simPackages are the simulated-time packages where wall-clock time and
@@ -113,8 +115,8 @@ var configSchemaPackages = map[string]bool{
 // concurrency), the host-side daemon, and the shard scheduler, whose
 // barrier protocol carries its own determinism proof (serial (time, seq)
 // order is reproduced exactly; see DESIGN.md §16). The workload handoff
-// needs none: programs run as prog.Coroutine coroutines that switch
-// directly with the engine. Everywhere else — model code, experiment
+// needs none: programs run as prog.Program coroutines that switch
+// directly with the simulator. Everywhere else — model code, experiment
 // drivers, tools — a go statement breaks the determinism argument: results
 // must be committed on one goroutine in a fixed order.
 var goroutineAllowed = map[string]bool{

@@ -211,7 +211,7 @@ func TestConfigSchemaCheck(t *testing.T) {
 // TestNoGoroutineCheck pins the goroutine ban on its fixture: the go
 // statement in badgo must be flagged, the sanctioned packages must stay
 // exempt, and the workload handoff (cpu, pram), which switches to programs
-// through prog.Coroutine, must not be exempt.
+// through prog.Program, must not be exempt.
 func TestNoGoroutineCheck(t *testing.T) {
 	pkgs, err := Load(".", "./testdata/src/badgo")
 	if err != nil {

@@ -103,7 +103,7 @@ func TestInjectFaultsAppliesSchedule(t *testing.T) {
 	})
 	inj := m.InjectFaults(sch)
 	base := m.Space.AllocOnNode(64*cfg.LineSize, 0)
-	r, err := m.Run(func(e prog.Env) {
+	r, err := m.Run(func(e *prog.Env) {
 		// Every processor walks the shared region homed on node 0, so
 		// remote misses, interventions, and write-backs all flow while
 		// faults land on them.

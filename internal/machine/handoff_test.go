@@ -29,7 +29,7 @@ func settledGoroutines(want int) int {
 
 // runRecovered runs program on m and returns its error, or the recovered
 // panic value flattened to an error.
-func runRecovered(m *Machine, program func(prog.Env)) (err error) {
+func runRecovered(m *Machine, program func(*prog.Env)) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v", p)
@@ -44,8 +44,8 @@ func runRecovered(m *Machine, program func(prog.Env)) (err error) {
 // limit, deadlock, and a program panic, serial and sharded, the goroutine
 // count is back where it started.
 func TestRunReleasesPrograms(t *testing.T) {
-	spin := func(base uint64) func(prog.Env) {
-		return func(e prog.Env) {
+	spin := func(base uint64) func(*prog.Env) {
+		return func(e *prog.Env) {
 			for {
 				e.Read(base)
 				e.Compute(100)
@@ -55,27 +55,27 @@ func TestRunReleasesPrograms(t *testing.T) {
 	cases := []struct {
 		name    string
 		limit   sim.Time
-		program func(base uint64) func(prog.Env)
+		program func(base uint64) func(*prog.Env)
 		wantErr string
 	}{
-		{"success", 50_000_000, func(base uint64) func(prog.Env) {
-			return func(e prog.Env) {
+		{"success", 50_000_000, func(base uint64) func(*prog.Env) {
+			return func(e *prog.Env) {
 				e.Write(base + uint64(e.ID())*8)
 				e.Barrier()
 				e.Read(base)
 			}
 		}, ""},
 		{"time limit", 5_000, spin, "time limit"},
-		{"deadlock", 50_000_000, func(base uint64) func(prog.Env) {
-			return func(e prog.Env) {
+		{"deadlock", 50_000_000, func(base uint64) func(*prog.Env) {
+			return func(e *prog.Env) {
 				e.Read(base)
 				if e.ID() == 0 {
 					e.Barrier() // nobody else joins
 				}
 			}
 		}, "never finished"},
-		{"program panic", 50_000_000, func(base uint64) func(prog.Env) {
-			return func(e prog.Env) {
+		{"program panic", 50_000_000, func(base uint64) func(*prog.Env) {
+			return func(e *prog.Env) {
 				e.Read(base)
 				if e.ID() == 1 {
 					panic("workload bug")
@@ -121,7 +121,7 @@ func TestProgramPanicSurfacesFromRun(t *testing.T) {
 	var got interface{}
 	func() {
 		defer func() { got = recover() }()
-		_, _ = m.Run(func(e prog.Env) {
+		_, _ = m.Run(func(e *prog.Env) {
 			e.Read(base)
 			if e.ID() == 1 {
 				panic(fmt.Errorf("verify: bad result on proc %d", e.ID()))
@@ -149,7 +149,7 @@ func TestL1HitsDoNotAllocate(t *testing.T) {
 				t.Fatal(err)
 			}
 			base := m.Space.Alloc(4096)
-			if _, err := m.Run(func(e prog.Env) {
+			if _, err := m.Run(func(e *prog.Env) {
 				for i := 0; i < n; i++ {
 					e.Read(base)
 				}
@@ -208,7 +208,7 @@ var missCases = []missCase{
 // checks cost the same whatever size is. Steps run rounds rounds over a
 // batch of size lines. The time limit allows 10,000 cycles per access and
 // the wait for the last Robust timeout.
-func (c missCase) stream(tb testing.TB, size, rounds int) (*Machine, func(prog.Env), int) {
+func (c missCase) stream(tb testing.TB, size, rounds int) (*Machine, func(*prog.Env), int) {
 	tb.Helper()
 	cfg := testCfg(c.nodes, 1)
 	if c.robust {
@@ -231,7 +231,7 @@ func (c missCase) stream(tb testing.TB, size, rounds int) (*Machine, func(prog.E
 	if c.steps == nil {
 		lines := 2 * m.Cfg.L2Size / m.Cfg.LineSize
 		base := m.Space.AllocOnNode(lines*m.Cfg.LineSize, c.home)
-		return m, func(e prog.Env) {
+		return m, func(e *prog.Env) {
 			if e.ID() != 0 {
 				return
 			}
@@ -245,7 +245,7 @@ func (c missCase) stream(tb testing.TB, size, rounds int) (*Machine, func(prog.E
 		}, accesses
 	}
 	base := m.Space.AllocOnNode(size*m.Cfg.LineSize, c.home)
-	return m, func(e prog.Env) {
+	return m, func(e *prog.Env) {
 		for r := 0; r < rounds; r++ {
 			for _, st := range c.steps {
 				if slices.Contains(st.procs, e.ID()) {
@@ -320,7 +320,7 @@ func TestBarriersDoNotAllocate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := m.Run(func(e prog.Env) {
+			if _, err := m.Run(func(e *prog.Env) {
 				for i := 0; i < rounds; i++ {
 					e.Barrier()
 				}
@@ -377,7 +377,7 @@ func BenchmarkL1Hit(b *testing.B) {
 	n := b.N
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := m.Run(func(e prog.Env) {
+	if _, err := m.Run(func(e *prog.Env) {
 		for i := 0; i < n; i++ {
 			e.Read(base)
 		}

@@ -229,7 +229,7 @@ func (m *Machine) CheckDrained() error {
 // statistics. The run fails if the simulation exceeds the configured time
 // limit, deadlocks with unfinished processors, leaves protocol operations
 // or network frames outstanding, or breaks a coherence invariant.
-func (m *Machine) Run(program func(prog.Env)) (*stats.Run, error) {
+func (m *Machine) Run(program func(*prog.Env)) (*stats.Run, error) {
 	// Every exit path (success, deadlock, time limit, watchdog, or a panic
 	// out of the model or a program) releases the programs still parked
 	// mid-operation, so an abandoned run does not pin the machine in memory.

@@ -18,7 +18,7 @@ func testCfg(nodes, procs int) config.Config {
 	return cfg
 }
 
-func mustRun(t *testing.T, cfg config.Config, name string, prog func(prog.Env)) (*Machine, *stats.Run) {
+func mustRun(t *testing.T, cfg config.Config, name string, prog func(*prog.Env)) (*Machine, *stats.Run) {
 	t.Helper()
 	m, err := New(cfg, name)
 	if err != nil {
@@ -39,7 +39,7 @@ func TestLocalReadsNeverTouchController(t *testing.T) {
 	}
 	// One page per node; each processor touches only its own node's page.
 	addrs := []uint64{m.Space.AllocOnNode(4096, 0), m.Space.AllocOnNode(4096, 1)}
-	r, err := m.Run(func(e prog.Env) {
+	r, err := m.Run(func(e *prog.Env) {
 		base := addrs[e.Node()]
 		for i := 0; i < 20; i++ {
 			e.Read(base + uint64(i*8))
@@ -64,7 +64,7 @@ func TestRemoteReadMissPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := m.Space.AllocOnNode(4096, 0) // homed on node 0
-	r, err := m.Run(func(e prog.Env) {
+	r, err := m.Run(func(e *prog.Env) {
 		if e.ID() == 1 { // processor on node 1 reads node 0's line
 			e.Read(base)
 		}
@@ -99,7 +99,7 @@ func TestRemoteReadLatencyTable3(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := m.Space.AllocOnNode(4096, 0)
-		r, err := m.Run(func(e prog.Env) {
+		r, err := m.Run(func(e *prog.Env) {
 			if e.ID() == 1 {
 				e.Read(base)
 			}
@@ -132,7 +132,7 @@ func TestProducerConsumerMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := m.Space.AllocOnNode(4096, 0)
-	_, err = m.Run(func(e prog.Env) {
+	_, err = m.Run(func(e *prog.Env) {
 		if e.ID() == 0 {
 			e.Write(base) // home node dirties its own line
 		}
@@ -173,7 +173,7 @@ func TestInvalidationFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := m.Space.AllocOnNode(4096, 0)
-	_, err = m.Run(func(e prog.Env) {
+	_, err = m.Run(func(e *prog.Env) {
 		if e.ID() >= 1 { // nodes 1..3 become sharers
 			e.Read(base)
 		}
@@ -205,7 +205,7 @@ func TestRemoteOwnerToRemoteRequesterForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := m.Space.AllocOnNode(4096, 0)
-	_, err = m.Run(func(e prog.Env) {
+	_, err = m.Run(func(e *prog.Env) {
 		if e.ID() == 1 {
 			e.Write(base) // node 1 owns dirty
 		}
@@ -245,7 +245,7 @@ func TestEvictionWriteBackReachesHome(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := m.Space.AllocOnNode(64*1024, 0)
-	_, err = m.Run(func(e prog.Env) {
+	_, err = m.Run(func(e *prog.Env) {
 		if e.ID() == 1 {
 			// Dirty far more lines than the L2 holds.
 			for i := 0; i < 256; i++ {
@@ -269,7 +269,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 	base := m.Space.AllocOnNode(4096, 0)
 	order := make([]int, 0, 8)
-	_, err = m.Run(func(e prog.Env) {
+	_, err = m.Run(func(e *prog.Env) {
 		// Stagger arrival with different amounts of work.
 		e.Compute(100 * (e.ID() + 1))
 		e.Read(base + uint64(e.ID()*128))
@@ -303,7 +303,7 @@ func TestLockMutualExclusionAndTraffic(t *testing.T) {
 	inside := 0
 	maxInside := 0
 	total := 0
-	_, err = m.Run(func(e prog.Env) {
+	_, err = m.Run(func(e *prog.Env) {
 		for i := 0; i < 5; i++ {
 			e.Lock(7)
 			inside++
@@ -337,7 +337,7 @@ func TestDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := m.Space.Alloc(64 * 1024)
-		r, err := m.Run(func(e prog.Env) {
+		r, err := m.Run(func(e *prog.Env) {
 			for i := 0; i < 100; i++ {
 				a := base + uint64(((i*37+e.ID()*13)%512)*128)
 				if (i+e.ID())%3 == 0 {
@@ -365,8 +365,8 @@ func TestDeterminism(t *testing.T) {
 
 // sharedStress drives all processors over a shared region with mixed reads
 // and writes; used to shake out protocol races across architectures.
-func sharedStress(base uint64, iters int) func(prog.Env) {
-	return func(e prog.Env) {
+func sharedStress(base uint64, iters int) func(*prog.Env) {
+	return func(e *prog.Env) {
 		for i := 0; i < iters; i++ {
 			a := base + uint64(((i*17+e.ID()*29)%256)*128)
 			switch (i + e.ID()) % 4 {
@@ -452,7 +452,7 @@ func TestFirstTouchPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := m.Space.Alloc(2 * 4096)
-	_, err = m.Run(func(e prog.Env) {
+	_, err = m.Run(func(e *prog.Env) {
 		// Each processor touches its own page first.
 		e.Read(base + uint64(e.Node()*4096))
 		e.Barrier()
@@ -555,7 +555,7 @@ func TestMissLatencyHistogramCollected(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := m.Space.AllocOnNode(4096, 0)
-	r, err := m.Run(func(e prog.Env) {
+	r, err := m.Run(func(e *prog.Env) {
 		if e.ID() == 1 {
 			for i := 0; i < 8; i++ {
 				e.Read(base + uint64(i*128))
@@ -581,7 +581,7 @@ func TestHandlerBusyCountersCollected(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := m.Space.AllocOnNode(4096, 0)
-	r, err := m.Run(func(e prog.Env) {
+	r, err := m.Run(func(e *prog.Env) {
 		if e.ID() == 1 {
 			e.Read(base)
 		}

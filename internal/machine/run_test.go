@@ -25,7 +25,7 @@ func TestWatchdogAndLimitAcrossShards(t *testing.T) {
 		var loop func()
 		loop = func() { m.Eng.After(0, loop) }
 		m.Eng.At(10, loop)
-		_, err = m.Run(func(prog.Env) {})
+		_, err = m.Run(func(*prog.Env) {})
 		if err == nil || !strings.HasPrefix(err.Error(), "machine: watchdog: simulated time stalled at t=10 (2000000 events without progress)") {
 			t.Errorf("shards=%d: same-instant loop: %v", shards, err)
 		}
@@ -36,7 +36,7 @@ func TestWatchdogAndLimitAcrossShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := m.Space.Alloc(4096)
-		_, err = m.Run(func(e prog.Env) {
+		_, err = m.Run(func(e *prog.Env) {
 			for {
 				e.Read(base)
 				e.Compute(100)
@@ -58,7 +58,7 @@ func TestRunRequiresDrainedNetwork(t *testing.T) {
 	}
 	m.Net.Send(10, 0, 1, 1, nil)
 	m.Eng.At(11, m.Eng.Stop) // before the frame can land
-	_, err = m.Run(func(prog.Env) {})
+	_, err = m.Run(func(*prog.Env) {})
 	if err == nil || !strings.Contains(err.Error(), "network did not drain: 1 frames still in flight") {
 		t.Fatalf("run with a frame in flight: %v", err)
 	}

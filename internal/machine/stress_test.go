@@ -19,8 +19,8 @@ func dirEntryNone() directory.Entry { return directory.Entry{} }
 // barriers over a shared region sized to force evictions and every
 // protocol path. Each processor derives its own stream from (seed, id), so
 // one seed fixes the whole run.
-func randomProgram(seed int64, base uint64, lines, iters, lineSize int) func(prog.Env) {
-	return func(e prog.Env) {
+func randomProgram(seed int64, base uint64, lines, iters, lineSize int) func(*prog.Env) {
+	return func(e *prog.Env) {
 		rng := rand.New(rand.NewSource(seed*1000 + int64(e.ID())))
 		for i := 0; i < iters; i++ {
 			a := base + uint64(rng.Intn(lines)*lineSize)
@@ -147,7 +147,7 @@ func TestCoherenceCheckerDetectsViolations(t *testing.T) {
 	}
 	base := m.Space.AllocOnNode(4096, 0)
 	// Run a legitimate program first.
-	_, err = m.Run(func(e prog.Env) {
+	_, err = m.Run(func(e *prog.Env) {
 		if e.ID() == 1 {
 			e.Write(base)
 		}
@@ -174,7 +174,7 @@ func TestCoherenceCheckerReportsLowestLine(t *testing.T) {
 	setSpan := m.Cfg.L2Size / m.Cfg.L2Assoc // bytes between lines of one set
 	lo := m.Space.AllocOnNode(setSpan+m.Cfg.LineSize, 0)
 	hi := lo + uint64(setSpan)
-	if _, err := m.Run(func(e prog.Env) {
+	if _, err := m.Run(func(e *prog.Env) {
 		if e.ID() == 1 {
 			e.Write(hi)
 			e.Write(lo)
@@ -208,7 +208,7 @@ func TestL2ConflictsKeepL1Included(t *testing.T) {
 	}
 	span := uint64(cfg.L2Size) // lines this far apart share an L2 set and an L1 set
 	base := m.Space.AllocOnNode(cfg.L1Assoc*cfg.L2Size, 1)
-	r, err := m.Run(func(e prog.Env) {
+	r, err := m.Run(func(e *prog.Env) {
 		if e.ID() == 0 {
 			for i := 0; i < cfg.L1Assoc; i++ {
 				e.Write(base + uint64(i)*span)

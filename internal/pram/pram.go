@@ -4,9 +4,9 @@
 // to a graph similar to Figure 12 obtained through detailed simulation of
 // simpler applications."
 //
-// The estimator runs the same workload programs as the detailed machine —
-// they are written against prog.Env — but with a purely functional model:
-// per-processor caches, a node-granular directory, and no timing at all.
+// The estimator runs the same workload programs as the detailed machine,
+// reading the same prog operation stream, but with a purely functional
+// model: per-processor caches, a node-granular directory, and no timing.
 // Each shared-memory reference is classified by the coherence actions it
 // would trigger, and the resulting message/dispatch count approximates the
 // detailed simulator's "requests to coherence controllers". One pass gives
@@ -55,27 +55,13 @@ type proc struct {
 	node int
 	l2   *cache.Cache
 
-	co       *prog.Coroutine[op]
+	co *prog.Program
+	// op is the operation taken from the program and not yet executed, and
+	// turns the turns it still waits: one per Compute call before it.
+	op       *prog.Op
+	turns    int
 	blocked  bool
 	finished bool
-}
-
-type opKind int
-
-const (
-	opRead opKind = iota
-	opWrite
-	opCompute
-	opBarrier
-	opLock
-	opUnlock
-	opDone
-)
-
-type op struct {
-	kind opKind
-	addr uint64
-	n    int
 }
 
 // New creates an estimator sharing the machine's configuration and address
@@ -111,15 +97,15 @@ func (s *Sim) RCCPI() float64 {
 	return float64(s.ccRequests) / float64(s.instructions)
 }
 
-// Run executes the SPMD program functionally, one operation per processor
-// per turn. A program runs ahead of its turns, buffering reads, writes and
-// compute steps up to its next Barrier, Lock or Unlock; programs share Go
-// memory only across those, so the data-race-free programs' results and
-// reference streams are the same as with a switch per operation.
-func (s *Sim) Run(program func(prog.Env)) error {
+// Run executes the SPMD program functionally, one step per processor per
+// turn: each Compute call and each operation is a step. A program runs
+// ahead of its turns, buffering reads and writes up to its next Barrier,
+// Lock or Unlock; programs share Go memory only across those, so the
+// data-race-free programs' results and reference streams are the same as
+// with a switch per operation.
+func (s *Sim) Run(program func(*prog.Env)) error {
 	for _, p := range s.procs {
-		e := &env{p: p}
-		p.co = prog.Start(func() { program(e) }, op{kind: opDone})
+		p.co = prog.Start(p.id, p.node, program)
 	}
 	// Every exit path (completion, deadlock, or a panic) releases the
 	// programs, finished or still parked mid-operation.
@@ -161,19 +147,28 @@ func (s *Sim) allFinished() bool {
 	return true
 }
 
-// step executes one operation of p (p must be runnable).
+// step executes one step of p (p must be runnable): a turn for each Compute
+// call the program made before its next operation, then the operation.
 func (s *Sim) step(p *proc) {
-	o := p.co.Next()
-	switch o.kind {
-	case opRead:
+	if p.op == nil {
+		p.op = p.co.Next()
+		p.turns = p.op.Calls
+		s.instructions += uint64(p.op.Comp)
+	}
+	if p.turns > 0 {
+		p.turns--
+		return
+	}
+	o := p.op
+	p.op = nil
+	switch o.Kind {
+	case prog.Read:
 		s.instructions++
-		s.access(p, o.addr, false)
-	case opWrite:
+		s.access(p, o.Addr, false)
+	case prog.Write:
 		s.instructions++
-		s.access(p, o.addr, true)
-	case opCompute:
-		s.instructions += uint64(o.n)
-	case opBarrier:
+		s.access(p, o.Addr, true)
+	case prog.Barrier:
 		s.parkedBarrier = append(s.parkedBarrier, p)
 		p.blocked = true
 		if len(s.parkedBarrier) == len(s.procs) {
@@ -182,13 +177,12 @@ func (s *Sim) step(p *proc) {
 			}
 			s.parkedBarrier = nil
 		}
-		return
-	case opLock:
+	case prog.Lock:
 		s.instructions++
-		lq := s.locks[o.n]
+		lq := s.locks[o.ID]
 		if lq == nil {
 			lq = &lockq{}
-			s.locks[o.n] = lq
+			s.locks[o.ID] = lq
 		}
 		if lq.held {
 			lq.waiters = append(lq.waiters, p)
@@ -199,11 +193,11 @@ func (s *Sim) step(p *proc) {
 		// A lock acquisition is a read-exclusive of the lock line at
 		// minimum: charge a small constant.
 		s.ccRequests += 2
-	case opUnlock:
+	case prog.Unlock:
 		s.instructions++
-		lq := s.locks[o.n]
+		lq := s.locks[o.ID]
 		if lq == nil || !lq.held {
-			panic(fmt.Sprintf("pram: unlock of free lock %d", o.n))
+			panic(fmt.Sprintf("pram: unlock of free lock %d", o.ID))
 		}
 		if len(lq.waiters) > 0 {
 			next := lq.waiters[0]
@@ -213,9 +207,10 @@ func (s *Sim) step(p *proc) {
 		} else {
 			lq.held = false
 		}
-	case opDone:
+	case prog.Done:
 		p.finished = true
-		return
+	default:
+		panic(fmt.Sprintf("pram: unknown op %v", o.Kind))
 	}
 }
 
@@ -395,36 +390,3 @@ func (s *Sim) install(p *proc, line uint64, st cache.State, e *lineState) {
 		}
 	}
 }
-
-// env adapts a pram proc to prog.Env.
-type env struct {
-	p *proc
-}
-
-func (e *env) ID() int   { return e.p.id }
-func (e *env) Node() int { return e.p.node }
-
-// Read, Write and Compute only fill the run-ahead buffer; Barrier, Lock
-// and Unlock park the program until the estimator takes them.
-func (e *env) Read(addr uint64)  { e.p.co.Put(op{kind: opRead, addr: addr}) }
-func (e *env) Write(addr uint64) { e.p.co.Put(op{kind: opWrite, addr: addr}) }
-func (e *env) Compute(n int) {
-	if n > 0 {
-		e.p.co.Put(op{kind: opCompute, n: n})
-	}
-}
-func (e *env) ReadRange(addr uint64, n int) {
-	for i := 0; i < n; i++ {
-		e.Read(addr + uint64(i*8))
-	}
-}
-func (e *env) WriteRange(addr uint64, n int) {
-	for i := 0; i < n; i++ {
-		e.Write(addr + uint64(i*8))
-	}
-}
-func (e *env) Barrier()      { e.p.co.Yield(op{kind: opBarrier}) }
-func (e *env) Lock(id int)   { e.p.co.Yield(op{kind: opLock, n: id}) }
-func (e *env) Unlock(id int) { e.p.co.Yield(op{kind: opUnlock, n: id}) }
-
-var _ prog.Env = (*env)(nil)

@@ -26,7 +26,7 @@ func newSim(t *testing.T, nodes, ppn int) (*Sim, *memaddr.Space, *config.Config)
 func TestLocalOnlyHasNoControllerTraffic(t *testing.T) {
 	s, space, _ := newSim(t, 2, 1)
 	bases := []uint64{space.AllocOnNode(4096, 0), space.AllocOnNode(4096, 1)}
-	err := s.Run(func(e prog.Env) {
+	err := s.Run(func(e *prog.Env) {
 		for i := 0; i < 20; i++ {
 			e.Read(bases[e.Node()] + uint64(i*8))
 			e.Write(bases[e.Node()] + uint64(i*8))
@@ -46,7 +46,7 @@ func TestLocalOnlyHasNoControllerTraffic(t *testing.T) {
 func TestRemoteReadCharged(t *testing.T) {
 	s, space, _ := newSim(t, 2, 1)
 	base := space.AllocOnNode(4096, 0)
-	err := s.Run(func(e prog.Env) {
+	err := s.Run(func(e *prog.Env) {
 		if e.ID() == 1 {
 			e.Read(base)
 		}
@@ -63,7 +63,7 @@ func TestRemoteReadCharged(t *testing.T) {
 func TestMigratoryWriteCharged(t *testing.T) {
 	s, space, _ := newSim(t, 2, 1)
 	base := space.AllocOnNode(4096, 0)
-	err := s.Run(func(e prog.Env) {
+	err := s.Run(func(e *prog.Env) {
 		if e.ID() == 1 {
 			e.Write(base) // remote readex, uncached: 3
 		}
@@ -84,7 +84,7 @@ func TestMigratoryWriteCharged(t *testing.T) {
 func TestBarrierAndLockScheduling(t *testing.T) {
 	s, _, _ := newSim(t, 2, 2)
 	counter := 0
-	err := s.Run(func(e prog.Env) {
+	err := s.Run(func(e *prog.Env) {
 		for i := 0; i < 3; i++ {
 			e.Lock(1)
 			counter++
@@ -102,7 +102,7 @@ func TestBarrierAndLockScheduling(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	s, _, _ := newSim(t, 2, 1)
-	err := s.Run(func(e prog.Env) {
+	err := s.Run(func(e *prog.Env) {
 		if e.ID() == 0 {
 			e.Barrier() // proc 1 never joins
 		}
@@ -119,7 +119,7 @@ func TestRunReleasesPrograms(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s, space, _ := newSim(t, 2, 2)
 	base := space.Alloc(4096)
-	err := s.Run(func(e prog.Env) {
+	err := s.Run(func(e *prog.Env) {
 		e.Read(base)
 		if e.ID() != 3 {
 			e.Barrier() // proc 3 never joins
@@ -199,6 +199,61 @@ func TestEstimateTracksDetailed(t *testing.T) {
 	}
 }
 
+// estimate runs app at test size through the estimator on a machine of
+// cfg's shape and returns the estimator and the workload it ran.
+func estimate(t *testing.T, cfg config.Config, app string) (*Sim, workload.Workload) {
+	t.Helper()
+	m, err := machine.New(cfg, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.New(app, workload.SizeTest, m.NProcs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Setup(m); err != nil {
+		t.Fatal(err)
+	}
+	s := New(&m.Cfg, m.Space)
+	if err := s.Run(w.Body); err != nil {
+		t.Fatalf("%s: %v", app, err)
+	}
+	return s, w
+}
+
+// TestEstimatesPinned pins the estimator's requests and instructions for
+// micro and the eight paper applications at test size on the 4x2 HWC
+// machine. The request count depends on how the estimator interleaves the
+// programs, one step per processor per turn with a step for every Compute
+// call, so folding compute into the next operation's turn moves it.
+func TestEstimatesPinned(t *testing.T) {
+	cfg, err := config.Base().WithArch("HWC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Nodes, cfg.ProcsPerNode = 4, 2
+	for _, pin := range []struct {
+		app                    string
+		requests, instructions uint64
+	}{
+		{"micro", 728, 12670},
+		{"lu", 1808, 176136},
+		{"water-sp", 1450, 211936},
+		{"barnes", 5182, 3311038},
+		{"cholesky", 766, 62804},
+		{"water-nsq", 1888, 104128},
+		{"fft", 872, 14880},
+		{"radix", 13897, 230528},
+		{"ocean", 1380, 64704},
+	} {
+		s, _ := estimate(t, cfg, pin.app)
+		if s.CCRequests() != pin.requests || s.Instructions() != pin.instructions {
+			t.Errorf("%s: %d requests / %d instructions, want %d / %d",
+				pin.app, s.CCRequests(), s.Instructions(), pin.requests, pin.instructions)
+		}
+	}
+}
+
 // TestEstimateAllApps runs the estimator over every registered paper
 // application, checking it completes and produces a positive estimate.
 func TestEstimateAllApps(t *testing.T) {
@@ -207,21 +262,7 @@ func TestEstimateAllApps(t *testing.T) {
 		t.Run(app, func(t *testing.T) {
 			cfg := config.Base()
 			cfg.Nodes, cfg.ProcsPerNode = 2, 2
-			m, err := machine.New(cfg, app)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := workload.New(app, workload.SizeTest, m.NProcs())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Setup(m); err != nil {
-				t.Fatal(err)
-			}
-			s := New(&m.Cfg, m.Space)
-			if err := s.Run(w.Body); err != nil {
-				t.Fatal(err)
-			}
+			s, w := estimate(t, cfg, app)
 			if s.RCCPI() <= 0 {
 				t.Fatalf("RCCPI estimate %v", s.RCCPI())
 			}

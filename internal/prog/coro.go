@@ -4,115 +4,69 @@ package prog
 
 import "iter"
 
-// runAheadLimit is how many operations a program may issue with Put before
-// it parks: enough that the coroutine switch is paid once per batch, small
-// enough that the buffer embedded in every Coroutine stays a few kilobytes.
-const runAheadLimit = 64
-
-// runAhead is the limit Put parks at. Only tests change it, to check that
-// results do not depend on it.
-var runAhead = runAheadLimit
-
-// stopSignal is the sentinel panic that unwinds a program whose coroutine
-// was stopped while it was parked. The coroutine body recovers it, so a
-// stopped program ends quietly; any other panic reaches the engine.
-type stopSignal struct{}
-
-// Coroutine runs one workload program as a coroutine of the simulation
-// engine. The program issues operations into a run-ahead buffer: Put
-// appends one and returns, parking the program only once the buffer holds
-// runAheadLimit operations; Yield appends one and parks at once. The engine
-// calls Next to take the buffered operations in issue order, and switches
-// into the program only when the buffer is empty. The switch is direct
-// (iter.Pull), so exactly one of the engine and the program runs at any
-// time and every run stays deterministic.
+// Program runs one workload program as a coroutine of a simulator, which
+// calls Next to take the program's operations in issue order. Next
+// switches into the program only when none is buffered, and the program
+// switches back when its buffer is full or at once after a Barrier, Lock
+// or Unlock (see Env). The switch is direct (iter.Pull), so exactly one of
+// the simulator and the program runs at any time and every run stays
+// deterministic. Program code past a synchronization operation runs only
+// once the simulator has taken every earlier operation and asked for the
+// next; running ahead moves only when the program's own Go code runs on
+// the host, never the simulated time of any operation.
 //
-// Programs use Yield for every operation after which they may read Go
-// memory that other programs write (synchronization), so program code past
-// a Yield runs only once the engine has taken every earlier operation and
-// asked for the next. Put only moves when the program's own Go code runs on
-// the host: earlier, but never past its next Yield. The engine still models
-// one operation at a time, at the same simulated time as without the
-// buffer.
+// A panic in the program comes out of the Next that ran it, on the
+// simulator's goroutine, where the caller's recovery sees it like any
+// model panic. The operations the program buffered before panicking are
+// never taken.
 //
-// A panic in the program comes out of the Next that ran it, on the engine's
-// goroutine, where the caller's recovery sees it like any model panic. The
-// operations the program buffered before panicking are never taken.
-type Coroutine[Op any] struct {
-	next  func() (struct{}, bool)
-	stop  func()
-	yield func(struct{}) bool
-
-	// buf holds the operations issued and not yet taken, from head on. Its
-	// backing array is arr unless a test raised runAhead above
-	// runAheadLimit, so buffering allocates nothing.
-	buf  []Op
-	head int
+// The program itself receives only the embedded Env, which has no Next or
+// Stop.
+type Program struct {
+	Env
+	next func() (struct{}, bool)
+	stop func()
 	arr  [runAheadLimit]Op
 }
 
-// Start prepares body as a coroutine without running it: the first Next
-// runs it up to its first park. When body returns, the coroutine issues
-// done as its final operation.
-func Start[Op any](body func(), done Op) *Coroutine[Op] {
-	c := &Coroutine[Op]{}
-	c.buf = c.arr[:0]
-	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
-		c.yield = yield
+// Start prepares program to run as processor id of node without running
+// it: the first Next runs it up to its first park. When program returns,
+// it issues Done as its final operation.
+func Start(id, node int, program func(*Env)) *Program {
+	p := &Program{Env: Env{id: id, node: node}}
+	p.buf = p.arr[:0]
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil && r != (stopSignal{}) {
 				panic(r)
 			}
 		}()
-		body()
-		c.buf = append(c.buf, done)
+		program(&p.Env)
+		p.put(Done, 0, 0)
 	})
-	return c
+	return p
 }
 
 // Next returns the program's next operation, running the program until it
-// parks if none is buffered. After the final done operation the coroutine
-// must be stopped.
-func (c *Coroutine[Op]) Next() Op {
-	if c.head == len(c.buf) {
-		c.buf, c.head = c.buf[:0], 0
-		c.next()
+// parks if none is buffered. The operation stays valid until the next call
+// of Next. After Done the Program must be stopped.
+func (p *Program) Next() *Op {
+	if p.head == len(p.buf) {
+		p.buf, p.head = p.buf[:0], 0
+		p.next()
 	}
-	o := c.buf[c.head]
-	c.head++
+	o := &p.buf[p.head]
+	p.head++
 	return o
 }
 
-// Put issues o and returns at once, unless the buffer is now full: then
-// the program parks until the engine has taken every buffered operation.
-func (c *Coroutine[Op]) Put(o Op) {
-	c.buf = append(c.buf, o)
-	if len(c.buf) >= runAhead {
-		c.park()
-	}
-}
-
-// Yield issues o and parks the program until the engine has taken it and
-// every operation before it, and calls Next again.
-func (c *Coroutine[Op]) Yield(o Op) {
-	c.buf = append(c.buf, o)
-	c.park()
-}
-
-// park hands control back to the engine. If the coroutine is stopped
-// instead of resumed, park unwinds the program.
-func (c *Coroutine[Op]) park() {
-	if !c.yield(struct{}{}) {
-		panic(stopSignal{})
-	}
-}
-
-// Stop ends the coroutine: its buffered operations are discarded, a parked
+// Stop ends the program: its buffered operations are discarded, a parked
 // program unwinds without running further, and one that never started
-// never runs. Stop is idempotent and must be called on every coroutine,
-// finished or not, so the parked program does not pin its machine in
+// never runs. Stop is idempotent and must be called on every Program,
+// finished or not, so the parked program does not pin its simulator in
 // memory.
-func (c *Coroutine[Op]) Stop() {
-	c.buf, c.head = c.buf[:0], 0
-	c.stop()
+func (p *Program) Stop() {
+	p.buf, p.head = p.buf[:0], 0
+	p.stop()
 }

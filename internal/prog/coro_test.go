@@ -6,25 +6,40 @@ import (
 	"time"
 )
 
+// num returns the number a test program gave o: a load's address or a
+// lock's ID.
+func num(o *Op) int {
+	if o.Kind == Read || o.Kind == Write {
+		return int(o.Addr)
+	}
+	return o.ID
+}
+
+// wantNext takes p's next operation and requires it to be kind k carrying
+// number n.
+func wantNext(t *testing.T, p *Program, k Kind, n int) *Op {
+	t.Helper()
+	o := p.Next()
+	if o.Kind != k || (k != Done && num(o) != n) {
+		t.Fatalf("Next = %v %d, want %v %d", o.Kind, num(o), k, n)
+	}
+	return o
+}
+
 func TestCoroutineHandsOffInOrder(t *testing.T) {
-	var c *Coroutine[int]
 	var trace []int
-	c = Start(func() {
+	p := Start(0, 0, func(e *Env) {
 		for i := 1; i <= 3; i++ {
 			trace = append(trace, -i) // program side
-			c.Yield(i)
+			e.Lock(i)
 		}
-	}, 0)
-	defer c.Stop()
+	})
+	defer p.Stop()
 	for want := 1; want <= 3; want++ {
-		if got := c.Next(); got != want {
-			t.Fatalf("Next = %d, want %d", got, want)
-		}
-		trace = append(trace, want) // engine side
+		wantNext(t, p, Lock, want)
+		trace = append(trace, want) // simulator side
 	}
-	if got := c.Next(); got != 0 {
-		t.Fatalf("final Next = %d, want the done op 0", got)
-	}
+	wantNext(t, p, Done, 0)
 	want := []int{-1, 1, -2, 2, -3, 3}
 	for i := range want {
 		if trace[i] != want[i] {
@@ -34,147 +49,177 @@ func TestCoroutineHandsOffInOrder(t *testing.T) {
 }
 
 func TestCoroutineStopUnwindsParkedProgram(t *testing.T) {
-	var c *Coroutine[int]
 	unwound, ranOn := false, false
-	c = Start(func() {
+	p := Start(0, 0, func(e *Env) {
 		defer func() { unwound = true }()
-		c.Yield(1)
+		e.Barrier()
 		ranOn = true
-	}, 0)
-	if got := c.Next(); got != 1 {
-		t.Fatalf("Next = %d, want 1", got)
-	}
-	c.Stop()
+	})
+	wantNext(t, p, Barrier, 0)
+	p.Stop()
 	if !unwound || ranOn {
 		t.Fatalf("after Stop: deferred calls ran = %v, body continued = %v; want true, false", unwound, ranOn)
 	}
-	c.Stop() // idempotent
+	p.Stop() // idempotent
 }
 
 func TestCoroutineStopBeforeStart(t *testing.T) {
 	ran := false
-	c := Start(func() { ran = true }, 0)
-	c.Stop()
+	p := Start(0, 0, func(*Env) { ran = true })
+	p.Stop()
 	if ran {
-		t.Fatal("a coroutine stopped before its first Next ran its body")
+		t.Fatal("a program stopped before its first Next ran its body")
 	}
 }
 
 func TestCoroutinePanicReachesNext(t *testing.T) {
-	c := Start(func() { panic("program bug") }, 0)
-	defer c.Stop()
+	p := Start(0, 0, func(*Env) { panic("program bug") })
+	defer p.Stop()
 	defer func() {
 		if r := recover(); r != "program bug" {
 			t.Fatalf("recovered %v, want the program's panic value", r)
 		}
 	}()
-	c.Next()
+	p.Next()
 	t.Fatal("Next returned normally from a panicking program")
 }
 
-// TestPutParksOnlyAtTheLimit checks that Put switches to the engine only
-// at the run-ahead limit; TestCoroutineHandsOffInOrder checks that Yield
-// always switches.
+// TestPutParksOnlyAtTheLimit checks that loads and stores switch to the
+// simulator only at the run-ahead limit; TestCoroutineHandsOffInOrder
+// checks that synchronization always switches.
 func TestPutParksOnlyAtTheLimit(t *testing.T) {
-	var c *Coroutine[int]
-	issued := 0 // operations whose Put has returned
-	c = Start(func() {
+	issued := 0 // loads whose Read has returned
+	p := Start(0, 0, func(e *Env) {
 		for i := 1; i <= 3*runAheadLimit; i++ {
-			c.Put(i)
+			e.Read(uint64(i))
 			issued = i
 		}
-	}, 0)
-	defer c.Stop()
+	})
+	defer p.Stop()
 	for batch := 0; batch < 3; batch++ {
 		for i := 1; i <= runAheadLimit; i++ {
 			want := batch*runAheadLimit + i
-			if got := c.Next(); got != want {
-				t.Fatalf("Next = %d, want %d", got, want)
-			}
-			// The limit-th Put of a batch parked before returning, and the
-			// program does not run again while operations are buffered.
+			wantNext(t, p, Read, want)
+			// The limit-th Read of a batch parked before returning, and
+			// the program does not run again while operations are
+			// buffered.
 			if wantIssued := (batch+1)*runAheadLimit - 1; issued != wantIssued {
-				t.Fatalf("after taking op %d the program has returned from %d Puts, want %d",
+				t.Fatalf("after taking op %d the program has returned from %d Reads, want %d",
 					want, issued, wantIssued)
 			}
 		}
 	}
-	if got := c.Next(); got != 0 {
-		t.Fatalf("final Next = %d, want the done op 0", got)
-	}
+	wantNext(t, p, Done, 0)
 }
 
-// TestOpsInIssueOrder mixes Puts and Yields so that batches end both at the
-// limit and at a Yield, and checks every operation comes out once, in order.
+// TestOpsInIssueOrder mixes stores and locks so that batches end both at
+// the limit and at a synchronization operation, and checks every
+// operation comes out once, in order.
 func TestOpsInIssueOrder(t *testing.T) {
 	const n = 5*runAheadLimit + 3
-	var c *Coroutine[int]
-	c = Start(func() {
+	sync := func(i int) bool { return i%(runAheadLimit/2+5) == 0 }
+	p := Start(0, 0, func(e *Env) {
 		for i := 1; i <= n; i++ {
-			if i%(runAheadLimit/2+5) == 0 {
-				c.Yield(i)
+			if sync(i) {
+				e.Unlock(i)
 			} else {
-				c.Put(i)
+				e.Write(uint64(i))
 			}
 		}
-	}, -1)
-	defer c.Stop()
+	})
+	defer p.Stop()
 	for want := 1; want <= n; want++ {
-		if got := c.Next(); got != want {
-			t.Fatalf("Next = %d, want %d", got, want)
+		k := Write
+		if sync(want) {
+			k = Unlock
 		}
+		wantNext(t, p, k, want)
 	}
-	if got := c.Next(); got != -1 {
-		t.Fatalf("final Next = %d, want the done op -1", got)
-	}
+	wantNext(t, p, Done, 0)
 }
 
 func TestCodeAfterYieldWaitsForEarlierOps(t *testing.T) {
-	var c *Coroutine[int]
 	after := false
-	c = Start(func() {
-		c.Put(1)
-		c.Put(2)
-		c.Yield(3)
+	p := Start(0, 0, func(e *Env) {
+		e.Read(1)
+		e.Read(2)
+		e.Lock(3)
 		after = true
-		c.Put(4)
-	}, 0)
-	defer c.Stop()
+		e.Read(4)
+	})
+	defer p.Stop()
 	for want := 1; want <= 3; want++ {
-		if got := c.Next(); got != want {
-			t.Fatalf("Next = %d, want %d", got, want)
+		k := Read
+		if want == 3 {
+			k = Lock
 		}
+		wantNext(t, p, k, want)
 		if after {
-			t.Fatalf("code after Yield(3) ran once the engine had taken op %d", want)
+			t.Fatalf("code after Lock(3) ran once the simulator had taken op %d", want)
 		}
 	}
-	if got := c.Next(); got != 4 || !after {
-		t.Fatalf("Next = %d, code after Yield ran = %v; want 4, true", got, after)
+	wantNext(t, p, Read, 4)
+	if !after {
+		t.Fatal("code after Lock(3) did not run before the simulator took op 4")
+	}
+}
+
+// TestComputeRidesOnNextOp checks that Compute charges the next operation
+// with its cycles and its number of calls, that n <= 0 charges nothing,
+// and that compute after the last operation rides on Done.
+func TestComputeRidesOnNextOp(t *testing.T) {
+	p := Start(3, 1, func(e *Env) {
+		if e.ID() != 3 || e.Node() != 1 {
+			t.Errorf("Env is processor %d of node %d, want 3 of 1", e.ID(), e.Node())
+		}
+		e.Read(1)
+		e.Compute(10)
+		e.Compute(0)
+		e.Compute(-5)
+		e.Compute(7)
+		e.Write(2)
+		e.Compute(4)
+		e.Barrier()
+		e.Compute(500)
+	})
+	defer p.Stop()
+	for _, want := range []struct {
+		k           Kind
+		n           int
+		comp, calls int
+	}{
+		{Read, 1, 0, 0},
+		{Write, 2, 17, 2},
+		{Barrier, 0, 4, 1},
+		{Done, 0, 500, 1},
+	} {
+		o := wantNext(t, p, want.k, want.n)
+		if o.Comp != int64(want.comp) || o.Calls != want.calls {
+			t.Fatalf("%v carries %d cycles from %d calls, want %d from %d",
+				o.Kind, o.Comp, o.Calls, want.comp, want.calls)
+		}
 	}
 }
 
 func TestStopUnwindsProgramWithBufferedOps(t *testing.T) {
 	before := runtime.NumGoroutine()
-	var c *Coroutine[int]
 	unwound, ranOn := false, false
-	c = Start(func() {
+	p := Start(0, 0, func(e *Env) {
 		defer func() { unwound = true }()
 		for i := 1; i <= runAheadLimit; i++ {
-			c.Put(i)
+			e.Read(uint64(i))
 		}
 		ranOn = true
-	}, 0)
-	if got := c.Next(); got != 1 {
-		t.Fatalf("Next = %d, want 1", got)
-	}
-	if n := len(c.buf) - c.head; n != runAheadLimit-1 {
+	})
+	wantNext(t, p, Read, 1)
+	if n := len(p.buf) - p.head; n != runAheadLimit-1 {
 		t.Fatalf("%d operations buffered, want %d", n, runAheadLimit-1)
 	}
-	c.Stop()
+	p.Stop()
 	if !unwound || ranOn {
 		t.Fatalf("after Stop: deferred calls ran = %v, body continued = %v; want true, false", unwound, ranOn)
 	}
-	if n := len(c.buf) - c.head; n != 0 {
+	if n := len(p.buf) - p.head; n != 0 {
 		t.Fatalf("%d operations still buffered after Stop", n)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -191,20 +236,17 @@ func TestStopUnwindsProgramWithBufferedOps(t *testing.T) {
 // operations buffered before it are not taken.
 func TestPanicAfterBufferedOps(t *testing.T) {
 	for _, taken := range []int{0, runAheadLimit} {
-		var c *Coroutine[int]
-		c = Start(func() {
+		p := Start(0, 0, func(e *Env) {
 			for i := 1; i <= taken+2; i++ {
-				c.Put(i)
+				e.Read(uint64(i))
 			}
 			panic("program bug")
-		}, 0)
+		})
 		for want := 1; want <= taken; want++ {
-			if got := c.Next(); got != want {
-				t.Fatalf("Next = %d, want %d", got, want)
-			}
+			wantNext(t, p, Read, want)
 		}
-		r := recovered(func() { c.Next() })
-		c.Stop()
+		r := recovered(func() { p.Next() })
+		p.Stop()
 		if r != "program bug" {
 			t.Fatalf("after %d ops: Next panicked with %v, want the program's panic value", taken, r)
 		}

@@ -310,8 +310,9 @@ func (e *Engine) advance(t Time) {
 
 // take removes the head of now's bucket, which must hold an event, and
 // returns its function. The vacated node is cleared so the slab does not
-// pin the closure alive. On a sharded engine the event's rank becomes the
-// scheduling context of what it schedules.
+// pin the closure alive. On a sharded engine Cluster.runWindow also moves
+// the node's rank into the scheduling context; take leaves ranks alone so
+// that it stays small enough to inline into the serial run loop.
 func (e *Engine) take() func() {
 	b := e.now & wheelMask
 	i := e.head[b]
@@ -327,10 +328,6 @@ func (e *Engine) take() func() {
 	e.free = i
 	e.pending--
 	e.executed++
-	if e.ranks != nil {
-		e.cur = Ctx{parent: e.ranks[i], at: e.now}
-		e.ranks[i] = nil
-	}
 	return fn
 }
 

@@ -331,7 +331,12 @@ func (c *Cluster) runWindow(e *Engine, shard int, w window) (final report) {
 			continue
 		}
 		e.advance(t)
+		// The event's rank becomes the scheduling context of what it
+		// schedules; its slab node is the bucket head take removes.
+		i := e.head[t&wheelMask]
 		fn := e.take()
+		e.cur = Ctx{parent: e.ranks[i], at: t}
+		e.ranks[i] = nil
 		steps++
 		if pv := runCaptured(fn); pv != nil {
 			final.panicked = true

@@ -97,7 +97,7 @@ func (w *barnesWork) nodeAddr(i int) uint64 { return w.nodeBase + uint64(i)*w.ls
 // references simulated; SPLASH-2 builds the tree in parallel with locks —
 // the serial build is a documented simplification that preserves the
 // read-shared force-phase traffic).
-func (w *barnesWork) buildTree(e prog.Env) {
+func (w *barnesWork) buildTree(e *prog.Env) {
 	w.nodes = w.nodes[:0]
 	root := w.newNode([3]float64{0, 0, 0}, 4.0)
 	for i := range w.bodies {
@@ -206,7 +206,7 @@ func (w *barnesWork) computeCOM(ni int) (float64, [3]float64) {
 }
 
 // force walks the tree for one body, issuing a read per visited node.
-func (w *barnesWork) force(e prog.Env, bi int) [3]float64 {
+func (w *barnesWork) force(e *prog.Env, bi int) [3]float64 {
 	const eps = 0.05
 	var acc [3]float64
 	var walk func(ni int)
@@ -244,7 +244,7 @@ func (w *barnesWork) force(e prog.Env, bi int) [3]float64 {
 	return acc
 }
 
-func (w *barnesWork) Body(e prog.Env) {
+func (w *barnesWork) Body(e *prog.Env) {
 	me := e.ID()
 	lo, hi := blockRange(w.n, w.nprocs, me)
 	const dt = 0.01

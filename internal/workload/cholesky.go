@@ -99,7 +99,7 @@ func (w *cholWork) colAddr(j, r0 int) uint64 {
 	return w.base + uint64((j*w.n+r0)*8)
 }
 
-func (w *cholWork) Body(e prog.Env) {
+func (w *cholWork) Body(e *prog.Env) {
 	me := e.ID()
 	np := len(w.widths)
 	for k := 0; k < np; k++ {
@@ -131,7 +131,7 @@ func (w *cholWork) Body(e prog.Env) {
 
 // factorPanel performs the dense Cholesky factorization of panel k's
 // diagonal block and scales the sub-diagonal rows.
-func (w *cholWork) factorPanel(e prog.Env, k int) {
+func (w *cholWork) factorPanel(e *prog.Env, k int) {
 	c0 := w.starts[k]
 	width := w.widths[k]
 	for j := c0; j < c0+width; j++ {
@@ -157,7 +157,7 @@ func (w *cholWork) factorPanel(e prog.Env, k int) {
 }
 
 // updatePanel applies panel k's columns to panel j (right-looking cmod).
-func (w *cholWork) updatePanel(e prog.Env, j, k int) {
+func (w *cholWork) updatePanel(e *prog.Env, j, k int) {
 	cj, wj := w.starts[j], w.widths[j]
 	ck, wk := w.starts[k], w.widths[k]
 	for c := cj; c < cj+wj; c++ {

@@ -89,7 +89,7 @@ func (w *fftWork) Setup(m *machine.Machine) error {
 // line-sized column tiles (blocked transpose, as SPLASH-2 does). Reading a
 // column of the source touches one line of every source row in the tile:
 // this is the all-to-all communication.
-func (w *fftWork) transpose(e prog.Env, srcArr, dstArr []complex128, srcBase, dstBase uint64) {
+func (w *fftWork) transpose(e *prog.Env, srcArr, dstArr []complex128, srcBase, dstBase uint64) {
 	lo, hi := blockRange(w.m, w.nprocs, e.ID())
 	tile := int(w.ls) / 16 // complex elements per line
 	for r := lo; r < hi; r++ {
@@ -112,7 +112,7 @@ func (w *fftWork) transpose(e prog.Env, srcArr, dstArr []complex128, srcBase, ds
 // fftRows runs an in-place iterative radix-2 FFT over this processor's
 // rows of arr, touching each row's lines and charging the O(m log m)
 // butterfly work.
-func (w *fftWork) fftRows(e prog.Env, arr []complex128, base uint64) {
+func (w *fftWork) fftRows(e *prog.Env, arr []complex128, base uint64) {
 	lo, hi := blockRange(w.m, w.nprocs, e.ID())
 	logm := 0
 	for 1<<logm < w.m {
@@ -129,7 +129,7 @@ func (w *fftWork) fftRows(e prog.Env, arr []complex128, base uint64) {
 
 // twiddle applies the six-step algorithm's twiddle factors to this
 // processor's rows of dst.
-func (w *fftWork) twiddle(e prog.Env, arr []complex128, base uint64) {
+func (w *fftWork) twiddle(e *prog.Env, arr []complex128, base uint64) {
 	lo, hi := blockRange(w.m, w.nprocs, e.ID())
 	n := float64(w.m * w.m)
 	for r := lo; r < hi; r++ {
@@ -143,7 +143,7 @@ func (w *fftWork) twiddle(e prog.Env, arr []complex128, base uint64) {
 	}
 }
 
-func (w *fftWork) Body(e prog.Env) {
+func (w *fftWork) Body(e *prog.Env) {
 	// Step 1: transpose src -> dst.
 	w.transpose(e, w.src, w.dst, w.baseA, w.baseB)
 	e.Barrier()

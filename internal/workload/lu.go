@@ -99,15 +99,15 @@ func (w *luWork) blockBytes() int { return w.b * w.b * 8 }
 
 // touchRead / touchWrite issue the line-granular references for a block
 // access along with the arithmetic cost.
-func (w *luWork) touchRead(e prog.Env, bi, bj int) {
+func (w *luWork) touchRead(e *prog.Env, bi, bj int) {
 	w.readSpan(e, w.blockAddr(bi, bj), w.blockBytes())
 }
 
-func (w *luWork) touchWrite(e prog.Env, bi, bj int) {
+func (w *luWork) touchWrite(e *prog.Env, bi, bj int) {
 	w.writeSpan(e, w.blockAddr(bi, bj), w.blockBytes())
 }
 
-func (w *luWork) Body(e prog.Env) {
+func (w *luWork) Body(e *prog.Env) {
 	me := e.ID()
 	b := w.b
 	for k := 0; k < w.nb; k++ {
@@ -153,7 +153,7 @@ func (w *luWork) Body(e prog.Env) {
 }
 
 // updatePerimeterRow: A(k,j) <- L(k,k)^-1 A(k,j) (forward solve).
-func (w *luWork) updatePerimeterRow(e prog.Env, k, j int) {
+func (w *luWork) updatePerimeterRow(e *prog.Env, k, j int) {
 	b := w.b
 	kk, jj := k*b, j*b
 	for r := kk; r < kk+b; r++ {
@@ -171,7 +171,7 @@ func (w *luWork) updatePerimeterRow(e prog.Env, k, j int) {
 }
 
 // updatePerimeterCol: A(i,k) <- A(i,k) U(k,k)^-1.
-func (w *luWork) updatePerimeterCol(e prog.Env, i, k int) {
+func (w *luWork) updatePerimeterCol(e *prog.Env, i, k int) {
 	b := w.b
 	ii, kk := i*b, k*b
 	for c := kk; c < kk+b; c++ {
@@ -190,7 +190,7 @@ func (w *luWork) updatePerimeterCol(e prog.Env, i, k int) {
 }
 
 // updateInterior: A(i,j) -= A(i,k) * A(k,j).
-func (w *luWork) updateInterior(e prog.Env, i, j, k int) {
+func (w *luWork) updateInterior(e *prog.Env, i, j, k int) {
 	b := w.b
 	ii, jj, kk := i*b, j*b, k*b
 	for r := 0; r < b; r++ {

@@ -62,7 +62,7 @@ func (w *microWork) Setup(m *machine.Machine) error {
 	return nil
 }
 
-func (w *microWork) Body(e prog.Env) {
+func (w *microWork) Body(e *prog.Env) {
 	me := e.ID()
 	for i := 0; i < w.iters; i++ {
 		if (i*100/w.iters+me*37)%100 < w.sharePct {

@@ -64,7 +64,7 @@ func (w *oceanWork) Setup(m *machine.Machine) error {
 
 func (w *oceanWork) addr(i, j int) uint64 { return w.base + uint64((i*w.n+j)*8) }
 
-func (w *oceanWork) Body(e prog.Env) {
+func (w *oceanWork) Body(e *prog.Env) {
 	me := e.ID()
 	lo, hi := blockRange(w.n-2, w.nprocs, me)
 	lo++ // interior rows start at 1

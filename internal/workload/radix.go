@@ -80,7 +80,7 @@ func (w *radixWork) histAddr(p, d int) uint64 {
 	return w.histBase + uint64((p*w.radix+d)*8)
 }
 
-func (w *radixWork) Body(e prog.Env) {
+func (w *radixWork) Body(e *prog.Env) {
 	me := e.ID()
 	lo, hi := blockRange(w.n, w.nprocs, me)
 	digits := (w.keyBits + bitsOf(w.radix) - 1) / bitsOf(w.radix)

@@ -142,7 +142,7 @@ func (w *waterWork) pairForce(i, j int) [3]float64 {
 	return out
 }
 
-func (w *waterWork) Body(e prog.Env) {
+func (w *waterWork) Body(e *prog.Env) {
 	if w.nsq {
 		w.bodyNsq(e)
 	} else {
@@ -154,7 +154,7 @@ func (w *waterWork) Body(e prog.Env) {
 	e.Barrier()
 }
 
-func (w *waterWork) bodyNsq(e prog.Env) {
+func (w *waterWork) bodyNsq(e *prog.Env) {
 	me := e.ID()
 	lo, hi := blockRange(w.n, w.nprocs, me)
 	for s := 0; s < w.steps; s++ {
@@ -194,7 +194,7 @@ func (w *waterWork) bodyNsq(e prog.Env) {
 	}
 }
 
-func (w *waterWork) bodySpatial(e prog.Env) {
+func (w *waterWork) bodySpatial(e *prog.Env) {
 	me := e.ID()
 	nc := w.cells * w.cells * w.cells
 	cl, ch := blockRange(nc, w.nprocs, me)
@@ -235,7 +235,7 @@ func (w *waterWork) bodySpatial(e prog.Env) {
 }
 
 // cellPair accumulates forces of cell c's molecules from neighbour cell nb.
-func (w *waterWork) cellPair(e prog.Env, c, nb int) {
+func (w *waterWork) cellPair(e *prog.Env, c, nb int) {
 	for _, i := range w.cellList[c] {
 		e.Read(w.molAddr(i))
 		for _, j := range w.cellList[nb] {
@@ -253,13 +253,13 @@ func (w *waterWork) cellPair(e prog.Env, c, nb int) {
 	}
 }
 
-func (w *waterWork) integrate(e prog.Env, lo, hi int) {
+func (w *waterWork) integrate(e *prog.Env, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		w.integrateOne(e, i)
 	}
 }
 
-func (w *waterWork) integrateOne(e prog.Env, i int) {
+func (w *waterWork) integrateOne(e *prog.Env, i int) {
 	const dt = 0.005
 	m := &w.mols[i]
 	for d := 0; d < 3; d++ {

@@ -66,9 +66,15 @@ type Workload interface {
 	// simulated (the paper measures the parallel phase only).
 	Setup(m *machine.Machine) error
 	// Body is the per-processor program.
-	Body(e prog.Env)
+	Body(e *prog.Env)
 	// Verify checks the computation's result after the run.
 	Verify() error
+	// SetSeed offsets the kernel's fixed input seed, so different seeds
+	// produce different (but still deterministic) inputs and reference
+	// streams. Seed 0 is the identity: it leaves the kernel byte-identical
+	// to its unseeded form. Kernels whose inputs are fully deterministic
+	// (micro, ocean) ignore it.
+	SetSeed(seed int64)
 }
 
 // Run is the one way a workload runs on a machine: Setup, then the SPMD
@@ -112,25 +118,16 @@ func New(name string, size SizeClass, nprocs int) (Workload, error) {
 	return f(size, nprocs), nil
 }
 
-// Seedable is implemented by workloads whose input data is drawn from a
-// seeded generator. SetSeed offsets the kernel's fixed internal seed, so
-// different seeds produce different (but still deterministic) inputs and
-// reference streams; seed 0 is the identity and leaves the kernel
-// byte-identical to its unseeded form.
-type Seedable interface {
-	SetSeed(seed int64)
-}
-
-// NewSeeded creates the named workload and applies seed when it is non-zero
-// and the kernel draws seeded input data. Seed 0 always reproduces the
-// exact unseeded workload, keeping default runs cycle-identical.
+// NewSeeded creates the named workload and applies seed when it is
+// non-zero. Seed 0 always reproduces the exact unseeded workload, keeping
+// default runs cycle-identical.
 func NewSeeded(name string, size SizeClass, nprocs int, seed int64) (Workload, error) {
 	w, err := New(name, size, nprocs)
 	if err != nil {
 		return nil, err
 	}
-	if s, ok := w.(Seedable); ok && seed != 0 {
-		s.SetSeed(seed)
+	if seed != 0 {
+		w.SetSeed(seed)
 	}
 	return w, nil
 }
@@ -153,7 +150,7 @@ var PaperApps = []string{"lu", "water-sp", "barnes", "cholesky", "water-nsq", "f
 
 // spanner issues line-granular references using the machine's configured
 // cache-line size. Workloads embed one and initialize it in Setup; it also
-// carries the optional input seed, making every kernel Seedable.
+// carries the optional input seed and implements SetSeed for every kernel.
 type spanner struct {
 	ls   uint64 // line size in bytes
 	seed int64  // input-seed offset (0 = the kernel's fixed default)
@@ -161,12 +158,11 @@ type spanner struct {
 
 func (s *spanner) init(m *machine.Machine) { s.ls = uint64(m.Cfg.LineSize) }
 
-// SetSeed offsets the kernel's input-generation seed. Kernels whose inputs
-// are fully deterministic (micro, ocean) ignore it.
+// SetSeed offsets the kernel's input-generation seed.
 func (s *spanner) SetSeed(seed int64) { s.seed = seed }
 
 // readSpan issues one simulated read per cache line of [base, base+bytes).
-func (s *spanner) readSpan(e prog.Env, base uint64, bytes int) {
+func (s *spanner) readSpan(e *prog.Env, base uint64, bytes int) {
 	first := base &^ (s.ls - 1)
 	last := (base + uint64(bytes) - 1) &^ (s.ls - 1)
 	for a := first; a <= last; a += s.ls {
@@ -175,7 +171,7 @@ func (s *spanner) readSpan(e prog.Env, base uint64, bytes int) {
 }
 
 // writeSpan issues one simulated write per cache line of the span.
-func (s *spanner) writeSpan(e prog.Env, base uint64, bytes int) {
+func (s *spanner) writeSpan(e *prog.Env, base uint64, bytes int) {
 	first := base &^ (s.ls - 1)
 	last := (base + uint64(bytes) - 1) &^ (s.ls - 1)
 	for a := first; a <= last; a += s.ls {

@@ -61,6 +61,41 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestSeedZeroIsUnseeded checks that NewSeeded with seed 0 builds every
+// kernel exactly as New does: the same execution time, instructions and
+// controller arrivals on the same machine.
+func TestSeedZeroIsUnseeded(t *testing.T) {
+	for _, name := range Names() {
+		var got [2][3]uint64
+		for i := range got {
+			cfg := config.Base()
+			cfg.Nodes, cfg.ProcsPerNode = 2, 1
+			cfg.SimLimit = 2_000_000_000
+			m, err := machine.New(cfg, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var w Workload
+			if i == 0 {
+				w, err = New(name, SizeTest, m.NProcs())
+			} else {
+				w, err = NewSeeded(name, SizeTest, m.NProcs(), 0)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := Run(m, w)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got[i] = [3]uint64{uint64(r.ExecTime), r.Instructions, r.TotalArrivals()}
+		}
+		if got[0] != got[1] {
+			t.Errorf("%s: seed 0 gives (exec, instructions, arrivals) %v, unseeded %v", name, got[1], got[0])
+		}
+	}
+}
+
 func TestLU(t *testing.T)       { runWorkload(t, "lu", 2, 2) }
 func TestFFT(t *testing.T)      { runWorkload(t, "fft", 2, 2) }
 func TestRadix(t *testing.T)    { runWorkload(t, "radix", 2, 2) }
