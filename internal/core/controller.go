@@ -151,7 +151,7 @@ type mshrEntry struct {
 	// the order they were armed and only the last one is live. timeoutFn
 	// is the entry's timer, bound on its first armTimeout.
 	timeouts  int
-	timeoutFn func()
+	timeoutFn sim.Func
 
 	recycled
 }
@@ -216,10 +216,13 @@ type engine struct {
 	q         [3][]*work
 	busy      bool
 	netStreak int // consecutive network-request dispatches while bus waits
-	// idleFn is idle, bound once: dispatch and StallEngine schedule it at
-	// the end of every occupancy without allocating.
-	idleFn func()
 }
+
+// idleStep ends an engine's occupancy: dispatch and StallEngine schedule
+// it as (*idleStep)(e), which allocates nothing.
+type idleStep engine
+
+func (s *idleStep) Fire() { (*engine)(s).idle() }
 
 // New creates a controller, attaching it to the node's bus and to the
 // network. msgs is the message pool of the controllers on eng. st receives
@@ -245,9 +248,7 @@ func New(eng *sim.Engine, cfg *config.Config, node int, bus *smpbus.Bus,
 		msgs:    msgs,
 	}
 	for i := 0; i < cfg.NodeEngineCount(node); i++ {
-		e := &engine{cc: cc, idx: i}
-		e.idleFn = e.idle
-		cc.engines = append(cc.engines, e)
+		cc.engines = append(cc.engines, &engine{cc: cc, idx: i})
 	}
 	bus.AttachController(cc)
 	net.Attach(node, cc.deliver)
@@ -508,7 +509,7 @@ func (cc *Controller) StallEngine(idx int, dur sim.Time) bool {
 		return false
 	}
 	e.busy = true
-	cc.eng.After(dur, e.idleFn)
+	cc.eng.After(dur, (*idleStep)(e))
 	return true
 }
 
@@ -657,7 +658,7 @@ func (e *engine) dispatch(w *work) {
 	if !w.parked {
 		cc.freeWork(w)
 	}
-	cc.eng.At(now+occ, e.idleFn)
+	cc.eng.At(now+occ, (*idleStep)(e))
 }
 
 // charge computes a handler's total occupancy and its action time (the

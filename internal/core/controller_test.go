@@ -123,12 +123,12 @@ func TestRemoteMissRoundTrip(t *testing.T) {
 	r.buses[0].AttachSnooper(silentSnooper{})
 
 	var out *smpbus.Outcome
-	r.eng.At(0, func() {
+	r.eng.At(0, sim.Func(func() {
 		r.buses[1].Issue(&smpbus.Txn{
 			Kind: smpbus.Read, Line: line, Src: 0, HomeLocal: false,
 			Done: func(o smpbus.Outcome) { c := o; out = &c },
 		})
-	})
+	}))
 	if _, err := r.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +166,12 @@ func TestForceNackOnlyOnRobust(t *testing.T) {
 		r.buses[0].AttachSnooper(silentSnooper{})
 		r.ccs[0].ForceNackNext(1)
 		var out *smpbus.Outcome
-		r.eng.At(0, func() {
+		r.eng.At(0, sim.Func(func() {
 			r.buses[1].Issue(&smpbus.Txn{
 				Kind: smpbus.Read, Line: line, Src: 0, HomeLocal: false,
 				Done: func(o smpbus.Outcome) { c := o; out = &c },
 			})
-		})
+		}))
 		if _, err := r.eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestRemoteReadExSetsDirty(t *testing.T) {
 	r.buses[0].AttachSnooper(silentSnooper{})
 	r.buses[1].AttachSnooper(silentSnooper{})
 	done := false
-	r.eng.At(0, func() {
+	r.eng.At(0, sim.Func(func() {
 		r.buses[1].Issue(&smpbus.Txn{
 			Kind: smpbus.ReadEx, Line: line, Src: 0, HomeLocal: false,
 			Done: func(o smpbus.Outcome) {
@@ -206,7 +206,7 @@ func TestRemoteReadExSetsDirty(t *testing.T) {
 				}
 			},
 		})
-	})
+	}))
 	if _, err := r.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestWriteBackClearsDirectory(t *testing.T) {
 	r := newRig(t, nil)
 	line := r.space.AllocOnNode(4096, 0)
 	r.ccs[0].dir.Write(0, line, directory.Entry{State: directory.DirtyRemote, Owner: 1})
-	r.eng.At(0, func() { r.ccs[1].CaptureWriteBack(line, false, 0) })
+	r.eng.At(0, sim.Func(func() { r.ccs[1].CaptureWriteBack(line, false, 0) }))
 	if _, err := r.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestWriteBackSharedLeftKeepsSharer(t *testing.T) {
 	r := newRig(t, nil)
 	line := r.space.AllocOnNode(4096, 0)
 	r.ccs[0].dir.Write(0, line, directory.Entry{State: directory.DirtyRemote, Owner: 1})
-	r.eng.At(0, func() { r.ccs[1].CaptureWriteBack(line, true, 0) })
+	r.eng.At(0, sim.Func(func() { r.ccs[1].CaptureWriteBack(line, true, 0) }))
 	if _, err := r.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +541,7 @@ func TestStaleTimeoutDoesNothing(t *testing.T) {
 	if first.timeouts != 1 {
 		t.Fatalf("closed entry counts %d armed timeouts, want 1", first.timeouts)
 	}
-	r.eng.At(fires-20, read)
+	r.eng.At(fires-20, sim.Func(read))
 	r.stepUntil(t, func() bool { return cc.mshr[line] != nil })
 	if second := cc.mshr[line]; second != first {
 		t.Fatal("the second miss did not reuse the entry its fill recycled")
@@ -585,7 +585,7 @@ func TestTimeoutsHoldNoEntry(t *testing.T) {
 				}
 			}})
 	}
-	r.eng.At(0, read)
+	r.eng.At(0, sim.Func(read))
 	if _, err := r.eng.Run(); err != nil {
 		t.Fatal(err)
 	}

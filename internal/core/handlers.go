@@ -221,7 +221,7 @@ func (cc *Controller) fetchForOp(at sim.Time, op *homeOp, exclusive bool) {
 	}
 	t := cc.newTxn(kind, op.line, true, (*Controller).homeFetched)
 	t.op, t.gen = op, op.gen
-	cc.eng.At(at, t.issueFn)
+	cc.eng.At(at, (*issueStep)(t))
 }
 
 // homeFetched collects the data of an op's home fetch.
@@ -490,7 +490,7 @@ func (cc *Controller) ownerFetch(w *work, exclusive bool) sim.Time {
 	t := cc.newTxn(kind, line, false, (*Controller).interventionDone)
 	t.home, t.requester, t.excl, t.fromHome = home, msg.Requester, exclusive, fromHome
 	t.spanID, t.spanEpoch = msg.Txn, msg.Epoch
-	cc.eng.At(act, t.issueFn)
+	cc.eng.At(act, (*issueStep)(t))
 	return occ
 }
 
@@ -546,7 +546,7 @@ func (cc *Controller) sharerInval(w *work) sim.Time {
 	occ, act := cc.charge(protocol.HInvalAtSharer, 0, 0)
 	t := cc.newTxn(smpbus.Inval, line, false, (*Controller).invalDone)
 	t.home = home
-	cc.eng.At(act, t.issueFn)
+	cc.eng.At(act, (*issueStep)(t))
 	return occ
 }
 
@@ -748,5 +748,5 @@ func (cc *Controller) finishIfReadyNoResponse(op *homeOp) {
 func (cc *Controller) memoryWrite(at sim.Time, line uint64, data uint64) {
 	t := cc.newTxn(smpbus.WriteBack, line, true, nil)
 	t.Data = data
-	cc.eng.At(at, t.issueFn)
+	cc.eng.At(at, (*issueStep)(t))
 }

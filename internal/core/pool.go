@@ -107,10 +107,10 @@ func (cc *Controller) freeMSHR(m *mshrEntry) {
 // ---- continuations ---------------------------------------------------------
 
 // cont is a controller method waiting to run on a home op or an MSHR entry,
-// at a scheduled cycle or when a parked bus transaction completes. gen is
-// the object's generation when the cont was armed: the method runs only if
-// the object has not retired since. fireFn and doneFn are fire and done,
-// bound once per cont.
+// at a scheduled cycle (the cont is the action scheduled) or when a parked
+// bus transaction completes. gen is the object's generation when the cont
+// was armed: the method runs only if the object has not retired since.
+// doneFn is done, bound once per cont.
 type cont struct {
 	cc   *Controller
 	op   *homeOp
@@ -125,7 +125,6 @@ type cont struct {
 	// orig is the parked transaction's own Done, which runs first.
 	orig func(smpbus.Outcome)
 
-	fireFn func()
 	doneFn func(smpbus.Outcome)
 }
 
@@ -133,17 +132,16 @@ func (cc *Controller) newCont() *cont {
 	k := cc.conts.Get()
 	if k == nil {
 		k = &cont{cc: cc}
-		k.fireFn = k.fire
 		k.doneFn = k.done
 	}
 	return k
 }
 
-// fire is a cont's scheduled event.
-func (k *cont) fire() {
+// Fire is a cont's scheduled event.
+func (k *cont) Fire() {
 	if k.delayed {
 		k.delayed = false
-		k.cc.eng.After(k.delay, k.fireFn)
+		k.cc.eng.After(k.delay, k)
 		return
 	}
 	k.run()
@@ -160,7 +158,7 @@ func (k *cont) done(o smpbus.Outcome) {
 // the generation the cont was armed in.
 func (k *cont) run() {
 	cc, op, opFn, m, mFn, gen := k.cc, k.op, k.opFn, k.m, k.mFn, k.gen
-	*k = cont{cc: cc, fireFn: k.fireFn, doneFn: k.doneFn}
+	*k = cont{cc: cc, doneFn: k.doneFn}
 	cc.conts.Put(k)
 	if op != nil {
 		if op.gen == gen {
@@ -175,7 +173,7 @@ func (k *cont) run() {
 func (cc *Controller) opAt(at sim.Time, fn func(*Controller, *homeOp), op *homeOp) {
 	k := cc.newCont()
 	k.op, k.opFn, k.gen = op, fn, op.gen
-	cc.eng.At(at, k.fireFn)
+	cc.eng.At(at, k)
 }
 
 // opOnDone runs fn on op when the parked transaction txn completes, after
@@ -191,7 +189,7 @@ func (cc *Controller) opOnDone(txn *smpbus.Txn, fn func(*Controller, *homeOp), o
 func (cc *Controller) mshrAt(at sim.Time, fn func(*Controller, *mshrEntry), m *mshrEntry) {
 	k := cc.newCont()
 	k.m, k.mFn, k.gen = m, fn, m.gen
-	cc.eng.At(at, k.fireFn)
+	cc.eng.At(at, k)
 }
 
 // mshrAtAfter runs fn on m delay cycles after cycle at, scheduling the
@@ -200,7 +198,7 @@ func (cc *Controller) mshrAtAfter(at, delay sim.Time, fn func(*Controller, *mshr
 	k := cc.newCont()
 	k.m, k.mFn, k.gen = m, fn, m.gen
 	k.delay, k.delayed = delay, true
-	cc.eng.At(at, k.fireFn)
+	cc.eng.At(at, k)
 }
 
 // mshrOnDone runs fn on m when the parked transaction txn completes, after
@@ -216,10 +214,9 @@ func (cc *Controller) mshrOnDone(txn *smpbus.Txn, fn func(*Controller, *mshrEntr
 // ccTxn is a bus transaction the controller issues on its own behalf: a
 // home fetch for an op, an intervention at the owner, an invalidation at a
 // sharer, or a home memory write. then is the controller method its
-// completion runs (nil for a memory write). issueFn and the embedded Txn's
-// Done are issue and done, bound once per ccTxn; the bus binds its own
-// callbacks on the first issue, so a recycled ccTxn issues without
-// allocating.
+// completion runs (nil for a memory write). The embedded Txn's Done is
+// done, bound once per ccTxn, and the issue is an issueStep, so a recycled
+// ccTxn issues without allocating.
 type ccTxn struct {
 	smpbus.Txn
 	cc   *Controller
@@ -236,9 +233,12 @@ type ccTxn struct {
 	excl, fromHome  bool
 	spanID          uint64
 	spanEpoch       uint32
-
-	issueFn func()
 }
+
+// issueStep puts a controller transaction on the bus at its action time.
+type issueStep ccTxn
+
+func (s *issueStep) Fire() { t := (*ccTxn)(s); t.cc.bus.Issue(&t.Txn) }
 
 // newTxn returns an idle controller transaction of kind on line, carrying
 // no data, completed by then. The caller sets the fields its completion
@@ -250,13 +250,10 @@ func (cc *Controller) newTxn(kind smpbus.Kind, line uint64, homeLocal bool,
 		t = &ccTxn{cc: cc}
 		t.Src = smpbus.CCSrc
 		t.Done = t.done
-		t.issueFn = t.issue
 	}
 	t.Kind, t.Line, t.HomeLocal, t.Data, t.then = kind, line, homeLocal, 0, then
 	return t
 }
-
-func (t *ccTxn) issue() { t.cc.bus.Issue(&t.Txn) }
 
 // done runs the completion, unless the transaction fetched for an op that
 // has retired since, and recycles the transaction.

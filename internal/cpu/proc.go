@@ -71,23 +71,17 @@ type Proc struct {
 	// and cur stays valid until then.
 	co  *prog.Program
 	cur *prog.Op
-	// resumeFn and execFn are resumeProgram and the cur executor, bound
-	// once so that scheduling them on every reference allocates nothing.
-	resumeFn func()
-	execFn   func()
 
-	// syncCb, when set, receives the completion of an access issued by the
+	// syncCb, when set, fires at the completion of an access issued by the
 	// synchronization layer instead of resuming the program.
-	syncCb func()
+	syncCb sim.Action
 
 	// miss is the bus transaction of the in-flight miss or upgrade, issued
 	// again for every attempt: an in-order processor has at most one in
-	// flight. Its Line and Kind name the access between attempts. issueFn,
-	// retryFn and missDoneFn are issueMiss, retryAccess and missDone for
-	// it, bound once so that neither an issue nor a retry allocates.
+	// flight. Its Line and Kind name the access between attempts.
+	// missDoneFn is missDone for it, bound once so that an issue does not
+	// allocate.
 	miss       smpbus.Txn
-	issueFn    func()
-	retryFn    func()
 	missDoneFn func(smpbus.Outcome)
 
 	// wbFree holds the processor's idle write-back transactions. Several
@@ -135,10 +129,6 @@ func New(eng *sim.Engine, cfg *config.Config, id, node int, bus *smpbus.Bus,
 		l1:    cache.New(cfg.L1Size, cfg.L1Assoc, cfg.LineSize),
 		l2:    cache.New(cfg.L2Size, cfg.L2Assoc, cfg.LineSize),
 	}
-	p.resumeFn = p.resumeProgram
-	p.execFn = func() { p.execOp(p.cur) }
-	p.issueFn = func() { p.issueMiss(p.miss.Line, p.miss.Kind) }
-	p.retryFn = func() { p.retryAccess(p.miss.Line, p.miss.Kind) }
 	p.missDoneFn = func(o smpbus.Outcome) {
 		p.missDone(p.miss.Line, p.miss.Kind, p.miss.RequesterOwns, o)
 	}
@@ -146,6 +136,21 @@ func New(eng *sim.Engine, cfg *config.Config, id, node int, bus *smpbus.Bus,
 	p.miss.Src = p.src
 	return p
 }
+
+// The processor's scheduled steps, one type each over Proc, scheduled as
+// (*resumeStep)(p) and so on: converting the processor to a step allocates
+// nothing.
+type (
+	resumeStep Proc // takes and models the program's next operation
+	execStep   Proc // executes cur once its compute cycles have elapsed
+	issueStep  Proc // issues the in-flight miss
+	retryStep  Proc // re-evaluates the in-flight miss after a bounce
+)
+
+func (s *resumeStep) Fire() { (*Proc)(s).resumeProgram() }
+func (s *execStep) Fire()   { p := (*Proc)(s); p.execOp(p.cur) }
+func (s *issueStep) Fire()  { p := (*Proc)(s); p.issueMiss(p.miss.Line, p.miss.Kind) }
+func (s *retryStep) Fire()  { p := (*Proc)(s); p.retryAccess(p.miss.Line, p.miss.Kind) }
 
 // ID returns the processor's global index.
 func (p *Proc) ID() int { return p.id }
@@ -253,7 +258,7 @@ func (p *Proc) AddCounters(counters map[string]uint64) {
 // The program must use only the provided Env for shared-memory access.
 func (p *Proc) Run(program func(*prog.Env)) {
 	p.co = prog.Start(p.id, p.node, program)
-	p.eng.At(p.eng.Now(), p.resumeFn)
+	p.eng.At(p.eng.Now(), (*resumeStep)(p))
 }
 
 // Stop releases the program coroutine: a program parked mid-operation
@@ -272,12 +277,12 @@ func (p *Proc) Resume() {
 }
 
 // ResumeAt continues a parked processor at cycle t of its own engine.
-func (p *Proc) ResumeAt(t sim.Time) { p.eng.At(t, p.resumeFn) }
+func (p *Proc) ResumeAt(t sim.Time) { p.eng.At(t, (*resumeStep)(p)) }
 
 // SyncAccess models a load/store issued by the synchronization layer on
 // behalf of the parked program (a lock-line acquisition or release). done
-// runs at completion instead of resuming the program.
-func (p *Proc) SyncAccess(addr uint64, write bool, done func()) {
+// fires at completion instead of resuming the program.
+func (p *Proc) SyncAccess(addr uint64, write bool, done sim.Action) {
 	if p.syncCb != nil {
 		panic("cpu: overlapping SyncAccess")
 	}
@@ -302,7 +307,7 @@ func (p *Proc) resumeProgram() {
 	if o.Comp > 0 && o.Kind != prog.Done {
 		p.instructions += uint64(o.Comp)
 		p.cur = o
-		p.eng.After(sim.Time(o.Comp), p.execFn)
+		p.eng.After(sim.Time(o.Comp), (*execStep)(p))
 		return
 	}
 	p.execOp(o)
@@ -398,7 +403,7 @@ func (p *Proc) access(addr uint64, write bool) {
 		if write {
 			p.miss.Kind = smpbus.ReadEx
 		}
-		p.eng.After(p.cfg.L2MissDetect, p.issueFn)
+		p.eng.After(p.cfg.L2MissDetect, (*issueStep)(p))
 	case !write:
 		p.l2Hits++
 		p.lastRead = p.l2.Word(w)
@@ -420,7 +425,7 @@ func (p *Proc) access(addr uint64, write bool) {
 func (p *Proc) upgrade(line uint64) {
 	p.upgrades++
 	p.miss.Line, p.miss.Kind = line, smpbus.Upgrade
-	p.eng.After(p.cfg.L2MissDetect, p.issueFn)
+	p.eng.After(p.cfg.L2MissDetect, (*issueStep)(p))
 }
 
 // requesterOwns reports whether an Upgrade should carry the
@@ -474,7 +479,7 @@ func (p *Proc) missDone(line uint64, kind smpbus.Kind, owned bool, o smpbus.Outc
 	case smpbus.RetryNeeded:
 		p.retries++
 		p.tr.SpanBegin(p.missTxn, obs.StageBackoff, 0, p.eng.Now())
-		p.eng.After(p.busBackoff(), p.retryFn)
+		p.eng.After(p.busBackoff(), (*retryStep)(p))
 		return
 	case smpbus.OK:
 		p.retryStreak = 0
@@ -505,7 +510,7 @@ func (p *Proc) missDone(line uint64, kind smpbus.Kind, owned bool, o smpbus.Outc
 			// Owned: a home-initiated intervention may have downgraded or
 			// invalidated it while the upgrade was in flight, in which
 			// case global ownership moved and we must restart.
-			p.eng.After(p.cfg.BusRetry, p.retryFn) // retries the Upgrade
+			p.eng.After(p.cfg.BusRetry, (*retryStep)(p)) // retries the Upgrade
 			return
 		}
 		if st == cache.Invalid {
@@ -586,14 +591,18 @@ func (p *Proc) installL1(line uint64, w cache.Way) {
 	p.l1.SetWord(w1, uint64(w))
 }
 
-// wbTxn is an eviction write-back in flight. Its Done and retryFn are done
-// and reissue, bound once per wbTxn, and the bus binds its own callbacks on
-// the first issue, so a recycled write-back issues without allocating.
+// wbTxn is an eviction write-back in flight. Its Done is done, bound once
+// per wbTxn, and its re-issue after a bounce is a wbRetryStep, so a
+// recycled write-back issues without allocating.
 type wbTxn struct {
 	smpbus.Txn
-	p       *Proc
-	retryFn func()
+	p *Proc
 }
+
+// wbRetryStep re-issues a bounced write-back.
+type wbRetryStep wbTxn
+
+func (s *wbRetryStep) Fire() { (*wbTxn)(s).reissue() }
 
 // writeBack issues an eviction write-back of line carrying its value v
 // (fire and forget; the write-back buffer is not a modelled resource
@@ -605,7 +614,6 @@ func (p *Proc) writeBack(line, v uint64) {
 		t = &wbTxn{p: p}
 		t.Kind, t.Src = smpbus.WriteBack, p.src
 		t.Done = t.done
-		t.retryFn = t.reissue
 	}
 	t.Line, t.Data = line, v
 	t.reissue()
@@ -623,7 +631,7 @@ func (t *wbTxn) reissue() {
 // recycles a completed one.
 func (t *wbTxn) done(o smpbus.Outcome) {
 	if o.Status == smpbus.RetryNeeded {
-		t.p.eng.After(t.p.cfg.BusRetry, t.retryFn)
+		t.p.eng.After(t.p.cfg.BusRetry, (*wbRetryStep)(t))
 		return
 	}
 	t.p.wbFree.Put(t)
@@ -646,7 +654,7 @@ func (p *Proc) finishAccess(extra sim.Time) {
 		p.eng.After(extra, cb)
 		return
 	}
-	p.eng.After(extra, p.resumeFn)
+	p.eng.After(extra, (*resumeStep)(p))
 }
 
 // Snoop implements the bus snooping agent for this processor's caches. It

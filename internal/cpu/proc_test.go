@@ -296,14 +296,14 @@ func TestL1LinkFollowsRefill(t *testing.T) {
 			return
 		}
 		s := steps[i]
-		p.SyncAccess(s.addr, s.write, func() {
+		p.SyncAccess(s.addr, s.write, sim.Func(func() {
 			if s.check != nil {
 				s.check()
 			}
 			next(i + 1)
-		})
+		}))
 	}
-	eng.At(0, func() { next(0) })
+	eng.At(0, sim.Func(func() { next(0) }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -341,9 +341,9 @@ func TestSyncAccessCallback(t *testing.T) {
 	base := space.Alloc(4096)
 	p := ps[0]
 	fired := false
-	eng.At(0, func() {
-		p.SyncAccess(base, true, func() { fired = true })
-	})
+	eng.At(0, sim.Func(func() {
+		p.SyncAccess(base, true, sim.Func(func() { fired = true }))
+	}))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -364,24 +364,11 @@ func TestOverlappingSyncAccessPanics(t *testing.T) {
 			t.Error("overlapping SyncAccess did not panic")
 		}
 	}()
-	eng.At(0, func() {
-		p.SyncAccess(base, true, func() {})
-		p.SyncAccess(base+128, true, func() {})
-	})
+	eng.At(0, sim.Func(func() {
+		p.SyncAccess(base, true, sim.Func(func() {}))
+		p.SyncAccess(base+128, true, sim.Func(func() {}))
+	}))
 	_, _ = eng.Run()
-}
-
-func TestReadWriteRangeHelpers(t *testing.T) {
-	eng, _, space, _, ps := testRig(t, 1)
-	base := space.Alloc(4096)
-	run(t, eng, ps, func(e *prog.Env) {
-		e.ReadRange(base, 16)
-		e.WriteRange(base, 16)
-	})
-	c := counters(ps[0])
-	if c["reads"] != 16 || c["writes"] != 16 {
-		t.Fatalf("reads=%d writes=%d, want 16/16", c["reads"], c["writes"])
-	}
 }
 
 // TestAddCountersAccumulates checks that AddCounters adds to what the map
@@ -390,7 +377,11 @@ func TestReadWriteRangeHelpers(t *testing.T) {
 func TestAddCountersAccumulates(t *testing.T) {
 	eng, _, space, _, ps := testRig(t, 1)
 	base := space.Alloc(4096)
-	run(t, eng, ps, func(e *prog.Env) { e.ReadRange(base, 16) })
+	run(t, eng, ps, func(e *prog.Env) {
+		for i := 0; i < 16; i++ {
+			e.Read(base + uint64(i*8))
+		}
+	})
 	c := map[string]uint64{"reads": 4}
 	ps[0].AddCounters(c)
 	ps[0].AddCounters(c)
@@ -458,7 +449,7 @@ func (c *wrappingCC) AcceptDeferred(txn *smpbus.Txn) {
 			orig(o)
 		}
 	}
-	c.eng.After(100, func() { c.bus.Supply(txn, true, true, 0) })
+	c.eng.After(100, sim.Func(func() { c.bus.Supply(txn, true, true, 0) }))
 }
 
 func (c *wrappingCC) CaptureWriteBack(uint64, bool, uint64) {}
@@ -549,10 +540,10 @@ func TestWriteBackCarriesVictimValue(t *testing.T) {
 		// it live (not parked with the controller) throughout.
 		blocker := &smpbus.Txn{Kind: smpbus.Read, Line: victim, Src: other.src, HomeLocal: true,
 			Done: func(smpbus.Outcome) {}}
-		eng.At(0, func() {
+		eng.At(0, sim.Func(func() {
 			bus.Issue(blocker)
 			p.installL2(victim+uint64(cfg.L2Assoc)*stride, cache.Exclusive, 0)
-		})
+		}))
 		if _, err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}

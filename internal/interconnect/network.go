@@ -3,6 +3,12 @@
 // (70 ns in the base system), and external point contention modelled as
 // FIFO queueing on each node's network-interface input and output ports.
 // Payloads are opaque to the network; the coherence protocol lives above.
+//
+// A message crosses the network in a frame, one step at a time (send,
+// launch, a hop per mesh link, admit, land, arrive), each step a named
+// pointer type over the frame that the engine fires directly. A frame has
+// at most one step in flight, and frames are recycled, so a message
+// crosses the network without allocating.
 package interconnect
 
 import (
@@ -76,12 +82,13 @@ type discardFrame struct {
 // the mesh's links) and arrival, one step after another: send, launch,
 // admit, land and arrive (hopped for each mesh link between launch and
 // admit). While a frame waits in the NI output buffer or a go-back-N hold
-// it has no step in flight. Every step runs through one callback, bound
-// when the frame is allocated, which runs the step named in step;
-// scheduling a second step while one is in flight panics. Frames are
-// recycled through per-engine free lists, so a recycled frame crosses the
-// network without allocating.
+// it has no step in flight. Each step is a named pointer type over frame
+// (sendStep, launchStep, ...) whose Fire runs it, so scheduling one
+// allocates nothing; scheduling a second step while one is in flight
+// panics. Frames are recycled through per-engine free lists, so a recycled
+// frame crosses the network without allocating.
 type frame struct {
+	n        *Network
 	src, dst int
 	flits    int
 	payload  interface{}
@@ -92,48 +99,62 @@ type frame struct {
 	ser, head sim.Time
 	// at is the mesh node the head flit has reached (TopoMesh2D only).
 	at int
-
-	// step is the network step scheduled for this frame (nil when none
-	// is), and stepFn the callback that runs it.
-	step   func(*Network, *frame)
-	stepFn func()
+	// stepping is set while one of the frame's steps is scheduled.
+	stepping bool
 }
 
-// then names step as f's next step and returns the callback that runs it,
-// for the caller to schedule. A frame with a step already in flight would
-// run only one of the two, so scheduling a second panics.
-func (f *frame) then(step func(*Network, *frame)) func() {
-	if f.step != nil {
+// arm records that a step of f is being scheduled. A frame with a step
+// already in flight would run only one of the two, so arming a second
+// panics.
+func (f *frame) arm() {
+	if f.stepping {
 		panic(fmt.Sprintf("interconnect: frame %d->%d scheduled a network step with another in flight", f.src, f.dst))
 	}
-	f.step = step
-	return f.stepFn
+	f.stepping = true
 }
 
-// runStep runs f's scheduled step, clearing it first so that the step can
-// schedule the next.
-func (n *Network) runStep(f *frame) {
-	step := f.step
-	f.step = nil
-	step(n, f)
+// fired records that f's step is running, so that the step can schedule
+// the next, and returns the network it runs on.
+func (f *frame) fired() *Network {
+	f.stepping = false
+	return f.n
 }
+
+// The network steps, one type each, scheduled as (*launchStep)(f) and so
+// on.
+type (
+	sendStep   frame // the source NI accepts the message
+	launchStep frame // the output port grant
+	hopStep    frame // a mesh link grant
+	admitStep  frame // the admission to the destination's input port
+	landStep   frame // the input port grant
+	arriveStep frame // the last flit's arrival
+)
+
+func (s *sendStep) Fire()   { f := (*frame)(s); f.fired().send(f) }
+func (s *launchStep) Fire() { f := (*frame)(s); f.fired().launch(f) }
+func (s *hopStep) Fire()    { f := (*frame)(s); f.fired().hopped(f) }
+func (s *admitStep) Fire()  { f := (*frame)(s); f.fired().admit(f) }
+func (s *landStep) Fire()   { f := (*frame)(s); f.fired().land(f) }
+func (s *arriveStep) Fire() { f := (*frame)(s); f.fired().arrive(f) }
 
 // pairHold is a go-back-N recovery window on one (src, dst) pair: the
 // frames queued here re-enter the send path, in order, when the window
-// closes. The coherence protocol relies on per-pair FIFO delivery (an
-// ownership grant must reach the new owner before a later intervention),
-// and the fault-free network provides it via its port FIFOs — so the
-// reliable link layer must preserve it too: a retransmitted or delayed
-// frame holds everything behind it on the same pair instead of being
-// overtaken.
+// closes (the window is the action scheduled to close it). The coherence
+// protocol relies on per-pair FIFO delivery (an ownership grant must reach
+// the new owner before a later intervention), and the fault-free network
+// provides it via its port FIFOs — so the reliable link layer must
+// preserve it too: a retransmitted or delayed frame holds everything
+// behind it on the same pair instead of being overtaken.
 type pairHold struct {
 	n      *Network
 	pair   int // the window's index in Network.hold
 	frames []*frame
 }
 
-// close ends the window: the held frames re-enter the send path in order.
-func (h *pairHold) close() {
+// Fire closes the window: the held frames re-enter the send path in
+// order.
+func (h *pairHold) Fire() {
 	h.n.hold[h.pair] = nil
 	for _, f := range h.frames {
 		h.n.enqueue(f)
@@ -190,9 +211,18 @@ type Network struct {
 	// it receives reuses the frames its engine's other nodes received.
 	free []sim.FreeList[frame]
 	pool []int
-	// drainFns[node] is portDrained for that node, bound once.
-	drainFns []func()
+	// drains[node] is the action that runs portDrained for that node.
+	drains []portDrain
 }
+
+// portDrain is the action that frees one slot of a node's NI output
+// buffer when a frame has serialized onto the wire.
+type portDrain struct {
+	n    *Network
+	node int
+}
+
+func (d *portDrain) Fire() { d.n.portDrained(d.node) }
 
 // New creates the network for the configured node count; engs[i] is the
 // engine that owns node i. The mesh topology routes through per-hop links
@@ -213,7 +243,7 @@ func New(engs []*sim.Engine, cfg *config.Config, tr *obs.Tracer) *Network {
 		outWait:   make([][]*frame, cfg.Nodes),
 		hold:      make([]*pairHold, cfg.Nodes*cfg.Nodes),
 		pool:      make([]int, cfg.Nodes),
-		drainFns:  make([]func(), cfg.Nodes),
+		drains:    make([]portDrain, cfg.Nodes),
 	}
 	pools := make(map[*sim.Engine]int)
 	for i := 0; i < cfg.Nodes; i++ {
@@ -226,8 +256,7 @@ func New(engs []*sim.Engine, cfg *config.Config, tr *obs.Tracer) *Network {
 		n.pool[i] = p
 		n.out[i] = sim.MakeResource(engs[i])
 		n.in[i] = sim.MakeResource(engs[i])
-		node := i
-		n.drainFns[i] = func() { n.portDrained(node) }
+		n.drains[i] = portDrain{n: n, node: i}
 	}
 	if cfg.Topology == config.TopoMesh2D {
 		n.mesh = newMesh(engs[0], cfg.Nodes)
@@ -262,12 +291,12 @@ func (n *Network) Attach(node int, h Handler) {
 // the last flit has arrived.
 func (n *Network) Send(at sim.Time, src, dst, flitCount int, payload interface{}) {
 	f := n.frameFor(src, dst, flitCount, payload)
-	n.engs[src].At(at, f.then((*Network).send))
+	f.arm()
+	n.engs[src].At(at, (*sendStep)(f))
 }
 
 // frameFor takes a frame for one message from the free list of src's
-// engine, allocating a new one and binding its callback when the list is
-// empty.
+// engine, allocating a new one when the list is empty.
 func (n *Network) frameFor(src, dst, flitCount int, payload interface{}) *frame {
 	if src < 0 || src >= len(n.out) || dst < 0 || dst >= len(n.in) {
 		panic(fmt.Sprintf("interconnect: send %d->%d out of range", src, dst))
@@ -277,8 +306,7 @@ func (n *Network) frameFor(src, dst, flitCount int, payload interface{}) *frame 
 	}
 	f := n.free[n.pool[src]].Get()
 	if f == nil {
-		f = &frame{}
-		f.stepFn = func() { n.runStep(f) }
+		f = &frame{n: n}
 	}
 	f.src, f.dst, f.flits, f.payload, f.delay = src, dst, flitCount, payload, 0
 	return f
@@ -362,9 +390,7 @@ func (n *Network) holdPair(src, dst int, delay sim.Time, f *frame) {
 	}
 	h := &pairHold{n: n, pair: k, frames: []*frame{f}}
 	n.hold[k] = h
-	// A window opens only during fault recovery, so its close is bound
-	// once per window.
-	n.engs[src].After(delay, h.close)
+	n.engs[src].After(delay, h)
 }
 
 // pair returns the index of the (src, dst) pair in hold.
@@ -393,7 +419,8 @@ func (n *Network) transmit(f *frame) {
 		n.tr.NetSend(n.engs[f.src].Now(), f.src, f.dst, name, line, f.flits)
 	}
 	f.ser = sim.Time(f.flits) * n.cfg.NetFlitTime
-	n.out[f.src].Acquire(f.ser, f.then((*Network).launch))
+	f.arm()
+	n.out[f.src].Acquire(f.ser, (*launchStep)(f))
 }
 
 // launch runs at the output port grant: the frame serializes onto the
@@ -407,7 +434,7 @@ func (n *Network) launch(f *frame) {
 		n.tr.SpanBegin(txn, obs.StageWire, epoch, start)
 	}
 	if n.cfg.Robust {
-		eng.At(start+f.ser, n.drainFns[f.src])
+		eng.At(start+f.ser, &n.drains[f.src])
 	}
 	if n.mesh != nil && f.src != f.dst {
 		n.sendMesh(f, start+f.delay)
@@ -452,7 +479,8 @@ func (n *Network) Brownout(node int, out bool, dur sim.Time) {
 	// lookahead guard never sees the below-horizon arrival.
 	eng := n.engs[node]
 	at := eng.Now()
-	eng.DeferTo(eng, func() { n.in[node].AcquireAt(at, dur, nil) })
+	//cclint:ignore sched-closure runs once per injected input-port outage, not per message
+	eng.DeferTo(eng, sim.Func(func() { n.in[node].AcquireAt(at, dur, nil) }))
 }
 
 // sendMesh chains the message across the mesh's links with dimension-order
@@ -474,7 +502,8 @@ func (n *Network) hop(f *frame, t sim.Time) {
 	next := n.mesh.next(f.at, f.dst)
 	link := n.mesh.links[[2]int{f.at, next}]
 	f.at = next
-	link.AcquireAt(t, f.ser, f.then((*Network).hopped))
+	f.arm()
+	link.AcquireAt(t, f.ser, (*hopStep)(f))
 }
 
 // hopped runs at a link grant: the head reaches the next router after the
@@ -494,17 +523,20 @@ func (n *Network) hopped(f *frame) {
 // network latency, so the drained admission lands at or past the window
 // horizon.
 func (n *Network) deliverAt(f *frame) {
-	n.engs[f.src].DeferTo(n.engs[f.dst], f.then((*Network).admit))
+	f.arm()
+	n.engs[f.src].DeferTo(n.engs[f.dst], (*admitStep)(f))
 }
 
 // admit queues the frame for the destination's input port.
 func (n *Network) admit(f *frame) {
-	n.in[f.dst].AcquireAt(f.head, f.ser, f.then((*Network).land))
+	f.arm()
+	n.in[f.dst].AcquireAt(f.head, f.ser, (*landStep)(f))
 }
 
 // land runs at the input port grant: the last flit arrives ser later.
 func (n *Network) land(f *frame) {
-	n.engs[f.dst].After(f.ser, f.then((*Network).arrive))
+	f.arm()
+	n.engs[f.dst].After(f.ser, (*arriveStep)(f))
 }
 
 // arrive hands the message to the destination's sink, first returning the

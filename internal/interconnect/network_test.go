@@ -363,9 +363,9 @@ func mallocs(f func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// TestFrameBindsOneCallback pins what a frame costs the network: a new
-// frame allocates itself and the one callback that runs all of its steps,
-// and a recycled frame allocates nothing.
+// TestFrameBindsOneCallback pins what a frame costs the network: its steps
+// are typed actions over the frame itself, so a new frame allocates only
+// itself, and a recycled frame allocates nothing.
 func TestFrameBindsOneCallback(t *testing.T) {
 	eng, net, _ := setup(t)
 	net.Attach(1, func(int, interface{}) {})
@@ -377,8 +377,8 @@ func TestFrameBindsOneCallback(t *testing.T) {
 	}
 	send() // the engine reserves its event slab and the frame goes idle
 	net.free[net.pool[0]].Get()
-	if n := mallocs(send); n != 2 {
-		t.Errorf("a message with no idle frame allocated %d objects, want 2: a frame and its callback", n)
+	if n := mallocs(send); n != 1 {
+		t.Errorf("a message with no idle frame allocated %d objects, want 1: the frame", n)
 	}
 	if n := mallocs(send); n != 0 {
 		t.Errorf("a message with an idle frame allocated %d objects, want 0", n)
@@ -390,12 +390,12 @@ func TestFrameBindsOneCallback(t *testing.T) {
 func TestSecondFrameStepPanics(t *testing.T) {
 	_, net, _ := setup(t)
 	f := net.frameFor(2, 3, 1, nil)
-	f.then((*Network).send)
+	f.arm()
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, "frame 2->3") || !strings.Contains(msg, "another in flight") {
 			t.Fatalf("panic %q, want one naming frame 2->3 and the step in flight", msg)
 		}
 	}()
-	f.then((*Network).launch)
+	net.transmit(f) // arms the output port grant with the send in flight
 }

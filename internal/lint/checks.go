@@ -87,14 +87,16 @@ var rangeMapPackages = map[string]bool{
 	"ccnuma/internal/lint/testdata/src/badrangemap": true,
 }
 
-// schedClosurePackages are the packages whose scheduled callbacks must be
-// bound once to a long-lived object: a function literal that captures
-// variables allocates each time it is evaluated, so one scheduled or
-// installed per miss brings back the per-miss allocations the allocation
-// tests pin only for the streams they run (DESIGN §11.5). The testdata
-// entry is the lint suite's own fixture.
+// schedClosurePackages are the packages whose scheduled work must be a
+// typed action on a long-lived object, and whose bus completions must be
+// bound once: a function literal that captures variables allocates each
+// time it is evaluated, so one scheduled or installed per miss brings back
+// the per-miss allocations the allocation tests pin only for the streams
+// they run (DESIGN §11.5). The testdata entry is the lint suite's own
+// fixture.
 var schedClosurePackages = map[string]bool{
 	"ccnuma/internal/core":                         true,
+	"ccnuma/internal/cpu":                          true,
 	"ccnuma/internal/interconnect":                 true,
 	"ccnuma/internal/smpbus":                       true,
 	"ccnuma/internal/lint/testdata/src/badclosure": true,
@@ -353,33 +355,52 @@ func checkSimDeterminism(pkg *Package) []Finding {
 	return out
 }
 
-// scheduledLiteral returns the function literal a call hands to
-// sim.Engine.At or After, or nil.
+// schedEntryPoints are the sim methods that take scheduled work, by
+// receiver type: each takes its sim.Action as its last argument.
+var schedEntryPoints = map[string]map[string]bool{
+	"Engine":   {"At": true, "After": true, "DeferTo": true},
+	"Resource": {"Acquire": true, "AcquireAt": true},
+}
+
+// simTypeName returns the name of t, through one pointer, if it is a named
+// type of package ccnuma/internal/sim, and "" otherwise.
+func simTypeName(t types.Type) string {
+	if ptr, isPtr := t.(*types.Pointer); isPtr {
+		t = ptr.Elem()
+	}
+	named, isNamed := t.(*types.Named)
+	if !isNamed || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "ccnuma/internal/sim" {
+		return ""
+	}
+	return named.Obj().Name()
+}
+
+// scheduledLiteral returns the function literal a call hands to one of the
+// scheduling entry points (schedEntryPoints), seeing through a sim.Func
+// conversion, or nil.
 func scheduledLiteral(pkg *Package, call *ast.CallExpr) *ast.FuncLit {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "At" && sel.Sel.Name != "After") || len(call.Args) == 0 {
+	if !ok || len(call.Args) == 0 {
 		return nil
 	}
 	selection, ok := pkg.Info.Selections[sel]
-	if !ok {
+	if !ok || !schedEntryPoints[simTypeName(selection.Recv())][sel.Sel.Name] {
 		return nil
 	}
-	recv := selection.Recv()
-	if ptr, isPtr := recv.(*types.Pointer); isPtr {
-		recv = ptr.Elem()
+	arg := call.Args[len(call.Args)-1]
+	if conv, ok := arg.(*ast.CallExpr); ok && len(conv.Args) == 1 {
+		if tv, ok := pkg.Info.Types[conv.Fun]; ok && tv.IsType() && simTypeName(tv.Type) == "Func" {
+			arg = conv.Args[0]
+		}
 	}
-	named, isNamed := recv.(*types.Named)
-	if !isNamed || named.Obj().Pkg() == nil ||
-		named.Obj().Pkg().Path() != "ccnuma/internal/sim" || named.Obj().Name() != "Engine" {
-		return nil
-	}
-	lit, _ := call.Args[len(call.Args)-1].(*ast.FuncLit)
+	lit, _ := arg.(*ast.FuncLit)
 	return lit
 }
 
-// checkSchedNoop flags closures handed to the event engine that can never
-// advance the simulation: a callback containing no call, send, or go
-// statement burns an event without enqueuing work.
+// checkSchedNoop flags closures handed to a scheduling entry point
+// (schedEntryPoints, through sim.Func) that can never advance the
+// simulation: a callback containing no call, send, or go statement burns
+// an event without enqueuing work.
 func checkSchedNoop(pkg *Package) []Finding {
 	var out []Finding
 	for _, file := range pkg.Files {
@@ -403,7 +424,8 @@ func checkSchedNoop(pkg *Package) []Finding {
 }
 
 // checkSchedClosure flags, in schedClosurePackages, function literals
-// scheduled on the sim engine (At, After) or installed as a bus
+// handed through sim.Func to a scheduling entry point (Engine.At, After
+// and DeferTo, Resource.Acquire and AcquireAt) or installed as a bus
 // transaction's completion (an assignment to, or a composite-literal
 // element for, smpbus.Txn's Done field).
 func checkSchedClosure(pkg *Package) []Finding {
@@ -413,7 +435,7 @@ func checkSchedClosure(pkg *Package) []Finding {
 	var out []Finding
 	flag := func(lit *ast.FuncLit, where string) {
 		out = append(out, pkg.finding(lit.Pos(), "sched-closure",
-			"function literal %s allocates each time it is evaluated; bind the callback once to a long-lived object", where))
+			"function literal %s allocates each time it is evaluated; schedule a typed action on a long-lived object, or bind the callback once", where))
 	}
 	isDone := func(e ast.Expr) bool {
 		var obj types.Object

@@ -48,8 +48,8 @@ func TestFixtureFindings(t *testing.T) {
 		t.Error("silent Handler default was not flagged")
 	}
 
-	if n := len(byCheck["sched-noop"]); n != 1 {
-		t.Errorf("sched-noop findings = %d, want 1", n)
+	if n := len(byCheck["sched-noop"]); n != 2 {
+		t.Errorf("sched-noop findings = %d, want 2 (NoopCallback + NoopGrant)", n)
 	}
 	if n := len(byCheck["nolint-reason"]); n != 1 {
 		t.Errorf("nolint-reason findings = %d, want 1", n)
@@ -269,8 +269,9 @@ func TestSpanPairsCheck(t *testing.T) {
 }
 
 // TestSchedClosureCheck pins the sched-closure analysis on its fixture:
-// the four literals scheduled on the engine or installed as a Done are
-// flagged, and the bound and synchronous shapes stay silent.
+// the six literals handed to a scheduling entry point or installed as a
+// Done are flagged, and the typed, bound and synchronous shapes stay
+// silent.
 func TestSchedClosureCheck(t *testing.T) {
 	pkgs, err := Load(".", "./testdata/src/badclosure")
 	if err != nil {
@@ -284,12 +285,13 @@ func TestSchedClosureCheck(t *testing.T) {
 		}
 		got = append(got, f)
 	}
-	if len(got) != 4 {
-		t.Fatalf("sched-closure findings = %d, want 4: %v", len(got), got)
+	if len(got) != 6 {
+		t.Fatalf("sched-closure findings = %d, want 6: %v", len(got), got)
 	}
-	// The flagged literals are in ScheduleAt (line 25), ScheduleAfter
-	// (line 30), InstallDone (line 35) and BuildTxn (line 40).
-	for i, line := range []string{":25:", ":30:", ":35:", ":40:"} {
+	// The flagged literals are in ScheduleAt (line 26), ScheduleAfter
+	// (line 31), InstallDone (line 36), BuildTxn (line 41), Grant (line
+	// 46) and Publish (line 51).
+	for i, line := range []string{":26:", ":31:", ":36:", ":41:", ":46:", ":51:"} {
 		if !strings.Contains(got[i].Pos, line) {
 			t.Errorf("finding %d at %s, want line %s", i, got[i].Pos, line)
 		}

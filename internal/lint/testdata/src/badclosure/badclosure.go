@@ -1,8 +1,9 @@
 // Package badclosure is a cclint test fixture for the sched-closure check.
-// The four functions marked "flagged" schedule a function literal on the
-// sim engine or install one as a bus transaction's Done; the bound,
-// synchronous and suppressed shapes below them must stay silent. It is
-// excluded from normal builds by living under testdata.
+// The six functions marked "flagged" hand a function literal, through
+// sim.Func, to a scheduling entry point or install one as a bus
+// transaction's Done; the typed, bound, synchronous and suppressed shapes
+// below them must stay silent. It is excluded from normal builds by living
+// under testdata.
 package badclosure
 
 import (
@@ -13,7 +14,7 @@ import (
 // counter is a long-lived object with its callbacks bound once.
 type counter struct {
 	n      int
-	bumpFn func()
+	bumpFn sim.Func
 	doneFn func(smpbus.Outcome)
 }
 
@@ -22,12 +23,12 @@ func (c *counter) done(o smpbus.Outcome) { c.bump() }
 
 // ScheduleAt schedules a literal: flagged.
 func ScheduleAt(eng *sim.Engine, c *counter) {
-	eng.At(1, func() { c.bump() })
+	eng.At(1, sim.Func(func() { c.bump() }))
 }
 
 // ScheduleAfter schedules a literal: flagged.
 func ScheduleAfter(eng *sim.Engine, c *counter) {
-	eng.After(1, func() { c.bump() })
+	eng.After(1, sim.Func(func() { c.bump() }))
 }
 
 // InstallDone assigns a literal to Done: flagged.
@@ -38,6 +39,27 @@ func InstallDone(txn *smpbus.Txn, c *counter) {
 // BuildTxn sets Done to a literal in a composite literal: flagged.
 func BuildTxn(c *counter) *smpbus.Txn {
 	return &smpbus.Txn{Kind: smpbus.Inval, Done: func(smpbus.Outcome) { c.bump() }}
+}
+
+// Grant hands a literal to a resource as its grant: flagged.
+func Grant(r *sim.Resource, c *counter) {
+	r.AcquireAt(1, 2, sim.Func(func() { c.bump() }))
+}
+
+// Publish defers a literal to another engine: flagged.
+func Publish(eng, dst *sim.Engine, c *counter) {
+	eng.DeferTo(dst, sim.Func(func() { c.bump() }))
+}
+
+// bumpStep is a typed action over counter.
+type bumpStep counter
+
+func (s *bumpStep) Fire() { (*counter)(s).bump() }
+
+// Typed schedules a typed action on the counter: silent.
+func Typed(eng *sim.Engine, r *sim.Resource, c *counter) {
+	eng.At(1, (*bumpStep)(c))
+	r.Acquire(1, (*bumpStep)(c))
 }
 
 // Bound schedules and installs callbacks bound once: silent.
@@ -64,5 +86,5 @@ func visit(xs []int, fn func(int)) {
 // Suppressed schedules a literal under a reasoned suppression: silent.
 func Suppressed(eng *sim.Engine, c *counter) {
 	//cclint:ignore sched-closure runs once per machine, not once per miss
-	eng.At(1, func() { c.bump() })
+	eng.At(1, sim.Func(func() { c.bump() }))
 }

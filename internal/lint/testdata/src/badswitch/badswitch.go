@@ -36,7 +36,15 @@ func SilentDefault(h protocol.Handler) int {
 // send: flagged by sched-noop.
 func NoopCallback(eng *sim.Engine) {
 	x := 0
-	eng.At(5, func() { x++ })
+	eng.At(5, sim.Func(func() { x++ }))
+	_ = x
+}
+
+// NoopGrant hands a resource a grant whose body performs no call or send:
+// flagged by sched-noop.
+func NoopGrant(r *sim.Resource) {
+	x := 0
+	r.Acquire(5, sim.Func(func() { x++ }))
 	_ = x
 }
 

@@ -25,24 +25,24 @@ func (m *Machine) InjectFaults(sch *fault.Schedule) *fault.Injector {
 		eng := m.engFor(ev.Node)
 		switch ev.Kind {
 		case fault.EngineStall:
-			eng.At(ev.At, func() {
+			eng.At(ev.At, sim.Func(func() {
 				if m.CCs[ev.Node].StallEngine(ev.Engine, ev.Dur) {
 					inj.NoteApplied(fault.EngineStall)
 					m.Tracer.Fault(eng.Now(), ev.Node, ev.Kind.String(), int64(ev.Dur))
 				}
-			})
+			}))
 		case fault.Brownout:
-			eng.At(ev.At, func() {
+			eng.At(ev.At, sim.Func(func() {
 				m.Net.Brownout(ev.Node, ev.Out, ev.Dur)
 				inj.NoteApplied(fault.Brownout)
 				m.Tracer.Fault(eng.Now(), ev.Node, ev.Kind.String(), int64(ev.Dur))
-			})
+			}))
 		case fault.BusStall:
-			eng.At(ev.At, func() {
+			eng.At(ev.At, sim.Func(func() {
 				m.Buses[ev.Node].Stall(ev.Dur)
 				inj.NoteApplied(fault.BusStall)
 				m.Tracer.Fault(eng.Now(), ev.Node, ev.Kind.String(), int64(ev.Dur))
-			})
+			}))
 		}
 	}
 	return inj

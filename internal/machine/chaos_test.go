@@ -6,6 +6,7 @@ import (
 
 	"ccnuma/internal/fault"
 	"ccnuma/internal/prog"
+	"ccnuma/internal/sim"
 )
 
 // TestStallClassification pins the classifier's decision tree on
@@ -64,7 +65,7 @@ func TestWatchdogSnapshotOnLivelock(t *testing.T) {
 		t.Fatal(err)
 	}
 	spin := 0
-	var loop func()
+	var loop sim.Func
 	loop = func() {
 		spin++
 		m.Eng.After(0, loop)

@@ -372,7 +372,7 @@ func (m *Machine) startSampler() {
 	if m.Cfg.Robust {
 		queueCap = config.RobustQueueDepth
 	}
-	var tick func()
+	var tick sim.Func
 	tick = func() {
 		now := m.Eng.Now()
 		overflows := m.Net.Link().Overflows
@@ -584,7 +584,7 @@ func (m *Machine) Lock(p *cpu.Proc, id int) {
 			m.locks[id] = ls
 		}
 		addr := m.lockAddrFor(id)
-		p.SyncAccess(addr, true, func() {
+		p.SyncAccess(addr, true, sim.Func(func() {
 			m.fence(p, func() {
 				if !ls.held {
 					ls.held = true
@@ -593,7 +593,7 @@ func (m *Machine) Lock(p *cpu.Proc, id int) {
 				}
 				ls.waiters = append(ls.waiters, p)
 			})
-		})
+		}))
 	})
 }
 
@@ -606,7 +606,7 @@ func (m *Machine) Unlock(p *cpu.Proc, id int) {
 			panic(fmt.Sprintf("machine: unlock of free lock %d", id))
 		}
 		addr := m.lockAddrFor(id)
-		p.SyncAccess(addr, true, func() {
+		p.SyncAccess(addr, true, sim.Func(func() {
 			m.fence(p, func() {
 				if len(ls.waiters) == 0 {
 					ls.held = false
@@ -618,12 +618,12 @@ func (m *Machine) Unlock(p *cpu.Proc, id int) {
 					// may land cross-engine; its completion callback
 					// (next.Resume) touches no shared state and needs no
 					// fence.
-					m.engFor(next.Node()).At(at+m.Cfg.LockRetry, func() {
-						next.SyncAccess(addr, true, next.Resume)
-					})
+					m.engFor(next.Node()).At(at+m.Cfg.LockRetry, sim.Func(func() {
+						next.SyncAccess(addr, true, sim.Func(next.Resume))
+					}))
 				}
 				p.Resume()
 			})
-		})
+		}))
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ccnuma/internal/prog"
+	"ccnuma/internal/sim"
 )
 
 // TestWatchdogAndLimitAcrossShards drives the one engine driver serial and
@@ -22,7 +23,7 @@ func TestWatchdogAndLimitAcrossShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var loop func()
+		var loop sim.Func
 		loop = func() { m.Eng.After(0, loop) }
 		m.Eng.At(10, loop)
 		_, err = m.Run(func(*prog.Env) {})
@@ -57,7 +58,7 @@ func TestRunRequiresDrainedNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Net.Send(10, 0, 1, 1, nil)
-	m.Eng.At(11, m.Eng.Stop) // before the frame can land
+	m.Eng.At(11, sim.Func(m.Eng.Stop)) // before the frame can land
 	_, err = m.Run(func(*prog.Env) {})
 	if err == nil || !strings.Contains(err.Error(), "network did not drain: 1 frames still in flight") {
 		t.Fatalf("run with a frame in flight: %v", err)

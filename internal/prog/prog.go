@@ -97,21 +97,6 @@ func (e *Env) Read(addr uint64) { e.issue(Read, addr) }
 // Write issues a shared-memory store to addr.
 func (e *Env) Write(addr uint64) { e.issue(Write, addr) }
 
-// ReadRange loads n consecutive 8-byte words starting at addr, one
-// reference per word (the caches collapse same-line references).
-func (e *Env) ReadRange(addr uint64, n int) {
-	for i := 0; i < n; i++ {
-		e.Read(addr + uint64(i*8))
-	}
-}
-
-// WriteRange stores n consecutive 8-byte words starting at addr.
-func (e *Env) WriteRange(addr uint64, n int) {
-	for i := 0; i < n; i++ {
-		e.Write(addr + uint64(i*8))
-	}
-}
-
 // Compute charges n instruction cycles of local computation to the next
 // operation; n <= 0 charges nothing.
 func (e *Env) Compute(n int) {

@@ -1,9 +1,13 @@
 // Package sim provides the deterministic discrete-event simulation engine
 // underlying the CC-NUMA machine model. Simulated time is measured in
 // compute-processor clock cycles (5 ns at 200 MHz, matching the paper's
-// parameter tables). All model components schedule closures on a single
-// Engine; the engine executes them in (time, sequence) order, which makes
-// every simulation bit-for-bit reproducible.
+// parameter tables). All model components schedule Actions on a single
+// Engine; the engine fires them in (time, sequence) order, which makes
+// every simulation bit-for-bit reproducible. A model step is a named
+// pointer type over the long-lived object it acts on (a processor, a bus
+// transaction, a network frame), whose Fire calls the step directly, so
+// scheduling it allocates nothing; Func adapts the plain functions that
+// remain.
 package sim
 
 import (
@@ -19,34 +23,54 @@ type Time int64
 // compute-processor clock.
 func (t Time) Nanoseconds() float64 { return float64(t) * 5.0 }
 
-// node is one slot of the ring's slab: a pending event's function and the
+// Action is one unit of scheduled work: the engine calls Fire once, at the
+// cycle it was scheduled for. The model's steps are named pointer types
+// over long-lived objects, such as
+//
+//	type strobeStep Txn
+//	func (s *strobeStep) Fire() { ... }
+//
+// scheduled as (*strobeStep)(txn): converting a pointer to an Action
+// allocates nothing, and each step's Fire calls its step directly
+// (DESIGN §11.5).
+type Action interface {
+	Fire()
+}
+
+// Func adapts a plain function to an Action, for work that is not a step of
+// a long-lived object: tests, fault arming, the sampler, lock retries. A
+// function value converts to an Action without allocating, but a function
+// literal that captures variables allocates each time it is evaluated.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// node is one slot of the ring's slab: a pending event's action and the
 // slab index of the next node in its bucket or in the free list (-1 ends
-// the free list). A node holds neither a time nor a sequence number: its
-// bucket is its time, and on a serial engine its place in the bucket is its
-// place in scheduling order (see At). On a sharded engine each node's rank
-// sits beside the slab, in Engine.ranks.
+// the free list), 24 bytes. A node holds neither a time nor a sequence
+// number: its bucket is its time, and on a serial engine its place in the
+// bucket is its place in scheduling order (see At). On a sharded engine
+// each node's rank sits beside the slab, in Engine.ranks.
 //
 // Events are stored inside the slab, so the engine allocates nothing per
-// event. A function literal that captures variables allocates each time it
-// is evaluated, so the model's hot paths schedule functions bound once to a
-// long-lived object instead: a processor, a bus transaction, a protocol
-// engine, a network frame (DESIGN §11.5).
+// event.
 type node struct {
-	fn   func()
+	act  Action
 	next int32
 }
 
 // farEvent is an event scheduled at least wheelSpan cycles ahead, held by
-// value in the far heap until it comes within the span. seq numbers far
-// events in scheduling order and orders them among themselves; rank is nil
-// on a serial engine, and on a sharded one (one that belongs to a Cluster)
-// it is the event's scheduling-lineage rank, which reconstructs the serial
-// order without a global sequence counter (see shard.go).
+// value (40 bytes) in the far heap until it comes within the span. seq
+// numbers far events in scheduling order and orders them among themselves;
+// rank is nil on a serial engine, and on a sharded one (one that belongs to
+// a Cluster) it is the event's scheduling-lineage rank, which reconstructs
+// the serial order without a global sequence counter (see shard.go).
 type farEvent struct {
 	at   Time
 	seq  uint64
 	rank *rankNode
-	fn   func()
+	act  Action
 }
 
 // before reports whether f orders ahead of o: by (time, seq) on a serial
@@ -173,15 +197,15 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // at once.
 func (e *Engine) MaxPending() int { return e.maxPending }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
+// At schedules a to fire at absolute time t. Scheduling in the past panics:
 // it always indicates a model bug rather than a recoverable condition.
 //
-// On a serial engine, fn joins the tail of t's bucket without a comparison:
+// On a serial engine, a joins the tail of t's bucket without a comparison:
 // every event already in that bucket was scheduled earlier, because a far
 // event moves into its bucket at the advance that brings it within the
 // span, before anything can be scheduled straight into that bucket. So the
 // order of a bucket is the order of the At calls.
-func (e *Engine) At(t Time, fn func()) {
+func (e *Engine) At(t Time, a Action) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %d before now %d", t, e.now))
 	}
@@ -203,28 +227,28 @@ func (e *Engine) At(t Time, fn func()) {
 		ctx.next++
 	}
 	if t-e.now < wheelSpan {
-		e.link(t, e.alloc(fn, rank))
+		e.link(t, e.alloc(a, rank))
 	} else {
 		e.seq++
-		e.pushFar(farEvent{at: t, seq: e.seq, rank: rank, fn: fn})
+		e.pushFar(farEvent{at: t, seq: e.seq, rank: rank, act: a})
 	}
 	if e.pending++; e.pending > e.maxPending {
 		e.maxPending = e.pending
 	}
 }
 
-// After schedules fn to run d cycles from now.
-func (e *Engine) After(d Time, fn func()) {
+// After schedules a to fire d cycles from now.
+func (e *Engine) After(d Time, a Action) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
-	e.At(e.now+d, fn)
+	e.At(e.now+d, a)
 }
 
-// alloc stores fn (and on a sharded engine its rank) in a free slab node,
+// alloc stores a (and on a sharded engine its rank) in a free slab node,
 // growing the slab only when every node is in a bucket. The first ring
 // event reserves firstSlab nodes.
-func (e *Engine) alloc(fn func(), rank *rankNode) int32 {
+func (e *Engine) alloc(a Action, rank *rankNode) int32 {
 	i := e.free
 	if i >= 0 {
 		e.free = e.slab[i].next
@@ -241,7 +265,7 @@ func (e *Engine) alloc(fn func(), rank *rankNode) int32 {
 			e.ranks = append(e.ranks, nil)
 		}
 	}
-	e.slab[i].fn = fn
+	e.slab[i].act = a
 	if rank != nil {
 		e.ranks[i] = rank
 	}
@@ -304,31 +328,32 @@ func (e *Engine) advance(t Time) {
 	e.now = t
 	for len(e.far) > 0 && e.far[0].at-t < wheelSpan {
 		f := e.popFar()
-		e.link(f.at, e.alloc(f.fn, f.rank))
+		e.link(f.at, e.alloc(f.act, f.rank))
 	}
 }
 
 // take removes the head of now's bucket, which must hold an event, and
-// returns its function. The vacated node is cleared so the slab does not
-// pin the closure alive. On a sharded engine Cluster.runWindow also moves
-// the node's rank into the scheduling context; take leaves ranks alone so
-// that it stays small enough to inline into the serial run loop.
-func (e *Engine) take() func() {
+// returns its action. The vacated node is cleared so the slab does not
+// pin the action's object alive. On a sharded engine Cluster.runWindow
+// also moves the node's rank into the scheduling context; take leaves
+// ranks alone so that it stays small enough to inline into the serial run
+// loop.
+func (e *Engine) take() Action {
 	b := e.now & wheelMask
 	i := e.head[b]
 	n := &e.slab[i]
-	fn := n.fn
+	a := n.act
 	if i == e.tail[b] {
 		e.busy[b/64] &^= 1 << (b % 64)
 	} else {
 		e.head[b] = n.next
 	}
-	n.fn = nil
+	n.act = nil
 	n.next = e.free
 	e.free = i
 	e.pending--
 	e.executed++
-	return fn
+	return a
 }
 
 // pushFar adds f to the far heap, sifting it up to its position. A full
@@ -358,7 +383,7 @@ func (e *Engine) pushFar(f farEvent) {
 }
 
 // popFar removes and returns the far heap's root, clearing the vacated
-// entry so the heap does not pin the closure alive.
+// entry so the heap does not pin the action's object alive.
 func (e *Engine) popFar() farEvent {
 	h := e.far
 	root := h[0]
@@ -418,7 +443,7 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	e.advance(t)
-	e.take()()
+	e.take().Fire()
 	return true
 }
 
@@ -447,7 +472,7 @@ func (e *Engine) RunChecked(stepCap uint64, onCheck func(executed uint64) error)
 		b := t & wheelMask
 		busy, bit := &e.busy[b/64], uint64(1)<<(b%64)
 		for {
-			e.take()()
+			e.take().Fire()
 			if n++; n == stepCap && onCheck != nil {
 				n = 0
 				if err := onCheck(e.executed); err != nil {

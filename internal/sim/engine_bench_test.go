@@ -14,7 +14,7 @@ func BenchmarkEngineScheduleStep(b *testing.B) {
 	const depth = 1024 // steady-state pending events
 	rng := rand.New(rand.NewSource(1))
 	e := NewEngine()
-	var fire func()
+	var fire Func
 	fire = func() {
 		e.After(Time(rng.Intn(64)+1), fire)
 	}
@@ -37,7 +37,7 @@ func BenchmarkEngineMixedHorizon(b *testing.B) {
 	const depth = 4096
 	rng := rand.New(rand.NewSource(2))
 	e := NewEngine()
-	var fire func()
+	var fire Func
 	fire = func() {
 		if rng.Intn(8) == 0 {
 			e.After(Time(rng.Intn(100_000)+10_000), fire) // timeout-like
@@ -65,7 +65,7 @@ func BenchmarkEngineFarMigration(b *testing.B) {
 	const depth = 1024
 	rng := rand.New(rand.NewSource(3))
 	e := NewEngine()
-	var fire func()
+	var fire Func
 	fire = func() {
 		e.After(Time(rng.Intn(1_701)+300), fire)
 	}
@@ -98,12 +98,12 @@ func BenchmarkClusterWindow(b *testing.B) {
 				return
 			}
 			arr := self.Now() + look
-			self.DeferTo(other, func() {
-				other.At(arr, hop(other, self))
-			})
+			self.DeferTo(other, Func(func() {
+				other.At(arr, Func(hop(other, self)))
+			}))
 		}
 	}
-	c.Shard(0).At(0, hop(c.Shard(0), c.Shard(1)))
+	c.Shard(0).At(0, Func(hop(c.Shard(0), c.Shard(1))))
 	b.ResetTimer()
 	if _, err := c.Run(0, nil); err != nil {
 		b.Fatal(err)
@@ -115,7 +115,7 @@ func BenchmarkClusterWindow(b *testing.B) {
 // many events at the current time.
 func BenchmarkEngineSameCycleBurst(b *testing.B) {
 	e := NewEngine()
-	nop := func() {}
+	nop := Func(func() {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += 64 {
@@ -135,45 +135,64 @@ func BenchmarkEngineSameCycleBurst(b *testing.B) {
 // queue shaped like the base 16x4 machine's: 64 chains of events that each
 // re-arm 1-16 cycles out, one re-arm in 64 past the ring's span (a barrier
 // cost or a request timeout), and one event in 8 fanning out a burst of
-// four more at its own cycle (snoops, zero-latency handoffs). The watchdog
-// hook runs as often as the machine's. An xorshift generator draws the
-// delays, so the loop costs little besides the engine. One op is one
+// four more at its own cycle (snoops, zero-latency handoffs). As in the
+// model, every event is a typed action on a long-lived object: a chain
+// re-arms itself, and a burst event is a step of the shared mix. The
+// watchdog hook runs as often as the machine's. An xorshift generator draws
+// the delays, so the loop costs little besides the engine. One op is one
 // event.
 func BenchmarkEngineRun(b *testing.B) {
-	e := NewEngine()
-	x := uint64(4)
-	draw := func() uint64 {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		return x
-	}
-	left := b.N
-	nop := func() { left-- }
-	var fire func()
-	fire = func() {
-		if left--; left <= 0 {
-			return
-		}
-		r := draw()
-		switch {
-		case r%64 == 0:
-			e.After(Time(wheelSpan+r>>8%2_000), fire)
-		case r%8 == 1:
-			for j := 0; j < 4; j++ {
-				e.At(e.Now(), nop)
-			}
-			fallthrough
-		default:
-			e.After(Time(r>>8%16+1), fire)
-		}
-	}
-	for i := 0; i < 64; i++ {
-		e.At(Time(draw()%16), fire)
+	m := &runMix{e: NewEngine(), x: 4, left: b.N}
+	chains := make([]runChain, 64)
+	for i := range chains {
+		chains[i].m = m
+		m.e.At(Time(m.draw()%16), &chains[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := e.RunChecked(2_000_000, func(uint64) error { return nil }); err != nil {
+	if _, err := m.e.RunChecked(2_000_000, func(uint64) error { return nil }); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// runMix is BenchmarkEngineRun's shared state: the engine, the xorshift
+// state and the events left to run.
+type runMix struct {
+	e    *Engine
+	x    uint64
+	left int
+}
+
+func (m *runMix) draw() uint64 {
+	m.x ^= m.x << 13
+	m.x ^= m.x >> 7
+	m.x ^= m.x << 17
+	return m.x
+}
+
+// runBurst is one event of a same-cycle burst.
+type runBurst runMix
+
+func (s *runBurst) Fire() { s.left-- }
+
+// runChain is one of BenchmarkEngineRun's 64 chains of events.
+type runChain struct{ m *runMix }
+
+func (c *runChain) Fire() {
+	m := c.m
+	if m.left--; m.left <= 0 {
+		return
+	}
+	r := m.draw()
+	switch {
+	case r%64 == 0:
+		m.e.After(Time(wheelSpan+r>>8%2_000), c)
+	case r%8 == 1:
+		for j := 0; j < 4; j++ {
+			m.e.At(m.e.Now(), (*runBurst)(m))
+		}
+		fallthrough
+	default:
+		m.e.After(Time(r>>8%16+1), c)
 	}
 }

@@ -83,10 +83,10 @@ func TestHeapTotalOrder(t *testing.T) {
 				batch := rng.Intn(32) + 1
 				for i := 0; i < batch; i++ {
 					s := &stamp{at: tc.at(e.Now(), rng)}
-					e.At(s.at, func() {
+					e.At(s.at, Func(func() {
 						s.ran = e.Now()
 						fired = append(fired, *s)
-					})
+					}))
 					// The serial order is At-call order: number the calls.
 					seq++
 					s.seq = seq
@@ -139,7 +139,7 @@ func TestHeapSameCycleFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < n; i++ {
 		i := i
-		e.At(10, func() { got = append(got, i) })
+		e.At(10, Func(func() { got = append(got, i) }))
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestHeapSameCycleFIFO(t *testing.T) {
 // heap.
 func TestHeapSlabReuse(t *testing.T) {
 	e := NewEngine()
-	var fire func()
+	var fire Func
 	rng := rand.New(rand.NewSource(7))
 	fire = func() { e.After(Time(rng.Intn(16)+1), fire) }
 	const depth = 512
@@ -204,7 +204,7 @@ func TestHeapScheduleStepAllocFree(t *testing.T) {
 		{"schedule-step", func(e *Engine) func(n int) {
 			// Every event re-arms itself a few cycles out.
 			rng := rand.New(rand.NewSource(1))
-			var fire func()
+			var fire Func
 			fire = func() { e.After(Time(rng.Intn(64)+1), fire) }
 			for i := 0; i < 1024; i++ {
 				e.At(Time(rng.Intn(64)), fire)
@@ -214,7 +214,7 @@ func TestHeapScheduleStepAllocFree(t *testing.T) {
 		{"mixed-horizon", func(e *Engine) func(n int) {
 			// One re-arm in eight lands 10 000-109 999 cycles out.
 			rng := rand.New(rand.NewSource(2))
-			var fire func()
+			var fire Func
 			fire = func() {
 				if rng.Intn(8) == 0 {
 					e.After(Time(rng.Intn(100_000)+10_000), fire)
@@ -230,7 +230,7 @@ func TestHeapScheduleStepAllocFree(t *testing.T) {
 		{"far-migration", func(e *Engine) func(n int) {
 			// Every re-arm lands past the ring's span and migrates in.
 			rng := rand.New(rand.NewSource(3))
-			var fire func()
+			var fire Func
 			fire = func() { e.After(Time(rng.Intn(1_701)+300), fire) }
 			for i := 0; i < 1024; i++ {
 				e.At(Time(rng.Intn(2_000)), fire)
@@ -239,7 +239,7 @@ func TestHeapScheduleStepAllocFree(t *testing.T) {
 		}},
 		{"same-cycle-burst", func(e *Engine) func(n int) {
 			// 64 events share each cycle.
-			nop := func() {}
+			nop := Func(func() {})
 			return func(n int) {
 				for done := 0; done < n; done += 64 {
 					at := e.Now() + 1
@@ -268,13 +268,13 @@ func TestHeapScheduleStepAllocFree(t *testing.T) {
 }
 
 // TestHeapPoppedSlotCleared checks that taking an event clears its slab
-// node and popping a far event clears its heap entry, so completed closures
-// are pinned by neither.
+// node and popping a far event clears its heap entry, so the objects of
+// fired actions are pinned by neither.
 func TestHeapPoppedSlotCleared(t *testing.T) {
 	e := NewEngine()
-	e.At(1, func() {})
-	e.At(2, func() {})
-	e.At(10*wheelSpan, func() {})
+	e.At(1, Func(func() {}))
+	e.At(2, Func(func() {}))
+	e.At(10*wheelSpan, Func(func() {}))
 	if len(e.far) != 1 {
 		t.Fatalf("far heap holds %d events, want 1", len(e.far))
 	}
@@ -284,12 +284,12 @@ func TestHeapPoppedSlotCleared(t *testing.T) {
 		t.Fatalf("executed %d events, want 3", e.Executed())
 	}
 	for i, n := range e.slab[:cap(e.slab)] {
-		if n.fn != nil {
+		if n.act != nil {
 			t.Fatalf("slab node %d still holds an event after drain", i)
 		}
 	}
 	for i, f := range e.far[:cap(e.far)] {
-		if f.fn != nil || f.rank != nil {
+		if f.act != nil || f.rank != nil {
 			t.Fatalf("far heap entry %d still holds an event after drain", i)
 		}
 	}
@@ -303,7 +303,7 @@ func TestHeapPoppedSlotCleared(t *testing.T) {
 // nothing.
 func TestHeapGrowth(t *testing.T) {
 	e := NewEngine()
-	nop := func() {}
+	nop := Func(func() {})
 	const near, far = 200, 1300
 	var farCaps []int
 	first := 0
@@ -422,7 +422,7 @@ func (s stepScript) play(run func(*Engine, uint64, func(uint64) error) (Time, er
 			farTimes = append(farTimes, at)
 			sort.Slice(farTimes, func(i, j int) bool { return farTimes[i] < farTimes[j] })
 		}
-		e.At(at, func() {
+		e.At(at, Func(func() {
 			now := e.Now()
 			lg.events = append(lg.events, [2]int64{int64(id), int64(now)})
 			if id == s.stopID {
@@ -456,7 +456,7 @@ func (s stepScript) play(run func(*Engine, uint64, func(uint64) error) (Time, er
 					}
 				}
 			}
-		})
+		}))
 	}
 	for i := 0; i < 8; i++ {
 		schedule(Time(rng.Intn(4)))

@@ -3,7 +3,7 @@ package sim
 // Resource models a unit-capacity, serially-occupied hardware resource such
 // as a bus, a memory bank, a network port, or a protocol engine. Users
 // Acquire the resource with a desired hold time; the resource grants requests
-// in FIFO order and invokes the grant callback at the cycle the resource
+// in FIFO order and fires the grant action at the cycle the resource
 // becomes theirs. The sampler reads the accumulated busy time, and the
 // sampler and stall snapshots read the next free cycle as a backlog.
 // Components hold their resources by value, made with MakeResource.
@@ -22,10 +22,10 @@ func MakeResource(eng *Engine) Resource {
 }
 
 // Acquire requests the resource for hold cycles starting as soon as it is
-// free (FIFO). grant runs at the cycle the hold begins, so the engine's Now
-// inside it is the start time. Acquire returns the time at which the hold
-// will begin.
-func (r *Resource) Acquire(hold Time, grant func()) Time {
+// free (FIFO). grant, unless nil, fires at the cycle the hold begins, so the
+// engine's Now inside it is the start time. Acquire returns the time at
+// which the hold will begin.
+func (r *Resource) Acquire(hold Time, grant Action) Time {
 	return r.AcquireAt(r.eng.Now(), hold, grant)
 }
 
@@ -35,7 +35,7 @@ func (r *Resource) Acquire(hold Time, grant func()) Time {
 // request drained at a window boundary may carry an arrival earlier than
 // this shard's local clock (which has already run ahead within the window);
 // the stated arrival is kept, so occupancy matches the serial run.
-func (r *Resource) AcquireAt(arrive, hold Time, grant func()) Time {
+func (r *Resource) AcquireAt(arrive, hold Time, grant Action) Time {
 	start := r.freeAt
 	if start < arrive {
 		start = arrive
@@ -76,8 +76,19 @@ func (l *FreeList[T]) Get() *T {
 	return x
 }
 
-// Put returns an idle object to the list.
-func (l *FreeList[T]) Put(x *T) { l.idle = append(l.idle, x) }
+// firstIdle is the room a free list reserves on its first Put: a short
+// run's lists peak at a few idle objects, so reserving room for 16 at once
+// spares them the 1, 2, 4, 8, 16 growth of a plain append.
+const firstIdle = 16
+
+// Put returns an idle object to the list. The first Put reserves room for
+// firstIdle objects.
+func (l *FreeList[T]) Put(x *T) {
+	if l.idle == nil {
+		l.idle = make([]*T, 0, firstIdle)
+	}
+	l.idle = append(l.idle, x)
+}
 
 // Len returns the number of idle objects on the list.
 func (l *FreeList[T]) Len() int { return len(l.idle) }

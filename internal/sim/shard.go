@@ -84,11 +84,11 @@ type fenceReq struct {
 }
 
 // deferred is one cross-shard publication: the rank reserved at the DeferTo
-// call site and the closure to run against the destination shard at the
+// call site and the action to fire against the destination shard at the
 // window boundary.
 type deferred struct {
 	key *rankNode
-	fn  func()
+	act Action
 }
 
 // report is what a worker sends on the cluster's done channel: end of
@@ -253,17 +253,17 @@ func (c *Cluster) ctx(e *Engine) *Ctx {
 	return &e.cur
 }
 
-// DeferTo publishes fn for execution against dst at the current window's
+// DeferTo publishes a for firing against dst at the current window's
 // boundary, in the reconstructed serial order of every publication in the
 // window (across all destinations, so global send-order counters stay
-// exact). On a serial engine it runs fn inline, so call sites need no mode
-// split. The closure must only schedule at or past the window horizon
+// exact). On a serial engine it fires a inline, so call sites need no mode
+// split. The action must only schedule at or past the window horizon
 // (guaranteed whenever the modeled latency is at least the cluster
 // lookahead); At panics otherwise.
-func (e *Engine) DeferTo(dst *Engine, fn func()) {
+func (e *Engine) DeferTo(dst *Engine, a Action) {
 	c := e.cluster
 	if c == nil || !c.running {
-		fn()
+		a.Fire()
 		return
 	}
 	if dst.cluster != c {
@@ -273,7 +273,7 @@ func (e *Engine) DeferTo(dst *Engine, fn func()) {
 	key := &rankNode{t: ctx.at, parent: ctx.parent, idx: ctx.next}
 	ctx.next++
 	e.crossSends++
-	c.outbox[e.shard][dst.shard] = append(c.outbox[e.shard][dst.shard], deferred{key: key, fn: fn})
+	c.outbox[e.shard][dst.shard] = append(c.outbox[e.shard][dst.shard], deferred{key: key, act: a})
 }
 
 // Fence defers fn until every shard in the cluster has quiesced at the
@@ -334,11 +334,11 @@ func (c *Cluster) runWindow(e *Engine, shard int, w window) (final report) {
 		// The event's rank becomes the scheduling context of what it
 		// schedules; its slab node is the bucket head take removes.
 		i := e.head[t&wheelMask]
-		fn := e.take()
+		a := e.take()
 		e.cur = Ctx{parent: e.ranks[i], at: t}
 		e.ranks[i] = nil
 		steps++
-		if pv := runCaptured(fn); pv != nil {
+		if pv := runCaptured(a); pv != nil {
 			final.panicked = true
 			final.pv = pv
 			final.rank = e.cur.parent
@@ -354,16 +354,16 @@ func (c *Cluster) runWindow(e *Engine, shard int, w window) (final report) {
 	return final
 }
 
-// runCaptured runs fn and returns a non-nil panic value if it panicked.
+// runCaptured fires a and returns a non-nil panic value if it panicked.
 // Panics with a nil value are re-thrown as a sentinel so callers can use
 // nil to mean "no panic".
-func runCaptured(fn func()) (pv any) {
+func runCaptured(a Action) (pv any) {
 	defer func() {
 		if r := recover(); r != nil {
 			pv = r
 		}
 	}()
-	fn()
+	a.Fire()
 	return nil
 }
 
@@ -374,7 +374,7 @@ func runCaptured(fn func()) (pv any) {
 // callers keep counters indexed by global send order — the fault injector's
 // message coordinate, for one — bitwise identical to the serial run. It
 // snapshots and clears the outbox first, so publications made by the
-// replayed closures land in the next window.
+// replayed actions land in the next window.
 func (c *Cluster) drain(horizon Time) {
 	buf := c.merge[:0]
 	for src := range c.engines {
@@ -410,7 +410,7 @@ func (c *Cluster) drain(horizon Time) {
 	for i, d := range buf {
 		octx := Ctx{parent: d.key, at: d.key.t}
 		c.override = &octx
-		d.fn()
+		d.act.Fire()
 		buf[i] = deferred{}
 	}
 	c.merge = buf[:0]

@@ -63,7 +63,7 @@ func newToySim(nodes, shards int, look Time, seed int64) *toySim {
 	}
 	for _, n := range s.nodes {
 		n := n
-		n.eng.At(Time(n.id%3), n.work)
+		n.eng.At(Time(n.id%3), Func(n.work))
 	}
 	return s
 }
@@ -91,7 +91,7 @@ func (n *toyNode) work() {
 	}
 	if n.budget > 0 {
 		n.budget--
-		n.eng.After(Time(n.rng.Intn(4)+1), n.work)
+		n.eng.After(Time(n.rng.Intn(4)+1), Func(n.work))
 	}
 	if n.rng.Intn(8) == 0 {
 		at := n.eng.Now()
@@ -101,8 +101,8 @@ func (n *toyNode) work() {
 		// and schedule immediately on the (parked) posting engine.
 		n.eng.Fence(func() {
 			n.sim.fenceLog = append(n.sim.fenceLog, fmt.Sprintf("%d@%d", n.id, at))
-			peer.eng.At(at+n.sim.look+1, peer.poke)
-			n.eng.At(at, func() { n.state ^= 0x5bd1e995 })
+			peer.eng.At(at+n.sim.look+1, Func(peer.poke))
+			n.eng.At(at, Func(func() { n.state ^= 0x5bd1e995 }))
 		})
 	}
 }
@@ -114,9 +114,9 @@ func (n *toyNode) poke() {
 
 func (n *toyNode) send(dst *toyNode, delay Time, payload uint64) {
 	arr := n.eng.Now() + delay
-	n.eng.DeferTo(dst.eng, func() {
-		dst.eng.At(arr, func() { dst.deliver(payload) })
-	})
+	n.eng.DeferTo(dst.eng, Func(func() {
+		dst.eng.At(arr, Func(func() { dst.deliver(payload) }))
+	}))
 }
 
 func (n *toyNode) deliver(payload uint64) {
@@ -206,15 +206,15 @@ func TestShardHorizonBoundary(t *testing.T) {
 	c := NewCluster(2, 10)
 	var order []string
 	src, dst := c.Shard(0), c.Shard(1)
-	src.At(0, func() {
-		src.DeferTo(dst, func() {
-			dst.At(10, func() { order = append(order, "recv@10") }) // exactly at horizon
-		})
-	})
+	src.At(0, Func(func() {
+		src.DeferTo(dst, Func(func() {
+			dst.At(10, Func(func() { order = append(order, "recv@10") })) // exactly at horizon
+		}))
+	}))
 	// Also at the horizon, on the destination shard: scheduled during
 	// setup, so serially it precedes the drained delivery at the same
 	// cycle — rank order must reproduce that.
-	dst.At(10, func() { order = append(order, "local@10") })
+	dst.At(10, Func(func() { order = append(order, "local@10") }))
 	if _, err := c.Run(0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -238,12 +238,12 @@ func TestShardHorizonBoundary(t *testing.T) {
 func TestShardZeroLatencySendRejected(t *testing.T) {
 	c := NewCluster(2, 10)
 	src, dst := c.Shard(0), c.Shard(1)
-	src.At(5, func() {
+	src.At(5, Func(func() {
 		arr := src.Now() // zero-latency: below the horizon of window [5,15)
-		src.DeferTo(dst, func() {
-			dst.At(arr, func() {})
-		})
-	})
+		src.DeferTo(dst, Func(func() {
+			dst.At(arr, Func(func() {}))
+		}))
+	}))
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -270,14 +270,14 @@ func TestShardDrainOrder(t *testing.T) {
 	for _, src := range []int{1, 2} {
 		src := src
 		e := c.Shard(src)
-		e.At(0, func() {
+		e.At(0, Func(func() {
 			for k := 0; k < 2; k++ {
 				tag := src*10 + k
-				e.DeferTo(dst, func() {
-					dst.At(12, func() { got = append(got, tag) })
-				})
+				e.DeferTo(dst, Func(func() {
+					dst.At(12, Func(func() { got = append(got, tag) }))
+				}))
 			}
-		})
+		}))
 	}
 	if _, err := c.Run(0, nil); err != nil {
 		t.Fatal(err)
@@ -301,9 +301,9 @@ func TestShardFenceOrder(t *testing.T) {
 	for s := 0; s < 4; s++ {
 		s := s
 		e := c.Shard(s)
-		e.At(times[s], func() {
+		e.At(times[s], Func(func() {
 			e.Fence(func() { got = append(got, s) })
-		})
+		}))
 	}
 	if _, err := c.Run(0, nil); err != nil {
 		t.Fatal(err)
@@ -320,7 +320,7 @@ func TestShardFenceOrder(t *testing.T) {
 func TestShardScheduleAfterFenceRejected(t *testing.T) {
 	c := NewCluster(2, 10)
 	e := c.Shard(0)
-	e.At(0, func() {
+	e.At(0, Func(func() {
 		e.Fence(func() {})
 		defer func() {
 			r := recover()
@@ -328,8 +328,8 @@ func TestShardScheduleAfterFenceRejected(t *testing.T) {
 				t.Errorf("expected tail-position panic, got %v", r)
 			}
 		}()
-		e.At(5, func() {})
-	})
+		e.At(5, Func(func() {}))
+	}))
 	if _, err := c.Run(0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -342,8 +342,8 @@ func TestShardScheduleAfterFenceRejected(t *testing.T) {
 func TestShardPanicPropagates(t *testing.T) {
 	c := NewCluster(2, 10)
 	type boom struct{ n int }
-	c.Shard(1).At(3, func() { panic(boom{n: 7}) })
-	c.Shard(0).At(1, func() {})
+	c.Shard(1).At(3, Func(func() { panic(boom{n: 7}) }))
+	c.Shard(0).At(1, Func(func() {}))
 	defer func() {
 		r := recover()
 		if b, ok := r.(boom); !ok || b.n != 7 {
@@ -362,7 +362,7 @@ func TestShardLimitMatchesSerial(t *testing.T) {
 		// past the limit eventually.
 		for i, e := range engs {
 			e := e
-			var tick func()
+			var tick Func
 			tick = func() { e.After(7, tick) }
 			e.At(Time(i), tick)
 		}
@@ -398,7 +398,7 @@ func TestShardStepCapCheck(t *testing.T) {
 	mk := func() *Cluster {
 		c := NewCluster(2, 10)
 		e := c.Shard(0)
-		var spin func()
+		var spin Func
 		n := 0
 		spin = func() {
 			if n++; n < 100 {
@@ -437,12 +437,12 @@ func TestShardSameCycleMultiShardBurst(t *testing.T) {
 	for s := 0; s < shards; s++ {
 		s := s
 		e := c.Shard(s)
-		e.At(0, func() {
+		e.At(0, Func(func() {
 			for i := 0; i < burst; i++ {
 				i := i
-				e.At(5, func() { got[s] = append(got[s], i) })
+				e.At(5, Func(func() { got[s] = append(got[s], i) }))
 			}
-		})
+		}))
 	}
 	if _, err := c.Run(0, nil); err != nil {
 		t.Fatal(err)
@@ -468,7 +468,7 @@ func TestClusterMaxPendingAcrossShards(t *testing.T) {
 	for s, d := range depths {
 		e := c.Shard(s)
 		for i := 0; i < d; i++ {
-			e.At(Time(i), func() {})
+			e.At(Time(i), Func(func() {}))
 		}
 	}
 	if _, err := c.Run(0, nil); err != nil {
@@ -503,13 +503,13 @@ func TestShardSlabReuseAfterDrain(t *testing.T) {
 				caps[0], caps[1] = cap(a.slab), cap(b.slab)
 			}
 			arr := self.Now() + look
-			self.DeferTo(other, func() {
-				other.At(arr, hop(other, self))
-			})
+			self.DeferTo(other, Func(func() {
+				other.At(arr, Func(hop(other, self)))
+			}))
 		}
 	}
 	for i := 0; i < 4; i++ {
-		a.At(Time(i), hop(a, b))
+		a.At(Time(i), Func(hop(a, b)))
 	}
 	if _, err := c.Run(0, nil); err != nil {
 		t.Fatal(err)

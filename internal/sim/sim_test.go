@@ -14,7 +14,7 @@ func TestEngineRunsInTimeOrder(t *testing.T) {
 	var got []Time
 	for _, d := range []Time{5, 1, 3, 2, 4} {
 		d := d
-		e.At(d, func() { got = append(got, d) })
+		e.At(d, Func(func() { got = append(got, d) }))
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestEngineTieBreakIsInsertionOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(7, func() { got = append(got, i) })
+		e.At(7, Func(func() { got = append(got, i) }))
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -47,9 +47,9 @@ func TestEngineTieBreakIsInsertionOrder(t *testing.T) {
 func TestEngineAfterAccumulates(t *testing.T) {
 	e := NewEngine()
 	var fired Time
-	e.After(10, func() {
-		e.After(5, func() { fired = e.Now() })
-	})
+	e.After(10, Func(func() {
+		e.After(5, Func(func() { fired = e.Now() }))
+	}))
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +60,14 @@ func TestEngineAfterAccumulates(t *testing.T) {
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {
+	e.At(10, Func(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
-	})
+		e.At(5, Func(func() {}))
+	}))
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +80,14 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 			t.Error("negative delay did not panic")
 		}
 	}()
-	e.After(-1, func() {})
+	e.After(-1, Func(func() {}))
 }
 
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.At(1, func() { ran++; e.Stop() })
-	e.At(2, func() { ran++ })
+	e.At(1, Func(func() { ran++; e.Stop() }))
+	e.At(2, Func(func() { ran++ }))
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestEngineStop(t *testing.T) {
 func TestEngineLimit(t *testing.T) {
 	e := NewEngine()
 	e.Limit = 100
-	e.At(50, func() { e.After(200, func() {}) })
+	e.At(50, Func(func() { e.After(200, Func(func() {})) }))
 	if _, err := e.Run(); err == nil {
 		t.Fatal("expected limit error")
 	}
@@ -114,7 +114,7 @@ func TestEngineLimit(t *testing.T) {
 func TestEngineLimitNotHitWhenQuiet(t *testing.T) {
 	e := NewEngine()
 	e.Limit = 100
-	e.At(99, func() {})
+	e.At(99, Func(func() {}))
 	if _, err := e.Run(); err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestEngineRunChecked(t *testing.T) {
 	} {
 		e := NewEngine()
 		for i := 0; i < 10; i++ {
-			e.At(Time(i), func() {})
+			e.At(Time(i), Func(func() {}))
 		}
 		var got []uint64
 		_, err := e.RunChecked(tc.stepCap, func(executed uint64) error {
@@ -168,13 +168,13 @@ func TestEngineDeterminism(t *testing.T) {
 				n := rng.Intn(3)
 				for i := 0; i < n; i++ {
 					child := id*10 + i
-					e.After(Time(rng.Intn(20)), func() { rec(child, depth+1) })
+					e.After(Time(rng.Intn(20)), Func(func() { rec(child, depth+1) }))
 				}
 			}
 		}
 		for i := 0; i < 10; i++ {
 			i := i
-			e.At(Time(rng.Intn(50)), func() { rec(i, 0) })
+			e.At(Time(rng.Intn(50)), Func(func() { rec(i, 0) }))
 		}
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -196,13 +196,13 @@ func TestResourceFIFOAndStats(t *testing.T) {
 	e := NewEngine()
 	r := MakeResource(e)
 	var starts []Time
-	e.At(0, func() {
-		r.Acquire(10, func() { starts = append(starts, e.Now()) })
-		r.Acquire(10, func() { starts = append(starts, e.Now()) })
-	})
-	e.At(5, func() {
-		r.Acquire(10, func() { starts = append(starts, e.Now()) })
-	})
+	e.At(0, Func(func() {
+		r.Acquire(10, Func(func() { starts = append(starts, e.Now()) }))
+		r.Acquire(10, Func(func() { starts = append(starts, e.Now()) }))
+	}))
+	e.At(5, Func(func() {
+		r.Acquire(10, Func(func() { starts = append(starts, e.Now()) }))
+	}))
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -221,14 +221,46 @@ func TestResourceAcquireAt(t *testing.T) {
 	e := NewEngine()
 	r := MakeResource(e)
 	var start Time = -1
-	e.At(0, func() {
-		r.AcquireAt(100, 10, func() { start = e.Now() })
-	})
+	e.At(0, Func(func() {
+		r.AcquireAt(100, 10, Func(func() { start = e.Now() }))
+	}))
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if start != 100 {
 		t.Fatalf("deferred acquire started at %d, want 100", start)
+	}
+}
+
+// countStep is a typed action over a counter, the form the model gives
+// its steps.
+type countStep int
+
+func (c *countStep) Fire() { *c++ }
+
+// TestTypedActionAllocFree pins that scheduling and firing a typed action
+// allocates nothing, through every entry point: At, After, Resource's
+// Acquire and AcquireAt, and DeferTo (inline on a serial engine).
+func TestTypedActionAllocFree(t *testing.T) {
+	e := NewEngine()
+	r := MakeResource(e)
+	n := new(countStep)
+	round := func() {
+		e.At(e.Now(), n)
+		e.After(300, n) // past the ring's span: through the far heap
+		r.Acquire(2, n)
+		r.AcquireAt(e.Now()+1, 2, n)
+		e.DeferTo(e, n)
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // the first events reserve the slab and the far heap
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("a round of typed actions allocated %v objects, want 0", allocs)
+	}
+	if *n != 5*102 {
+		t.Fatalf("actions fired %d times, want %d", *n, 5*102)
 	}
 }
 
@@ -247,11 +279,11 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 			h := Time(h%50) + 1
 			at += Time(h % 7)
 			thisAt := at
-			e.At(thisAt, func() {
-				r.Acquire(h, func() {
+			e.At(thisAt, Func(func() {
+				r.Acquire(h, Func(func() {
 					grants = append(grants, grant{e.Now(), e.Now() + h})
-				})
-			})
+				}))
+			}))
 		}
 		if _, err := e.Run(); err != nil {
 			return false

@@ -6,6 +6,12 @@
 // its bus-side directory copy lets it claim (defer) transactions that need
 // protocol action, and the direct data path forwards dirty-remote
 // write-backs straight to the network interface.
+//
+// A transaction crosses the bus one step at a time (grant, strobe, memory
+// read, data transfer, completion, and a bounce or re-issue on a
+// conflict), each step a named pointer type over Txn that the engine fires
+// directly, so a re-issued transaction schedules its steps without
+// allocating. A transaction has at most one step in flight.
 package smpbus
 
 import (
@@ -117,13 +123,12 @@ type Outcome struct {
 //
 // A transaction moves through the bus one step at a time: the arbitration
 // grant, the strobe, a bounce, a memory read, the data transfer, the
-// completion. The bus schedules every step through one callback, bound on
-// the transaction's first issue, which runs the step named in step; a
-// transaction has at most one step in flight, and scheduling a second
-// panics. Only a remote write-back's capture by the direct data path has a
-// callback of its own, because it runs at the same cycle as the
-// write-back's completion. A re-issued transaction therefore schedules its
-// events without allocating.
+// completion. Each step is a named pointer type over Txn (grantStep,
+// strobeStep, ...) whose Fire runs the step on the transaction's bus, so
+// scheduling one allocates nothing. A transaction has at most one step in
+// flight, and scheduling a second panics. Only a remote write-back's
+// capture by the direct data path runs beside another step, because it
+// runs at the same cycle as the write-back's completion.
 type Txn struct {
 	Kind Kind
 	Line uint64
@@ -170,32 +175,57 @@ type Txn struct {
 	// reply is the deferred-reply transaction Supply issues for this one,
 	// allocated on the first Supply and reused by later issues.
 	reply *Txn
-	// step is the bus step scheduled for this transaction (nil when none
-	// is), and stepFn the callback that runs it, bound on the first issue.
-	step   func(*Bus, *Txn)
-	stepFn func()
-	// captureFn hands a remote write-back to the direct data path, bound
-	// on the first such write-back.
-	captureFn func()
+	// bus is the bus the transaction was last issued on, where its steps
+	// run, and stepping is set while one of its steps is scheduled.
+	bus      *Bus
+	stepping bool
 }
 
-// then names step as txn's next step and returns the callback that runs
-// it, for the caller to schedule. A transaction with a step already in
-// flight would run only one of the two, so scheduling a second panics.
-func (txn *Txn) then(step func(*Bus, *Txn)) func() {
-	if txn.step != nil {
+// arm records that a step of txn is being scheduled. A transaction with a
+// step already in flight would run only one of the two, so arming a second
+// panics.
+func (txn *Txn) arm() {
+	if txn.stepping {
 		panic(fmt.Sprintf("smpbus: %v of line %#x scheduled a bus step with another in flight", txn.Kind, txn.Line))
 	}
-	txn.step = step
-	return txn.stepFn
+	txn.stepping = true
 }
 
-// runStep runs txn's scheduled step, clearing it first so that the step
-// can schedule the next.
-func (b *Bus) runStep(txn *Txn) {
-	step := txn.step
-	txn.step = nil
-	step(b, txn)
+// fired records that txn's step is running, so that the step can schedule
+// the next, and returns the bus it runs on.
+func (txn *Txn) fired() *Bus {
+	txn.stepping = false
+	return txn.bus
+}
+
+// The bus steps, one type each, scheduled as (*strobeStep)(txn) and so on.
+type (
+	grantStep    Txn // the address-bus grant
+	strobeStep   Txn // the address strobe
+	wbDataStep   Txn // a write-back's data transfer
+	captureStep  Txn // a remote write-back's capture by the direct data path
+	memReadyStep Txn // the memory bank's acceptance of a read
+	dataStep     Txn // the data-bus grant
+	rejectStep   Txn // the end of a bounce
+	reissueStep  Txn // a controller transaction's re-issue after a bounce
+	finishStep   Txn // the completion
+)
+
+func (s *grantStep) Fire()    { t := (*Txn)(s); t.fired().granted(t) }
+func (s *strobeStep) Fire()   { t := (*Txn)(s); t.fired().strobe(t) }
+func (s *wbDataStep) Fire()   { t := (*Txn)(s); t.fired().writeBackData(t) }
+func (s *memReadyStep) Fire() { t := (*Txn)(s); t.fired().memReady(t) }
+func (s *dataStep) Fire()     { t := (*Txn)(s); t.fired().dataGranted(t) }
+func (s *rejectStep) Fire()   { t := (*Txn)(s); t.fired().rejected(t) }
+func (s *reissueStep) Fire()  { t := (*Txn)(s); t.fired().Issue(t) }
+func (s *finishStep) Fire()   { t := (*Txn)(s); t.fired().finish(t) }
+
+// Fire hands a remote write-back to the direct data path. It runs at the
+// write-back's completion cycle, beside its finishStep, so it leaves
+// stepping alone.
+func (s *captureStep) Fire() {
+	t := (*Txn)(s)
+	t.bus.cc.CaptureWriteBack(t.Line, t.out.Shared, t.Data)
 }
 
 // SnoopResult is a snooping agent's verdict at address-strobe time.
@@ -420,17 +450,17 @@ func (b *Bus) Issue(txn *Txn) {
 		// data phase would return stale memory.
 		b.mem.Set(txn.Line, txn.Data)
 	}
-	if txn.stepFn == nil {
-		txn.stepFn = func() { b.runStep(txn) }
-	}
+	txn.bus = b
 	txn.deferredToCC = false
 	txn.snoopData = 0
-	b.addr.Acquire(b.cfg.AddrStrobe, txn.then((*Bus).granted))
+	txn.arm()
+	b.addr.Acquire(b.cfg.AddrStrobe, (*grantStep)(txn))
 }
 
 // granted runs at the address-bus grant; the strobe follows BusArb later.
 func (b *Bus) granted(txn *Txn) {
-	b.eng.After(b.cfg.BusArb, txn.then((*Bus).strobe))
+	txn.arm()
+	b.eng.After(b.cfg.BusArb, (*strobeStep)(txn))
 }
 
 // strobe runs at address-strobe time: conflict check, snoop, resolution.
@@ -615,7 +645,8 @@ func (b *Bus) resolveReadEx(txn *Txn, now sim.Time, owned, deferred bool) {
 func (b *Bus) resolveWriteBack(txn *Txn, now sim.Time, sharedLeft bool) {
 	// Data crosses the bus starting two cycles after the strobe.
 	txn.out = Outcome{Status: OK, Shared: sharedLeft}
-	b.data.AcquireAt(now+2, b.cfg.BusDataTime(), txn.then((*Bus).writeBackData))
+	txn.arm()
+	b.data.AcquireAt(now+2, b.cfg.BusDataTime(), (*wbDataStep)(txn))
 }
 
 // writeBackData runs when a write-back's line starts crossing the data bus.
@@ -636,16 +667,8 @@ func (b *Bus) writeBackData(txn *Txn) {
 	if b.cc == nil {
 		panic("smpbus: remote write-back with no controller")
 	}
-	if txn.captureFn == nil {
-		txn.captureFn = func() { b.captureWriteBack(txn) }
-	}
-	b.eng.At(end, txn.captureFn)
+	b.eng.At(end, (*captureStep)(txn))
 	b.complete(txn, end, txn.out)
-}
-
-// captureWriteBack hands a remote write-back to the direct data path.
-func (b *Bus) captureWriteBack(txn *Txn) {
-	b.cc.CaptureWriteBack(txn.Line, txn.out.Shared, txn.Data)
 }
 
 func (b *Bus) resolveFetch(txn *Txn, now sim.Time, owned, sharedSeen bool) {
@@ -678,7 +701,8 @@ func (b *Bus) resolveFetch(txn *Txn, now sim.Time, owned, sharedSeen bool) {
 func (b *Bus) memoryRead(txn *Txn, now sim.Time, out Outcome) {
 	out.Data = b.mem.Get(txn.Line)
 	txn.out = out
-	b.bank(txn.Line).AcquireAt(now, b.cfg.BankBusy, txn.then((*Bus).memReady))
+	txn.arm()
+	b.bank(txn.Line).AcquireAt(now, b.cfg.BankBusy, (*memReadyStep)(txn))
 }
 
 // memReady runs when the bank accepts the read: the data is ready for the
@@ -693,7 +717,8 @@ func (b *Bus) memReady(txn *Txn) {
 // ready, completing the transaction at the critical-quad-word arrival.
 func (b *Bus) transferData(txn *Txn, ready sim.Time, out Outcome) {
 	txn.out = out
-	b.data.AcquireAt(ready, b.cfg.BusDataTime(), txn.then((*Bus).dataGranted))
+	txn.arm()
+	b.data.AcquireAt(ready, b.cfg.BusDataTime(), (*dataStep)(txn))
 }
 
 // dataGranted runs when the line starts crossing the data bus.
@@ -706,7 +731,8 @@ func (b *Bus) dataGranted(txn *Txn) {
 func (b *Bus) bounce(txn *Txn, now sim.Time) {
 	b.retries++
 	b.tr.SpanEnd(txn.Attr, obs.StageBus, 0, now+2)
-	b.eng.After(2, txn.then((*Bus).rejected))
+	txn.arm()
+	b.eng.After(2, (*rejectStep)(txn))
 }
 
 // rejected ends a bounce. A processor sees RetryNeeded and re-evaluates
@@ -715,7 +741,8 @@ func (b *Bus) bounce(txn *Txn, now sim.Time) {
 // back-off.
 func (b *Bus) rejected(txn *Txn) {
 	if txn.Src == CCSrc {
-		b.eng.After(b.cfg.BusRetry, txn.then((*Bus).Issue))
+		txn.arm()
+		b.eng.After(b.cfg.BusRetry, (*reissueStep)(txn))
 		return
 	}
 	txn.Done(Outcome{Status: RetryNeeded})
@@ -726,7 +753,8 @@ func (b *Bus) rejected(txn *Txn) {
 func (b *Bus) complete(txn *Txn, t sim.Time, out Outcome) {
 	b.tr.SpanEnd(txn.Attr, obs.StageBus, 0, t)
 	txn.out = out
-	b.eng.At(t, txn.then((*Bus).finish))
+	txn.arm()
+	b.eng.At(t, (*finishStep)(txn))
 }
 
 // finish is a scheduled completion. Done may re-issue txn, so the pending

@@ -45,7 +45,7 @@ func newBus(t *testing.T) (*sim.Engine, *Bus, *config.Config) {
 func issue(eng *sim.Engine, b *Bus, txn *Txn) *Outcome {
 	var got *Outcome
 	txn.Done = func(o Outcome) { c := o; got = &c }
-	eng.At(eng.Now(), func() { b.Issue(txn) })
+	eng.At(eng.Now(), sim.Func(func() { b.Issue(txn) }))
 	return got
 }
 
@@ -55,12 +55,12 @@ func TestLocalReadFromMemoryTiming(t *testing.T) {
 	src := b.AttachSnooper(snp)
 	var doneAt sim.Time = -1
 	var out Outcome
-	eng.At(0, func() {
+	eng.At(0, sim.Func(func() {
 		b.Issue(&Txn{Kind: Read, Line: 0x1000, Src: src, HomeLocal: true, Done: func(o Outcome) {
 			doneAt = eng.Now()
 			out = o
 		}})
-	})
+	}))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +84,12 @@ func TestReadSharedWhenSiblingHolds(t *testing.T) {
 	src := b.AttachSnooper(&fakeSnooper{verdict: SnoopNone})
 	var out Outcome
 	var doneAt sim.Time
-	eng.At(0, func() {
+	eng.At(0, sim.Func(func() {
 		b.Issue(&Txn{Kind: Read, Line: 0x1000, Src: src, HomeLocal: true, Done: func(o Outcome) {
 			out = o
 			doneAt = eng.Now()
 		}})
-	})
+	}))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +109,9 @@ func TestReadFromDirtyOwner(t *testing.T) {
 	b.AttachSnooper(owner)
 	src := b.AttachSnooper(&fakeSnooper{verdict: SnoopNone})
 	var out Outcome
-	eng.At(0, func() {
+	eng.At(0, sim.Func(func() {
 		b.Issue(&Txn{Kind: Read, Line: 0x2000, Src: src, HomeLocal: false, Done: func(o Outcome) { out = o }})
-	})
+	}))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestRemoteReadDefersToController(t *testing.T) {
 	b.AttachController(cc)
 	completed := false
 	var parked *Txn
-	eng.At(0, func() {
+	eng.At(0, sim.Func(func() {
 		txn := &Txn{Kind: Read, Line: 0x3000, Src: src, HomeLocal: false, Done: func(o Outcome) {
 			completed = true
 			if o.Status != OK || !o.Shared {
@@ -139,8 +139,8 @@ func TestRemoteReadDefersToController(t *testing.T) {
 		}}
 		parked = txn
 		b.Issue(txn)
-	})
-	eng.At(100, func() {
+	}))
+	eng.At(100, sim.Func(func() {
 		if len(cc.deferred) != 1 || cc.deferred[0] != parked {
 			t.Fatal("controller did not receive the deferred transaction")
 		}
@@ -148,7 +148,7 @@ func TestRemoteReadDefersToController(t *testing.T) {
 			t.Fatal("deferred transaction completed early")
 		}
 		b.Supply(parked, true, true, 0)
-	})
+	}))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +163,12 @@ func TestSupplyWithoutData(t *testing.T) {
 	cc := &fakeCC{verdict: SnoopDefer}
 	b.AttachController(cc)
 	var doneAt sim.Time = -1
-	eng.At(0, func() {
+	eng.At(0, sim.Func(func() {
 		b.Issue(&Txn{Kind: Upgrade, Line: 0x3000, Src: src, HomeLocal: true, Done: func(o Outcome) {
 			doneAt = eng.Now()
 		}})
-	})
-	eng.At(50, func() { b.Supply(cc.deferred[0], false, false, 0) })
+	}))
+	eng.At(50, sim.Func(func() { b.Supply(cc.deferred[0], false, false, 0) }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +186,11 @@ func TestUpgradeCompletesLocallyWithoutRemoteSharers(t *testing.T) {
 	cc := &fakeCC{verdict: SnoopNone}
 	b.AttachController(cc)
 	var doneAt sim.Time = -1
-	eng.At(0, func() {
+	eng.At(0, sim.Func(func() {
 		b.Issue(&Txn{Kind: Upgrade, Line: 0x1000, Src: src, HomeLocal: true, Done: func(o Outcome) {
 			doneAt = eng.Now()
 		}})
-	})
+	}))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +211,11 @@ func TestWriteBackLocalGoesToMemory(t *testing.T) {
 	cc := &fakeCC{verdict: SnoopNone}
 	b.AttachController(cc)
 	var doneAt sim.Time = -1
-	eng.At(0, func() {
+	eng.At(0, sim.Func(func() {
 		b.Issue(&Txn{Kind: WriteBack, Line: 0x1000, Src: src, HomeLocal: true, Done: func(o Outcome) {
 			doneAt = eng.Now()
 		}})
-	})
+	}))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +236,9 @@ func TestWriteBackRemoteUsesDirectDataPath(t *testing.T) {
 	src := b.AttachSnooper(&fakeSnooper{verdict: SnoopNone})
 	cc := &fakeCC{verdict: SnoopNone}
 	b.AttachController(cc)
-	eng.At(0, func() {
+	eng.At(0, sim.Func(func() {
 		b.Issue(&Txn{Kind: WriteBack, Line: 0x2000, Src: src, HomeLocal: false, Done: func(Outcome) {}})
-	})
+	}))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -258,13 +258,13 @@ func TestSameLineConflictRetries(t *testing.T) {
 	b.AttachController(cc)
 	var second Outcome
 	secondDone := false
-	eng.At(0, func() {
+	eng.At(0, sim.Func(func() {
 		b.Issue(&Txn{Kind: Read, Line: 0x1000, Src: src0, HomeLocal: false, Done: func(Outcome) {}})
 		b.Issue(&Txn{Kind: Read, Line: 0x1000, Src: src1, HomeLocal: false, Done: func(o Outcome) {
 			second = o
 			secondDone = true
 		}})
-	})
+	}))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -281,13 +281,13 @@ func TestFetchFromMemoryAndFromOwner(t *testing.T) {
 	owner := &fakeSnooper{verdict: SnoopOwned}
 	b.AttachSnooper(owner)
 	var fromOwner, fromMem Outcome
-	eng.At(0, func() {
+	eng.At(0, sim.Func(func() {
 		b.Issue(&Txn{Kind: Fetch, Line: 0x1000, Src: CCSrc, HomeLocal: true, Done: func(o Outcome) { fromOwner = o }})
-	})
-	eng.At(200, func() {
+	}))
+	eng.At(200, sim.Func(func() {
 		owner.verdict = SnoopNone
 		b.Issue(&Txn{Kind: Fetch, Line: 0x2000, Src: CCSrc, HomeLocal: true, Done: func(o Outcome) { fromMem = o }})
-	})
+	}))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -303,9 +303,9 @@ func TestFetchRemoteNoCopyReturnsNoData(t *testing.T) {
 	eng, b, _ := newBus(t)
 	b.AttachSnooper(&fakeSnooper{verdict: SnoopNone})
 	var out Outcome
-	eng.At(0, func() {
+	eng.At(0, sim.Func(func() {
 		b.Issue(&Txn{Kind: FetchEx, Line: 0x2000, Src: CCSrc, HomeLocal: false, Done: func(o Outcome) { out = o }})
-	})
+	}))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -320,10 +320,10 @@ func TestAbortBouncesParkedTransaction(t *testing.T) {
 	cc := &fakeCC{verdict: SnoopDefer}
 	b.AttachController(cc)
 	var out Outcome
-	eng.At(0, func() {
+	eng.At(0, sim.Func(func() {
 		b.Issue(&Txn{Kind: Upgrade, Line: 0x1000, Src: src, HomeLocal: false, Done: func(o Outcome) { out = o }})
-	})
-	eng.At(100, func() { b.Abort(cc.deferred[0]) })
+	}))
+	eng.At(100, sim.Func(func() { b.Abort(cc.deferred[0]) }))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -340,10 +340,10 @@ func TestBankContentionSerializesSameBank(t *testing.T) {
 	lineB := lineA + uint64(cfg.MemBanks*cfg.LineSize)
 	_ = lineB
 	var times []sim.Time
-	eng.At(0, func() {
+	eng.At(0, sim.Func(func() {
 		b.Issue(&Txn{Kind: Read, Line: lineA, Src: src, HomeLocal: true, Done: func(Outcome) { times = append(times, eng.Now()) }})
 		b.Issue(&Txn{Kind: Read, Line: lineA + 4*uint64(cfg.LineSize), Src: src, HomeLocal: true, Done: func(Outcome) { times = append(times, eng.Now()) }})
-	})
+	}))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -395,9 +395,9 @@ func TestUpgradeOwnedSiblingTransfersInNode(t *testing.T) {
 	cc := &fakeCC{verdict: SnoopDefer} // the CC would defer, but ownership wins
 	b.AttachController(cc)
 	var out Outcome
-	eng.At(0, func() {
+	eng.At(0, sim.Func(func() {
 		b.Issue(&Txn{Kind: Upgrade, Line: 0x1000, Src: src, HomeLocal: false, Done: func(o Outcome) { out = o }})
-	})
+	}))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -417,10 +417,10 @@ func TestUpgradeRequesterOwnsCompletesLocally(t *testing.T) {
 	cc := &fakeCC{verdict: SnoopDefer}
 	b.AttachController(cc)
 	var out Outcome
-	eng.At(0, func() {
+	eng.At(0, sim.Func(func() {
 		b.Issue(&Txn{Kind: Upgrade, Line: 0x2000, Src: src, HomeLocal: false,
 			RequesterOwns: true, Done: func(o Outcome) { out = o }})
-	})
+	}))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -441,9 +441,9 @@ func TestLocalReadInstallsSharedWhenDirectoryReportsSharers(t *testing.T) {
 	cc := &fakeCC{verdict: SnoopShared} // bus-side directory: remote sharers exist
 	b.AttachController(cc)
 	var out Outcome
-	eng.At(0, func() {
+	eng.At(0, sim.Func(func() {
 		b.Issue(&Txn{Kind: Read, Line: 0x1000, Src: src, HomeLocal: true, Done: func(o Outcome) { out = o }})
-	})
+	}))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -459,22 +459,22 @@ func TestWriteBackPassesParkedTransaction(t *testing.T) {
 	cc := &fakeCC{verdict: SnoopDefer}
 	b.AttachController(cc)
 	wbDone := false
-	eng.At(0, func() {
+	eng.At(0, sim.Func(func() {
 		// First a read that gets parked with the controller.
 		b.Issue(&Txn{Kind: Read, Line: 0x2000, Src: src0, HomeLocal: false, Done: func(Outcome) {}})
-	})
-	eng.At(50, func() {
+	}))
+	eng.At(50, sim.Func(func() {
 		// Then a write-back of the same line from the sibling: it must NOT
 		// bounce on the parked read (livelock otherwise).
 		b.Issue(&Txn{Kind: WriteBack, Line: 0x2000, Src: src1, HomeLocal: false, Done: func(o Outcome) {
 			wbDone = o.Status == OK
 		}})
-	})
-	eng.At(500, func() {
+	}))
+	eng.At(500, sim.Func(func() {
 		if len(cc.deferred) == 1 {
 			b.Supply(cc.deferred[0], true, true, 0)
 		}
-	})
+	}))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +490,7 @@ func TestCCInterventionBouncesOnLiveTransfer(t *testing.T) {
 	eng, b, _ := newBus(t)
 	src := b.AttachSnooper(&fakeSnooper{verdict: SnoopNone})
 	var outcomes []Status
-	eng.At(0, func() {
+	eng.At(0, sim.Func(func() {
 		// Live local read occupies the line (memory path, done ~28 cycles).
 		b.Issue(&Txn{Kind: Read, Line: 0x1000, Src: src, HomeLocal: true, Done: func(Outcome) {}})
 		// CC fetch for the same line strobes mid-flight: it must bounce,
@@ -498,7 +498,7 @@ func TestCCInterventionBouncesOnLiveTransfer(t *testing.T) {
 		b.Issue(&Txn{Kind: Fetch, Line: 0x1000, Src: CCSrc, HomeLocal: true, Done: func(o Outcome) {
 			outcomes = append(outcomes, o.Status)
 		}})
-	})
+	}))
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -527,13 +527,13 @@ func TestTxnReissue(t *testing.T) {
 	reissue := func(kind Kind, line uint64, homeLocal bool) {
 		t.Helper()
 		txn.Kind, txn.Line, txn.HomeLocal = kind, line, homeLocal
-		eng.At(eng.Now(), func() {
+		eng.At(eng.Now(), sim.Func(func() {
 			b.Issue(txn)
 			if txn.deferredToCC || txn.snoopData != 0 {
 				t.Errorf("issue of %v line %#x kept parked=%v snoopData=%#x from the last issue",
 					kind, line, txn.deferredToCC, txn.snoopData)
 			}
-		})
+		}))
 	}
 	settle := func(want Outcome) {
 		t.Helper()
@@ -551,7 +551,7 @@ func TestTxnReissue(t *testing.T) {
 
 	// A bounce: another processor's read of the line is parked first.
 	blocker := &Txn{Kind: Read, Line: 0x1000, Src: other, Done: func(Outcome) {}}
-	eng.At(0, func() { b.Issue(blocker) })
+	eng.At(0, sim.Func(func() { b.Issue(blocker) }))
 	reissue(Read, 0x1000, false)
 	settle(Outcome{Status: RetryNeeded})
 	if b.pending[other] != (pendingSlot{line: 0x1000, txn: blocker}) {
@@ -583,9 +583,9 @@ func TestTxnReissue(t *testing.T) {
 	cc.verdict = SnoopNone
 	reissue(Read, 0x3000, true)
 	var fetch Outcome
-	eng.At(eng.Now(), func() {
+	eng.At(eng.Now(), sim.Func(func() {
 		b.Issue(&Txn{Kind: Fetch, Line: 0x3000, Src: CCSrc, HomeLocal: true, Done: func(o Outcome) { fetch = o }})
-	})
+	}))
 	retries := b.Retries()
 	settle(Outcome{Status: OK})
 	if b.Retries() != retries+1 || fetch.Status != OK {
@@ -634,13 +634,12 @@ func mallocs(f func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// TestTxnBindsOneCallback pins what a transaction costs the bus: one
-// callback for every step it takes, bound on its first issue, and one for
-// a remote write-back's capture. One transaction is driven through a
-// bounce, a memory read, a deferred Supply, an Abort and a remote
-// write-back. The first pass may allocate those two callbacks and the
-// deferred reply that Supply makes once per parked transaction (the reply
-// and its own callback); the second pass allocates nothing.
+// TestTxnBindsOneCallback pins what a transaction costs the bus: its steps
+// are typed actions over the transaction itself, so scheduling them binds
+// nothing. One transaction is driven through a bounce, a memory read, a
+// deferred Supply, an Abort and a remote write-back. The first pass may
+// allocate only the deferred reply that Supply makes once per parked
+// transaction; the second pass allocates nothing.
 func TestTxnBindsOneCallback(t *testing.T) {
 	eng, b, _ := newBus(t)
 	src := b.AttachSnooper(verdictSnooper(SnoopNone))
@@ -699,13 +698,12 @@ func TestTxnBindsOneCallback(t *testing.T) {
 		expect("write-back", Outcome{Status: OK})
 	}
 
-	// The blocker's own issue binds its callback and the engine reserves
-	// its event slab before anything is counted.
+	// The engine reserves its event slab before anything is counted.
 	b.Issue(blocker)
 	run()
 	first, second := mallocs(pass), mallocs(pass)
-	if first > 4 {
-		t.Errorf("first pass allocated %d objects, want at most 4: the step callback, the capture callback, the deferred reply and its callback", first)
+	if first > 1 {
+		t.Errorf("first pass allocated %d objects, want at most 1: the deferred reply", first)
 	}
 	if second != 0 {
 		t.Errorf("second pass allocated %d objects, want 0", second)

@@ -90,14 +90,14 @@ func (h *Harness) Alloc(node int) uint64 {
 // written value; done (if non-nil) then runs.
 func (h *Harness) Access(proc int, line uint64, write bool, done func()) {
 	p := h.M.Procs[proc]
-	p.SyncAccess(line, write, func() {
+	p.SyncAccess(line, write, sim.Func(func() {
 		if write {
 			h.lastVal[line] = p.LastWriteValue()
 		}
 		if done != nil {
 			done()
 		}
-	})
+	}))
 }
 
 // Drain executes engine events until the queue empties, checking the

@@ -195,7 +195,7 @@ func raceRun(vc *Config, path []Step, s1, s2 Step, d sim.Time) *Violation {
 	}
 	recs := []*opRecord{track(s1, t0), track(s2, t0+d)}
 	issue(s1, recs[0])
-	eng.At(t0+d, func() { issue(s2, recs[1]) })
+	eng.At(t0+d, sim.Func(func() { issue(s2, recs[1]) }))
 	if v := r.Drain(nil); v != nil {
 		return v
 	}

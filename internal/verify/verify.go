@@ -6,8 +6,8 @@
 // line — and explores the reachable protocol state space by breadth-first
 // search over quiescent machine states.
 //
-// The simulator schedules closures, which cannot be snapshotted, so the
-// checker is replay-based: every explored edge rebuilds the machine from
+// The simulator schedules actions on live model objects, which cannot be
+// snapshotted, so the checker is replay-based: every explored edge rebuilds the machine from
 // scratch and deterministically replays the path of operations that leads
 // to the edge's source state. Determinism of the sim engine makes replays
 // bit-for-bit reproducible, so a violation's Path field is a complete
