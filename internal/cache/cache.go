@@ -49,22 +49,18 @@ const (
 // Owned).
 func (s State) Dirty() bool { return s == Modified || s == Owned }
 
+var stateNames = [...]string{"I", "S", "E", "M", "O"}
+
+// String is small enough to inline; an unknown state's name is formatted
+// out of line.
 func (s State) String() string {
-	switch s {
-	case Invalid:
-		return "I"
-	case Shared:
-		return "S"
-	case Exclusive:
-		return "E"
-	case Modified:
-		return "M"
-	case Owned:
-		return "O"
-	default:
-		return fmt.Sprintf("State(%d)", uint8(s))
+	if int(s) < len(stateNames) {
+		return stateNames[s]
 	}
+	return s.unknown()
 }
+
+func (s State) unknown() string { return fmt.Sprintf("State(%d)", uint8(s)) }
 
 // way is one cache way: a line address, a packed word holding the line's
 // state in the high byte and its LRU stamp (higher = more recently used)

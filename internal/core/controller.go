@@ -483,7 +483,9 @@ func (cc *Controller) deliver(src int, payload interface{}) {
 				cc.forceNack--
 			}
 			cc.st.NacksSent++
-			cc.tr.Nack(now, cc.node, e.idx, msg.Type.String(), msg.Line)
+			if cc.tr.Enabled() {
+				cc.tr.Nack(now, cc.node, e.idx, msg.Type.String(), msg.Line)
+			}
 			cc.send(now, msg.Requester, &protocol.Msg{
 				Type: protocol.MsgNack, Line: msg.Line, Src: cc.node,
 				Requester: msg.Requester, Excl: msg.Type == protocol.MsgReadExReq,
@@ -563,13 +565,28 @@ func (e *engine) kick() {
 	e.dispatch(w)
 }
 
+// firstQueued is the room each input queue gets on the engine's first
+// enqueue: a short run's queues hold a few items at most, so one array
+// for all three spares them the 1, 2, 4, 8 growth of a plain append.
+const firstQueued = 8
+
 // enqueue appends w to its input queue and starts a dispatch if the
-// engine is idle. w.arrival must already be set.
+// engine is idle. w.arrival must already be set. The first enqueue
+// reserves firstQueued items for each queue in one array; a queue that
+// outgrows its share moves to its own.
 func (e *engine) enqueue(w *work) {
 	cc := e.cc
 	q := w.queue()
+	if e.q[q] == nil {
+		buf := make([]*work, len(e.q)*firstQueued)
+		for i := range e.q {
+			e.q[i] = buf[i*firstQueued : i*firstQueued : (i+1)*firstQueued]
+		}
+	}
 	e.q[q] = append(e.q[q], w)
-	cc.tr.Enqueue(w.arrival, cc.node, e.idx, q, len(e.q[q]), w.label(), cc.lineOf(w))
+	if cc.tr.Enabled() {
+		cc.tr.Enqueue(w.arrival, cc.node, e.idx, q, len(e.q[q]), w.label(), cc.lineOf(w))
+	}
 	id, epoch := w.span()
 	cc.tr.SpanBegin(id, obs.StageCCQueue, epoch, w.arrival)
 	e.kick()
@@ -583,7 +600,9 @@ func (e *engine) take(q int) *work {
 	n := copy(s, s[1:])
 	s[n] = nil
 	e.q[q] = s[:n]
-	e.cc.tr.Dequeue(e.cc.eng.Now(), e.cc.node, e.idx, q, n, e.cc.lineOf(w))
+	if e.cc.tr.Enabled() {
+		e.cc.tr.Dequeue(e.cc.eng.Now(), e.cc.node, e.idx, q, n, e.cc.lineOf(w))
+	}
 	return w
 }
 

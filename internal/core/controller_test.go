@@ -437,7 +437,9 @@ func TestReplayedWaitersKeepTheirRequests(t *testing.T) {
 		b.AttachSnooper(silentSnooper{})
 		b.AttachSnooper(silentSnooper{})
 	}
-	r.buses[2].AttachSnooper(&ownerSnooper{}) // node 2 supplies the lines it owns
+	owner := r.buses[2].AttachSnooper(&ownerSnooper{}) // node 2 supplies the lines it owns
+	r.buses[2].Hold(owner, lineL)
+	r.buses[2].Hold(owner, lineM)
 	run := func() {
 		if _, err := r.eng.Run(); err != nil {
 			t.Fatal(err)

@@ -49,7 +49,10 @@ type Proc struct {
 	// l2 holds each line's state, and its shadow value in the way's word.
 	// l1 tracks presence: inclusion keeps every L1 line in L2, and an L1
 	// way's word is the L2 way holding its line, so an L1 hit reaches the
-	// line's state and value without searching L2.
+	// line's state and value without searching L2. The bus keeps one
+	// presence bit per line for the L2 (Bus.Hold and Bus.Drop): a strobe
+	// snoops this processor only for a line it holds, and an L1 miss
+	// searches L2 only when the bit is set.
 	l1 *cache.Cache
 	l2 *cache.Cache
 
@@ -196,6 +199,22 @@ func (p *Proc) CheckInclusion() error {
 			_, st := p.l2.Lookup(line)
 			err = fmt.Errorf("inclusion: proc %d holds line %#x in L1, but the L2 way it links does not hold it (L2 state %v)",
 				p.id, line, st)
+			return false
+		}
+		return true
+	})
+	return err
+}
+
+// CheckPresence reports the first L2 line, in set order, whose presence
+// bit on the bus is clear: a strobe of that line would skip this cache.
+// A bit set for a line the L2 does not hold is the machine's to find, in
+// its sweep of every bit.
+func (p *Proc) CheckPresence() error {
+	var err error
+	p.l2.Lines(func(_ cache.Way, line uint64, st cache.State) bool {
+		if !p.bus.Holds(p.src, line) {
+			err = fmt.Errorf("presence: proc %d holds line %#x %v in L2, but its presence bit is clear", p.id, line, st)
 			return false
 		}
 		return true
@@ -387,7 +406,10 @@ func (p *Proc) access(addr uint64, write bool) {
 		return
 	}
 
-	w, st := p.l2.Touch(line)
+	w, st := cache.NoWay, cache.Invalid
+	if p.bus.Holds(p.src, line) {
+		w, st = p.l2.Touch(line)
+	}
 	switch {
 	case st == cache.Invalid:
 		p.misses++
@@ -474,7 +496,9 @@ func (p *Proc) busBackoff() sim.Time {
 }
 
 func (p *Proc) missDone(line uint64, kind smpbus.Kind, owned bool, o smpbus.Outcome) {
-	p.tr.Cache(p.eng.Now(), p.node, p.src, line, "missDone", kind.String())
+	if p.tr.Enabled() {
+		p.tr.Cache(p.eng.Now(), p.node, p.src, line, "missDone", kind.String())
+	}
 	switch o.Status {
 	case smpbus.RetryNeeded:
 		p.retries++
@@ -535,10 +559,14 @@ func (p *Proc) missDone(line uint64, kind smpbus.Kind, owned bool, o smpbus.Outc
 // retryAccess re-evaluates the cache state after a bus bounce: a snoop
 // may have downgraded or invalidated the line in the meantime. The line
 // cannot have arrived: the L2 gains a line only through this processor's
-// own missDone, and the processor has one access in flight.
+// own missDone, and the processor has one access in flight. L2 is searched
+// only when the line's presence bit is set.
 func (p *Proc) retryAccess(line uint64, kind smpbus.Kind) {
 	p.tr.SpanEnd(p.missTxn, obs.StageBackoff, 0, p.eng.Now())
-	_, st := p.l2.Touch(line)
+	st := cache.Invalid
+	if p.bus.Holds(p.src, line) {
+		_, st = p.l2.Touch(line)
+	}
 	switch kind {
 	case smpbus.Read:
 		if st != cache.Invalid {
@@ -568,13 +596,20 @@ func (p *Proc) retryAccess(line uint64, kind smpbus.Kind) {
 // installL2 inserts a line filled with value v, writing back a dirty
 // victim with the victim's value and keeping L1 inclusive: the victim
 // leaves L1 too, so the only L1 way that links the line's L2 way is the
-// line's own. It returns the line's L2 way.
+// line's own. The bus's presence bits follow: the line is held, the
+// victim dropped. It returns the line's L2 way.
 func (p *Proc) installL2(line uint64, st cache.State, v uint64) cache.Way {
 	w, victim, vstate, vval := p.l2.Insert(line, st)
 	p.l2.SetWord(w, v)
-	p.tr.Cache(p.eng.Now(), p.node, p.src, line, "install", st.String())
+	p.bus.Hold(p.src, line)
+	if p.tr.Enabled() {
+		p.tr.Cache(p.eng.Now(), p.node, p.src, line, "install", st.String())
+		if vstate != cache.Invalid {
+			p.tr.Cache(p.eng.Now(), p.node, p.src, victim, "evict", vstate.String())
+		}
+	}
 	if vstate != cache.Invalid {
-		p.tr.Cache(p.eng.Now(), p.node, p.src, victim, "evict", vstate.String())
+		p.bus.Drop(p.src, victim)
 		p.l1.Invalidate(victim)
 		if vstate.Dirty() {
 			p.writeBack(victim, vval)
@@ -622,7 +657,9 @@ func (p *Proc) writeBack(line, v uint64) {
 // reissue puts the write-back on the bus.
 func (t *wbTxn) reissue() {
 	p := t.p
-	p.tr.Cache(p.eng.Now(), p.node, p.src, t.Line, "writeback", "")
+	if p.tr.Enabled() {
+		p.tr.Cache(p.eng.Now(), p.node, p.src, t.Line, "writeback", "")
+	}
 	t.HomeLocal = p.space.Home(t.Line) == p.node
 	p.bus.Issue(&t.Txn)
 }
@@ -660,7 +697,8 @@ func (p *Proc) finishAccess(extra sim.Time) {
 // Snoop implements the bus snooping agent for this processor's caches. It
 // looks the line up in L2 once, reads its state and value before any
 // downgrade or invalidation, keeps the value for SnoopData, and changes
-// the state through the way it found.
+// the state through the way it found. The bus snoops only lines whose
+// presence bit is set, and an invalidation drops the bit.
 func (p *Proc) Snoop(txn *smpbus.Txn) smpbus.SnoopResult {
 	line := txn.Line
 	w, st := p.l2.Lookup(line)
@@ -668,7 +706,9 @@ func (p *Proc) Snoop(txn *smpbus.Txn) smpbus.SnoopResult {
 		return smpbus.SnoopNone
 	}
 	p.snoopVal = p.l2.Word(w)
-	p.tr.Cache(p.eng.Now(), p.node, p.src, line, "snoop", st.String())
+	if p.tr.Enabled() {
+		p.tr.Cache(p.eng.Now(), p.node, p.src, line, "snoop", st.String())
+	}
 	switch txn.Kind {
 	case smpbus.Read:
 		// In-node read: a dirty owner supplies and keeps ownership
@@ -694,6 +734,7 @@ func (p *Proc) Snoop(txn *smpbus.Txn) smpbus.SnoopResult {
 		return smpbus.SnoopShared
 	case smpbus.ReadEx, smpbus.Upgrade, smpbus.FetchEx, smpbus.Inval:
 		p.l2.SetState(w, cache.Invalid)
+		p.bus.Drop(p.src, line)
 		p.l1.Invalidate(line)
 		if st.Dirty() {
 			return smpbus.SnoopOwned

@@ -58,6 +58,14 @@ func run(t *testing.T, eng *sim.Engine, ps []*Proc, progs ...func(*prog.Env)) {
 	}
 }
 
+// plant places line in p's L2 in state st and records it on the bus, as a
+// fill does, and returns the line's L2 way.
+func plant(p *Proc, line uint64, st cache.State) cache.Way {
+	w, _, _, _ := p.l2.Insert(line, st)
+	p.bus.Hold(p.src, line)
+	return w
+}
+
 // counters returns p's reference statistics by name.
 func counters(p *Proc) map[string]uint64 {
 	c := map[string]uint64{}
@@ -322,8 +330,7 @@ func TestBrokenInclusionIsReported(t *testing.T) {
 	_, _, space, _, ps := testRig(t, 1)
 	p := ps[0]
 	line := space.Alloc(4096)
-	w, _, _, _ := p.l2.Insert(line+128, cache.Shared)
-	p.installL1(line, w)
+	p.installL1(line, plant(p, line+128, cache.Shared))
 	want := fmt.Sprintf("proc 0 holds line %#x in L1", line)
 	if err := p.CheckInclusion(); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("CheckInclusion = %v, want an error containing %q", err, want)
@@ -412,7 +419,7 @@ func TestRetryOfPresentLinePanics(t *testing.T) {
 	} {
 		_, _, space, _, ps := testRig(t, 1)
 		line := space.Alloc(4096)
-		ps[0].l2.Insert(line, tc.st)
+		plant(ps[0], line, tc.st)
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -528,10 +535,9 @@ func TestWriteBackCarriesVictimValue(t *testing.T) {
 		stride := uint64(cfg.L2Size / cfg.L2Assoc)
 		victim := space.AllocOnNode(int(stride)*(cfg.L2Assoc+1), home)
 		const want = 0xfeed
-		w, _, _, _ := p.l2.Insert(victim, cache.Modified)
-		p.l2.SetWord(w, want)
+		p.l2.SetWord(plant(p, victim, cache.Modified), want)
 		for i := 1; i < cfg.L2Assoc; i++ {
-			p.l2.Insert(victim+uint64(i)*stride, cache.Shared)
+			plant(p, victim+uint64(i)*stride, cache.Shared)
 		}
 
 		// Another processor's read of the victim line is on the bus when
@@ -565,6 +571,54 @@ func TestWriteBackCarriesVictimValue(t *testing.T) {
 		}
 		if len(cc.captured) != 1 || cc.captured[0] != want {
 			t.Fatalf("remote home: controller captured %#x, want one write-back of %#x", cc.captured, want)
+		}
+	}
+}
+
+// TestPresenceBitsFollowL2 checks that the bus's presence bits follow each
+// processor's L2: a fill sets the line's bit, an eviction clears the
+// victim's, and a snoop that invalidates a copy clears its holder's.
+// Processor 0 reads L2Assoc+2 lines of one L2 set, evicting the first
+// two; processor 1 then writes two of the rest, invalidating them at
+// processor 0, and reads a third, which processor 0 supplies.
+func TestPresenceBitsFollowL2(t *testing.T) {
+	eng, cfg, space, bus, ps := testRig(t, 2)
+	stride := uint64(cfg.L2Size / cfg.L2Assoc)
+	n := cfg.L2Assoc + 2
+	base := space.Alloc(int(stride) * n)
+	line := func(i int) uint64 { return base + uint64(i)*stride }
+	run(t, eng, ps, func(e *prog.Env) {
+		for i := 0; i < n; i++ {
+			e.Read(line(i))
+		}
+	}, func(e *prog.Env) {
+		e.Compute(1_000_000) // until processor 0 has read every line
+		e.Write(line(2))
+		e.Write(line(3))
+		e.Read(line(4))
+	})
+	for _, c := range []struct {
+		p    *Proc
+		i    int
+		want cache.State
+	}{
+		{ps[0], 0, cache.Invalid}, {ps[0], 1, cache.Invalid}, // evicted
+		{ps[0], 2, cache.Invalid}, {ps[0], 3, cache.Invalid}, // invalidated
+		{ps[0], 4, cache.Shared}, {ps[0], 5, cache.Exclusive},
+		{ps[1], 2, cache.Modified}, {ps[1], 3, cache.Modified}, {ps[1], 4, cache.Shared},
+	} {
+		if st := c.p.L2State(line(c.i)); st != c.want {
+			t.Errorf("proc %d holds line %d %v, want %v", c.p.ID(), c.i, st, c.want)
+		}
+	}
+	for _, p := range ps {
+		for i := 0; i < n; i++ {
+			if held, valid := bus.Holds(p.src, line(i)), p.L2State(line(i)) != cache.Invalid; held != valid {
+				t.Errorf("proc %d line %d: presence bit %v, L2 valid %v", p.ID(), i, held, valid)
+			}
+		}
+		if err := p.CheckPresence(); err != nil {
+			t.Error(err)
 		}
 	}
 }

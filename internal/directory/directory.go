@@ -34,18 +34,18 @@ const (
 	DirtyRemote
 )
 
+var stateNames = [...]string{NoRemote: "NoRemote", SharedRemote: "SharedRemote", DirtyRemote: "DirtyRemote"}
+
+// String is small enough to inline, so a disabled DirAccess hook costs no
+// call; an unknown state's name is formatted out of line.
 func (s State) String() string {
-	switch s {
-	case NoRemote:
-		return "NoRemote"
-	case SharedRemote:
-		return "SharedRemote"
-	case DirtyRemote:
-		return "DirtyRemote"
-	default:
-		return fmt.Sprintf("State(%d)", uint8(s))
+	if int(s) < len(stateNames) {
+		return stateNames[s]
 	}
+	return s.unknown()
 }
+
+func (s State) unknown() string { return fmt.Sprintf("State(%d)", uint8(s)) }
 
 // Bitmap is a node-sharing vector: a full bit map of up to config.MaxNodes
 // nodes, which Config.Validate enforces.

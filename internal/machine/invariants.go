@@ -1,58 +1,50 @@
 package machine
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"ccnuma/internal/cache"
 	"ccnuma/internal/directory"
+	"ccnuma/internal/smpbus"
 )
 
 // CheckCoherence validates the global coherence invariants on a quiesced
 // machine (no in-flight transactions): each processor's L1 is included in
-// its L2, every L1 line linking the L2 way that holds it; every dirty
-// cached line is owned by exactly one node and registered as DirtyRemote
-// at its home (unless the home itself holds it), and every clean shared
-// copy of a remote line is covered by the home directory. Stale directory
-// sharers (nodes that silently dropped Shared copies) are legal; uncovered
-// holders are not. Processors are checked in order, then lines in
-// ascending order, so a machine with several bad lines always reports the
-// lowest. Machine.Run calls this after every successful run.
+// its L2, every L1 line linking the L2 way that holds it; each bus's
+// presence bits name exactly the lines its processors hold in L2; every
+// dirty cached line is owned by exactly one node and registered as
+// DirtyRemote at its home (unless the home itself holds it), and every
+// clean shared copy of a remote line is covered by the home directory.
+// Stale directory sharers (nodes that silently dropped Shared copies) are
+// legal; uncovered holders are not. Processors are checked in order, then
+// the presence bits are walked in ascending line order, each line with
+// its holders in processor order, so a machine with several bad lines
+// always reports the lowest. Machine.Run calls this after every
+// successful run.
 func (m *Machine) CheckCoherence() error {
-	lines := 0
 	for _, p := range m.Procs {
-		lines += p.L2Lines()
-	}
-	held := make([]l2Holder, 0, lines)
-	for i, p := range m.Procs {
 		if err := p.CheckInclusion(); err != nil {
 			return fmt.Errorf("coherence: %w", err)
 		}
-		node := p.Node()
-		p.ForEachL2Line(func(line uint64, st cache.State) {
-			held = append(held, l2Holder{line, node, int32(i), st})
-		})
-	}
-	// A processor holds a line once, so (line, processor) orders every
-	// holder, and each line's holders in processor order.
-	slices.SortFunc(held, func(a, b l2Holder) int {
-		if c := cmp.Compare(a.line, b.line); c != 0 {
-			return c
+		if err := p.CheckPresence(); err != nil {
+			return fmt.Errorf("coherence: %w", err)
 		}
-		return cmp.Compare(a.proc, b.proc)
+	}
+	// The buses number their snoopers node by node, as m.Procs is ordered.
+	hs := make([]l2Holder, 0, len(m.Procs))
+	return smpbus.EachHeld(m.Buses, func(line uint64, holders []int) error {
+		hs = hs[:0]
+		for _, i := range holders {
+			p := m.Procs[i]
+			st := p.L2State(line)
+			if st == cache.Invalid {
+				return fmt.Errorf("coherence: proc %d's presence bit for line %#x is set, but its L2 does not hold the line",
+					p.ID(), line)
+			}
+			hs = append(hs, l2Holder{node: p.Node(), state: st})
+		}
+		return m.checkLine(line, hs)
 	})
-	for len(held) > 0 {
-		n := 1
-		for n < len(held) && held[n].line == held[0].line {
-			n++
-		}
-		if err := m.checkLine(held[0].line, held[:n]); err != nil {
-			return err
-		}
-		held = held[n:]
-	}
-	return nil
 }
 
 // checkLine validates one cached line against its holders.
@@ -123,11 +115,9 @@ func (m *Machine) checkLine(line uint64, hs []l2Holder) error {
 }
 
 // l2Holder is one cache's view of a line during the coherence sweep: the
-// line, the node and index of the processor holding it, and its state.
+// node of the processor holding it, and its state.
 type l2Holder struct {
-	line  uint64
 	node  int
-	proc  int32
 	state cache.State
 }
 

@@ -135,6 +135,10 @@ func NewTraced(cfg config.Config, app string, tr *obs.Tracer) (*Machine, error) 
 		cluster:   cluster,
 		Cfg:       cfg,
 		Tracer:    tr,
+		Buses:     make([]*smpbus.Bus, 0, cfg.Nodes),
+		Dirs:      make([]*directory.Directory, 0, cfg.Nodes),
+		CCs:       make([]*core.Controller, 0, cfg.Nodes),
+		Procs:     make([]*cpu.Proc, 0, cfg.Nodes*cfg.ProcsPerNode),
 		arriveFns: make([]func(), 0, cfg.Nodes*cfg.ProcsPerNode),
 		locks:     make(map[int]*lockState),
 		lockAddrs: make(map[int]uint64),

@@ -193,6 +193,48 @@ func TestCoherenceCheckerReportsLowestLine(t *testing.T) {
 	}
 }
 
+// TestCoherenceCheckerReportsPresenceDrift clears the presence bit of a
+// line a processor holds, then sets one for a line a processor does not
+// hold: either drift, a missed Bus.Drop or Bus.Hold, would make strobes
+// skip a holder or snoop a cache for nothing, and the sweep must name the
+// processor and the line.
+func TestCoherenceCheckerReportsPresenceDrift(t *testing.T) {
+	m, err := New(testCfg(2, 2), "guard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := m.Space.AllocOnNode(4096, 0)
+	other := line + uint64(m.Cfg.LineSize)
+	if _, err := m.Run(func(e *prog.Env) {
+		if e.ID() == 1 {
+			e.Read(line)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	bus := m.Buses[0]
+	for _, c := range []struct {
+		name  string
+		drift func()
+		mend  func()
+		want  string
+	}{
+		{"dropped bit", func() { bus.Drop(1, line) }, func() { bus.Hold(1, line) },
+			fmt.Sprintf("proc 1 holds line %#x E in L2, but its presence bit is clear", line)},
+		{"stale bit", func() { bus.Hold(0, other) }, func() { bus.Drop(0, other) },
+			fmt.Sprintf("proc 0's presence bit for line %#x is set, but its L2 does not hold the line", other)},
+	} {
+		c.drift()
+		if err := m.CheckCoherence(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: CheckCoherence = %v, want an error containing %q", c.name, err, c.want)
+		}
+		c.mend()
+		if err := m.CheckCoherence(); err != nil {
+			t.Errorf("%s mended: %v", c.name, err)
+		}
+	}
+}
+
 // TestL2ConflictsKeepL1Included runs a processor over lines that share a
 // set of a direct-mapped L2 and fit one set of the 4-way L1, so every L2
 // fill evicts a line that L1 still holds. The fill must take that line out

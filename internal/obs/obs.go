@@ -309,9 +309,12 @@ func (t *Tracer) NetRecv(at sim.Time, src, dst int, name string, line uint64) {
 // DirAccess records a directory read (hit reports a directory-cache hit) or
 // write-through; state is the entry state read or written.
 func (t *Tracer) DirAccess(at sim.Time, node int, line uint64, write, hit bool, state string) {
-	if !t.Enabled() {
-		return
+	if t.Enabled() {
+		t.dirAccess(at, node, line, write, hit, state)
 	}
+}
+
+func (t *Tracer) dirAccess(at sim.Time, node int, line uint64, write, hit bool, state string) {
 	kind := EvDirRead
 	var a int64
 	if write {

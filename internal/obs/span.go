@@ -139,9 +139,12 @@ func (t *Tracer) SpanStart(txn uint64, node int, line uint64, at sim.Time) {
 // episode) are ignored. A new episode (timeout or NACK re-issue) simply
 // calls SpanEpoch again.
 func (t *Tracer) SpanEpoch(txn uint64, epoch uint32) {
-	if !t.Attributing() {
-		return
+	if t.Attributing() {
+		t.spanEpoch(txn, epoch)
 	}
+}
+
+func (t *Tracer) spanEpoch(txn uint64, epoch uint32) {
 	t.mu.Lock()
 	if st := t.open[txn]; st != nil {
 		st.epoch = epoch
@@ -168,9 +171,12 @@ func (t *Tracer) match(txn uint64, epoch uint32) *spanState {
 // SpanEnd's cursor tiling): it emits a trace event for cctrace/Perfetto
 // and anchors the lint pairing rule, but moves no cursor.
 func (t *Tracer) SpanBegin(txn uint64, stage Stage, epoch uint32, at sim.Time) {
-	if !t.Attributing() {
-		return
+	if t.Attributing() {
+		t.spanBegin(txn, stage, epoch, at)
 	}
+}
+
+func (t *Tracer) spanBegin(txn uint64, stage Stage, epoch uint32, at sim.Time) {
 	t.mu.Lock()
 	st := t.match(txn, epoch)
 	t.mu.Unlock()
@@ -184,9 +190,12 @@ func (t *Tracer) SpanBegin(txn uint64, stage Stage, epoch uint32, at sim.Time) {
 // stale deliveries, same-cycle hops) are silent no-ops: they attribute
 // zero cycles rather than corrupt the tiling.
 func (t *Tracer) SpanEnd(txn uint64, stage Stage, epoch uint32, at sim.Time) {
-	if !t.Attributing() {
-		return
+	if t.Attributing() {
+		t.spanEnd(txn, stage, epoch, at)
 	}
+}
+
+func (t *Tracer) spanEnd(txn uint64, stage Stage, epoch uint32, at sim.Time) {
 	t.mu.Lock()
 	st := t.match(txn, epoch)
 	if st == nil || at <= st.cursor {
@@ -207,9 +216,12 @@ func (t *Tracer) SpanEnd(txn uint64, stage Stage, epoch uint32, at sim.Time) {
 // violation: some component checkpointed cycles past the observed
 // end-to-end latency.
 func (t *Tracer) SpanFinish(txn uint64, at sim.Time) {
-	if !t.Attributing() {
-		return
+	if t.Attributing() {
+		t.spanFinish(txn, at)
 	}
+}
+
+func (t *Tracer) spanFinish(txn uint64, at sim.Time) {
 	t.mu.Lock()
 	st := t.open[txn]
 	if st == nil {

@@ -12,10 +12,17 @@
 // conflict), each step a named pointer type over Txn that the engine fires
 // directly, so a re-issued transaction schedules its steps without
 // allocating. A transaction has at most one step in flight.
+//
+// The bus keeps, for each snooper, one presence bit per line of the address
+// space: a snooper reports the lines it comes to hold with Hold and the
+// ones it loses with Drop, and a strobe snoops only the holders of its
+// line. A snooper that does not hold the line would answer SnoopNone and
+// change nothing, so skipping it leaves every verdict as it was.
 package smpbus
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ccnuma/internal/config"
 	"ccnuma/internal/memaddr"
@@ -55,12 +62,16 @@ const (
 
 var kindNames = [...]string{"Read", "ReadEx", "Upgrade", "WriteBack", "Inval", "Fetch", "FetchEx", "Supply"}
 
+// String is small enough to inline; an unknown kind's name is formatted
+// out of line.
 func (k Kind) String() string {
 	if k >= 0 && int(k) < len(kindNames) {
 		return kindNames[k]
 	}
-	return fmt.Sprintf("Kind(%d)", int(k))
+	return k.unknown()
 }
+
+func (k Kind) unknown() string { return fmt.Sprintf("Kind(%d)", int(k)) }
 
 // CCSrc is the Src value identifying the coherence controller as issuer.
 const CCSrc = -1
@@ -262,7 +273,10 @@ func (r SnoopResult) String() string {
 // Snooper observes address strobes. Snoop must apply any state change the
 // transaction implies for the agent (invalidate on ReadEx/Upgrade/Inval/
 // FetchEx, downgrade on Read/Fetch) and return its verdict. The issuing
-// agent is not snooped.
+// agent is not snooped, and neither is an agent that does not hold the
+// line: a snooper is snooped only for lines it reported with Bus.Hold and
+// has not dropped with Bus.Drop, so it must report every line it comes to
+// hold and every line it loses, including those its own Snoop invalidates.
 type Snooper interface {
 	Snoop(txn *Txn) SnoopResult
 }
@@ -302,8 +316,11 @@ type Bus struct {
 	data  sim.Resource
 	banks []sim.Resource
 
-	snoopers []Snooper
-	cc       Controller
+	// snoopers is the attached processor agents, indexed by Src, each
+	// with its presence bits over lines of 1<<lineShift bytes.
+	snoopers  []snooper
+	lineShift uint
+	cc        Controller
 
 	// pending holds each snooper's in-flight processor transaction and its
 	// line, indexed by Src (a zero slot is free). A processor has at most
@@ -326,16 +343,17 @@ type Bus struct {
 // nil.
 func New(eng *sim.Engine, cfg *config.Config, node int, tr *obs.Tracer) *Bus {
 	b := &Bus{
-		eng:      eng,
-		cfg:      cfg,
-		node:     node,
-		tr:       tr,
-		addr:     sim.MakeResource(eng),
-		data:     sim.MakeResource(eng),
-		banks:    make([]sim.Resource, cfg.MemBanks),
-		snoopers: make([]Snooper, 0, cfg.ProcsPerNode),
-		pending:  make([]pendingSlot, 0, cfg.ProcsPerNode),
-		mem:      memaddr.NewLineTable[uint64](cfg),
+		eng:       eng,
+		cfg:       cfg,
+		node:      node,
+		tr:        tr,
+		addr:      sim.MakeResource(eng),
+		data:      sim.MakeResource(eng),
+		banks:     make([]sim.Resource, cfg.MemBanks),
+		snoopers:  make([]snooper, 0, cfg.ProcsPerNode),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		pending:   make([]pendingSlot, 0, cfg.ProcsPerNode),
+		mem:       memaddr.NewLineTable[uint64](cfg),
 	}
 	for i := range b.banks {
 		b.banks[i] = sim.MakeResource(eng)
@@ -344,10 +362,109 @@ func New(eng *sim.Engine, cfg *config.Config, node int, tr *obs.Tracer) *Bus {
 }
 
 // AttachSnooper registers a processor cache agent and returns its Src index.
+// It holds no lines until it reports them with Hold.
 func (b *Bus) AttachSnooper(s Snooper) int {
-	b.snoopers = append(b.snoopers, s)
+	b.snoopers = append(b.snoopers, snooper{Snooper: s})
 	b.pending = append(b.pending, pendingSlot{})
 	return len(b.snoopers) - 1
+}
+
+// snooper is one attached agent and its presence bits: bit k of held is
+// set while the agent holds line k<<lineShift, as it reported through
+// Hold and Drop. The bits cover the lines up to the highest the agent
+// ever held, one bit a line.
+type snooper struct {
+	Snooper
+	held []uint64
+}
+
+// Hold records that snooper src holds line: strobes of the line snoop it
+// until Drop. Holding a held line changes nothing.
+func (b *Bus) Hold(src int, line uint64) {
+	k := line >> b.lineShift
+	s := &b.snoopers[src]
+	if k/64 >= uint64(len(s.held)) {
+		s.grow(k / 64)
+	}
+	s.held[k/64] |= 1 << (k % 64)
+}
+
+// firstHeldWords is the room a snooper's presence bits reserve on their
+// first growth: 64 words cover 4096 lines, the whole address space of a
+// short run, in 512 bytes.
+const firstHeldWords = 64
+
+// grow extends the presence bits to cover word w. The first growth
+// reserves firstHeldWords, and append's amortized growth keeps later
+// ones to a few allocations a snooper.
+func (s *snooper) grow(w uint64) {
+	if s.held == nil {
+		s.held = make([]uint64, 0, max(w+1, firstHeldWords))
+	}
+	s.held = append(s.held, make([]uint64, w+1-uint64(len(s.held)))...)
+}
+
+// Drop records that snooper src no longer holds line: strobes of the line
+// skip it. Dropping a line not held changes nothing.
+func (b *Bus) Drop(src int, line uint64) {
+	k := line >> b.lineShift
+	if h := b.snoopers[src].held; k/64 < uint64(len(h)) {
+		h[k/64] &^= 1 << (k % 64)
+	}
+}
+
+// Holds reports whether snooper src holds line, as it reported through
+// Hold and Drop.
+func (b *Bus) Holds(src int, line uint64) bool {
+	k := line >> b.lineShift
+	h := b.snoopers[src].held
+	return k/64 < uint64(len(h)) && h[k/64]&(1<<(k%64)) != 0
+}
+
+// EachHeld calls fn for every line that a snooper of buses holds, in
+// ascending line order, with the line's holders numbered across buses:
+// the snoopers of buses[0] in Src order, then those of buses[1], and so
+// on. holders is reused between calls. EachHeld stops at fn's first error
+// and returns it. The buses must share one line size.
+func EachHeld(buses []*Bus, fn func(line uint64, holders []int) error) error {
+	n := 0
+	for _, b := range buses {
+		n += len(b.snoopers)
+	}
+	sets := make([][]uint64, 0, n)
+	words := 0
+	for _, b := range buses {
+		for _, s := range b.snoopers {
+			sets = append(sets, s.held)
+			words = max(words, len(s.held))
+		}
+	}
+	if len(sets) == 0 {
+		return nil
+	}
+	shift := buses[0].lineShift
+	holders := make([]int, 0, len(sets))
+	for w := 0; w < words; w++ {
+		var union uint64
+		for _, h := range sets {
+			if w < len(h) {
+				union |= h[w]
+			}
+		}
+		for ; union != 0; union &= union - 1 {
+			k := bits.TrailingZeros64(union)
+			holders = holders[:0]
+			for i, h := range sets {
+				if w < len(h) && h[w]>>k&1 != 0 {
+					holders = append(holders, i)
+				}
+			}
+			if err := fn(uint64(w*64+k)<<shift, holders); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // pendingSlot is one snooper's registered in-flight transaction.
@@ -467,7 +584,9 @@ func (b *Bus) granted(txn *Txn) {
 func (b *Bus) strobe(txn *Txn) {
 	b.counts[txn.Kind]++
 	now := b.eng.Now()
-	b.tr.BusStrobe(now, b.node, txn.Kind.String(), txn.Line, txn.Src)
+	if b.tr.Enabled() {
+		b.tr.BusStrobe(now, b.node, txn.Kind.String(), txn.Line, txn.Src)
+	}
 	b.tr.SpanEnd(txn.Attr, obs.StageBusArb, 0, now)
 
 	// Same-line serialization. Processor transactions register in their
@@ -520,17 +639,18 @@ func (b *Bus) strobe(txn *Txn) {
 		return
 	}
 
-	// Snoop everyone but the issuer. The supplying snooper's shadow line
-	// value is captured so data-bearing resolutions can deliver it (the
-	// dirty owner's value wins over a clean sharer's).
+	// Snoop the line's holders but the issuer, in Src order. The
+	// supplying snooper's shadow line value is captured so data-bearing
+	// resolutions can deliver it (the dirty owner's value wins over a clean
+	// sharer's).
 	verdict := SnoopNone
 	sharedSeen := false
 	supplier := -1
-	for i, s := range b.snoopers {
-		if i == txn.Src {
+	for i := range b.snoopers {
+		if i == txn.Src || !b.Holds(i, txn.Line) {
 			continue
 		}
-		switch s.Snoop(txn) {
+		switch b.snoopers[i].Snoop(txn) {
 		case SnoopShared:
 			sharedSeen = true
 			if supplier < 0 {
@@ -546,7 +666,7 @@ func (b *Bus) strobe(txn *Txn) {
 		}
 	}
 	if supplier >= 0 {
-		if ds, ok := b.snoopers[supplier].(DataSupplier); ok {
+		if ds, ok := b.snoopers[supplier].Snooper.(DataSupplier); ok {
 			txn.snoopData = ds.SnoopData()
 		}
 	}

@@ -1,7 +1,10 @@
 package smpbus
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,7 +83,7 @@ func TestLocalReadFromMemoryTiming(t *testing.T) {
 
 func TestReadSharedWhenSiblingHolds(t *testing.T) {
 	eng, b, cfg := newBus(t)
-	b.AttachSnooper(&fakeSnooper{verdict: SnoopShared})
+	b.Hold(b.AttachSnooper(&fakeSnooper{verdict: SnoopShared}), 0x1000)
 	src := b.AttachSnooper(&fakeSnooper{verdict: SnoopNone})
 	var out Outcome
 	var doneAt sim.Time
@@ -106,7 +109,7 @@ func TestReadSharedWhenSiblingHolds(t *testing.T) {
 func TestReadFromDirtyOwner(t *testing.T) {
 	eng, b, _ := newBus(t)
 	owner := &fakeSnooper{verdict: SnoopOwned}
-	b.AttachSnooper(owner)
+	b.Hold(b.AttachSnooper(owner), 0x2000)
 	src := b.AttachSnooper(&fakeSnooper{verdict: SnoopNone})
 	var out Outcome
 	eng.At(0, sim.Func(func() {
@@ -181,7 +184,7 @@ func TestSupplyWithoutData(t *testing.T) {
 func TestUpgradeCompletesLocallyWithoutRemoteSharers(t *testing.T) {
 	eng, b, _ := newBus(t)
 	sib := &fakeSnooper{verdict: SnoopShared}
-	b.AttachSnooper(sib)
+	b.Hold(b.AttachSnooper(sib), 0x1000)
 	src := b.AttachSnooper(&fakeSnooper{verdict: SnoopNone})
 	cc := &fakeCC{verdict: SnoopNone}
 	b.AttachController(cc)
@@ -232,7 +235,7 @@ func TestWriteBackLocalGoesToMemory(t *testing.T) {
 func TestWriteBackRemoteUsesDirectDataPath(t *testing.T) {
 	eng, b, _ := newBus(t)
 	sib := &fakeSnooper{verdict: SnoopShared}
-	b.AttachSnooper(sib)
+	b.Hold(b.AttachSnooper(sib), 0x2000)
 	src := b.AttachSnooper(&fakeSnooper{verdict: SnoopNone})
 	cc := &fakeCC{verdict: SnoopNone}
 	b.AttachController(cc)
@@ -279,7 +282,7 @@ func TestSameLineConflictRetries(t *testing.T) {
 func TestFetchFromMemoryAndFromOwner(t *testing.T) {
 	eng, b, _ := newBus(t)
 	owner := &fakeSnooper{verdict: SnoopOwned}
-	b.AttachSnooper(owner)
+	b.Hold(b.AttachSnooper(owner), 0x1000)
 	var fromOwner, fromMem Outcome
 	eng.At(0, sim.Func(func() {
 		b.Issue(&Txn{Kind: Fetch, Line: 0x1000, Src: CCSrc, HomeLocal: true, Done: func(o Outcome) { fromOwner = o }})
@@ -390,7 +393,7 @@ func TestKindString(t *testing.T) {
 func TestUpgradeOwnedSiblingTransfersInNode(t *testing.T) {
 	eng, b, _ := newBus(t)
 	owner := &fakeSnooper{verdict: SnoopOwned}
-	b.AttachSnooper(owner)
+	b.Hold(b.AttachSnooper(owner), 0x1000)
 	src := b.AttachSnooper(&fakeSnooper{verdict: SnoopNone})
 	cc := &fakeCC{verdict: SnoopDefer} // the CC would defer, but ownership wins
 	b.AttachController(cc)
@@ -412,7 +415,7 @@ func TestUpgradeOwnedSiblingTransfersInNode(t *testing.T) {
 func TestUpgradeRequesterOwnsCompletesLocally(t *testing.T) {
 	eng, b, _ := newBus(t)
 	sib := &fakeSnooper{verdict: SnoopShared}
-	b.AttachSnooper(sib)
+	b.Hold(b.AttachSnooper(sib), 0x2000)
 	src := b.AttachSnooper(&fakeSnooper{verdict: SnoopNone})
 	cc := &fakeCC{verdict: SnoopDefer}
 	b.AttachController(cc)
@@ -728,4 +731,143 @@ func TestSecondStepPanics(t *testing.T) {
 		}
 	}()
 	b.Abort(txn)
+}
+
+// TestStrobeSnoopsOnlyHolders checks that a strobe snoops the snoopers
+// that recorded its line with Hold, except the issuer, and none other.
+func TestStrobeSnoopsOnlyHolders(t *testing.T) {
+	eng, b, _ := newBus(t)
+	snps := make([]*fakeSnooper, 4)
+	for i := range snps {
+		snps[i] = &fakeSnooper{verdict: SnoopShared}
+		b.AttachSnooper(snps[i])
+	}
+	const line = 0x1000
+	for _, i := range []int{0, 2, 3} {
+		b.Hold(i, line)
+	}
+	b.Hold(1, line+0x80) // the next line, not this one
+	var out Outcome
+	b.Issue(&Txn{Kind: Upgrade, Line: line, Src: 3, HomeLocal: true, Done: func(o Outcome) { out = o }})
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if out.Status != OK {
+		t.Fatalf("upgrade outcome %+v, want OK", out)
+	}
+	for i, want := range []int{1, 0, 1, 0} {
+		if got := len(snps[i].seen); got != want {
+			t.Errorf("snooper %d snooped %d times, want %d", i, got, want)
+		}
+	}
+}
+
+// supplySnooper answers every snoop with its verdict and supplies value.
+type supplySnooper struct {
+	verdict SnoopResult
+	value   uint64
+}
+
+func (s *supplySnooper) Snoop(*Txn) SnoopResult { return s.verdict }
+func (s *supplySnooper) SnoopData() uint64      { return s.value }
+
+// TestSupplierAmongHolders checks that a read is supplied by the
+// lowest-index Shared holder unless a holder is Owned, and that a snooper
+// not holding the line supplies nothing whatever it would answer.
+func TestSupplierAmongHolders(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		verdicts []SnoopResult // snoopers 0-2; snooper 3 issues
+		held     []int
+		want     Outcome
+	}{
+		{"lowest sharer", []SnoopResult{SnoopShared, SnoopShared, SnoopShared}, []int{1, 2},
+			Outcome{Status: OK, Shared: true, Data: 0x11}},
+		{"owner over sharers", []SnoopResult{SnoopShared, SnoopShared, SnoopOwned}, []int{1, 2},
+			Outcome{Status: OK, Shared: true, Dirty: true, Data: 0x22}},
+		{"owner not holding", []SnoopResult{SnoopOwned, SnoopShared, SnoopShared}, []int{1, 2},
+			Outcome{Status: OK, Shared: true, Data: 0x11}},
+	} {
+		eng, b, _ := newBus(t)
+		for i, v := range tc.verdicts {
+			b.AttachSnooper(&supplySnooper{verdict: v, value: uint64(i) * 0x11})
+		}
+		src := b.AttachSnooper(&fakeSnooper{verdict: SnoopNone})
+		for _, i := range tc.held {
+			b.Hold(i, 0x1000)
+		}
+		var out Outcome
+		b.Issue(&Txn{Kind: Read, Line: 0x1000, Src: src, HomeLocal: true, Done: func(o Outcome) { out = o }})
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if out != tc.want {
+			t.Errorf("%s: outcome %+v, want %+v", tc.name, out, tc.want)
+		}
+	}
+}
+
+// TestDroppedLineIsNotSnooped checks that Drop ends a Hold: the snooper
+// is snooped for the line while it holds it and not after, and dropping a
+// line never held changes nothing.
+func TestDroppedLineIsNotSnooped(t *testing.T) {
+	eng, b, _ := newBus(t)
+	sib := &fakeSnooper{verdict: SnoopShared}
+	s := b.AttachSnooper(sib)
+	src := b.AttachSnooper(&fakeSnooper{verdict: SnoopNone})
+	const line = 0x4000
+	b.Drop(s, line) // never held, past the end of its bits
+	b.Hold(s, line)
+	b.Hold(s, line) // holding twice is holding once
+	read := func() {
+		t.Helper()
+		b.Issue(&Txn{Kind: Read, Line: line, Src: src, HomeLocal: true, Done: ignoreOutcome})
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read()
+	if len(sib.seen) != 1 || !b.Holds(s, line) {
+		t.Fatalf("holder snooped %d times (holds: %v), want once", len(sib.seen), b.Holds(s, line))
+	}
+	b.Drop(s, line)
+	read()
+	if len(sib.seen) != 1 || b.Holds(s, line) {
+		t.Fatalf("after Drop the snooper was snooped %d times in all (holds: %v), want once", len(sib.seen), b.Holds(s, line))
+	}
+}
+
+// TestEachHeldOrder checks that EachHeld visits every held line once, in
+// ascending order, with its holders numbered across the buses in order,
+// and stops at the first error.
+func TestEachHeldOrder(t *testing.T) {
+	_, b0, cfg := newBus(t)
+	b1 := New(sim.NewEngine(), cfg, 1, nil)
+	for _, b := range []*Bus{b0, b1} {
+		b.AttachSnooper(verdictSnooper(SnoopNone))
+		b.AttachSnooper(verdictSnooper(SnoopNone))
+	}
+	line := func(k uint64) uint64 { return k * uint64(cfg.LineSize) }
+	b0.Hold(1, line(200))
+	b1.Hold(1, line(3))
+	b1.Hold(0, line(200))
+	b0.Hold(0, line(64))
+	b0.Hold(0, line(65))
+	b0.Drop(0, line(65))
+	var got []string
+	visit := func(l uint64, holders []int) error {
+		got = append(got, fmt.Sprintf("%d:%v", l/uint64(cfg.LineSize), holders))
+		return nil
+	}
+	if err := EachHeld([]*Bus{b0, b1}, visit); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"3:[3]", "64:[0]", "200:[1 2]"}; !slices.Equal(got, want) {
+		t.Fatalf("EachHeld visited %v, want %v", got, want)
+	}
+	stop := errors.New("stop")
+	got = got[:0]
+	if err := EachHeld([]*Bus{b0, b1}, func(l uint64, h []int) error { _ = visit(l, h); return stop }); err != stop || len(got) != 1 {
+		t.Fatalf("EachHeld returned %v after %d visits, want the callback's error after 1", err, len(got))
+	}
 }
